@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/gpf-go/gpf/internal/genome"
 )
@@ -10,24 +11,53 @@ import (
 const (
 	sentinel   = 0
 	numSymbols = 5
-	// occCheckpoint is the stride of occurrence-count checkpoints; rank
-	// queries scan at most occCheckpoint-1 BWT bytes past a checkpoint.
+	// occCheckpoint is the number of BWT symbols per occBlock; a rank query
+	// counts at most occCheckpoint-1 symbols past the block's checkpoint.
 	occCheckpoint = 64
 	// saSampleRate is the suffix-array sampling stride for locate queries.
 	saSampleRate = 4
 )
+
+// occBlock is 64 BWT symbols in bwa's interleaved layout: the occurrence
+// counts of A,C,G,T before the block and the symbols themselves as 2-bit
+// codes (symbol k in bits[k/32] at bit 2*(k%32)), 32 bytes together, so a
+// rank query touches one block and nothing else.
+type occBlock struct {
+	occ  [4]uint32
+	bits [2]uint64
+}
+
+// eq returns, per word, a mask with the low bit of every 2-bit symbol that
+// equals code set.
+func (b *occBlock) eq(code uint64) (e0, e1 uint64) {
+	const low = 0x5555555555555555
+	pat := (code ^ 3) * low // XOR against this turns a matching symbol into 11
+	y0, y1 := b.bits[0]^pat, b.bits[1]^pat
+	return y0 & (y0 >> 1) & low, y1 & (y1 >> 1) & low
+}
+
+// countEq counts the set symbols of an eq mask pair among the first r < 64
+// symbols of the block.
+func countEq(e0, e1 uint64, r uint) int32 {
+	if r < 32 {
+		return int32(bits.OnesCount64(e0 & (1<<(2*r) - 1)))
+	}
+	return int32(bits.OnesCount64(e0) + bits.OnesCount64(e1&(1<<(2*(r-32))-1)))
+}
 
 // FMIndex is a BWT-based full-text index over the concatenated reference,
 // supporting backward search (exact-match intervals) and locate.
 type FMIndex struct {
 	ref *genome.Reference
 
-	bwt []byte // BWT of coded text (values 0..4)
+	// blocks holds the BWT without its sentinel symbol, which sits in row
+	// primary: BWT row i is packed symbol i below primary and i-1 above it.
+	// There is always a block at index (n-1)/occCheckpoint, so rank(c, n)
+	// finds its checkpoint even when n-1 is an exact multiple of the stride.
+	blocks  []occBlock
+	primary int32
 	// counts[c] = number of symbols < c in the text (the C array).
 	counts [numSymbols + 1]int32
-	// occ checkpoints: occ[(i/occCheckpoint)*numSymbols + c] = occurrences
-	// of c in bwt[:i rounded down to checkpoint].
-	occ []int32
 	// sa holds sampled suffix array entries: saSample[i] = SA[i*saSampleRate].
 	saSample []int32
 	n        int // text length including sentinel
@@ -48,18 +78,11 @@ func code(b byte) byte {
 	return byte(c + 1)
 }
 
-// BuildFMIndex indexes the reference genome (forward strand; reads are
-// searched in both orientations by the aligner).
-func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
-	var total int64
-	for i := range ref.Contigs {
-		total += int64(ref.Contigs[i].Len())
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("align: empty reference")
-	}
-	text := make([]byte, total+1)
-	starts := make([]int64, ref.NumContigs())
+// codedText concatenates the contigs in the index alphabet, sentinel last,
+// and returns each contig's offset in that text.
+func codedText(ref *genome.Reference) (text []byte, starts []int64) {
+	text = make([]byte, ref.TotalLen()+1)
+	starts = make([]int64, ref.NumContigs())
 	var off int64
 	for i := range ref.Contigs {
 		starts[i] = off
@@ -69,73 +92,82 @@ func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
 		}
 	}
 	text[off] = sentinel
+	return text, starts
+}
 
+// BuildFMIndex indexes the reference genome (forward strand; reads are
+// searched in both orientations by the aligner).
+func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
+	if ref.TotalLen() == 0 {
+		return nil, fmt.Errorf("align: empty reference")
+	}
+	text, starts := codedText(ref)
 	sa := buildSuffixArray(text)
 	n := len(text)
 	idx := &FMIndex{ref: ref, n: n, starts: starts}
 
-	// BWT and sampled SA.
-	idx.bwt = make([]byte, n)
+	// Packed BWT with its checkpoints, and the sampled SA. The full SA is
+	// dropped afterwards; locate walks LF to a sampled row.
+	idx.blocks = make([]occBlock, (n-1)/occCheckpoint+1)
 	idx.saSample = make([]int32, (n+saSampleRate-1)/saSampleRate)
+	var running [4]uint32
+	k := 0 // packed symbols written
 	for i, p := range sa {
-		if p == 0 {
-			idx.bwt[i] = text[n-1]
-		} else {
-			idx.bwt[i] = text[p-1]
-		}
 		if i%saSampleRate == 0 {
 			idx.saSample[i/saSampleRate] = p
 		}
-	}
-	// To locate unsampled rows we need LF-mapping walks; store full SA rows
-	// mod sample via walking — but walking needs occ, built next.
-
-	// C array.
-	var freq [numSymbols]int32
-	for _, c := range text {
-		freq[c]++
-	}
-	var cum int32
-	for c := 0; c < numSymbols; c++ {
-		idx.counts[c] = cum
-		cum += freq[c]
-	}
-	idx.counts[numSymbols] = cum
-
-	// Occ checkpoints. The loop runs to i == n inclusive so the final
-	// checkpoint is written even when n is an exact multiple of the stride
-	// (rank(c, n) reads it).
-	nCheck := n/occCheckpoint + 1
-	idx.occ = make([]int32, nCheck*numSymbols)
-	var running [numSymbols]int32
-	for i := 0; i <= n; i++ {
-		if i%occCheckpoint == 0 {
-			copy(idx.occ[(i/occCheckpoint)*numSymbols:], running[:])
+		if p == 0 {
+			idx.primary = int32(i)
+			continue
 		}
-		if i < n {
-			running[idx.bwt[i]]++
+		if k%occCheckpoint == 0 {
+			idx.blocks[k/occCheckpoint].occ = running
 		}
+		c := text[p-1] - 1
+		idx.blocks[k/occCheckpoint].bits[k/32&1] |= uint64(c) << (2 * (k & 31))
+		running[c]++
+		k++
 	}
-	// We intentionally drop the full SA; locate walks LF to a sampled row.
+	if k%occCheckpoint == 0 {
+		idx.blocks[k/occCheckpoint].occ = running
+	}
+
+	// C array: the sentinel sorts first, then the four bases.
+	idx.counts[1] = 1
+	for c, f := range running {
+		idx.counts[c+2] = idx.counts[c+1] + int32(f)
+	}
 	return idx, nil
 }
 
-// rank returns the number of occurrences of symbol c in bwt[:i].
-func (x *FMIndex) rank(c byte, i int32) int32 {
-	cp := int(i) / occCheckpoint
-	count := x.occ[cp*numSymbols+int(c)]
-	for j := cp * occCheckpoint; j < int(i); j++ {
-		if x.bwt[j] == c {
-			count++
-		}
+// packed converts BWT row i (0..n) to an offset into the sentinel-free
+// packed BWT.
+func (x *FMIndex) packed(i int32) uint {
+	if i > x.primary {
+		i--
 	}
-	return count
+	return uint(i)
+}
+
+// rank returns the number of occurrences of base symbol c (1..4) in
+// bwt[:i].
+func (x *FMIndex) rank(c byte, i int32) int32 {
+	k := x.packed(i)
+	b := &x.blocks[k/occCheckpoint]
+	e0, e1 := b.eq(uint64(c - 1))
+	return int32(b.occ[c-1]) + countEq(e0, e1, k%occCheckpoint)
 }
 
 // lf is the last-to-first mapping of BWT row i.
 func (x *FMIndex) lf(i int32) int32 {
-	c := x.bwt[i]
-	return x.counts[c] + x.rank(c, i)
+	if i == x.primary {
+		return 0 // the sentinel row maps to the suffix that is the sentinel alone
+	}
+	k := x.packed(i)
+	b := &x.blocks[k/occCheckpoint]
+	c := b.bits[k/32&1] >> (2 * (k & 31)) & 3
+	e0, e1 := b.eq(c)
+	return x.counts[c+1] + int32(b.occ[c]) + countEq(e0, e1, k%occCheckpoint)
 }
 
 // Interval is a BWT row range [Lo, Hi) matching some query suffix.
@@ -155,12 +187,22 @@ func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 		if bc < 0 {
 			return Interval{}
 		}
-		c := byte(bc + 1)
-		lo = x.counts[c] + x.rank(c, lo)
-		hi = x.counts[c] + x.rank(c, hi)
+		// rank(c, lo) and rank(c, hi), sharing the block load and the
+		// symbol compare once the interval has narrowed into one block.
+		klo, khi := x.packed(lo), x.packed(hi)
+		b := &x.blocks[klo/occCheckpoint]
+		e0, e1 := b.eq(uint64(bc))
+		lo = int32(b.occ[bc]) + countEq(e0, e1, klo%occCheckpoint)
+		if khi/occCheckpoint != klo/occCheckpoint {
+			b = &x.blocks[khi/occCheckpoint]
+			e0, e1 = b.eq(uint64(bc))
+		}
+		hi = int32(b.occ[bc]) + countEq(e0, e1, khi%occCheckpoint)
 		if lo >= hi {
 			return Interval{}
 		}
+		lo += x.counts[bc+1]
+		hi += x.counts[bc+1]
 	}
 	return Interval{Lo: lo, Hi: hi}
 }
@@ -168,8 +210,12 @@ func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 // Locate resolves up to maxHits text positions for an interval by LF-walking
 // to sampled suffix-array rows.
 func (x *FMIndex) Locate(iv Interval, maxHits int) []int64 {
-	var out []int64
-	for r := iv.Lo; r < iv.Hi && len(out) < maxHits; r++ {
+	return x.appendLocate(nil, iv, maxHits)
+}
+
+// appendLocate is Locate appending to dst, for callers that reuse a buffer.
+func (x *FMIndex) appendLocate(dst []int64, iv Interval, maxHits int) []int64 {
+	for r := iv.Lo; r < iv.Hi && maxHits > 0; r, maxHits = r+1, maxHits-1 {
 		row := r
 		steps := int32(0)
 		for row%saSampleRate != 0 {
@@ -180,9 +226,9 @@ func (x *FMIndex) Locate(iv Interval, maxHits int) []int64 {
 		if pos >= int64(x.n) {
 			pos -= int64(x.n)
 		}
-		out = append(out, pos)
+		dst = append(dst, pos)
 	}
-	return out
+	return dst
 }
 
 // Resolve converts a concatenated-text offset into (contig, position). The

@@ -1,7 +1,9 @@
 package align
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
@@ -50,10 +52,19 @@ type Alignment struct {
 	Seq, Qual []byte
 }
 
-// Aligner maps reads against an FM-indexed reference.
+// Aligner maps reads against an FM-indexed reference. It is safe for
+// concurrent use.
 type Aligner struct {
 	idx *FMIndex
 	cfg Config
+	// scratch pools *seedScratch, one per AlignSeq call in flight.
+	scratch sync.Pool
+}
+
+// seedScratch is the working memory seeding reuses from read to read.
+type seedScratch struct {
+	positions []int64
+	cands     []candidate
 }
 
 // NewAligner creates an aligner over idx with cfg (zero fields take
@@ -87,7 +98,9 @@ func NewAligner(idx *FMIndex, cfg Config) *Aligner {
 	if cfg.ProperPairBonus <= 0 {
 		cfg.ProperPairBonus = def.ProperPairBonus
 	}
-	return &Aligner{idx: idx, cfg: cfg}
+	a := &Aligner{idx: idx, cfg: cfg}
+	a.scratch.New = func() any { return new(seedScratch) }
+	return a
 }
 
 // candidate is a clustered seed locus in concatenated-text coordinates.
@@ -97,29 +110,41 @@ type candidate struct {
 }
 
 // seedCandidates finds candidate alignment start offsets for seq via exact
-// seed matches.
-func (a *Aligner) seedCandidates(seq []byte) []candidate {
-	var positions []int64
+// seed matches. The result lives in sc and is valid until its next use.
+func (a *Aligner) seedCandidates(seq []byte, sc *seedScratch) []candidate {
+	positions := sc.positions[:0]
+	// Seeds holding anything but ACGT are skipped; bad is the last such
+	// offset among seq[:scanned], so each base is classified once per read.
+	bad, scanned := -1, 0
 	for off := 0; off+a.cfg.SeedLen <= len(seq); off += a.cfg.SeedStride {
-		seed := seq[off : off+a.cfg.SeedLen]
-		if genome.ValidateSeq(seed) != -1 || containsN(seed) {
+		for end := off + a.cfg.SeedLen; scanned < end; scanned++ {
+			switch seq[scanned] {
+			case 'A', 'C', 'G', 'T':
+			default:
+				bad = scanned
+			}
+		}
+		if bad >= off {
 			continue
 		}
-		iv := a.idx.BackwardSearch(seed)
+		iv := a.idx.BackwardSearch(seq[off : off+a.cfg.SeedLen])
 		if iv.Size() == 0 || iv.Size() > a.cfg.MaxSeedHits {
 			continue
 		}
-		for _, hit := range a.idx.Locate(iv, a.cfg.MaxSeedHits) {
-			positions = append(positions, hit-int64(off))
+		first := len(positions)
+		positions = a.idx.appendLocate(positions, iv, a.cfg.MaxSeedHits)
+		for i := first; i < len(positions); i++ {
+			positions[i] -= int64(off)
 		}
 	}
+	sc.positions = positions
 	if len(positions) == 0 {
 		return nil
 	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
+	slices.Sort(positions)
 	// Cluster within a small tolerance (indels shift candidate starts).
 	const tol = 12
-	var out []candidate
+	out := sc.cands[:0]
 	cur := candidate{start: positions[0], votes: 1}
 	for _, p := range positions[1:] {
 		if p-cur.start <= tol {
@@ -130,29 +155,21 @@ func (a *Aligner) seedCandidates(seq []byte) []candidate {
 		cur = candidate{start: p, votes: 1}
 	}
 	out = append(out, cur)
-	sort.Slice(out, func(i, j int) bool { return out[i].votes > out[j].votes })
+	sc.cands = out
+	// Not a stable sort: which of several equal-vote candidates survive the
+	// cut below is pdqsort's choice, and the output bytes depend on it.
+	slices.SortFunc(out, func(x, y candidate) int { return cmp.Compare(y.votes, x.votes) })
 	if len(out) > a.cfg.MaxCandidates {
 		out = out[:a.cfg.MaxCandidates]
 	}
 	return out
 }
 
-func containsN(seq []byte) bool {
-	for _, b := range seq {
-		if b == 'N' {
-			return true
-		}
-	}
-	return false
-}
-
-// alignOriented aligns one orientation of the read, returning scored
-// placements (unsorted).
-func (a *Aligner) alignOriented(seq []byte, reverse bool) []Alignment {
-	cands := a.seedCandidates(seq)
-	var out []Alignment
+// alignOriented aligns one orientation of the read, appending scored
+// placements (unsorted) to dst.
+func (a *Aligner) alignOriented(dst []Alignment, seq []byte, reverse bool, sc *seedScratch) []Alignment {
 	minScore := int(a.cfg.MinScoreFrac * float64(len(seq)))
-	for _, c := range cands {
+	for _, c := range a.seedCandidates(seq, sc) {
 		pos, ok := a.idx.Resolve(c.start)
 		if !ok {
 			// Candidate begins before contig 0 or inside the sentinel; try
@@ -174,14 +191,14 @@ func (a *Aligner) alignOriented(seq []byte, reverse bool) []Alignment {
 		if fit.Score < minScore {
 			continue
 		}
-		out = append(out, Alignment{
+		dst = append(dst, Alignment{
 			Pos:     genome.Position{Contig: pos.Contig, Pos: clampedStart + fit.RefStart},
 			Reverse: reverse,
 			Score:   fit.Score,
 			Cigar:   fit.Cigar,
 		})
 	}
-	return out
+	return dst
 }
 
 // AlignSeq aligns a single read sequence (with quality), returning all
@@ -189,21 +206,20 @@ func (a *Aligner) alignOriented(seq []byte, reverse bool) []Alignment {
 // best-versus-second-best score gap. The first element (when present) is the
 // primary alignment.
 func (a *Aligner) AlignSeq(seq, qual []byte) []Alignment {
-	fwd := a.alignOriented(seq, false)
+	sc := a.scratch.Get().(*seedScratch)
 	rc := genome.ReverseComplement(seq)
-	rev := a.alignOriented(rc, true)
-	all := append(fwd, rev...)
+	all := a.alignOriented(nil, seq, false, sc)
+	all = a.alignOriented(all, rc, true, sc)
+	a.scratch.Put(sc)
 	if len(all) == 0 {
 		return nil
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		if all[i].Pos.Contig != all[j].Pos.Contig {
-			return all[i].Pos.Contig < all[j].Pos.Contig
-		}
-		return all[i].Pos.Pos < all[j].Pos.Pos
+	slices.SortFunc(all, func(x, y Alignment) int {
+		return cmp.Or(
+			cmp.Compare(y.Score, x.Score),
+			cmp.Compare(x.Pos.Contig, y.Pos.Contig),
+			cmp.Compare(x.Pos.Pos, y.Pos.Pos),
+		)
 	})
 	// Deduplicate identical placements.
 	dedup := all[:1]
@@ -232,10 +248,14 @@ func (a *Aligner) AlignSeq(seq, qual []byte) []Alignment {
 		mapq = 0
 	}
 	all[0].MapQ = uint8(mapq)
+	var rq []byte // reversed qualities, shared by the reverse placements
 	for i := range all {
 		if all[i].Reverse {
+			if rq == nil {
+				rq = reverseBytes(qual)
+			}
 			all[i].Seq = rc
-			all[i].Qual = reverseBytes(qual)
+			all[i].Qual = rq
 		} else {
 			all[i].Seq = seq
 			all[i].Qual = qual

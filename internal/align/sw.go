@@ -33,24 +33,39 @@ type fitResult struct {
 // traceback). It returns the best score, the window offset where the
 // alignment begins, and an M/I/D CIGAR covering the whole read.
 //
-// When the fast kernels are enabled it dispatches to the banded DP
-// (banded.go), which fills only a diagonal band of the matrix and proves its
-// own answer identical via the out-of-band score certificate — falling back
-// to the full DP on the rare reads whose banded optimum cannot rule out an
+// When the fast kernels are enabled it first tries the certified ungapped
+// extension (ungapped.go), which answers without any DP when one start
+// diagonal is provably the unique optimum, then the banded DP (banded.go),
+// which fills only a diagonal band of the matrix and proves its own answer
+// identical via the out-of-band score certificate — falling back to the
+// full DP on the rare reads whose banded optimum cannot rule out an
 // out-of-band path.
 func fitAlign(read, window []byte, sc Scoring) fitResult {
-	if kernels.Enabled() && bandedEligible(len(read), len(window), sc) {
-		if fit, ok := fitAlignBanded(read, window, sc); ok {
+	if kernels.Enabled() {
+		fit, ok := fitAlignUngapped(read, window, sc)
+		if fitPathHook != nil {
+			fitPathHook(ok)
+		}
+		if ok {
 			return fit
+		}
+		if bandedEligible(len(read), len(window), sc) {
+			if fit, ok := fitAlignBanded(read, window, sc); ok {
+				return fit
+			}
 		}
 	}
 	return fitAlignFull(read, window, sc)
 }
 
+// fitPathHook, set only by tests, observes whether a fast-kernel fitAlign
+// call was served by the ungapped certificate or went on to a DP.
+var fitPathHook func(certified bool)
+
 // fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
-// Gotoh matrix. It is the oracle for the banded kernel's equivalence
-// property tests and the DisableFastKernels ablation path, and the fallback
-// when the banded certificate fails.
+// Gotoh matrix. It is the oracle for the ungapped and banded kernels'
+// equivalence property tests and the DisableFastKernels ablation path, and
+// the fallback when the banded certificate fails.
 func fitAlignFull(read, window []byte, sc Scoring) fitResult {
 	m, n := len(read), len(window)
 	if m == 0 {

@@ -50,7 +50,12 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	perTaskFile := int64(float64(d.FASTQBytes()) * byteScale / churchillMaxRegions)
 	chTrace = baseline.AddFileHandoff(chTrace, perTaskFile)
 	chTrace = baseline.SerialScatterGather(chTrace, 30*time.Second)
+	return fig10FromTraces(gpfTrace, chTrace), nil
+}
 
+// fig10FromTraces replays the two systems' paper-scale traces across the
+// figure's core counts.
+func fig10FromTraces(gpfTrace, chTrace cluster.Trace) *Fig10Result {
 	cfg := cluster.PaperCluster()
 	cores := []int{128, 256, 512, 1024, 2048}
 	res := &Fig10Result{}
@@ -75,7 +80,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	}
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	res.GPFEfficiency = cluster.Efficiency(first.GPFTime, first.Cores, last.GPFTime, last.Cores)
-	return res, nil
+	return res
 }
 
 // Format renders the figure's series as rows per core count.

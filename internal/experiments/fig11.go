@@ -151,12 +151,10 @@ func Fig11(s Scale) (*Fig11Result, error) {
 	conversion := model.ConversionTime(paperFASTQ, paperFASTQ*6/10)
 
 	// Absolute alignment throughput is anchored to real BWA-MEM per-core
-	// speed (~0.48 Mbase/s/core, the rate behind the paper's 0.062 Gbase/s
-	// at 128 cores): the Go kernel's per-base cost differs from optimized C,
-	// so we keep our measured scaling *shape* and normalize the absolute
-	// level. The AGD conversion charge stays absolute, exactly as the
-	// paper's §5.2.3 argument requires.
-	const bwaMbasePerSecPerCore = 0.48
+	// speed (bwaMbasePerSecPerCore): the Go kernel's per-base cost differs
+	// from optimized C, so we keep our measured scaling *shape* and
+	// normalize the absolute level. The AGD conversion charge stays
+	// absolute, exactly as the paper's §5.2.3 argument requires.
 	paperBases := int64(PaperBases)
 	anchorSeconds := PaperBases / (bwaMbasePerSecPerCore * 1e6 * 128)
 	anchor128 := time.Duration(anchorSeconds * float64(time.Second))

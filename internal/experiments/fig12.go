@@ -41,12 +41,10 @@ func Fig12(s Scale) (*Fig12Result, error) {
 	cfg := cluster.PaperCluster()
 	res := &Fig12Result{}
 	for _, kind := range []workload.Kind{workload.WGS, workload.WES, workload.GenePanel} {
-		d, run, _, err := runWGS(s, kind, baseline.GPFOptions(), 2048)
+		_, run, full, err := runWGS(s, kind, baseline.GPFOptions(), 2048)
 		if err != nil {
 			return nil, err
 		}
-		cpuScale, byteScale := calibration(d)
-		full := refine(cluster.TraceFromMetrics(run.Metrics, cpuScale, byteScale), 2048)
 
 		wl := Fig12Workload{Workload: kind.String()}
 		for _, phase := range []string{"Aligner", "Cleaner", "Caller"} {
