@@ -2,6 +2,8 @@ package align
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"sort"
 	"testing"
@@ -532,5 +534,46 @@ func BenchmarkBackwardSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.BackwardSearch(pattern)
+	}
+}
+
+// TestKernelAlignPairGolden pins the aligner's output bytes on a reference
+// made of twenty copies of one unit, where most reads seed twenty equal-vote
+// candidates and only MaxCandidates of them are extended. Which ones survive
+// that cut is the unstable sort's choice (seedCandidates), so a toolchain
+// whose pdqsort permutes equal elements differently — or a change to the
+// sort — shows up here as a different hash rather than as silently different
+// SAM. The hash is the one the byte-BWT, sort.Slice aligner produced.
+func TestKernelAlignPairGolden(t *testing.T) {
+	const golden = "d80f7a328846b952d93d0a7e8162b0a41593e1b1bd5bc48a523c338f3fad589e"
+	rng := rand.New(rand.NewSource(81))
+	unit := randomBases(rng, 1500)
+	var seq []byte
+	for i := 0; i < 20; i++ {
+		seq = append(seq, unit...)
+		seq = append(seq, randomBases(rng, 200)...)
+	}
+	ref := genome.NewReference([]genome.Contig{{Name: "chr1", Seq: seq}})
+	pairs := fastq.Simulate(genome.Mutate(ref, genome.DefaultMutateConfig(82)), fastq.DefaultSimConfig(83, 4))
+	idx, err := BuildFMIndex(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligner := NewAligner(idx, Config{})
+	recs := make([]sam.Record, 0, 2*len(pairs))
+	for i := range pairs {
+		r1, r2 := aligner.AlignPair(&pairs[i])
+		recs = append(recs, r1, r2)
+	}
+	header, err := sam.NewHeader(sam.Unsorted, []string{"chr1"}, ref.Lengths())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := sam.WriteText(h, header, recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("SAM of %d records hashes to %s, want %s", len(recs), got, golden)
 	}
 }

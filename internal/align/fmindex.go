@@ -149,13 +149,20 @@ func (x *FMIndex) packed(i int32) uint {
 	return uint(i)
 }
 
-// rank returns the number of occurrences of base symbol c (1..4) in
-// bwt[:i].
-func (x *FMIndex) rank(c byte, i int32) int32 {
-	k := x.packed(i)
-	b := &x.blocks[k/occCheckpoint]
-	e0, e1 := b.eq(uint64(c - 1))
-	return int32(b.occ[c-1]) + countEq(e0, e1, k%occCheckpoint)
+// rank returns the number of occurrences of base code c (0..3 for A,C,G,T)
+// in bwt[:lo] and in bwt[:hi], lo <= hi: per row one block load, an XOR mask
+// and a popcount, and both rows from one load and one mask when they share a
+// block — which the two ends of a backward-search interval soon do.
+func (x *FMIndex) rank(c uint64, lo, hi int32) (int32, int32) {
+	klo, khi := x.packed(lo), x.packed(hi)
+	b := &x.blocks[klo/occCheckpoint]
+	e0, e1 := b.eq(c)
+	rlo := int32(b.occ[c]) + countEq(e0, e1, klo%occCheckpoint)
+	if khi/occCheckpoint != klo/occCheckpoint {
+		b = &x.blocks[khi/occCheckpoint]
+		e0, e1 = b.eq(c)
+	}
+	return rlo, int32(b.occ[c]) + countEq(e0, e1, khi%occCheckpoint)
 }
 
 // lf is the last-to-first mapping of BWT row i.
@@ -164,10 +171,9 @@ func (x *FMIndex) lf(i int32) int32 {
 		return 0 // the sentinel row maps to the suffix that is the sentinel alone
 	}
 	k := x.packed(i)
-	b := &x.blocks[k/occCheckpoint]
-	c := b.bits[k/32&1] >> (2 * (k & 31)) & 3
-	e0, e1 := b.eq(c)
-	return x.counts[c+1] + int32(b.occ[c]) + countEq(e0, e1, k%occCheckpoint)
+	c := x.blocks[k/occCheckpoint].bits[k/32&1] >> (2 * (k & 31)) & 3
+	r, _ := x.rank(c, i, i)
+	return x.counts[c+1] + r
 }
 
 // Interval is a BWT row range [Lo, Hi) matching some query suffix.
@@ -187,17 +193,7 @@ func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 		if bc < 0 {
 			return Interval{}
 		}
-		// rank(c, lo) and rank(c, hi), sharing the block load and the
-		// symbol compare once the interval has narrowed into one block.
-		klo, khi := x.packed(lo), x.packed(hi)
-		b := &x.blocks[klo/occCheckpoint]
-		e0, e1 := b.eq(uint64(bc))
-		lo = int32(b.occ[bc]) + countEq(e0, e1, klo%occCheckpoint)
-		if khi/occCheckpoint != klo/occCheckpoint {
-			b = &x.blocks[khi/occCheckpoint]
-			e0, e1 = b.eq(uint64(bc))
-		}
-		hi = int32(b.occ[bc]) + countEq(e0, e1, khi%occCheckpoint)
+		lo, hi = x.rank(uint64(bc), lo, hi)
 		if lo >= hi {
 			return Interval{}
 		}

@@ -28,7 +28,7 @@ func rankScan(bwt []byte, c byte, i int) int32 {
 // TestKernelFMIndexRankOracle: the popcount rank over packed blocks must
 // equal a byte scan of the BWT for every symbol and every prefix, at text
 // lengths on both sides of a block boundary — including exact multiples of
-// the stride, where rank(c, n) reads a block holding no symbols — and with
+// the stride, where rank at row n reads a block holding no symbols — and with
 // the sentinel row in the first, a middle and the last block.
 func TestKernelFMIndexRankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -49,14 +49,28 @@ func TestKernelFMIndexRankOracle(t *testing.T) {
 		if where == "first" && b != 0 || where == "last" && b != last || where == "middle" && (b == 0 || b == last) {
 			t.Fatalf("%s: sentinel row %d is in block %d of 0..%d, case needs the %s", tag, idx.primary, b, last, where)
 		}
+		// scan[c][i] is the oracle for every prefix; rank answers two rows per
+		// call, so each row is paired with itself, its neighbour, the row one
+		// block on and the last row — same block and different blocks.
+		var scan [numSymbols][]int32
+		for c := byte(0); c < numSymbols; c++ {
+			scan[c] = make([]int32, idx.n+1)
+			for i := range scan[c] {
+				scan[c][i] = rankScan(bwt, c, i)
+			}
+		}
 		for i := 0; i <= idx.n; i++ {
 			for c := byte(1); c < numSymbols; c++ {
-				if got, want := idx.rank(c, int32(i)), rankScan(bwt, c, i); got != want {
-					t.Fatalf("%s (len %d): rank(%d, %d) = %d, byte scan = %d", tag, len(seq), c, i, got, want)
+				for _, j := range []int{i, min(i+1, idx.n), min(i+occCheckpoint, idx.n), idx.n} {
+					lo, hi := idx.rank(uint64(c-1), int32(i), int32(j))
+					if lo != scan[c][i] || hi != scan[c][j] {
+						t.Fatalf("%s (len %d): rank(%d, %d, %d) = %d, %d, byte scan = %d, %d",
+							tag, len(seq), c, i, j, lo, hi, scan[c][i], scan[c][j])
+					}
 				}
 			}
 			if i < idx.n {
-				if got, want := idx.lf(int32(i)), idx.counts[bwt[i]]+rankScan(bwt, bwt[i], i); got != want {
+				if got, want := idx.lf(int32(i)), idx.counts[bwt[i]]+scan[bwt[i]][i]; got != want {
 					t.Fatalf("%s (len %d): lf(%d) = %d, byte scan = %d", tag, len(seq), i, got, want)
 				}
 			}

@@ -157,7 +157,8 @@ func (a *Aligner) seedCandidates(seq []byte, sc *seedScratch) []candidate {
 	out = append(out, cur)
 	sc.cands = out
 	// Not a stable sort: which of several equal-vote candidates survive the
-	// cut below is pdqsort's choice, and the output bytes depend on it.
+	// cut below is pdqsort's choice, and the output bytes depend on it
+	// (TestKernelAlignPairGolden pins them).
 	slices.SortFunc(out, func(x, y candidate) int { return cmp.Compare(y.votes, x.votes) })
 	if len(out) > a.cfg.MaxCandidates {
 		out = out[:a.cfg.MaxCandidates]
@@ -165,34 +166,40 @@ func (a *Aligner) seedCandidates(seq []byte, sc *seedScratch) []candidate {
 	return out
 }
 
+// candidateWindow returns the reference window a read of length m is fitted
+// into for candidate c — the candidate's locus with Flank bases either side,
+// clamped to its contig — and the window's contig and start. ok is false
+// when the candidate resolves to no contig or the clamped window is shorter
+// than half the read.
+func (a *Aligner) candidateWindow(m int, c candidate) (window []byte, contig, start int, ok bool) {
+	pos, ok := a.idx.Resolve(c.start)
+	if !ok {
+		// Candidate begins before contig 0 or inside the sentinel.
+		return nil, 0, 0, false
+	}
+	start = pos.Pos - a.cfg.Flank
+	window = a.idx.ref.Slice(pos.Contig, start, pos.Pos+m+a.cfg.Flank)
+	if start < 0 {
+		start = 0
+	}
+	return window, pos.Contig, start, len(window) >= m/2
+}
+
 // alignOriented aligns one orientation of the read, appending scored
 // placements (unsorted) to dst.
 func (a *Aligner) alignOriented(dst []Alignment, seq []byte, reverse bool, sc *seedScratch) []Alignment {
 	minScore := int(a.cfg.MinScoreFrac * float64(len(seq)))
 	for _, c := range a.seedCandidates(seq, sc) {
-		pos, ok := a.idx.Resolve(c.start)
+		window, contig, start, ok := a.candidateWindow(len(seq), c)
 		if !ok {
-			// Candidate begins before contig 0 or inside the sentinel; try
-			// clamping to the window logic anyway via contig resolution of a
-			// nearby offset.
 			continue
-		}
-		winStart := pos.Pos - a.cfg.Flank
-		winEnd := pos.Pos + len(seq) + a.cfg.Flank
-		window := a.idx.ref.Slice(pos.Contig, winStart, winEnd)
-		if len(window) < len(seq)/2 {
-			continue
-		}
-		clampedStart := winStart
-		if clampedStart < 0 {
-			clampedStart = 0
 		}
 		fit := fitAlign(seq, window, a.cfg.Scoring)
 		if fit.Score < minScore {
 			continue
 		}
 		dst = append(dst, Alignment{
-			Pos:     genome.Position{Contig: pos.Contig, Pos: clampedStart + fit.RefStart},
+			Pos:     genome.Position{Contig: contig, Pos: start + fit.RefStart},
 			Reverse: reverse,
 			Score:   fit.Score,
 			Cigar:   fit.Cigar,

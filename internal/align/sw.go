@@ -42,11 +42,7 @@ type fitResult struct {
 // out-of-band path.
 func fitAlign(read, window []byte, sc Scoring) fitResult {
 	if kernels.Enabled() {
-		fit, ok := fitAlignUngapped(read, window, sc)
-		if fitPathHook != nil {
-			fitPathHook(ok)
-		}
-		if ok {
+		if fit, ok := fitAlignUngapped(read, window, sc); ok {
 			return fit
 		}
 		if bandedEligible(len(read), len(window), sc) {
@@ -57,10 +53,6 @@ func fitAlign(read, window []byte, sc Scoring) fitResult {
 	}
 	return fitAlignFull(read, window, sc)
 }
-
-// fitPathHook, set only by tests, observes whether a fast-kernel fitAlign
-// call was served by the ungapped certificate or went on to a DP.
-var fitPathHook func(certified bool)
 
 // fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
 // Gotoh matrix. It is the oracle for the ungapped and banded kernels'

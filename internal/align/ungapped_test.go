@@ -252,21 +252,36 @@ func TestKernelAlignPairRecordIdentity(t *testing.T) {
 	defer kernels.SetEnabled(prev)
 	want := alignAll()
 
-	var certified, dp int
-	fitPathHook = func(ok bool) {
-		if ok {
-			certified++
-		} else {
-			dp++
-		}
-	}
-	defer func() { fitPathHook = nil }()
 	kernels.SetEnabled(true)
 	got := alignAll()
 
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("record %d differs:\nfast kernels %+v\nreference    %+v", i, got[i], want[i])
+		}
+	}
+
+	// Which path served each fit: the certificate's verdict on every (read,
+	// window) the aligner fits, gathered the way alignOriented gathers them.
+	var certified, dp int
+	scratch := new(seedScratch)
+	countFits := func(seq []byte) {
+		for _, c := range aligner.seedCandidates(seq, scratch) {
+			window, _, _, ok := aligner.candidateWindow(len(seq), c)
+			if !ok {
+				continue
+			}
+			if _, ok := fitAlignUngapped(seq, window, aligner.cfg.Scoring); ok {
+				certified++
+			} else {
+				dp++
+			}
+		}
+	}
+	for i := range pairs {
+		for _, seq := range [][]byte{pairs[i].R1.Seq, pairs[i].R2.Seq} {
+			countFits(seq)
+			countFits(genome.ReverseComplement(seq))
 		}
 	}
 	if fits := certified + dp; dp == 0 || float64(certified) <= 0.9*float64(fits) {

@@ -32,6 +32,12 @@ const (
 // aligner.
 const bwaMbasePerSecPerCore = 0.48
 
+// paperGPF128Minutes is GPF's WGS run time on 128 cores in the paper's
+// Fig 10. Less the aligner's share at bwaMbasePerSecPerCore it is the core
+// time of the GATK-style Cleaner and Caller tools, which paper-scale traces
+// are anchored to for the same reason.
+const paperGPF128Minutes = 174
+
 // Scale sizes an experiment run. Small scales finish in seconds for tests
 // and benchmarks; Default gives smoother curves for the CLI.
 type Scale struct {
@@ -107,29 +113,33 @@ func refine(tr cluster.Trace, targetTasks int) cluster.Trace {
 	return out
 }
 
-// anchorAligner rescales the task CPU of tr's Aligner-phase stages so that
-// together they cost PaperBases at real BWA-MEM's per-core rate. Every task
-// is scaled by the same factor, so the measured skew between tasks — what
-// the simulator's scaling shape comes from — is kept, while the absolute
-// level no longer depends on how fast the Go aligner is.
-func anchorAligner(tr cluster.Trace) {
-	var aligner []cluster.StageWork
-	var total time.Duration
+// anchorTools rescales tr's task CPU to the cost of the paper's tools, so
+// that the figures do not move with the speed of this repo's Go kernels. The
+// Aligner-phase tasks together cost PaperBases at real BWA-MEM's per-core
+// rate; the Cleaner- and Caller-phase tasks together cost what is left of
+// the paper's 128-core run. Each group is scaled by one factor, so the
+// measured skew between tasks and the Cleaner/Caller split — what the
+// simulator's scaling shape comes from — are kept. Driver time is the
+// engine's, not the tools', and stays as calibrated.
+func anchorTools(tr cluster.Trace) {
+	alignerSec := PaperBases / (bwaMbasePerSecPerCore * 1e6)
+	anchor := map[bool]float64{
+		true:  alignerSec,
+		false: paperGPF128Minutes*60*128 - alignerSec,
+	}
+	total := map[bool]time.Duration{}
 	for _, s := range tr.Stages {
-		if phaseOf(s.Name) != "Aligner" {
+		a := phaseOf(s.Name) == "Aligner"
+		for _, t := range s.Tasks {
+			total[a] += t.CPU
+		}
+	}
+	for _, s := range tr.Stages {
+		a := phaseOf(s.Name) == "Aligner"
+		if total[a] <= 0 {
 			continue
 		}
-		aligner = append(aligner, s)
-		for _, t := range s.Tasks {
-			total += t.CPU
-		}
-	}
-	if total <= 0 {
-		return
-	}
-	anchor := PaperBases / (bwaMbasePerSecPerCore * 1e6) * float64(time.Second)
-	f := anchor / float64(total)
-	for _, s := range aligner {
+		f := anchor[a] * float64(time.Second) / float64(total[a])
 		for i := range s.Tasks {
 			s.Tasks[i].CPU = time.Duration(float64(s.Tasks[i].CPU) * f)
 		}
@@ -137,12 +147,12 @@ func anchorAligner(tr cluster.Trace) {
 }
 
 // paperTrace converts a measured run over d into the paper-scale trace:
-// calibrated to the paper's dataset size, aligner cost anchored to BWA-MEM,
-// tasks refined to targetTasks per stage.
+// calibrated to the paper's dataset size, task CPU anchored to the paper's
+// tools, tasks refined to targetTasks per stage.
 func paperTrace(m engine.Metrics, d *workload.Dataset, targetTasks int) cluster.Trace {
 	cpuScale, byteScale := calibration(d)
 	tr := cluster.TraceFromMetrics(m, cpuScale, byteScale)
-	anchorAligner(tr)
+	anchorTools(tr)
 	return refine(tr, targetTasks)
 }
 
