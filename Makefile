@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench-json scaling clean
+.PHONY: all build test race vet lint check bench scaling clean
 
 all: build
 
@@ -25,20 +25,10 @@ lint:
 
 check: build vet lint test
 
-# bench-json emits the benchmark archive for the current PR (see
-# EXPERIMENTS.md): WGS ablations (shuffle, fast kernels) + I/O-model micro +
-# projection pushdown + the planner's decode/wire ablation + per-column codec
-# micro + the per-kernel reference-vs-optimized pairs + the multi-process
-# shuffle transport, as machine-readable test2json events. Override BENCH_N
-# to write a different archive generation.
-BENCH_N ?= 10
-BENCH_FILE = BENCH_$(BENCH_N).json
-
-bench-json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkAblationPipelinedShuffle|BenchmarkAblationFastKernels|BenchmarkShuffleMicro|BenchmarkProjectionPushdown|BenchmarkProjectionPlanner' -benchtime 3x . > $(BENCH_FILE)
-	$(GO) test -json -run '^$$' -bench 'BenchmarkColumnar' -benchtime 100x ./internal/colfmt >> $(BENCH_FILE)
-	$(GO) test -json -run '^$$' -bench 'BenchmarkKernel' -benchmem -benchtime 1s ./internal/caller ./internal/align ./internal/genome ./internal/compress >> $(BENCH_FILE)
-	$(GO) test -json -run '^$$' -bench 'BenchmarkShuffleTransport' -benchtime 3x ./internal/engine/exec/mproc >> $(BENCH_FILE)
+# bench runs the repository's benchmark (bench/README.md, BENCHMARK.json):
+# every workload on seed 42; exits non-zero if any operation failed.
+bench:
+	bash bench/run.sh
 
 # scaling regenerates the measured-vs-predicted multi-process curve quoted in
 # EXPERIMENTS.md (W = 1, 2, 4, 8 worker processes over the TCP transport next

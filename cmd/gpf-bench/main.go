@@ -70,14 +70,10 @@ func runners() []runner {
 			r, err := experiments.Table5(s)
 			return format(r, err)
 		}, "platform comparison: parallel efficiency"},
-		{"projection", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Projection(s)
-			return format(r, err)
-		}, "columnar projection pushdown: coordinate census decode bytes, columnar vs gob"},
 		{"projection-planner", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.ProjectionPlanner(s)
 			return format(r, err)
-		}, "planner ablation: manual view vs inferred effects vs disabled, decode + wire bytes"},
+		}, "projection planner: inferred effects vs disabled vs row codec, decode + wire bytes"},
 		{"kernels", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.Kernels(s)
 			return format(r, err)
@@ -106,7 +102,7 @@ func main() {
 	// before any flag or experiment logic.
 	mproc.WorkerMaybe()
 
-	exp := flag.String("exp", "all", "experiment id (table1|fig5|table3|table4|fig10|fig11|fig12|fig13|table5|projection|projection-planner|kernels|scaling|wgs|all)")
+	exp := flag.String("exp", "all", "experiment id (table1|fig5|table3|table4|fig10|fig11|fig12|fig13|table5|projection-planner|kernels|scaling|wgs|all)")
 	scaleName := flag.String("scale", "small", "workload scale (small|default)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.StringVar(&backendName, "backend", "inproc", "executor backend for -exp wgs (inproc|sim|mproc)")

@@ -10,7 +10,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 	want := map[string]bool{
 		"table1": false, "fig5": false, "table3": false, "table4": false,
 		"fig10": false, "fig11": false, "fig12": false, "fig13": false, "table5": false,
-		"projection": false, "projection-planner": false, "kernels": false,
+		"projection-planner": false, "kernels": false,
 		"scaling": false, "wgs": false,
 	}
 	for _, r := range runners() {

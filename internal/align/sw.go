@@ -56,7 +56,7 @@ func fitAlign(read, window []byte, sc Scoring) fitResult {
 
 // fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
 // Gotoh matrix. It is the oracle for the ungapped and banded kernels'
-// equivalence property tests and the DisableFastKernels ablation path, and
+// equivalence property tests and the kernels.SetEnabled(false) path, and
 // the fallback when the banded certificate fails.
 func fitAlignFull(read, window []byte, sc Scoring) fitResult {
 	m, n := len(read), len(window)

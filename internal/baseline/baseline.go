@@ -57,16 +57,6 @@ type WGSOptions struct {
 	// FileHandoff charges per-stage intermediate file I/O (Churchill-style
 	// workflow managers spill between tools).
 	FileHandoff bool
-	// BarrierShuffle disables the pipelined push-based shuffle, restoring
-	// the global map barrier (the pipelined-shuffle ablation).
-	BarrierShuffle bool
-	// NoMapSideCombine disables pre-aggregation in the census and other
-	// combine-based ops (the map-side-combine ablation).
-	NoMapSideCombine bool
-	// NoFastKernels reverts the hot kernels (scaled pair-HMM, banded
-	// alignment, table/word-parallel base ops) to their reference
-	// implementations (the fast-kernel ablation).
-	NoFastKernels bool
 }
 
 // GPFOptions is the paper's system: dynamic repartition, fusion, genomic
@@ -91,9 +81,6 @@ type WGSRun struct {
 // engine metrics (the raw material for trace replay at cluster scale).
 func RunWGS(rt *core.Runtime, pairs []fastq.Pair, opts WGSOptions) (*WGSRun, error) {
 	rt.Codec = opts.Codec
-	rt.Engine.DisablePipelinedShuffle = opts.BarrierShuffle
-	rt.Engine.DisableMapSideCombine = opts.NoMapSideCombine
-	rt.Engine.DisableFastKernels = opts.NoFastKernels
 	if !opts.DynamicRepartition {
 		// Disable splitting: the threshold can never be exceeded.
 		rt.SplitThresholdFactor = 1e18

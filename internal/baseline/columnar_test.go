@@ -11,15 +11,14 @@ import (
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
-// runWGSCalls runs the full WGS pipeline under the GPF tier with serialized
-// caching and returns the final call set plus the engine metrics. The
-// disableColumnar flag is the columnar-storage ablation: same pipeline, gob
-// blocks instead of per-field columns.
-func runWGSCalls(t *testing.T, rt *core.Runtime, pairs []fastq.Pair, disableColumnar bool) ([]vcf.Record, engine.Metrics) {
+// runWGSCalls runs the full WGS pipeline under the given codec tier with
+// serialized caching and returns the final call set plus the engine metrics.
+// TierGPF stores per-field columns; TierField is the row side: same
+// pipeline, whole-record blocks.
+func runWGSCalls(t *testing.T, rt *core.Runtime, pairs []fastq.Pair, tier core.CodecTier) ([]vcf.Record, engine.Metrics) {
 	t.Helper()
-	rt.Codec = core.TierGPF
+	rt.Codec = tier
 	rt.Engine.StoreSerialized = true
-	rt.Engine.DisableColumnar = disableColumnar
 	ds := core.PairsToRDD(rt, pairs, rt.NumPartitions)
 	wgs := core.BuildWGSPipeline(rt, ds, false)
 	wgs.Pipeline.Optimize = true
@@ -42,32 +41,32 @@ func gobCalls(t *testing.T, calls []vcf.Record) []byte {
 	return buf.Bytes()
 }
 
-// TestColumnarPipelineByteIdentical is the ablation property test: the full
-// pipeline must produce byte-identical output whether partitions are stored
-// and shuffled columnar or through the generic gob fallback — projection
-// pushdown is an optimization, never a semantics change. It also pins the
-// optimization down: only the columnar run may report pruned bytes, and it
-// must actually prune some.
+// TestColumnarPipelineByteIdentical is the storage-tier property test: the
+// full pipeline must produce byte-identical output whether partitions are
+// stored and shuffled columnar or through the row-wise field codec —
+// projection pushdown is an optimization, never a semantics change. It also
+// pins the optimization down: only the columnar run may report pruned bytes,
+// and it must actually prune some.
 func TestColumnarPipelineByteIdentical(t *testing.T) {
 	rt, pairs := testSetup(t, 8)
-	colCalls, colM := runWGSCalls(t, rt, pairs, false)
+	colCalls, colM := runWGSCalls(t, rt, pairs, core.TierGPF)
 
 	rt2 := core.NewRuntime(engine.NewContext(2), rt.Ref)
 	rt2.PartitionLen = 5000
-	gobCallsOut, gobM := runWGSCalls(t, rt2, pairs, true)
+	rowCalls, rowM := runWGSCalls(t, rt2, pairs, core.TierField)
 
 	if len(colCalls) == 0 {
 		t.Fatal("columnar run called nothing")
 	}
-	if a, b := gobCalls(t, colCalls), gobCalls(t, gobCallsOut); !bytes.Equal(a, b) {
-		t.Fatalf("pipeline output differs: columnar %d calls (%d bytes) vs gob %d calls (%d bytes)",
-			len(colCalls), len(a), len(gobCallsOut), len(b))
+	if a, b := gobCalls(t, colCalls), gobCalls(t, rowCalls); !bytes.Equal(a, b) {
+		t.Fatalf("pipeline output differs: columnar %d calls (%d bytes) vs row %d calls (%d bytes)",
+			len(colCalls), len(a), len(rowCalls), len(b))
 	}
 	if colM.TotalPrunedBytes() == 0 {
 		t.Fatal("columnar run should prune bytes in the coordinate census")
 	}
-	if gobM.TotalPrunedBytes() != 0 {
-		t.Fatalf("gob ablation pruned %d bytes, want 0", gobM.TotalPrunedBytes())
+	if rowM.TotalPrunedBytes() != 0 {
+		t.Fatalf("row tier pruned %d bytes, want 0", rowM.TotalPrunedBytes())
 	}
 	if r := colM.PruningRatio(); r <= 0 || r >= 1 {
 		t.Fatalf("columnar pruning ratio = %v, want in (0,1)", r)

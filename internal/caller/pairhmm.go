@@ -15,8 +15,8 @@ import (
 // the full profile-driven treatment (see DESIGN.md, "Hot kernels"):
 //
 //   - pairHMMReference is the original cell-by-cell log-space forward pass,
-//     kept verbatim as the equivalence oracle and the DisableFastKernels
-//     ablation path.
+//     kept verbatim as the equivalence oracle and the
+//     kernels.SetEnabled(false) path.
 //   - pairHMMHoisted is the reference with the per-row emission logs hoisted
 //     out of the inner loop, phredToProb's per-row math.Pow replaced by the
 //     256-entry emitTab lookup, and the six rolling DP rows pooled. Each
@@ -31,8 +31,8 @@ import (
 //     is the lossy encoding; the scaled pass tracks the true forward
 //     probabilities), but agrees to ~1e-12 relative — far below anything
 //     the genotyper's likelihood comparisons can observe — and the
-//     DisableFastKernels ablation is property-tested to keep pipeline
-//     output byte-identical.
+//     kernels.SetEnabled(false) ablation is property-tested to keep
+//     pipeline output byte-identical.
 
 // HMM transition probabilities (GATK-like defaults).
 const (
@@ -162,8 +162,8 @@ func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
 }
 
 // pairHMMReference is the unoptimized log-space forward pass, kept as the
-// equivalence oracle for the fast kernels and as the DisableFastKernels
-// ablation path.
+// equivalence oracle for the fast kernels and as the
+// kernels.SetEnabled(false) path.
 func pairHMMReference(read, qual, hap []byte) float64 {
 	m, n := len(read), len(hap)
 	if m == 0 || n == 0 {

@@ -61,7 +61,8 @@ import (
 )
 
 // Field bits of the columnar layout, in column order. The values double as
-// engine.FieldMask bits: ReadingFields masks are built by OR-ing these.
+// engine.FieldMask bits: op effect declarations (engine.ReadsOnly, Rebuilds,
+// WithEffects) are built by OR-ing these.
 const (
 	FieldName engine.FieldMask = 1 << iota
 	FieldFlag
@@ -99,9 +100,6 @@ type Codec struct {
 
 // Name identifies the codec in metrics.
 func (Codec) Name() string { return "columnar" }
-
-// Columnar marks the codec for the engine's DisableColumnar ablation.
-func (Codec) Columnar() bool { return true }
 
 // Project returns a codec decoding only the columns in mask, intersected
 // with any projection already applied.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/colfmt"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
 )
@@ -267,53 +268,52 @@ func TestCorruptionDoesNotPanic(t *testing.T) {
 // dataset under a codec.
 func identityRecords(_ int, recs []sam.Record) ([]sam.Record, error) { return recs, nil }
 
-// runCoordCensus materializes recs as serialized blocks (columnar, or gob
-// under the ablation) and runs a coordinate-only census over a projection
-// view, returning the census result and the session metrics.
-func runCoordCensus(t *testing.T, recs []sam.Record, disableColumnar bool) (map[int]int, engine.Metrics) {
+// runCoordCensus materializes recs as serialized blocks under codec (the
+// columnar codec, or the row-wise field codec as the whole-block side) and
+// runs a coordinate-only census declaring ReadsOnly(FieldCoord), returning
+// the census result and the session metrics.
+func runCoordCensus(t *testing.T, recs []sam.Record, codec engine.Serializer[sam.Record]) (map[int]int, engine.Metrics) {
 	t.Helper()
 	ctx := engine.NewContext(4)
 	ctx.StoreSerialized = true
-	ctx.DisableColumnar = disableColumnar
 	ds := engine.Parallelize(ctx, recs, 8)
-	stored, err := engine.MapPartitions("store", ds, colfmt.Codec{}, identityRecords)
+	stored, err := engine.MapPartitions("store", ds, codec, identityRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := stored.Force(); err != nil {
 		t.Fatal(err)
 	}
-	view := engine.ReadingFields(stored, colfmt.FieldCoord)
-	counts, err := engine.CountByKey("census", view, func(r sam.Record) int {
+	counts, err := engine.CountByKey("census", stored, func(r sam.Record) int {
 		return int(r.RefID)<<16 | int(r.Pos>>10)
-	})
+	}, engine.ReadsOnly(colfmt.FieldCoord))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return counts, ctx.Metrics()
 }
 
-// TestCoordCensusDecodesFewerBytesThanGob is the PR's acceptance criterion: a
-// coordinate-only stage over columnar-stored records decodes strictly fewer
-// bytes than the gob path (DisableColumnar), prunes a positive byte volume,
-// and produces the identical census.
+// TestCoordCensusDecodesFewerBytesThanGob is the columnar acceptance
+// criterion: a coordinate-only stage over columnar-stored records decodes
+// strictly fewer bytes than over a row codec (stored and decoded whole),
+// prunes a positive byte volume, and produces the identical census.
 func TestCoordCensusDecodesFewerBytesThanGob(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	recs := randBatch(r, 3000)
-	colCounts, colM := runCoordCensus(t, recs, false)
-	gobCounts, gobM := runCoordCensus(t, recs, true)
+	colCounts, colM := runCoordCensus(t, recs, colfmt.Codec{})
+	gobCounts, gobM := runCoordCensus(t, recs, compress.FieldSAMCodec{})
 	if !reflect.DeepEqual(colCounts, gobCounts) {
-		t.Fatal("columnar and gob census disagree")
+		t.Fatal("columnar and row census disagree")
 	}
 	colDec, gobDec := colM.TotalDecodedBytes(), gobM.TotalDecodedBytes()
 	if colDec >= gobDec {
-		t.Fatalf("columnar decoded %d bytes, gob %d — projection should decode strictly fewer", colDec, gobDec)
+		t.Fatalf("columnar decoded %d bytes, row %d — projection should decode strictly fewer", colDec, gobDec)
 	}
 	if pruned := colM.TotalPrunedBytes(); pruned <= 0 {
 		t.Fatalf("columnar census pruned %d bytes, want > 0", pruned)
 	}
 	if gobM.TotalPrunedBytes() != 0 {
-		t.Fatalf("gob path cannot prune, got %d", gobM.TotalPrunedBytes())
+		t.Fatalf("row path cannot prune, got %d", gobM.TotalPrunedBytes())
 	}
 	if colM.PruningRatio() <= 0 {
 		t.Fatalf("pruning ratio = %v, want > 0", colM.PruningRatio())
@@ -321,21 +321,21 @@ func TestCoordCensusDecodesFewerBytesThanGob(t *testing.T) {
 }
 
 // TestProjectionDeterminism: the projected columnar census is deterministic
-// across repeated runs and identical to the unprojected and gob paths. CI
-// runs this under -race.
+// across repeated runs and identical to the row-codec path. CI runs this
+// under -race.
 func TestProjectionDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := randBatch(r, 1500)
-	first, _ := runCoordCensus(t, recs, false)
+	first, _ := runCoordCensus(t, recs, colfmt.Codec{})
 	for i := 0; i < 3; i++ {
-		again, _ := runCoordCensus(t, recs, false)
+		again, _ := runCoordCensus(t, recs, colfmt.Codec{})
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("columnar census differs on rerun %d", i)
 		}
 	}
-	gob, _ := runCoordCensus(t, recs, true)
-	if !reflect.DeepEqual(first, gob) {
-		t.Fatal("columnar census differs from gob baseline")
+	row, _ := runCoordCensus(t, recs, compress.FieldSAMCodec{})
+	if !reflect.DeepEqual(first, row) {
+		t.Fatal("columnar census differs from row-codec baseline")
 	}
 }
 

@@ -130,7 +130,7 @@ func Pack2Bit(dst, seq []byte) []byte {
 }
 
 // pack2BitRef is the original per-base packer, kept as the equivalence
-// oracle and the DisableFastKernels path.
+// oracle and the kernels.SetEnabled(false) path.
 func pack2BitRef(dst, seq []byte) []byte {
 	var cur byte
 	var n uint
@@ -216,8 +216,8 @@ func Unpack2Bit(dst, packed []byte) (int, error) {
 }
 
 // unpack2BitRef is the original table-copy expansion, kept as the
-// equivalence oracle and the DisableFastKernels path. Bounds are already
-// checked by Unpack2Bit.
+// equivalence oracle and the kernels.SetEnabled(false) path. Bounds are
+// already checked by Unpack2Bit.
 func unpack2BitRef(dst, packed []byte) {
 	length := len(dst)
 	i := 0

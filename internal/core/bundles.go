@@ -60,10 +60,10 @@ func (t CodecTier) String() string {
 // SAMCodec returns the SAM serializer for the runtime's tier (nil selects
 // the engine's gob fallback). The GPF tier is the columnar codec: per-field
 // blocks with projection pushdown (colfmt), the layout that subsumes the
-// row-wise Fig 4 codec for cache and shuffle storage. Setting
-// Engine.DisableColumnar falls the GPF tier back to gob at the engine level
-// (the columnar ablation); the row-wise compress.GPFSAMCodec remains
-// available directly for the §4.2 codec-tier comparisons.
+// row-wise Fig 4 codec for cache and shuffle storage; the row-wise
+// compress.GPFSAMCodec remains available directly for the §4.2 codec-tier
+// comparisons, and TierField is the row side the columnar tests compare
+// against.
 func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] {
 	switch rt.Codec {
 	case TierGPF:

@@ -568,14 +568,13 @@ func TestPipelineWithSerializedStorage(t *testing.T) {
 
 func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 	// The repartitioner census declares ReadsOnly(FieldCoord) and nothing
-	// else — no manual Force() + ReadingFields view remains in the process.
-	// The projection planner must derive the coordinate-only decode on its
-	// own: the columnar census must decode at least 90% fewer stored bytes
-	// than the same census over the gob fallback.
-	run := func(columnar bool) (decoded, pruned int64) {
+	// else. The projection planner must derive the coordinate-only decode on
+	// its own: the columnar census must decode at least 90% fewer stored
+	// bytes than the same census over the row-wise field tier.
+	run := func(tier CodecTier) (decoded, pruned int64) {
 		rt := testRuntime(t, 2)
 		rt.Engine.StoreSerialized = true
-		rt.Engine.DisableColumnar = !columnar
+		rt.Codec = tier
 		pairs := simPairs(t, rt, 6)
 		ds := PairsToRDD(rt, pairs, 4)
 		fq := DefinedFASTQPair("f", ds)
@@ -603,16 +602,16 @@ func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 		m := rt.Engine.Metrics()
 		return m.TotalDecodedBytes(), m.TotalPrunedBytes()
 	}
-	colDec, colPruned := run(true)
-	gobDec, _ := run(false)
-	if colDec == 0 || gobDec == 0 {
-		t.Fatalf("census decoded no bytes: columnar=%d gob=%d", colDec, gobDec)
+	colDec, colPruned := run(TierGPF)
+	rowDec, _ := run(TierField)
+	if colDec == 0 || rowDec == 0 {
+		t.Fatalf("census decoded no bytes: columnar=%d row=%d", colDec, rowDec)
 	}
 	if colPruned == 0 {
 		t.Fatal("planner-inferred census pruned nothing")
 	}
-	if reduction := 1 - float64(colDec)/float64(gobDec); reduction < 0.90 {
-		t.Fatalf("census decode reduction %.1f%% < 90%% (columnar %d bytes, gob %d)",
-			100*reduction, colDec, gobDec)
+	if reduction := 1 - float64(colDec)/float64(rowDec); reduction < 0.90 {
+		t.Fatalf("census decode reduction %.1f%% < 90%% (columnar %d bytes, row %d)",
+			100*reduction, colDec, rowDec)
 	}
 }

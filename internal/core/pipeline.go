@@ -7,7 +7,6 @@ import (
 	"github.com/gpf-go/gpf/internal/caller"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
@@ -127,12 +126,6 @@ func (p *Pipeline) ExecutionOrder() []string { return p.executed }
 // Run executes the pipeline: Algorithm 1's resource-pool scheduling, with
 // the Fig 7 rewrite applied first when Optimize is set.
 func (p *Pipeline) Run() error {
-	// The hot-kernel ablation is a process-wide switch (the kernels live in
-	// leaf packages below the engine); sync it from the context flag so
-	// Engine.DisableFastKernels behaves like the other per-context ablations
-	// for pipeline runs.
-	kernels.SetEnabled(!p.rt.Engine.DisableFastKernels)
-
 	if p.Optimize {
 		p.fusePartitionChains()
 	} else {

@@ -169,12 +169,9 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	// Census: reads per base partition. Runs as a map-side-combined
+	// Census: reads per base partition (engine.CountByKey: a map-side-combined
 	// ReduceByKey over the compact keyed-varint codec, so each map task ships
-	// one (partition, count) pair per locally observed base partition instead
-	// of a whole per-partition map serially merged on the driver — the
-	// combine path that makes the census shuffle bytes drop (and the driver
-	// merge below only folds already-disjoint reduce outputs).
+	// one (partition, count) pair per locally observed base partition).
 	counts := map[int]int{}
 	baseID := func(r sam.Record) int {
 		if r.RefID < 0 {
@@ -188,38 +185,15 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 			return err
 		}
 		// The census keys on RefID/Pos only. Declaring ReadsOnly(FieldCoord)
-		// lets the projection planner derive the pruning itself: at the
-		// census barrier its backward pass resolves a coord-only demand on
-		// flat's edge, so a columnar-stored input decodes just the coord
-		// column and prunes name/seq/qual/tags — no manual Force() +
-		// ReadingFields view needed. On a non-columnar input the mask is a
-		// no-op.
-		censusReads := engine.ReadsOnly(colfmt.FieldCoord)
-		if rt.Engine.DisableMapSideCombine {
-			// No-combine ablation: the legacy census, whole per-partition
-			// count maps shipped to a serial driver merge.
-			c, err := engine.CountByKey(p.name+"/census", flat, baseID, censusReads)
-			if err != nil {
-				return err
-			}
-			for k, v := range c {
-				counts[k] += v
-			}
-			continue
-		}
-		pairs, err := engine.ReduceByKey(p.name+"/census", flat, flat.NumPartitions(), baseID,
-			func(sam.Record) int { return 1 },
-			func(a, b int) int { return a + b },
-			engine.KeyedIntCodec{}, censusReads)
+		// lets the projection planner derive the pruning itself: a
+		// columnar-stored input decodes just the coord column and prunes
+		// name/seq/qual/tags. On a non-columnar input the mask is a no-op.
+		c, err := engine.CountByKey(p.name+"/census", flat, baseID, engine.ReadsOnly(colfmt.FieldCoord))
 		if err != nil {
 			return err
 		}
-		kvs, err := engine.Collect(p.name+"/census-collect", pairs)
-		if err != nil {
-			return err
-		}
-		for _, kv := range kvs {
-			counts[kv.Key] += kv.Val
+		for k, v := range c {
+			counts[k] += v
 		}
 	}
 	// Threshold: factor × the median reads per non-empty partition. The

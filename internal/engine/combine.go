@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
@@ -48,9 +46,6 @@ func sortedPairs[C any](m map[int]C) []Keyed[C] {
 // partition, like every op func) but each invocation only sees task-local
 // accumulators; they must not write captured state. codec serializes the
 // shuffled pairs (nil selects the gob fallback).
-//
-// Context.DisableMapSideCombine ships one pair per item instead (reduce-side
-// semantics unchanged) — the no-combine ablation.
 //
 // CombineByKey is deferred like every wide op: the call records the shuffle
 // and returns a pending dataset forced by the first downstream barrier.
@@ -102,7 +97,6 @@ func runCombine[T, C any](name string, d *Dataset[T], res *Dataset[Keyed[C]], nu
 	}
 	mapNeed := fx.inNeed(need)
 	in := d.NumPartitions()
-	combine := !d.ctx.DisableMapSideCombine
 	allocResult(res, numPartitions, FieldsAll)
 	sc := &shuffleCore[[]Keyed[C], Keyed[C]]{
 		ctx:      d.ctx,
@@ -120,40 +114,28 @@ func runCombine[T, C any](name string, d *Dataset[T], res *Dataset[Keyed[C]], nu
 				return err
 			}
 			tm.InputItems = len(items)
-			bucketOf := func(k int) int {
+			acc := make([]map[int]C, numPartitions)
+			for _, it := range items {
+				k := key(it)
 				r := k % numPartitions
 				if r < 0 {
 					r += numPartitions
 				}
-				return r
+				m := acc[r]
+				if m == nil {
+					m = make(map[int]C)
+					acc[r] = m
+				}
+				if c, ok := m[k]; ok {
+					m[k] = mergeValue(c, it)
+				} else {
+					m[k] = create(it)
+				}
 			}
 			pairs := make([][]Keyed[C], numPartitions)
-			if combine {
-				acc := make([]map[int]C, numPartitions)
-				for _, it := range items {
-					k := key(it)
-					r := bucketOf(k)
-					m := acc[r]
-					if m == nil {
-						m = make(map[int]C)
-						acc[r] = m
-					}
-					if c, ok := m[k]; ok {
-						m[k] = mergeValue(c, it)
-					} else {
-						m[k] = create(it)
-					}
-				}
-				for r, m := range acc {
-					if len(m) > 0 {
-						pairs[r] = sortedPairs(m)
-					}
-				}
-			} else {
-				for _, it := range items {
-					k := key(it)
-					r := bucketOf(k)
-					pairs[r] = append(pairs[r], Keyed[C]{Key: k, Val: create(it)})
+			for r, m := range acc {
+				if len(m) > 0 {
+					pairs[r] = sortedPairs(m)
 				}
 			}
 			// The fold above must see every item before any bucket is final;
@@ -289,18 +271,12 @@ func (KeyedIntCodec) Unmarshal(data []byte) ([]Keyed[int], error) {
 // map-side-combined ReduceByKey over the compact keyed-varint codec, so each
 // map task ships one (key, count) pair per distinct local key instead of a
 // whole per-partition gob map, then collects the disjoint per-partition
-// results. Context.DisableMapSideCombine selects the legacy serial
-// driver-merge path. CountByKey is an action barrier: it forces any pending
-// narrow chain first. opts declare the fields key reads — with a columnar
-// source, the census then decodes only those columns, no manual
-// Force()+ReadingFields required.
+// results. CountByKey is an action barrier: it forces any pending narrow
+// chain first. opts declare the fields key reads — with a columnar source,
+// the census then decodes only those columns.
 func CountByKey[T any](name string, d *Dataset[T], key func(T) int, opts ...StageOption) (map[int]int, error) {
 	if err := d.Force(); err != nil {
 		return nil, err
-	}
-	if d.ctx.DisableMapSideCombine {
-		fx := resolveFX(false, opts)
-		return countByKeySerial(name, d, key, fx.inNeed(0))
 	}
 	pairs, err := ReduceByKey(name, d, d.NumPartitions(), key,
 		func(T) int { return 1 },
@@ -316,73 +292,6 @@ func CountByKey[T any](name string, d *Dataset[T], key func(T) int, opts ...Stag
 	out := make(map[int]int, len(kvs))
 	for _, kv := range kvs {
 		out[kv.Key] += kv.Val // keys are disjoint across reduce partitions
-	}
-	return out, nil
-}
-
-// countByKeySerial is the pre-combine census: each task counts its partition
-// into a map, gob-serializes the whole map to the driver (the shipment is
-// charged as shuffle-write bytes, mirroring how broadcasts charge their
-// driver-side bytes), and the driver merges the partials serially — the
-// Collect-style serial step the combine path eliminates. readMask is the
-// declared field demand of key (FieldsAll when undeclared).
-func countByKeySerial[T any](name string, d *Dataset[T], key func(T) int, readMask FieldMask) (map[int]int, error) {
-	partials := make([][]byte, d.NumPartitions())
-	stage := StageMetrics{Name: name, Kind: StageAction, InMask: readMask, OutMask: FieldsAll}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
-			items, err := d.partitionNeed(p, tm, readMask)
-			if err != nil {
-				return err
-			}
-			tm.InputItems = len(items)
-			m := map[int]int{}
-			for _, it := range items {
-				m[key(it)]++
-			}
-			serStart := time.Now()
-			buf := bufpool.Get()
-			defer bufpool.Put(buf)
-			if err := gob.NewEncoder(buf).Encode(m); err != nil {
-				return fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
-			}
-			block := bufpool.Bytes(buf)
-			tm.SerializeTime += time.Since(serStart)
-			tm.ShuffleWriteBytes += int64(len(block))
-			partials[p] = block
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	driverStart := time.Now()
-	if err == nil {
-		// The per-partition gob blobs are already bytes: allgather them so
-		// every rank's serial driver merge folds the identical sequence.
-		partials, err = d.ctx.allgatherBlobs(len(partials), d.ownerOf, partials)
-	}
-	out := map[int]int{}
-	if err == nil {
-		for p, block := range partials {
-			var m map[int]int
-			if derr := gob.NewDecoder(bytes.NewReader(block)).Decode(&m); derr != nil {
-				err = fmt.Errorf("engine: stage %q driver merge of partition %d: %w", name, p, derr)
-				break
-			}
-			for k, v := range m {
-				out[k] += v
-			}
-		}
-	}
-	stage.DriverTime = time.Since(driverStart)
-	d.ctx.recordStage(stage)
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

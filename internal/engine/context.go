@@ -19,17 +19,20 @@
 // (see shuffle.go): map and reduce tasks share one worker-pool pass, each
 // reduce task consuming bucket (m, r) as soon as map task m publishes it,
 // with output kept deterministic by merging buckets in map-task order.
-// Context.DisablePipelinedShuffle restores the two-barrier shuffle for the
-// ablation. Shuffle byte volume is charged through a pluggable serializer;
-// actions return data to the driver. Per-task and per-stage metrics (wall
-// time, shuffle bytes, serialization time, fetch wait, GC pauses) feed the
-// cluster simulator and the blocked-time analysis of §5.3.
+// Shuffle byte volume is charged through a pluggable serializer; actions
+// return data to the driver. Per-task and per-stage metrics (wall time,
+// shuffle bytes, serialization time, fetch wait, GC pauses) feed the cluster
+// simulator and the blocked-time analysis of §5.3.
+//
+// Every task of every stage is launched by the one stage runner in sched.go,
+// which owns the slot semaphore, first-error cancellation, panic recovery
+// and the metrics row. A Context carries three switches: StoreSerialized
+// (the paper's §4.2 storage mode) and DisableFusion/DisableProjectionPlanner
+// (the references their equivalence suites compare against).
 package engine
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -68,40 +71,12 @@ type Context struct {
 	// baseline in the fusion ablation; off (fusion on) by default.
 	DisableFusion bool
 
-	// DisablePipelinedShuffle restores the two-barrier hash shuffle: every
-	// map task finishes bucketing and serializing before any reduce task
-	// starts. Used as the barrier baseline in the pipelined-shuffle ablation
-	// (see BenchmarkAblationPipelinedShuffle); off (pipelined) by default.
-	DisablePipelinedShuffle bool
-
-	// DisableColumnar suppresses columnar serializers: any attached codec
-	// that reports Columnar() true is replaced by the gob fallback for both
-	// cache materialization and shuffle transport, and with it projection
-	// pushdown (a gob block can only decode whole). Used as the row-format
-	// baseline in the columnar ablation; off (columnar on) by default.
-	DisableColumnar bool
-
 	// DisableProjectionPlanner turns off the lineage-level projection planner
 	// (planner.go): wide operations run eagerly at call time instead of
-	// deferring for demand resolution, every partition read demands all
-	// fields, and only explicit ReadingFields views still project — the
-	// pre-planner engine, kept as the ablation baseline. Off (planner on) by
-	// default.
+	// deferring for demand resolution and every partition read demands all
+	// fields — the pre-planner engine, kept as the reference the planner's
+	// equivalence suites compare against. Off (planner on) by default.
 	DisableProjectionPlanner bool
-
-	// DisableMapSideCombine turns off pre-aggregation in CombineByKey (every
-	// item is shipped as its own pair) and routes CountByKey through the
-	// legacy serial driver merge that ships whole per-partition gob maps.
-	// Used as the no-combine baseline; off (combine on) by default.
-	DisableMapSideCombine bool
-
-	// DisableFastKernels reverts the profile-driven hot kernels (scaled
-	// pair-HMM, banded affine alignment, table-driven reverse complement,
-	// word-parallel 2-bit pack/unpack) to their reference implementations.
-	// The kernels live below the engine, so core.Pipeline.Run syncs this
-	// flag into the process-wide internal/kernels switch before executing;
-	// off (fast kernels on) by default.
-	DisableFastKernels bool
 
 	mu      sync.Mutex
 	metrics Metrics
@@ -164,94 +139,4 @@ func (c *Context) recordStage(s StageMetrics) {
 	defer c.mu.Unlock()
 	s.ID = len(c.metrics.Stages)
 	c.metrics.Stages = append(c.metrics.Stages, s)
-}
-
-// runTasks executes fn for every partition index in [0, n) on the worker
-// pool, collecting per-task metrics. The first error (or recovered panic)
-// aborts the run and is returned.
-func (c *Context) runTasks(n int, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
-	return c.runTasksLPT(n, nil, fn)
-}
-
-// lptOrder returns the dispatch order for n tasks under longest-processing-
-// time-first scheduling: indices sorted by descending size hint, stable so
-// equal-sized tasks keep index order (deterministic dispatch). A nil hint
-// yields plain index order.
-func lptOrder(n int, hint func(task int) int64) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if hint == nil {
-		return order
-	}
-	sizes := make([]int64, n)
-	for i := range sizes {
-		sizes[i] = hint(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
-	return order
-}
-
-// runTasksLPT is runTasks with size-aware dispatch: tasks are handed to the
-// worker pool largest-first per hint (LPT scheduling), shrinking the
-// straggler tail on skewed partitions — the engine-level counterpart of the
-// coverage-skew motivation behind dynamic repartitioning (§4.4). Only the
-// dispatch order changes: results and metrics stay indexed by task, so the
-// output is identical whatever the hints say.
-func (c *Context) runTasksLPT(n int, hint func(task int) int64, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
-	return c.runTasksOwned(n, hint, nil, fn)
-}
-
-// runTasksOwned is runTasksLPT restricted to the tasks this rank owns: under
-// an SPMD executor with procs > 1, only tasks with ownerOf(task) == rank are
-// dispatched locally (nil ownerOf means canonical task % procs ownership);
-// the sibling ranks run the rest. Non-owned entries in the returned metrics
-// stay zero with Ran false, so a later cross-rank merge (Metrics.MergeRanks)
-// can splice each task's record from the rank that actually ran it. With one
-// process every task is owned and this is plain LPT dispatch.
-func (c *Context) runTasksOwned(n int, hint func(task int) int64, ownerOf func(task int) int, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
-	procs, rank := c.procs(), c.rank()
-	owned := func(task int) bool {
-		if procs == 1 {
-			return true
-		}
-		if ownerOf != nil {
-			return ownerOf(task) == rank
-		}
-		return task%procs == rank
-	}
-	tms := make([]TaskMetrics, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, c.workers)
-	var wg sync.WaitGroup
-	for _, i := range lptOrder(n, hint) {
-		tms[i].Partition = i
-		if !owned(i) {
-			continue
-		}
-		if procs > 1 {
-			tms[i].Ran = true
-			tms[i].Rank = rank
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(task int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[task] = fmt.Errorf("engine: task %d panicked: %v", task, r)
-				}
-			}()
-			errs[task] = fn(task, &tms[task])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return tms, err
-		}
-	}
-	return tms, nil
 }

@@ -47,12 +47,6 @@ type Dataset[T any] struct {
 	// zeroed fields.
 	hasContent bool
 	content    FieldMask
-	// hasProj/proj carry a ReadingFields projection: when set, serialized
-	// blocks decode through decodeCodec().Project(proj) if the codec is
-	// projectable. hasProj distinguishes "no declaration" (decode everything)
-	// from the legal zero mask (count-only decode).
-	hasProj bool
-	proj    FieldMask
 	// owner maps partition index to the SPMD rank that computes (and holds)
 	// it; nil selects the canonical p % procs assignment. Narrow operations
 	// preserve partitioning, so results inherit their source's owner; shuffle
@@ -197,13 +191,6 @@ func (d *Dataset[T]) NumPartitions() int {
 	return d.pendingParts
 }
 
-// effectiveCodec returns the serializer used to encode this dataset's
-// outputs: the attached codec, or the gob fallback when none is attached or
-// the DisableColumnar ablation suppresses a columnar codec.
-func (d *Dataset[T]) effectiveCodec() Serializer[T] {
-	return effectiveSerializer(d.ctx, d.codec)
-}
-
 // decodeCodec returns the serializer to decode stored blocks with: the codec
 // that encoded them when recorded, the effective codec otherwise (pre-fix
 // datasets and zero values).
@@ -211,7 +198,7 @@ func (d *Dataset[T]) decodeCodec() Serializer[T] {
 	if d.blockCodec != nil {
 		return d.blockCodec
 	}
-	return d.effectiveCodec()
+	return effectiveSerializer(d.codec)
 }
 
 // ownerOf returns the rank that computes (and holds) partition p: the
@@ -273,13 +260,9 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	if d.blocks != nil {
 		start := time.Now()
 		codec := d.decodeCodec()
-		mask := need
-		if d.hasProj {
-			mask &= d.proj
-		}
-		if mask != FieldsAll {
+		if need != FieldsAll {
 			if pc, ok := codec.(ProjectableSerializer[T]); ok {
-				codec = pc.Project(mask)
+				codec = pc.Project(need)
 			}
 		}
 		items, err := unmarshalCharged(codec, d.blocks[p], tm)
@@ -326,12 +309,9 @@ func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) err
 // (need != FieldsAll) selects the projected encoder when the codec can
 // project — blocks carry only the demanded columns — and records the
 // narrowing in content either way (with a non-projectable chain the source
-// decodes may still have pruned the items themselves). blockCodec records
-// the serializer that will actually encode (effectiveSerializer, not codec):
-// under the DisableColumnar ablation the stored bytes are gob, and the
-// decode side must agree with the encode side.
+// decodes may still have pruned the items themselves).
 func allocResult[T any](d *Dataset[T], n int, need FieldMask) {
-	enc := effectiveSerializer(d.ctx, d.codec)
+	enc := effectiveSerializer(d.codec)
 	if need != FieldsAll {
 		d.hasContent, d.content = true, need
 		if pc, ok := enc.(ProjectableSerializer[T]); ok {

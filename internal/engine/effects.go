@@ -4,9 +4,7 @@ import "reflect"
 
 // Field-effect declarations — the op-side half of the projection planner.
 //
-// PR 6 made projection a caller annotation: pruning fired only when the
-// caller hand-inserted Force() + ReadingFields at a materialization
-// boundary. Effects make it a planner inference instead: every op may
+// Projection is a planner inference, not a caller annotation: every op may
 // declare which record fields it READS from its input and which fields of
 // its output it WRITES itself, and the planner's backward pass (planner.go)
 // derives the minimal field set every edge of the lineage DAG must supply.

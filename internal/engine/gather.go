@@ -19,7 +19,7 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		return nil
 	}
 	rank := ctx.rank()
-	codec := d.effectiveCodec()
+	codec := effectiveSerializer(d.codec)
 	owned := make([][]byte, len(parts))
 	for p := range parts {
 		if d.ownerOf(p) != rank {
@@ -46,14 +46,4 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		parts[p] = items
 	}
 	return nil
-}
-
-// allgatherBlobs replicates pre-encoded per-partition blobs (countByKeySerial
-// ships gob maps; Count ships uvarint counts). ownerOf follows the source
-// dataset's partition ownership. No-op with one process.
-func (c *Context) allgatherBlobs(n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error) {
-	if c.procs() == 1 {
-		return owned, nil
-	}
-	return c.exec.Gather(c.nextSeq(), n, ownerOf, owned)
 }

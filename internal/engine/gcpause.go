@@ -67,8 +67,8 @@ func gcPauseHistDelta(before, after *metrics.Float64Histogram) time.Duration {
 
 // gcPauseDelta measures GC pause time accrued while fn runs (driver-wide,
 // attributed to the stage that triggered it).
-func gcPauseDelta(fn func() error) (time.Duration, error) {
+func gcPauseDelta(fn func()) time.Duration {
 	before := readGCPauseHist()
-	err := fn()
-	return gcPauseHistDelta(before, readGCPauseHist()), err
+	fn()
+	return gcPauseHistDelta(before, readGCPauseHist())
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // lineage is the deferred execution plan of a lazy dataset: the maximal chain
@@ -281,30 +280,22 @@ func runFused[T any](d *Dataset[T], need FieldMask) error {
 	}
 	n := pl.nparts
 	allocResult(d, n, need)
-	stage := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops), OutMask: need}
+	row := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops), OutMask: need}
 	if pl.inMask != nil {
-		stage.InMask = pl.inMask(need)
+		row.InMask = pl.inMask(need)
 	}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(n, pl.sizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
+	return d.ctx.runStage(taskSet{
+		row:     row,
+		n:       n,
+		hint:    pl.sizeHint,
+		ownerOf: d.ownerOf,
+		fn: func(p int, tm *TaskMetrics) error {
 			out, err := pl.compute(p, tm, need)
 			if err != nil {
 				return err
 			}
 			tm.OutputItems = len(out)
-			if err := storePartition(d, p, out, tm); err != nil {
-				return err
-			}
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
+			return storePartition(d, p, out, tm)
+		},
 	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	d.ctx.recordStage(stage)
-	return err
 }

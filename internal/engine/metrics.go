@@ -28,9 +28,9 @@ func (k StageKind) String() string {
 // TaskMetrics records one task's execution.
 type TaskMetrics struct {
 	Partition int
-	// Wall is the task's busy time. For pipelined reduce tasks it excludes
-	// FetchWait, so Wall stays a CPU-time proxy for the trace replay and the
-	// blocked-time analysis can account waiting separately.
+	// Wall is the task's busy time, filled by the stage runner: elapsed time
+	// less FetchWait, so Wall stays a CPU-time proxy for the trace replay and
+	// the blocked-time analysis can account waiting separately.
 	Wall              time.Duration
 	SerializeTime     time.Duration // time spent in codec calls
 	ShuffleReadBytes  int64
@@ -38,16 +38,16 @@ type TaskMetrics struct {
 	InputItems        int
 	OutputItems       int
 	// FetchWait is reduce-side time blocked waiting for a map bucket that no
-	// map task has published yet (pipelined shuffle only; the barrier shuffle
-	// by construction never waits inside a reduce task).
+	// map task has published yet, slot re-acquisition included. Zero with one
+	// slot in one process: no reduce starts before the last map has finished.
 	FetchWait time.Duration
 	// DecodedBytes counts serialized bytes this task actually decoded —
 	// block headers plus the columns its projection mask selected (whole
 	// blocks for non-columnar codecs).
 	DecodedBytes int64
 	// PrunedBytes counts serialized bytes skipped via projection pushdown:
-	// columns a ReadingFields mask excluded, left untouched by the columnar
-	// decoder. Always zero for non-projectable codecs.
+	// columns the planner-resolved read mask excluded, left untouched by the
+	// columnar decoder. Always zero for non-projectable codecs.
 	PrunedBytes int64
 	// Ran marks a task this process actually executed. Under a multi-process
 	// executor each rank records zero-valued placeholders for the tasks its
@@ -84,9 +84,9 @@ type StageMetrics struct {
 	// DriverTime is serial time spent on the driver (actions, broadcast).
 	DriverTime time.Duration
 	// PipelineOverlap is the wall-clock span during which this stage's tasks
-	// ran concurrently with the producing map tasks (pipelined shuffle reduce
-	// stages only: last map finish minus first reduce start, clamped at zero).
-	// Under the barrier shuffle it is always zero.
+	// ran concurrently with the producing map tasks (shuffle reduce stages
+	// only: last map finish minus first reduce start, clamped at zero). Zero
+	// with one slot in one process.
 	PipelineOverlap time.Duration
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 )
 
 // MapPartitions is the fundamental narrow operation: fn transforms each
@@ -41,12 +40,12 @@ func runNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fie
 	inNeed := fx.inNeed(FieldsAll)
 	res := newResult(d.ctx, codec, d.NumPartitions())
 	res.owner = d.owner // narrow: output p derives from input p, same rank
-	stage := StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed, OutMask: FieldsAll}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
+	err := d.ctx.runStage(taskSet{
+		row:     StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed, OutMask: FieldsAll},
+		n:       d.NumPartitions(),
+		hint:    d.partitionSizeHint,
+		ownerOf: d.ownerOf,
+		fn: func(p int, tm *TaskMetrics) error {
 			in, err := d.partitionNeed(p, tm, inNeed)
 			if err != nil {
 				return err
@@ -57,17 +56,9 @@ func runNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fie
 				return fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
 			}
 			tm.OutputItems = len(out)
-			if err := storePartition(res, p, out, tm); err != nil {
-				return err
-			}
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
+			return storePartition(res, p, out, tm)
+		},
 	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	d.ctx.recordStage(stage)
 	if err != nil {
 		return nil, err
 	}
@@ -179,42 +170,33 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 		return nil, err
 	}
 	parts := make([][]T, d.NumPartitions())
-	stage := StageMetrics{Name: name, Kind: StageAction}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
+	var out []T
+	err := d.ctx.runStage(taskSet{
+		row:     StageMetrics{Name: name, Kind: StageAction},
+		n:       d.NumPartitions(),
+		hint:    d.partitionSizeHint,
+		ownerOf: d.ownerOf,
+		fn: func(p int, tm *TaskMetrics) error {
 			items, err := d.partition(p, tm)
-			if err != nil {
-				return err
-			}
 			tm.InputItems = len(items)
 			parts[p] = items
-			tm.Wall = time.Since(start)
+			return err
+		},
+		driver: func() error {
+			if err := allgatherParts(d, parts); err != nil {
+				return err
+			}
+			total := 0
+			for _, p := range parts {
+				total += len(p)
+			}
+			out = make([]T, 0, total)
+			for _, p := range parts {
+				out = append(out, p...)
+			}
 			return nil
-		})
-		return err
+		},
 	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	driverStart := time.Now()
-	if err == nil {
-		err = allgatherParts(d, parts)
-	}
-	var out []T
-	if err == nil {
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		out = make([]T, 0, total)
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-	}
-	stage.DriverTime = time.Since(driverStart)
-	d.ctx.recordStage(stage)
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +217,14 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 		ok bool
 	}
 	partials := make([]partial, d.NumPartitions())
-	stage := StageMetrics{Name: name, Kind: StageAction}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
+	var acc T
+	found := false
+	err := d.ctx.runStage(taskSet{
+		row:     StageMetrics{Name: name, Kind: StageAction},
+		n:       d.NumPartitions(),
+		hint:    d.partitionSizeHint,
+		ownerOf: d.ownerOf,
+		fn: func(p int, tm *TaskMetrics) error {
 			items, err := d.partition(p, tm)
 			if err != nil {
 				return err
@@ -253,52 +237,44 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 				}
 				partials[p] = partial{v: acc, ok: true}
 			}
-			tm.Wall = time.Since(start)
 			return nil
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	driverStart := time.Now()
-	if err == nil && d.ctx.procs() > 1 {
-		// Allgather the per-partition partials (as 0- or 1-item slices through
-		// the codec) so every rank folds the identical sequence below.
-		pparts := make([][]T, len(partials))
-		for p := range partials {
-			if partials[p].ok {
-				pparts[p] = []T{partials[p].v}
-			} else {
-				pparts[p] = []T{}
-			}
-		}
-		err = allgatherParts(d, pparts)
-		if err == nil {
-			for p := range partials {
-				if len(pparts[p]) > 0 {
-					partials[p] = partial{v: pparts[p][0], ok: true}
-				} else {
-					partials[p] = partial{}
+		},
+		driver: func() error {
+			if d.ctx.procs() > 1 {
+				// Allgather the per-partition partials (as 0- or 1-item slices
+				// through the codec) so every rank folds the identical sequence.
+				pparts := make([][]T, len(partials))
+				for p := range partials {
+					if partials[p].ok {
+						pparts[p] = []T{partials[p].v}
+					} else {
+						pparts[p] = []T{}
+					}
+				}
+				if err := allgatherParts(d, pparts); err != nil {
+					return err
+				}
+				for p := range partials {
+					if len(pparts[p]) > 0 {
+						partials[p] = partial{v: pparts[p][0], ok: true}
+					} else {
+						partials[p] = partial{}
+					}
 				}
 			}
-		}
-	}
-	var acc T
-	found := false
-	if err == nil {
-		for _, p := range partials {
-			if !p.ok {
-				continue
+			for _, p := range partials {
+				if !p.ok {
+					continue
+				}
+				if !found {
+					acc, found = p.v, true
+				} else {
+					acc = fn(acc, p.v)
+				}
 			}
-			if !found {
-				acc, found = p.v, true
-			} else {
-				acc = fn(acc, p.v)
-			}
-		}
-	}
-	stage.DriverTime = time.Since(driverStart)
-	d.ctx.recordStage(stage)
+			return nil
+		},
+	})
 	if err != nil {
 		return zero, false, err
 	}
@@ -306,51 +282,43 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 }
 
 // Count returns the total number of items. Count is an action: it forces any
-// pending narrow chain first. It reads through a zero-field projection view:
-// a columnar-stored dataset decodes only block headers (the record count is
-// in the header), pruning every column. The force itself still demands every
+// pending narrow chain first. It reads with a zero field demand: a
+// columnar-stored dataset decodes only block headers (the record count is in
+// the header), pruning every column. The force itself still demands every
 // field — forcing with a zero demand would materialize empty records for
 // every later reader.
 func Count[T any](name string, d *Dataset[T]) (int, error) {
 	if err := d.Force(); err != nil {
 		return 0, err
 	}
-	src := ReadingFields(d, 0)
-	counts := make([]int, src.NumPartitions())
-	stage := StageMetrics{Name: name, Kind: StageAction}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = d.ctx.runTasksOwned(src.NumPartitions(), src.partitionSizeHint, src.ownerOf, func(p int, tm *TaskMetrics) error {
-			start := time.Now()
-			items, err := src.partitionNeed(p, tm, 0)
-			if err != nil {
-				return err
-			}
+	counts := make([]int, d.NumPartitions())
+	err := d.ctx.runStage(taskSet{
+		row:     StageMetrics{Name: name, Kind: StageAction},
+		n:       d.NumPartitions(),
+		hint:    d.partitionSizeHint,
+		ownerOf: d.ownerOf,
+		fn: func(p int, tm *TaskMetrics) error {
+			items, err := d.partitionNeed(p, tm, 0)
 			counts[p] = len(items)
 			tm.InputItems = len(items)
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
+			return err
+		},
 	})
-	stage.Tasks = tms
-	stage.GCPause = gc
 	if err == nil && d.ctx.procs() > 1 {
 		rank := d.ctx.rank()
 		owned := make([][]byte, len(counts))
 		for p := range counts {
-			if src.ownerOf(p) != rank {
+			if d.ownerOf(p) != rank {
 				continue
 			}
 			var tmp [binary.MaxVarintLen64]byte
 			owned[p] = append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(counts[p]))]...)
 		}
 		var blobs [][]byte
-		blobs, err = d.ctx.allgatherBlobs(len(counts), src.ownerOf, owned)
+		blobs, err = d.ctx.exec.Gather(d.ctx.nextSeq(), len(counts), d.ownerOf, owned)
 		if err == nil {
 			for p := range counts {
-				if src.ownerOf(p) == rank {
+				if d.ownerOf(p) == rank {
 					continue
 				}
 				v, read := binary.Uvarint(blobs[p])
@@ -362,7 +330,6 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 			}
 		}
 	}
-	d.ctx.recordStage(stage)
 	if err != nil {
 		return 0, err
 	}

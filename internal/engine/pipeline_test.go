@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,17 +71,19 @@ func (c failingCodec) Unmarshal(data []byte) ([]int, error) {
 	return gobSerializer[int]{}.Unmarshal(data)
 }
 
-// shuffledPartitions runs PartitionBy on items under the given flags and
-// returns every output partition's contents.
-func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers int, barrier bool, codec Serializer[int]) [][]int {
+// shuffleRoute is the key function of the shuffle property tests.
+func shuffleRoute(x int) int { return x * 7 }
+
+// shuffledPartitions runs PartitionBy(shuffleRoute) on items and returns
+// every output partition's contents.
+func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers int, codec Serializer[int]) [][]int {
 	t.Helper()
 	ctx := NewContext(workers)
-	ctx.DisablePipelinedShuffle = barrier
 	d := Parallelize(ctx, items, inParts)
 	if codec != nil {
 		d = WithCodec(d, codec)
 	}
-	out, err := PartitionBy("shuffle", d, outParts, func(x int) int { return x * 7 })
+	out, err := PartitionBy("shuffle", d, outParts, shuffleRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +101,25 @@ func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers in
 	return parts
 }
 
+// shuffleOracle is what a hash shuffle means, computed sequentially: output
+// partition r holds the items with shuffleRoute(x) mod out == r, in input
+// order.
+func shuffleOracle(items []int, out int) [][]int {
+	parts := make([][]int, out)
+	for r := range parts {
+		parts[r] = []int{}
+	}
+	for _, x := range items {
+		r := (shuffleRoute(x)%out + out) % out
+		parts[r] = append(parts[r], x)
+	}
+	return parts
+}
+
 // TestPipelinedMatchesBarrierProperty is the core determinism property: for
-// random inputs and partitionings, the pipelined shuffle's output partitions
-// are identical to the barrier shuffle's.
+// random inputs, partitionings and worker counts (W=1 included — the same
+// path, degenerated to maps-then-reduces), the shuffle's output partitions
+// are exactly the sequential oracle's.
 func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 	f := func(raw []int16, inP, outP, w uint8) bool {
 		items := make([]int, len(raw))
@@ -110,9 +129,8 @@ func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 		inParts := 1 + int(inP)%6
 		outParts := 1 + int(outP)%6
 		workers := 1 + int(w)%8
-		pipelined := shuffledPartitions(t, items, inParts, outParts, workers, false, nil)
-		barrier := shuffledPartitions(t, items, inParts, outParts, workers, true, nil)
-		return reflect.DeepEqual(pipelined, barrier)
+		got := shuffledPartitions(t, items, inParts, outParts, workers, nil)
+		return reflect.DeepEqual(got, shuffleOracle(items, outParts))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -124,11 +142,11 @@ func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 // the merged output must not change.
 func TestPipelinedDeterministicUnderRandomCompletion(t *testing.T) {
 	items := intRange(500)
-	want := shuffledPartitions(t, items, 6, 4, 4, true, nil)
+	want := shuffleOracle(items, 4)
 	for trial := 0; trial < 5; trial++ {
-		got := shuffledPartitions(t, items, 6, 4, 4, false, jitterCodec{})
+		got := shuffledPartitions(t, items, 6, 4, 4, jitterCodec{})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: pipelined output differs from barrier reference", trial)
+			t.Fatalf("trial %d: shuffle output differs from the sequential oracle", trial)
 		}
 	}
 }
@@ -152,7 +170,7 @@ func TestPipelinedMapErrorCancelsReduces(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected map-side error")
 	}
-	if !strings.Contains(err.Error(), "poisoned block") || errors.Is(err, errShuffleCanceled) {
+	if !strings.Contains(err.Error(), "poisoned block") || errors.Is(err, context.Canceled) {
 		t.Fatalf("root cause masked by cancellation: %v", err)
 	}
 	base.Check(t, leakcheck.Timeout(3*time.Second))
@@ -182,11 +200,12 @@ func TestPipelinedPanicRecovered(t *testing.T) {
 
 // TestPipelinedFetchWaitAndOverlap sets up more workers than map tasks so
 // reduce tasks start while maps are still serializing: FetchWait and
-// PipelineOverlap must be recorded, and only on the pipelined run.
+// PipelineOverlap must be recorded. With one worker the same path cannot
+// start a reduce before the last map has released the only slot, so both are
+// structurally zero.
 func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
-	run := func(barrier bool) Metrics {
-		ctx := NewContext(8)
-		ctx.DisablePipelinedShuffle = barrier
+	run := func(workers int) Metrics {
+		ctx := NewContext(workers)
 		d := WithCodec(Parallelize(ctx, intRange(400), 2), slowCodec{delay: 10 * time.Millisecond})
 		out, err := PartitionBy("pipe", d, 4, func(x int) int { return x })
 		if err != nil {
@@ -197,20 +216,20 @@ func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
 		}
 		return ctx.Metrics()
 	}
-	pm := run(false)
-	if pm.TotalFetchWait() == 0 {
-		t.Fatal("pipelined run recorded no fetch wait despite blocked reduces")
+	wide := run(8)
+	if wide.TotalFetchWait() == 0 {
+		t.Fatal("W=8 run recorded no fetch wait despite blocked reduces")
 	}
-	if pm.TotalPipelineOverlap() == 0 {
-		t.Fatal("pipelined run recorded no map/reduce overlap")
+	if wide.TotalPipelineOverlap() == 0 {
+		t.Fatal("W=8 run recorded no map/reduce overlap")
 	}
-	bm := run(true)
-	if bm.TotalFetchWait() != 0 || bm.TotalPipelineOverlap() != 0 {
-		t.Fatalf("barrier run must not record pipeline metrics: wait=%v overlap=%v",
-			bm.TotalFetchWait(), bm.TotalPipelineOverlap())
+	one := run(1)
+	if one.TotalFetchWait() != 0 || one.TotalPipelineOverlap() != 0 {
+		t.Fatalf("W=1 run must not record pipeline metrics: wait=%v overlap=%v",
+			one.TotalFetchWait(), one.TotalPipelineOverlap())
 	}
-	// Both runs still record exactly two shuffle stage rows.
-	for _, m := range []Metrics{pm, bm} {
+	// Both runs record exactly two shuffle stage rows.
+	for _, m := range []Metrics{wide, one} {
 		shuffles := 0
 		for _, s := range m.Stages {
 			if s.Kind == StageShuffle {
@@ -223,12 +242,12 @@ func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
 	}
 }
 
-// TestBarrierFallbackMatchesAccounting: the ablation flag must keep the
-// write==read byte invariant on both strategies.
+// TestBarrierFallbackMatchesAccounting: the write==read byte invariant holds
+// whether the pass overlaps maps and reduces (W=2) or degenerates to
+// maps-then-reduces (W=1).
 func TestBarrierFallbackMatchesAccounting(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		ctx := NewContext(2)
-		ctx.DisablePipelinedShuffle = barrier
+	for _, workers := range []int{1, 2} {
+		ctx := NewContext(workers)
 		d := Parallelize(ctx, intRange(1000), 4)
 		out, err := PartitionBy("shuffle", d, 8, func(x int) int { return x })
 		if err != nil {
@@ -244,7 +263,7 @@ func TestBarrierFallbackMatchesAccounting(t *testing.T) {
 			rd += s.ShuffleReadBytes()
 		}
 		if wr == 0 || wr != rd {
-			t.Fatalf("barrier=%v: write %d read %d", barrier, wr, rd)
+			t.Fatalf("workers=%d: write %d read %d", workers, wr, rd)
 		}
 	}
 }
@@ -340,15 +359,11 @@ func TestGCPauseDeltaPopulates(t *testing.T) {
 	if gcPauseMetric == "" {
 		t.Skip("runtime exposes no GC pause histogram")
 	}
-	delta, err := gcPauseDelta(func() error {
+	delta := gcPauseDelta(func() {
 		for i := 0; i < 5; i++ {
 			runtime.GC()
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if delta <= 0 {
 		t.Fatalf("gcPauseDelta = %v after 5 forced GCs, want > 0", delta)
 	}

@@ -23,7 +23,7 @@ import (
 //   - fused narrow chains thread the demand dynamically: each composed
 //     closure reads its input through partitionNeed with fx.inNeed(need),
 //     so source blocks decode through Project(mask) with no one annotating
-//     anything (the PR 6 manual Force()+ReadingFields dance, inferred);
+//     anything;
 //   - deferred wide ops (shuffle.go) receive their resolved OUTPUT demand
 //     and encode map-side buckets through Project(demand) — fewer bytes on
 //     the mproc TCP wire, not just fewer decoded;

@@ -21,8 +21,8 @@ func (explodingCodec) Unmarshal([]byte) ([]fakeRec, error) {
 }
 
 // TestPlannerInfersChainPruning: a consumer declaring Rebuilds(A) over a
-// columnar-stored source must decode only column A — the PR 6 manual
-// Force()+ReadingFields dance, now inferred by the planner's backward pass.
+// columnar-stored source must decode only column A, inferred by the
+// planner's backward pass with no annotation at the read.
 func TestPlannerInfersChainPruning(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(64), fakeColCodec{})

@@ -3,19 +3,12 @@ package engine
 // Field projection (projection pushdown) lets a stage that reads only a few
 // record fields skip decoding the rest. The engine knows nothing about what
 // the fields ARE — FieldMask bits are assigned by the codec package (colfmt
-// maps them to SAM columns) — it only plumbs the mask from the consumption
-// edge to the decode call:
-//
-//   - ReadingFields(d, mask) returns a read view of d declaring that every
-//     consumer of the view depends only on the fields in mask. Ops built over
-//     the view (and the fused chains rooted at it) decode d's serialized
-//     blocks through codec.Project(mask) when the codec supports it.
-//   - A fused stage's effective mask is the union of the masks of the source
-//     views its chain reads: each source decodes under its own view's mask,
-//     and sources read without a view decode everything (FieldsAll).
-//   - Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore the mask
-//     and decode fully — projection is an optimization, never a semantics
-//     change.
+// maps them to SAM columns) — it only plumbs the mask the planner resolved
+// for an edge (planner.go, effects.go) to the decode call: partitionNeed
+// decodes serialized blocks through codec.Project(mask) when the codec
+// supports it. Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore
+// the mask and decode fully — projection is an optimization, never a
+// semantics change.
 //
 // DecodedBytes/PrunedBytes accounting rides the same seam: StatsSerializer
 // codecs report exactly which bytes they touched, and non-stats codecs are
@@ -63,51 +56,13 @@ type StatsSerializer[T any] interface {
 	UnmarshalStats(data []byte) ([]T, DecodeStats, error)
 }
 
-// columnarSerializer marks serializers subject to the DisableColumnar
-// ablation. It is satisfied structurally (no engine import needed by the
-// codec package).
-type columnarSerializer interface{ Columnar() bool }
-
-// isColumnar reports whether codec opted into the columnar ablation switch.
-func isColumnar(codec any) bool {
-	c, ok := codec.(columnarSerializer)
-	return ok && c.Columnar()
-}
-
 // effectiveSerializer resolves the serializer actually used for encoding:
-// the attached codec, or the gob fallback when none is attached — or when the
-// codec is columnar and the DisableColumnar ablation is on.
-func effectiveSerializer[T any](ctx *Context, codec Serializer[T]) Serializer[T] {
-	if codec == nil || (ctx.DisableColumnar && isColumnar(codec)) {
+// the attached codec, or the gob fallback when none is attached.
+func effectiveSerializer[T any](codec Serializer[T]) Serializer[T] {
+	if codec == nil {
 		return gobSerializer[T]{}
 	}
 	return codec
-}
-
-// ReadingFields returns a read view of d declaring that every consumer of the
-// view reads only the fields in mask. The view shares d's storage; it only
-// changes how serialized blocks decode: through codec.Project(mask) when d's
-// decode codec is projectable, unchanged otherwise. Ops and fused chains
-// built over the view inherit the mask at the point where they read d's
-// partitions.
-//
-// The caller asserts the mask covers everything its consumers touch —
-// projecting away a field a consumer then reads yields zero values, not an
-// error. Views compose: a view of a view intersects the masks. On a still-
-// lazy dataset the view is d itself (an unforced chain recomputes records
-// instead of decoding them, so there is nothing to prune; wrap the
-// materialized source feeding the chain instead).
-func ReadingFields[T any](d *Dataset[T], mask FieldMask) *Dataset[T] {
-	if d.isLazy() || (d.meta != nil && !d.meta.done.Load()) {
-		return d
-	}
-	if d.hasProj {
-		mask &= d.proj
-	}
-	res := *d
-	res.hasProj = true
-	res.proj = mask
-	return &res
 }
 
 // unmarshalCharged decodes one block, charging decode-byte accounting to tm:

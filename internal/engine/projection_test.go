@@ -37,8 +37,7 @@ func (c fakeColCodec) effMask() FieldMask {
 	return c.mask
 }
 
-func (fakeColCodec) Name() string   { return "fakecol" }
-func (fakeColCodec) Columnar() bool { return true }
+func (fakeColCodec) Name() string { return "fakecol" }
 
 func (c fakeColCodec) Project(mask FieldMask) Serializer[fakeRec] {
 	return fakeColCodec{mask: c.effMask() & mask, projSet: true}
@@ -137,149 +136,13 @@ func storeFake(t *testing.T, ctx *Context, recs []fakeRec, codec Serializer[fake
 	return d
 }
 
-func TestReadingFieldsPrunesDecode(t *testing.T) {
-	ctx := NewContext(2)
-	d := storeFake(t, ctx, fakeRecs(64), fakeColCodec{})
-	ctx.ResetMetrics()
-
-	view := ReadingFields(d, fakeFieldA)
-	got, err := Collect("collect-a", view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r.A != int32(i) {
-			t.Fatalf("got[%d].A = %d, want %d", i, r.A, i)
-		}
-		if r.B != 0 {
-			t.Fatalf("got[%d].B = %d, want pruned zero", i, r.B)
-		}
-	}
-	m := ctx.Metrics()
-	if m.TotalPrunedBytes() == 0 {
-		t.Fatal("projection decode should report pruned bytes")
-	}
-	if m.TotalDecodedBytes() == 0 {
-		t.Fatal("projection decode should report decoded bytes")
-	}
-	if r := m.PruningRatio(); r <= 0 || r >= 1 {
-		t.Fatalf("pruning ratio = %v, want in (0,1)", r)
-	}
-
-	// The view does not disturb the underlying dataset: a plain read still
-	// decodes everything.
-	ctx.ResetMetrics()
-	full, err := Collect("collect-full", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range full {
-		if r.A != int32(i) || r.B != int32(1000+i) {
-			t.Fatalf("full[%d] = %+v", i, r)
-		}
-	}
-	if p := ctx.Metrics().TotalPrunedBytes(); p != 0 {
-		t.Fatalf("unprojected read pruned %d bytes", p)
-	}
-}
-
-func TestReadingFieldsViewsCompose(t *testing.T) {
-	ctx := NewContext(2)
-	d := storeFake(t, ctx, fakeRecs(16), fakeColCodec{})
-
-	// Intersection: (A|B) then A reads only A.
-	view := ReadingFields(ReadingFields(d, fakeFieldA|fakeFieldB), fakeFieldA)
-	if !view.hasProj || view.proj != fakeFieldA {
-		t.Fatalf("composed mask = %v (hasProj=%v), want %v", view.proj, view.hasProj, fakeFieldA)
-	}
-	// Disjoint masks intersect to zero — header-only decode, all zero values.
-	zero := ReadingFields(ReadingFields(d, fakeFieldA), fakeFieldB)
-	got, err := Collect("collect-zero", zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r != (fakeRec{}) {
-			t.Fatalf("got[%d] = %+v, want zero record", i, r)
-		}
-	}
-}
-
-func TestReadingFieldsOnLazyIsNoop(t *testing.T) {
-	ctx := NewContext(1)
-	ctx.StoreSerialized = true
-	d, err := MapPartitions("lazy", Parallelize(ctx, fakeRecs(8), 2), Serializer[fakeRec](fakeColCodec{}),
-		func(_ int, items []fakeRec) ([]fakeRec, error) { return items, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.isLazy() {
-		t.Skip("narrow op was not planned lazily")
-	}
-	if view := ReadingFields(d, fakeFieldA); view != d {
-		t.Fatal("ReadingFields on a lazy dataset must return it unchanged")
-	}
-}
-
-func TestDisableColumnarFallsBackToGob(t *testing.T) {
-	ctx := NewContext(2)
-	ctx.DisableColumnar = true
-	d := storeFake(t, ctx, fakeRecs(32), fakeColCodec{})
-
-	if _, ok := d.decodeCodec().(gobSerializer[fakeRec]); !ok {
-		t.Fatalf("blocks encoded by %T, want gob fallback", d.decodeCodec())
-	}
-	ctx.ResetMetrics()
-	// Projection is inert under gob: full records, nothing pruned, whole
-	// blocks charged as decoded.
-	got, err := Collect("collect", ReadingFields(d, fakeFieldA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r.A != int32(i) || r.B != int32(1000+i) {
-			t.Fatalf("got[%d] = %+v, want full record", i, r)
-		}
-	}
-	m := ctx.Metrics()
-	if m.TotalPrunedBytes() != 0 {
-		t.Fatal("gob fallback cannot prune")
-	}
-	if m.TotalDecodedBytes() == 0 {
-		t.Fatal("gob decode should charge block bytes")
-	}
-}
-
 func TestEffectiveSerializerResolution(t *testing.T) {
-	ctx := NewContext(1)
-	if _, ok := effectiveSerializer[fakeRec](ctx, nil).(gobSerializer[fakeRec]); !ok {
+	if _, ok := effectiveSerializer[fakeRec](nil).(gobSerializer[fakeRec]); !ok {
 		t.Fatal("nil codec must resolve to gob")
 	}
-	if _, ok := effectiveSerializer[fakeRec](ctx, fakeColCodec{}).(fakeColCodec); !ok {
-		t.Fatal("columnar codec must be kept when ablation is off")
+	if _, ok := effectiveSerializer[fakeRec](fakeColCodec{}).(fakeColCodec); !ok {
+		t.Fatal("an attached codec must be kept")
 	}
-	ctx.DisableColumnar = true
-	if _, ok := effectiveSerializer[fakeRec](ctx, fakeColCodec{}).(gobSerializer[fakeRec]); !ok {
-		t.Fatal("columnar codec must fall back to gob under DisableColumnar")
-	}
-	// Non-columnar codecs are untouched by the ablation.
-	if _, ok := effectiveSerializer[fakeRec](ctx, plainFakeCodec{}).(plainFakeCodec); !ok {
-		t.Fatal("non-columnar codec must survive DisableColumnar")
-	}
-}
-
-// plainFakeCodec is a non-columnar, non-projectable codec used to check the
-// ablation leaves ordinary codecs alone.
-type plainFakeCodec struct{}
-
-func (plainFakeCodec) Name() string { return "plainfake" }
-
-func (plainFakeCodec) Marshal(items []fakeRec) ([]byte, error) {
-	return fakeColCodec{}.Marshal(items)
-}
-
-func (plainFakeCodec) Unmarshal(data []byte) ([]fakeRec, error) {
-	return fakeColCodec{}.Unmarshal(data)
 }
 
 func TestCountDecodesHeadersOnly(t *testing.T) {

@@ -1,17 +1,10 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
-
-// errShuffleCanceled marks a task that was aborted because a sibling task in
-// the same shuffle failed first. It is never returned to callers: the root
-// cause is.
-var errShuffleCanceled = errors.New("engine: shuffle canceled by sibling task failure")
 
 // shuffleCore is the wide-operation executor shared by every shuffle-shaped
 // op (PartitionBy, Repartition, CombineByKey). It is generic over B, the
@@ -28,14 +21,9 @@ var errShuffleCanceled = errors.New("engine: shuffle canceled by sibling task fa
 //     Merging strictly in map-task order is what keeps the output
 //     deterministic whatever order buckets arrived in.
 //
-// Two execution strategies share the callbacks: the default pipelined
-// push-based run (map and reduce tasks in ONE worker-pool pass; reduce task r
-// consumes bucket (m, r) as soon as map task m publishes it) and the
-// two-barrier run used when Context.DisablePipelinedShuffle is set. Both
-// record the same two StageMetrics rows (name/map, name/reduce) so stage
-// counts and byte accounting are strategy-independent. inMask/outMask are the
-// planner-resolved edge masks recorded on those rows: what map tasks read
-// from their input, and what the wire blocks carry to the reduce side.
+// inMask/outMask are the planner-resolved edge masks recorded on the two
+// StageMetrics rows (name/map, name/reduce): what map tasks read from their
+// input, and what the wire blocks carry to the reduce side.
 type shuffleCore[B, O any] struct {
 	ctx     *Context
 	name    string
@@ -53,351 +41,86 @@ type shuffleCore[B, O any] struct {
 	res      *Dataset[O]
 }
 
+// run executes the shuffle as one two-set pass of the stage runner: map tasks
+// first (largest-first per mapHint), reduce tasks after, through the same
+// slots.
+//
+// Protocol: map task m publishes bucket (m, r) on the stage's Exchange the
+// moment it is encoded, and publishes the buckets it never emitted as empty
+// when it completes. The Exchange is the bucket transport: in-process a
+// shared block table plus one notify channel per reduce partition, buffered
+// to the map-task count so publishing never blocks; under mproc, publishes to
+// a remote-owned partition leave as bucket frames and arrivals from sibling
+// ranks feed the same channels. Reduce task r receives map indices in
+// publication order, decodes each bucket as it arrives — overlapping decode
+// with still-running maps — and finally merges the decoded buckets in
+// map-task order, which makes the output independent of arrival order.
+//
+// A reduce task that finds nothing published parks in the runner's await.
+// Map tasks never wait on other tasks, so the pass cannot deadlock:
+// slot-holders run to completion and waiters are woken by map completions or
+// by cancellation. With one slot in one process the first reduce cannot start
+// before the last map has released it, so FetchWait and PipelineOverlap are
+// structurally zero there. On error the caller discards the result dataset —
+// no partial output.
 func (sc *shuffleCore[B, O]) run() error {
-	// With one worker there is no concurrency to pipeline into: the schedule
-	// degenerates to all-maps-then-all-reduces either way, so take the
-	// barrier path outright and skip the notification machinery (whose
-	// per-task overhead would otherwise pollute single-worker traces).
-	// Multi-process runs always take the pipelined path: the Exchange is the
-	// only transport that moves buckets between ranks, so the barrier
-	// strategy (a pure shared-memory shortcut) is ineligible whatever the
-	// ablation flags say.
-	if sc.ctx.procs() == 1 && (sc.ctx.DisablePipelinedShuffle || sc.ctx.workers == 1) {
-		return sc.runBarrier()
-	}
-	return sc.runPipelined()
-}
-
-// finishReduce merges the decoded buckets of reduce partition r and stores
-// the output. Wall excludes FetchWait so it stays a busy-time measure.
-func (sc *shuffleCore[B, O]) finishReduce(r int, decoded []B, tm *TaskMetrics, start time.Time) error {
-	out, err := sc.merge(r, decoded, tm)
-	if err != nil {
-		return err
-	}
-	tm.OutputItems = len(out)
-	if err := storePartition(sc.res, r, out, tm); err != nil {
-		return err
-	}
-	if wall := time.Since(start) - tm.FetchWait; wall > 0 {
-		tm.Wall = wall
-	}
-	return nil
-}
-
-// runBarrier is the classic two-phase shuffle: every map task finishes before
-// any reduce task starts. Kept as the ablation baseline
-// (Context.DisablePipelinedShuffle) and as the reference implementation the
-// pipelined run is property-tested against.
-func (sc *shuffleCore[B, O]) runBarrier() error {
-	buckets := make([][][]byte, sc.in) // buckets[mapTask][reducePartition]
-	stage := StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask, OutMask: sc.outMask}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = sc.ctx.runTasksLPT(sc.in, sc.mapHint, func(m int, tm *TaskMetrics) error {
-			start := time.Now()
-			enc := make([][]byte, sc.out)
-			if err := sc.mapTask(m, tm, func(r int, block []byte) { enc[r] = block }); err != nil {
+	ex := sc.ctx.exec.Exchange(sc.ctx.nextSeq(), sc.in, sc.out)
+	defer ex.Close()
+	st := sc.ctx.newStage(sc.name)
+	maps := taskSet{
+		row:     StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask, OutMask: sc.outMask},
+		n:       sc.in,
+		hint:    sc.mapHint,
+		ownerOf: sc.mapOwner,
+		fn: func(m int, tm *TaskMetrics) error {
+			published := make([]bool, sc.out)
+			// Publish stores the block before signaling readiness, so the
+			// reduce side's Block read is ordered after the store.
+			err := sc.mapTask(m, tm, func(r int, block []byte) {
+				published[r] = true
+				ex.Publish(m, r, block)
+			})
+			if err != nil {
+				// Buckets already emitted stay valid (reduces may have consumed
+				// them); the ones never published are covered by cancellation.
 				return err
 			}
-			buckets[m] = enc
-			tm.Wall = time.Since(start)
+			for r, done := range published {
+				if !done {
+					ex.Publish(m, r, nil) // empty bucket: reduce r must still account for m
+				}
+			}
 			return nil
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	sc.ctx.recordStage(stage)
-	if err != nil {
-		return err
+		},
 	}
-
-	// Reduce dispatch is size-aware too: the hint is the exact byte volume
-	// this reduce partition will fetch.
-	redHint := func(r int) int64 {
-		var n int64
-		for m := range buckets {
-			n += int64(len(buckets[m][r]))
-		}
-		return n
-	}
-	stage = StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: sc.outMask, OutMask: sc.outMask}
-	gc, err = gcPauseDelta(func() error {
-		var err error
-		tms, err = sc.ctx.runTasksLPT(sc.out, redHint, func(r int, tm *TaskMetrics) error {
-			start := time.Now()
+	reduces := taskSet{
+		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: sc.outMask, OutMask: sc.outMask},
+		n:   sc.out,
+		fn: func(r int, tm *TaskMetrics) error {
 			decoded := make([]B, sc.in)
-			for m := 0; m < sc.in; m++ {
-				block := buckets[m][r]
+			for seen := 0; seen < sc.in; seen++ {
+				m, err := st.await(tm, ex.Notify(r))
+				if err != nil {
+					return err
+				}
+				block := ex.Block(m, r)
 				if block == nil {
 					continue
 				}
 				tm.ShuffleReadBytes += int64(len(block))
-				b, err := sc.decode(r, block, tm)
-				if err != nil {
+				if decoded[m], err = sc.decode(r, block, tm); err != nil {
 					return err
 				}
-				decoded[m] = b
 			}
-			return sc.finishReduce(r, decoded, tm, start)
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	sc.ctx.recordStage(stage)
-	return err
-}
-
-// runPipelined executes map and reduce tasks in one worker-pool pass.
-//
-// Protocol: map task m pushes m onto reduce task r's notification channel
-// the moment bucket (m, r) is encoded — per-bucket readiness, so a long map
-// task streams its buckets out as it goes instead of landing them all at
-// task end; buckets the map never emits are published as empty when the
-// task completes. The channels are buffered to the map-task count, so
-// publishing never blocks. Reduce task r receives map indices in
-// publication order, decodes each bucket (m, r) as it arrives —
-// overlapping decode with still-running maps — and finally merges the
-// decoded buckets in map-task order, which makes the output independent of
-// arrival order.
-//
-// Scheduling: map tasks are dispatched first (largest-first per mapHint),
-// reduce tasks after, through one worker-slot semaphore. A reduce task that
-// must block on an unpublished bucket RELEASES its worker slot for the
-// duration of the wait and re-acquires it when data (or cancellation)
-// arrives — a stalled reduce never starves runnable work, so every slot is
-// always held by a task making progress. Map tasks never wait on other
-// tasks, so the pipeline cannot deadlock: slot-holders run to completion,
-// waiters are unblocked by map completions, and re-acquisition only
-// competes with other runnable work. (With W=1 reduce tasks effectively
-// start after all maps finish — the pipeline degrades to the barrier
-// schedule but never deadlocks.)
-//
-// Failure: the first map/reduce error (or panic) closes cancel exactly once;
-// every blocked reduce task unblocks through the cancel branch and returns.
-// The pass always joins its WaitGroup, so no goroutine outlives the call,
-// and the caller discards the result dataset on error — no partial output.
-func (sc *shuffleCore[B, O]) runPipelined() error {
-	in, out := sc.in, sc.out
-	ctx := sc.ctx
-	procs, rank := ctx.procs(), ctx.rank()
-	mapOwned := func(m int) bool {
-		if procs == 1 {
-			return true
-		}
-		if sc.mapOwner != nil {
-			return sc.mapOwner(m) == rank
-		}
-		return m%procs == rank
-	}
-	redOwned := func(r int) bool { return procs == 1 || r%procs == rank }
-	// The exchange is the bucket transport for this stage: in-process it is
-	// the shared block table + notify channels; under mproc, publishes to a
-	// remote-owned reduce partition leave as bucket frames and arrivals from
-	// sibling ranks feed the same notify channels the local path uses.
-	ex := ctx.exec.Exchange(ctx.nextSeq(), in, out)
-	defer ex.Close()
-	mapTMs := make([]TaskMetrics, in)
-	redTMs := make([]TaskMetrics, out)
-	mapErrs := make([]error, in)
-	redErrs := make([]error, out)
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	abort := func() { cancelOnce.Do(func() { close(cancel) }) }
-	sem := make(chan struct{}, ctx.workers)
-
-	start := time.Now()
-	mapEnd := make([]time.Duration, in)    // offset of map m's publish, from shuffle start
-	redStart := make([]time.Duration, out) // offset of reduce r's first instruction
-
-	runMap := func(m int) {
-		tm := &mapTMs[m]
-		defer func() {
-			if p := recover(); p != nil {
-				mapErrs[m] = fmt.Errorf("engine: task %d panicked: %v", m, p)
-				abort()
-			}
-		}()
-		select {
-		case <-cancel:
-			mapErrs[m] = errShuffleCanceled
-			return
-		case <-ex.Failed():
-			mapErrs[m] = errShuffleCanceled
-			return
-		default:
-		}
-		t0 := time.Now()
-		published := make([]bool, out)
-		emit := func(r int, block []byte) {
-			// Publish stores the block before signaling readiness, so the
-			// reduce side's Block read is ordered after the store.
-			published[r] = true
-			ex.Publish(m, r, block)
-		}
-		if err := sc.mapTask(m, tm, emit); err != nil {
-			// Buckets already emitted stay valid (reduces may have consumed
-			// them); the ones never published are covered by cancellation.
-			mapErrs[m] = err
-			abort()
-			return
-		}
-		tm.Wall = time.Since(t0)
-		for r := 0; r < out; r++ {
-			if !published[r] {
-				ex.Publish(m, r, nil) // empty bucket: publish so reduce r can account for m
-			}
-		}
-		mapEnd[m] = time.Since(start)
-	}
-
-	runReduce := func(r int) {
-		tm := &redTMs[r]
-		defer func() {
-			if p := recover(); p != nil {
-				redErrs[r] = fmt.Errorf("engine: task %d panicked: %v", r, p)
-				abort()
-			}
-		}()
-		redStart[r] = time.Since(start)
-		t0 := time.Now()
-		decoded := make([]B, in)
-		for seen := 0; seen < in; seen++ {
-			var m int
-			select {
-			case m = <-ex.Notify(r):
-			default:
-				// Nothing published yet: genuine fetch wait, measured only on
-				// receives that actually block. Release the worker slot for the
-				// duration — a stalled reduce must not starve runnable tasks —
-				// and re-acquire before touching the bucket. The re-acquire wait
-				// counts as FetchWait too: the task was only queued because it
-				// had stalled on data.
-				w0 := time.Now()
-				<-sem
-				var canceled bool
-				select {
-				case m = <-ex.Notify(r):
-				case <-cancel:
-					canceled = true
-				case <-ex.Failed():
-					// A sibling rank failed the job: this bucket is never
-					// coming. The stage error surfaces via ex.Err below.
-					canceled = true
-				}
-				sem <- struct{}{}
-				tm.FetchWait += time.Since(w0)
-				if canceled {
-					redErrs[r] = errShuffleCanceled
-					return
-				}
-			}
-			block := ex.Block(m, r)
-			if block == nil {
-				continue
-			}
-			tm.ShuffleReadBytes += int64(len(block))
-			b, err := sc.decode(r, block, tm)
+			out, err := sc.merge(r, decoded, tm)
 			if err != nil {
-				redErrs[r] = err
-				abort()
-				return
+				return err
 			}
-			decoded[m] = b
-		}
-		if err := sc.finishReduce(r, decoded, tm, t0); err != nil {
-			redErrs[r] = err
-			abort()
-		}
+			tm.OutputItems = len(out)
+			return storePartition(sc.res, r, out, tm)
+		},
 	}
-
-	var wg sync.WaitGroup
-	launch := func(fn func()) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn()
-		}()
-	}
-	gc, _ := gcPauseDelta(func() error {
-		for _, m := range lptOrder(in, sc.mapHint) {
-			m := m
-			mapTMs[m].Partition = m
-			if !mapOwned(m) {
-				continue
-			}
-			if procs > 1 {
-				mapTMs[m].Ran = true
-				mapTMs[m].Rank = rank
-			}
-			launch(func() { runMap(m) })
-		}
-		for r := 0; r < out; r++ {
-			r := r
-			redTMs[r].Partition = r
-			if !redOwned(r) {
-				continue
-			}
-			if procs > 1 {
-				redTMs[r].Ran = true
-				redTMs[r].Rank = rank
-			}
-			launch(func() { runReduce(r) })
-		}
-		wg.Wait()
-		return nil
-	})
-
-	// PipelineOverlap: the span during which reduce tasks were already
-	// running while map tasks were still publishing.
-	var lastMap time.Duration
-	for _, e := range mapEnd {
-		if e > lastMap {
-			lastMap = e
-		}
-	}
-	firstRed := time.Duration(-1)
-	for _, s := range redStart {
-		if s > 0 && (firstRed < 0 || s < firstRed) {
-			firstRed = s
-		}
-	}
-	var overlap time.Duration
-	if firstRed >= 0 && lastMap > firstRed {
-		overlap = lastMap - firstRed
-	}
-
-	sc.ctx.recordStage(StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, Tasks: mapTMs, GCPause: gc, InMask: sc.inMask, OutMask: sc.outMask})
-	sc.ctx.recordStage(StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, Tasks: redTMs, PipelineOverlap: overlap, InMask: sc.outMask, OutMask: sc.outMask})
-
-	for _, err := range mapErrs {
-		if err != nil && !errors.Is(err, errShuffleCanceled) {
-			return err
-		}
-	}
-	for _, err := range redErrs {
-		if err != nil && !errors.Is(err, errShuffleCanceled) {
-			return err
-		}
-	}
-	// No local root cause: a sibling rank may have failed the job (its error
-	// arrived as a control frame and unblocked our reduces via Failed).
-	if err := ex.Err(); err != nil {
-		return fmt.Errorf("engine: stage %q: %w", sc.name, err)
-	}
-	for _, errs := range [][]error{mapErrs, redErrs} {
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("engine: stage %q: %w", sc.name, err)
-			}
-		}
-	}
-	return nil
+	return st.run(maps, reduces)
 }
 
 // shuffle is the wide-operation core for key-routed item movement: route
@@ -448,7 +171,7 @@ func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartition
 		return err
 	}
 	mapNeed := fx.inNeed(need)
-	codec := effectiveSerializer(d.ctx, d.codec)
+	codec := effectiveSerializer(d.codec)
 	if need != FieldsAll {
 		if pc, ok := codec.(ProjectableSerializer[T]); ok {
 			codec = pc.Project(need)
@@ -565,7 +288,6 @@ func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
 		total += d.NumPartitions()
 	}
 	res := newResult(ctx, ds[0].codec, total)
-	stage := StageMetrics{Name: name, Kind: StageNarrow}
 	type slot struct {
 		d *Dataset[T]
 		p int
@@ -580,28 +302,21 @@ func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
 	// so the result needs a custom ownership map (the canonical i % procs
 	// assignment would make ranks read partitions they don't hold).
 	res.owner = func(i int) int { return slots[i].d.ownerOf(slots[i].p) }
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = ctx.runTasksOwned(total, func(i int) int64 { return slots[i].d.partitionSizeHint(slots[i].p) }, res.ownerOf, func(i int, tm *TaskMetrics) error {
-			start := time.Now()
+	err := ctx.runStage(taskSet{
+		row:     StageMetrics{Name: name, Kind: StageNarrow},
+		n:       total,
+		hint:    func(i int) int64 { return slots[i].d.partitionSizeHint(slots[i].p) },
+		ownerOf: res.ownerOf,
+		fn: func(i int, tm *TaskMetrics) error {
 			items, err := slots[i].d.partition(slots[i].p, tm)
 			if err != nil {
 				return err
 			}
 			tm.InputItems = len(items)
 			tm.OutputItems = len(items)
-			if err := storePartition(res, i, items, tm); err != nil {
-				return err
-			}
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
+			return storePartition(res, i, items, tm)
+		},
 	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	ctx.recordStage(stage)
 	if err != nil {
 		return nil, err
 	}

@@ -371,37 +371,43 @@ func TestTable5Efficiencies(t *testing.T) {
 	}
 }
 
+// TestProjectionPushdownWins asserts the projection-planner table: over
+// columnar blocks the planner decodes less than the row codec (stored and
+// decoded whole) and ships less than the planner-disabled run.
 func TestProjectionPushdownWins(t *testing.T) {
-	res, err := Projection(SmallScale())
+	res, err := ProjectionPlanner(SmallScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Records == 0 {
 		t.Fatal("no records aligned")
 	}
-	// Projection (the constructor already enforces columnar < gob) must also
-	// report a positive pruned volume and a sane ratio.
-	if res.Columnar.PrunedBytes <= 0 {
-		t.Fatalf("columnar pruned %d bytes, want > 0", res.Columnar.PrunedBytes)
+	if res.Planner.CensusDecoded >= res.Row.CensusDecoded {
+		t.Fatalf("planner decoded %d bytes, row codec %d", res.Planner.CensusDecoded, res.Row.CensusDecoded)
 	}
-	if res.Gob.PrunedBytes != 0 {
-		t.Fatalf("gob pruned %d bytes, want 0", res.Gob.PrunedBytes)
+	if res.Planner.WireBytes >= res.Disabled.WireBytes {
+		t.Fatalf("planner wire %d bytes, disabled %d", res.Planner.WireBytes, res.Disabled.WireBytes)
 	}
-	if r := res.Columnar.PruningRatio; r <= 0 || r >= 1 {
-		t.Fatalf("pruning ratio = %v, want in (0,1)", r)
+	if res.Planner.CensusPruned <= 0 {
+		t.Fatalf("planner pruned %d bytes, want > 0", res.Planner.CensusPruned)
 	}
-	if red := res.DecodeReduction(); red <= 0 || red >= 1 {
-		t.Fatalf("decode reduction = %v, want in (0,1)", red)
+	if res.Disabled.CensusPruned != 0 || res.Row.CensusPruned != 0 {
+		t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Disabled.CensusPruned, res.Row.CensusPruned)
 	}
-	if rows := res.Format(); len(rows) != 4 {
-		t.Fatalf("format rows = %d, want 4", len(rows))
+	for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction(), res.WireReduction()} {
+		if red <= 0 || red >= 1 {
+			t.Fatalf("reduction = %v, want in (0,1)", red)
+		}
+	}
+	if rows := res.Format(); len(rows) != 6 {
+		t.Fatalf("format rows = %d, want 6", len(rows))
 	}
 }
 
 // TestKernelsAblationByteIdentical runs the hot-kernel ablation end to end:
 // the constructor itself fails unless the fast and reference runs emit
 // byte-identical VCFs, so this test is the pipeline-level determinism
-// property for DisableFastKernels.
+// property for the kernels.SetEnabled switch.
 func TestKernelsAblationByteIdentical(t *testing.T) {
 	res, err := Kernels(SmallScale())
 	if err != nil {

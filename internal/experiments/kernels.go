@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gpf-go/gpf/internal/core"
+	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
@@ -20,7 +21,7 @@ type KernelsRun struct {
 }
 
 // KernelsResult reproduces the hot-kernel ablation (see DESIGN.md, "Hot
-// kernels"): the WGS pipeline under Engine.DisableFastKernels off versus on.
+// kernels"): the WGS pipeline with kernels.SetEnabled on versus off.
 // Because every kernel is either exactly equivalent (banded alignment via
 // its certificate, table/word-parallel base ops) or equivalent far below the
 // genotyper's decision thresholds (scaled pair-HMM), the emitted VCF must be
@@ -76,9 +77,7 @@ func Kernels(s Scale) (*KernelsResult, error) {
 func kernelsWGS(s Scale, disable bool) (KernelsRun, []byte, error) {
 	d := s.dataset(workload.WGS)
 	rt := s.newRuntime(d)
-	// The kernels switch itself is synced from this flag inside
-	// Pipeline.Run — the same wiring baseline.RunWGS uses.
-	rt.Engine.DisableFastKernels = disable
+	defer kernels.SetEnabled(kernels.SetEnabled(!disable))
 
 	start := time.Now()
 	ds := core.PairsToRDD(rt, d.Pairs, rt.NumPartitions)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/colfmt"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/workload"
@@ -18,7 +19,7 @@ import (
 // repartition stage encoded onto the wire for a downstream consumer that
 // rebuilds only coordinates and flags).
 type ProjPlannerRun struct {
-	Mode          string // "manual-view", "planner" or "disabled"
+	Mode          string // "planner", "disabled" or "row"
 	CensusWall    time.Duration
 	CensusDecoded int64
 	CensusPruned  int64
@@ -27,41 +28,49 @@ type ProjPlannerRun struct {
 	WireOutMask   engine.FieldMask // resolved OutMask of the shuffle stage
 }
 
-// ProjPlannerResult compares three ways of getting (or not getting)
-// projection pushdown for the identical answer:
+// ProjPlannerResult compares three ways of storing and reading the same
+// records for the identical answer:
 //
-//   - manual-view: the planner is disabled and the caller narrows reads by
-//     hand with an explicit ReadingFields view — the call-site idiom before
-//     field effects existed. Decode pruning works; the shuffle wire does not
-//     narrow, because nothing propagates demand backwards into the map side.
-//   - planner: ops declare FieldEffects and the planner infers both the
-//     decode masks and the shuffle wire masks from the sink's demand.
-//   - disabled: planner off, no view. Every read decodes every column and
-//     the wire carries whole records.
+//   - planner: columnar blocks (colfmt); ops declare FieldEffects and the
+//     planner infers both the decode masks and the shuffle wire masks from
+//     the sink's demand.
+//   - disabled: columnar blocks, Context.DisableProjectionPlanner. Every
+//     read decodes every column and the wire carries whole records.
+//   - row: the row-wise field codec (core.TierField) with the planner on — a
+//     codec that cannot project, so blocks are stored and decoded whole
+//     whatever the planner resolves.
 type ProjPlannerResult struct {
 	Records  int
 	Buckets  int // census cardinality, identical across modes by construction
-	Manual   ProjPlannerRun
 	Planner  ProjPlannerRun
 	Disabled ProjPlannerRun
+	Row      ProjPlannerRun
+}
+
+// reduction is the fraction of base that got saved.
+func reduction(got, base int64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 1 - float64(got)/float64(base)
 }
 
 // WireReduction is the fraction of shuffle bytes the planner kept off the
-// wire relative to the manual-view mode (which can only prune decodes).
+// wire relative to the disabled run.
 func (r *ProjPlannerResult) WireReduction() float64 {
-	if r.Manual.WireBytes == 0 {
-		return 0
-	}
-	return 1 - float64(r.Planner.WireBytes)/float64(r.Manual.WireBytes)
+	return reduction(r.Planner.WireBytes, r.Disabled.WireBytes)
 }
 
 // DecodeReduction is the fraction of census decode bytes the planner saved
 // relative to the disabled run.
 func (r *ProjPlannerResult) DecodeReduction() float64 {
-	if r.Disabled.CensusDecoded == 0 {
-		return 0
-	}
-	return 1 - float64(r.Planner.CensusDecoded)/float64(r.Disabled.CensusDecoded)
+	return reduction(r.Planner.CensusDecoded, r.Disabled.CensusDecoded)
+}
+
+// RowDecodeReduction is the fraction of census decode bytes the planner over
+// columnar blocks saved relative to the row codec.
+func (r *ProjPlannerResult) RowDecodeReduction() float64 {
+	return reduction(r.Planner.CensusDecoded, r.Row.CensusDecoded)
 }
 
 // ProjectionPlanner aligns the workload once and runs the three modes over
@@ -85,14 +94,16 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 	var baseCensus map[int]int
 	var baseProj []sam.Record
 	for _, mode := range []struct {
-		name string
-		out  *ProjPlannerRun
+		name    string
+		codec   engine.Serializer[sam.Record]
+		disable bool
+		out     *ProjPlannerRun
 	}{
-		{"manual-view", &res.Manual},
-		{"planner", &res.Planner},
-		{"disabled", &res.Disabled},
+		{"planner", colfmt.Codec{}, false, &res.Planner},
+		{"disabled", colfmt.Codec{}, true, &res.Disabled},
+		{"row", compress.FieldSAMCodec{}, false, &res.Row},
 	} {
-		run, census, projected, err := projPlannerMode(s, records, mode.name)
+		run, census, projected, err := projPlannerMode(s, records, mode.codec, mode.disable)
 		if err != nil {
 			return nil, fmt.Errorf("projection-planner %s: %w", mode.name, err)
 		}
@@ -111,19 +122,17 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 		}
 	}
 
-	// The ablation is only worth printing if the orderings hold: planner and
-	// manual view both beat full decode, and only the planner narrows the wire.
-	if res.Planner.CensusDecoded >= res.Disabled.CensusDecoded {
-		return nil, fmt.Errorf("projection-planner: planner decoded %d bytes, disabled %d — decode pruning ineffective",
-			res.Planner.CensusDecoded, res.Disabled.CensusDecoded)
+	// The ablation is only worth printing if the orderings hold: the planner
+	// decodes less than either whole-block side and narrows the wire.
+	for _, whole := range []*ProjPlannerRun{&res.Disabled, &res.Row} {
+		if res.Planner.CensusDecoded >= whole.CensusDecoded {
+			return nil, fmt.Errorf("projection-planner: planner decoded %d bytes, %s %d — decode pruning ineffective",
+				res.Planner.CensusDecoded, whole.Mode, whole.CensusDecoded)
+		}
 	}
-	if res.Manual.CensusDecoded >= res.Disabled.CensusDecoded {
-		return nil, fmt.Errorf("projection-planner: manual view decoded %d bytes, disabled %d — view pruning ineffective",
-			res.Manual.CensusDecoded, res.Disabled.CensusDecoded)
-	}
-	if res.Planner.WireBytes >= res.Manual.WireBytes {
-		return nil, fmt.Errorf("projection-planner: planner shuffled %d wire bytes, manual view %d — wire pruning ineffective",
-			res.Planner.WireBytes, res.Manual.WireBytes)
+	if res.Planner.WireBytes >= res.Disabled.WireBytes {
+		return nil, fmt.Errorf("projection-planner: planner shuffled %d wire bytes, disabled %d — wire pruning ineffective",
+			res.Planner.WireBytes, res.Disabled.WireBytes)
 	}
 	return res, nil
 }
@@ -132,14 +141,15 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 // load-census read pattern (RefID/Pos and nothing else).
 func censusKey(r sam.Record) int { return int(r.RefID)<<20 | int(r.Pos) }
 
-// projPlannerMode stores the records as serialized columnar partitions, then
-// runs the census phase and the wire phase under one mode's configuration.
-func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun, map[int]int, []sam.Record, error) {
+// projPlannerMode stores the records as serialized partitions under codec,
+// then runs the census phase and the wire phase under one mode's
+// configuration.
+func projPlannerMode(s Scale, records []sam.Record, codec engine.Serializer[sam.Record], disablePlanner bool) (ProjPlannerRun, map[int]int, []sam.Record, error) {
 	ctx := engine.NewContext(s.Workers)
 	ctx.StoreSerialized = true
-	ctx.DisableProjectionPlanner = mode != "planner"
+	ctx.DisableProjectionPlanner = disablePlanner
 	stored, err := engine.MapPartitions("projplanner/store",
-		engine.Parallelize(ctx, records, s.NumPartitions), colfmt.Codec{},
+		engine.Parallelize(ctx, records, s.NumPartitions), codec,
 		func(_ int, items []sam.Record) ([]sam.Record, error) { return items, nil },
 		engine.ReadsOnly(0))
 	if err != nil {
@@ -150,21 +160,13 @@ func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun
 	}
 	var run ProjPlannerRun
 
-	// Census phase: count records per coordinate bucket. The manual-view mode
-	// narrows the read with an explicit projection view and no declaration;
-	// the other modes declare the read and let the planner (or its absence)
-	// decide what the decode touches.
+	// Census phase: count records per coordinate bucket. Every mode declares
+	// the read; the planner (or its absence) and the codec decide what the
+	// decode touches.
 	ctx.ResetMetrics()
 	start := time.Now()
-	var census map[int]int
-	if mode == "manual-view" {
-		view := engine.ReadingFields(stored, colfmt.FieldCoord)
-		//lint:ignore gpflint/fieldfx manual-view mode reproduces the pre-planner call site: pruning comes from the explicit view, not a declaration
-		census, err = engine.CountByKey("projplanner/census", view, censusKey)
-	} else {
-		census, err = engine.CountByKey("projplanner/census", stored, censusKey,
-			engine.ReadsOnly(colfmt.FieldCoord))
-	}
+	census, err := engine.CountByKey("projplanner/census", stored, censusKey,
+		engine.ReadsOnly(colfmt.FieldCoord))
 	if err != nil {
 		return ProjPlannerRun{}, nil, nil, err
 	}
@@ -176,7 +178,8 @@ func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun
 	// Wire phase: repartition by coordinate, then rebuild only coordinates
 	// and flags. Under the planner the Rebuilds demand flows backwards
 	// through the shuffle, so map tasks encode two columns onto the wire;
-	// without it the wire carries whole records regardless of any view.
+	// without it, or with a codec that cannot project, the wire carries whole
+	// records.
 	ctx.ResetMetrics()
 	start = time.Now()
 	shuffled, err := engine.PartitionBy("projplanner/repart", stored, s.NumPartitions,
@@ -184,7 +187,7 @@ func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun
 	if err != nil {
 		return ProjPlannerRun{}, nil, nil, err
 	}
-	projected, err := engine.Map("projplanner/strip", shuffled, colfmt.Codec{},
+	projected, err := engine.Map("projplanner/strip", shuffled, codec,
 		func(r sam.Record) sam.Record {
 			return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
 		}, engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))
@@ -251,7 +254,7 @@ func (r *ProjPlannerResult) Format() []string {
 	out := []string{fmt.Sprintf(
 		"Projection planner: census + repartition over %d records (%d buckets)",
 		r.Records, r.Buckets)}
-	for _, run := range []*ProjPlannerRun{&r.Manual, &r.Planner, &r.Disabled} {
+	for _, run := range []*ProjPlannerRun{&r.Planner, &r.Disabled, &r.Row} {
 		out = append(out, row(run.Mode,
 			fmt.Sprintf("decoded %7.3f MB", float64(run.CensusDecoded)/1e6),
 			fmt.Sprintf("pruned %7.3f MB", float64(run.CensusPruned)/1e6),
@@ -260,7 +263,7 @@ func (r *ProjPlannerResult) Format() []string {
 			fmt.Sprintf("census %s", run.CensusWall.Round(time.Millisecond))))
 	}
 	out = append(out,
-		fmt.Sprintf("census decode reduction vs disabled: %.1f%%", 100*r.DecodeReduction()),
-		fmt.Sprintf("shuffle wire reduction vs manual view: %.1f%%", 100*r.WireReduction()))
+		fmt.Sprintf("census decode reduction vs disabled: %.1f%%, vs row: %.1f%%", 100*r.DecodeReduction(), 100*r.RowDecodeReduction()),
+		fmt.Sprintf("shuffle wire reduction vs disabled: %.1f%%", 100*r.WireReduction()))
 	return out
 }

@@ -63,9 +63,6 @@ func runScalingWGS(ctx *engine.Context, sp ScalingSpec) ([]byte, error) {
 	rt.NumPartitions = sp.Scale.NumPartitions
 	rt.Known = d.Known
 	rt.Codec = sp.Opts.Codec
-	ctx.DisablePipelinedShuffle = sp.Opts.BarrierShuffle
-	ctx.DisableMapSideCombine = sp.Opts.NoMapSideCombine
-	ctx.DisableFastKernels = sp.Opts.NoFastKernels
 	if !sp.Opts.DynamicRepartition {
 		rt.SplitThresholdFactor = 1e18
 	}

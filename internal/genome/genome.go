@@ -216,7 +216,7 @@ func ReverseComplement(seq []byte) []byte {
 }
 
 // reverseComplementRef is the original per-base implementation, kept as the
-// equivalence oracle and the DisableFastKernels path.
+// equivalence oracle and the kernels.SetEnabled(false) path.
 func reverseComplementRef(seq []byte) []byte {
 	out := make([]byte, len(seq))
 	for i, b := range seq {

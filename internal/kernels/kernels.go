@@ -1,35 +1,36 @@
 // Package kernels holds the process-wide switch for the profile-driven hot
-// kernels (PR 7): the scaled pair-HMM forward pass, the banded affine-gap
-// aligner, the table-driven reverse complement and the word-parallel 2-bit
-// pack/unpack. Each optimized kernel keeps its reference implementation in
-// its home package; the packages dispatch on Enabled() so the ablation can
-// flip every kernel at once, mirroring the per-Context engine ablations
-// (DisableFusion, DisablePipelinedShuffle, ...).
+// kernels: the scaled pair-HMM forward pass, the certified ungapped and
+// banded fit aligners, the table-driven reverse complement and the
+// word-parallel 2-bit pack/unpack. Each optimized kernel keeps its
+// reference implementation in its home package as the equivalence oracle;
+// the packages dispatch on Enabled() so one call flips every kernel at once.
 //
-// The flag is process-global rather than per-Context because the kernels
-// live far below the engine (per-base loops inside caller, align, compress
-// and genome) where threading a context through every call would put a
-// dependency edge from leaf packages to the engine. core.Pipeline.Run syncs
-// it from engine.Context.DisableFastKernels before executing, so pipeline
-// runs behave as if the flag were per-context; running two pipelines with
-// opposite settings concurrently in one process is unsupported (the loads
-// and stores are atomic, so the only hazard is which kernel a given call
-// picks — never a data race or a wrong result, since both paths agree to
-// the equivalence bounds asserted by the kernel property tests).
+// The switch is process-global because the kernels live far below the
+// engine (per-base loops inside caller, align, compress and genome), where
+// threading a setting through every call would put a dependency edge from
+// leaf packages to the engine. Nothing but its callers writes it: the
+// TestKernel* equivalence tests of those four packages and the kernels
+// experiment set it and restore it with
+//
+//	defer kernels.SetEnabled(kernels.SetEnabled(false))
+//
+// and a pipeline run in between leaves it alone. Flipping it while kernels
+// run concurrently is safe (the loads and stores are atomic, and both paths
+// agree to the equivalence bounds the kernel property tests assert); it only
+// leaves open which kernel a given call picks.
 package kernels
 
 import "sync/atomic"
 
-// disabled is the ablation state: zero value means fast kernels ON, so the
-// optimized paths are the default exactly like the engine's other
-// optimizations.
+// disabled is the switch state: the zero value means fast kernels ON, so the
+// optimized paths are the default.
 var disabled atomic.Bool
 
 // Enabled reports whether the optimized kernels are active.
 func Enabled() bool { return !disabled.Load() }
 
 // SetEnabled turns the optimized kernels on or off and returns the previous
-// state, so tests can restore it with defer kernels.SetEnabled(prev).
+// state.
 func SetEnabled(on bool) (prev bool) {
 	return !disabled.Swap(!on)
 }

@@ -19,8 +19,8 @@ import (
 // (ReadsOnly, Rebuilds, WithEffects). The projection planner uses the
 // declarations to compute, at each barrier, the minimal field set every edge
 // of the plan must carry — pruning column decodes and shuffle wire bytes
-// without any manual ReadingFields annotation. Undeclared ops conservatively
-// read and write all fields.
+// with no annotation at the read. Undeclared ops conservatively read and
+// write all fields.
 
 // Serializer is the partition codec interface (see GPFSAMCodec and friends).
 type Serializer[T any] = engine.Serializer[T]
