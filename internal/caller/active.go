@@ -45,25 +45,42 @@ func DefaultConfig() Config {
 
 // pileupCell accumulates per-reference-position evidence.
 type pileupCell struct {
-	depth    int
-	mismatch int
-	indel    int
+	depth    int32
+	mismatch int32
+	indel    int32
 }
 
-// FindActiveRegions scans aligned records for reference positions where
-// reads disagree with the reference (mismatches or indel breakpoints) and
-// returns padded, merged intervals around them.
-func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) []genome.Interval {
-	cells := map[genome.Position]*pileupCell{}
-	bump := func(contig, pos int) *pileupCell {
-		key := genome.Position{Contig: contig, Pos: pos}
-		c := cells[key]
-		if c == nil {
-			c = &pileupCell{}
-			cells[key] = c
+// pileupPageBits sizes a pileup page: 4096 positions, 48 KB.
+const pileupPageBits = 12
+
+type pileupPage [1 << pileupPageBits]pileupCell
+
+// pileup maps reference positions to cells through dense pages, so memory
+// stays proportional to the covered reference and a read costs one map lookup
+// per page it touches (the last page is cached) instead of one per base.
+type pileup struct {
+	pages   map[genome.Position]*pileupPage // keyed by {contig, pos >> pileupPageBits}
+	lastKey genome.Position
+	last    *pileupPage
+}
+
+func (p *pileup) cell(contig, pos int) *pileupCell {
+	key := genome.Position{Contig: contig, Pos: pos >> pileupPageBits}
+	if p.last == nil || key != p.lastKey {
+		pg := p.pages[key]
+		if pg == nil {
+			pg = new(pileupPage)
+			p.pages[key] = pg
 		}
-		return c
+		p.lastKey, p.last = key, pg
 	}
+	return &p.last[pos&(len(p.last)-1)]
+}
+
+// pileUp accumulates the evidence of every usable record. Evidence a record
+// places outside its contig is ignored.
+func pileUp(records []sam.Record, ref *genome.Reference, minBaseQual int) pileup {
+	cells := pileup{pages: map[genome.Position]*pileupPage{}}
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
@@ -83,10 +100,12 @@ func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) 
 					if rp < 0 || rp >= len(refSeq.Seq) || readPos+k >= len(r.Seq) {
 						continue
 					}
-					if int(r.Qual[readPos+k])-33 < cfg.MinBaseQual {
+					// A base past the end of the quality string counts, as it
+					// does in phredToProb (SAM allows QUAL "*").
+					if q := readPos + k; q < len(r.Qual) && int(r.Qual[q])-33 < minBaseQual {
 						continue
 					}
-					c := bump(contig, rp)
+					c := cells.cell(contig, rp)
 					c.depth++
 					if r.Seq[readPos+k] != refSeq.Seq[rp] {
 						c.mismatch++
@@ -94,39 +113,49 @@ func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) 
 				}
 				readPos += op.Len
 				refPos += op.Len
-			case 'I':
-				c := bump(contig, refPos)
-				c.depth++
-				c.indel++
-				readPos += op.Len
-			case 'D', 'N':
-				c := bump(contig, refPos)
-				c.depth++
-				c.indel++
-				refPos += op.Len
+			case 'I', 'D', 'N':
+				if refPos >= 0 && refPos < len(refSeq.Seq) {
+					c := cells.cell(contig, refPos)
+					c.depth++
+					c.indel++
+				}
+				if op.Op == 'I' {
+					readPos += op.Len
+				} else {
+					refPos += op.Len
+				}
 			case 'S':
 				readPos += op.Len
 			}
 		}
 	}
+	return cells
+}
+
+// FindActiveRegions scans aligned records for reference positions where
+// reads disagree with the reference (mismatches or indel breakpoints) and
+// returns padded, merged intervals around them.
+func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) []genome.Interval {
+	cells := pileUp(records, ref, cfg.MinBaseQual)
 	var ivs []genome.Interval
-	for pos, c := range cells {
-		if c.depth < cfg.MinActiveDepth {
-			continue
+	for key, page := range cells.pages {
+		contigLen := ref.Contig(key.Contig).Len()
+		for off := range page {
+			c := &page[off]
+			if c.depth == 0 || int(c.depth) < cfg.MinActiveDepth {
+				continue // depth 0: a position of the page no read touched
+			}
+			frac := float64(c.mismatch+c.indel*2) / float64(c.depth)
+			if frac < cfg.MinActiveFrac {
+				continue
+			}
+			pos := key.Pos<<pileupPageBits + off
+			ivs = append(ivs, genome.Interval{
+				Contig: key.Contig,
+				Start:  max(pos-cfg.RegionPad, 0),
+				End:    min(pos+cfg.RegionPad, contigLen),
+			})
 		}
-		frac := float64(c.mismatch+c.indel*2) / float64(c.depth)
-		if frac < cfg.MinActiveFrac {
-			continue
-		}
-		start := pos.Pos - cfg.RegionPad
-		if start < 0 {
-			start = 0
-		}
-		end := pos.Pos + cfg.RegionPad
-		if contig := ref.Contig(pos.Contig); contig != nil && end > contig.Len() {
-			end = contig.Len()
-		}
-		ivs = append(ivs, genome.Interval{Contig: pos.Contig, Start: start, End: end})
 	}
 	return genome.MergeIntervals(ivs)
 }

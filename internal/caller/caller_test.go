@@ -2,7 +2,10 @@ package caller
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/align"
@@ -170,7 +173,7 @@ func TestVariantsFromHaplotypeIndel(t *testing.T) {
 
 // pipelineRecords builds an aligned, deduped, realigned dataset over a donor
 // genome — the state the Caller receives.
-func pipelineRecords(t *testing.T, seed int64, size int, coverage float64) (*genome.Reference, *genome.Donor, []sam.Record) {
+func pipelineRecords(t testing.TB, seed int64, size int, coverage float64) (*genome.Reference, *genome.Donor, []sam.Record) {
 	t.Helper()
 	ref := genome.Synthesize(genome.DefaultSynthConfig(seed, size, 1))
 	donor := genome.Mutate(ref, genome.DefaultMutateConfig(seed+1))
@@ -218,6 +221,196 @@ func TestFindActiveRegionsAroundVariants(t *testing.T) {
 	}
 	if float64(covered)/float64(total) < 0.6 {
 		t.Fatalf("only %d/%d truth SNVs inside active regions", covered, total)
+	}
+}
+
+// findActiveRegionsMap is the per-base map pileup FindActiveRegions used
+// before the paged one, kept verbatim as its oracle on well-formed input. (On
+// records with breakpoints outside their contig it returns inverted
+// intervals; that defect is what TestFindActiveRegionsHostileRecords pins.)
+func findActiveRegionsMap(records []sam.Record, ref *genome.Reference, cfg Config) []genome.Interval {
+	type mapCell struct{ depth, mismatch, indel int }
+	cells := map[genome.Position]*mapCell{}
+	bump := func(contig, pos int) *mapCell {
+		key := genome.Position{Contig: contig, Pos: pos}
+		c := cells[key]
+		if c == nil {
+			c = &mapCell{}
+			cells[key] = c
+		}
+		return c
+	}
+	for i := range records {
+		r := &records[i]
+		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
+			continue
+		}
+		contig := int(r.RefID)
+		refSeq := ref.Contig(contig)
+		if refSeq == nil {
+			continue
+		}
+		readPos, refPos := 0, int(r.Pos)
+		for _, op := range r.Cigar {
+			switch op.Op {
+			case 'M', '=', 'X':
+				for k := 0; k < op.Len; k++ {
+					rp := refPos + k
+					if rp < 0 || rp >= len(refSeq.Seq) || readPos+k >= len(r.Seq) {
+						continue
+					}
+					if int(r.Qual[readPos+k])-33 < cfg.MinBaseQual {
+						continue
+					}
+					c := bump(contig, rp)
+					c.depth++
+					if r.Seq[readPos+k] != refSeq.Seq[rp] {
+						c.mismatch++
+					}
+				}
+				readPos += op.Len
+				refPos += op.Len
+			case 'I':
+				c := bump(contig, refPos)
+				c.depth++
+				c.indel++
+				readPos += op.Len
+			case 'D', 'N':
+				c := bump(contig, refPos)
+				c.depth++
+				c.indel++
+				refPos += op.Len
+			case 'S':
+				readPos += op.Len
+			}
+		}
+	}
+	var ivs []genome.Interval
+	for pos, c := range cells {
+		if c.depth < cfg.MinActiveDepth {
+			continue
+		}
+		frac := float64(c.mismatch+c.indel*2) / float64(c.depth)
+		if frac < cfg.MinActiveFrac {
+			continue
+		}
+		start := pos.Pos - cfg.RegionPad
+		if start < 0 {
+			start = 0
+		}
+		end := pos.Pos + cfg.RegionPad
+		if contig := ref.Contig(pos.Contig); contig != nil && end > contig.Len() {
+			end = contig.Len()
+		}
+		ivs = append(ivs, genome.Interval{Contig: pos.Contig, Start: start, End: end})
+	}
+	return genome.MergeIntervals(ivs)
+}
+
+// TestKernelFindActiveRegionsOracle: the paged pileup finds exactly the map
+// pileup's regions, and its memory follows the covered reference, not the
+// span of the coordinates.
+func TestKernelFindActiveRegionsOracle(t *testing.T) {
+	for _, d := range []struct {
+		seed     int64
+		size     int
+		coverage float64
+	}{{301, 30000, 15}, {401, 40000, 20}, {901, 9000, 8}} {
+		ref, _, records := pipelineRecords(t, d.seed, d.size, d.coverage)
+		got := FindActiveRegions(records, ref, DefaultConfig())
+		want := findActiveRegionsMap(records, ref, DefaultConfig())
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: paged pileup found %d regions, map pileup %d:\n%v\n%v", d.seed, len(got), len(want), got, want)
+		}
+	}
+
+	// Two piles of reads 200 Mb apart on one contig (all-zero sequence: the
+	// untouched pages of the allocation are never resident).
+	ref := genome.NewReference([]genome.Contig{{Name: "big", Seq: make([]byte, 200<<20+5000)}})
+	var records []sam.Record
+	for _, pos := range []int32{4000, 200<<20 + 4000} { // each straddles a page boundary
+		for k := 0; k < 4; k++ {
+			records = append(records, sam.Record{
+				Name: "r", RefID: 0, Pos: pos + int32(k), MapQ: 60,
+				Cigar: []sam.CigarOp{{Op: 'M', Len: 60}, {Op: 'D', Len: 2}, {Op: 'M', Len: 60}},
+				Seq:   bytes.Repeat([]byte("A"), 120),
+				Qual:  bytes.Repeat([]byte("I"), 120),
+			})
+		}
+	}
+	cfg := DefaultConfig()
+	if pages := len(pileUp(records, ref, cfg.MinBaseQual).pages); pages < 2 || pages > 4 {
+		t.Fatalf("two piles 200 Mb apart allocated %d pages, want 2..4", pages)
+	}
+	got, want := FindActiveRegions(records, ref, cfg), findActiveRegionsMap(records, ref, cfg)
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("distant piles: paged %v, map %v", got, want)
+	}
+}
+
+// TestFindActiveRegionsHostileRecords: records whose coordinates leave their
+// contig (or name no contig) used to yield inverted intervals, on which
+// CallRegion died with "slice bounds out of range [5040:5000]". Evidence
+// outside the contig is ignored now, every interval is well-formed, and the
+// caller returns instead of panicking.
+func TestFindActiveRegionsHostileRecords(t *testing.T) {
+	ref := genome.Synthesize(genome.DefaultSynthConfig(1001, 5000, 1))
+	contigLen := ref.Contigs[0].Len()
+	read := func(refID, pos int32, cigar ...sam.CigarOp) sam.Record {
+		n := 0
+		for _, op := range cigar {
+			if op.Op == 'M' || op.Op == 'I' || op.Op == 'S' {
+				n += op.Len
+			}
+		}
+		return sam.Record{Name: "h", RefID: refID, Pos: pos, MapQ: 60, Cigar: cigar,
+			Seq: bytes.Repeat([]byte("A"), n), Qual: bytes.Repeat([]byte("I"), n)}
+	}
+	four := func(r sam.Record) []sam.Record { return []sam.Record{r, r, r, r} }
+	noQual := read(0, 100, sam.CigarOp{Op: 'M', Len: 50})
+	noQual.Qual = nil
+	for _, c := range []struct {
+		name    string
+		records []sam.Record
+	}{
+		{"insertion past the contig end", four(read(0, int32(contigLen)+100, sam.CigarOp{Op: 'I', Len: 5}))},
+		{"insertion before the contig", four(read(0, -100, sam.CigarOp{Op: 'I', Len: 5}))},
+		{"deletion before the contig", four(read(0, -100, sam.CigarOp{Op: 'D', Len: 5}, sam.CigarOp{Op: 'M', Len: 20}))},
+		{"read overhanging the end", four(read(0, int32(contigLen)-20, sam.CigarOp{Op: 'M', Len: 30},
+			sam.CigarOp{Op: 'D', Len: 3}, sam.CigarOp{Op: 'M', Len: 30}))},
+		{"RefID out of range", four(read(7, 100, sam.CigarOp{Op: 'M', Len: 50}))},
+		{"insertion at the start", four(read(0, 0, sam.CigarOp{Op: 'I', Len: 5}, sam.CigarOp{Op: 'M', Len: 40}))},
+		{"no quality string", four(noQual)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			CallVariants(c.records, ref, DefaultConfig()) // must not panic
+			for _, iv := range FindActiveRegions(c.records, ref, DefaultConfig()) {
+				if iv.Start < 0 || iv.Start >= iv.End || iv.End > contigLen {
+					t.Fatalf("malformed interval %+v on a %d-base contig", iv, contigLen)
+				}
+			}
+		})
+	}
+	// CallRegion itself refuses an inverted or empty window.
+	for _, iv := range []genome.Interval{{Contig: 0, Start: 5070, End: 5000}, {Contig: 0, Start: 6000, End: 6000}} {
+		if got := CallRegion(nil, ref, iv, DefaultConfig()); got != nil {
+			t.Fatalf("CallRegion(%+v) = %v, want nil", iv, got)
+		}
+	}
+}
+
+// TestKernelCallVariantsGolden pins the caller's output bytes on one dataset
+// to the sha256 computed at the commit before the lane kernel and the paged
+// pileup went in: neither may move a call, a genotype or a QUAL digit.
+func TestKernelCallVariantsGolden(t *testing.T) {
+	const want = "c9e6fbcca38bf3729d1fa4e644b4148b2d5bba90f83dd6b4ad1c5828ce8e42c4"
+	ref, _, records := pipelineRecords(t, 401, 40000, 20)
+	var buf bytes.Buffer
+	if err := vcf.Write(&buf, nil, CallVariants(records, ref, DefaultConfig())); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("VCF sha256 = %s, want %s\n%s", got, want, buf.String())
 	}
 }
 
@@ -333,5 +526,28 @@ func BenchmarkAssembleHaplotypes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assembleHaplotypes(window, reads, 19, 8, 2)
+	}
+}
+
+// BenchmarkKernelFindActiveRegions reports the cost per aligned base of the
+// paged pileup and of its map oracle on a 60 kb / 30x dataset.
+func BenchmarkKernelFindActiveRegions(b *testing.B) {
+	ref, _, records := pipelineRecords(b, 1101, 60000, 30)
+	bases := 0
+	for i := range records {
+		if !records[i].Unmapped() && !records[i].Duplicate() {
+			bases += len(records[i].Seq)
+		}
+	}
+	for _, impl := range []struct {
+		name string
+		find func([]sam.Record, *genome.Reference, Config) []genome.Interval
+	}{{"paged", FindActiveRegions}, {"map", findActiveRegionsMap}} {
+		b.Run(impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				impl.find(records, ref, DefaultConfig())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bases), "ns/base")
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package caller
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -64,12 +63,6 @@ func variantsFromHaplotype(hap, refWindow []byte, windowStart int, sc align.Scor
 	return out
 }
 
-// regionRead is one read overlapping an active region.
-type regionRead struct {
-	seq  []byte
-	qual []byte
-}
-
 // CallRegion genotypes one active region: assemble haplotypes from the
 // overlapping reads, score reads against haplotypes with the pair-HMM, pick
 // the maximum-likelihood diploid haplotype pair, and emit the variants it
@@ -87,14 +80,16 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 	if winEnd > contig.Len() {
 		winEnd = contig.Len()
 	}
+	if winStart >= winEnd {
+		return nil // empty or inverted region: nothing to assemble
+	}
 	refWindow := contig.Seq[winStart:winEnd]
 	if hasN(refWindow) {
 		return nil // assembly anchors require clean reference k-mers
 	}
 
 	// Gather overlapping, usable reads.
-	var reads []regionRead
-	var readSeqs [][]byte
+	var seqs, quals [][]byte
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
@@ -106,39 +101,30 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 		if int(r.End()) <= winStart || int(r.Pos) >= winEnd {
 			continue
 		}
-		reads = append(reads, regionRead{seq: r.Seq, qual: r.Qual})
-		readSeqs = append(readSeqs, r.Seq)
+		seqs = append(seqs, r.Seq)
+		quals = append(quals, r.Qual)
 	}
-	if len(reads) == 0 {
+	if len(seqs) == 0 {
 		return nil
 	}
 	// Downsample pileups: keep a deterministic stride sample so the
 	// pair-HMM cost per region is bounded regardless of coverage spikes.
-	if cap := cfg.MaxReadsPerRegion; cap > 0 && len(reads) > cap {
-		stride := float64(len(reads)) / float64(cap)
-		sampled := make([]regionRead, 0, cap)
-		sampledSeqs := make([][]byte, 0, cap)
-		for i := 0; i < cap; i++ {
+	// Compacting in place is safe: the source index never trails the target.
+	if limit := cfg.MaxReadsPerRegion; limit > 0 && len(seqs) > limit {
+		stride := float64(len(seqs)) / float64(limit)
+		for i := 0; i < limit; i++ {
 			j := int(float64(i) * stride)
-			sampled = append(sampled, reads[j])
-			sampledSeqs = append(sampledSeqs, readSeqs[j])
+			seqs[i], quals[i] = seqs[j], quals[j]
 		}
-		reads, readSeqs = sampled, sampledSeqs
+		seqs, quals = seqs[:limit], quals[:limit]
 	}
 
-	haps := assembleHaplotypes(refWindow, readSeqs, cfg.K, cfg.MaxHaplotypes, 2)
+	haps := assembleHaplotypes(refWindow, seqs, cfg.K, cfg.MaxHaplotypes, 2)
 	if len(haps) == 1 {
 		return nil // only the reference haplotype: nothing to call
 	}
 
-	// Likelihood matrix: L[read][hap], computed batched so the pair-HMM
-	// scratch rows are pooled once per region rather than per pair.
-	seqs := make([][]byte, len(reads))
-	quals := make([][]byte, len(reads))
-	for i, rd := range reads {
-		seqs[i] = rd.seq
-		quals[i] = rd.qual
-	}
+	// Likelihood matrix: L[read][hap].
 	L := PairHMMBatch(seqs, quals, haps)
 
 	// Diploid genotyping over haplotype pairs (h1 <= h2).
@@ -149,7 +135,7 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 	for h1 := 0; h1 < len(haps); h1++ {
 		for h2 := h1; h2 < len(haps); h2++ {
 			ll := 0.0
-			for i := range reads {
+			for i := range L {
 				ll += logSumExp2(L[i][h1], L[i][h2]) - ln2
 			}
 			if h1 == 0 && h2 == 0 {
@@ -171,35 +157,22 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 		qual = 3000
 	}
 
-	// Variants on each chosen haplotype.
+	// Variants on each chosen haplotype; bit k marks the k-th of the pair.
 	sc := align.DefaultScoring()
-	v1 := map[string]hapVariant{}
-	v2 := map[string]hapVariant{}
-	key := func(v hapVariant) string { return fmt.Sprintf("%d:%s>%s", v.pos, v.ref, v.alt) }
-	if bestH1 != 0 {
-		for _, v := range variantsFromHaplotype(haps[bestH1], refWindow, winStart, sc) {
-			v1[key(v)] = v
+	onHap := map[hapVariant]uint8{}
+	for k, h := range [2]int{bestH1, bestH2} {
+		if h == 0 {
+			continue
 		}
-	}
-	if bestH2 != 0 {
-		for _, v := range variantsFromHaplotype(haps[bestH2], refWindow, winStart, sc) {
-			v2[key(v)] = v
+		for _, v := range variantsFromHaplotype(haps[h], refWindow, winStart, sc) {
+			onHap[v] |= 1 << k
 		}
-	}
-	union := map[string]hapVariant{}
-	for k, v := range v1 {
-		union[k] = v
-	}
-	for k, v := range v2 {
-		union[k] = v
 	}
 	var out []vcf.Record
-	for k, v := range union {
+	for v, on := range onHap {
 		gt := vcf.Het
-		if _, in1 := v1[k]; in1 {
-			if _, in2 := v2[k]; in2 {
-				gt = vcf.HomAlt
-			}
+		if on == 3 {
+			gt = vcf.HomAlt
 		}
 		// Variants only inside the (unpadded) active region to avoid edge
 		// artifacts from assembly anchoring.
@@ -213,7 +186,7 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 			Alt:   v.alt,
 			Qual:  qual,
 			GT:    gt,
-			Depth: len(reads),
+			Depth: len(seqs),
 		})
 	}
 	vcf.SortRecords(out)

@@ -2,37 +2,33 @@ package caller
 
 import (
 	"math"
+	"slices"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
 	"github.com/gpf-go/gpf/internal/kernels"
 )
 
-// Log-space pair-HMM (the paired-HMM of the paper's HaplotypeCaller
-// description): the forward algorithm over match/insert/delete states
-// computes P(read | haplotype) with per-base emission probabilities taken
-// from the read's quality string. This is the CPU-dominant kernel of the
-// Caller phase (Fig 13 shows variant calling as compute-bound), so it gets
-// the full profile-driven treatment (see DESIGN.md, "Hot kernels"):
+// Pair-HMM (the paired-HMM of the paper's HaplotypeCaller description): the
+// forward algorithm over match/insert/delete states computes
+// P(read | haplotype) with per-base emission probabilities taken from the
+// read's quality string. This is the CPU-dominant kernel of the Caller phase
+// (Fig 13 shows variant calling as compute-bound), so it gets the full
+// profile-driven treatment (see DESIGN.md, "Hot kernels"):
 //
 //   - pairHMMReference is the original cell-by-cell log-space forward pass,
 //     kept verbatim as the equivalence oracle and the
 //     kernels.SetEnabled(false) path.
-//   - pairHMMHoisted is the reference with the per-row emission logs hoisted
-//     out of the inner loop, phredToProb's per-row math.Pow replaced by the
-//     256-entry emitTab lookup, and the six rolling DP rows pooled. Each
-//     transformation performs the same float64 operations fewer times, so
-//     its result is bit-identical to the reference — asserted by
-//     TestKernelPairHMMHoistedBitIdentical.
-//   - pairHMMScaled is the fast kernel: the same forward recurrence computed
+//   - pairHMMLanes is the fast kernel: the same forward recurrence computed
 //     in probability space with per-row rescaling (the GATK PairHMM
-//     approach), which removes every transcendental from the inner loop —
-//     a cell costs a handful of multiply-adds instead of four
-//     log-sum-exps. It is not bit-identical to log space (log space itself
-//     is the lossy encoding; the scaled pass tracks the true forward
-//     probabilities), but agrees to ~1e-12 relative — far below anything
-//     the genotyper's likelihood comparisons can observe — and the
-//     kernels.SetEnabled(false) ablation is property-tested to keep
-//     pipeline output byte-identical.
+//     approach), which removes every transcendental from the inner loop, for
+//     hmmLanes reads at once so their independent recurrences overlap in the
+//     pipeline. It is not bit-identical to log space (log space itself is the
+//     lossy encoding; the scaled pass tracks the true forward probabilities),
+//     but agrees to ~1e-12 relative — far below anything the genotyper's
+//     likelihood comparisons can observe — and the kernels.SetEnabled(false)
+//     ablation is property-tested to keep pipeline output byte-identical.
+//     Each lane is bit-identical to the one-read scalar kernel it replaced
+//     (pairHMMScaled, now the oracle in pairhmm_test.go).
 
 // HMM transition probabilities (GATK-like defaults).
 const (
@@ -77,30 +73,23 @@ func logSumExp3(a, b, c float64) float64 {
 // end of the quality string (phredToProb's q=30 default).
 const defaultQualByte = 30 + 33
 
-// emitEntry is one row of the precomputed emission table: the log and linear
-// emission terms for a match and a mismatch at one quality byte.
+// emitEntry is one row of the precomputed emission table: the emission
+// probabilities for a match and a mismatch at one quality byte.
 type emitEntry struct {
-	logMatch    float64
-	logMismatch float64
-	pMatch      float64
-	pMismatch   float64
+	pMatch    float64
+	pMismatch float64
 }
 
 // emitTab maps a raw Phred+33 quality byte to its emission terms. Each entry
 // is computed with exactly the operations the reference performs per cell —
-// phredToProb's int(b)-33 conversion, clamps and math.Pow, then
-// math.Log(1-p) / math.Log(p/3) — so a table lookup is bit-identical to the
-// reference's per-cell recomputation. Bytes below 33 yield negative Phred
-// scores and fall into the same q<2 clamp the reference applies.
+// phredToProb's int(b)-33 conversion, clamps and math.Pow, then 1-p and p/3 —
+// so a table lookup is bit-identical to the per-cell recomputation
+// (TestEmitTabMatchesPhredToProb). Bytes below 33 yield negative Phred scores
+// and fall into the same q<2 clamp the reference applies.
 var emitTab = func() (t [256]emitEntry) {
 	for b := 0; b < 256; b++ {
 		p := phredToProb([]byte{byte(b)}, 0)
-		t[b] = emitEntry{
-			logMatch:    math.Log(1 - p),
-			logMismatch: math.Log(p / 3),
-			pMatch:      1 - p,
-			pMismatch:   p / 3,
-		}
+		t[b] = emitEntry{pMatch: 1 - p, pMismatch: p / 3}
 	}
 	return
 }()
@@ -108,53 +97,67 @@ var emitTab = func() (t [256]emitEntry) {
 // PairHMMLogLikelihood returns ln P(read | hap) under the pair-HMM with
 // quality-derived emissions. qual holds Phred+33 bytes parallel to read.
 func PairHMMLogLikelihood(read, qual, hap []byte) float64 {
-	if !kernels.Enabled() {
-		return pairHMMReference(read, qual, hap)
-	}
-	if len(read) == 0 || len(hap) == 0 {
-		return math.Inf(-1)
-	}
-	rows := bufpool.GetF64(6 * (len(hap) + 1))
-	ll := pairHMMScaled(read, qual, hap, rows)
-	bufpool.PutF64(rows)
-	return ll
+	return PairHMMBatch([][]byte{read}, [][]byte{qual}, [][]byte{hap})[0][0]
 }
 
 // PairHMMBatch scores every read against every haplotype, returning
 // L[read][hap] = ln P(read | hap). This is the entry point the genotyper
-// uses: the read×haplotype likelihood matrix of one active region is
-// computed with a single pooled scratch slab reused across all pairs,
-// instead of one allocation set per pair. quals is parallel to reads.
+// uses: the read×haplotype likelihood matrix of one active region is one
+// slab, and the fast path scores hmmLanes reads per kernel pass off one
+// pooled DP row. Reads are grouped in length order so the lanes of a pass
+// end within a few rows of each other; the grouping cannot show in L because
+// each lane's arithmetic is independent of its neighbours. quals is parallel
+// to reads.
 func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
 	L := make([][]float64, len(reads))
-	if len(reads) == 0 || len(haps) == 0 {
-		for i := range L {
-			L[i] = make([]float64, len(haps))
+	slab := make([]float64, len(reads)*len(haps))
+	for i := range L {
+		L[i] = slab[i*len(haps) : (i+1)*len(haps) : (i+1)*len(haps)]
+	}
+	if !kernels.Enabled() {
+		for i := range reads {
+			for h, hap := range haps {
+				L[i][h] = pairHMMReference(reads[i], quals[i], hap)
+			}
 		}
 		return L
 	}
-	fast := kernels.Enabled()
-	var rows []float64
-	if fast {
-		maxN := 0
-		for _, h := range haps {
-			if len(h) > maxN {
-				maxN = len(h)
-			}
-		}
-		rows = bufpool.GetF64(6 * (maxN + 1))
-		defer bufpool.PutF64(rows)
+	// Zero-length reads and haplotypes score -Inf and never enter a lane.
+	for i := range slab {
+		slab[i] = math.Inf(-1)
 	}
-	for i := range reads {
-		L[i] = make([]float64, len(haps))
-		for h, hap := range haps {
-			switch {
-			case !fast:
-				L[i][h] = pairHMMReference(reads[i], quals[i], hap)
-			case len(reads[i]) == 0 || len(hap) == 0:
-				L[i][h] = math.Inf(-1)
-			default:
-				L[i][h] = pairHMMScaled(reads[i], quals[i], hap, rows[:6*(len(hap)+1)])
+	order := make([]int, 0, len(reads))
+	for i, r := range reads {
+		if len(r) > 0 {
+			order = append(order, i)
+		}
+	}
+	if len(order) == 0 {
+		return L
+	}
+	slices.SortFunc(order, func(a, b int) int { return len(reads[a]) - len(reads[b]) })
+	maxN := 0
+	for _, h := range haps {
+		maxN = max(maxN, len(h))
+	}
+	rows := bufpool.GetF64(3 * hmmLanes * (len(reads[order[len(order)-1]]) + maxN))
+	defer bufpool.PutF64(rows)
+	for h, hap := range haps {
+		if len(hap) == 0 {
+			continue
+		}
+		for g := 0; g < len(order); g += hmmLanes {
+			// A short last group repeats its final read; the copies' results
+			// are dropped.
+			var rd, ql [hmmLanes][]byte
+			var ll [hmmLanes]float64
+			for l := range rd {
+				i := order[min(g+l, len(order)-1)]
+				rd[l], ql[l] = reads[i], quals[i]
+			}
+			pairHMMLanes(&rd, &ql, hap, rows, &ll)
+			for l := 0; l < hmmLanes && g+l < len(order); l++ {
+				L[order[g+l]][h] = ll[l]
 			}
 		}
 	}
@@ -219,154 +222,172 @@ func pairHMMReference(read, qual, hap []byte) float64 {
 	return total
 }
 
-// pairHMMHoisted is the reference with the per-(i,j) emission logs hoisted
-// to per-row table lookups and the six rolling rows taken from the caller's
-// scratch slab (rows, length ≥ 6*(n+1), contents arbitrary). Every float64
-// operation it performs is one the reference performs — just once per row
-// or once per process instead of once per cell — so its result is
-// bit-identical (asserted by TestKernelPairHMMHoistedBitIdentical).
-func pairHMMHoisted(read, qual, hap []byte, rows []float64) float64 {
-	m, n := len(read), len(hap)
-	if m == 0 || n == 0 {
-		return math.Inf(-1)
-	}
-	negInf := math.Inf(-1)
-	w := n + 1
-	prevM, prevI, prevD := rows[0:w], rows[w:2*w], rows[2*w:3*w]
-	curM, curI, curD := rows[3*w:4*w], rows[4*w:5*w], rows[5*w:6*w]
-	startLog := -math.Log(float64(n))
-	for j := 0; j <= n; j++ {
-		prevM[j] = negInf
-		prevI[j] = negInf
-		prevD[j] = negInf
-	}
-	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = negInf, negInf, negInf
-		qb := byte(defaultQualByte)
-		if i-1 < len(qual) {
-			qb = qual[i-1]
-		}
-		e := &emitTab[qb]
-		logMatch, logMismatch := e.logMatch, e.logMismatch
-		rb := read[i-1]
-		for j := 1; j <= n; j++ {
-			emit := logMismatch
-			if rb == hap[j-1] && rb != 'N' {
-				emit = logMatch
-			}
-			var diag float64
-			if i == 1 {
-				diag = startLog
-			} else {
-				diag = logSumExp3(prevM[j-1]+logMM, prevI[j-1]+logGM, prevD[j-1]+logGM)
-			}
-			curM[j] = emit + diag
-			curI[j] = logSumExp2(prevM[j]+logMG, prevI[j]+logGG)
-			curD[j] = logSumExp2(curM[j-1]+logMG, curD[j-1]+logGG)
-		}
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
-	}
-	total := negInf
-	for j := 1; j <= n; j++ {
-		total = logSumExp2(total, logSumExp2(prevM[j], prevI[j]))
-	}
-	return total
-}
-
-// scaledRescaleBelow triggers a row rescale in pairHMMScaled: when the row
+// scaledRescaleBelow triggers a row rescale in pairHMMLanes: when the row
 // maximum falls below it, the whole row is renormalized and the factor moved
 // into logScale, keeping every cell far from the float64 underflow cliff.
 // 1e-260 leaves ~48 decades of headroom above the smallest normal float64,
 // more than any single row transition can consume.
 const scaledRescaleBelow = 1e-260
 
-// pairHMMScaled is the fast pair-HMM kernel: the same forward recurrence as
+// hmmLanes is the number of reads pairHMMLanes scores per pass. One lane is
+// bound by the latency of its own multiply-add chain; four independent ones
+// fill the floating-point ports, and their carried cells still fit the
+// register file, which eight do not (measured at 2, 4 and 8: EXPERIMENTS.md,
+// "Caller fast paths").
+const hmmLanes = 4
+
+// laneShrink bounds how far a row's maximum can fall below the previous
+// row's: the I cell under that maximum receives it times probMG (from M) or
+// probGG (from I), plus a non-negative term, and float64 rounding is
+// monotone. The further factor of two is margin, not part of the argument.
+const laneShrink = probMG / 2
+
+// pairHMMLanes is the fast pair-HMM kernel: the same forward recurrence as
 // the reference, computed on probabilities with per-row rescaling instead of
-// in log space. One cell costs six multiply-adds — no math.Log, math.Exp or
-// math.Log1p — which is where the kernel's ~30x over the reference comes
-// from. rows is caller scratch of length ≥ 6*(n+1), arbitrary contents.
-func pairHMMScaled(read, qual, hap []byte, rows []float64) float64 {
-	m, n := len(read), len(hap)
-	if m == 0 || n == 0 {
-		return math.Inf(-1)
+// in log space — a cell is seven multiplies and four adds, no math.Log,
+// math.Exp or math.Log1p — for hmmLanes reads against one haplotype at once.
+// The DP row is column-major with the lane innermost (per column: M of every
+// lane, then I, then D), so the lanes' recurrences are independent
+// instruction streams over adjacent memory. Every read and hap must be
+// non-empty; rows is caller scratch of length ≥ 3*hmmLanes*(longest read +
+// len(hap)), arbitrary contents; ll[l] receives ln P(reads[l] | hap).
+//
+// Each lane performs exactly the float64 operations of the one-read kernel
+// it replaced (pairHMMScaled in pairhmm_test.go), in the same order and
+// expression shapes, so its result is bit-identical by construction. That
+// kernel tracked each row's maximum in the cell loop and renormalized the
+// row when 0 < max < scaledRescaleBelow; here the loop carries no maximum.
+// Instead lb[l] ≤ (lane l's row maximum) is maintained by one multiply per
+// row (laneShrink), and only when lb[l] can no longer rule a rescale out is
+// the row scanned for its exact maximum and the scalar test applied to it —
+// the same rows rescale by the same factors.
+func pairHMMLanes(reads, quals *[hmmLanes][]byte, hap []byte, rows []float64, ll *[hmmLanes]float64) {
+	const (
+		K = hmmLanes
+		W = 3 * K // floats per column
+	)
+	n := len(hap)
+	lastRow := 0
+	for l := range reads {
+		lastRow = max(lastRow, len(reads[l]))
 	}
-	w := n + 1
-	prevM, prevI, prevD := rows[0:w], rows[w:2*w], rows[2*w:3*w]
-	curM, curI, curD := rows[3*w:4*w], rows[4*w:5*w], rows[5*w:6*w]
-	for j := 0; j <= n; j++ {
-		prevM[j] = 0
-		prevI[j] = 0
-		prevD[j] = 0
-	}
-	logScale := 0.0
-	start := 1 / float64(n) // uniform prior over start columns
-	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = 0, 0, 0
-		qb := byte(defaultQualByte)
-		if i-1 < len(qual) {
-			qb = qual[i-1]
+	// One DP row, updated in place: row i keeps its column j in slot
+	// lastRow-i+j, one slot left of where row i-1 kept it, so cell (i,j)
+	// overwrites its diagonal (i-1,j-1) — dead once read — and still finds
+	// (i-1,j) beside it. The slots that serve as column 0 are zeroed here and
+	// never written.
+	rows = rows[:W*(lastRow+n)]
+	clear(rows[:W*lastRow])
+	// emit[l][hb] is lane l's emission against haplotype byte hb in the
+	// current row — pMatch where hb is the read base and not 'N', pMismatch
+	// otherwise — so the cell loop selects by load, not by branch. Only the
+	// entries of bytes that occur in hap are kept up to date.
+	var (
+		emit     [K][256]float64
+		alphabet = make([]byte, 0, 256) // the distinct bytes of hap
+		lb       [K]float64             // zero: row 1 is always scanned
+		logScale [K]float64
+	)
+	for _, hb := range hap {
+		if emit[0][hb] == 0 { // not seen yet; row 1 overwrites the mark
+			emit[0][hb] = 1
+			alphabet = append(alphabet, hb)
 		}
-		e := &emitTab[qb]
-		pMatch, pMismatch := e.pMatch, e.pMismatch
-		rb := read[i-1]
-		rowMax := 0.0
+	}
+	start := 1 / float64(n) // uniform prior over start columns
+	for i := 1; i <= lastRow; i++ {
+		for l := range reads {
+			if i > len(reads[l]) {
+				continue // ended: its emissions and cells are zero from here on
+			}
+			qb := byte(defaultQualByte)
+			if i-1 < len(quals[l]) {
+				qb = quals[l][i-1]
+			}
+			e := &emitTab[qb]
+			for _, hb := range alphabet {
+				emit[l][hb] = e.pMismatch
+			}
+			if rb := reads[l][i-1]; rb != 'N' {
+				emit[l][rb] = e.pMatch
+			}
+		}
+		row := rows[W*(lastRow-i):] // opens on column 0 of row i
 		if i == 1 {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * start
-				curM[j] = mv
-				curI[j] = 0
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
+			var leftM, leftD [K]float64
+			for j, hb := range hap {
+				c := (*[W]float64)(row[(j+1)*W:])
+				for l := 0; l < K; l++ {
+					mv := emit[l][hb] * start
+					dv := leftM[l]*probMG + leftD[l]*probGG
+					c[l], c[K+l], c[2*K+l] = mv, 0, dv
+					leftM[l], leftD[l] = mv, dv
 				}
 			}
 		} else {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * (prevM[j-1]*probMM + (prevI[j-1]+prevD[j-1])*probGM)
-				iv := prevM[j]*probMG + prevI[j]*probGG
-				curM[j] = mv
-				curI[j] = iv
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
-				}
-				if iv > rowMax {
-					rowMax = iv
-				}
+			// The lane loop written out, so that each lane's left neighbours
+			// stay in registers.
+			const _ = uint(K-4) + uint(4-K) // written out for four lanes
+			e0, e1, e2, e3 := &emit[0], &emit[1], &emit[2], &emit[3]
+			var m0, m1, m2, m3, d0, d1, d2, d3 float64 // M and D of column j-1
+			at := row[W:]
+			for _, hb := range hap {
+				// c[:W] is the diagonal and becomes this cell; c[W:] is up.
+				c := (*[2 * W]float64)(at)
+				at = at[W:]
+				d0 = m0*probMG + d0*probGG
+				d1 = m1*probMG + d1*probGG
+				d2 = m2*probMG + d2*probGG
+				d3 = m3*probMG + d3*probGG
+				m0 = e0[hb] * (c[0]*probMM + (c[K]+c[2*K])*probGM)
+				m1 = e1[hb] * (c[1]*probMM + (c[K+1]+c[2*K+1])*probGM)
+				m2 = e2[hb] * (c[2]*probMM + (c[K+2]+c[2*K+2])*probGM)
+				m3 = e3[hb] * (c[3]*probMM + (c[K+3]+c[2*K+3])*probGM)
+				c[0], c[K], c[2*K] = m0, c[W]*probMG+c[W+K]*probGG, d0
+				c[1], c[K+1], c[2*K+1] = m1, c[W+1]*probMG+c[W+K+1]*probGG, d1
+				c[2], c[K+2], c[2*K+2] = m2, c[W+2]*probMG+c[W+K+2]*probGG, d2
+				c[3], c[K+3], c[2*K+3] = m3, c[W+3]*probMG+c[W+K+3]*probGG, d3
 			}
 		}
-		if rowMax > 0 && rowMax < scaledRescaleBelow {
-			inv := 1 / rowMax
-			for j := 1; j <= n; j++ {
-				curM[j] *= inv
-				curI[j] *= inv
-				curD[j] *= inv
+		for l := range reads {
+			if lb[l] *= laneShrink; lb[l] < scaledRescaleBelow {
+				rowMax := 0.0
+				for j := 1; j <= n; j++ {
+					rowMax = max(rowMax, row[j*W+l], row[j*W+K+l])
+				}
+				if rowMax > 0 && rowMax < scaledRescaleBelow {
+					inv := 1 / rowMax
+					for j := 1; j <= n; j++ {
+						row[j*W+l] *= inv
+						row[j*W+K+l] *= inv
+						row[j*W+2*K+l] *= inv
+					}
+					logScale[l] += math.Log(rowMax)
+					rowMax *= inv
+				}
+				lb[l] = rowMax
 			}
-			logScale += math.Log(rowMax)
+			if i != len(reads[l]) {
+				continue
+			}
+			// Last row of this lane. Free trailing flank: sum over end
+			// columns of M and I; then zero the lane so the rows it idles
+			// through stay exact zeros instead of decaying into denormals.
+			total := 0.0
+			for j := 1; j <= n; j++ {
+				total += row[j*W+l] + row[j*W+K+l]
+				row[j*W+l], row[j*W+K+l], row[j*W+2*K+l] = 0, 0, 0
+			}
+			ll[l] = math.Inf(-1)
+			if total != 0 {
+				ll[l] = math.Log(total) + logScale[l]
+			}
+			for _, hb := range alphabet {
+				emit[l][hb] = 0
+			}
+			lb[l] = math.Inf(1)
 		}
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
 	}
-	// Free trailing flank: sum over end columns of M and I.
-	total := 0.0
-	for j := 1; j <= n; j++ {
-		total += prevM[j] + prevI[j]
-	}
-	if total == 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(total) + logScale
 }
 
 // phredToProb converts the Phred+33 quality byte at read position i to a

@@ -3,6 +3,7 @@ package caller
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
@@ -49,22 +50,95 @@ func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte)
 	return read, qual, hap
 }
 
-// TestKernelPairHMMHoistedBitIdentical asserts the ISSUE's hoisting property:
-// the hoisted kernel performs the same float64 operations as the reference,
-// just fewer times, so its result must be bit-for-bit identical.
-func TestKernelPairHMMHoistedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for c := 0; c < 400; c++ {
-		read, qual, hap := randomHMMCase(rng, 200, 100)
-		want := pairHMMReference(read, qual, hap)
-		rows := bufpool.GetF64(6 * (len(hap) + 1))
-		got := pairHMMHoisted(read, qual, hap, rows)
-		bufpool.PutF64(rows)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("case %d: hoisted=%x (%v) reference=%x (%v)",
-				c, math.Float64bits(got), got, math.Float64bits(want), want)
-		}
+// oracleRescales counts the rows pairHMMScaled has renormalized.
+var oracleRescales int
+
+// pairHMMScaled is the one-read probability-space kernel pairHMMLanes
+// replaced, kept verbatim (plus the rescale counter) as its bit-identity
+// oracle: the forward recurrence on probabilities, the row maximum tracked in
+// the cell loop, the row renormalized when it falls below scaledRescaleBelow.
+// rows is caller scratch of length ≥ 6*(n+1), arbitrary contents.
+func pairHMMScaled(read, qual, hap []byte, rows []float64) float64 {
+	m, n := len(read), len(hap)
+	if m == 0 || n == 0 {
+		return math.Inf(-1)
 	}
+	w := n + 1
+	prevM, prevI, prevD := rows[0:w], rows[w:2*w], rows[2*w:3*w]
+	curM, curI, curD := rows[3*w:4*w], rows[4*w:5*w], rows[5*w:6*w]
+	for j := 0; j <= n; j++ {
+		prevM[j] = 0
+		prevI[j] = 0
+		prevD[j] = 0
+	}
+	logScale := 0.0
+	start := 1 / float64(n) // uniform prior over start columns
+	for i := 1; i <= m; i++ {
+		curM[0], curI[0], curD[0] = 0, 0, 0
+		qb := byte(defaultQualByte)
+		if i-1 < len(qual) {
+			qb = qual[i-1]
+		}
+		e := &emitTab[qb]
+		pMatch, pMismatch := e.pMatch, e.pMismatch
+		rb := read[i-1]
+		rowMax := 0.0
+		if i == 1 {
+			for j := 1; j <= n; j++ {
+				emit := pMismatch
+				if rb == hap[j-1] && rb != 'N' {
+					emit = pMatch
+				}
+				mv := emit * start
+				curM[j] = mv
+				curI[j] = 0
+				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
+				if mv > rowMax {
+					rowMax = mv
+				}
+			}
+		} else {
+			for j := 1; j <= n; j++ {
+				emit := pMismatch
+				if rb == hap[j-1] && rb != 'N' {
+					emit = pMatch
+				}
+				mv := emit * (prevM[j-1]*probMM + (prevI[j-1]+prevD[j-1])*probGM)
+				iv := prevM[j]*probMG + prevI[j]*probGG
+				curM[j] = mv
+				curI[j] = iv
+				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
+				if mv > rowMax {
+					rowMax = mv
+				}
+				if iv > rowMax {
+					rowMax = iv
+				}
+			}
+		}
+		if rowMax > 0 && rowMax < scaledRescaleBelow {
+			inv := 1 / rowMax
+			for j := 1; j <= n; j++ {
+				curM[j] *= inv
+				curI[j] *= inv
+				curD[j] *= inv
+			}
+			logScale += math.Log(rowMax)
+			oracleRescales++
+		}
+		prevM, curM = curM, prevM
+		prevI, curI = curI, prevI
+		prevD, curD = curD, prevD
+	}
+	// Free trailing flank: sum over end columns of M and I.
+	total := 0.0
+	for j := 1; j <= n; j++ {
+		total += prevM[j] + prevI[j]
+	}
+	if total == 0 {
+		return math.Inf(-1)
+	}
+	return math.Log(total) + logScale
 }
 
 // TestKernelPairHMMScaledEquivalence checks the scaled linear-space kernel
@@ -94,22 +168,7 @@ func TestKernelPairHMMScaledEquivalence(t *testing.T) {
 // TestKernelPairHMMScaledRescale forces the underflow-rescue path: a read
 // long enough that unscaled forward probabilities drop below 1e-260.
 func TestKernelPairHMMScaledRescale(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	bases := []byte("ACGT")
-	hap := make([]byte, 2000)
-	for i := range hap {
-		hap[i] = bases[rng.Intn(4)]
-	}
-	read := append([]byte(nil), hap[100:1900]...)
-	for i := range read {
-		if rng.Float64() < 0.08 {
-			read[i] = bases[rng.Intn(4)]
-		}
-	}
-	qual := make([]byte, len(read))
-	for i := range qual {
-		qual[i] = 33 + 30
-	}
+	read, qual, hap := rescaleCase()
 	want := pairHMMReference(read, qual, hap)
 	rows := bufpool.GetF64(6 * (len(hap) + 1))
 	got := pairHMMScaled(read, qual, hap, rows)
@@ -121,6 +180,179 @@ func TestKernelPairHMMScaledRescale(t *testing.T) {
 	if rel > 1e-9 {
 		t.Fatalf("scaled=%v reference=%v rel=%g", got, want, rel)
 	}
+}
+
+// oracleLL is pairHMMScaled with PairHMMBatch's zero-length convention.
+func oracleLL(read, qual, hap []byte) float64 {
+	rows := bufpool.GetF64(6 * (len(hap) + 1))
+	defer bufpool.PutF64(rows)
+	return pairHMMScaled(read, qual, hap, rows)
+}
+
+// checkBatchAgainstOracle asserts PairHMMBatch ≡ pairHMMScaled bit for bit on
+// every (read, hap) pair.
+func checkBatchAgainstOracle(t testing.TB, reads, quals, haps [][]byte) {
+	t.Helper()
+	L := PairHMMBatch(reads, quals, haps)
+	if len(L) != len(reads) {
+		t.Fatalf("L has %d rows for %d reads", len(L), len(reads))
+	}
+	for i := range reads {
+		if len(L[i]) != len(haps) {
+			t.Fatalf("L[%d] has %d entries for %d haplotypes", i, len(L[i]), len(haps))
+		}
+		for h := range haps {
+			want := oracleLL(reads[i], quals[i], haps[h])
+			if math.Float64bits(L[i][h]) != math.Float64bits(want) {
+				t.Fatalf("read %d (m=%d, %d quals) hap %d (n=%d) in a batch of %d: lanes=%x (%v) oracle=%x (%v)",
+					i, len(reads[i]), len(quals[i]), h, len(haps[h]), len(reads),
+					math.Float64bits(L[i][h]), L[i][h], math.Float64bits(want), want)
+			}
+		}
+	}
+}
+
+// TestKernelPairHMMLanesBitIdentical: every lane of the interleaved kernel is
+// the scalar kernel — same bits, not same to a tolerance — whatever shares
+// the pass with it: batches of 1…9 reads (every remainder of hmmLanes), mixed
+// read lengths, N in read and haplotype, short and empty quality strings,
+// haplotypes shorter than the read and one column wide, empty reads and
+// haplotypes.
+func TestKernelPairHMMLanesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := 0
+	for cases < 2400 {
+		var reads, quals, haps [][]byte
+		batch := 1 + rng.Intn(9)
+		for k := 0; k < batch; k++ {
+			r, q, h := randomHMMCase(rng, 250, 130)
+			switch rng.Intn(12) {
+			case 0:
+				q = nil
+			case 1:
+				h[rng.Intn(len(h))] = 'N'
+			case 2:
+				h = h[:1+rng.Intn(len(r))] // n ≤ m
+			case 3:
+				h = h[:1]
+			case 4:
+				r, q = nil, nil
+			case 5:
+				h = nil
+			}
+			reads, quals = append(reads, r), append(quals, q)
+			if k < 3 {
+				haps = append(haps, h)
+			}
+		}
+		checkBatchAgainstOracle(t, reads, quals, haps)
+		cases += len(reads) * len(haps)
+	}
+}
+
+// rescaleCase is the 1 800-base read of TestKernelPairHMMScaledRescale: deep
+// enough that unscaled forward probabilities fall below 1e-260.
+func rescaleCase() (read, qual, hap []byte) {
+	rng := rand.New(rand.NewSource(13))
+	bases := []byte("ACGT")
+	hap = make([]byte, 2000)
+	for i := range hap {
+		hap[i] = bases[rng.Intn(4)]
+	}
+	read = append([]byte(nil), hap[100:1900]...)
+	for i := range read {
+		if rng.Float64() < 0.08 {
+			read[i] = bases[rng.Intn(4)]
+		}
+	}
+	qual = make([]byte, len(read))
+	for i := range qual {
+		qual[i] = 33 + 30
+	}
+	return read, qual, hap
+}
+
+// TestKernelPairHMMLanesRescale puts the long read in one lane beside three
+// 100-base reads: the certificate must rescale that lane on the scalar
+// kernel's rows and leave its neighbours alone. The oracle's counter shows
+// the scalar schedule (rescales for the long read only); bit-equality with it
+// shows the lanes followed that schedule, since a missed rescale underflows
+// to -Inf and a spurious one moves the low bits through math.Log.
+func TestKernelPairHMMLanesRescale(t *testing.T) {
+	long, longQ, hap := rescaleCase()
+	reads, quals := [][]byte{long}, [][]byte{longQ}
+	for k := 0; k < 3; k++ {
+		reads = append(reads, hap[300*k+50:300*k+150])
+		quals = append(quals, longQ[:100])
+	}
+	for i := range reads {
+		oracleRescales = 0
+		oracleLL(reads[i], quals[i], hap)
+		if (oracleRescales > 0) != (i == 0) {
+			t.Fatalf("read %d (m=%d): scalar kernel rescaled %d rows", i, len(reads[i]), oracleRescales)
+		}
+	}
+	// Every lane position for the long read.
+	for at := 0; at < len(reads); at++ {
+		reads[0], reads[at] = reads[at], reads[0]
+		quals[0], quals[at] = quals[at], quals[0]
+		checkBatchAgainstOracle(t, reads, quals, [][]byte{hap})
+		reads[0], reads[at] = reads[at], reads[0]
+		quals[0], quals[at] = quals[at], quals[0]
+	}
+}
+
+// TestKernelPairHMMBatchConcurrent: concurrent batches over shared inputs
+// share nothing but the pool, and agree with a serial run (run under -race).
+func TestKernelPairHMMBatchConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var reads, quals, haps [][]byte
+	for i := 0; i < 11; i++ {
+		r, q, h := randomHMMCase(rng, 200, 100)
+		reads, quals = append(reads, r), append(quals, q)
+		if i < 3 {
+			haps = append(haps, h)
+		}
+	}
+	want := PairHMMBatch(reads, quals, haps)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				got := PairHMMBatch(reads, quals, haps)
+				for i := range want {
+					for h := range want[i] {
+						if math.Float64bits(got[i][h]) != math.Float64bits(want[i][h]) {
+							t.Errorf("concurrent batch [%d][%d] = %v, serial %v", i, h, got[i][h], want[i][h])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzPairHMMLanes: arbitrary bytes as read, qualities and haplotype must
+// score bit-identically to the scalar oracle. The read is scored whole and in
+// four pieces cut at a fuzzed point, so lanes of unequal length — some empty —
+// share a pass. Seeds: testdata/fuzz/FuzzPairHMMLanes.
+func FuzzPairHMMLanes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seq, qual, hap []byte, cut uint16) {
+		if len(seq) > 400 || len(hap) > 400 {
+			t.Skip()
+		}
+		at := int(cut) % (len(seq) + 1)
+		var reads, quals [][]byte
+		for _, span := range [][2]int{{0, len(seq)}, {0, at}, {at, len(seq)}, {at / 2, at}, {len(seq) / 3, len(seq)}} {
+			reads = append(reads, seq[span[0]:span[1]])
+			quals = append(quals, qual[min(span[0], len(qual)):min(span[1], len(qual))])
+		}
+		checkBatchAgainstOracle(t, reads, quals, [][]byte{hap, seq})
+	})
 }
 
 // TestKernelPairHMMDispatch checks that the public entry points follow the
@@ -229,14 +461,17 @@ func TestPhredToProbLowQualClamps(t *testing.T) {
 	if got := phredToProb([]byte{33 + 7}, 0); got >= 0.25 || got < 0.19 {
 		t.Fatalf("Phred 7: got %v, want ≈0.1995", got)
 	}
-	// emitTab must agree with phredToProb byte-for-byte.
+}
+
+// TestEmitTabMatchesPhredToProb: the emission table equals the per-cell math
+// it replaces, bit for bit, at every quality byte.
+func TestEmitTabMatchesPhredToProb(t *testing.T) {
 	for b := 0; b < 256; b++ {
 		p := phredToProb([]byte{byte(b)}, 0)
 		e := emitTab[b]
-		if e.pMatch != 1-p || e.pMismatch != p/3 ||
-			math.Float64bits(e.logMatch) != math.Float64bits(math.Log(1-p)) ||
-			math.Float64bits(e.logMismatch) != math.Float64bits(math.Log(p/3)) {
-			t.Fatalf("emitTab[%d] inconsistent with phredToProb", b)
+		if math.Float64bits(e.pMatch) != math.Float64bits(1-p) ||
+			math.Float64bits(e.pMismatch) != math.Float64bits(p/3) {
+			t.Fatalf("emitTab[%d] = %+v, phredToProb gives p=%v", b, e, p)
 		}
 	}
 }
@@ -269,14 +504,38 @@ func BenchmarkKernelPairHMMReference(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelPairHMMHoisted(b *testing.B) {
+// reportPerCell adds ns/cell: the time of one DP cell of the pairs scored
+// per iteration.
+func reportPerCell(b *testing.B, cells int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+}
+
+// BenchmarkKernelPairHMMScaled times the scalar oracle: the denominator of
+// the lanes kernel's speedup.
+func BenchmarkKernelPairHMMScaled(b *testing.B) {
 	read, qual, hap := benchHMMInputs()
 	rows := bufpool.GetF64(6 * (len(hap) + 1))
 	defer bufpool.PutF64(rows)
-	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pairHMMHoisted(read, qual, hap, rows)
+		pairHMMScaled(read, qual, hap, rows)
 	}
+	reportPerCell(b, len(read)*len(hap))
+}
+
+// BenchmarkKernelPairHMMLanes times one full pass of the lanes kernel.
+func BenchmarkKernelPairHMMLanes(b *testing.B) {
+	read, qual, hap := benchHMMInputs()
+	var reads, quals [hmmLanes][]byte
+	for l := range reads {
+		reads[l], quals[l] = read, qual
+	}
+	rows := bufpool.GetF64(3 * hmmLanes * (len(read) + len(hap)))
+	defer bufpool.PutF64(rows)
+	var ll [hmmLanes]float64
+	for i := 0; i < b.N; i++ {
+		pairHMMLanes(&reads, &quals, hap, rows, &ll)
+	}
+	reportPerCell(b, hmmLanes*len(read)*len(hap))
 }
 
 func BenchmarkKernelPairHMMFast(b *testing.B) {
