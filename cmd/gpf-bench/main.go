@@ -73,7 +73,7 @@ func runners() []runner {
 		{"projection-planner", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.ProjectionPlanner(s)
 			return format(r, err)
-		}, "projection planner: inferred effects vs disabled vs row codec, decode + wire bytes"},
+		}, "projection planner: declared-effect decode narrowing vs disabled vs row codec, census decode bytes"},
 		{"kernels", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.Kernels(s)
 			return format(r, err)

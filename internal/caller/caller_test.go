@@ -482,6 +482,32 @@ func TestPileupCallFindsSNVs(t *testing.T) {
 	}
 }
 
+// TestPileupCallRecordWithoutQualities: a QUAL * record (empty Qual) must not
+// panic the baseline caller, and its bases pass the quality filter — the same
+// calls as when that record's qualities are all 'I'.
+func TestPileupCallRecordWithoutQualities(t *testing.T) {
+	ref, _, records := pipelineRecords(t, 701, 30000, 20)
+	victim := -1
+	for i := range records {
+		if r := &records[i]; !r.Unmapped() && !r.Duplicate() && len(r.Seq) > 0 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no mapped record to strip")
+	}
+	withI := append([]sam.Record(nil), records...)
+	withI[victim].Qual = bytes.Repeat([]byte("I"), len(records[victim].Seq))
+	noQual := append([]sam.Record(nil), records...)
+	noQual[victim].Qual = nil
+	want := PileupCall(withI, ref, 5, 0.25, 10)
+	got := PileupCall(noQual, ref, 5, 0.25, 10)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("calls without qualities differ from calls with all-'I' qualities: %d vs %d", len(got), len(want))
+	}
+}
+
 func TestHaplotypeCallerBeatsPileupOnIndels(t *testing.T) {
 	ref, donor, records := pipelineRecords(t, 801, 40000, 20)
 	hcCalls := CallVariants(records, ref, DefaultConfig())

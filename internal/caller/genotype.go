@@ -257,7 +257,8 @@ func PileupCall(records []sam.Record, ref *genome.Reference, minDepth int, minFr
 					if rp < 0 || rp >= len(refSeq.Seq) || readPos+k >= len(r.Seq) {
 						continue
 					}
-					if int(r.Qual[readPos+k])-33 < minBaseQual {
+					// A missing quality (QUAL *) passes the filter, as in pileUp.
+					if q := readPos + k; q < len(r.Qual) && int(r.Qual[q])-33 < minBaseQual {
 						continue
 					}
 					key := genome.Position{Contig: contig, Pos: rp}

@@ -207,7 +207,6 @@ func (b *SAMBundle) EnsureFlat(rt *Runtime) (*engine.Dataset[sam.Record], error)
 	if err != nil {
 		return nil, err
 	}
-	flat.Retain() // published on the bundle: future processes will read it
 	b.Data = flat
 	return flat, nil
 }

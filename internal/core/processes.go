@@ -67,9 +67,6 @@ func (p *BwaMemProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	// Later pipeline stages consume this bundle; their demands are unknown
-	// until they are declared, so the cache must stay full-width.
-	recs.Retain()
 	p.out.Data = recs
 	return nil
 }
@@ -122,10 +119,6 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	// The repartitioner's census (a narrow action) may force this dataset
-	// before the bundle shuffle that also needs it exists; retaining keeps
-	// the materialized form full-width for those later consumers.
-	marked.Retain()
 	p.out.Data = marked
 	if p.out.Header == nil && p.in.Header != nil {
 		p.out.Header = p.in.Header.Clone(sam.Coordinate)

@@ -64,7 +64,6 @@ func (p *CoordinateSortProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	sorted.Retain() // later stages (index, writer) consume the published sort
 	p.out.Data = sorted
 	if p.out.Header == nil && p.in.Header != nil {
 		p.out.Header = p.in.Header.Clone(sam.Coordinate)

@@ -47,12 +47,11 @@ func sortedPairs[C any](m map[int]C) []Keyed[C] {
 // accumulators; they must not write captured state. codec serializes the
 // shuffled pairs (nil selects the gob fallback).
 //
-// CombineByKey is deferred like every wide op: the call records the shuffle
-// and returns a pending dataset forced by the first downstream barrier.
-// opts declare the fields that key/create/mergeValue read (the combine
-// changes record type, so downstream demand never reaches d — the map-side
-// read mask is exactly the declared reads, FieldsAll when undeclared).
-// Under Context.DisableProjectionPlanner it runs eagerly at call time.
+// CombineByKey runs at the call like every wide op and returns a materialized
+// dataset. opts declare the fields that key/create/mergeValue read: the
+// combine changes record type, so nothing downstream can demand a field of d
+// and the map-side read mask is exactly the declared reads (FieldsAll when
+// undeclared) — a census over columnar blocks decodes only its key columns.
 func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key func(T) int,
 	create func(T) C, mergeValue func(C, T) C, mergeCombiners func(C, C) C,
 	codec Serializer[Keyed[C]], opts ...StageOption) (*Dataset[Keyed[C]], error) {
@@ -62,49 +61,18 @@ func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key f
 	if codec == nil {
 		codec = gobSerializer[Keyed[C]]{}
 	}
-	fx := resolveFX(sameRecordType[T, Keyed[C]](), opts)
-	if d.ctx.DisableProjectionPlanner {
-		res := &Dataset[Keyed[C]]{ctx: d.ctx, codec: codec}
-		if err := runCombine(name, d, res, numPartitions, key, create, mergeValue, mergeCombiners, codec, fx, FieldsAll); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	claimInput(d)
-	res := &Dataset[Keyed[C]]{ctx: d.ctx, codec: codec, pendingParts: numPartitions}
-	m := &planMeta{wide: true, inputs: []planInput{inputEdge(d, fx)}}
-	m.run = func(need FieldMask) error {
-		return runCombine(name, d, res, numPartitions, key, create, mergeValue, mergeCombiners, codec, fx, need)
-	}
-	res.meta = m
-	return res, nil
-}
-
-// runCombine executes one combine shuffle into res under the resolved
-// output demand need. The pairs codec is not field-projectable (Keyed[C]
-// lives in a different field space than T), so need shapes nothing on the
-// wire here — the planner's win is the map-side read mask fx.inNeed(need),
-// which prunes the input decode down to the declared key/value fields (the
-// census's 98% decode reduction, inferred instead of hand-annotated).
-func runCombine[T, C any](name string, d *Dataset[T], res *Dataset[Keyed[C]], numPartitions int, key func(T) int,
-	create func(T) C, mergeValue func(C, T) C, mergeCombiners func(C, C) C,
-	codec Serializer[Keyed[C]], fx fieldFX, need FieldMask) error {
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	if err := d.Force(); err != nil {
-		return err
+		return nil, err
 	}
-	mapNeed := fx.inNeed(need)
+	mapNeed := resolveFX(sameRecordType[T, Keyed[C]](), opts).inNeed(FieldsAll)
+	res := newResult(d.ctx, codec, numPartitions)
 	in := d.NumPartitions()
-	allocResult(res, numPartitions, FieldsAll)
 	sc := &shuffleCore[[]Keyed[C], Keyed[C]]{
 		ctx:      d.ctx,
 		name:     name,
 		in:       in,
 		out:      numPartitions,
 		inMask:   mapNeed,
-		outMask:  FieldsAll,
 		mapHint:  d.partitionSizeHint,
 		mapOwner: d.ownerOf,
 		res:      res,
@@ -185,7 +153,10 @@ func runCombine[T, C any](name string, d *Dataset[T], res *Dataset[Keyed[C]], nu
 			return sortedPairs(acc), nil
 		},
 	}
-	return sc.run()
+	if err := sc.run(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ReduceByKey is CombineByKey with a single associative merge function over
@@ -271,13 +242,10 @@ func (KeyedIntCodec) Unmarshal(data []byte) ([]Keyed[int], error) {
 // map-side-combined ReduceByKey over the compact keyed-varint codec, so each
 // map task ships one (key, count) pair per distinct local key instead of a
 // whole per-partition gob map, then collects the disjoint per-partition
-// results. CountByKey is an action barrier: it forces any pending narrow
-// chain first. opts declare the fields key reads — with a columnar source,
-// the census then decodes only those columns.
+// results. CountByKey is an action barrier: the combine forces any pending
+// narrow chain first. opts declare the fields key reads — with a columnar
+// source, the census then decodes only those columns.
 func CountByKey[T any](name string, d *Dataset[T], key func(T) int, opts ...StageOption) (map[int]int, error) {
-	if err := d.Force(); err != nil {
-		return nil, err
-	}
 	pairs, err := ReduceByKey(name, d, d.NumPartitions(), key,
 		func(T) int { return 1 },
 		func(a, b int) int { return a + b },

@@ -4,16 +4,22 @@
 //
 // Execution follows the paper's lazy lineage DAG (§4.3): narrow operations
 // (Map, Filter, FlatMap, MapPartitions, ZipPartitions) do not run when
-// called — they record a lineage node, and the planner fuses each maximal
-// chain of narrow ops into ONE task launch per partition when a barrier
-// forces the plan. Barriers are the actions (Collect, Reduce, Count,
-// CountByKey), the wide operations (PartitionBy, Repartition, Union) and
+// called — they record a lineage node, and each maximal chain of narrow ops
+// is fused into ONE task launch per partition when a barrier forces the
+// plan. Barriers are the actions (Collect, Reduce, Count, CountByKey), the
+// wide operations (PartitionBy, Repartition, CombineByKey/ReduceByKey), which
+// run at the call and return a materialized dataset, Union and
 // SortPartitions. Within a fused stage, items flow through the composed
 // closures with no intermediate partition storage and no intermediate codec
 // round-trip; the stage is recorded in metrics under the joined op names
 // (e.g. "align/bwa-mem+filter") with StageMetrics.FusedOps set to the chain
 // length. Context.DisableFusion switches back to eager one-stage-per-op
 // execution (the Spark-without-fusion ablation).
+//
+// A dataset is materialized at full width or lazy. Ops declare the record
+// fields they read and write (effects.go); the only thing a declaration
+// narrows is the decode of a columnar block at the root of the chain that
+// reads it (planner.go, projection.go).
 //
 // Wide operations move data through a pipelined push-based hash shuffle
 // (see shuffle.go): map and reduce tasks share one worker-pool pass, each
@@ -71,11 +77,10 @@ type Context struct {
 	// baseline in the fusion ablation; off (fusion on) by default.
 	DisableFusion bool
 
-	// DisableProjectionPlanner turns off the lineage-level projection planner
-	// (planner.go): wide operations run eagerly at call time instead of
-	// deferring for demand resolution and every partition read demands all
-	// fields — the pre-planner engine, kept as the reference the planner's
-	// equivalence suites compare against. Off (planner on) by default.
+	// DisableProjectionPlanner turns off decode narrowing: every partition
+	// read demands all fields whatever its consumer declared (planner.go) —
+	// the reference the equivalence suites compare against. Off (narrowing
+	// on) by default.
 	DisableProjectionPlanner bool
 
 	mu      sync.Mutex

@@ -10,14 +10,11 @@ import (
 )
 
 // Dataset is a partitioned in-memory collection — the engine's RDD. A
-// dataset lives in one of four states: materialized (parts), serialized
-// (blocks, when a codec is attached and the context stores serialized), lazy
-// (plan: a recorded chain of narrow ops not yet executed — see lineage.go),
-// or deferred-wide (meta.wide: a shuffle whose execution waits for a
-// downstream Force so the projection planner can resolve how many columns
-// its buckets must carry — see planner.go and shuffle.go). Datasets are
-// immutable once materialized: operations return new datasets; forcing fills
-// parts/blocks in place exactly once.
+// dataset is materialized — items (parts), or blocks when a codec is attached
+// and the context stores serialized — or lazy (plan: a recorded chain of
+// narrow ops not yet executed — see lineage.go). Materialized storage always
+// holds every field. Datasets are immutable once materialized: operations
+// return new datasets; forcing fills parts/blocks in place exactly once.
 type Dataset[T any] struct {
 	ctx    *Context
 	parts  [][]T
@@ -27,26 +24,13 @@ type Dataset[T any] struct {
 	// at block-allocation time and survives WithCodec, so a dataset whose
 	// codec was swapped after materialization still decodes its stored bytes
 	// with the codec that wrote them (the new codec only applies to outputs
-	// derived from this dataset). When the planner materialized the dataset
-	// column-pruned, this is the projected encoder.
+	// derived from this dataset).
 	blockCodec Serializer[T]
 	plan       *lineage[T]
-	// meta is the projection planner's node for this dataset while it has
-	// pending work (a lazy chain or a deferred wide op); it carries the
-	// run-once state, consumer claims, and plan-graph edges. Nil for
+	// meta is the plan-graph node of a dataset recorded lazy (planner.go): the
+	// run-once state, the consumer count and the input edges. Nil for
 	// datasets born materialized.
 	meta *planMeta
-	// pendingParts is the output partition count of a deferred wide op,
-	// known at record time (the result has neither plan nor storage until
-	// its thunk runs).
-	pendingParts int
-	// hasContent/content record that the dataset was materialized holding
-	// only the fields in content (the planner resolved a narrow demand). A
-	// later read needing more recomputes through plan when possible and
-	// fails loudly otherwise — narrowed storage must never silently serve
-	// zeroed fields.
-	hasContent bool
-	content    FieldMask
 	// owner maps partition index to the SPMD rank that computes (and holds)
 	// it; nil selects the canonical p % procs assignment. Narrow operations
 	// preserve partitioning, so results inherit their source's owner; shuffle
@@ -118,9 +102,7 @@ func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
 // codec for byte accounting. Already-encoded blocks keep decoding with the
 // codec that wrote them (blockCodec), so swapping codecs never reinterprets
 // old bytes. On a lazy dataset the pending plan is forked so each codec
-// variant forces and materializes independently; on a deferred wide output
-// an identity chain is recorded over it so the variant materializes from the
-// shuffle result when forced.
+// variant forces and materializes independently.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d.isLazy() {
 		res := &Dataset[T]{ctx: d.ctx, codec: codec, owner: d.owner}
@@ -131,37 +113,14 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 			sizeHint: d.plan.sizeHint,
 			inMask:   d.plan.inMask,
 		}
-		// The fork is one more consumer of the chain's inputs: claim them so
-		// the planner's widening rule accounts for it.
-		for _, in := range d.meta.inputs {
-			in.m.claim()
-		}
+		// The fork is one more consumer of the chain's inputs, so a lazy input
+		// both variants read is computed once.
 		newLazyMeta(res, d.meta.inputs...)
-		return res
-	}
-	if d.plan == nil && d.meta != nil && !d.meta.done.Load() {
-		// Deferred wide output: wrap it in an identity chain (reads nothing,
-		// writes nothing — demand passes through unchanged) that the new
-		// codec variant materializes from when forced.
-		claimInput(d)
-		identity := fieldFX{declared: true}
-		res := &Dataset[T]{ctx: d.ctx, codec: codec, owner: d.owner}
-		res.plan = &lineage[T]{
-			nparts:   d.NumPartitions(),
-			ops:      []string{"recode"},
-			sizeHint: d.partitionSizeHint,
-			inMask:   inMaskOf(d, identity),
-			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {
-				return d.partitionNeed(p, tm, need)
-			},
-		}
-		newLazyMeta(res, inputEdge(d, identity))
 		return res
 	}
 	res := &Dataset[T]{
 		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec,
 		plan: d.plan, meta: d.meta,
-		hasContent: d.hasContent, content: d.content,
 		owner: d.owner, resident: d.resident,
 	}
 	if d.blocks != nil {
@@ -177,7 +136,7 @@ func (d *Dataset[T]) Codec() Serializer[T] { return d.codec }
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
 // NumPartitions returns the partition count (known without forcing: narrow
-// ops preserve partitioning and deferred wide ops record their output count).
+// ops preserve partitioning).
 func (d *Dataset[T]) NumPartitions() int {
 	if d.plan != nil {
 		return d.plan.nparts
@@ -185,10 +144,7 @@ func (d *Dataset[T]) NumPartitions() int {
 	if d.blocks != nil {
 		return len(d.blocks)
 	}
-	if d.parts != nil {
-		return len(d.parts)
-	}
-	return d.pendingParts
+	return len(d.parts)
 }
 
 // decodeCodec returns the serializer to decode stored blocks with: the codec
@@ -227,11 +183,10 @@ func (d *Dataset[T]) partition(p int, tm *TaskMetrics) ([]T, error) {
 // when non-nil. On a lazy dataset the partition is computed through the
 // fused chain closure with the demand threaded down (downstream lineages
 // read their sources this way, which is what fuses an unforced upstream
-// chain — and its inferred mask — into the caller's task). On a dataset the
-// planner materialized narrower than need, the partition is recomputed
-// through the retained chain closure; without one the read fails loudly.
-// This is the planner's choke point: Context.DisableProjectionPlanner
-// coerces every demand to FieldsAll here.
+// chain — and its inferred mask — into the caller's task). Every demand in
+// the engine passes through here, so this is the one place
+// Context.DisableProjectionPlanner is read: it coerces the demand to
+// FieldsAll.
 func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {
 	if d.ctx.DisableProjectionPlanner {
 		need = FieldsAll
@@ -239,20 +194,9 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	if d.isLazy() {
 		return d.plan.compute(p, tm, need)
 	}
-	if d.meta != nil {
-		if !d.meta.done.Load() {
-			return nil, fmt.Errorf("engine: partition %d read from a deferred wide operation that was never forced", p)
-		}
-		if d.meta.err != nil {
-			// Forced and failed: the error is sticky, don't serve partial data.
-			return nil, d.meta.err
-		}
-	}
-	if d.hasContent && need&^d.content != 0 {
-		if d.plan != nil && d.plan.compute != nil {
-			return d.plan.compute(p, tm, need)
-		}
-		return nil, fmt.Errorf("engine: partition %d was materialized with field mask %#x but this read needs %#x: the consumer appeared after the producer was forced — force with wider demand or declare the consumer first", p, uint64(d.content), uint64(need))
+	if d.meta != nil && d.meta.err != nil {
+		// Forced and failed: the error is sticky, don't serve partial data.
+		return nil, d.meta.err
 	}
 	if d.resident != nil && p < len(d.resident) && !d.resident[p] {
 		return nil, fmt.Errorf("engine: partition %d not resident on rank %d (owned by rank %d): cross-rank reads must go through a shuffle or action", p, d.ctx.rank(), d.ownerOf(p))
@@ -279,8 +223,7 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 
 // storePartition stores out as partition p of the result; when serialized
 // storage is active and a codec is attached, it encodes with the block codec
-// fixed at allocation time (the projected encoder when the planner resolved
-// a narrow demand) and charges tm.
+// fixed at allocation time and charges tm.
 func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) error {
 	if res.blocks != nil {
 		start := time.Now()
@@ -305,22 +248,11 @@ func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) err
 }
 
 // allocResult allocates the storage for n output partitions on d, choosing
-// the storage mode and fixing the block codec. A narrow resolved demand
-// (need != FieldsAll) selects the projected encoder when the codec can
-// project — blocks carry only the demanded columns — and records the
-// narrowing in content either way (with a non-projectable chain the source
-// decodes may still have pruned the items themselves).
-func allocResult[T any](d *Dataset[T], n int, need FieldMask) {
-	enc := effectiveSerializer(d.codec)
-	if need != FieldsAll {
-		d.hasContent, d.content = true, need
-		if pc, ok := enc.(ProjectableSerializer[T]); ok {
-			enc = pc.Project(need)
-		}
-	}
+// the storage mode and fixing the block codec.
+func allocResult[T any](d *Dataset[T], n int) {
 	if d.ctx.StoreSerialized && d.codec != nil {
 		d.blocks = make([][]byte, n)
-		d.blockCodec = enc
+		d.blockCodec = d.codec
 	} else {
 		d.parts = make([][]T, n)
 	}
@@ -329,11 +261,11 @@ func allocResult[T any](d *Dataset[T], n int, need FieldMask) {
 	}
 }
 
-// newResult allocates the output dataset for n partitions with full field
-// content, carrying over the codec.
+// newResult allocates the output dataset for n partitions, carrying over the
+// codec.
 func newResult[T any](ctx *Context, codec Serializer[T], n int) *Dataset[T] {
 	res := &Dataset[T]{ctx: ctx, codec: codec}
-	allocResult(res, n, FieldsAll)
+	allocResult(res, n)
 	return res
 }
 
@@ -351,8 +283,7 @@ func (d *Dataset[T]) MemoryBytes() int64 {
 // partitionSizeHint estimates the relative cost of processing partition p for
 // LPT dispatch: serialized block length when stored serialized, item count
 // otherwise. On a lazy dataset it asks the plan (which forwards to the root
-// of the fused chain); on an unforced deferred wide op there is no
-// information yet. Hints order dispatch only — a bad hint costs schedule
+// of the fused chain). Hints order dispatch only — a bad hint costs schedule
 // quality, never correctness.
 func (d *Dataset[T]) partitionSizeHint(p int) int64 {
 	if d.isLazy() {

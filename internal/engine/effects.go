@@ -2,15 +2,14 @@ package engine
 
 import "reflect"
 
-// Field-effect declarations — the op-side half of the projection planner.
+// Field-effect declarations — the op-side half of decode narrowing.
 //
-// Projection is a planner inference, not a caller annotation: every op may
-// declare which record fields it READS from its input and which fields of
-// its output it WRITES itself, and the planner's backward pass (planner.go)
-// derives the minimal field set every edge of the lineage DAG must supply.
-// An op that declares nothing is treated as reading every field — a
-// forgotten declaration is conservative (full decode, no pruning), never
-// wrong.
+// Projection is an inference, not a caller annotation: every op may declare
+// which record fields it READS from its input and which fields of its output
+// it WRITES itself, and a fused chain derives from them, closure by closure,
+// the minimal field set its source blocks must decode (planner.go). An op
+// that declares nothing is treated as reading every field — a forgotten
+// declaration is conservative (full decode, no pruning), never wrong.
 
 // FieldEffects declares what one operation does with record fields. Masks
 // are opaque to the engine; their bits belong to the projectable codec of
@@ -29,7 +28,7 @@ type FieldEffects struct {
 	Writes FieldMask
 }
 
-// fieldFX is the resolved per-node effect record the planner computes with.
+// fieldFX is the resolved per-op effect record demand is computed with.
 // The zero value means "undeclared": the node is assumed to read everything.
 type fieldFX struct {
 	reads    FieldMask

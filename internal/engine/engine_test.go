@@ -105,9 +105,6 @@ func TestPartitionByRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := byMod.Force(); err != nil {
-		t.Fatal(err)
-	}
 	if byMod.NumPartitions() != 5 {
 		t.Fatalf("partitions = %d", byMod.NumPartitions())
 	}
@@ -147,11 +144,7 @@ func TestPartitionByNegativeKeys(t *testing.T) {
 func TestShuffleAccounting(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(1000), 4)
-	sh, err := PartitionBy("shuffle", d, 8, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Force(); err != nil {
+	if _, err := PartitionBy("shuffle", d, 8, func(x int) int { return x }); err != nil {
 		t.Fatal(err)
 	}
 	m := ctx.Metrics()
@@ -371,11 +364,7 @@ func TestMetricsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PartitionBy("p", d2, 4, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Force(); err != nil {
+	if _, err := PartitionBy("p", d2, 4, func(x int) int { return x }); err != nil {
 		t.Fatal(err)
 	}
 	m := ctx.Metrics()
@@ -400,9 +389,6 @@ func TestRepartitionBalances(t *testing.T) {
 	d := FromPartitions(ctx, [][]int{intRange(100), nil, nil})
 	r, err := Repartition("rebalance", d, 4)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Force(); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {

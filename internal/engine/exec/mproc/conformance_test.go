@@ -150,11 +150,11 @@ func init() {
 		return buf.Bytes(), nil
 	})
 
-	// conf-projection: the projection planner over the real columnar codec.
-	// Declared effects let the planner shrink the shuffle wire to partial
-	// colfmt blocks (coord+flag columns); the same dataflow runs again under
-	// DisableProjectionPlanner and must produce identical records — on every
-	// backend, including pruned blocks over the mproc TCP transport.
+	// conf-projection: decode narrowing over the real columnar codec. The
+	// census declares its reads, so its map tasks decode the coordinate
+	// columns only; the same dataflow (census, shuffle, strip) runs again
+	// under DisableProjectionPlanner and must produce identical records on
+	// every backend.
 	RegisterJob("conf-projection", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
 		if err != nil {

@@ -37,11 +37,7 @@ func TestPredictScalingShape(t *testing.T) {
 		items[i] = i
 	}
 	d := engine.Parallelize(ctx, items, 16)
-	out, err := engine.PartitionBy("s/pb", d, 16, func(x int) int { return x * 7 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Force(); err != nil {
+	if _, err := engine.PartitionBy("s/pb", d, 16, func(x int) int { return x * 7 }); err != nil {
 		t.Fatal(err)
 	}
 	m := ctx.Metrics()

@@ -10,15 +10,15 @@ import (
 // ops (Map/Filter/FlatMap/MapPartitions/ZipPartitions) do not execute when
 // called — they append themselves to the lineage, and compute is the fully
 // composed partition closure. A barrier (action, shuffle, union, sort) forces
-// the plan through a planning session (planner.go): the backward demand pass
-// resolves the field mask every edge must supply, then one task launch per
-// partition runs the whole chain, items flow through the composed closures
-// with no intermediate storePartition and no intermediate codec round-trip,
-// and the chain is recorded as a single fused StageMetrics row.
+// the plan (planner.go): ancestors shared by several consumers materialize
+// first, then one task launch per partition runs the whole chain, items flow
+// through the composed closures with no intermediate storePartition and no
+// intermediate codec round-trip, and the chain is recorded as a single fused
+// StageMetrics row.
 //
 // Run-once state (children, once, err) lives on the dataset's planMeta — the
-// type-erased node the planner walks — not here; the lineage itself is only
-// the typed compute machinery.
+// type-erased node Force walks — not here; the lineage itself is only the
+// typed compute machinery.
 type lineage[T any] struct {
 	nparts int
 	// ops holds the recorded op names in execution order; the fused stage is
@@ -64,22 +64,6 @@ func chainOps(upstream []string, name string) []string {
 	return append(ops, name)
 }
 
-// claimInput registers one more consumer over d's plan node. Unlike the
-// pre-planner engine, nothing forces here — a shared prefix materializes
-// during the first consumer's planning session, where the demands of every
-// reachable consumer are known (and errors propagate from Force instead of
-// being dropped on the floor at claim time).
-func claimInput[T any](d *Dataset[T]) {
-	d.meta.claim()
-}
-
-// inputEdge builds the planner edge from a new node to its input d: d's plan
-// node (nil when materialized — the planner skips those) plus the effect
-// record governing demand flow across the edge.
-func inputEdge[T any](d *Dataset[T], fx fieldFX) planInput {
-	return planInput{m: d.meta, fx: fx}
-}
-
 // inMaskOf composes d's chain-root mask function with the demand an op
 // places on d: for a lazy input the root mask comes from d's own chain; for
 // a materialized input the edge itself is the root.
@@ -91,12 +75,16 @@ func inMaskOf[T any](d *Dataset[T], fx fieldFX) func(need FieldMask) FieldMask {
 	return fx.inNeed
 }
 
-// newLazyMeta attaches the planner node for a freshly recorded narrow chain
-// tail: forcing it runs the fused chain with the resolved demand.
-func newLazyMeta[T any](d *Dataset[T], edges ...planInput) {
-	m := &planMeta{inputs: edges}
-	m.run = func(need FieldMask) error { return runFused(d, need) }
-	d.meta = m
+// newLazyMeta attaches the plan node for a freshly recorded narrow chain
+// tail — forcing it runs the fused chain — and records it as one more
+// consumer of each input. Nothing forces here: a shared prefix materializes
+// when its first consumer is forced (planMeta.forceShared), so its errors
+// propagate from that Force instead of being dropped on the floor now.
+func newLazyMeta[T any](d *Dataset[T], inputs ...*planMeta) {
+	for _, in := range inputs {
+		in.claim()
+	}
+	d.meta = &planMeta{inputs: inputs, run: func() error { return runFused(d) }}
 }
 
 // recordTaskInput charges the fused chain's source partition size to the
@@ -113,7 +101,6 @@ func recordTaskInput(tm *TaskMetrics, n int) {
 // over the input's pending chain. fx declares the op's field effects (the
 // zero value = undeclared = reads everything).
 func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fieldFX, fn func(p int, items []T) ([]U, error)) *Dataset[U] {
-	claimInput(d)
 	res := &Dataset[U]{
 		ctx:   d.ctx,
 		codec: codec,
@@ -137,7 +124,7 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 			},
 		},
 	}
-	newLazyMeta(res, inputEdge(d, fx))
+	newLazyMeta(res, d.meta)
 	return res
 }
 
@@ -154,8 +141,6 @@ func zipFX(fx fieldFX, sameSpace bool) fieldFX {
 // lazyZip2 records a two-input narrow op (co-partitioned zip) as a lineage
 // node; both inputs' pending chains fuse into the new plan.
 func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fx fieldFX, fn func(p int, as []A, bs []B) ([]U, error)) *Dataset[U] {
-	claimInput(a)
-	claimInput(b)
 	fxA := zipFX(fx, sameRecordType[A, U]())
 	fxB := zipFX(fx, sameRecordType[B, U]())
 	inA, inB := inMaskOf(a, fxA), inMaskOf(b, fxB)
@@ -186,15 +171,12 @@ func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Seri
 			},
 		},
 	}
-	newLazyMeta(res, inputEdge(a, fxA), inputEdge(b, fxB))
+	newLazyMeta(res, a.meta, b.meta)
 	return res
 }
 
 // lazyZip3 records a three-input narrow op as a lineage node.
 func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fx fieldFX, fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
-	claimInput(a)
-	claimInput(b)
-	claimInput(c)
 	fxA := zipFX(fx, sameRecordType[A, U]())
 	fxB := zipFX(fx, sameRecordType[B, U]())
 	fxC := zipFX(fx, sameRecordType[C, U]())
@@ -232,57 +214,40 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 			},
 		},
 	}
-	newLazyMeta(res, inputEdge(a, fxA), inputEdge(b, fxB), inputEdge(c, fxC))
+	newLazyMeta(res, a.meta, b.meta, c.meta)
 	return res
 }
 
-// Force materializes a lazy or deferred dataset: a planning session resolves
-// the field demand on every reachable edge, materializes prerequisite nodes
-// (deferred wide ops, shared prefixes) producers-first, then runs this
-// dataset's own pending work — a fused narrow chain as ONE stage (one task
-// launch per partition), a deferred wide op as its shuffle. The result is
-// stored in the dataset, so later reads — and downstream lineages rooted
+// Force materializes a lazy dataset: ancestors recorded under more than one
+// consumer are forced first, producers first, each as its own stage; then
+// this dataset's fused narrow chain runs as ONE stage (one task launch per
+// partition), single-consumer ancestors fused in. The result is stored in the
+// dataset at full width, so later reads — and downstream lineages rooted
 // here — reuse it instead of recomputing. Actions and wide operations call
 // Force implicitly; it is exported for callers that want an explicit
 // execution barrier (e.g. before timing a downstream stage). Forcing a
-// materialized dataset is a no-op; a failed Force is sticky. Forcing a sink
-// demands every field (an external reader may touch anything) — interior
-// edges of the plan still narrow per declared effects.
+// materialized dataset is a no-op; a failed Force is sticky.
 func (d *Dataset[T]) Force() error {
-	return d.forceSink(FieldsAll)
+	if d.meta == nil {
+		return nil
+	}
+	return d.meta.force()
 }
-
-// Retain declares an out-of-session consumer over the dataset: one extra
-// claim whose demand is unknowable and which never arrives in any planning
-// session. Every session that materializes the dataset (or reaches it as a
-// prerequisite) therefore widens its STORED form to FieldsAll, while the
-// session's own readers still decode through their resolved masks — a
-// narrow action over a retained dataset keeps its decode pruning, but the
-// cache it leaves behind serves any later consumer. Pipeline processes call
-// this when publishing a dataset for stages declared only after the current
-// one runs; without it, an early narrow action (a coordinate census) would
-// strand the cache column-pruned and a later full-width read would fail the
-// materialized-mask guard. Retaining a materialized dataset is a no-op.
-func (d *Dataset[T]) Retain() { d.meta.claim() }
 
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
 // and storing only the final output. The stage is recorded under the joined
-// op names with FusedOps set to the chain length and the resolved edge masks
-// in InMask/OutMask. When the planner resolved a narrow demand and the codec
-// can project, the output blocks are encoded column-pruned; Dataset.content
-// remembers the narrowing so a later wider read recomputes instead of
-// serving zeroes.
-func runFused[T any](d *Dataset[T], need FieldMask) error {
+// op names with FusedOps set to the chain length and, in InMask, the mask its
+// root sources are read with. The output holds every field (whoever reads it
+// later may touch anything); the chain's own declared effects still narrow
+// what it decodes from its sources.
+func runFused[T any](d *Dataset[T]) error {
 	pl := d.plan
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	n := pl.nparts
-	allocResult(d, n, need)
-	row := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops), OutMask: need}
+	allocResult(d, n)
+	row := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops)}
 	if pl.inMask != nil {
-		row.InMask = pl.inMask(need)
+		row.InMask = pl.inMask(FieldsAll)
 	}
 	return d.ctx.runStage(taskSet{
 		row:     row,
@@ -290,7 +255,7 @@ func runFused[T any](d *Dataset[T], need FieldMask) error {
 		hint:    pl.sizeHint,
 		ownerOf: d.ownerOf,
 		fn: func(p int, tm *TaskMetrics) error {
-			out, err := pl.compute(p, tm, need)
+			out, err := pl.compute(p, tm, FieldsAll)
 			if err != nil {
 				return err
 			}

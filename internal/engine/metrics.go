@@ -69,15 +69,11 @@ type StageMetrics struct {
 	// shuffles, actions, eager narrow stages). The stage Name joins the fused
 	// op names with "+" in execution order.
 	FusedOps int
-	// InMask/OutMask are the projection planner's resolved edge masks for
-	// the stage: the field demand its tasks read their input under, and the
-	// fields its output (stored partitions, or shuffle wire blocks for map
-	// stages) carries. FieldsAll on both for stages the planner never
-	// narrowed; zero on stages recorded before the planner existed in their
-	// path (actions without a declared read).
-	InMask  FieldMask
-	OutMask FieldMask
-	Tasks   []TaskMetrics
+	// InMask is the field demand the stage's tasks read their input under —
+	// what its declared effects narrowed the source decode to. FieldsAll when
+	// nothing narrowed; zero on actions, which record no mask.
+	InMask FieldMask
+	Tasks  []TaskMetrics
 	// GCPause is the delta of runtime GC pause time observed across the
 	// stage (driver-wide, attributed to the stage that triggered it).
 	GCPause time.Duration

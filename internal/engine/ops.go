@@ -14,8 +14,8 @@ import (
 // therefore surface at the barrier, wrapped with this stage's name. Setting
 // Context.DisableFusion restores eager one-stage-per-op execution.
 //
-// opts declare the op's field effects for the projection planner
-// (WithEffects/ReadsOnly/Rebuilds); with none the op conservatively reads
+// opts declare the op's field effects (WithEffects/ReadsOnly/Rebuilds), which
+// decide what its source blocks decode; with none the op conservatively reads
 // every field. Declared Writes only satisfy downstream demand when T and U
 // are the same type — a type-changing op always rebuilds its records.
 func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
@@ -41,7 +41,7 @@ func runNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fie
 	res := newResult(d.ctx, codec, d.NumPartitions())
 	res.owner = d.owner // narrow: output p derives from input p, same rank
 	err := d.ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed, OutMask: FieldsAll},
+		row:     StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed},
 		n:       d.NumPartitions(),
 		hint:    d.partitionSizeHint,
 		ownerOf: d.ownerOf,
@@ -89,7 +89,7 @@ func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(
 
 // Filter keeps items for which pred is true. A Filter that declares
 // ReadsOnly(mask) examines only those fields and passes every record through
-// untouched — the planner's canonical pass-through op.
+// untouched — the canonical pass-through op.
 func Filter[T any](name string, d *Dataset[T], pred func(T) bool, opts ...StageOption) (*Dataset[T], error) {
 	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		var out []T
@@ -163,8 +163,7 @@ func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is
-// an action: it forces any pending narrow chain (and deferred wide op) first,
-// demanding every field — collected records leave the planner's sight.
+// an action: it forces any pending narrow chain first and reads every field.
 func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 	if err := d.Force(); err != nil {
 		return nil, err
@@ -282,11 +281,9 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 }
 
 // Count returns the total number of items. Count is an action: it forces any
-// pending narrow chain first. It reads with a zero field demand: a
-// columnar-stored dataset decodes only block headers (the record count is in
-// the header), pruning every column. The force itself still demands every
-// field — forcing with a zero demand would materialize empty records for
-// every later reader.
+// pending narrow chain first (at full width, like every Force). It then reads
+// with a zero field demand: a columnar-stored dataset decodes only block
+// headers (the record count is in the header), pruning every column.
 func Count[T any](name string, d *Dataset[T]) (int, error) {
 	if err := d.Force(); err != nil {
 		return 0, err

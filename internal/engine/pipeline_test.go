@@ -87,9 +87,6 @@ func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.Force(); err != nil {
-		t.Fatal(err)
-	}
 	parts := make([][]int, out.NumPartitions())
 	for p := range parts {
 		items, err := out.partition(p, nil)
@@ -161,14 +158,13 @@ func TestPipelinedMapErrorCancelsReduces(t *testing.T) {
 	// 2 map partitions, 6 reduce partitions: reduce tasks hold worker slots
 	// and block on notifications while the poisoned map task fails.
 	d := WithCodec(Parallelize(ctx, intRange(100), 2), failingCodec{poison: 99})
+	// The shuffle runs at the call: the map-side failure is what it returns.
 	out, err := PartitionBy("boom", d, 6, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The shuffle is deferred: the map-side failure surfaces at the barrier.
-	err = out.Force()
 	if err == nil {
 		t.Fatal("expected map-side error")
+	}
+	if out != nil {
+		t.Fatal("failed shuffle returned a result dataset")
 	}
 	if !strings.Contains(err.Error(), "poisoned block") || errors.Is(err, context.Canceled) {
 		t.Fatalf("root cause masked by cancellation: %v", err)
@@ -182,16 +178,12 @@ func TestPipelinedPanicRecovered(t *testing.T) {
 	base := leakcheck.Snapshot()
 	ctx := NewContext(4)
 	d := Parallelize(ctx, intRange(50), 4)
-	out, err := PartitionBy("panic", d, 4, func(x int) int {
+	_, err := PartitionBy("panic", d, 4, func(x int) int {
 		if x == 17 {
 			panic("route blew up")
 		}
 		return x
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = out.Force()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
@@ -207,11 +199,7 @@ func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
 	run := func(workers int) Metrics {
 		ctx := NewContext(workers)
 		d := WithCodec(Parallelize(ctx, intRange(400), 2), slowCodec{delay: 10 * time.Millisecond})
-		out, err := PartitionBy("pipe", d, 4, func(x int) int { return x })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Force(); err != nil {
+		if _, err := PartitionBy("pipe", d, 4, func(x int) int { return x }); err != nil {
 			t.Fatal(err)
 		}
 		return ctx.Metrics()
@@ -249,11 +237,7 @@ func TestBarrierFallbackMatchesAccounting(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ctx := NewContext(workers)
 		d := Parallelize(ctx, intRange(1000), 4)
-		out, err := PartitionBy("shuffle", d, 8, func(x int) int { return x })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Force(); err != nil {
+		if _, err := PartitionBy("shuffle", d, 8, func(x int) int { return x }); err != nil {
 			t.Fatal(err)
 		}
 		m := ctx.Metrics()

@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
 )
 
 // explodingCodec fails every Marshal — the materialization-time error source
@@ -21,8 +26,8 @@ func (explodingCodec) Unmarshal([]byte) ([]fakeRec, error) {
 }
 
 // TestPlannerInfersChainPruning: a consumer declaring Rebuilds(A) over a
-// columnar-stored source must decode only column A, inferred by the
-// planner's backward pass with no annotation at the read.
+// columnar-stored source must decode only column A, inferred from the
+// declaration with no annotation at the read.
 func TestPlannerInfersChainPruning(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(64), fakeColCodec{})
@@ -60,9 +65,9 @@ func TestPlannerInfersChainPruning(t *testing.T) {
 }
 
 // TestPlannerDiamondDisjointConsumers: two consumers of a shared prefix need
-// disjoint fields; the planner must materialize the shared node under the
-// UNION of the demands — narrowing to either consumer's mask alone would feed
-// the other zeros.
+// disjoint fields; the shared node must materialize once, as its own stage,
+// with every field — narrowing to either consumer's mask would feed the
+// other zeros.
 func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(40), fakeColCodec{})
@@ -104,27 +109,21 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 			t.Fatalf("record %d = %+v: a pruned field was read downstream", i, r)
 		}
 	}
-	// The shared node materialized as its own stage under the union demand.
-	var sharedStage *StageMetrics
-	for i := range ctx.Metrics().Stages {
-		s := ctx.Metrics().Stages[i]
+	// The shared node materialized as its own stage, once.
+	ran := 0
+	for _, s := range ctx.Metrics().Stages {
 		if s.Name == "shared" {
-			sharedStage = &s
+			ran++
 		}
 	}
-	if sharedStage == nil {
-		t.Fatal("shared prefix did not materialize as its own stage")
-	}
-	if sharedStage.OutMask != fakeFieldA|fakeFieldB {
-		t.Fatalf("shared stage OutMask = %#x, want union %#x",
-			sharedStage.OutMask, fakeFieldA|fakeFieldB)
+	if ran != 1 {
+		t.Fatalf("shared prefix ran as its own stage %d times, want 1", ran)
 	}
 }
 
 // TestPlannerSharedPrefixErrorPropagates: materializing a shared prefix
-// fails (codec error); the error must surface from the forcing action. The
-// pre-planner engine force-materialized shared prefixes at claim time and
-// dropped the error on the floor.
+// fails (codec error); the error must surface from the forcing action, not
+// be dropped on the floor when the second consumer is recorded.
 func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 	ctx := NewContext(2)
 	ctx.StoreSerialized = true
@@ -154,66 +153,12 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestPlannerShuffleWirePruning: when everything downstream of a shuffle
-// needs only column A, the planner must encode the map-side buckets through
-// Project(A) — measurably fewer shuffle bytes than the ablation, identical
-// output.
-func TestPlannerShuffleWirePruning(t *testing.T) {
-	run := func(disable bool) ([]fakeRec, int64, Metrics) {
-		ctx := NewContext(4)
-		ctx.StoreSerialized = true
-		ctx.DisableProjectionPlanner = disable
-		d := WithCodec(Parallelize(ctx, fakeRecs(2000), 4), Serializer[fakeRec](fakeColCodec{}))
-		sh, err := PartitionBy("pb", d, 8,
-			func(r fakeRec) int { return int(r.A) }, ReadsOnly(fakeFieldA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj, err := Map("proj", sh, Serializer[fakeRec](fakeColCodec{}),
-			func(r fakeRec) fakeRec { return fakeRec{A: r.A + 1} }, Rebuilds(fakeFieldA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Collect("collect", proj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := ctx.Metrics()
-		var wire int64
-		for _, s := range m.Stages {
-			wire += s.ShuffleWriteBytes()
-		}
-		return out, wire, m
-	}
-	prunedOut, prunedWire, pm := run(false)
-	fullOut, fullWire, _ := run(true)
-	if !reflect.DeepEqual(prunedOut, fullOut) {
-		t.Fatal("planner changed the shuffle output")
-	}
-	if prunedWire >= fullWire {
-		t.Fatalf("wire pruning ineffective: planner %d bytes, ablation %d", prunedWire, fullWire)
-	}
-	// The shuffle stage rows record the resolved masks.
-	found := false
-	for _, s := range pm.Stages {
-		if s.Kind == StageShuffle && strings.Contains(s.Name, "pb") {
-			found = true
-			if s.OutMask != fakeFieldA {
-				t.Fatalf("shuffle stage %q OutMask = %#x, want %#x", s.Name, s.OutMask, fakeFieldA)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no shuffle stage recorded: %+v", pm.Stages)
-	}
-}
-
-// TestPlannerAblationEagerWide: DisableProjectionPlanner restores the
-// pre-planner contract — wide ops run at call time, partitions readable and
-// metrics recorded with no Force.
-func TestPlannerAblationEagerWide(t *testing.T) {
+// TestWideOpRunsAtCall: a wide op executes when it is called — partitions
+// readable and both shuffle rows recorded with no Force — and a failing map
+// task's own error comes back from the call.
+func TestWideOpRunsAtCall(t *testing.T) {
+	base := leakcheck.Snapshot()
 	ctx := NewContext(2)
-	ctx.DisableProjectionPlanner = true
 	d := Parallelize(ctx, intRange(100), 4)
 	sh, err := PartitionBy("eager", d, 5, func(x int) int { return x })
 	if err != nil {
@@ -221,21 +166,106 @@ func TestPlannerAblationEagerWide(t *testing.T) {
 	}
 	items, err := sh.partition(2, nil)
 	if err != nil {
-		t.Fatalf("eager shuffle output not readable without Force: %v", err)
+		t.Fatalf("shuffle output not readable without Force: %v", err)
 	}
 	if len(items) != 20 {
 		t.Fatalf("partition 2 has %d items", len(items))
 	}
-	if ctx.Metrics().NumStages() == 0 {
-		t.Fatal("eager shuffle recorded no stages")
+	var rows []string
+	for _, s := range ctx.Metrics().Stages {
+		rows = append(rows, s.Name)
+	}
+	if !reflect.DeepEqual(rows, []string{"eager/map", "eager/reduce"}) {
+		t.Fatalf("stages recorded at the call = %v, want the two shuffle rows", rows)
+	}
+
+	boom := errors.New("map task 3 failed")
+	failing, err := MapPartitions("flaky", d, nil, func(p int, items []int) ([]int, error) {
+		if p == 3 {
+			return nil, boom
+		}
+		return items, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The lazy input fuses into nothing here: the shuffle forces it, and its
+	// task error is what the call returns.
+	if _, err := PartitionBy("doomed", failing, 5, func(x int) int { return x }); !errors.Is(err, boom) {
+		t.Fatalf("PartitionBy returned %v, want the failing task's own error", err)
+	}
+	if _, err := CombineByKey("doomed-c", failing, 5, func(x int) int { return x },
+		func(x int) int { return x }, func(c, x int) int { return c + x }, func(a, b int) int { return a + b },
+		nil); !errors.Is(err, boom) {
+		t.Fatalf("CombineByKey returned %v, want the failing task's own error", err)
+	}
+	base.Check(t, leakcheck.Timeout(3*time.Second))
+}
+
+// TestShuffleDoesNotRetainInput: a wide op's result is materialized storage
+// and nothing else — once the caller drops the input, the input chain (and
+// whatever its closures captured) is garbage while the output is still held.
+func TestShuffleDoesNotRetainInput(t *testing.T) {
+	type sentinel struct{ payload [1 << 10]byte }
+	// input returns a lazy chain whose closure captures a finalizable
+	// sentinel; freed is closed when the collector reclaims it.
+	input := func(ctx *Context) (*Dataset[int], <-chan struct{}) {
+		s := new(sentinel)
+		freed := make(chan struct{})
+		runtime.SetFinalizer(s, func(*sentinel) { close(freed) })
+		d, err := Map("in", Parallelize(ctx, intRange(64), 4), nil,
+			func(x int) int { return x + int(s.payload[0]) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, freed
+	}
+	collected := func(freed <-chan struct{}) bool {
+		for i := 0; i < 10; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		return false
+	}
+	ctx := NewContext(2)
+
+	in, freed := input(ctx)
+	sh, err := PartitionBy("pb", in, 3, func(x int) int { return x })
+	if err != nil {
+		t.Fatal(err)
+	}
+	in = nil
+	if !collected(freed) {
+		t.Fatal("PartitionBy output keeps its input chain reachable")
+	}
+	if n, err := Count("count-pb", sh); err != nil || n != 64 {
+		t.Fatalf("count = %d, %v", n, err)
+	}
+
+	in, freed = input(ctx)
+	cb, err := ReduceByKey("rbk", in, 3, func(x int) int { return x % 7 },
+		func(int) int { return 1 }, func(a, b int) int { return a + b }, KeyedIntCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in = nil
+	if !collected(freed) {
+		t.Fatal("CombineByKey output keeps its input chain reachable")
+	}
+	if n, err := Count("count-rbk", cb); err != nil || n != 7 {
+		t.Fatalf("count = %d, %v", n, err)
 	}
 }
 
 // plannerPropOp is one randomly generated, honestly declared operation:
 // the callback's reads and writes are derived from the declared masks, so
-// equivalence between planner-on and planner-off runs is exactly the
-// planner's correctness property (inferred masks never prune a field some
-// downstream op reads).
+// equivalence between narrowing-on and narrowing-off runs is exactly the
+// correctness property (inferred masks never prune a field some downstream
+// op reads).
 func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[fakeRec], error) {
 	masks := []FieldMask{0, fakeFieldA, fakeFieldB, fakeFieldA | fakeFieldB}
 	reads := masks[r.Intn(len(masks))]
@@ -275,9 +305,9 @@ func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[f
 	}
 }
 
-// TestPlannerRandomizedPlans is the planner equivalence property: random
-// chains of honestly-declared ops produce identical results with the planner
-// on and off (and identical again on a re-run with the same seed).
+// TestPlannerRandomizedPlans is the equivalence property: random chains of
+// honestly-declared ops produce identical results with decode narrowing on
+// and off.
 func TestPlannerRandomizedPlans(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		build := func(disable bool) []fakeRec {
@@ -308,9 +338,9 @@ func TestPlannerRandomizedPlans(t *testing.T) {
 	}
 }
 
-// TestPlannerWidensForOutOfSessionConsumers: a prefix claimed by a consumer
-// the current session cannot see must materialize with every field — the
-// unseen consumer's demand is unknowable.
+// TestPlannerWidensForOutOfSessionConsumers: a prefix recorded under two
+// consumers and forced through the narrow one must materialize with every
+// field — the other consumer reads it later.
 func TestPlannerWidensForOutOfSessionConsumers(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(32), fakeColCodec{})
@@ -329,8 +359,8 @@ func TestPlannerWidensForOutOfSessionConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force arm A first: its session sees one of shared's two claims, so
-	// shared must widen; arm B forced later still reads correct B values.
+	// Force arm A first: shared has two recorded consumers, so it materializes
+	// on its own, full width; arm B forced later still reads correct B values.
 	outA, err := Collect("collectA", armA)
 	if err != nil {
 		t.Fatal(err)
@@ -351,12 +381,11 @@ func TestPlannerWidensForOutOfSessionConsumers(t *testing.T) {
 	}
 }
 
-// TestRetainKeepsCacheFullWidth: Retain models a pipeline process publishing
-// a dataset for stages declared only later. A narrow action forced first
-// must (a) keep its own decode pruning and (b) leave a full-width cache, so
-// the late consumer — not even constructed at force time — reads real
-// values instead of failing the materialized-mask guard.
-func TestRetainKeepsCacheFullWidth(t *testing.T) {
+// TestNarrowActionLeavesFullWidthCache: a pipeline process publishes a
+// dataset for stages declared only later. A narrow action forced first must
+// (a) keep its own decode pruning and (b) leave the late consumer — not even
+// constructed at force time — real values in every field.
+func TestNarrowActionLeavesFullWidthCache(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(48), fakeColCodec{})
 	pub, err := Map("publish", base, Serializer[fakeRec](fakeColCodec{}),
@@ -364,10 +393,7 @@ func TestRetainKeepsCacheFullWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub.Retain()
 
-	// Narrow consumer forces first: without the retained claim this session
-	// would own pub's only edge and strand its cache at column A.
 	ctx.ResetMetrics()
 	narrow, err := Map("narrow", pub, Serializer[fakeRec](fakeColCodec{}),
 		func(r fakeRec) fakeRec { return fakeRec{A: r.A} }, Rebuilds(fakeFieldA))
@@ -384,59 +410,17 @@ func TestRetainKeepsCacheFullWidth(t *testing.T) {
 		}
 	}
 	if ctx.Metrics().TotalPrunedBytes() == 0 {
-		t.Fatal("the narrow session over a retained dataset should still decode-prune its own read")
+		t.Fatal("the narrow action should decode-prune its own read")
 	}
 
 	// Late consumer, constructed after the force: full records.
 	late, err := Collect("late", pub)
 	if err != nil {
-		t.Fatalf("late full-width read of a retained dataset: %v", err)
+		t.Fatalf("late full-width read: %v", err)
 	}
 	for i := range late {
 		if late[i].A != int32(i) || late[i].B != int32(1000+i) {
-			t.Fatalf("late[%d] = %+v: retained cache was stored pruned", i, late[i])
+			t.Fatalf("late[%d] = %+v: the narrow action left a pruned cache", i, late[i])
 		}
-	}
-}
-
-// TestUnretainedNarrowForce is the contrast case for Retain. A narrow
-// chain materialized too narrow recomputes through its retained lineage
-// closure, so a late wider consumer still sees full records. A WIDE op has
-// no local recompute (its partitions came through a shuffle), so the same
-// shape must fail loudly — the documented materialized-mask guard — rather
-// than serve zero fields.
-func TestUnretainedNarrowForce(t *testing.T) {
-	ctx := NewContext(2)
-	base := storeFake(t, ctx, fakeRecs(16), fakeColCodec{})
-
-	// Narrow chain: late wider read recomputes from the cached source.
-	chain, err := Map("chain", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return r }, ReadsOnly(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chain.forceSink(fakeFieldA); err != nil {
-		t.Fatal(err)
-	}
-	late, err := Collect("late-chain", chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range late {
-		if late[i].B != int32(1000+i) {
-			t.Fatalf("late[%d] = %+v: wider read of a narrow chain must recompute, not serve zeroes", i, late[i])
-		}
-	}
-
-	// Wide op: no recompute closure, the guard must fire.
-	sh, err := PartitionBy("pb", base, 3, func(r fakeRec) int { return int(r.A) }, ReadsOnly(fakeFieldA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.forceSink(fakeFieldA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect("late-wide", sh); err == nil {
-		t.Fatal("wider read of a narrowly materialized shuffle must error, not serve zero fields")
 	}
 }

@@ -3,10 +3,10 @@ package engine
 // Field projection (projection pushdown) lets a stage that reads only a few
 // record fields skip decoding the rest. The engine knows nothing about what
 // the fields ARE — FieldMask bits are assigned by the codec package (colfmt
-// maps them to SAM columns) — it only plumbs the mask the planner resolved
-// for an edge (planner.go, effects.go) to the decode call: partitionNeed
-// decodes serialized blocks through codec.Project(mask) when the codec
-// supports it. Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore
+// maps them to SAM columns) — it only plumbs the demand a chain's declared
+// effects resolve to (planner.go, effects.go) to the decode call:
+// partitionNeed decodes serialized blocks through codec.Project(mask) when
+// the codec supports it. Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore
 // the mask and decode fully — projection is an optimization, never a
 // semantics change.
 //
@@ -35,12 +35,11 @@ type DecodeStats struct {
 	PrunedBytes int64
 }
 
-// ProjectableSerializer is a Serializer that can restrict both sides of the
-// codec to a field subset. Project returns a serializer whose Unmarshal
-// materializes only the fields in mask (other fields are zero values) and
-// whose Marshal encodes only the fields in mask — partial blocks record the
-// columns they carry, so the wire and the store shrink with the mask, not
-// just the decode. Project(FieldsAll) must behave like the receiver, and
+// ProjectableSerializer is a Serializer that can restrict itself to a field
+// subset. Project returns a serializer whose Unmarshal materializes only the
+// fields in mask (other fields are zero values). The engine only ever decodes
+// through a projection: stored blocks and shuffle buckets are encoded by the
+// unprojected codec. Project(FieldsAll) must behave like the receiver, and
 // projections must compose by intersection (Project(a).Project(b) ==
 // Project(a&b)).
 type ProjectableSerializer[T any] interface {

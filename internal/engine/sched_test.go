@@ -82,11 +82,7 @@ func TestFirstErrorAborts(t *testing.T) {
 		}},
 		{"PartitionBy map task", errBroken, func(ctx *Context) (int32, error) {
 			codec := brokenCodec{failMarshal: true, marshals: new(atomic.Int32), unmarshals: new(atomic.Int32)}
-			out, err := PartitionBy("boom", WithCodec(Parallelize(ctx, intRange(80), 8), codec), 4, func(x int) int { return x })
-			if err != nil {
-				return 0, err
-			}
-			err = out.Force()
+			_, err := PartitionBy("boom", WithCodec(Parallelize(ctx, intRange(80), 8), codec), 4, func(x int) int { return x })
 			if n := codec.unmarshals.Load(); n != 0 {
 				t.Errorf("%d buckets decoded: a reduce task started after the map failure", n)
 			}

@@ -21,15 +21,13 @@ import (
 //     Merging strictly in map-task order is what keeps the output
 //     deterministic whatever order buckets arrived in.
 //
-// inMask/outMask are the planner-resolved edge masks recorded on the two
-// StageMetrics rows (name/map, name/reduce): what map tasks read from their
-// input, and what the wire blocks carry to the reduce side.
+// inMask is the field demand map tasks read their input under, recorded on
+// the name/map StageMetrics row. Buckets always carry whole items.
 type shuffleCore[B, O any] struct {
 	ctx     *Context
 	name    string
 	in, out int
 	inMask  FieldMask
-	outMask FieldMask
 	mapHint func(m int) int64
 	// mapOwner maps a map-task index to the rank owning its input partition
 	// (nil = canonical m % procs). Reduce ownership is always canonical: the
@@ -68,7 +66,7 @@ func (sc *shuffleCore[B, O]) run() error {
 	defer ex.Close()
 	st := sc.ctx.newStage(sc.name)
 	maps := taskSet{
-		row:     StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask, OutMask: sc.outMask},
+		row:     StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask},
 		n:       sc.in,
 		hint:    sc.mapHint,
 		ownerOf: sc.mapOwner,
@@ -94,7 +92,7 @@ func (sc *shuffleCore[B, O]) run() error {
 		},
 	}
 	reduces := taskSet{
-		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: sc.outMask, OutMask: sc.outMask},
+		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: FieldsAll},
 		n:   sc.out,
 		fn: func(r int, tm *TaskMetrics) error {
 			decoded := make([]B, sc.in)
@@ -128,56 +126,21 @@ func (sc *shuffleCore[B, O]) run() error {
 // index, item), map tasks bucket and serialize, reduce tasks decode arriving
 // buckets and concatenate them in map-task order.
 //
-// Shuffles are DEFERRED: the call records the op and returns a pending
-// dataset; the shuffle executes when a downstream barrier forces it, so the
-// projection planner knows how many columns the consumers actually need and
-// the map side encodes only those into its buckets (fx declares what route
-// itself reads). Under Context.DisableProjectionPlanner the shuffle runs
-// eagerly at call time with full columns — the historical behavior and the
-// ablation baseline.
+// A shuffle runs at the call: the input is forced, map tasks read their
+// partitions under fx.inNeed(FieldsAll) — fx declares what route itself
+// reads, and for a shuffle that passes its records through that is every
+// field — and buckets are encoded whole. The result is materialized and holds
+// no reference to the input.
 func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p, idx int, item T) int, fx fieldFX) (*Dataset[T], error) {
 	if numPartitions < 1 {
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
 	}
-	if d.ctx.DisableProjectionPlanner {
-		res := &Dataset[T]{ctx: d.ctx, codec: d.codec}
-		if err := runShuffle(name, d, res, numPartitions, route, fx, FieldsAll); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	claimInput(d)
-	res := &Dataset[T]{ctx: d.ctx, codec: d.codec, pendingParts: numPartitions}
-	m := &planMeta{wide: true, inputs: []planInput{inputEdge(d, fx)}}
-	m.run = func(need FieldMask) error {
-		return runShuffle(name, d, res, numPartitions, route, fx, need)
-	}
-	res.meta = m
-	return res, nil
-}
-
-// runShuffle executes one key-routed shuffle into res with the resolved
-// downstream demand need: the input is forced (its own planning session, a
-// no-op when the outer session already materialized it), map tasks read
-// their partitions under fx.inNeed(need) — route's fields plus whatever the
-// consumers demand — and buckets are encoded through Project(need), so wire
-// blocks carry only the demanded columns. res stores the same projected
-// blocks and remembers the narrowing in content.
-func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartitions int, route func(p, idx int, item T) int, fx fieldFX, need FieldMask) error {
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	if err := d.Force(); err != nil {
-		return err
+		return nil, err
 	}
-	mapNeed := fx.inNeed(need)
+	mapNeed := fx.inNeed(FieldsAll)
 	codec := effectiveSerializer(d.codec)
-	if need != FieldsAll {
-		if pc, ok := codec.(ProjectableSerializer[T]); ok {
-			codec = pc.Project(need)
-		}
-	}
-	allocResult(res, numPartitions, need)
+	res := newResult(d.ctx, d.codec, numPartitions)
 	in := d.NumPartitions()
 	sc := &shuffleCore[[]T, T]{
 		ctx:      d.ctx,
@@ -185,7 +148,6 @@ func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartition
 		in:       in,
 		out:      numPartitions,
 		inMask:   mapNeed,
-		outMask:  need,
 		mapHint:  d.partitionSizeHint,
 		mapOwner: d.ownerOf,
 		res:      res,
@@ -242,7 +204,10 @@ func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartition
 			return out, nil
 		},
 	}
-	return sc.run()
+	if err := sc.run(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // PartitionBy is the wide operation: items are routed to the output
@@ -251,9 +216,10 @@ func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartition
 // bytes to map tasks; the reduce side decodes its buckets, charging
 // shuffle-read bytes. This mirrors Spark's hash shuffle, where shuffle data
 // is always serialized (and spilled to disk) even for in-memory datasets —
-// the behaviour §5.3.1 measures. Declare the fields key reads via opts
-// (e.g. ReadsOnly(colfmt.FieldCoord)) so the planner can prune bucket
-// columns down to key's reads plus the downstream demand.
+// the behaviour §5.3.1 measures. PartitionBy runs at the call and ships whole
+// records. opts declare the fields key reads (e.g.
+// ReadsOnly(colfmt.FieldCoord)); the records it routes pass through with
+// every field, so the map side still decodes them whole.
 func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, opts ...StageOption) (*Dataset[T], error) {
 	return shuffle(name, d, numPartitions, func(_, _ int, it T) int { return key(it) }, resolveFX(true, opts))
 }
@@ -262,17 +228,14 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 // without a semantic key). The destination is derived from the item's index
 // within its source partition (offset by the partition id so co-sized inputs
 // don't all start at bucket 0) — a pure function of (p, idx), so concurrent
-// map tasks share no counter state and the router reads NO record fields:
-// its declared effects are empty, and downstream demand passes through to
-// the wire mask untouched.
+// map tasks share no counter state and the router reads no record fields.
 func Repartition[T any](name string, d *Dataset[T], numPartitions int) (*Dataset[T], error) {
 	return shuffle(name, d, numPartitions, func(p, idx int, _ T) int { return p + idx }, fieldFX{declared: true})
 }
 
 // Union concatenates datasets partition-wise (a narrow operation: partitions
-// are appended, not merged). Union is a barrier: pending narrow chains and
-// deferred wide ops on every input are forced first, with full demand (the
-// union output has no effect declaration of its own).
+// are appended, not merged). Union is a barrier: the pending narrow chain of
+// every input is forced first.
 func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("engine: stage %q: union of nothing", name)
@@ -328,8 +291,7 @@ func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
 // partitions (the Cleaner's sort step). Sorting needs the whole partition
 // resident, so it is a barrier: the pending chain is forced and the sort runs
 // as its own eager stage. opts declare the fields less reads; the output is
-// a permutation of the input, so the declaration only narrows the eager
-// stage's own read when the input is already column-pruned.
+// a permutation of the input, so the stage still reads every field.
 func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool, opts ...StageOption) (*Dataset[T], error) {
 	return runNarrow(name, d, d.codec, resolveFX(true, opts), func(_ int, items []T) ([]T, error) {
 		out := append([]T(nil), items...)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -189,6 +190,37 @@ func TestFig10ScalingShape(t *testing.T) {
 	}
 }
 
+// fig11Gate checks one family of Fig 11 ratios, fed by wall-clock-measured
+// traces. The direction (> 1x) must hold on every measurement and fails at
+// once; a ratio under its margin re-measures Fig11(SmallScale()) up to twice
+// before failing, since a single loaded-core run can dip a ratio that sits
+// near its gate.
+func fig11Gate(t *testing.T, res *Fig11Result, what string, ratios func(*Fig11Result) map[string]float64, min func(name string) float64) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		missed := ""
+		for name, ratio := range ratios(res) {
+			if ratio <= 1 {
+				t.Fatalf("%s for %s = %.2fx: direction violated", what, name, ratio)
+			}
+			if ratio < min(name) {
+				missed = fmt.Sprintf("%s for %s = %.2fx, want >= %.2fx", what, name, ratio, min(name))
+			}
+		}
+		if missed == "" {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("%s (3 attempts)", missed)
+		}
+		t.Logf("%s; re-measuring", missed)
+		var err error
+		if res, err = Fig11(SmallScale()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFig11StageComparisons(t *testing.T) {
 	res, err := Fig11(SmallScale())
 	if err != nil {
@@ -223,45 +255,20 @@ func TestFig11StageComparisons(t *testing.T) {
 	// comparators also had slower kernels), so we gate on the direction plus
 	// a margin: >= 2x where conversion dominates, >= 1.5x for BQSR whose
 	// compute is kernel-bound.
-	gates := map[string]float64{
+	adamGates := map[string]float64{
 		"Mark Duplicate":    1.8, // shuffle-dominated: serialization drives it
 		"BQSR":              1.5, // two passes, one shuffle
 		"INDEL Realignment": 1.1, // kernel-bound: direction plus margin
 	}
-	for name, sp := range res.SpeedupOverADAM {
-		if min := gates[name]; sp < min {
-			t.Fatalf("speedup over ADAM for %s = %.1fx, want >= %.1fx", name, sp, min)
-		}
-	}
+	fig11Gate(t, res, "speedup over ADAM",
+		func(r *Fig11Result) map[string]float64 { return r.SpeedupOverADAM },
+		func(name string) float64 { return adamGates[name] })
 	// Narrow-stage fusion shrank the per-op stage overhead on both sides of
 	// this ratio, so the BQSR speedup now sits right at ~1.3x and wobbles with
-	// measured-wall noise; gate a notch below the old 1.3 threshold. The
-	// direction (>1x) must hold on every measurement; the margin gets two
-	// re-measurements before failing, since a single loaded-core run can dip
-	// a ~1.3x ratio under the gate.
-	gatk4Gate := func(speedups map[string]float64) (string, float64, bool) {
-		for name, sp := range speedups {
-			if sp <= 1 {
-				t.Fatalf("speedup over GATK4 for %s = %.2fx: direction violated", name, sp)
-			}
-			if sp < 1.25 {
-				return name, sp, false
-			}
-		}
-		return "", 0, true
-	}
-	name, sp, ok := gatk4Gate(res.SpeedupOverGATK4)
-	for attempt := 0; !ok && attempt < 2; attempt++ {
-		t.Logf("speedup over GATK4 for %s = %.2fx < 1.25x; re-measuring", name, sp)
-		re, err := Fig11(SmallScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		name, sp, ok = gatk4Gate(re.SpeedupOverGATK4)
-	}
-	if !ok {
-		t.Fatalf("speedup over GATK4 for %s = %.2fx, want >= 1.25x (3 attempts)", name, sp)
-	}
+	// measured-wall noise; gate a notch below the old 1.3 threshold.
+	fig11Gate(t, res, "speedup over GATK4",
+		func(r *Fig11Result) map[string]float64 { return r.SpeedupOverGATK4 },
+		func(string) float64 { return 1.25 })
 	// Panel (d): GPF throughput above Persona's compute-only line, and the
 	// conversion-charged line far below both (paper: ~20x below).
 	if len(res.Aligner) == 0 {
@@ -274,11 +281,16 @@ func TestFig11StageComparisons(t *testing.T) {
 		if p.PersonaRealBWA >= p.PersonaBWA {
 			t.Fatal("conversion must reduce Persona's real throughput")
 		}
-		if p.GPFBWA/p.PersonaRealBWA < 3 {
-			t.Fatalf("GPF/Persona-real ratio %.1f, want >= 3 (paper ~20)",
-				p.GPFBWA/p.PersonaRealBWA)
-		}
 	}
+	fig11Gate(t, res, "GPF/Persona-real ratio (paper ~20)",
+		func(r *Fig11Result) map[string]float64 {
+			ratios := map[string]float64{}
+			for _, p := range r.Aligner {
+				ratios[fmt.Sprintf("%d cores", p.Cores)] = p.GPFBWA / p.PersonaRealBWA
+			}
+			return ratios
+		},
+		func(string) float64 { return 3 })
 	// Throughput grows with cores.
 	if res.Aligner[len(res.Aligner)-1].GPFBWA <= res.Aligner[0].GPFBWA {
 		t.Fatal("GPF throughput should grow with cores")
@@ -372,8 +384,8 @@ func TestTable5Efficiencies(t *testing.T) {
 }
 
 // TestProjectionPushdownWins asserts the projection-planner table: over
-// columnar blocks the planner decodes less than the row codec (stored and
-// decoded whole) and ships less than the planner-disabled run.
+// columnar blocks the census decodes less with narrowing on than with it
+// disabled or with the row codec (decoded whole), and only it prunes.
 func TestProjectionPushdownWins(t *testing.T) {
 	res, err := ProjectionPlanner(SmallScale())
 	if err != nil {
@@ -385,8 +397,8 @@ func TestProjectionPushdownWins(t *testing.T) {
 	if res.Planner.CensusDecoded >= res.Row.CensusDecoded {
 		t.Fatalf("planner decoded %d bytes, row codec %d", res.Planner.CensusDecoded, res.Row.CensusDecoded)
 	}
-	if res.Planner.WireBytes >= res.Disabled.WireBytes {
-		t.Fatalf("planner wire %d bytes, disabled %d", res.Planner.WireBytes, res.Disabled.WireBytes)
+	if res.Planner.CensusDecoded >= res.Disabled.CensusDecoded {
+		t.Fatalf("planner decoded %d bytes, disabled %d", res.Planner.CensusDecoded, res.Disabled.CensusDecoded)
 	}
 	if res.Planner.CensusPruned <= 0 {
 		t.Fatalf("planner pruned %d bytes, want > 0", res.Planner.CensusPruned)
@@ -394,13 +406,13 @@ func TestProjectionPushdownWins(t *testing.T) {
 	if res.Disabled.CensusPruned != 0 || res.Row.CensusPruned != 0 {
 		t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Disabled.CensusPruned, res.Row.CensusPruned)
 	}
-	for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction(), res.WireReduction()} {
+	for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction()} {
 		if red <= 0 || red >= 1 {
 			t.Fatalf("reduction = %v, want in (0,1)", red)
 		}
 	}
-	if rows := res.Format(); len(rows) != 6 {
-		t.Fatalf("format rows = %d, want 6", len(rows))
+	if rows := res.Format(); len(rows) != 5 {
+		t.Fatalf("format rows = %d, want 5", len(rows))
 	}
 }
 

@@ -243,8 +243,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 			fmt.Sprintf("decoded %.3f MB", float64(metrics.TotalDecodedBytes())/1e6),
 			fmt.Sprintf("pruned %.3f MB", float64(metrics.TotalPrunedBytes())/1e6)),
 	}
-	// Per-stage shuffle accounting with the planner's resolved wire masks:
-	// which stages move bytes, and how narrow the planner cut each edge.
+	// Per-stage shuffle accounting: which stages move bytes.
 	for i := range metrics.Stages {
 		st := &metrics.Stages[i]
 		w := st.ShuffleWriteBytes()
@@ -253,8 +252,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 		}
 		lines = append(lines, row("  shuffle "+st.Name,
 			fmt.Sprintf("write %8.3f MB", float64(w)/1e6),
-			fmt.Sprintf("read %8.3f MB", float64(st.ShuffleReadBytes())/1e6),
-			fmt.Sprintf("wire mask %#x", uint64(st.OutMask))))
+			fmt.Sprintf("read %8.3f MB", float64(st.ShuffleReadBytes())/1e6)))
 	}
 	if backend == "sim" {
 		for _, p := range simexec.PredictScaling(metrics, slots, scalingProcs) {

@@ -9,9 +9,9 @@ import (
 	"github.com/gpf-go/gpf/internal/lint/analysis"
 )
 
-// FieldFX guards the projection planner's trust in declared field effects
-// (DESIGN.md, "Projection planner"). The planner prunes record columns an op
-// does not declare it reads; both failure modes around that contract are
+// FieldFX guards the engine's trust in declared field effects (DESIGN.md,
+// "Field demand and decode narrowing"). A decode prunes the record columns an
+// op does not declare it reads; both failure modes around that contract are
 // silent at the type level:
 //
 //   - An engine op over sam.Record with NO StageOption defaults to

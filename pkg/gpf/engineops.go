@@ -8,19 +8,20 @@ import (
 // Engine operations for building custom Processes: the same primitives the
 // built-in Processes use. Narrow operations (Map, Filter, FlatMap,
 // MapPartitions) are lazy — they record lineage and execute only at a
-// barrier (an action such as Collect, Reduce or Count, or a wide operation
-// such as PartitionBy or SortPartitions), at which point the maximal chain
-// of pending narrow ops runs as a single fused stage per partition. A fused
+// barrier (an action such as Collect, Reduce or Count, a wide operation such
+// as PartitionBy, which runs at the call, or SortPartitions), at which point
+// the maximal chain of pending narrow ops runs as a single fused stage per
+// partition. A fused
 // chain appears in the engine metrics as one stage named by joining the op
 // names with "+"; errors from narrow op functions likewise surface at the
 // barrier, not at the recording call.
 //
 // Every operation accepts optional StageOptions declaring its field effects
-// (ReadsOnly, Rebuilds, WithEffects). The projection planner uses the
-// declarations to compute, at each barrier, the minimal field set every edge
-// of the plan must carry — pruning column decodes and shuffle wire bytes
-// with no annotation at the read. Undeclared ops conservatively read and
-// write all fields.
+// (ReadsOnly, Rebuilds, WithEffects). A fused chain derives from the
+// declarations the minimal field set its columnar source blocks must decode,
+// with no annotation at the read; stored partitions and shuffle buckets
+// always hold every field. Undeclared ops conservatively read and write all
+// fields.
 
 // Serializer is the partition codec interface (see GPFSAMCodec and friends).
 type Serializer[T any] = engine.Serializer[T]
