@@ -105,7 +105,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (table1|fig5|table3|table4|fig10|fig11|fig12|fig13|table5|projection-planner|kernels|scaling|wgs|all)")
 	scaleName := flag.String("scale", "small", "workload scale (small|default)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	flag.StringVar(&backendName, "backend", "inproc", "executor backend for -exp wgs (inproc|sim|mproc)")
+	flag.StringVar(&backendName, "backend", "inproc", "executor backend for -exp wgs (inproc|mproc)")
 	flag.IntVar(&backendProc, "procs", 4, "worker processes for -backend=mproc")
 	flag.Parse()
 

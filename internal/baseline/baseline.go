@@ -71,6 +71,17 @@ func ChurchillOptions() WGSOptions {
 	return WGSOptions{DynamicRepartition: false, Fuse: false, Codec: core.TierField, FileHandoff: true}
 }
 
+// Configure translates the options into runtime settings: the codec tier and,
+// with dynamic repartitioning off, a split threshold no census can exceed.
+// Fuse is a pipeline setting (Pipeline.Optimize), applied once the pipeline is
+// built over the dataset loaded under these settings.
+func (o WGSOptions) Configure(rt *core.Runtime) {
+	rt.Codec = o.Codec
+	if !o.DynamicRepartition {
+		rt.SplitThresholdFactor = 1e18
+	}
+}
+
 // WGSRun is the outcome of a full-pipeline baseline run.
 type WGSRun struct {
 	Metrics  engine.Metrics
@@ -80,11 +91,7 @@ type WGSRun struct {
 // RunWGS executes the WGS pipeline under the given options and returns the
 // engine metrics (the raw material for trace replay at cluster scale).
 func RunWGS(rt *core.Runtime, pairs []fastq.Pair, opts WGSOptions) (*WGSRun, error) {
-	rt.Codec = opts.Codec
-	if !opts.DynamicRepartition {
-		// Disable splitting: the threshold can never be exceeded.
-		rt.SplitThresholdFactor = 1e18
-	}
+	opts.Configure(rt)
 	ds := core.PairsToRDD(rt, pairs, rt.NumPartitions)
 	wgs := core.BuildWGSPipeline(rt, ds, false)
 	wgs.Pipeline.Optimize = opts.Fuse

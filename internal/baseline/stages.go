@@ -12,8 +12,6 @@ import (
 // The comparators model whole-record systems — projection pushdown is the
 // GPF-side optimization they lack — so every stage here opts out of pruning
 // explicitly rather than relying on the planner's silent AllFields default.
-// FieldsAll (not colfmt.AllFields) keeps materialized masks saturated, so
-// stage caches satisfy any later sink demand.
 var readsWhole = engine.ReadsOnly(engine.FieldsAll)
 
 // StageStyle captures how a comparator executes one pipeline stage: which
@@ -44,25 +42,20 @@ func StylePersona() StageStyle {
 }
 
 // convertStage round-trips every partition through the generic serializer —
-// the cost of materializing another framework's on-memory format.
-func convertStage(name string, ds *engine.Dataset[sam.Record], codec engine.Serializer[sam.Record]) (*engine.Dataset[sam.Record], error) {
+// the cost of materializing another framework's on-memory format. Styles
+// that do not convert get ds back.
+func convertStage(style StageStyle, name string, ds *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
+	if !style.Convert {
+		return ds, nil
+	}
 	gob := compress.GobCodec[sam.Record]{}
-	return engine.MapPartitions(name, ds, codec, func(_ int, recs []sam.Record) ([]sam.Record, error) {
+	return engine.MapPartitions(name, ds, ds.Codec(), func(_ int, recs []sam.Record) ([]sam.Record, error) {
 		blob, err := gob.Marshal(recs)
 		if err != nil {
 			return nil, err
 		}
 		return gob.Unmarshal(blob)
 	}, readsWhole)
-}
-
-// stageCodec picks the serializer for a style.
-func stageCodec(rt *core.Runtime, style StageStyle) engine.Serializer[sam.Record] {
-	saved := rt.Codec
-	rt.Codec = style.Codec
-	c := rt.SAMCodec()
-	rt.Codec = saved
-	return c
 }
 
 // positionKey partitions mapped records by coarse genomic position.
@@ -73,130 +66,94 @@ func positionKey(r sam.Record) int {
 	return int(r.RefID)<<16 | int(r.Pos)>>16
 }
 
-// RunMarkDupStage executes the duplicate-marking stage under the style and
-// returns the engine metrics of just this stage (the Fig 11(a) measurement).
-func RunMarkDupStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
+// runStage is the skeleton the Fig 11 stage measurements share: reset the
+// metrics, attach the style's codec, convert in, shuffle by key (the shuffle
+// row is named after shuffle), run body over the shuffled partitions, convert
+// out and materialize. It returns the engine metrics of just this stage; sys,
+// the style's name, prefixes every stage row.
+func runStage(rt *core.Runtime, records []sam.Record, style StageStyle, shuffle string, key func(sam.Record) int,
+	body func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error)) (engine.Metrics, error) {
 	rt.Engine.ResetMetrics()
-	codec := stageCodec(rt, style)
-	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), codec)
-	var err error
-	if style.Convert {
-		if ds, err = convertStage(style.System.String()+"/convert-in", ds, codec); err != nil {
-			return engine.Metrics{}, err
-		}
-	}
-	grouped, err := engine.PartitionBy(style.System.String()+"/group", ds, rt.NumPartitions,
-		func(r sam.Record) int { return cleaner.GroupKey(&r) }, readsWhole)
+	sys := style.System.String()
+	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), style.Codec.SAMCodec())
+	ds, err := convertStage(style, sys+"/convert-in", ds)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	marked, err := engine.MapPartitions(style.System.String()+"/mark", grouped, codec,
-		func(_ int, recs []sam.Record) ([]sam.Record, error) {
-			out := append([]sam.Record(nil), recs...)
-			cleaner.SortByCoordinate(out)
-			cleaner.MarkDuplicates(out)
-			return out, nil
-		}, readsWhole)
+	grouped, err := engine.PartitionBy(sys+"/"+shuffle, ds, rt.NumPartitions, key, readsWhole)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	if style.Convert {
-		if marked, err = convertStage(style.System.String()+"/convert-out", marked, codec); err != nil {
-			return engine.Metrics{}, err
-		}
+	out, err := body(sys, grouped)
+	if err != nil {
+		return engine.Metrics{}, err
 	}
-	if _, err := engine.Count(style.System.String()+"/materialize", marked); err != nil {
+	if out, err = convertStage(style, sys+"/convert-out", out); err != nil {
+		return engine.Metrics{}, err
+	}
+	if _, err := engine.Count(sys+"/materialize", out); err != nil {
 		return engine.Metrics{}, err
 	}
 	return rt.Engine.Metrics(), nil
 }
 
+// mutateStage runs fn over a private copy of every partition (dataset
+// partitions are immutable; the cleaner kernels work in place).
+func mutateStage(name string, ds *engine.Dataset[sam.Record], fn func([]sam.Record) error) (*engine.Dataset[sam.Record], error) {
+	return engine.MapPartitions(name, ds, ds.Codec(), func(_ int, recs []sam.Record) ([]sam.Record, error) {
+		out := append([]sam.Record(nil), recs...)
+		return out, fn(out)
+	}, readsWhole)
+}
+
+// RunMarkDupStage executes the duplicate-marking stage under the style and
+// returns the engine metrics of just this stage (the Fig 11(a) measurement).
+func RunMarkDupStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
+	return runStage(rt, records, style, "group", func(r sam.Record) int { return cleaner.GroupKey(&r) },
+		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
+			return mutateStage(sys+"/mark", grouped, func(recs []sam.Record) error {
+				cleaner.SortByCoordinate(recs)
+				cleaner.MarkDuplicates(recs)
+				return nil
+			})
+		})
+}
+
 // RunRealignStage executes indel realignment under the style (Fig 11(c)).
 func RunRealignStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
-	rt.Engine.ResetMetrics()
-	codec := stageCodec(rt, style)
-	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), codec)
-	var err error
-	if style.Convert {
-		if ds, err = convertStage(style.System.String()+"/convert-in", ds, codec); err != nil {
-			return engine.Metrics{}, err
-		}
-	}
-	grouped, err := engine.PartitionBy(style.System.String()+"/partition", ds, rt.NumPartitions, positionKey, readsWhole)
-	if err != nil {
-		return engine.Metrics{}, err
-	}
 	sc := rt.AlignerConfig.Scoring
-	realigned, err := engine.MapPartitions(style.System.String()+"/realign", grouped, codec,
-		func(_ int, recs []sam.Record) ([]sam.Record, error) {
-			out := append([]sam.Record(nil), recs...)
-			cleaner.RealignIndels(out, rt.Ref, sc)
-			return out, nil
-		}, readsWhole)
-	if err != nil {
-		return engine.Metrics{}, err
-	}
-	if style.Convert {
-		if realigned, err = convertStage(style.System.String()+"/convert-out", realigned, codec); err != nil {
-			return engine.Metrics{}, err
-		}
-	}
-	if _, err := engine.Count(style.System.String()+"/materialize", realigned); err != nil {
-		return engine.Metrics{}, err
-	}
-	return rt.Engine.Metrics(), nil
+	return runStage(rt, records, style, "partition", positionKey,
+		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
+			return mutateStage(sys+"/realign", grouped, func(recs []sam.Record) error {
+				cleaner.RealignIndels(recs, rt.Ref, sc)
+				return nil
+			})
+		})
 }
 
 // RunBQSRStage executes base recalibration under the style (Fig 11(b)),
 // including the serial collect+broadcast step.
 func RunBQSRStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
-	rt.Engine.ResetMetrics()
-	codec := stageCodec(rt, style)
-	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), codec)
-	var err error
-	if style.Convert {
-		if ds, err = convertStage(style.System.String()+"/convert-in", ds, codec); err != nil {
-			return engine.Metrics{}, err
-		}
-	}
-	grouped, err := engine.PartitionBy(style.System.String()+"/partition", ds, rt.NumPartitions, positionKey, readsWhole)
-	if err != nil {
-		return engine.Metrics{}, err
-	}
-	tables, err := engine.MapPartitions(style.System.String()+"/count-covariates", grouped, nil,
-		func(_ int, recs []sam.Record) ([]*cleaner.RecalTable, error) {
-			return []*cleaner.RecalTable{cleaner.BuildRecalTable(recs, rt.Ref, nil)}, nil
-		}, readsWhole)
-	if err != nil {
-		return engine.Metrics{}, err
-	}
-	merged, found, err := engine.Reduce(style.System.String()+"/collect", tables,
-		func(a, b *cleaner.RecalTable) *cleaner.RecalTable { return a.Merge(b) })
-	if err != nil {
-		return engine.Metrics{}, err
-	}
-	if !found {
-		merged = &cleaner.RecalTable{}
-	}
-	bc := engine.NewBroadcast(rt.Engine, style.System.String()+"/broadcast-mask", merged, merged.SizeBytes())
-	recaled, err := engine.MapPartitions(style.System.String()+"/apply", grouped, codec,
-		func(_ int, recs []sam.Record) ([]sam.Record, error) {
-			out := append([]sam.Record(nil), recs...)
-			if err := cleaner.ApplyRecalibration(out, bc.Value); err != nil {
+	return runStage(rt, records, style, "partition", positionKey,
+		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
+			tables, err := engine.MapPartitions(sys+"/count-covariates", grouped, nil,
+				func(_ int, recs []sam.Record) ([]*cleaner.RecalTable, error) {
+					return []*cleaner.RecalTable{cleaner.BuildRecalTable(recs, rt.Ref, nil)}, nil
+				}, readsWhole)
+			if err != nil {
 				return nil, err
 			}
-			return out, nil
-		}, readsWhole)
-	if err != nil {
-		return engine.Metrics{}, err
-	}
-	if style.Convert {
-		if recaled, err = convertStage(style.System.String()+"/convert-out", recaled, codec); err != nil {
-			return engine.Metrics{}, err
-		}
-	}
-	if _, err := engine.Count(style.System.String()+"/materialize", recaled); err != nil {
-		return engine.Metrics{}, err
-	}
-	return rt.Engine.Metrics(), nil
+			merged, found, err := engine.Reduce(sys+"/collect", tables,
+				func(a, b *cleaner.RecalTable) *cleaner.RecalTable { return a.Merge(b) })
+			if err != nil {
+				return nil, err
+			}
+			if !found {
+				merged = &cleaner.RecalTable{}
+			}
+			bc := engine.NewBroadcast(rt.Engine, sys+"/broadcast-mask", merged, merged.SizeBytes())
+			return mutateStage(sys+"/apply", grouped, func(recs []sam.Record) error {
+				return cleaner.ApplyRecalibration(recs, bc.Value)
+			})
+		})
 }

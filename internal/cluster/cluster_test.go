@@ -242,3 +242,41 @@ func TestSparkOptionsPreservedThroughNoDisk(t *testing.T) {
 		t.Fatal("network time should remain")
 	}
 }
+
+// TestPredictScalingShape: predictions cover every requested point, makespan
+// never increases with more processes on a parallel trace, and speedup is
+// anchored at the first point.
+func TestPredictScalingShape(t *testing.T) {
+	ctx := engine.NewContext(2)
+	items := make([]int, 4000)
+	for i := range items {
+		items[i] = i
+	}
+	d := engine.Parallelize(ctx, items, 16)
+	if _, err := engine.PartitionBy("s/pb", d, 16, func(x int) int { return x * 7 }); err != nil {
+		t.Fatal(err)
+	}
+	m := ctx.Metrics()
+	// Inflate task costs so the modeled makespans are well above rounding.
+	for i := range m.Stages {
+		for j := range m.Stages[i].Tasks {
+			m.Stages[i].Tasks[j].Wall += 20 * time.Millisecond
+		}
+	}
+	preds := PredictScaling(m, 2, []int{1, 2, 4, 8})
+	if len(preds) != 4 {
+		t.Fatalf("got %d predictions", len(preds))
+	}
+	if preds[0].Speedup != 1 {
+		t.Fatalf("first point speedup %v, want 1", preds[0].Speedup)
+	}
+	for i := 1; i < len(preds); i++ {
+		if preds[i].Makespan > preds[i-1].Makespan {
+			t.Fatalf("makespan increased from W=%d (%v) to W=%d (%v)",
+				preds[i-1].Procs, preds[i-1].Makespan, preds[i].Procs, preds[i].Makespan)
+		}
+	}
+	if preds[3].Speedup <= 1.5 {
+		t.Fatalf("16 partitions across 8 procs predicted speedup %.2f, want > 1.5", preds[3].Speedup)
+	}
+}

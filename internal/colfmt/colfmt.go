@@ -13,9 +13,8 @@
 //
 //	magic "Gc", version byte
 //	uvarint record count
-//	uvarint present-field bitmask (which columns the block carries — a
-//	    projected encoder writes partial blocks; FieldFlag is always present
-//	    so the record count stays byte-backed)
+//	uvarint present-field bitmask (which columns the block carries; Marshal
+//	    writes them all, the decoder accepts any subset)
 //	per present field, in bit order:
 //	    uvarint column byte length
 //	    column payload
@@ -115,40 +114,22 @@ func (c Codec) effMask() engine.FieldMask {
 	return AllFields
 }
 
-// Marshal encodes recs as one columnar block carrying exactly the projected
-// columns: the block's present-field bitmask records which columns it holds,
-// so a partial block (a shuffle wire block pruned by the projection planner)
-// is smaller on the wire, not just cheaper to decode. The unprojected codec
-// writes every column. Absent columns decode as zero values.
-func (c Codec) Marshal(recs []sam.Record) ([]byte, error) {
-	// The flag column (one uvarint per record) is always included so every
-	// block's record count stays byte-backed — the decoder's corruption guard
-	// (count vs block size) relies on at least one per-record column.
-	present := c.effMask()&AllFields | FieldFlag
-	var cols [numFields][]byte
-	for bit := 0; bit < numFields; bit++ {
-		if present&(1<<bit) == 0 {
-			continue
-		}
-		col, err := encodeColumn(bit, recs)
-		if err != nil {
-			return nil, fmt.Errorf("colfmt: column %d: %w", bit, err)
-		}
-		cols[bit] = col
-	}
-
+// Marshal encodes recs as one columnar block carrying every column, whatever
+// Project said: a projection narrows a decode, never what is written.
+func (Codec) Marshal(recs []sam.Record) ([]byte, error) {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
 	var tmp [binary.MaxVarintLen64]byte
 	buf.Write([]byte{colMagic0, colMagic1, colVersion})
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(recs)))])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(present))])
+	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(AllFields))]) // present mask
 	for bit := 0; bit < numFields; bit++ {
-		if present&(1<<bit) == 0 {
-			continue
+		col, err := encodeColumn(bit, recs)
+		if err != nil {
+			return nil, fmt.Errorf("colfmt: column %d: %w", bit, err)
 		}
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(cols[bit])))])
-		buf.Write(cols[bit])
+		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(col)))])
+		buf.Write(col)
 	}
 	return bufpool.Bytes(buf), nil
 }
@@ -186,7 +167,8 @@ func (c Codec) Unmarshal(data []byte) ([]sam.Record, error) {
 
 // UnmarshalStats is Unmarshal with byte accounting: decoded covers the
 // header, framing and materialized columns; pruned covers columns the
-// projection mask skipped.
+// projection mask skipped. A block may carry any subset of the columns (its
+// present mask); absent columns decode as zero values.
 func (c Codec) UnmarshalStats(data []byte) ([]sam.Record, engine.DecodeStats, error) {
 	var st engine.DecodeStats
 	orig := int64(len(data))
@@ -208,10 +190,9 @@ func (c Codec) UnmarshalStats(data []byte) ([]sam.Record, engine.DecodeStats, er
 	if engine.FieldMask(present)&^AllFields != 0 {
 		return nil, st, fmt.Errorf("colfmt: unsupported present mask %#x", present)
 	}
-	// The block carries only the columns in its present mask (a planner-pruned
-	// wire block is partial); absent columns stay zero values. A flag column
-	// costs one byte per record, so when present a count exceeding the block
-	// length is corrupt — the general guard below rejects before allocating.
+	// A flag column costs one byte per record, so when present a count
+	// exceeding the block length is corrupt — the general guard below rejects
+	// before allocating.
 	if count > uint64(len(data)) {
 		return nil, st, fmt.Errorf("colfmt: record count %d exceeds block size %d", count, len(data))
 	}

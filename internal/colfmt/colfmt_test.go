@@ -339,67 +339,37 @@ func TestProjectionDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartialBlockEncode: a projected encoder writes a block carrying only
-// the masked columns (plus the always-present flag column), strictly smaller
-// than the full block, and a full decoder reads present fields back intact
-// with absent fields as zero values.
+// TestPartialBlockEncode: Marshal writes every column whatever Project said;
+// the decoder still accepts a block carrying a subset of the columns (here a
+// hand-built v1 block holding only flag and coord), reading the present
+// fields back intact and the absent ones as zero values.
 func TestPartialBlockEncode(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	recs := randBatch(r, 80)
+	recs := randBatch(rand.New(rand.NewSource(12)), 80)
 	full, err := colfmt.Codec{}.Marshal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	narrow := colfmt.Codec{}.Project(colfmt.FieldCoord | colfmt.FieldFlag)
-	partial, err := narrow.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
+	if wide, err := narrow.Marshal(recs); err != nil || !bytes.Equal(wide, full) {
+		t.Fatalf("projected Marshal wrote %d bytes (err %v), want the full block's %d", len(wide), err, len(full))
 	}
-	if len(partial) >= len(full) {
-		t.Fatalf("partial block %d bytes, full block %d: projection saved nothing on the wire", len(partial), len(full))
+
+	partial := []byte{'G', 'c', 1, // magic, version
+		2, // record count
+		byte(colfmt.FieldFlag | colfmt.FieldCoord), // present mask
+		2, 4, 16, // flag column
+		4, 0, 20, 2, 13, // coord column: zigzag (ΔRefID, ΔPos) = (0, +10), (+1, -7)
 	}
-	// Full decoder over the partial block: present fields intact, absent zero.
+	want := []sam.Record{{Flag: 4, RefID: 0, Pos: 10}, {Flag: 16, RefID: 1, Pos: 3}}
 	got, err := colfmt.Codec{}.Unmarshal(partial)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("full decoder over a partial block: %+v, %v; want %+v", got, err, want)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].RefID != recs[i].RefID || got[i].Pos != recs[i].Pos || got[i].Flag != recs[i].Flag {
-			t.Fatalf("record %d present fields: got %+v", i, got[i])
-		}
-		if got[i].Name != "" || got[i].Seq != nil || got[i].Qual != nil || got[i].Tags != nil || got[i].Cigar != nil {
-			t.Fatalf("record %d: absent fields not zero: %+v", i, got[i])
-		}
-	}
-	// A projected decoder over a partial block prunes only what the block
-	// actually carries (flag, here) and never errors on absent columns.
-	proj, ok := narrow.(engine.ProjectableSerializer[sam.Record])
-	if !ok {
-		t.Fatal("projected codec lost Project")
-	}
-	coordOnly, err := proj.Project(colfmt.FieldCoord).Unmarshal(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if coordOnly[i].Pos != recs[i].Pos || coordOnly[i].Flag != 0 {
-			t.Fatalf("record %d coord-of-partial: %+v", i, coordOnly[i])
-		}
-	}
-	// The zero-mask encoder still writes the flag column, keeping the record
-	// count byte-backed for the corruption guard.
-	tiny, err := colfmt.Codec{}.Project(0).Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiny) < len(recs) {
-		t.Fatalf("zero-mask block %d bytes for %d records: flag column missing", len(tiny), len(recs))
-	}
-	n, err := colfmt.Codec{}.Unmarshal(tiny)
-	if err != nil || len(n) != len(recs) {
-		t.Fatalf("zero-mask block decode: %d records, %v", len(n), err)
+	// A projected decoder prunes only what the block actually carries (flag,
+	// here) and never errors on absent columns.
+	want[0].Flag, want[1].Flag = 0, 0
+	got, err = colfmt.Codec{}.Project(colfmt.FieldCoord).Unmarshal(partial)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("coord decoder over a partial block: %+v, %v; want %+v", got, err, want)
 	}
 }

@@ -57,15 +57,14 @@ func (t CodecTier) String() string {
 	}
 }
 
-// SAMCodec returns the SAM serializer for the runtime's tier (nil selects
-// the engine's gob fallback). The GPF tier is the columnar codec: per-field
-// blocks with projection pushdown (colfmt), the layout that subsumes the
-// row-wise Fig 4 codec for cache and shuffle storage; the row-wise
-// compress.GPFSAMCodec remains available directly for the §4.2 codec-tier
-// comparisons, and TierField is the row side the columnar tests compare
-// against.
-func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] {
-	switch rt.Codec {
+// SAMCodec returns the tier's SAM serializer (nil selects the engine's gob
+// fallback). The GPF tier is the columnar codec: per-field blocks with
+// projection pushdown (colfmt), the layout that subsumes the row-wise Fig 4
+// codec for cache and shuffle storage; the row-wise compress.GPFSAMCodec
+// remains available directly for the §4.2 codec-tier comparisons, and
+// TierField is the row side the columnar tests compare against.
+func (t CodecTier) SAMCodec() engine.Serializer[sam.Record] {
+	switch t {
 	case TierGPF:
 		return colfmt.Codec{}
 	case TierField:
@@ -75,8 +74,8 @@ func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] {
 	}
 }
 
-// samCodec is the internal alias used by the processes.
-func (rt *Runtime) samCodec() engine.Serializer[sam.Record] { return rt.SAMCodec() }
+// SAMCodec returns the SAM serializer for the runtime's tier.
+func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] { return rt.Codec.SAMCodec() }
 
 // buildBundles performs the partition operation of Fig 7a: groupBy partition
 // ID on the SAM records, the FASTA chunks and the known VCF records (three
@@ -89,7 +88,7 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 
 	// SAM records by final partition ID.
 	samPart, err := engine.PartitionBy(name+"/sam-partition",
-		engine.WithCodec(flat, rt.samCodec()), n,
+		engine.WithCodec(flat, rt.SAMCodec()), n,
 		func(r sam.Record) int {
 			if r.RefID < 0 {
 				return 0
@@ -159,7 +158,7 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 // dataset (the "merge into a SAM RDD" of Fig 7a that forces the next
 // partition Process to re-shuffle).
 func flattenBundles(rt *Runtime, name string, bundled *engine.Dataset[Bundle]) (*engine.Dataset[sam.Record], error) {
-	flat, err := engine.MapPartitions(name+"/flatten", bundled, rt.samCodec(),
+	flat, err := engine.MapPartitions(name+"/flatten", bundled, rt.SAMCodec(),
 		func(_ int, bs []Bundle) ([]sam.Record, error) {
 			var out []sam.Record
 			for i := range bs {

@@ -59,8 +59,9 @@ type Runtime struct {
 	// generic gob codec (Java-serialization-like). Baseline pipelines use
 	// the lower tiers.
 	Codec CodecTier
-	// SplitThresholdFactor: partitions holding more than factor × mean reads
-	// are split by the repartitioner (§4.4 step 3).
+	// SplitThresholdFactor: partitions holding more than factor × the median
+	// reads per non-empty partition are split by the repartitioner (§4.4
+	// step 3).
 	SplitThresholdFactor float64
 	// AlignerConfig tunes the BWA-MEM-like aligner.
 	AlignerConfig align.Config

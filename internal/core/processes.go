@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/caller"
@@ -9,8 +10,6 @@ import (
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
-	"sort"
-
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/vcf"
@@ -55,7 +54,7 @@ func (p *BwaMemProcess) Run(rt *Runtime) error {
 		return err
 	}
 	aligner := align.NewAligner(idx, rt.AlignerConfig)
-	recs, err := engine.MapPartitions(p.name+"/bwa-mem", p.in.Data, rt.samCodec(),
+	recs, err := engine.MapPartitions(p.name+"/bwa-mem", p.in.Data, rt.SAMCodec(),
 		func(_ int, pairs []fastq.Pair) ([]sam.Record, error) {
 			out := make([]sam.Record, 0, 2*len(pairs))
 			for i := range pairs {
@@ -94,7 +93,7 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 		return err
 	}
 	grouped, err := engine.PartitionBy(p.name+"/group",
-		engine.WithCodec(flat, rt.samCodec()), rt.NumPartitions,
+		engine.WithCodec(flat, rt.SAMCodec()), rt.NumPartitions,
 		func(r sam.Record) int { return cleaner.GroupKey(&r) },
 		// The duplicate signature reads coordinates, flags, mate fields, the
 		// CIGAR (unclipped 5') and the library tag; records pass through.
@@ -102,7 +101,7 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	marked, err := engine.MapPartitions(p.name+"/mark", grouped, rt.samCodec(),
+	marked, err := engine.MapPartitions(p.name+"/mark", grouped, rt.SAMCodec(),
 		func(_ int, recs []sam.Record) ([]sam.Record, error) {
 			out := append([]sam.Record(nil), recs...)
 			cleaner.SortByCoordinate(out)
@@ -198,7 +197,7 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 		for _, v := range counts {
 			all = append(all, v)
 		}
-		sortInts(all)
+		sort.Ints(all)
 		median := float64(all[len(all)/2])
 		threshold := median * rt.SplitThresholdFactor
 		if threshold < 1 {
@@ -217,10 +216,6 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 		int64(16*(info.NumBasePartitions()+len(info.StartID))))
 	p.out.Info = info
 	return nil
-}
-
-func sortInts(a []int) {
-	sort.Ints(a)
 }
 
 // partitionBase carries the shared mechanics of partition Processes

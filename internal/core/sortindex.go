@@ -44,7 +44,7 @@ func (p *CoordinateSortProcess) Run(rt *Runtime) error {
 	}
 	n := info.NumPartitions() + 1 // final slot collects unmapped reads
 	parted, err := engine.PartitionBy(p.name+"/partition",
-		engine.WithCodec(flat, rt.samCodec()), n,
+		engine.WithCodec(flat, rt.SAMCodec()), n,
 		func(r sam.Record) int {
 			if r.RefID < 0 {
 				return n - 1

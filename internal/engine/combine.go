@@ -68,14 +68,13 @@ func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key f
 	res := newResult(d.ctx, codec, numPartitions)
 	in := d.NumPartitions()
 	sc := &shuffleCore[[]Keyed[C], Keyed[C]]{
-		ctx:      d.ctx,
-		name:     name,
-		in:       in,
-		out:      numPartitions,
-		inMask:   mapNeed,
-		mapHint:  d.partitionSizeHint,
-		mapOwner: d.ownerOf,
-		res:      res,
+		ctx:     d.ctx,
+		name:    name,
+		in:      in,
+		out:     numPartitions,
+		inMask:  mapNeed,
+		mapHint: d.partitionSizeHint,
+		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {
 			items, err := d.partitionNeed(p, tm, mapNeed)
 			if err != nil {

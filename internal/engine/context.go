@@ -3,18 +3,18 @@
 // partitions processed by a worker pool.
 //
 // Execution follows the paper's lazy lineage DAG (§4.3): narrow operations
-// (Map, Filter, FlatMap, MapPartitions, ZipPartitions) do not run when
-// called — they record a lineage node, and each maximal chain of narrow ops
-// is fused into ONE task launch per partition when a barrier forces the
-// plan. Barriers are the actions (Collect, Reduce, Count, CountByKey), the
-// wide operations (PartitionBy, Repartition, CombineByKey/ReduceByKey), which
-// run at the call and return a materialized dataset, Union and
-// SortPartitions. Within a fused stage, items flow through the composed
-// closures with no intermediate partition storage and no intermediate codec
+// (Map, Filter, FlatMap, MapPartitions, SortPartitions, ZipPartitions3) do
+// not run when called — they record a lineage node, and each maximal chain of
+// narrow ops is fused into ONE task launch per partition when a barrier
+// forces the plan. Barriers are the actions (Collect, Reduce, Count,
+// CountByKey) and the wide operations (PartitionBy,
+// CombineByKey/ReduceByKey), which run at the call and return a materialized
+// dataset. Within a fused stage, items flow through the composed closures
+// with no intermediate partition storage and no intermediate codec
 // round-trip; the stage is recorded in metrics under the joined op names
 // (e.g. "align/bwa-mem+filter") with StageMetrics.FusedOps set to the chain
-// length. Context.DisableFusion switches back to eager one-stage-per-op
-// execution (the Spark-without-fusion ablation).
+// length. Calling Force() after each op is the unfused reference the
+// equivalence tests compare against.
 //
 // A dataset is materialized at full width or lazy. Ops declare the record
 // fields they read and write (effects.go); the only thing a declaration
@@ -32,9 +32,9 @@
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
 // which owns the slot semaphore, first-error cancellation, panic recovery
-// and the metrics row. A Context carries three switches: StoreSerialized
-// (the paper's §4.2 storage mode) and DisableFusion/DisableProjectionPlanner
-// (the references their equivalence suites compare against).
+// and the metrics row. A Context carries two switches: StoreSerialized (the
+// paper's §4.2 storage mode) and DisableProjectionPlanner (the reference its
+// equivalence suite compares against).
 package engine
 
 import (
@@ -70,12 +70,6 @@ type Context struct {
 	// whenever a codec is attached — Spark's MEMORY_ONLY_SER mode that GPF
 	// relies on (§4.2). Off by default.
 	StoreSerialized bool
-
-	// DisableFusion turns off lazy narrow-stage fusion: every narrow op runs
-	// eagerly as its own stage with its own intermediate dataset (and, under
-	// StoreSerialized, its own codec round-trip). Used as the unfused
-	// baseline in the fusion ablation; off (fusion on) by default.
-	DisableFusion bool
 
 	// DisableProjectionPlanner turns off decode narrowing: every partition
 	// read demands all fields whatever its consumer declared (planner.go) —
@@ -118,6 +112,11 @@ func (c *Context) procs() int { return c.exec.Procs() }
 
 // rank is this process's index in [0, procs).
 func (c *Context) rank() int { return c.exec.Rank() }
+
+// ownerOf is the ownership rule: the rank that computes and holds partition p
+// of every dataset, and runs task p of every stage. A pure function of the
+// index, so no rank ever asks another what to run.
+func (c *Context) ownerOf(p int) int { return p % c.procs() }
 
 // nextSeq issues the next collective sequence number. Collectives are driven
 // serially by the (deterministic) driver program, so every rank observes the

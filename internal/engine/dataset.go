@@ -31,19 +31,12 @@ type Dataset[T any] struct {
 	// run-once state, the consumer count and the input edges. Nil for
 	// datasets born materialized.
 	meta *planMeta
-	// owner maps partition index to the SPMD rank that computes (and holds)
-	// it; nil selects the canonical p % procs assignment. Narrow operations
-	// preserve partitioning, so results inherit their source's owner; shuffle
-	// outputs revert to canonical (reduce tasks are assigned canonically);
-	// Union installs a custom mapping routing each output slot to its source
-	// partition's owner. Irrelevant (never consulted) with one process.
-	owner func(p int) int
 	// resident marks which partitions this process actually holds. Nil means
-	// fully resident: either a single-process run, or a replicated root
-	// (Parallelize/FromPartitions inputs every rank constructs identically).
-	// Stage outputs under procs > 1 allocate the bitmap and mark only owned
-	// partitions, so reading a partition that lives on a sibling rank errors
-	// loudly instead of silently yielding empty data.
+	// fully resident: either a single-process run, or a replicated root (a
+	// Parallelize input every rank constructs identically). Stage outputs
+	// under procs > 1 allocate the bitmap and mark only the partitions this
+	// rank owns (Context.ownerOf), so reading a partition that lives on a
+	// sibling rank errors loudly instead of silently yielding empty data.
 	resident []bool
 }
 
@@ -92,11 +85,6 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 	return &Dataset[T]{ctx: ctx, parts: parts}
 }
 
-// FromPartitions wraps pre-partitioned data.
-func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
-	return &Dataset[T]{ctx: ctx, parts: parts}
-}
-
 // WithCodec attaches a serializer to the dataset; subsequent stage outputs
 // are stored serialized when ctx.StoreSerialized is set, and shuffles use the
 // codec for byte accounting. Already-encoded blocks keep decoding with the
@@ -105,7 +93,7 @@ func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
 // variant forces and materializes independently.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d.isLazy() {
-		res := &Dataset[T]{ctx: d.ctx, codec: codec, owner: d.owner}
+		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.plan.nparts,
 			ops:      append([]string(nil), d.plan.ops...),
@@ -120,8 +108,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	}
 	res := &Dataset[T]{
 		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec,
-		plan: d.plan, meta: d.meta,
-		owner: d.owner, resident: d.resident,
+		plan: d.plan, meta: d.meta, resident: d.resident,
 	}
 	if d.blocks != nil {
 		res.blockCodec = d.decodeCodec()
@@ -157,20 +144,6 @@ func (d *Dataset[T]) decodeCodec() Serializer[T] {
 	return effectiveSerializer(d.codec)
 }
 
-// ownerOf returns the rank that computes (and holds) partition p: the
-// dataset's custom owner mapping when installed, canonical p % procs
-// otherwise. Always 0 on single-process runs.
-func (d *Dataset[T]) ownerOf(p int) int {
-	procs := d.ctx.procs()
-	if procs == 1 {
-		return 0
-	}
-	if d.owner != nil {
-		return d.owner(p)
-	}
-	return p % procs
-}
-
 // partition materializes partition p with full field demand — the
 // conservative read actions and effect-undeclared consumers use.
 func (d *Dataset[T]) partition(p int, tm *TaskMetrics) ([]T, error) {
@@ -199,7 +172,7 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 		return nil, d.meta.err
 	}
 	if d.resident != nil && p < len(d.resident) && !d.resident[p] {
-		return nil, fmt.Errorf("engine: partition %d not resident on rank %d (owned by rank %d): cross-rank reads must go through a shuffle or action", p, d.ctx.rank(), d.ownerOf(p))
+		return nil, fmt.Errorf("engine: partition %d not resident on rank %d (owned by rank %d): cross-rank reads must go through a shuffle or action", p, d.ctx.rank(), d.ctx.ownerOf(p))
 	}
 	if d.blocks != nil {
 		start := time.Now()

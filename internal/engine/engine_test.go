@@ -171,29 +171,6 @@ func TestShuffleAccounting(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3}, 1)
-	u, err := Union("u", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", u.NumPartitions())
-	}
-	all, err := Collect("c", u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 || all[2] != 3 {
-		t.Fatalf("union = %v", all)
-	}
-	if _, err := Union[int]("empty"); err == nil {
-		t.Fatal("union of nothing must error")
-	}
-}
-
 func TestSortPartitions(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, []int{5, 3, 1, 4, 2, 0}, 2)
@@ -206,37 +183,6 @@ func TestSortPartitions(t *testing.T) {
 		if !sort.IntsAreSorted(items) {
 			t.Fatalf("partition %d not sorted: %v", p, items)
 		}
-	}
-}
-
-func TestZipPartitions(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	b := Parallelize(ctx, []int{10, 20, 30, 40}, 2)
-	z, err := ZipPartitions2("zip", a, b, nil, func(_ int, as, bs []int) ([]int, error) {
-		out := make([]int, len(as))
-		for i := range as {
-			out[i] = as[i] + bs[i]
-		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := Collect("c", z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{11, 22, 33, 44}
-	for i := range want {
-		if all[i] != want[i] {
-			t.Fatalf("zip = %v", all)
-		}
-	}
-	// Mismatched partition counts must error.
-	c := Parallelize(ctx, []int{1}, 1)
-	if _, err := ZipPartitions2("bad", a, c, nil, func(_ int, as, bs []int) ([]int, error) { return nil, nil }); err == nil {
-		t.Fatal("mismatched zip must error")
 	}
 }
 
@@ -254,6 +200,11 @@ func TestZipPartitions3(t *testing.T) {
 	all, _ := Collect("c", z)
 	if len(all) != 2 || all[0] != 111 || all[1] != 222 {
 		t.Fatalf("zip3 = %v", all)
+	}
+	// Mismatched partition counts must error.
+	short := Parallelize(ctx, []int{1}, 1)
+	if _, err := ZipPartitions3("bad", a, b, short, nil, func(_ int, as, bs, cs []int) ([]int, error) { return nil, nil }); err == nil {
+		t.Fatal("mismatched zip must error")
 	}
 }
 
@@ -380,22 +331,6 @@ func TestMetricsAggregation(t *testing.T) {
 	ctx.ResetMetrics()
 	if ctx.Metrics().NumStages() != 0 {
 		t.Fatal("reset failed")
-	}
-}
-
-func TestRepartitionBalances(t *testing.T) {
-	ctx := NewContext(2)
-	// All data in one partition.
-	d := FromPartitions(ctx, [][]int{intRange(100), nil, nil})
-	r, err := Repartition("rebalance", d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 4; p++ {
-		items, _ := r.partition(p, nil)
-		if len(items) < 20 || len(items) > 30 {
-			t.Fatalf("partition %d has %d items; want ~25", p, len(items))
-		}
 	}
 }
 

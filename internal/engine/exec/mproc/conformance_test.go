@@ -8,18 +8,17 @@ import (
 
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/engine"
-	"github.com/gpf-go/gpf/internal/engine/exec/simexec"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
 // The conformance suite: every registered conformance job must produce
-// byte-identical output on all three executor backends (in-process pool,
-// simulator oracle, multi-process), across task-slot counts (dispatch-order
-// independence) and process counts (ownership splits), with the jitter codec
-// randomizing bucket arrival where a shuffle is involved.
+// byte-identical output on both executor backends (in-process pool,
+// multi-process), across task-slot counts (dispatch-order independence) and
+// process counts (ownership splits), with the jitter codec randomizing bucket
+// arrival where a shuffle is involved.
 
 func init() {
-	// conf-shuffle: two chained shuffles plus a sort barrier under a jittery
+	// conf-shuffle: two chained shuffles plus a fused sort under a jittery
 	// codec — determinism under randomized bucket arrival order.
 	RegisterJob("conf-shuffle", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
@@ -74,38 +73,6 @@ func init() {
 			return nil, err
 		}
 		return []byte(fmt.Sprint(items)), nil
-	})
-
-	// conf-union: Union installs a slot-based ownership override — collects
-	// and downstream shuffles must route through it, not the canonical p%W.
-	RegisterJob("conf-union", func(ctx *engine.Context, spec []byte) ([]byte, error) {
-		n, inParts, outParts, err := parseTestSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		a := engine.Parallelize(ctx, seqInts(n), inParts)
-		bItems := make([]int, n/2)
-		for i := range bItems {
-			bItems[i] = -i
-		}
-		b := engine.Parallelize(ctx, bItems, inParts+1)
-		u, err := engine.Union("c/union", a, b)
-		if err != nil {
-			return nil, err
-		}
-		total, err := engine.Count("c/count", u)
-		if err != nil {
-			return nil, err
-		}
-		shuf, err := engine.PartitionBy("c/pb", u, outParts, func(x int) int { return x * 13 })
-		if err != nil {
-			return nil, err
-		}
-		items, err := engine.Collect("c/collect", shuf)
-		if err != nil {
-			return nil, err
-		}
-		return []byte(fmt.Sprintf("%d|%v", total, items)), nil
 	})
 
 	// conf-combine: map-side combine, the census (CountByKey) and a Reduce —
@@ -255,13 +222,11 @@ var conformanceJobs = []struct {
 }{
 	{"conf-shuffle", []byte("3000,5,4")},
 	{"conf-broadcast", []byte("1000,4,3")},
-	{"conf-union", []byte("800,3,4")},
 	{"conf-combine", []byte("2000,6,5")},
 	{"conf-projection", []byte("1500,4,3")},
 }
 
-// runOn executes a registered job on a constructed context (the inproc and
-// sim backends).
+// runOn executes a registered job on a constructed in-process context.
 func runOn(t *testing.T, ctx *engine.Context, job string, spec []byte) []byte {
 	t.Helper()
 	fn, ok := jobFor(job)
@@ -276,10 +241,10 @@ func runOn(t *testing.T, ctx *engine.Context, job string, spec []byte) []byte {
 }
 
 // TestConformanceAcrossBackends: for every conformance job, the in-process
-// reference output must be matched byte for byte by the simulator backend at
-// several slot counts (dispatch order changes with the pool size) and by the
-// multi-process backend at several process counts (ownership splits change
-// which rank runs what).
+// reference output must be matched byte for byte at several slot counts
+// (dispatch order changes with the pool size) and by the multi-process
+// backend at several process counts (ownership splits change which rank runs
+// what).
 func TestConformanceAcrossBackends(t *testing.T) {
 	for _, jb := range conformanceJobs {
 		t.Run(jb.name, func(t *testing.T) {
@@ -290,9 +255,6 @@ func TestConformanceAcrossBackends(t *testing.T) {
 			for _, slots := range []int{1, 2, 4} {
 				if got := runOn(t, engine.NewContext(slots), jb.name, jb.spec); !bytes.Equal(got, ref) {
 					t.Fatalf("inproc slots=%d output differs", slots)
-				}
-				if got := runOn(t, engine.NewContextOn(simexec.New(slots)), jb.name, jb.spec); !bytes.Equal(got, ref) {
-					t.Fatalf("sim slots=%d output differs", slots)
 				}
 			}
 			for _, procs := range []int{1, 2, 3} {

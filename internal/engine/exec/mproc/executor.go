@@ -13,9 +13,6 @@ type Exec struct {
 	slots int
 }
 
-// Name implements engine.Executor.
-func (e *Exec) Name() string { return "mproc" }
-
 // Slots is this process's task-slot parallelism.
 func (e *Exec) Slots() int { return e.slots }
 
@@ -38,51 +35,37 @@ func (e *Exec) Exchange(seq uint64, in, out int) engine.Exchange {
 	if ex := e.t.exchangeFor(seq, in, out); ex != nil {
 		return ex
 	}
-	// exchangeFor only refuses after failing the job (geometry violation);
-	// hand back a stub whose Failed channel is already closed so the stage
-	// unwinds through its normal abort path.
-	return failedExchange{t: e.t}
+	// exchangeFor only refuses after failing the job (geometry violation), so
+	// Failed is already closed and the stage unwinds through its normal abort
+	// path; hand back a stub for the tasks that started before it noticed.
+	return failedExchange{}
 }
 
 // failedExchange is the Exchange returned once the job has already failed:
-// publishes are dropped, Notify never fires, and Failed/Err report the cause.
-type failedExchange struct{ t *transport }
+// publishes are dropped and Notify never fires.
+type failedExchange struct{}
 
-func (fx failedExchange) Publish(int, int, []byte) {}
-func (fx failedExchange) Notify(int) <-chan int    { return nil }
-func (fx failedExchange) Block(int, int) []byte    { return nil }
-func (fx failedExchange) Failed() <-chan struct{}  { return fx.t.failedCh }
-func (fx failedExchange) Err() error               { return fx.t.Err() }
-func (fx failedExchange) Close()                   {}
+func (failedExchange) Publish(int, int, []byte) {}
+func (failedExchange) Notify(int) <-chan int    { return nil }
+func (failedExchange) Block(int, int) []byte    { return nil }
+func (failedExchange) Close()                   {}
 
 // Gather implements the action allgather: every rank contributes the blobs of
 // the partitions it owns, the driver assembles the full set (its own blobs
 // directly, the workers' via gather frames) and rebroadcasts it, and every
 // rank returns the identical complete slice — which is what keeps the ranks'
 // subsequent driver-side folds in lockstep.
-func (e *Exec) Gather(seq uint64, n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error) {
+func (e *Exec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
 	t := e.t
 	if t.procs == 1 || n == 0 {
 		return owned, nil
 	}
-	owner := func(p int) int {
-		if ownerOf != nil {
-			return ownerOf(p)
-		}
-		return p % t.procs
-	}
 	gs := t.gatherFor(seq, n)
-	if t.rank == 0 {
-		for p := 0; p < n; p++ {
-			if owner(p) == 0 {
-				t.gatherStore(gs, p, owned[p])
-			}
-		}
-	} else {
-		for p := 0; p < n; p++ {
-			if owner(p) == t.rank {
-				t.sendTo(0, frameGather, encodeGather(gatherMsg{seq: seq, n: n, p: p, blob: owned[p]}))
-			}
+	for p := t.rank; p < n; p += t.procs { // the partitions this rank owns: p % procs == rank
+		if t.rank == 0 {
+			t.gatherStore(gs, p, owned[p])
+		} else {
+			t.sendTo(0, frameGather, encodeGather(gatherMsg{seq: seq, n: n, p: p, blob: owned[p]}))
 		}
 	}
 	return gs.wait()

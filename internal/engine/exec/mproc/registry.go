@@ -66,10 +66,6 @@ type Options struct {
 	// Slots is each process's task-slot parallelism; 0 selects GOMAXPROCS
 	// independently in every process.
 	Slots int
-	// WorkerBin is the executable to re-exec as workers; empty selects the
-	// current executable (os.Executable), which must call WorkerMaybe first
-	// thing in main.
-	WorkerBin string
 }
 
 // Result is a completed job.
@@ -104,11 +100,11 @@ func writeFrameTo(nc net.Conn, kind byte, body []byte) error {
 }
 
 // Run executes the registered job name with the given spec. Procs <= 1 runs
-// purely in-process; otherwise the current (or configured) binary is
-// re-exec'd W-1 times, the full TCP mesh is established, and all ranks run
-// the job in SPMD lockstep. Run returns rank 0's output and the cross-rank
-// merged metrics; any rank's failure (error return, crash, lost connection)
-// fails the whole job with the first cause.
+// purely in-process; otherwise the current binary is re-exec'd W-1 times, the
+// full TCP mesh is established, and all ranks run the job in SPMD lockstep.
+// Run returns rank 0's output and the cross-rank merged metrics; any rank's
+// failure (error return, crash, lost connection) fails the whole job with the
+// first cause.
 func Run(name string, spec []byte, opts Options) (*Result, error) {
 	fn, ok := jobFor(name)
 	if !ok {
@@ -129,13 +125,10 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 		return &Result{Output: out, Metrics: ctx.Metrics(), Wall: time.Since(start)}, nil
 	}
 
-	bin := opts.WorkerBin
-	if bin == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("mproc: resolve worker binary: %w", err)
-		}
-		bin = exe
+	// Workers are this executable re-exec'd (see WorkerMaybe).
+	bin, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("mproc: resolve worker binary: %w", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

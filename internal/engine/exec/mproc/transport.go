@@ -109,8 +109,6 @@ func (t *transport) fail(err error) {
 	})
 }
 
-func (t *transport) Failed() <-chan struct{} { return t.failedCh }
-
 func (t *transport) Err() error {
 	select {
 	case <-t.failedCh:
@@ -382,9 +380,6 @@ func (ex *wireExchange) Block(m, r int) []byte {
 	defer ex.mu.Unlock()
 	return ex.blocks[m*ex.out+r]
 }
-
-func (ex *wireExchange) Failed() <-chan struct{} { return ex.t.failedCh }
-func (ex *wireExchange) Err() error              { return ex.t.Err() }
 
 // Close releases the stage's block table. The state entry stays registered
 // (closed) so frames still in flight after an abort are dropped, not

@@ -3,31 +3,25 @@ package engine
 // The executor seam abstracts HOW the engine runs a job: how many task slots
 // this process owns, how many cooperating processes share the job, which rank
 // runs which task, how shuffle buckets travel from map to reduce tasks, and
-// how action results come back together. Three implementations exist:
+// how action results come back together. Two implementations exist:
 //
 //   - the in-process pool (this file): one process, shared memory, channel
 //     sends for bucket readiness — the single-node fast path (the Sparkle
 //     tradeoff: when everything fits one node, shared memory beats sockets);
 //   - the multi-process backend (internal/engine/exec/mproc): W cooperating
 //     OS processes running the same registered job in SPMD lockstep, moving
-//     buckets as length-prefixed frames over local TCP sockets;
-//   - the simulator oracle (internal/engine/exec/simexec): executes like the
-//     in-process pool but doubles as a planning oracle, replaying the
-//     recorded trace through the cluster model to predict scaling.
+//     buckets as length-prefixed frames over local TCP sockets.
 //
 // The SPMD contract every distributed executor relies on: all ranks run the
 // same job function deterministically, so they issue the same collective
 // operations (shuffles, gathers) in the same order. The engine numbers
 // collectives with Context.nextSeq; matching sequence numbers across ranks is
 // what lets bucket and gather frames find their stage without any global
-// scheduler. Task ownership is a pure function of the task index (canonically
-// task % Procs), so no rank ever asks another what to run.
+// scheduler. Task ownership is a pure function of the task index (task %
+// Procs, Context.ownerOf), so no rank ever asks another what to run.
 
 // Executor is the execution backend of a Context.
 type Executor interface {
-	// Name identifies the backend ("inproc", "mproc", "sim") in metrics and
-	// experiment output.
-	Name() string
 	// Slots is the task-slot parallelism of THIS process (the worker-pool
 	// size a Context schedules onto).
 	Slots() int
@@ -41,10 +35,9 @@ type Executor interface {
 	// (identical across ranks for the same stage).
 	Exchange(seq uint64, in, out int) Exchange
 	// Gather allgathers per-partition action blobs: each rank fills owned[p]
-	// for the partitions it owns (per ownerOf; nil means canonical p%Procs)
-	// and receives the complete n-slot slice back. With Procs()==1 it returns
-	// owned unchanged.
-	Gather(seq uint64, n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error)
+	// for the partitions it owns (p % Procs) and receives the complete n-slot
+	// slice back. With Procs()==1 it returns owned unchanged.
+	Gather(seq uint64, n int, owned [][]byte) ([][]byte, error)
 	// Failed returns a channel closed when the job has failed globally (a
 	// remote rank errored or a worker connection was lost); nil when the
 	// backend cannot fail remotely. Err reports the failure cause.
@@ -65,10 +58,6 @@ type Exchange interface {
 	// Block returns the stored block for (m, r); call only after m arrived on
 	// Notify(r). nil means the bucket was empty.
 	Block(m, r int) []byte
-	// Failed/Err mirror the executor-level failure channel for reduce tasks
-	// blocked mid-stage.
-	Failed() <-chan struct{}
-	Err() error
 	// Close releases the stage's transport state once the local tasks are
 	// done with it.
 	Close()
@@ -77,7 +66,6 @@ type Exchange interface {
 // localExec is the in-process backend: one process, Slots() task slots.
 type localExec struct{ slots int }
 
-func (e *localExec) Name() string            { return "inproc" }
 func (e *localExec) Slots() int              { return e.slots }
 func (e *localExec) Procs() int              { return 1 }
 func (e *localExec) Rank() int               { return 0 }
@@ -85,27 +73,25 @@ func (e *localExec) Err() error              { return nil }
 func (e *localExec) Failed() <-chan struct{} { return nil }
 
 func (e *localExec) Exchange(_ uint64, in, out int) Exchange {
-	return NewLocalExchange(in, out)
+	return newLocalExchange(in, out)
 }
 
-func (e *localExec) Gather(_ uint64, _ int, _ func(int) int, owned [][]byte) ([][]byte, error) {
+func (e *localExec) Gather(_ uint64, _ int, owned [][]byte) ([][]byte, error) {
 	return owned, nil
 }
 
 // localExchange is the shared-memory bucket transport: a flat block table
-// plus one buffered readiness channel per reduce partition. It is exported
-// through NewLocalExchange so out-of-package executors (simexec, and mproc's
-// own-rank fast path) can reuse it.
+// plus one buffered readiness channel per reduce partition.
 type localExchange struct {
 	in, out int
 	blocks  [][]byte // blocks[m*out+r]; the store happens-before the notify send
 	notify  []chan int
 }
 
-// NewLocalExchange builds the in-process Exchange for a shuffle stage with
+// newLocalExchange builds the in-process Exchange for a shuffle stage with
 // the given geometry. Publish never blocks: each notify channel is buffered
 // to the map-task count, and every (m, r) pair is published exactly once.
-func NewLocalExchange(in, out int) Exchange {
+func newLocalExchange(in, out int) *localExchange {
 	ex := &localExchange{in: in, out: out, blocks: make([][]byte, in*out), notify: make([]chan int, out)}
 	for r := range ex.notify {
 		ex.notify[r] = make(chan int, in)
@@ -122,6 +108,4 @@ func (ex *localExchange) Notify(r int) <-chan int { return ex.notify[r] }
 
 func (ex *localExchange) Block(m, r int) []byte { return ex.blocks[m*ex.out+r] }
 
-func (ex *localExchange) Failed() <-chan struct{} { return nil }
-func (ex *localExchange) Err() error              { return nil }
-func (ex *localExchange) Close()                  {}
+func (ex *localExchange) Close() {}

@@ -22,7 +22,7 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 	codec := effectiveSerializer(d.codec)
 	owned := make([][]byte, len(parts))
 	for p := range parts {
-		if d.ownerOf(p) != rank {
+		if ctx.ownerOf(p) != rank {
 			continue
 		}
 		b, err := codec.Marshal(parts[p])
@@ -31,12 +31,12 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		}
 		owned[p] = b
 	}
-	blobs, err := ctx.exec.Gather(ctx.nextSeq(), len(parts), d.ownerOf, owned)
+	blobs, err := ctx.exec.Gather(ctx.nextSeq(), len(parts), owned)
 	if err != nil {
 		return err
 	}
 	for p := range parts {
-		if d.ownerOf(p) == rank {
+		if ctx.ownerOf(p) == rank {
 			continue
 		}
 		items, err := codec.Unmarshal(blobs[p])

@@ -7,9 +7,9 @@ import (
 
 // lineage is the deferred execution plan of a lazy dataset: the maximal chain
 // of narrow operations recorded since the last materialized ancestor. Narrow
-// ops (Map/Filter/FlatMap/MapPartitions/ZipPartitions) do not execute when
-// called — they append themselves to the lineage, and compute is the fully
-// composed partition closure. A barrier (action, shuffle, union, sort) forces
+// ops (Map/Filter/FlatMap/MapPartitions/SortPartitions/ZipPartitions3) do not
+// execute when called — they append themselves to the lineage, and compute is
+// the fully composed partition closure. A barrier (action, shuffle) forces
 // the plan (planner.go): ancestors shared by several consumers materialize
 // first, then one task launch per partition runs the whole chain, items flow
 // through the composed closures with no intermediate storePartition and no
@@ -104,7 +104,6 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 	res := &Dataset[U]{
 		ctx:   d.ctx,
 		codec: codec,
-		owner: d.owner, // narrow: output p derives from input p, same rank
 		plan: &lineage[U]{
 			nparts:   d.NumPartitions(),
 			ops:      chainOps(d.lineageOps(), name),
@@ -138,44 +137,8 @@ func zipFX(fx fieldFX, sameSpace bool) fieldFX {
 	return fx
 }
 
-// lazyZip2 records a two-input narrow op (co-partitioned zip) as a lineage
-// node; both inputs' pending chains fuse into the new plan.
-func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fx fieldFX, fn func(p int, as []A, bs []B) ([]U, error)) *Dataset[U] {
-	fxA := zipFX(fx, sameRecordType[A, U]())
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	inA, inB := inMaskOf(a, fxA), inMaskOf(b, fxB)
-	res := &Dataset[U]{
-		ctx:   a.ctx,
-		codec: codec,
-		owner: a.owner, // zips require co-partitioned (hence co-owned) inputs
-		plan: &lineage[U]{
-			nparts:   a.NumPartitions(),
-			ops:      chainOps(append(append([]string(nil), a.lineageOps()...), b.lineageOps()...), name),
-			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) },
-			inMask:   func(need FieldMask) FieldMask { return inA(need) | inB(need) },
-			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
-				as, err := a.partitionNeed(p, tm, fxA.inNeed(need))
-				if err != nil {
-					return nil, err
-				}
-				bs, err := b.partitionNeed(p, tm, fxB.inNeed(need))
-				if err != nil {
-					return nil, err
-				}
-				recordTaskInput(tm, len(as)+len(bs))
-				out, err := fn(p, as, bs)
-				if err != nil {
-					return nil, fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
-				}
-				return out, nil
-			},
-		},
-	}
-	newLazyMeta(res, a.meta, b.meta)
-	return res
-}
-
-// lazyZip3 records a three-input narrow op as a lineage node.
+// lazyZip3 records a three-input narrow op (co-partitioned zip) as a lineage
+// node; all three inputs' pending chains fuse into the new plan.
 func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fx fieldFX, fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
 	fxA := zipFX(fx, sameRecordType[A, U]())
 	fxB := zipFX(fx, sameRecordType[B, U]())
@@ -186,7 +149,6 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
-		owner: a.owner,
 		plan: &lineage[U]{
 			nparts:   a.NumPartitions(),
 			ops:      chainOps(ops, name),
@@ -250,10 +212,9 @@ func runFused[T any](d *Dataset[T]) error {
 		row.InMask = pl.inMask(FieldsAll)
 	}
 	return d.ctx.runStage(taskSet{
-		row:     row,
-		n:       n,
-		hint:    pl.sizeHint,
-		ownerOf: d.ownerOf,
+		row:  row,
+		n:    n,
+		hint: pl.sizeHint,
 		fn: func(p int, tm *TaskMetrics) error {
 			out, err := pl.compute(p, tm, FieldsAll)
 			if err != nil {

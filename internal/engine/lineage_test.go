@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,16 +112,18 @@ func TestFusionNoIntermediateCodecRoundTrips(t *testing.T) {
 		t.Fatalf("unmarshal calls = %d, want 4 (one per partition)", got)
 	}
 
-	// The unfused baseline pays a round-trip per op.
+	// The unfused reference — Force() after each op — pays a round-trip per op.
 	eager := NewContext(2)
 	eager.StoreSerialized = true
-	eager.DisableFusion = true
 	ecodec := newCountingCodec[int]()
 	ed := WithCodec(Parallelize(eager, intRange(200), 4), ecodec)
 	for i := 0; i < 3; i++ {
 		var err error
 		ed, err = Map(fmt.Sprintf("m%d", i), ed, Serializer[int](ecodec), func(x int) int { return x + 1 })
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ed.Force(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +147,9 @@ type chainSpec struct {
 
 // applyChain builds the op chain over d in ctx and returns the collected
 // result. Op kinds cycle map/filter/flatMap with parameters from the spec.
-func applyChain(ctx *Context, spec chainSpec, serialized bool) ([]int, error) {
+// forceEach materializes every op's output before the next is recorded: the
+// unfused, one-stage-per-op reference.
+func applyChain(ctx *Context, spec chainSpec, serialized, forceEach bool) ([]int, error) {
 	in := make([]int, len(spec.items))
 	for i, v := range spec.items {
 		in[i] = int(v)
@@ -174,6 +179,9 @@ func applyChain(ctx *Context, spec chainSpec, serialized bool) ([]int, error) {
 				return out
 			})
 		}
+		if err == nil && forceEach {
+			err = cur.Force()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +189,9 @@ func applyChain(ctx *Context, spec chainSpec, serialized bool) ([]int, error) {
 	return Collect("collect", cur)
 }
 
-// Property: fused execution is item-for-item equivalent to the eager path
-// for random chains of map/filter/flatMap, with and without serialized
-// storage.
+// Property: fused execution is item-for-item equivalent to forcing every op
+// on its own, for random chains of map/filter/flatMap, with and without
+// serialized storage.
 func TestFusionEquivalenceProperty(t *testing.T) {
 	for _, serialized := range []bool{false, true} {
 		name := "materialized"
@@ -200,12 +208,11 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 				fusedCtx.StoreSerialized = serialized
 				eagerCtx := NewContext(2)
 				eagerCtx.StoreSerialized = serialized
-				eagerCtx.DisableFusion = true
-				fused, err := applyChain(fusedCtx, spec, serialized)
+				fused, err := applyChain(fusedCtx, spec, serialized, false)
 				if err != nil {
 					return false
 				}
-				eager, err := applyChain(eagerCtx, spec, serialized)
+				eager, err := applyChain(eagerCtx, spec, serialized, true)
 				if err != nil {
 					return false
 				}
@@ -218,7 +225,7 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 					}
 				}
 				// The fused run needs exactly one narrow stage per chain (plus
-				// the collect action); the eager run needs one per op.
+				// the collect action); the forced run needs one per op.
 				fm, em := fusedCtx.Metrics(), eagerCtx.Metrics()
 				wantFused := 2
 				if len(ops) == 0 {
@@ -298,6 +305,7 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
 	b := Parallelize(ctx, []int{10, 20, 30, 40}, 2)
+	c := Parallelize(ctx, []int{100, 200, 300, 400}, 2)
 	am, err := Map("a-inc", a, nil, func(x int) int { return x + 1 })
 	if err != nil {
 		t.Fatal(err)
@@ -306,10 +314,10 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := ZipPartitions2("zip", am, bm, nil, func(_ int, as, bs []int) ([]int, error) {
+	z, err := ZipPartitions3("zip", am, bm, c, nil, func(_ int, as, bs, cs []int) ([]int, error) {
 		out := make([]int, len(as))
 		for i := range as {
-			out[i] = as[i] + bs[i]
+			out[i] = as[i] + bs[i] + cs[i]
 		}
 		return out, nil
 	})
@@ -324,14 +332,14 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{13, 24, 35, 46}
+	want := []int{113, 224, 335, 446}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("zip chain = %v, want %v", out, want)
 		}
 	}
 	m := ctx.Metrics()
-	// Both input chains, the zip and the trailing map fuse into one stage.
+	// Both lazy input chains, the zip and the trailing map fuse into one stage.
 	if m.NumStages() != 2 {
 		t.Fatalf("stages = %d, want 2", m.NumStages())
 	}
@@ -404,57 +412,75 @@ func TestWithCodecOnLazyDataset(t *testing.T) {
 	}
 }
 
-func TestRepartitionDeterministic(t *testing.T) {
-	ctx := NewContext(4)
-	d := FromPartitions(ctx, [][]int{intRange(50), intRange(30), nil, intRange(20)})
-	a, err := Repartition("r1", d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Repartition("r2", d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		ap, _ := a.partition(p, nil)
-		bp, _ := b.partition(p, nil)
-		if len(ap) != len(bp) {
-			t.Fatalf("partition %d sizes differ: %d vs %d", p, len(ap), len(bp))
-		}
-		for i := range ap {
-			if ap[i] != bp[i] {
-				t.Fatalf("partition %d diverges at %d", p, i)
+// TestSortPartitionsFuses: a partition is whole inside one task, so sorting
+// needs no barrier — map → sort → map is one fused stage whose output equals
+// forcing each step, and under serialized storage it encodes each partition
+// once.
+func TestSortPartitionsFuses(t *testing.T) {
+	build := func(ctx *Context, codec Serializer[int], forceEach bool) []int {
+		d := WithCodec(Parallelize(ctx, []int{5, 3, 9, 1, 4, 8, 2, 0, 7, 6}, 3), codec)
+		step := func(next *Dataset[int], err error) {
+			if err == nil && forceEach {
+				err = next.Force()
 			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = next
 		}
+		step(Map("neg", d, codec, func(x int) int { return -x }))
+		step(SortPartitions("sort", d, func(a, b int) bool { return a < b }))
+		step(Map("inc", d, codec, func(x int) int { return x + 1 }))
+		out, err := Collect("c", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ctx := NewContext(2)
+	ctx.StoreSerialized = true
+	codec := newCountingCodec[int]()
+	fused := build(ctx, codec, false)
+	m := ctx.Metrics()
+	if m.NumStages() != 2 || m.Stages[0].Name != "neg+sort+inc" || m.Stages[0].FusedOps != 3 {
+		t.Fatalf("stages = %+v, want one fused neg+sort+inc row and the collect", m.Stages)
+	}
+	if got := codec.marshals.Load(); got != 3 {
+		t.Fatalf("marshal calls = %d, want 3 (one per partition)", got)
+	}
+	if want := build(NewContext(2), nil, true); !reflect.DeepEqual(fused, want) {
+		t.Fatalf("fused sort = %v, forcing each step = %v", fused, want)
+	}
+	if want := []int{-8, -4, -2, 0, -7, -3, -1, 1, -6, -5}; !reflect.DeepEqual(fused, want) {
+		t.Fatalf("fused sort = %v, want %v", fused, want)
 	}
 }
 
 // BenchmarkAblationFusion compares a fused chain of three narrow ops against
-// the eager per-op baseline, under serialized storage — the engine-level
+// forcing each op on its own, under serialized storage — the engine-level
 // ablation of the paper's narrow-stage fusion claim (§4.3). Fused runs
 // should show fewer allocations (no intermediate partitions) and no
 // intermediate codec round-trips.
 func BenchmarkAblationFusion(b *testing.B) {
-	run := func(b *testing.B, disableFusion bool) {
+	run := func(b *testing.B, forceEach bool) {
 		ctx := NewContext(4)
 		ctx.StoreSerialized = true
-		ctx.DisableFusion = disableFusion
+		force := func(d *Dataset[int], err error) *Dataset[int] {
+			if err == nil && forceEach {
+				err = d.Force()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			return d
+		}
 		base := WithCodec(Parallelize(ctx, intRange(100000), 16), gobSerializer[int]{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := Map("m", base, gobSerializer[int]{}, func(x int) int { return x + 1 })
-			if err != nil {
-				b.Fatal(err)
-			}
-			f, err := Filter("f", m, func(x int) bool { return x%3 != 0 })
-			if err != nil {
-				b.Fatal(err)
-			}
-			fm, err := FlatMap("fm", f, gobSerializer[int]{}, func(x int) []int { return []int{x} })
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := force(Map("m", base, gobSerializer[int]{}, func(x int) int { return x + 1 }))
+			f := force(Filter("f", m, func(x int) bool { return x%3 != 0 }))
+			fm := force(FlatMap("fm", f, gobSerializer[int]{}, func(x int) []int { return []int{x} }))
 			n, err := Count("count", fm)
 			if err != nil {
 				b.Fatal(err)

@@ -66,8 +66,8 @@ type StageMetrics struct {
 	Kind StageKind
 	// FusedOps is the number of narrow operations fused into this stage by
 	// the lineage planner (0 for stages that never went through the planner:
-	// shuffles, actions, eager narrow stages). The stage Name joins the fused
-	// op names with "+" in execution order.
+	// shuffles and actions). The stage Name joins the fused op names with "+"
+	// in execution order.
 	FusedOps int
 	// InMask is the field demand the stage's tasks read their input under —
 	// what its declared effects narrowed the source decode to. FieldsAll when

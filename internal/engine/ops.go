@@ -9,60 +9,16 @@ import (
 // partition independently. fn receives the partition index and its items.
 //
 // Narrow operations are LAZY: the call records a lineage node and returns
-// immediately; a downstream barrier (action, shuffle, union, sort) forces the
-// maximal pending chain as one fused stage (see lineage.go). Errors from fn
-// therefore surface at the barrier, wrapped with this stage's name. Setting
-// Context.DisableFusion restores eager one-stage-per-op execution.
+// immediately; a downstream barrier (action, shuffle) forces the maximal
+// pending chain as one fused stage (see lineage.go). Errors from fn therefore
+// surface at the barrier, wrapped with this stage's name.
 //
 // opts declare the op's field effects (WithEffects/ReadsOnly/Rebuilds), which
 // decide what its source blocks decode; with none the op conservatively reads
 // every field. Declared Writes only satisfy downstream demand when T and U
 // are the same type — a type-changing op always rebuilds its records.
 func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
-	fx := resolveFX(sameRecordType[T, U](), opts)
-	if d.ctx.DisableFusion {
-		return runNarrow(name, d, codec, fx, fn)
-	}
-	return lazyNarrow(name, d, codec, fx, fn), nil
-}
-
-// runNarrow is the eager narrow stage executor: one task launch per
-// partition, storing every output partition. Barriers that are themselves
-// narrow stages (SortPartitions) and fusion-disabled contexts run through it.
-// The output is stored with full field content (an eager stage cannot know
-// its consumers' demands), but the input is still read under the op's
-// declared effects — fx.inNeed(FieldsAll) — so a Rebuilds-style op prunes
-// its source decode even without fusion.
-func runNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fieldFX, fn func(p int, items []T) ([]U, error)) (*Dataset[U], error) {
-	if err := d.Force(); err != nil {
-		return nil, err
-	}
-	inNeed := fx.inNeed(FieldsAll)
-	res := newResult(d.ctx, codec, d.NumPartitions())
-	res.owner = d.owner // narrow: output p derives from input p, same rank
-	err := d.ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed},
-		n:       d.NumPartitions(),
-		hint:    d.partitionSizeHint,
-		ownerOf: d.ownerOf,
-		fn: func(p int, tm *TaskMetrics) error {
-			in, err := d.partitionNeed(p, tm, inNeed)
-			if err != nil {
-				return err
-			}
-			tm.InputItems = len(in)
-			out, err := fn(p, in)
-			if err != nil {
-				return fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
-			}
-			tm.OutputItems = len(out)
-			return storePartition(res, p, out, tm)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return lazyNarrow(name, d, codec, resolveFX(sameRecordType[T, U](), opts), fn), nil
 }
 
 // Map applies fn to every item.
@@ -102,64 +58,18 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool, opts ...StageO
 	}, opts...)
 }
 
-// ZipPartitions2 applies fn to aligned partitions of two co-partitioned
-// datasets. The partition counts must match; this is a narrow operation
-// (the Fig 7b fused bundle-map relies on it) and is lazy like MapPartitions:
-// both inputs' pending chains fuse into the recorded node. Declared effects
-// apply per input: Writes bits only satisfy downstream demand for inputs
-// sharing the output's record type.
-func ZipPartitions2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fn func(p int, as []A, bs []B) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
-	if a.NumPartitions() != b.NumPartitions() {
-		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d vs %d", name, a.NumPartitions(), b.NumPartitions())
-	}
-	fx := resolveFX(true, opts) // per-input spaces are checked edge-by-edge
-	if !a.ctx.DisableFusion {
-		return lazyZip2(name, a, b, codec, fx, fn), nil
-	}
-	if err := b.Force(); err != nil {
-		return nil, err
-	}
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	res, err := runNarrow(name, a, codec, zipFX(fx, sameRecordType[A, U]()), func(p int, as []A) ([]U, error) {
-		bs, err := b.partitionNeed(p, nil, fxB.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		return fn(p, as, bs)
-	})
-	return res, err
-}
-
 // ZipPartitions3 applies fn to aligned partitions of three co-partitioned
-// datasets — the bundle join of Fig 7 (FASTA + SAM + VCF per partition).
-// Lazy like ZipPartitions2.
+// datasets — the bundle join of Fig 7 (FASTA + SAM + VCF per partition). The
+// partition counts must match. It is a narrow operation, lazy like
+// MapPartitions: all three inputs' pending chains fuse into the recorded
+// node. Declared effects apply per input: Writes bits only satisfy downstream
+// demand for inputs sharing the output's record type.
 func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
 	if a.NumPartitions() != b.NumPartitions() || a.NumPartitions() != c.NumPartitions() {
 		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d/%d", name, a.NumPartitions(), b.NumPartitions(), c.NumPartitions())
 	}
-	fx := resolveFX(true, opts)
-	if !a.ctx.DisableFusion {
-		return lazyZip3(name, a, b, c, codec, fx, fn), nil
-	}
-	if err := b.Force(); err != nil {
-		return nil, err
-	}
-	if err := c.Force(); err != nil {
-		return nil, err
-	}
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	fxC := zipFX(fx, sameRecordType[C, U]())
-	return runNarrow(name, a, codec, zipFX(fx, sameRecordType[A, U]()), func(p int, as []A) ([]U, error) {
-		bs, err := b.partitionNeed(p, nil, fxB.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		cs, err := c.partitionNeed(p, nil, fxC.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		return fn(p, as, bs, cs)
-	})
+	// Per-input field spaces are checked edge by edge (zipFX).
+	return lazyZip3(name, a, b, c, codec, resolveFX(true, opts), fn), nil
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is
@@ -171,10 +81,9 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 	parts := make([][]T, d.NumPartitions())
 	var out []T
 	err := d.ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageAction},
-		n:       d.NumPartitions(),
-		hint:    d.partitionSizeHint,
-		ownerOf: d.ownerOf,
+		row:  StageMetrics{Name: name, Kind: StageAction},
+		n:    d.NumPartitions(),
+		hint: d.partitionSizeHint,
 		fn: func(p int, tm *TaskMetrics) error {
 			items, err := d.partition(p, tm)
 			tm.InputItems = len(items)
@@ -219,10 +128,9 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 	var acc T
 	found := false
 	err := d.ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageAction},
-		n:       d.NumPartitions(),
-		hint:    d.partitionSizeHint,
-		ownerOf: d.ownerOf,
+		row:  StageMetrics{Name: name, Kind: StageAction},
+		n:    d.NumPartitions(),
+		hint: d.partitionSizeHint,
 		fn: func(p int, tm *TaskMetrics) error {
 			items, err := d.partition(p, tm)
 			if err != nil {
@@ -288,12 +196,12 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 	if err := d.Force(); err != nil {
 		return 0, err
 	}
+	ctx := d.ctx
 	counts := make([]int, d.NumPartitions())
-	err := d.ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageAction},
-		n:       d.NumPartitions(),
-		hint:    d.partitionSizeHint,
-		ownerOf: d.ownerOf,
+	err := ctx.runStage(taskSet{
+		row:  StageMetrics{Name: name, Kind: StageAction},
+		n:    d.NumPartitions(),
+		hint: d.partitionSizeHint,
 		fn: func(p int, tm *TaskMetrics) error {
 			items, err := d.partitionNeed(p, tm, 0)
 			counts[p] = len(items)
@@ -301,21 +209,21 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 			return err
 		},
 	})
-	if err == nil && d.ctx.procs() > 1 {
-		rank := d.ctx.rank()
+	if err == nil && ctx.procs() > 1 {
+		rank := ctx.rank()
 		owned := make([][]byte, len(counts))
 		for p := range counts {
-			if d.ownerOf(p) != rank {
+			if ctx.ownerOf(p) != rank {
 				continue
 			}
 			var tmp [binary.MaxVarintLen64]byte
 			owned[p] = append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(counts[p]))]...)
 		}
 		var blobs [][]byte
-		blobs, err = d.ctx.exec.Gather(d.ctx.nextSeq(), len(counts), d.ownerOf, owned)
+		blobs, err = ctx.exec.Gather(ctx.nextSeq(), len(counts), owned)
 		if err == nil {
 			for p := range counts {
-				if d.ownerOf(p) == rank {
+				if ctx.ownerOf(p) == rank {
 					continue
 				}
 				v, read := binary.Uvarint(blobs[p])

@@ -86,10 +86,12 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zipped := lazyZip2("zip", armA, armB, Serializer[fakeRec](fakeColCodec{}), fieldFX{},
-		func(_ int, as, bs []fakeRec) ([]fakeRec, error) {
-			if len(as) != len(bs) {
-				return nil, fmt.Errorf("zip length mismatch: %d vs %d", len(as), len(bs))
+	// The arms join through the three-way zip, the materialized base as its
+	// third input.
+	zipped, err := ZipPartitions3("zip", armA, armB, base, Serializer[fakeRec](fakeColCodec{}),
+		func(_ int, as, bs, cs []fakeRec) ([]fakeRec, error) {
+			if len(as) != len(bs) || len(as) != len(cs) {
+				return nil, fmt.Errorf("zip length mismatch: %d/%d/%d", len(as), len(bs), len(cs))
 			}
 			out := make([]fakeRec, len(as))
 			for i := range as {
@@ -97,6 +99,9 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 			}
 			return out, nil
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := Collect("collect", zipped)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +147,11 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Claiming two consumers must not force (and must not swallow) anything.
-	zipped := lazyZip2("zip", armA, armB, nil, fieldFX{},
-		func(_ int, as, bs []fakeRec) ([]fakeRec, error) { return as, nil })
+	zipped, err := ZipPartitions3("zip", armA, armB, base, nil,
+		func(_ int, as, _, _ []fakeRec) ([]fakeRec, error) { return as, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Collect("collect", zipped); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("shared-prefix materialization error lost: %v", err)
 	}
@@ -300,7 +308,7 @@ func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[f
 		return Filter(name, d, func(rec fakeRec) bool { return val(rec)%3 != 0 }, ReadsOnly(reads))
 	case 3: // shuffle routed by the read fields
 		return PartitionBy(name, d, 1+r.Intn(5), func(rec fakeRec) int { return int(val(rec)) }, ReadsOnly(reads))
-	default: // sort barrier comparing the read fields
+	default: // sort comparing the read fields
 		return SortPartitions(name, d, func(a, b fakeRec) bool { return val(a) < val(b) }, ReadsOnly(reads))
 	}
 }

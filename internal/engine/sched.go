@@ -21,11 +21,7 @@ type taskSet struct {
 	// straggler tail on skewed partitions; nil keeps index order. Results
 	// stay indexed by task, so hints never change the output.
 	hint func(task int) int64
-	// ownerOf names the SPMD rank that runs each task; nil is the canonical
-	// task % procs. Tasks of sibling ranks keep a zero record with Ran false,
-	// which Metrics.MergeRanks splices from the rank that ran them.
-	ownerOf func(task int) int
-	fn      func(task int, tm *TaskMetrics) error
+	fn   func(task int, tm *TaskMetrics) error
 	// driver is the stage's serial driver step (allgather, fold), run once
 	// the tasks have succeeded and timed into DriverTime.
 	driver func() error
@@ -154,11 +150,10 @@ func (st *stage) run(sets ...taskSet) error {
 			for _, i := range lptOrder(set.n, set.hint) {
 				tm := &set.row.Tasks[i]
 				if procs > 1 {
-					owner := i % procs
-					if set.ownerOf != nil {
-						owner = set.ownerOf(i)
-					}
-					if owner != rank {
+					// Tasks of sibling ranks keep a zero record with Ran
+					// false, which Metrics.MergeRanks splices from the rank
+					// that ran them.
+					if c.ownerOf(i) != rank {
 						continue
 					}
 					tm.Ran, tm.Rank = true, rank

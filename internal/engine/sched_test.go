@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,4 +151,130 @@ func TestJobFailureCancelsStage(t *testing.T) {
 		t.Fatalf("err = %v, want the job failure wrapped with the stage name", err)
 	}
 	base.Check(t, leakcheck.Timeout(3*time.Second))
+}
+
+// rankBus is the shared memory the fake ranks of one SPMD job meet on: one
+// exchange and one gather board per collective sequence number.
+type rankBus struct {
+	procs     int
+	mu        sync.Mutex
+	exchanges map[uint64]*localExchange
+	gathers   map[uint64]*busGather
+}
+
+type busGather struct {
+	blobs   [][]byte
+	arrived int
+	done    chan struct{} // closed once every rank has contributed
+}
+
+// rankExec is one rank of a fake multi-rank job running inside this process:
+// the in-process pool reporting the bus's Procs and its own Rank, publishing
+// buckets into the exchange all ranks share and allgathering through the
+// bus's board.
+type rankExec struct {
+	localExec
+	bus  *rankBus
+	rank int
+}
+
+func (e *rankExec) Procs() int { return e.bus.procs }
+func (e *rankExec) Rank() int  { return e.rank }
+
+func (e *rankExec) Exchange(seq uint64, in, out int) Exchange {
+	e.bus.mu.Lock()
+	defer e.bus.mu.Unlock()
+	ex, ok := e.bus.exchanges[seq]
+	if !ok {
+		ex = newLocalExchange(in, out)
+		e.bus.exchanges[seq] = ex
+	}
+	return ex
+}
+
+func (e *rankExec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
+	b := e.bus
+	b.mu.Lock()
+	g, ok := b.gathers[seq]
+	if !ok {
+		g = &busGather{blobs: make([][]byte, n), done: make(chan struct{})}
+		b.gathers[seq] = g
+	}
+	for p := e.rank; p < n; p += b.procs {
+		g.blobs[p] = owned[p]
+	}
+	if g.arrived++; g.arrived == b.procs {
+		close(g.done)
+	}
+	b.mu.Unlock()
+	<-g.done
+	return g.blobs, nil
+}
+
+// TestOwnershipIsCanonical: partition ownership is the rule p % procs, not
+// state. At procs = 3, in a narrow stage, both halves of a shuffle, Collect,
+// Reduce and Count, rank r runs exactly the tasks with p % 3 == r; every rank
+// resumes from the actions with the same values; and reading a partition a
+// sibling holds is the loud non-resident error.
+func TestOwnershipIsCanonical(t *testing.T) {
+	const procs = 3
+	bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}, gathers: map[uint64]*busGather{}}
+	type outcome struct {
+		collected  []int
+		sum, count int
+		sibling    error
+		err        error
+		stages     []StageMetrics
+	}
+	job := func(ctx *Context) (o outcome) {
+		d, _ := Map("narrow", Parallelize(ctx, intRange(70), 7), nil, func(x int) int { return x + 1 })
+		if o.err = d.Force(); o.err != nil {
+			return o
+		}
+		_, o.sibling = d.partition((ctx.rank()+1)%procs, nil)
+		sh, err := PartitionBy("shuffle", d, 5, func(x int) int { return x })
+		if o.err = err; err != nil {
+			return o
+		}
+		if o.collected, o.err = Collect("collect", sh); o.err != nil {
+			return o
+		}
+		if o.sum, _, o.err = Reduce("reduce", sh, func(a, b int) int { return a + b }); o.err != nil {
+			return o
+		}
+		o.count, o.err = Count("count", sh)
+		o.stages = ctx.Metrics().Stages
+		return o
+	}
+	outcomes := make([]outcome, procs)
+	var wg sync.WaitGroup
+	for rank := range outcomes {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			outcomes[rank] = job(NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank}))
+		}(rank)
+	}
+	wg.Wait()
+	for rank, o := range outcomes {
+		if o.err != nil {
+			t.Fatalf("rank %d: %v", rank, o.err)
+		}
+		if o.sibling == nil || !strings.Contains(o.sibling.Error(), "not resident") {
+			t.Errorf("rank %d read a sibling's partition: err = %v, want the non-resident error", rank, o.sibling)
+		}
+		if !reflect.DeepEqual(o.collected, outcomes[0].collected) || o.sum != 70*71/2 || o.count != 70 {
+			t.Errorf("rank %d resumed with %d items, sum %d, count %d", rank, len(o.collected), o.sum, o.count)
+		}
+		if len(o.stages) != 6 { // narrow, shuffle/map, shuffle/reduce, collect, reduce, count
+			t.Fatalf("rank %d recorded %d stages, want 6", rank, len(o.stages))
+		}
+		for _, st := range o.stages {
+			for p, tk := range st.Tasks {
+				if tk.Ran != (p%procs == rank) {
+					t.Errorf("rank %d, stage %q, task %d: ran = %v", rank, st.Name, p, tk.Ran)
+				}
+			}
+		}
+	}
 }

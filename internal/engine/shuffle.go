@@ -7,7 +7,7 @@ import (
 )
 
 // shuffleCore is the wide-operation executor shared by every shuffle-shaped
-// op (PartitionBy, Repartition, CombineByKey). It is generic over B, the
+// op (PartitionBy, CombineByKey). It is generic over B, the
 // decoded form of one map-side bucket, and O, the output item type:
 //
 //   - mapTask runs once per input partition m and calls emit(r, block) for
@@ -29,14 +29,10 @@ type shuffleCore[B, O any] struct {
 	in, out int
 	inMask  FieldMask
 	mapHint func(m int) int64
-	// mapOwner maps a map-task index to the rank owning its input partition
-	// (nil = canonical m % procs). Reduce ownership is always canonical: the
-	// output dataset is freshly partitioned.
-	mapOwner func(m int) int
-	mapTask  func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
-	decode   func(r int, block []byte, tm *TaskMetrics) (B, error)
-	merge    func(r int, decoded []B, tm *TaskMetrics) ([]O, error)
-	res      *Dataset[O]
+	mapTask func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
+	decode  func(r int, block []byte, tm *TaskMetrics) (B, error)
+	merge   func(r int, decoded []B, tm *TaskMetrics) ([]O, error)
+	res     *Dataset[O]
 }
 
 // run executes the shuffle as one two-set pass of the stage runner: map tasks
@@ -66,10 +62,9 @@ func (sc *shuffleCore[B, O]) run() error {
 	defer ex.Close()
 	st := sc.ctx.newStage(sc.name)
 	maps := taskSet{
-		row:     StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask},
-		n:       sc.in,
-		hint:    sc.mapHint,
-		ownerOf: sc.mapOwner,
+		row:  StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask},
+		n:    sc.in,
+		hint: sc.mapHint,
 		fn: func(m int, tm *TaskMetrics) error {
 			published := make([]bool, sc.out)
 			// Publish stores the block before signaling readiness, so the
@@ -121,36 +116,39 @@ func (sc *shuffleCore[B, O]) run() error {
 	return st.run(maps, reduces)
 }
 
-// shuffle is the wide-operation core for key-routed item movement: route
-// decides the destination partition of each item from (map partition, item
-// index, item), map tasks bucket and serialize, reduce tasks decode arriving
-// buckets and concatenate them in map-task order.
+// PartitionBy is the wide operation: items are routed to the output
+// partition returned by key (reduced modulo numPartitions). Map tasks bucket
+// their items and serialize each bucket through the dataset's codec, charging
+// shuffle-write bytes; reduce tasks decode their buckets, charging
+// shuffle-read bytes, and concatenate them in map-task order. This mirrors
+// Spark's hash shuffle, where shuffle data is always serialized (and spilled
+// to disk) even for in-memory datasets — the behaviour §5.3.1 measures.
 //
-// A shuffle runs at the call: the input is forced, map tasks read their
-// partitions under fx.inNeed(FieldsAll) — fx declares what route itself
-// reads, and for a shuffle that passes its records through that is every
-// field — and buckets are encoded whole. The result is materialized and holds
-// no reference to the input.
-func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p, idx int, item T) int, fx fieldFX) (*Dataset[T], error) {
+// PartitionBy runs at the call: the input is forced and buckets are encoded
+// whole. opts declare the fields key reads (e.g.
+// ReadsOnly(colfmt.FieldCoord)); the records it routes pass through with
+// every field, so map tasks read their partitions under
+// fx.inNeed(FieldsAll) — every field — and still decode them whole. The
+// result is materialized and holds no reference to the input.
+func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, opts ...StageOption) (*Dataset[T], error) {
 	if numPartitions < 1 {
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
 	}
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
-	mapNeed := fx.inNeed(FieldsAll)
+	mapNeed := resolveFX(true, opts).inNeed(FieldsAll)
 	codec := effectiveSerializer(d.codec)
 	res := newResult(d.ctx, d.codec, numPartitions)
 	in := d.NumPartitions()
 	sc := &shuffleCore[[]T, T]{
-		ctx:      d.ctx,
-		name:     name,
-		in:       in,
-		out:      numPartitions,
-		inMask:   mapNeed,
-		mapHint:  d.partitionSizeHint,
-		mapOwner: d.ownerOf,
-		res:      res,
+		ctx:     d.ctx,
+		name:    name,
+		in:      in,
+		out:     numPartitions,
+		inMask:  mapNeed,
+		mapHint: d.partitionSizeHint,
+		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {
 			items, err := d.partitionNeed(p, tm, mapNeed)
 			if err != nil {
@@ -158,8 +156,8 @@ func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p,
 			}
 			tm.InputItems = len(items)
 			local := make([][]T, numPartitions)
-			for idx, it := range items {
-				k := route(p, idx, it) % numPartitions
+			for _, it := range items {
+				k := key(it) % numPartitions
 				if k < 0 {
 					k += numPartitions
 				}
@@ -210,92 +208,16 @@ func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p,
 	return res, nil
 }
 
-// PartitionBy is the wide operation: items are routed to the output
-// partition returned by key (reduced modulo numPartitions). The map side
-// serializes each bucket through the dataset's codec, charging shuffle-write
-// bytes to map tasks; the reduce side decodes its buckets, charging
-// shuffle-read bytes. This mirrors Spark's hash shuffle, where shuffle data
-// is always serialized (and spilled to disk) even for in-memory datasets —
-// the behaviour §5.3.1 measures. PartitionBy runs at the call and ships whole
-// records. opts declare the fields key reads (e.g.
-// ReadsOnly(colfmt.FieldCoord)); the records it routes pass through with
-// every field, so the map side still decodes them whole.
-func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, opts ...StageOption) (*Dataset[T], error) {
-	return shuffle(name, d, numPartitions, func(_, _ int, it T) int { return key(it) }, resolveFX(true, opts))
-}
-
-// Repartition rebalances items round-robin into numPartitions (a shuffle
-// without a semantic key). The destination is derived from the item's index
-// within its source partition (offset by the partition id so co-sized inputs
-// don't all start at bucket 0) — a pure function of (p, idx), so concurrent
-// map tasks share no counter state and the router reads no record fields.
-func Repartition[T any](name string, d *Dataset[T], numPartitions int) (*Dataset[T], error) {
-	return shuffle(name, d, numPartitions, func(p, idx int, _ T) int { return p + idx }, fieldFX{declared: true})
-}
-
-// Union concatenates datasets partition-wise (a narrow operation: partitions
-// are appended, not merged). Union is a barrier: the pending narrow chain of
-// every input is forced first.
-func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("engine: stage %q: union of nothing", name)
-	}
-	for _, d := range ds {
-		if err := d.Force(); err != nil {
-			return nil, err
-		}
-	}
-	ctx := ds[0].ctx
-	var total int
-	for _, d := range ds {
-		total += d.NumPartitions()
-	}
-	res := newResult(ctx, ds[0].codec, total)
-	type slot struct {
-		d *Dataset[T]
-		p int
-	}
-	slots := make([]slot, 0, total)
-	for _, d := range ds {
-		for p := 0; p < d.NumPartitions(); p++ {
-			slots = append(slots, slot{d, p})
-		}
-	}
-	// Each output slot is computed by the rank holding its source partition,
-	// so the result needs a custom ownership map (the canonical i % procs
-	// assignment would make ranks read partitions they don't hold).
-	res.owner = func(i int) int { return slots[i].d.ownerOf(slots[i].p) }
-	err := ctx.runStage(taskSet{
-		row:     StageMetrics{Name: name, Kind: StageNarrow},
-		n:       total,
-		hint:    func(i int) int64 { return slots[i].d.partitionSizeHint(slots[i].p) },
-		ownerOf: res.ownerOf,
-		fn: func(i int, tm *TaskMetrics) error {
-			items, err := slots[i].d.partition(slots[i].p, tm)
-			if err != nil {
-				return err
-			}
-			tm.InputItems = len(items)
-			tm.OutputItems = len(items)
-			return storePartition(res, i, items, tm)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SortPartitions sorts every partition in place by less — used after a
-// PartitionBy keyed on genomic position to produce coordinate-sorted
-// partitions (the Cleaner's sort step). Sorting needs the whole partition
-// resident, so it is a barrier: the pending chain is forced and the sort runs
-// as its own eager stage. opts declare the fields less reads; the output is
-// a permutation of the input, so the stage still reads every field.
+// SortPartitions sorts every partition by less — used after a PartitionBy
+// keyed on genomic position to produce coordinate-sorted partitions (the
+// Cleaner's sort step). A partition is whole inside one task, so sorting
+// needs no barrier: it is a narrow op, lazy and fused like MapPartitions.
+// opts declare the fields less reads; the output is a permutation of the
+// input, so every field a consumer demands passes through.
 func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool, opts ...StageOption) (*Dataset[T], error) {
-	return runNarrow(name, d, d.codec, resolveFX(true, opts), func(_ int, items []T) ([]T, error) {
+	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		out := append([]T(nil), items...)
 		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 		return out, nil
-	})
+	}, opts...)
 }

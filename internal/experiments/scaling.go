@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"github.com/gpf-go/gpf/internal/baseline"
+	"github.com/gpf-go/gpf/internal/cluster"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/engine/exec/mproc"
-	"github.com/gpf-go/gpf/internal/engine/exec/simexec"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
@@ -62,10 +62,7 @@ func runScalingWGS(ctx *engine.Context, sp ScalingSpec) ([]byte, error) {
 	rt.PartitionLen = sp.Scale.PartitionLen
 	rt.NumPartitions = sp.Scale.NumPartitions
 	rt.Known = d.Known
-	rt.Codec = sp.Opts.Codec
-	if !sp.Opts.DynamicRepartition {
-		rt.SplitThresholdFactor = 1e18
-	}
+	sp.Opts.Configure(rt)
 	ds := core.PairsToRDD(rt, d.Pairs, rt.NumPartitions)
 	if sp.InjectMapError {
 		var err error
@@ -164,7 +161,7 @@ func ScalingAt(s Scale, procs []int) (*ScalingResult, error) {
 			Identical:    bytes.Equal(r.Output, ref),
 		})
 	}
-	for i, p := range simexec.PredictScaling(base, slots, procs) {
+	for i, p := range cluster.PredictScaling(base, slots, procs) {
 		res.Points[i].Predicted = p.Makespan
 	}
 	return res, nil
@@ -190,8 +187,10 @@ func (r *ScalingResult) Format() []string {
 }
 
 // RunWGSOn executes the WGS pipeline once on the named executor backend —
-// the `gpf-bench -exp wgs -backend=...` path. backend is "inproc", "sim" or
-// "mproc"; procs only matters for mproc.
+// the `gpf-bench -exp wgs -backend=...` path. backend is "inproc" or "mproc";
+// procs only matters for mproc. The in-process run doubles as the planning
+// oracle: its metrics replay through the cluster model for the predicted
+// W=1..8 curve.
 func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 	slots := s.Workers
 	if slots < 1 {
@@ -214,11 +213,6 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 		if r, err = mproc.Run(ScalingJobName, spec, mproc.Options{Procs: procs, Slots: slots}); err == nil {
 			out, metrics = r.Output, r.Metrics
 		}
-	case "sim":
-		ctx := engine.NewContextOn(simexec.New(slots))
-		if out, err = runScalingWGS(ctx, sp); err == nil {
-			metrics = ctx.Metrics()
-		}
 	case "inproc", "":
 		backend = "inproc"
 		ctx := engine.NewContext(slots)
@@ -226,7 +220,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 			metrics = ctx.Metrics()
 		}
 	default:
-		return nil, fmt.Errorf("unknown backend %q (inproc|sim|mproc)", backend)
+		return nil, fmt.Errorf("unknown backend %q (inproc|mproc)", backend)
 	}
 	if err != nil {
 		return nil, err
@@ -254,8 +248,8 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 			fmt.Sprintf("write %8.3f MB", float64(w)/1e6),
 			fmt.Sprintf("read %8.3f MB", float64(st.ShuffleReadBytes())/1e6)))
 	}
-	if backend == "sim" {
-		for _, p := range simexec.PredictScaling(metrics, slots, scalingProcs) {
+	if backend == "inproc" {
+		for _, p := range cluster.PredictScaling(metrics, slots, scalingProcs) {
 			lines = append(lines, row(
 				fmt.Sprintf("oracle W=%d", p.Procs),
 				fmt.Sprintf("predicted %.2fs", p.Makespan.Seconds()),

@@ -32,10 +32,8 @@ var opFuncs = map[string]bool{
 	"Filter":         true,
 	"FlatMap":        true,
 	"MapPartitions":  true,
-	"ZipPartitions2": true,
 	"ZipPartitions3": true,
 	"PartitionBy":    true, // key func: the shuffle route callback
-	"Repartition":    true,
 	"SortPartitions": true,
 	"CountByKey":     true,
 	"CombineByKey":   true, // key + create/mergeValue/mergeCombiners closures

@@ -3,8 +3,9 @@
 // counter from the enclosing scope. Route callbacks run concurrently across
 // map tasks, so `next++` races — and worse, even with atomics the routing
 // would depend on task scheduling order, breaking reproducibility. The smoke
-// test asserts that `gpflint` exits non-zero on this file; the fixed engine
-// derives the destination purely from (partition, index).
+// test asserts that `gpflint` exits non-zero on this file; the fix derived the
+// destination purely from (partition, index), and the op itself has since
+// been deleted for want of callers.
 package racefixture
 
 import "github.com/gpf-go/gpf/internal/engine"

@@ -7,14 +7,13 @@ import (
 
 // Engine operations for building custom Processes: the same primitives the
 // built-in Processes use. Narrow operations (Map, Filter, FlatMap,
-// MapPartitions) are lazy — they record lineage and execute only at a
-// barrier (an action such as Collect, Reduce or Count, a wide operation such
-// as PartitionBy, which runs at the call, or SortPartitions), at which point
-// the maximal chain of pending narrow ops runs as a single fused stage per
-// partition. A fused
-// chain appears in the engine metrics as one stage named by joining the op
-// names with "+"; errors from narrow op functions likewise surface at the
-// barrier, not at the recording call.
+// MapPartitions, SortPartitions) are lazy — they record lineage and execute
+// only at a barrier (an action such as Collect, Reduce or Count, or a wide
+// operation such as PartitionBy, which runs at the call), at which point the
+// maximal chain of pending narrow ops runs as a single fused stage per
+// partition. A fused chain appears in the engine metrics as one stage named
+// by joining the op names with "+"; errors from narrow op functions likewise
+// surface at the barrier, not at the recording call.
 //
 // Every operation accepts optional StageOptions declaring its field effects
 // (ReadsOnly, Rebuilds, WithEffects). A fused chain derives from the
@@ -103,7 +102,7 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	return engine.PartitionBy(name, d, numPartitions, key, opts...)
 }
 
-// SortPartitions sorts every partition by less.
+// SortPartitions sorts every partition by less (a narrow, lazy op).
 func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool, opts ...StageOption) (*Dataset[T], error) {
 	return engine.SortPartitions(name, d, less, opts...)
 }
