@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/gpf-go/gpf/internal/genome"
+	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
@@ -108,31 +109,10 @@ func (t *RecalTable) SizeBytes() int64 {
 	return int64(16 * (1 + maxQual + maxCycle + numContext))
 }
 
-// forEachAlignedBase walks a record's CIGAR, invoking fn for every M/=/X
-// base with the read offset and the reference position it covers.
-func forEachAlignedBase(r *sam.Record, fn func(readPos, refPos int)) {
-	readPos, refPos := 0, int(r.Pos)
-	for _, op := range r.Cigar {
-		switch op.Op {
-		case 'M', '=', 'X':
-			for k := 0; k < op.Len; k++ {
-				if readPos+k < len(r.Seq) {
-					fn(readPos+k, refPos+k)
-				}
-			}
-			readPos += op.Len
-			refPos += op.Len
-		case 'I', 'S':
-			readPos += op.Len
-		case 'D', 'N':
-			refPos += op.Len
-		}
-	}
-}
-
 // BuildRecalTable runs BQSR pass 1 over one partition: count observations
-// and mismatches per covariate, skipping duplicates, unmapped reads, known
-// variant sites, N bases and low-quality bases.
+// and mismatches per covariate over every aligned (M/=/X) base, skipping
+// duplicates, unmapped reads, known variant sites, N bases and low-quality
+// bases.
 func BuildRecalTable(records []sam.Record, ref *genome.Reference, known KnownSites) *RecalTable {
 	t := &RecalTable{}
 	for i := range records {
@@ -145,47 +125,64 @@ func BuildRecalTable(records []sam.Record, ref *genome.Reference, known KnownSit
 		if refSeq == nil {
 			continue
 		}
-		forEachAlignedBase(r, func(readPos, refPos int) {
-			if refPos < 0 || refPos >= len(refSeq.Seq) {
-				return
+		readPos, refPos := 0, int(r.Pos)
+		for _, op := range r.Cigar {
+			switch op.Op {
+			case 'M', '=', 'X':
+				for k := 0; k < op.Len && readPos+k < len(r.Seq); k++ {
+					t.observe(r, readPos+k, contig, refPos+k, refSeq.Seq, known)
+				}
+				readPos += op.Len
+				refPos += op.Len
+			case 'I', 'S':
+				readPos += op.Len
+			case 'D', 'N':
+				refPos += op.Len
 			}
-			if known != nil && known(contig, refPos) {
-				return
-			}
-			base := r.Seq[readPos]
-			refBase := refSeq.Seq[refPos]
-			if base == 'N' || refBase == 'N' {
-				return
-			}
-			q := int(r.Qual[readPos]) - 33
-			if q < 2 {
-				return
-			}
-			if q >= maxQual {
-				q = maxQual - 1
-			}
-			isErr := int64(0)
-			if base != refBase {
-				isErr = 1
-			}
-			t.Global.Obs++
-			t.Global.Errs += isErr
-			t.ByQual[q].Obs++
-			t.ByQual[q].Errs += isErr
-			cb := cycleBin(readPos)
-			t.ByCycle[cb].Obs++
-			t.ByCycle[cb].Errs += isErr
-			var prev byte = 'N'
-			if readPos > 0 {
-				prev = r.Seq[readPos-1]
-			}
-			if ctx := contextBin(prev, base); ctx >= 0 {
-				t.ByCtx[ctx].Obs++
-				t.ByCtx[ctx].Errs += isErr
-			}
-		})
+		}
 	}
 	return t
+}
+
+// observe counts one aligned base of r against the reference.
+func (t *RecalTable) observe(r *sam.Record, readPos, contig, refPos int, refSeq []byte, known KnownSites) {
+	if refPos < 0 || refPos >= len(refSeq) {
+		return
+	}
+	if known != nil && known(contig, refPos) {
+		return
+	}
+	base := r.Seq[readPos]
+	refBase := refSeq[refPos]
+	if base == 'N' || refBase == 'N' {
+		return
+	}
+	q := int(r.Qual[readPos]) - 33
+	if q < 2 {
+		return
+	}
+	if q >= maxQual {
+		q = maxQual - 1
+	}
+	isErr := int64(0)
+	if base != refBase {
+		isErr = 1
+	}
+	t.Global.Obs++
+	t.Global.Errs += isErr
+	t.ByQual[q].Obs++
+	t.ByQual[q].Errs += isErr
+	cb := cycleBin(readPos)
+	t.ByCycle[cb].Obs++
+	t.ByCycle[cb].Errs += isErr
+	var prev byte = 'N'
+	if readPos > 0 {
+		prev = r.Seq[readPos-1]
+	}
+	if ctx := contextBin(prev, base); ctx >= 0 {
+		t.ByCtx[ctx].Obs++
+		t.ByCtx[ctx].Errs += isErr
+	}
 }
 
 // recalibratedQual computes the recalibrated Phred for a base using the
@@ -220,12 +217,27 @@ func (t *RecalTable) recalibratedQual(reportedQ, cycle int, prev, cur byte) int 
 	return qi
 }
 
-// ApplyRecalibration runs BQSR pass 2 over one partition, rewriting base
-// qualities in place using the merged table.
+// ApplyRecalibration runs BQSR pass 2 over one partition, replacing every
+// mapped record's quality string with the recalibrated one (the old string is
+// left untouched for whoever else holds it). With the kernels on, the new
+// strings are disjoint regions of one slab per call, capacity clipped to
+// length: in-place writes stay record-local, appends copy.
 func ApplyRecalibration(records []sam.Record, t *RecalTable) error {
 	if t == nil {
 		return fmt.Errorf("cleaner: nil recalibration table")
 	}
+	if kernels.Enabled() {
+		applyRecalibrationFast(records, t)
+	} else {
+		applyRecalibrationRef(records, t)
+	}
+	return nil
+}
+
+// applyRecalibrationRef is the original apply pass — four math.Log10 per
+// base — kept as the equivalence oracle and the kernels.SetEnabled(false)
+// path.
+func applyRecalibrationRef(records []sam.Record, t *RecalTable) {
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || len(r.Qual) != len(r.Seq) {
@@ -242,5 +254,110 @@ func ApplyRecalibration(records []sam.Record, t *RecalTable) error {
 		}
 		r.Qual = newQual
 	}
-	return nil
+}
+
+// recalLUT is a RecalTable prepared for the apply pass: recalibratedQual's
+// three empirical qualities depend only on the table's 593 bins, so they are
+// computed once per call instead of once per base. The cycle and context
+// entries hold empiricalQual() - global, the very float64 recalibratedQual
+// adds, and +0 for a bin with no observations, where it adds nothing: x + 0
+// is x for every x >= 1, so the per-base sum is the reference's, bit for bit.
+type recalLUT struct {
+	// byQual is indexed by the raw quality byte: the -33 offset and the clamp
+	// into 0..maxQual-1 are folded in.
+	byQual  [256]float64
+	byCycle [maxCycle]float64
+	// byCtx is indexed by prev*5+cur over base codes 0..3 and 4 for anything
+	// else (N, or no previous base), whose rows and columns stay +0.
+	byCtx [25]float64
+}
+
+// baseCode5 maps a base to its 2-bit code, or 4 when it has none.
+var baseCode5 = func() (t [256]uint8) {
+	for b := range t {
+		t[b] = 4
+		if c := genome.BaseCode(byte(b)); c >= 0 {
+			t[b] = uint8(c)
+		}
+	}
+	return
+}()
+
+// prepare fills the lookup form of t. t.Global.Obs must be positive.
+func (t *RecalTable) prepare(lut *recalLUT) {
+	global := t.Global.empiricalQual()
+	for b := range lut.byQual {
+		q := b - 33
+		if q >= maxQual {
+			q = maxQual - 1
+		}
+		if q < 0 {
+			q = 0
+		}
+		lut.byQual[b] = t.ByQual[q].empiricalQual()
+	}
+	for c := range lut.byCycle {
+		if t.ByCycle[c].Obs > 0 {
+			lut.byCycle[c] = t.ByCycle[c].empiricalQual() - global
+		}
+	}
+	for ctx := range t.ByCtx {
+		if t.ByCtx[ctx].Obs > 0 {
+			lut.byCtx[ctx/4*5+ctx%4] = t.ByCtx[ctx].empiricalQual() - global
+		}
+	}
+}
+
+// qual is recalibratedQual(qualByte-33, cycle, …)+33 for base codes prev and
+// cur (baseCode5): two clamps, three loads and the reference's two float adds
+// in the reference's order, hence the same rounded Phred.
+func (lut *recalLUT) qual(qualByte byte, cycle int, prev, cur uint8) byte {
+	out := lut.byQual[qualByte]
+	out += lut.byCycle[min(cycle, maxCycle-1)]
+	out += lut.byCtx[prev*5+cur]
+	qi := int(out + 0.5)
+	if qi < 2 {
+		qi = 2
+	}
+	if qi > 60 {
+		qi = 60
+	}
+	return byte(qi + 33)
+}
+
+// applyRecalibrationFast is applyRecalibrationRef through the prepared
+// table, writing into one slab.
+func applyRecalibrationFast(records []sam.Record, t *RecalTable) {
+	total := 0
+	for i := range records {
+		if r := &records[i]; !r.Unmapped() && len(r.Qual) == len(r.Seq) {
+			total += len(r.Qual)
+		}
+	}
+	slab := make([]byte, total)
+	var lut recalLUT
+	if t.Global.Obs > 0 {
+		t.prepare(&lut)
+	}
+	for i := range records {
+		r := &records[i]
+		if r.Unmapped() || len(r.Qual) != len(r.Seq) {
+			continue
+		}
+		n := len(r.Qual)
+		newQual := slab[:n:n]
+		slab = slab[n:]
+		if t.Global.Obs == 0 {
+			copy(newQual, r.Qual) // no observations: reported qualities stand
+			r.Qual = newQual
+			continue
+		}
+		prev := uint8(4)
+		for j, b := range r.Seq {
+			cur := baseCode5[b]
+			newQual[j] = lut.qual(r.Qual[j], j, prev, cur)
+			prev = cur
+		}
+		r.Qual = newQual
+	}
 }

@@ -6,7 +6,8 @@
 package cleaner
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/gpf-go/gpf/internal/sam"
 )
@@ -138,9 +139,25 @@ func GroupKey(r *sam.Record) int {
 }
 
 // SortByCoordinate sorts records in place by genomic coordinate (the
-// Cleaner's sort step).
+// Cleaner's sort step), stably: the order of sam.CoordinateLess, ties kept
+// in input order. It sorts a permutation — index swaps, not 136-byte record
+// swaps through reflection — with the input position as the last key, which
+// makes the order total and the unstable sort's result the stable one, and
+// applies it once.
 func SortByCoordinate(records []sam.Record) {
-	sort.SliceStable(records, func(i, j int) bool {
-		return sam.CoordinateLess(&records[i], &records[j])
+	order := make([]int, len(records))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := sam.CoordinateCompare(&records[a], &records[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	sorted := make([]sam.Record, len(records))
+	for i, j := range order {
+		sorted[i] = records[j]
+	}
+	copy(records, sorted)
 }

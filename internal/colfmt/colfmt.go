@@ -34,7 +34,8 @@
 //	       list — self-contained, unlike the Fig 4 codec whose N restoration
 //	       rides the quality stream)
 //	qual   mode byte (0 Huffman-delta via compress.EncodeQualBlock, 1 raw for
-//	       out-of-range bytes); per-record uvarint lengths; payload
+//	       out-of-range bytes or a histogram whose code would pass 31 bits);
+//	       per-record uvarint lengths; payload
 //	tags   per-record uvarint tag counts with (uvarint klen, uvarint vlen)
 //	       pairs, then concatenated key/value bytes in sorted-key order
 //
@@ -49,6 +50,7 @@ package colfmt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -501,26 +503,41 @@ func decMateCol(col []byte, recs []sam.Record) error {
 
 // --- seq column ---
 
+// seqException marks the bytes that do not round-trip through the 2-bit
+// alphabet — non-ACGT (N etc.) and lowercase bases, which BaseCode
+// case-folds — and therefore go on the seq column's exception list.
+var seqException = func() (t [256]bool) {
+	for b := range t {
+		code := genome.BaseCode(byte(b))
+		t[b] = code < 0 || genome.CodeBase(code) != byte(b)
+	}
+	return
+}()
+
 func encSeqCol(recs []sam.Record) []byte {
-	var dst []byte
+	total := 0
+	for i := range recs {
+		total += len(recs[i].Seq)
+	}
+	// Lengths (two bytes cover a 16 kb read), the exception count, a quarter
+	// byte per base rounded up per record; exceptions grow it if there are any.
+	dst := make([]byte, 0, 3*len(recs)+binary.MaxVarintLen64+total/4)
 	for i := range recs {
 		dst = binary.AppendUvarint(dst, uint64(len(recs[i].Seq)))
 	}
 	// Exceptions: global base index (cumulative across the concatenated
-	// sequences) and original byte for every base that does not round-trip
-	// through the 2-bit alphabet — non-ACGT (N etc.) and lowercase bases,
-	// which BaseCode case-folds.
+	// sequences) and original byte.
 	var excIdx []int
 	var excByte []byte
 	gi := 0
 	for i := range recs {
-		for _, b := range recs[i].Seq {
-			if code := genome.BaseCode(b); code < 0 || genome.CodeBase(code) != b {
-				excIdx = append(excIdx, gi)
+		for j, b := range recs[i].Seq {
+			if seqException[b] {
+				excIdx = append(excIdx, gi+j)
 				excByte = append(excByte, b)
 			}
-			gi++
 		}
+		gi += len(recs[i].Seq)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(excIdx)))
 	prev := 0
@@ -592,19 +609,28 @@ func decSeqCol(col []byte, recs []sam.Record) error {
 // --- qual column ---
 
 func encQualCol(recs []sam.Record) ([]byte, error) {
-	// The Huffman-delta coder covers quality bytes 0..126 (the legal FASTQ
-	// range plus the N marker); anything outside selects the raw fallback.
-	mode := byte(qualModeHuffman)
-scan:
+	quals := make([][]byte, len(recs))
+	total := 0
 	for i := range recs {
-		for _, b := range recs[i].Qual {
-			if b > 126 {
-				mode = qualModeRaw
-				break scan
-			}
-		}
+		quals[i] = recs[i].Qual
+		total += len(recs[i].Qual)
 	}
-	dst := []byte{mode}
+	// The Huffman-delta coder covers quality bytes 0..126 (the legal FASTQ
+	// range plus the N marker) under histograms whose code fits 31 bits;
+	// anything else selects the raw fallback.
+	mode := byte(qualModeHuffman)
+	block, err := compress.EncodeQualBlock(quals)
+	if errors.Is(err, compress.ErrQualUncodable) {
+		mode = qualModeRaw
+	} else if err != nil {
+		return nil, err
+	}
+	payload := len(block)
+	if mode == qualModeRaw {
+		payload = total
+	}
+	dst := make([]byte, 0, 1+3*len(recs)+payload)
+	dst = append(dst, mode)
 	for i := range recs {
 		dst = binary.AppendUvarint(dst, uint64(len(recs[i].Qual)))
 	}
@@ -613,14 +639,6 @@ scan:
 			dst = append(dst, recs[i].Qual...)
 		}
 		return dst, nil
-	}
-	quals := make([][]byte, len(recs))
-	for i := range recs {
-		quals[i] = recs[i].Qual
-	}
-	block, err := compress.EncodeQualBlock(quals)
-	if err != nil {
-		return nil, err
 	}
 	return append(dst, block...), nil
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -11,9 +12,18 @@ import (
 // stream with an EOF codeword). The code is canonical so that only the code
 // lengths need to be stored alongside the payload.
 
-// maxCodeLen bounds codeword length; 32 symbols cannot exceed 31 bits but we
-// keep the canonical table in uint32.
+// maxCodeLen bounds codeword length: codewords live in uint32, the bit
+// writers shift them into a 64-bit accumulator and the decoder indexes
+// per-length arrays of this size. The quality alphabet has 256 symbols, so a
+// Huffman tree over it can be up to 255 deep — Fibonacci-like frequencies
+// reach 32 at about nine million symbols — and buildCodeLengths refuses such
+// a histogram with errCodeTooLong rather than emit a table
+// validateCodeLens rejects.
 const maxCodeLen = 31
+
+// errCodeTooLong reports a frequency histogram whose Huffman tree is deeper
+// than maxCodeLen.
+var errCodeTooLong = errors.New("compress: Huffman code length exceeds max")
 
 // huffCode is one symbol's canonical codeword.
 type huffCode struct {
@@ -48,7 +58,9 @@ func (h *huffHeap) Pop() interface{} {
 
 // buildCodeLengths returns the canonical code length per symbol given
 // frequencies (0-frequency symbols get length 0 = absent). At least one
-// symbol must have nonzero frequency.
+// symbol must have nonzero frequency, and the alphabet must not exceed 256
+// symbols (depths are uint8). It is the reference tree builder:
+// buildCodeLengthsFast reproduces its lengths tie for tie.
 func buildCodeLengths(freqs []int64) ([]uint8, error) {
 	h := &huffHeap{}
 	for sym, f := range freqs {
@@ -84,6 +96,11 @@ func buildCodeLengths(freqs []int64) ([]uint8, error) {
 		walk(n.right, depth+1)
 	}
 	walk(root, 0)
+	for _, l := range lens {
+		if l > maxCodeLen {
+			return nil, errCodeTooLong
+		}
+	}
 	return lens, nil
 }
 

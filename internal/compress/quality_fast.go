@@ -1,0 +1,477 @@
+package compress
+
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// The word-wide quality coder: the same bytes as the reference coder in
+// quality.go and huffman.go, produced and consumed without a heap allocation
+// per block beyond the output itself. The P×P shuffle cuts partitions into
+// blocks of a few dozen records, so the per-block fixed costs — tree build,
+// canonical codes, decode tables — are array code on the stack, and the
+// per-symbol loops move whole words.
+//
+// Exactness, piece by piece:
+//   - code lengths: buildCodeLengthsFast runs container/heap's sift-up and
+//     sift-down over index arrays with the reference's (weight, symbol)
+//     order, so every tie — two internal nodes of equal weight included —
+//     resolves as it does there;
+//   - codewords: canonical numbering by counting sort on length is the
+//     reference's sort by (length, symbol) followed by consecutive codes;
+//   - bit order: MSB-first into a 64-bit accumulator flushed 32 bits at a
+//     time, zero padded at the end, like bitWriter;
+//   - decode: a symbol is whatever codeword prefixes the remaining bits, so
+//     the table walk, the canonical walk and the reference's bit-by-bit walk
+//     agree; a stream the fast loops cannot finish cleanly is handed to the
+//     reference decoder, which then reports the error.
+
+// lenHeap is container/heap's binary heap over packed keys: weight<<9 in the
+// high bits, symbol+1 in the low nine (0 for internal nodes, which therefore
+// sort before a leaf of equal weight and tie with each other, as in
+// huffHeap.Less). Weights are symbol counts of one block, far below 2^55.
+type lenHeap struct {
+	key [qualAlphabet]uint64
+	id  [qualAlphabet]uint16 // node id: leaves are their symbol, internal nodes follow
+	n   int
+}
+
+func (h *lenHeap) swap(i, j int) {
+	h.key[i], h.key[j] = h.key[j], h.key[i]
+	h.id[i], h.id[j] = h.id[j], h.id[i]
+}
+
+// push is heap.Push: append, then sift up.
+func (h *lenHeap) push(key uint64, id uint16) {
+	j := h.n
+	h.key[j], h.id[j] = key, id
+	h.n++
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h.key[j] < h.key[i]) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// pop is heap.Pop: swap the root to the end, sift the new root down over the
+// shortened heap, remove the end.
+func (h *lenHeap) pop() (uint64, uint16) {
+	n := h.n - 1
+	h.swap(0, n)
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.key[j2] < h.key[j1] {
+			j = j2 // right child
+		}
+		if !(h.key[j] < h.key[i]) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	h.n = n
+	return h.key[n], h.id[n]
+}
+
+// buildCodeLengthsFast is buildCodeLengths without pointer nodes: the same
+// heap operations in the same order, then depths read off a parent array
+// (a parent is always created after its children, so one descending pass
+// over the internal nodes assigns every depth).
+func buildCodeLengthsFast(freqs *[qualAlphabet]int64, lens *[qualAlphabet]uint8) error {
+	var h lenHeap
+	for sym, f := range freqs {
+		if f > 0 {
+			h.push(uint64(f)<<9|uint64(sym+1), uint16(sym))
+		}
+	}
+	*lens = [qualAlphabet]uint8{}
+	switch h.n {
+	case 0:
+		return fmt.Errorf("compress: no symbols to code")
+	case 1:
+		lens[h.id[0]] = 1
+		return nil
+	}
+	var parent [2*qualAlphabet - 1]uint16
+	next := uint16(qualAlphabet)
+	for h.n > 1 {
+		ka, a := h.pop()
+		kb, b := h.pop()
+		parent[a], parent[b] = next, next
+		h.push((ka>>9+kb>>9)<<9, next)
+		next++
+	}
+	root := next - 1
+	var depth [qualAlphabet]uint8 // of internal node id-qualAlphabet; the root's is 0
+	for id := root - 1; id >= qualAlphabet; id-- {
+		depth[id-qualAlphabet] = depth[parent[id]-qualAlphabet] + 1
+	}
+	for sym, f := range freqs {
+		if f > 0 {
+			l := depth[parent[sym]-qualAlphabet] + 1
+			if l > maxCodeLen {
+				return errCodeTooLong
+			}
+			lens[sym] = l
+		}
+	}
+	return nil
+}
+
+// canonicalFirst returns, per code length, how many symbols have it and the
+// first canonical codeword of that length (the reference's running code
+// shifted left across each length gap).
+func canonicalFirst(lens *[qualAlphabet]uint8) (count, first [maxCodeLen + 2]uint32, max uint) {
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	var code uint32
+	for l := uint(1); l <= maxCodeLen; l++ {
+		code <<= 1
+		first[l] = code
+		code += count[l]
+		if count[l] > 0 {
+			max = l
+		}
+	}
+	return count, first, max
+}
+
+// encodeQualBlockFast is encodeQualBlockRef with interleaved histograms, an
+// exactly sized output and 4-byte stores.
+func encodeQualBlockFast(quals [][]byte) ([]byte, error) {
+	// Pass 1: delta-symbol frequencies into four tables by position mod 4.
+	// Runs of equal deltas are the common case, and one table would chain
+	// every increment through a store-to-load forward of the same counter.
+	// Symbols are computed in uint8: valid bytes (<= 126) never wrap, and a
+	// wrapped index is harmless because out-of-range input is rejected below.
+	var h0, h1, h2, h3 [qualAlphabet]int64
+	var over uint64 // bit 7 of some byte set iff a quality byte is > 126
+	for _, q := range quals {
+		prev := byte(0)
+		i := 0
+		for ; i+8 <= len(q); i += 8 {
+			w := binary.LittleEndian.Uint64(q[i:])
+			// b|(b+1) has bit 7 set exactly for b in 127..255; a carry out
+			// of a byte needs b = 255, which has already set its own bit.
+			over |= w | (w + 0x0101010101010101)
+			// Each byte minus the one before it, prev before the first.
+			d := w<<8 | uint64(prev)
+			h0[byte(w)-byte(d)+deltaBias]++
+			h1[byte(w>>8)-byte(d>>8)+deltaBias]++
+			h2[byte(w>>16)-byte(d>>16)+deltaBias]++
+			h3[byte(w>>24)-byte(d>>24)+deltaBias]++
+			h0[byte(w>>32)-byte(d>>32)+deltaBias]++
+			h1[byte(w>>40)-byte(d>>40)+deltaBias]++
+			h2[byte(w>>48)-byte(d>>48)+deltaBias]++
+			h3[byte(w>>56)-byte(d>>56)+deltaBias]++
+			prev = byte(w >> 56)
+		}
+		for ; i < len(q); i++ {
+			b := q[i]
+			over |= uint64(b | (b + 1))
+			h0[b-prev+deltaBias]++
+			prev = b
+		}
+	}
+	if over&0x8080808080808080 != 0 {
+		return nil, fmt.Errorf("%w: quality byte above %d", ErrQualUncodable, maxQualByte)
+	}
+	var freqs [qualAlphabet]int64
+	for s := range freqs {
+		freqs[s] = h0[s] + h1[s] + h2[s] + h3[s]
+	}
+	freqs[qualEOFSymbol]++
+
+	var lens [qualAlphabet]uint8
+	if err := buildCodeLengthsFast(&freqs, &lens); err != nil {
+		if err == errCodeTooLong {
+			return nil, fmt.Errorf("%w: %v", ErrQualUncodable, err)
+		}
+		return nil, err
+	}
+	// Canonical codes packed code<<8|len, and the exact payload size.
+	_, nextCode, maxLen := canonicalFirst(&lens)
+	var enc [qualAlphabet]uint64
+	var payloadBits uint64
+	for sym, l := range lens {
+		if l > 0 {
+			enc[sym] = uint64(nextCode[l])<<8 | uint64(l)
+			nextCode[l]++
+			payloadBits += uint64(freqs[sym]) * uint64(l)
+		}
+	}
+	out := make([]byte, qualAlphabet+int((payloadBits+7)/8))
+	copy(out, lens[:])
+
+	// Pass 2: emit. Fewer than 32 bits are pending when a codeword (at most
+	// 31 bits) or, when no codeword is over 16 bits, two of them joined off
+	// the accumulator's dependency chain are added: never more than 63.
+	p := out[qualAlphabet:]
+	var acc uint64
+	var nAcc uint
+	o := 0
+	for _, q := range quals {
+		prev := byte(0)
+		i := 0
+		if maxLen <= 16 {
+			for ; i+2 <= len(q); i += 2 {
+				b0, b1 := q[i], q[i+1]
+				e0, e1 := enc[b0-prev+deltaBias], enc[b1-b0+deltaBias]
+				prev = b1
+				l1 := uint(e1 & 0xff)
+				l := uint(e0&0xff) + l1
+				acc = acc<<l | e0>>8<<l1 | e1>>8
+				nAcc += l
+				if nAcc >= 32 {
+					nAcc -= 32
+					binary.BigEndian.PutUint32(p[o:], uint32(acc>>nAcc))
+					o += 4
+				}
+			}
+		}
+		for ; i < len(q); i++ {
+			e := enc[q[i]-prev+deltaBias]
+			prev = q[i]
+			l := uint(e & 0xff)
+			acc = acc<<l | e>>8
+			nAcc += l
+			if nAcc >= 32 {
+				nAcc -= 32
+				binary.BigEndian.PutUint32(p[o:], uint32(acc>>nAcc))
+				o += 4
+			}
+		}
+	}
+	e := enc[qualEOFSymbol]
+	acc = acc<<(e&0xff) | e>>8
+	nAcc += uint(e & 0xff)
+	for nAcc >= 8 {
+		nAcc -= 8
+		p[o] = byte(acc >> nAcc)
+		o++
+	}
+	if nAcc > 0 {
+		p[o] = byte(acc << (8 - nAcc)) // zero padded, as bitWriter.finish
+	}
+	return out, nil
+}
+
+// qualPairBits is the width of the decode table's window: 4 KB of entries,
+// filled in about a microsecond, which a block of a few hundred symbols
+// already repays (a 12-bit window measured no faster on 200 000 symbols and
+// slower on 6 000).
+const qualPairBits = 10
+
+// qualDecoder holds the canonical decode tables of one block, all on the
+// caller's stack.
+type qualDecoder struct {
+	first  [maxCodeLen + 2]uint32 // smallest codeword of each length
+	count  [maxCodeLen + 2]uint32 // codewords of each length
+	offset [maxCodeLen + 2]uint32 // index into syms of each length's first symbol
+	syms   [qualAlphabet]uint8    // symbols ordered by (length, symbol)
+	max    uint
+	// pair maps a qualPairBits-wide window to the one or two whole codewords
+	// that start it: (len1+len2) | len1<<4 | symbols<<8 | sym1<<16 | sym2<<24
+	// (the bits to consume lowest: they sit on the loop's dependency chain),
+	// or 0 when the first codeword is longer than the window or the window
+	// starts no codeword.
+	pair [1 << qualPairBits]uint32
+}
+
+// init builds the canonical arrays by counting sort on length and fills the
+// pair table in one sweep over (first, second) codeword pairs in canonical
+// order: left-aligned canonical codewords tile the window space contiguously
+// in that order, so the sweep writes the table front to back. lens must have
+// passed validateCodeLens (Kraft sum at most 1 keeps every write in range).
+func (d *qualDecoder) init(lens *[qualAlphabet]uint8) {
+	var next [maxCodeLen + 2]uint32
+	d.count, d.first, d.max = canonicalFirst(lens)
+	var total uint32
+	for l := uint(1); l <= d.max; l++ {
+		d.offset[l] = total
+		next[l] = total
+		total += d.count[l]
+	}
+	for sym, l := range lens {
+		if l > 0 {
+			d.syms[next[l]] = uint8(sym)
+			next[l]++
+		}
+	}
+	tbl := &d.pair
+	for l1 := uint(1); l1 <= min(qualPairBits, d.max); l1++ {
+		rem := qualPairBits - l1
+		for i1 := uint32(0); i1 < d.count[l1]; i1++ {
+			s1 := uint32(d.syms[d.offset[l1]+i1])
+			at := (d.first[l1] + i1) << rem
+			end := at + 1<<rem
+			for l2 := uint(1); l2 <= min(rem, d.max); l2++ {
+				span := uint32(1) << (rem - l2)
+				for i2 := uint32(0); i2 < d.count[l2]; i2++ {
+					e := uint32(l1+l2) | uint32(l1)<<4 | 2<<8 | s1<<16 | uint32(d.syms[d.offset[l2]+i2])<<24
+					for k := at; k < at+span; k++ {
+						tbl[k] = e
+					}
+					at += span
+				}
+			}
+			// No whole second codeword fits behind these prefixes.
+			e := uint32(l1) | uint32(l1)<<4 | 1<<8 | s1<<16
+			for k := at; k < end; k++ {
+				tbl[k] = e
+			}
+		}
+	}
+}
+
+// qualBits is the MSB-first bit cursor of the decoder: the next bit is bit 63
+// of buf, cnt bits of buf are accounted for, bits below them are zero.
+type qualBits struct {
+	p   []byte
+	pos int
+	buf uint64
+	cnt uint
+}
+
+// next decodes one symbol with exact end-of-input accounting: ok is false on
+// a truncated stream or a bit pattern that is no codeword.
+func (d *qualDecoder) next(r *qualBits) (sym byte, ok bool) {
+	for r.cnt < 56 && r.pos < len(r.p) {
+		r.buf |= uint64(r.p[r.pos]) << (56 - r.cnt)
+		r.pos++
+		r.cnt += 8
+	}
+	if e := d.pair[r.buf>>(64-qualPairBits)]; e != 0 {
+		// The window is zero padded past the input: the codeword counts only
+		// if all of it is real.
+		if l := uint(e >> 4 & 0xf); l <= r.cnt {
+			r.buf <<= l
+			r.cnt -= l
+			return byte(e >> 16), true
+		}
+	}
+	for l := uint(1); l <= d.max && l <= r.cnt; l++ {
+		code := uint32(r.buf >> (64 - l))
+		if idx := code - d.first[l]; code >= d.first[l] && idx < d.count[l] {
+			r.buf <<= l
+			r.cnt -= l
+			return d.syms[d.offset[l]+idx], true
+		}
+	}
+	return 0, false
+}
+
+// decodeQualBlockFast is decodeQualBlockRef into one slab: symbols are
+// decoded flat through 64-bit refills, four table lookups of up to two
+// symbols per refill, the last few and the EOF bit by bit; a second pass
+// turns deltas into values per record and range-checks them. ok is false for
+// any block it cannot vouch for — short, truncated, no valid codeword, a
+// value outside 0..126, EOF early (symbol 255 drives the value out of range)
+// or late — and the caller reruns the reference decoder for the error.
+func decodeQualBlockFast(data []byte, lengths []int) (out [][]byte, ok bool) {
+	if len(data) < qualAlphabet {
+		return nil, false
+	}
+	lens := (*[qualAlphabet]uint8)(data)
+	if validateCodeLens(lens[:]) != nil {
+		return nil, false
+	}
+	payload := data[qualAlphabet:]
+	// Every symbol takes at least one payload bit: lengths that sum past that
+	// are corrupt, and the bound caps the slab.
+	maxSymbols := 8 * len(payload)
+	total := 0
+	for _, n := range lengths {
+		if n < 0 || n > maxSymbols-total {
+			return nil, false
+		}
+		total += n
+	}
+	var d qualDecoder
+	d.init(lens)
+	slab := make([]byte, total)
+	r := qualBits{p: payload}
+	n, ok := d.decodeGroups(&r, slab)
+	if !ok {
+		return nil, false
+	}
+	for ; n < total; n++ {
+		if slab[n], ok = d.next(&r); !ok {
+			return nil, false
+		}
+	}
+	if sym, ok := d.next(&r); !ok || sym != qualEOFSymbol {
+		return nil, false
+	}
+
+	// Pass 2: deltas to values, in uint8. With every earlier value in range,
+	// v|(v+1) has bit 7 set exactly when v = prev+sym-127 falls outside 0..126.
+	out = make([][]byte, len(lengths))
+	var over byte
+	pos := 0
+	for i, n := range lengths {
+		q := slab[pos : pos+n : pos+n]
+		pos += n
+		prev := byte(0)
+		for j, s := range q {
+			prev += s - deltaBias
+			over |= prev | (prev + 1)
+			q[j] = prev
+		}
+		out[i] = q
+	}
+	if over&0x80 != 0 {
+		return nil, false
+	}
+	return out, true
+}
+
+// decodeGroups fills slab with symbols while eight more of them and eight
+// more payload bytes remain, returning how many it decoded; the caller
+// finishes with next. ok is false when a bit pattern is no codeword.
+func (d *qualDecoder) decodeGroups(r *qualBits, slab []byte) (n int, ok bool) {
+	p, pos, buf, cnt := r.p, r.pos, r.buf, r.cnt
+	for n+8 <= len(slab) && pos+8 <= len(p) {
+		// Refill to at least 56 bits: four windows of qualPairBits.
+		buf |= binary.BigEndian.Uint64(p[pos:]) >> cnt
+		pos += int(63-cnt) >> 3
+		cnt |= 56
+		k := 0
+		for ; k < 4; k++ {
+			e := d.pair[buf>>(64-qualPairBits)]
+			if e == 0 {
+				break
+			}
+			l := uint(e & 0xf)
+			buf <<= l
+			cnt -= l
+			// Both bytes are stored; a one-symbol entry's second is
+			// overwritten by the next store (n+8 <= len(slab) leaves room).
+			slab[n] = byte(e >> 16)
+			slab[n+1] = byte(e >> 24)
+			n += int(e >> 8 & 3)
+		}
+		if k < 4 {
+			// A codeword longer than the window (or none): one careful
+			// symbol, then back to the groups.
+			r.pos, r.buf, r.cnt = pos, buf&^(1<<(64-cnt)-1), cnt
+			if slab[n], ok = d.next(r); !ok {
+				return n, false
+			}
+			n++
+			pos, buf, cnt = r.pos, r.buf, r.cnt
+		}
+	}
+	r.pos, r.buf, r.cnt = pos, buf&^(1<<(64-cnt)-1), cnt
+	return n, true
+}

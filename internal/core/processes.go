@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/gpf-go/gpf/internal/align"
@@ -368,23 +369,28 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	return p.emitSAM(rt, p.out, next, info)
 }
 
-// knownSitesFunc builds a mask over the partition's known variants.
+// knownSitesFunc builds a mask over the partition's known variants: the
+// covered (contig, position) keys, sorted, probed by binary search — a
+// handful of sites per partition here, and memory by site count rather than
+// by span whatever the partitioning.
 func knownSitesFunc(rt *Runtime, known []vcf.Record) cleaner.KnownSites {
-	if len(known) == 0 {
-		return nil
-	}
-	mask := make(map[int64]bool, len(known))
+	var sites []int64
 	for _, v := range known {
 		contig, ok := rt.Ref.ContigID(v.Chrom)
 		if !ok {
 			continue
 		}
 		for off := 0; off < len(v.Ref); off++ {
-			mask[int64(contig)<<40|int64(v.Pos+off)] = true
+			sites = append(sites, int64(contig)<<40|int64(v.Pos+off))
 		}
 	}
+	if len(sites) == 0 {
+		return nil
+	}
+	slices.Sort(sites)
 	return func(contig, pos int) bool {
-		return mask[int64(contig)<<40|int64(pos)]
+		_, found := slices.BinarySearch(sites, int64(contig)<<40|int64(pos))
+		return found
 	}
 }
 

@@ -155,16 +155,32 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 				return err
 			}
 			tm.InputItems = len(items)
-			local := make([][]T, numPartitions)
-			for _, it := range items {
-				k := key(it) % numPartitions
+			// Bucket by counting scatter: keys once, per-bucket counts, then
+			// every item copied once into its bucket's region of one slab —
+			// same bucket contents in the same order as appending would give.
+			dest := make([]int, len(items))
+			end := make([]int, numPartitions) // bucket r is slab[end[r-1]:end[r]]
+			for i := range items {
+				k := key(items[i]) % numPartitions
 				if k < 0 {
 					k += numPartitions
 				}
-				local[k] = append(local[k], it)
+				dest[i] = k
+				end[k]++
+			}
+			for r, at := 0, 0; r < numPartitions; r++ {
+				at, end[r] = at+end[r], at
+			}
+			slab := make([]T, len(items))
+			for i := range items {
+				slab[end[dest[i]]] = items[i]
+				end[dest[i]]++
 			}
 			serStart := time.Now()
-			for r, bucket := range local {
+			start := 0
+			for r := range end {
+				bucket := slab[start:end[r]]
+				start = end[r]
 				if len(bucket) == 0 {
 					continue
 				}

@@ -176,12 +176,16 @@ func TestFig10ScalingShape(t *testing.T) {
 			t.Fatal("Churchill should not scale past 1024 cores")
 		}
 	}
-	// Paper: GPF about 3x faster than Churchill at matched cores (1024).
+	// Paper: GPF about 3x faster than Churchill at matched cores (1024), and
+	// scaling better to get there (Table 5's efficiencies, at matched cores).
 	for _, p := range res.Points {
 		if p.Cores == 1024 {
 			ratio := float64(p.ChurchillTime) / float64(p.GPFTime)
 			if ratio < 1.5 {
 				t.Fatalf("GPF advantage at 1024 cores only %.2fx; want >= 1.5x (paper ~3x)", ratio)
+			}
+			if p.GPFSpeedup <= p.ChurchillSpeedup {
+				t.Fatalf("at 1024 cores GPF speedup %.2fx should exceed Churchill's %.2fx", p.GPFSpeedup, p.ChurchillSpeedup)
 			}
 		}
 	}
@@ -371,8 +375,14 @@ func TestTable5Efficiencies(t *testing.T) {
 	if gpf.ParallelEfficiency < 0.42 {
 		t.Fatalf("GPF efficiency %.2f, want >= 0.42 (paper plotted 0.45)", gpf.ParallelEfficiency)
 	}
-	if churchill.ParallelEfficiency >= gpf.ParallelEfficiency {
-		t.Fatalf("Churchill efficiency %.2f should be below GPF %.2f",
+	// Churchill's row is at half GPF's cores. Since PR 21 the two values sit
+	// inside one another's run-to-run wobble (GPF 0.42-0.53 around 0.48,
+	// Churchill 0.46-0.48: EXPERIMENTS.md "Figure 10"), so the order of the
+	// two rows is not a property one measurement has; that Churchill is not
+	// above GPF by more than the wobble is. The strict comparison is the one
+	// at matched cores, in TestFig10ScalingShape.
+	if churchill.ParallelEfficiency >= gpf.ParallelEfficiency+0.03 {
+		t.Fatalf("Churchill efficiency %.2f should not be above GPF %.2f",
 			churchill.ParallelEfficiency, gpf.ParallelEfficiency)
 	}
 	if gpf.Cores != 2048 {

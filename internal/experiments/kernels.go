@@ -23,10 +23,13 @@ type KernelsRun struct {
 // KernelsResult reproduces the hot-kernel ablation (see DESIGN.md, "Hot
 // kernels"): the WGS pipeline with kernels.SetEnabled on versus off.
 // Because every kernel is either exactly equivalent (banded alignment via
-// its certificate, table/word-parallel base ops) or equivalent far below the
-// genotyper's decision thresholds (scaled pair-HMM), the emitted VCF must be
-// byte-identical; Kernels enforces that, making the ablation double as an
-// end-to-end determinism check.
+// its certificate, table/word-parallel base ops, the word-wide quality coder
+// every shuffle block goes through, the per-bin BQSR tables) or equivalent
+// far below the genotyper's decision thresholds (scaled pair-HMM), the
+// emitted VCF must be byte-identical; Kernels enforces that, making the
+// ablation double as an end-to-end determinism check. The one switch flips
+// the cleaner's and the codec's kernels with the rest, so this single pair of
+// WGS runs covers them too.
 type KernelsResult struct {
 	Fast      KernelsRun
 	Reference KernelsRun

@@ -5,6 +5,7 @@
 package sam
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -280,7 +281,11 @@ func (h *Header) Clone(sort SortOrder) *Header {
 
 // CoordinateLess orders records by (RefID, Pos, strand, name); unmapped reads
 // (-1 contig) sort last, matching samtools sort.
-func CoordinateLess(a, b *Record) bool {
+func CoordinateLess(a, b *Record) bool { return CoordinateCompare(a, b) < 0 }
+
+// CoordinateCompare is the three-way form of CoordinateLess: negative when a
+// sorts before b, positive when after, zero when the order leaves them tied.
+func CoordinateCompare(a, b *Record) int {
 	ar, br := a.RefID, b.RefID
 	if ar < 0 {
 		ar = 1 << 30
@@ -289,13 +294,16 @@ func CoordinateLess(a, b *Record) bool {
 		br = 1 << 30
 	}
 	if ar != br {
-		return ar < br
+		return cmp.Compare(ar, br)
 	}
 	if a.Pos != b.Pos {
-		return a.Pos < b.Pos
+		return cmp.Compare(a.Pos, b.Pos)
 	}
 	if a.Reverse() != b.Reverse() {
-		return !a.Reverse()
+		if b.Reverse() {
+			return -1
+		}
+		return 1
 	}
-	return a.Name < b.Name
+	return strings.Compare(a.Name, b.Name)
 }

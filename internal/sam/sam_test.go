@@ -2,6 +2,10 @@ package sam
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -174,6 +178,55 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if recs2[0].Tags["RG"] != "rg1" {
 		t.Fatalf("tags lost: %v", recs2[0].Tags)
+	}
+}
+
+// TestReadTextSizedAndUnsizedReadersAgree: ReadText pre-sizes its record slice
+// when the reader can tell its size (a Len method, a regular file) and cannot
+// otherwise; what it returns must not depend on which. The second text opens
+// with a record line a tenth as long as the rest, so the size guess is ten
+// times over and must be given back.
+func TestReadTextSizedAndUnsizedReadersAgree(t *testing.T) {
+	h, recs := sampleRecords()
+	var even, shortFirst bytes.Buffer
+	if err := WriteText(&even, h, recs); err != nil {
+		t.Fatal(err)
+	}
+	long := Record{Name: "long", Flag: FlagUnmapped, RefID: -1, Pos: -1, MateRef: -1, MatePos: -1,
+		Seq: bytes.Repeat([]byte("A"), 400), Qual: bytes.Repeat([]byte("I"), 400)}
+	skewed := []Record{{Name: "s", Flag: FlagUnmapped, RefID: -1, Pos: -1, MateRef: -1, MatePos: -1, Seq: []byte("A"), Qual: []byte("I")}}
+	for i := 0; i < 40; i++ {
+		skewed = append(skewed, long)
+	}
+	if err := WriteText(&shortFirst, h, skewed); err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range map[string][]byte{"even": even.Bytes(), "short first line": shortFirst.Bytes()} {
+		path := filepath.Join(t.TempDir(), "in.sam")
+		if err := os.WriteFile(path, text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		wantH, want, err := ReadText(struct{ io.Reader }{bytes.NewReader(text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, rd := range map[string]io.Reader{"bytes.Reader": bytes.NewReader(text), "os.File": f} {
+			gotH, got, err := ReadText(rd)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, kind, err)
+			}
+			if !reflect.DeepEqual(gotH, wantH) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s and an unsized reader disagree", name, kind)
+			}
+			if cap(got) > 2*len(got) {
+				t.Fatalf("%s, %s: %d records hold capacity for %d", name, kind, len(got), cap(got))
+			}
+		}
 	}
 }
 

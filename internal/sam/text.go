@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"io/fs"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,8 +78,23 @@ func mateRefName(h *Header, r *Record) string {
 	return refName(h, r.MateRef)
 }
 
+// remainingBytes reports how many bytes rd still holds when it can tell — an
+// in-memory reader's Len, a regular file's size — and 0 otherwise.
+func remainingBytes(rd io.Reader) int64 {
+	switch v := rd.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return 0
+}
+
 // ReadText parses SAM text into a header and records.
 func ReadText(rd io.Reader) (*Header, []Record, error) {
+	size := remainingBytes(rd)
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	h := &Header{Sort: Unsorted}
@@ -100,10 +117,20 @@ func ReadText(rd io.Reader) (*Header, []Record, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("sam: line %d: %w", lineNo, err)
 		}
+		if records == nil && size > 0 {
+			// Size the slice once from the first record line instead of
+			// append-doubling 136-byte records; lines of one run differ by a
+			// few digits, and append still covers an underestimate. The cap
+			// and the clone below bound what a short first line can cost.
+			records = make([]Record, 0, min(size/int64(len(line)+1)+1, 1<<20))
+		}
 		records = append(records, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("sam: scanning: %w", err)
+	}
+	if cap(records) > 2*len(records) {
+		records = slices.Clone(records) // the guess was far over: give it back
 	}
 	return h, records, nil
 }
