@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/gpf-go/gpf/internal/engine/exec/mproc"
@@ -74,10 +75,6 @@ func runners() []runner {
 			r, err := experiments.ProjectionPlanner(s)
 			return format(r, err)
 		}, "projection planner: declared-effect decode narrowing vs disabled vs row codec, census decode bytes"},
-		{"kernels", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Kernels(s)
-			return format(r, err)
-		}, "hot-kernel ablation: WGS wall fast vs reference kernels, VCF byte-identity"},
 		{"scaling", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.Scaling(s)
 			return format(r, err)
@@ -97,12 +94,21 @@ func format(r formatter, err error) ([]string, error) {
 	return r.Format(), nil
 }
 
+// expUsage is the -exp help text: every runner id, then "all".
+func expUsage() string {
+	var ids strings.Builder
+	for _, r := range runners() {
+		ids.WriteString(r.id + "|")
+	}
+	return "experiment id (" + ids.String() + "all)"
+}
+
 func main() {
 	// When re-exec'd as an mproc worker this never returns; it must run
 	// before any flag or experiment logic.
 	mproc.WorkerMaybe()
 
-	exp := flag.String("exp", "all", "experiment id (table1|fig5|table3|table4|fig10|fig11|fig12|fig13|table5|projection-planner|kernels|scaling|wgs|all)")
+	exp := flag.String("exp", "all", expUsage())
 	scaleName := flag.String("scale", "small", "workload scale (small|default)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.StringVar(&backendName, "backend", "inproc", "executor backend for -exp wgs (inproc|mproc)")
@@ -110,8 +116,13 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, r := range runners() {
-			fmt.Printf("%-8s %s\n", r.id, r.doc)
+		rs := runners()
+		width := 0
+		for _, r := range rs {
+			width = max(width, len(r.id))
+		}
+		for _, r := range rs {
+			fmt.Printf("%-*s %s\n", width, r.id, r.doc)
 		}
 		return
 	}

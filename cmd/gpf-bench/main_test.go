@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/experiments"
@@ -10,8 +11,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 	want := map[string]bool{
 		"table1": false, "fig5": false, "table3": false, "table4": false,
 		"fig10": false, "fig11": false, "fig12": false, "fig13": false, "table5": false,
-		"projection-planner": false, "kernels": false,
-		"scaling": false, "wgs": false,
+		"projection-planner": false, "scaling": false, "wgs": false,
 	}
 	for _, r := range runners() {
 		if _, ok := want[r.id]; !ok {
@@ -26,6 +26,19 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 		if !seen {
 			t.Fatalf("experiment %s has no runner", id)
 		}
+	}
+	// The -exp usage text names every runner id once, then "all", and nothing
+	// else.
+	list := strings.TrimSuffix(strings.TrimPrefix(expUsage(), "experiment id ("), ")")
+	ids := strings.Split(list, "|")
+	if len(ids) != len(want)+1 || ids[len(ids)-1] != "all" {
+		t.Fatalf("usage lists %v, want the %d runner ids then \"all\"", ids, len(want))
+	}
+	for _, id := range ids[:len(ids)-1] {
+		if !want[id] {
+			t.Fatalf("usage names %q: no such runner, or named twice", id)
+		}
+		want[id] = false
 	}
 }
 

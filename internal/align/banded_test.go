@@ -3,8 +3,6 @@ package align
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // mutateRead copies a window slice and applies substitutions plus indels of
@@ -99,32 +97,6 @@ func TestKernelFitAlignBandedAdversarial(t *testing.T) {
 	}
 	for _, read := range cases {
 		checkFitEqual(t, "extreme", read, window, DefaultScoring())
-	}
-}
-
-// TestKernelFitAlignDispatch: the public dispatcher must return full-DP
-// results with kernels disabled and identical results with them enabled.
-func TestKernelFitAlignDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	bases := []byte("ACGT")
-	for c := 0; c < 100; c++ {
-		n := 50 + rng.Intn(200)
-		window := make([]byte, n)
-		for i := range window {
-			window[i] = bases[rng.Intn(4)]
-		}
-		rl := 20 + rng.Intn(n-20)
-		off := rng.Intn(n - rl + 1)
-		read := mutateRead(rng, window[off:off+rl], 0.05, rng.Intn(2), 6)
-
-		prev := kernels.SetEnabled(false)
-		slow := fitAlign(read, window, DefaultScoring())
-		kernels.SetEnabled(true)
-		fast := fitAlign(read, window, DefaultScoring())
-		kernels.SetEnabled(prev)
-		if fast.Score != slow.Score || fast.RefStart != slow.RefStart || fast.Cigar.String() != slow.Cigar.String() {
-			t.Fatalf("dispatch mismatch (m=%d n=%d): fast=%+v slow=%+v", len(read), n, fast, slow)
-		}
 	}
 }
 

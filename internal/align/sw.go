@@ -1,9 +1,6 @@
 package align
 
-import (
-	"github.com/gpf-go/gpf/internal/kernels"
-	"github.com/gpf-go/gpf/internal/sam"
-)
+import "github.com/gpf-go/gpf/internal/sam"
 
 // Scoring follows BWA-MEM's defaults: match +1, mismatch -4, gap open -6,
 // gap extend -1.
@@ -33,31 +30,27 @@ type fitResult struct {
 // traceback). It returns the best score, the window offset where the
 // alignment begins, and an M/I/D CIGAR covering the whole read.
 //
-// When the fast kernels are enabled it first tries the certified ungapped
-// extension (ungapped.go), which answers without any DP when one start
-// diagonal is provably the unique optimum, then the banded DP (banded.go),
-// which fills only a diagonal band of the matrix and proves its own answer
-// identical via the out-of-band score certificate — falling back to the
-// full DP on the rare reads whose banded optimum cannot rule out an
-// out-of-band path.
+// It first tries the certified ungapped extension (ungapped.go), which
+// answers without any DP when one start diagonal is provably the unique
+// optimum, then the banded DP (banded.go), which fills only a diagonal band
+// of the matrix and proves its own answer identical via the out-of-band
+// score certificate — falling back to the full DP on the rare reads whose
+// banded optimum cannot rule out an out-of-band path.
 func fitAlign(read, window []byte, sc Scoring) fitResult {
-	if kernels.Enabled() {
-		if fit, ok := fitAlignUngapped(read, window, sc); ok {
+	if fit, ok := fitAlignUngapped(read, window, sc); ok {
+		return fit
+	}
+	if bandedEligible(len(read), len(window), sc) {
+		if fit, ok := fitAlignBanded(read, window, sc); ok {
 			return fit
-		}
-		if bandedEligible(len(read), len(window), sc) {
-			if fit, ok := fitAlignBanded(read, window, sc); ok {
-				return fit
-			}
 		}
 	}
 	return fitAlignFull(read, window, sc)
 }
 
-// fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
-// Gotoh matrix. It is the oracle for the ungapped and banded kernels'
-// equivalence property tests and the kernels.SetEnabled(false) path, and
-// the fallback when the banded certificate fails.
+// fitAlignFull is the complete (m+1)×(n+1) Gotoh matrix: the fallback when
+// the banded certificate refuses or the band does not apply, and the oracle
+// for the ungapped and banded kernels' equivalence property tests.
 func fitAlignFull(read, window []byte, sc Scoring) fitResult {
 	m, n := len(read), len(window)
 	if m == 0 {

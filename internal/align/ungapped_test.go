@@ -9,7 +9,6 @@ import (
 
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
@@ -222,10 +221,12 @@ func FuzzFitAlignFastPath(f *testing.F) {
 }
 
 // TestKernelAlignPairRecordIdentity: over a few thousand simulated pairs
-// from a donor with SNVs and indels, AlignPair returns the same records with
-// the fast kernels on and off — and the run exercises both the ungapped
-// certificate (nearly every fit) and the DP behind it (the rest), so neither
-// path can rot unnoticed.
+// from a donor with SNVs and indels, every (read, window) the aligner fits —
+// gathered the way alignOriented gathers them — gets from fitAlign exactly
+// the full DP's result, so AlignPair's records are those of an aligner
+// without fast paths (TestKernelAlignPairGolden pins their bytes). The run
+// exercises both the ungapped certificate (nearly every fit) and the DP
+// behind it (the rest), so neither path can rot unnoticed.
 func TestKernelAlignPairRecordIdentity(t *testing.T) {
 	ref := genome.Synthesize(genome.DefaultSynthConfig(61, 60000, 2))
 	mc := genome.DefaultMutateConfig(62)
@@ -239,39 +240,20 @@ func TestKernelAlignPairRecordIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	aligner := NewAligner(idx, Config{})
-	alignAll := func() []sam.Record {
-		recs := make([]sam.Record, 0, 2*len(pairs))
-		for i := range pairs {
-			r1, r2 := aligner.AlignPair(&pairs[i])
-			recs = append(recs, r1, r2)
-		}
-		return recs
-	}
+	sc := aligner.cfg.Scoring
 
-	prev := kernels.SetEnabled(false)
-	defer kernels.SetEnabled(prev)
-	want := alignAll()
-
-	kernels.SetEnabled(true)
-	got := alignAll()
-
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d differs:\nfast kernels %+v\nreference    %+v", i, got[i], want[i])
-		}
-	}
-
-	// Which path served each fit: the certificate's verdict on every (read,
-	// window) the aligner fits, gathered the way alignOriented gathers them.
 	var certified, dp int
 	scratch := new(seedScratch)
-	countFits := func(seq []byte) {
+	checkFits := func(seq []byte) {
 		for _, c := range aligner.seedCandidates(seq, scratch) {
 			window, _, _, ok := aligner.candidateWindow(len(seq), c)
 			if !ok {
 				continue
 			}
-			if _, ok := fitAlignUngapped(seq, window, aligner.cfg.Scoring); ok {
+			if got, want := fitAlign(seq, window, sc), fitAlignFull(seq, window, sc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("fit differs (read %s):\nfitAlign     %+v\nfitAlignFull %+v", seq, got, want)
+			}
+			if _, ok := fitAlignUngapped(seq, window, sc); ok {
 				certified++
 			} else {
 				dp++
@@ -280,8 +262,8 @@ func TestKernelAlignPairRecordIdentity(t *testing.T) {
 	}
 	for i := range pairs {
 		for _, seq := range [][]byte{pairs[i].R1.Seq, pairs[i].R2.Seq} {
-			countFits(seq)
-			countFits(genome.ReverseComplement(seq))
+			checkFits(seq)
+			checkFits(genome.ReverseComplement(seq))
 		}
 	}
 	if fits := certified + dp; dp == 0 || float64(certified) <= 0.9*float64(fits) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // Pair-HMM (the paired-HMM of the paper's HaplotypeCaller description): the
@@ -15,32 +14,24 @@ import (
 // (Fig 13 shows variant calling as compute-bound), so it gets the full
 // profile-driven treatment (see DESIGN.md, "Hot kernels"):
 //
-//   - pairHMMReference is the original cell-by-cell log-space forward pass,
-//     kept verbatim as the equivalence oracle and the
-//     kernels.SetEnabled(false) path.
-//   - pairHMMLanes is the fast kernel: the same forward recurrence computed
-//     in probability space with per-row rescaling (the GATK PairHMM
-//     approach), which removes every transcendental from the inner loop, for
-//     hmmLanes reads at once so their independent recurrences overlap in the
-//     pipeline. It is not bit-identical to log space (log space itself is the
-//     lossy encoding; the scaled pass tracks the true forward probabilities),
-//     but agrees to ~1e-12 relative — far below anything the genotyper's
-//     likelihood comparisons can observe — and the kernels.SetEnabled(false)
-//     ablation is property-tested to keep pipeline output byte-identical.
-//     Each lane is bit-identical to the one-read scalar kernel it replaced
-//     (pairHMMScaled, now the oracle in pairhmm_test.go).
+//   - pairHMMLanes is the kernel: the forward recurrence computed in
+//     probability space with per-row rescaling (the GATK PairHMM approach),
+//     which removes every transcendental from the inner loop, for hmmLanes
+//     reads at once so their independent recurrences overlap in the
+//     pipeline.
+//   - Its two oracles live in pairhmm_test.go. pairHMMReference is the
+//     original cell-by-cell log-space forward pass; the kernel is not
+//     bit-identical to it (log space itself is the lossy encoding; the scaled
+//     pass tracks the true forward probabilities) but agrees to ~1e-12
+//     relative — far below anything the genotyper's likelihood comparisons
+//     can observe, and TestKernelCallVariantsGolden pins the VCF bytes the
+//     log-space caller wrote. pairHMMScaled is the one-read scalar kernel the
+//     lanes replaced; each lane is bit-identical to it.
 
 // HMM transition probabilities (GATK-like defaults).
 const (
 	gapOpenProb   = 1e-4
 	gapExtendProb = 0.1
-)
-
-var (
-	logMM = math.Log(1 - 2*gapOpenProb)
-	logMG = math.Log(gapOpenProb)
-	logGG = math.Log(gapExtendProb)
-	logGM = math.Log(1 - gapExtendProb)
 )
 
 // Linear-space transition probabilities for the scaled kernel.
@@ -63,10 +54,6 @@ func logSumExp2(a, b float64) float64 {
 		a, b = b, a
 	}
 	return a + math.Log1p(math.Exp(b-a))
-}
-
-func logSumExp3(a, b, c float64) float64 {
-	return logSumExp2(logSumExp2(a, b), c)
 }
 
 // defaultQualByte is the Phred+33 byte assumed for read positions beyond the
@@ -103,7 +90,7 @@ func PairHMMLogLikelihood(read, qual, hap []byte) float64 {
 // PairHMMBatch scores every read against every haplotype, returning
 // L[read][hap] = ln P(read | hap). This is the entry point the genotyper
 // uses: the read×haplotype likelihood matrix of one active region is one
-// slab, and the fast path scores hmmLanes reads per kernel pass off one
+// slab, scored hmmLanes reads per kernel pass off one
 // pooled DP row. Reads are grouped in length order so the lanes of a pass
 // end within a few rows of each other; the grouping cannot show in L because
 // each lane's arithmetic is independent of its neighbours. quals is parallel
@@ -113,14 +100,6 @@ func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
 	slab := make([]float64, len(reads)*len(haps))
 	for i := range L {
 		L[i] = slab[i*len(haps) : (i+1)*len(haps) : (i+1)*len(haps)]
-	}
-	if !kernels.Enabled() {
-		for i := range reads {
-			for h, hap := range haps {
-				L[i][h] = pairHMMReference(reads[i], quals[i], hap)
-			}
-		}
-		return L
 	}
 	// Zero-length reads and haplotypes score -Inf and never enter a lane.
 	for i := range slab {
@@ -162,64 +141,6 @@ func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
 		}
 	}
 	return L
-}
-
-// pairHMMReference is the unoptimized log-space forward pass, kept as the
-// equivalence oracle for the fast kernels and as the
-// kernels.SetEnabled(false) path.
-func pairHMMReference(read, qual, hap []byte) float64 {
-	m, n := len(read), len(hap)
-	if m == 0 || n == 0 {
-		return math.Inf(-1)
-	}
-	negInf := math.Inf(-1)
-	// Rolling rows over the haplotype dimension.
-	prevM := make([]float64, n+1)
-	prevI := make([]float64, n+1)
-	prevD := make([]float64, n+1)
-	curM := make([]float64, n+1)
-	curI := make([]float64, n+1)
-	curD := make([]float64, n+1)
-	// Initialization: the read may start anywhere on the haplotype (free
-	// leading flank): uniform prior over start columns.
-	startLog := -math.Log(float64(n))
-	for j := 0; j <= n; j++ {
-		prevM[j] = negInf
-		prevI[j] = negInf
-		prevD[j] = negInf
-	}
-	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = negInf, negInf, negInf
-		errP := phredToProb(qual, i-1)
-		for j := 1; j <= n; j++ {
-			var emit float64
-			if read[i-1] == hap[j-1] && read[i-1] != 'N' {
-				emit = math.Log(1 - errP)
-			} else {
-				emit = math.Log(errP / 3)
-			}
-			var diag float64
-			if i == 1 {
-				diag = startLog // start of read anchored at column j
-			} else {
-				diag = logSumExp3(prevM[j-1]+logMM, prevI[j-1]+logGM, prevD[j-1]+logGM)
-			}
-			curM[j] = emit + diag
-			// Insertion (read base not on haplotype): consumes read only.
-			curI[j] = logSumExp2(prevM[j]+logMG, prevI[j]+logGG)
-			// Deletion (haplotype base skipped): consumes haplotype only.
-			curD[j] = logSumExp2(curM[j-1]+logMG, curD[j-1]+logGG)
-		}
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
-	}
-	// Free trailing flank: sum over end columns of M and I.
-	total := negInf
-	for j := 1; j <= n; j++ {
-		total = logSumExp2(total, logSumExp2(prevM[j], prevI[j]))
-	}
-	return total
 }
 
 // scaledRescaleBelow triggers a row rescale in pairHMMLanes: when the row

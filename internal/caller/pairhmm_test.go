@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // randomHMMCase builds a (read, qual, hap) triple: a haplotype, a read copied
@@ -48,6 +47,76 @@ func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte)
 		qual = qual[:len(qual)/2]
 	}
 	return read, qual, hap
+}
+
+// Log-space transition probabilities for pairHMMReference.
+var (
+	logMM = math.Log(1 - 2*gapOpenProb)
+	logMG = math.Log(gapOpenProb)
+	logGG = math.Log(gapExtendProb)
+	logGM = math.Log(1 - gapExtendProb)
+)
+
+func logSumExp3(a, b, c float64) float64 {
+	return logSumExp2(logSumExp2(a, b), c)
+}
+
+// pairHMMReference is the unoptimized log-space forward pass the caller
+// shipped before the probability-space kernels, kept verbatim as their
+// equivalence oracle.
+func pairHMMReference(read, qual, hap []byte) float64 {
+	m, n := len(read), len(hap)
+	if m == 0 || n == 0 {
+		return math.Inf(-1)
+	}
+	negInf := math.Inf(-1)
+	// Rolling rows over the haplotype dimension.
+	prevM := make([]float64, n+1)
+	prevI := make([]float64, n+1)
+	prevD := make([]float64, n+1)
+	curM := make([]float64, n+1)
+	curI := make([]float64, n+1)
+	curD := make([]float64, n+1)
+	// Initialization: the read may start anywhere on the haplotype (free
+	// leading flank): uniform prior over start columns.
+	startLog := -math.Log(float64(n))
+	for j := 0; j <= n; j++ {
+		prevM[j] = negInf
+		prevI[j] = negInf
+		prevD[j] = negInf
+	}
+	for i := 1; i <= m; i++ {
+		curM[0], curI[0], curD[0] = negInf, negInf, negInf
+		errP := phredToProb(qual, i-1)
+		for j := 1; j <= n; j++ {
+			var emit float64
+			if read[i-1] == hap[j-1] && read[i-1] != 'N' {
+				emit = math.Log(1 - errP)
+			} else {
+				emit = math.Log(errP / 3)
+			}
+			var diag float64
+			if i == 1 {
+				diag = startLog // start of read anchored at column j
+			} else {
+				diag = logSumExp3(prevM[j-1]+logMM, prevI[j-1]+logGM, prevD[j-1]+logGM)
+			}
+			curM[j] = emit + diag
+			// Insertion (read base not on haplotype): consumes read only.
+			curI[j] = logSumExp2(prevM[j]+logMG, prevI[j]+logGG)
+			// Deletion (haplotype base skipped): consumes haplotype only.
+			curD[j] = logSumExp2(curM[j-1]+logMG, curD[j-1]+logGG)
+		}
+		prevM, curM = curM, prevM
+		prevI, curI = curI, prevI
+		prevD, curD = curD, prevD
+	}
+	// Free trailing flank: sum over end columns of M and I.
+	total := negInf
+	for j := 1; j <= n; j++ {
+		total = logSumExp2(total, logSumExp2(prevM[j], prevI[j]))
+	}
+	return total
 }
 
 // oracleRescales counts the rows pairHMMScaled has renormalized.
@@ -355,65 +424,18 @@ func FuzzPairHMMLanes(f *testing.F) {
 	})
 }
 
-// TestKernelPairHMMDispatch checks that the public entry points follow the
-// kernels switch: reference results when disabled, fast-kernel results when
-// enabled, and consistency between single and batch entry points.
-func TestKernelPairHMMDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var reads, quals, haps [][]byte
-	for i := 0; i < 8; i++ {
-		r, q, h := randomHMMCase(rng, 150, 80)
-		reads, quals, haps = append(reads, r), append(quals, q), append(haps, h)
-	}
-
-	prev := kernels.SetEnabled(false)
-	defer kernels.SetEnabled(prev)
-	slowL := PairHMMBatch(reads, quals, haps)
-	for i := range reads {
-		for h := range haps {
-			want := pairHMMReference(reads[i], quals[i], haps[h])
-			if math.Float64bits(slowL[i][h]) != math.Float64bits(want) {
-				t.Fatalf("disabled batch [%d][%d] = %v, reference %v", i, h, slowL[i][h], want)
-			}
-			if got := PairHMMLogLikelihood(reads[i], quals[i], haps[h]); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("disabled single [%d][%d] = %v, reference %v", i, h, got, want)
-			}
-		}
-	}
-
-	kernels.SetEnabled(true)
-	fastL := PairHMMBatch(reads, quals, haps)
-	for i := range reads {
-		for h := range haps {
-			single := PairHMMLogLikelihood(reads[i], quals[i], haps[h])
-			if math.Float64bits(fastL[i][h]) != math.Float64bits(single) {
-				t.Fatalf("fast batch [%d][%d] = %v, single %v", i, h, fastL[i][h], single)
-			}
-			rel := math.Abs(fastL[i][h]-slowL[i][h]) / math.Abs(slowL[i][h])
-			if rel > 1e-9 {
-				t.Fatalf("fast vs reference [%d][%d]: %v vs %v rel=%g", i, h, fastL[i][h], slowL[i][h], rel)
-			}
-		}
-	}
-}
-
 func TestKernelPairHMMEmptyInputs(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		prev := kernels.SetEnabled(fast)
-		if ll := PairHMMLogLikelihood(nil, nil, []byte("ACGT")); !math.IsInf(ll, -1) {
-			t.Fatalf("fast=%v: empty read gave %v, want -Inf", fast, ll)
-		}
-		if ll := PairHMMLogLikelihood([]byte("ACGT"), []byte("IIII"), nil); !math.IsInf(ll, -1) {
-			t.Fatalf("fast=%v: empty hap gave %v, want -Inf", fast, ll)
-		}
-		L := PairHMMBatch([][]byte{{}}, [][]byte{{}}, [][]byte{[]byte("ACGT")})
-		if !math.IsInf(L[0][0], -1) {
-			t.Fatalf("fast=%v: batch empty read gave %v, want -Inf", fast, L[0][0])
-		}
-		kernels.SetEnabled(prev)
+	if ll := PairHMMLogLikelihood(nil, nil, []byte("ACGT")); !math.IsInf(ll, -1) {
+		t.Fatalf("empty read gave %v, want -Inf", ll)
 	}
-	L := PairHMMBatch(nil, nil, nil)
-	if len(L) != 0 {
+	if ll := PairHMMLogLikelihood([]byte("ACGT"), []byte("IIII"), nil); !math.IsInf(ll, -1) {
+		t.Fatalf("empty hap gave %v, want -Inf", ll)
+	}
+	L := PairHMMBatch([][]byte{{}}, [][]byte{{}}, [][]byte{[]byte("ACGT")})
+	if !math.IsInf(L[0][0], -1) {
+		t.Fatalf("batch empty read gave %v, want -Inf", L[0][0])
+	}
+	if L := PairHMMBatch(nil, nil, nil); len(L) != 0 {
 		t.Fatalf("empty batch: got %d rows", len(L))
 	}
 }

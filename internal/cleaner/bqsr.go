@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
@@ -185,78 +184,10 @@ func (t *RecalTable) observe(r *sam.Record, readPos, contig, refPos int, refSeq 
 	}
 }
 
-// recalibratedQual computes the recalibrated Phred for a base using the
-// GATK delta decomposition: empirical(Q) shifted by the cycle and context
-// deltas relative to the global empirical quality.
-func (t *RecalTable) recalibratedQual(reportedQ, cycle int, prev, cur byte) int {
-	if t.Global.Obs == 0 {
-		return reportedQ
-	}
-	q := reportedQ
-	if q >= maxQual {
-		q = maxQual - 1
-	}
-	if q < 0 {
-		q = 0
-	}
-	global := t.Global.empiricalQual()
-	out := t.ByQual[q].empiricalQual()
-	if c := t.ByCycle[cycleBin(cycle)]; c.Obs > 0 {
-		out += c.empiricalQual() - global
-	}
-	if ctx := contextBin(prev, cur); ctx >= 0 && t.ByCtx[ctx].Obs > 0 {
-		out += t.ByCtx[ctx].empiricalQual() - global
-	}
-	qi := int(out + 0.5)
-	if qi < 2 {
-		qi = 2
-	}
-	if qi > 60 {
-		qi = 60
-	}
-	return qi
-}
-
-// ApplyRecalibration runs BQSR pass 2 over one partition, replacing every
-// mapped record's quality string with the recalibrated one (the old string is
-// left untouched for whoever else holds it). With the kernels on, the new
-// strings are disjoint regions of one slab per call, capacity clipped to
-// length: in-place writes stay record-local, appends copy.
-func ApplyRecalibration(records []sam.Record, t *RecalTable) error {
-	if t == nil {
-		return fmt.Errorf("cleaner: nil recalibration table")
-	}
-	if kernels.Enabled() {
-		applyRecalibrationFast(records, t)
-	} else {
-		applyRecalibrationRef(records, t)
-	}
-	return nil
-}
-
-// applyRecalibrationRef is the original apply pass — four math.Log10 per
-// base — kept as the equivalence oracle and the kernels.SetEnabled(false)
-// path.
-func applyRecalibrationRef(records []sam.Record, t *RecalTable) {
-	for i := range records {
-		r := &records[i]
-		if r.Unmapped() || len(r.Qual) != len(r.Seq) {
-			continue
-		}
-		newQual := make([]byte, len(r.Qual))
-		for j := range r.Qual {
-			reported := int(r.Qual[j]) - 33
-			var prev byte = 'N'
-			if j > 0 {
-				prev = r.Seq[j-1]
-			}
-			newQual[j] = byte(t.recalibratedQual(reported, j, prev, r.Seq[j]) + 33)
-		}
-		r.Qual = newQual
-	}
-}
-
-// recalLUT is a RecalTable prepared for the apply pass: recalibratedQual's
+// recalLUT is a RecalTable prepared for the apply pass. A base's recalibrated
+// Phred is the GATK delta decomposition — empirical(Q) shifted by the cycle
+// and context deltas relative to the global empirical quality — as the
+// per-base oracle recalibratedQual (bqsr_kernel_test.go) computes it. Its
 // three empirical qualities depend only on the table's 593 bins, so they are
 // computed once per call instead of once per base. The cycle and context
 // entries hold empiricalQual() - global, the very float64 recalibratedQual
@@ -325,9 +256,16 @@ func (lut *recalLUT) qual(qualByte byte, cycle int, prev, cur uint8) byte {
 	return byte(qi + 33)
 }
 
-// applyRecalibrationFast is applyRecalibrationRef through the prepared
-// table, writing into one slab.
-func applyRecalibrationFast(records []sam.Record, t *RecalTable) {
+// ApplyRecalibration runs BQSR pass 2 over one partition, replacing every
+// mapped record's quality string with the recalibrated one (the old string is
+// left untouched for whoever else holds it). The new strings are disjoint
+// regions of one slab per call, capacity clipped to length: in-place writes
+// stay record-local, appends copy. Each base goes through the prepared table
+// (recalLUT) instead of four math.Log10.
+func ApplyRecalibration(records []sam.Record, t *RecalTable) error {
+	if t == nil {
+		return fmt.Errorf("cleaner: nil recalibration table")
+	}
 	total := 0
 	for i := range records {
 		if r := &records[i]; !r.Unmapped() && len(r.Qual) == len(r.Seq) {
@@ -360,4 +298,5 @@ func applyRecalibrationFast(records []sam.Record, t *RecalTable) {
 		}
 		r.Qual = newQual
 	}
+	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/workload"
 )
@@ -20,9 +19,8 @@ import (
 // computed at the commit before the per-bin BQSR tables, the word-wide
 // quality coder, the counting-scatter shuffle buckets, the typed coordinate
 // sort and the sorted known-sites mask went in. None of them may move a record,
-// a flag, a CIGAR or a quality byte, with the kernels on or off and with
-// partitions held decoded or as serialized blocks (where every stage
-// boundary crosses the codec).
+// a flag, a CIGAR or a quality byte, with partitions held decoded or as
+// serialized blocks (where every stage boundary crosses the codec).
 func TestCleanerGoldenSAM(t *testing.T) {
 	const golden = "8434139bac768ad25e5e0ef119c5501c6cbc98de946270a1b82aa7a7bfdd0bc3"
 	p := workload.DefaultProfile(workload.WGS, 30000)
@@ -46,16 +44,13 @@ func TestCleanerGoldenSAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fast := range []bool{true, false} {
-		for _, serialized := range []bool{false, true} {
-			t.Run(fmt.Sprintf("kernels=%v/serialized=%v", fast, serialized), func(t *testing.T) {
-				defer kernels.SetEnabled(kernels.SetEnabled(fast))
-				got, n := cleanerSAMHash(t, d, header, aligned, serialized)
-				if got != golden {
-					t.Fatalf("SAM of %d records hashes to %s, want %s", n, got, golden)
-				}
-			})
-		}
+	for _, serialized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serialized=%v", serialized), func(t *testing.T) {
+			got, n := cleanerSAMHash(t, d, header, aligned, serialized)
+			if got != golden {
+				t.Fatalf("SAM of %d records hashes to %s, want %s", n, got, golden)
+			}
+		})
 	}
 }
 

@@ -9,16 +9,9 @@ import (
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/testutil/qualgen"
 )
-
-// withKernels runs fn with the hot kernels on or off.
-func withKernels(on bool, fn func()) {
-	defer kernels.SetEnabled(kernels.SetEnabled(on))
-	fn()
-}
 
 // simRecords turns simulator reads into aligned-looking records: the names,
 // bases and quality strings a shuffle block of the cleaner carries.
@@ -44,11 +37,12 @@ func simRecords(tb testing.TB, seed int64, n int) []sam.Record {
 	return recs[:n]
 }
 
-// TestKernelBlockEquivalence: a block is the same bytes with the kernels on
-// and off, and decodes to the same records, over random batches (raw-mode
-// quality columns among them), simulator reads, a quality byte of exactly
-// 127, and every byte value in a sequence; a corrupted block is rejected by
-// both or decodes alike.
+// TestKernelBlockEquivalence: the columns' word-wide kernels (2-bit pack and
+// unpack, the quality coder) sit behind Marshal and Unmarshal, whose oracles
+// live one layer down in compress. Here a block decodes to the records it was
+// made from, over random batches (raw-mode quality columns among them),
+// simulator reads, a quality byte of exactly 127, and every byte value in a
+// sequence; a corrupted block is rejected or decodes, and never panics.
 func TestKernelBlockEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2181))
 	allBytes := make([]byte, 256)
@@ -62,30 +56,26 @@ func TestKernelBlockEquivalence(t *testing.T) {
 		{{Name: "every-base", Seq: allBytes, Qual: bytes.Repeat([]byte{'I'}, 256)}},
 	}
 	for bi, recs := range batches {
-		var fast, slow []byte
-		var errFast, errSlow error
-		withKernels(true, func() { fast, errFast = colfmt.Codec{}.Marshal(recs) })
-		withKernels(false, func() { slow, errSlow = colfmt.Codec{}.Marshal(recs) })
-		if errFast != nil || errSlow != nil {
-			t.Fatalf("batch %d: marshal: fast %v, reference %v", bi, errFast, errSlow)
+		block, err := colfmt.Codec{}.Marshal(recs)
+		if err != nil {
+			t.Fatalf("batch %d: marshal: %v", bi, err)
 		}
-		if !bytes.Equal(fast, slow) {
-			t.Fatalf("batch %d: block differs with kernels on (%d bytes) and off (%d bytes)", bi, len(fast), len(slow))
+		got, err := colfmt.Codec{}.Unmarshal(block)
+		if err != nil {
+			t.Fatalf("batch %d: unmarshal of own block: %v", bi, err)
 		}
-		for c := 0; c < 40; c++ {
-			block := append([]byte(nil), fast...)
-			if c > 0 && len(block) > 0 {
-				block[rng.Intn(len(block))] ^= 1 << rng.Intn(8)
+		if len(got) != len(recs) {
+			t.Fatalf("batch %d: decoded %d records, want %d", bi, len(got), len(recs))
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(got[i], recs[i]) {
+				t.Fatalf("batch %d record %d:\n got %+v\nwant %+v", bi, i, got[i], recs[i])
 			}
-			var gotFast, gotSlow []sam.Record
-			withKernels(true, func() { gotFast, errFast = colfmt.Codec{}.Unmarshal(block) })
-			withKernels(false, func() { gotSlow, errSlow = colfmt.Codec{}.Unmarshal(block) })
-			if (errFast == nil) != (errSlow == nil) {
-				t.Fatalf("batch %d corruption %d: fast err %v, reference err %v", bi, c, errFast, errSlow)
-			}
-			if errFast == nil && !reflect.DeepEqual(gotFast, gotSlow) {
-				t.Fatalf("batch %d corruption %d: decoded records differ", bi, c)
-			}
+		}
+		for c := 0; c < 40 && len(block) > 0; c++ {
+			bad := append([]byte(nil), block...)
+			bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+			_, _ = colfmt.Codec{}.Unmarshal(bad) // an error is expected; a panic is the failure
 		}
 	}
 }
@@ -93,8 +83,7 @@ func TestKernelBlockEquivalence(t *testing.T) {
 // TestQualColumnFallsBackOnDeepCode: a quality column whose delta histogram
 // needs a codeword over 31 bits — the block the coder used to write and its
 // own decoder to reject with "code length 32 exceeds max 31" — is stored raw
-// and round-trips, with the kernels on and off; one rung less still takes the
-// Huffman mode, identically under both.
+// and round-trips; one rung less still takes the Huffman mode.
 func TestQualColumnFallsBackOnDeepCode(t *testing.T) {
 	for _, c := range []struct {
 		rungs int
@@ -107,37 +96,29 @@ func TestQualColumnFallsBackOnDeepCode(t *testing.T) {
 			recs[i].Qual = q
 			total += len(q)
 		}
-		var blocks [2][]byte
-		for i, on := range []bool{true, false} {
-			withKernels(on, func() {
-				block, err := colfmt.Codec{}.Marshal(recs)
-				if err != nil {
-					t.Fatalf("%d rungs, kernels=%v: marshal: %v", c.rungs, on, err)
-				}
-				blocks[i] = block
-				if raw := len(block) > total; raw != c.raw {
-					t.Fatalf("%d rungs, kernels=%v: %d-byte block for %d quality bytes, want raw=%v", c.rungs, on, len(block), total, c.raw)
-				}
-				back, err := colfmt.Codec{}.Unmarshal(block)
-				if err != nil {
-					t.Fatalf("%d rungs, kernels=%v: unmarshal of own block: %v", c.rungs, on, err)
-				}
-				for j := range recs {
-					if !bytes.Equal(back[j].Qual, recs[j].Qual) {
-						t.Fatalf("%d rungs, kernels=%v: record %d did not round-trip", c.rungs, on, j)
-					}
-				}
-			})
+		block, err := colfmt.Codec{}.Marshal(recs)
+		if err != nil {
+			t.Fatalf("%d rungs: marshal: %v", c.rungs, err)
 		}
-		if !bytes.Equal(blocks[0], blocks[1]) {
-			t.Fatalf("%d rungs: block differs with kernels on and off", c.rungs)
+		if raw := len(block) > total; raw != c.raw {
+			t.Fatalf("%d rungs: %d-byte block for %d quality bytes, want raw=%v", c.rungs, len(block), total, c.raw)
+		}
+		back, err := colfmt.Codec{}.Unmarshal(block)
+		if err != nil {
+			t.Fatalf("%d rungs: unmarshal of own block: %v", c.rungs, err)
+		}
+		for j := range recs {
+			if !bytes.Equal(back[j].Qual, recs[j].Qual) {
+				t.Fatalf("%d rungs: record %d did not round-trip", c.rungs, j)
+			}
 		}
 	}
 }
 
-func benchKernelMarshal(b *testing.B, on bool) {
+// A 64-record block is what the P×P shuffle cuts: the size at which the
+// codec's per-block fixed costs show.
+func BenchmarkKernelColumnarMarshal(b *testing.B) {
 	recs := simRecords(b, 2191, 64)
-	defer kernels.SetEnabled(kernels.SetEnabled(on))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -147,9 +128,8 @@ func benchKernelMarshal(b *testing.B, on bool) {
 	}
 }
 
-func benchKernelUnmarshal(b *testing.B, on bool) {
+func BenchmarkKernelColumnarUnmarshal(b *testing.B) {
 	block := benchBlock(b, simRecords(b, 2191, 64))
-	defer kernels.SetEnabled(kernels.SetEnabled(on))
 	b.SetBytes(int64(len(block)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -159,10 +139,3 @@ func benchKernelUnmarshal(b *testing.B, on bool) {
 		}
 	}
 }
-
-// A 64-record block is what the P×P shuffle cuts: the size at which the
-// codec's per-block fixed costs show.
-func BenchmarkKernelColumnarMarshalReference(b *testing.B)   { benchKernelMarshal(b, false) }
-func BenchmarkKernelColumnarMarshalFast(b *testing.B)        { benchKernelMarshal(b, true) }
-func BenchmarkKernelColumnarUnmarshalReference(b *testing.B) { benchKernelUnmarshal(b, false) }
-func BenchmarkKernelColumnarUnmarshalFast(b *testing.B)      { benchKernelUnmarshal(b, true) }

@@ -11,34 +11,6 @@
 // without genomic modeling (standing in for Kryo).
 package compress
 
-// bitWriter packs bits MSB-first into a byte slice through a 64-bit
-// accumulator (the hot path of Huffman encoding).
-type bitWriter struct {
-	buf  []byte
-	acc  uint64
-	nAcc uint // bits held in acc
-}
-
-// writeBits appends the low n bits of v (MSB of those n first). n must be
-// at most 32.
-func (w *bitWriter) writeBits(v uint32, n uint) {
-	w.acc = w.acc<<n | uint64(v)&((1<<n)-1)
-	w.nAcc += n
-	for w.nAcc >= 8 {
-		w.nAcc -= 8
-		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
-	}
-}
-
-// finish flushes a final partial byte (zero padded) and returns the buffer.
-func (w *bitWriter) finish() []byte {
-	if w.nAcc > 0 {
-		w.buf = append(w.buf, byte(w.acc<<(8-w.nAcc)))
-		w.acc, w.nAcc = 0, 0
-	}
-	return w.buf
-}
-
 // bitReader consumes bits MSB-first from a byte slice through a 64-bit
 // accumulator.
 type bitReader struct {

@@ -166,13 +166,8 @@ func (FieldPairCodec) Unmarshal(data []byte) ([]fastq.Pair, error) {
 	return pairs, nil
 }
 
-// GPFSAMCodec serializes SAM records with the genomic codec for seq/qual and
-// binary packing for alignment fields.
-type GPFSAMCodec struct{}
-
-// Name identifies the codec in metrics output.
-func (GPFSAMCodec) Name() string { return "gpf" }
-
+// appendSAMFixed appends the alignment fields of r — everything but Seq and
+// Qual — in binary (FieldSAMCodec's record prefix).
 func appendSAMFixed(out []byte, r *sam.Record) []byte {
 	out = appendString(out, r.Name)
 	out = binary.AppendUvarint(out, uint64(r.Flag))
@@ -205,6 +200,7 @@ func appendSAMFixed(out []byte, r *sam.Record) []byte {
 	return out
 }
 
+// readSAMFixed inverts appendSAMFixed, returning the unread remainder.
 func readSAMFixed(data []byte, r *sam.Record) ([]byte, error) {
 	var err error
 	if r.Name, data, err = readString(data); err != nil {
@@ -297,48 +293,6 @@ func readSAMFixed(data []byte, r *sam.Record) ([]byte, error) {
 		r.Tags = nil
 	}
 	return data, nil
-}
-
-// Marshal encodes SAM records: fixed fields first, then one seq/qual block.
-func (GPFSAMCodec) Marshal(records []sam.Record) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(len(records)))
-	seqs := make([][]byte, len(records))
-	quals := make([][]byte, len(records))
-	for i := range records {
-		out = appendSAMFixed(out, &records[i])
-		seqs[i] = records[i].Seq
-		quals[i] = records[i].Qual
-	}
-	block, err := EncodeSeqQualBlock(seqs, quals)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, block...), nil
-}
-
-// Unmarshal inverts Marshal.
-func (GPFSAMCodec) Unmarshal(data []byte) ([]sam.Record, error) {
-	count, data, err := readCount(data, 8)
-	if err != nil {
-		return nil, err
-	}
-	records := make([]sam.Record, count)
-	for i := range records {
-		if data, err = readSAMFixed(data, &records[i]); err != nil {
-			return nil, fmt.Errorf("compress: record %d: %w", i, err)
-		}
-	}
-	seqs, quals, err := DecodeSeqQualBlock(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) != int(count) {
-		return nil, fmt.Errorf("compress: block has %d seqs, want %d", len(seqs), count)
-	}
-	for i := range records {
-		records[i].Seq, records[i].Qual = seqs[i], quals[i]
-	}
-	return records, nil
 }
 
 // FieldSAMCodec packs SAM records in binary with raw seq/qual.

@@ -37,82 +37,6 @@ func TestBitReaderExhaustion(t *testing.T) {
 	}
 }
 
-func TestHuffmanRoundTrip(t *testing.T) {
-	symbols := []int{0, 1, 1, 2, 2, 2, 2, 3, 0, 1}
-	lens, payload, err := huffmanEncode(symbols, 16, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := huffmanDecode(lens, payload, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(symbols) {
-		t.Fatalf("decoded %d symbols, want %d", len(back), len(symbols))
-	}
-	for i := range symbols {
-		if back[i] != symbols[i] {
-			t.Fatalf("symbol %d = %d, want %d", i, back[i], symbols[i])
-		}
-	}
-}
-
-func TestHuffmanSingleSymbol(t *testing.T) {
-	symbols := []int{5, 5, 5}
-	lens, payload, err := huffmanEncode(symbols, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := huffmanDecode(lens, payload, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 3 || back[0] != 5 {
-		t.Fatalf("decoded %v", back)
-	}
-}
-
-func TestHuffmanEmptyInput(t *testing.T) {
-	// Only EOF present.
-	lens, payload, err := huffmanEncode(nil, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := huffmanDecode(lens, payload, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 0 {
-		t.Fatalf("decoded %v, want empty", back)
-	}
-}
-
-func TestHuffmanBadSymbol(t *testing.T) {
-	if _, _, err := huffmanEncode([]int{99}, 4, 3); err == nil {
-		t.Fatal("out-of-alphabet symbol should error")
-	}
-}
-
-func TestHuffmanCompressesSkewedData(t *testing.T) {
-	// Highly skewed distribution should compress well below 8 bits/symbol.
-	symbols := make([]int, 10000)
-	rng := rand.New(rand.NewSource(1))
-	for i := range symbols {
-		if rng.Float64() < 0.9 {
-			symbols[i] = 0
-		} else {
-			symbols[i] = rng.Intn(64)
-		}
-	}
-	_, payload, err := huffmanEncode(symbols, 256, 255)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payload) > len(symbols)/2 {
-		t.Fatalf("payload %d bytes for %d skewed symbols; expected < half", len(payload), len(symbols))
-	}
-}
-
 func TestPackSeqRoundTrip(t *testing.T) {
 	seq := []byte("ACGTACGTTTGGCCAA")
 	packed, err := packSeq(nil, seq)
@@ -393,26 +317,6 @@ func samEqual(a, b *sam.Record) bool {
 	return true
 }
 
-func TestGPFSAMCodecRoundTrip(t *testing.T) {
-	records := sampleSAMRecords()
-	enc, err := GPFSAMCodec{}.Marshal(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := GPFSAMCodec{}.Unmarshal(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(records) {
-		t.Fatalf("decoded %d records", len(back))
-	}
-	for i := range records {
-		if !samEqual(&records[i], &back[i]) {
-			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, records[i], back[i])
-		}
-	}
-}
-
 func TestFieldSAMCodecRoundTrip(t *testing.T) {
 	records := sampleSAMRecords()
 	enc, err := FieldSAMCodec{}.Marshal(records)
@@ -450,7 +354,7 @@ func TestUnmarshalCorruptData(t *testing.T) {
 	if _, err := (GPFPairCodec{}).Unmarshal([]byte{0xFF}); err == nil {
 		t.Fatal("corrupt pair data should error")
 	}
-	if _, err := (GPFSAMCodec{}).Unmarshal([]byte{0x01, 0x00}); err == nil {
+	if _, err := (FieldSAMCodec{}).Unmarshal([]byte{0x01, 0x00}); err == nil {
 		t.Fatal("corrupt sam data should error")
 	}
 	if _, err := (GobCodec[int]{}).Unmarshal([]byte{1, 2, 3}); err == nil {

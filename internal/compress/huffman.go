@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,8 +15,8 @@ import (
 // writers shift them into a 64-bit accumulator and the decoder indexes
 // per-length arrays of this size. The quality alphabet has 256 symbols, so a
 // Huffman tree over it can be up to 255 deep — Fibonacci-like frequencies
-// reach 32 at about nine million symbols — and buildCodeLengths refuses such
-// a histogram with errCodeTooLong rather than emit a table
+// reach 32 at about nine million symbols — and buildCodeLengthsFast refuses
+// such a histogram with errCodeTooLong rather than emit a table
 // validateCodeLens rejects.
 const maxCodeLen = 31
 
@@ -29,79 +28,6 @@ var errCodeTooLong = errors.New("compress: Huffman code length exceeds max")
 type huffCode struct {
 	bits uint32
 	len  uint8
-}
-
-type huffNode struct {
-	weight      int64
-	symbol      int // -1 for internal
-	left, right *huffNode
-}
-
-type huffHeap []*huffNode
-
-func (h huffHeap) Len() int { return len(h) }
-func (h huffHeap) Less(i, j int) bool {
-	if h[i].weight != h[j].weight {
-		return h[i].weight < h[j].weight
-	}
-	return h[i].symbol < h[j].symbol // deterministic ties
-}
-func (h huffHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x interface{}) { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// buildCodeLengths returns the canonical code length per symbol given
-// frequencies (0-frequency symbols get length 0 = absent). At least one
-// symbol must have nonzero frequency, and the alphabet must not exceed 256
-// symbols (depths are uint8). It is the reference tree builder:
-// buildCodeLengthsFast reproduces its lengths tie for tie.
-func buildCodeLengths(freqs []int64) ([]uint8, error) {
-	h := &huffHeap{}
-	for sym, f := range freqs {
-		if f > 0 {
-			heap.Push(h, &huffNode{weight: f, symbol: sym})
-		}
-	}
-	if h.Len() == 0 {
-		return nil, fmt.Errorf("compress: no symbols to code")
-	}
-	if h.Len() == 1 {
-		lens := make([]uint8, len(freqs))
-		lens[(*h)[0].symbol] = 1
-		return lens, nil
-	}
-	for h.Len() > 1 {
-		a := heap.Pop(h).(*huffNode)
-		b := heap.Pop(h).(*huffNode)
-		heap.Push(h, &huffNode{weight: a.weight + b.weight, symbol: -1, left: a, right: b})
-	}
-	root := heap.Pop(h).(*huffNode)
-	lens := make([]uint8, len(freqs))
-	var walk func(n *huffNode, depth uint8)
-	walk = func(n *huffNode, depth uint8) {
-		if n.symbol >= 0 {
-			if depth == 0 {
-				depth = 1
-			}
-			lens[n.symbol] = depth
-			return
-		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
-	}
-	walk(root, 0)
-	for _, l := range lens {
-		if l > maxCodeLen {
-			return nil, errCodeTooLong
-		}
-	}
-	return lens, nil
 }
 
 // canonicalCodes assigns canonical codewords from code lengths: symbols
@@ -246,50 +172,4 @@ func (d *huffDecoder) decodeSymbol(r *bitReader) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("compress: invalid Huffman code")
-}
-
-// huffmanEncode codes symbols (values < len(freqs)) plus a trailing EOF
-// symbol. Returns the code-length table and the bit payload.
-func huffmanEncode(symbols []int, alphabet int, eof int) ([]uint8, []byte, error) {
-	freqs := make([]int64, alphabet)
-	for _, s := range symbols {
-		if s < 0 || s >= alphabet {
-			return nil, nil, fmt.Errorf("compress: symbol %d out of alphabet %d", s, alphabet)
-		}
-		freqs[s]++
-	}
-	freqs[eof]++
-	lens, err := buildCodeLengths(freqs)
-	if err != nil {
-		return nil, nil, err
-	}
-	codes := canonicalCodes(lens)
-	var w bitWriter
-	for _, s := range symbols {
-		c := codes[s]
-		w.writeBits(c.bits, uint(c.len))
-	}
-	c := codes[eof]
-	w.writeBits(c.bits, uint(c.len))
-	return lens, w.finish(), nil
-}
-
-// huffmanDecode inverts huffmanEncode, stopping at the EOF symbol.
-func huffmanDecode(lens []uint8, payload []byte, eof int) ([]int, error) {
-	if err := validateCodeLens(lens); err != nil {
-		return nil, err
-	}
-	d := newHuffDecoder(lens)
-	r := &bitReader{buf: payload}
-	var out []int
-	for {
-		sym, err := d.decodeSymbol(r)
-		if err != nil {
-			return nil, err
-		}
-		if sym == eof {
-			return out, nil
-		}
-		out = append(out, sym)
-	}
 }

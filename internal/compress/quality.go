@@ -3,8 +3,6 @@ package compress
 import (
 	"errors"
 	"fmt"
-
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // The quality codec implements Figs 5-6 of the paper: quality strings are
@@ -30,81 +28,22 @@ const (
 // (colfmt's qual column) switch to it on this error.
 var ErrQualUncodable = errors.New("compress: quality block not codable as delta-Huffman")
 
-// EncodeQualBlock compresses a batch of quality strings: a 256-entry
-// code-length table (one byte per symbol) followed by the Huffman payload
-// ending in EOF. Lengths are carried externally by the block framing. It
-// dispatches between the word-wide coder (quality_fast.go) and the reference
-// below on the kernels switch; both write the same bytes.
-func EncodeQualBlock(quals [][]byte) ([]byte, error) {
-	if kernels.Enabled() {
-		return encodeQualBlockFast(quals)
-	}
-	return encodeQualBlockRef(quals)
-}
-
-// encodeQualBlockRef is the original coder, kept as the equivalence oracle
-// and the kernels.SetEnabled(false) path. The delta stream is produced and
-// consumed inline (no staging buffer).
-func encodeQualBlockRef(quals [][]byte) ([]byte, error) {
-	// Pass 1: delta-symbol frequencies.
-	freqs := make([]int64, qualAlphabet)
-	total := 0
-	for _, q := range quals {
-		total += len(q)
-		prev := 0
-		for _, b := range q {
-			if b > maxQualByte {
-				return nil, fmt.Errorf("%w: quality byte %d", ErrQualUncodable, b)
-			}
-			freqs[int(b)-prev+deltaBias]++
-			prev = int(b)
-		}
-	}
-	freqs[qualEOFSymbol]++
-	lens, err := buildCodeLengths(freqs)
-	if err != nil {
-		if errors.Is(err, errCodeTooLong) {
-			return nil, fmt.Errorf("%w: %v", ErrQualUncodable, err)
-		}
-		return nil, err
-	}
-	codes := canonicalCodes(lens)
-	// Pass 2: emit (reserve ~4 bits/symbol, the typical entropy).
-	w := bitWriter{buf: make([]byte, 0, total/2+16)}
-	for _, q := range quals {
-		prev := 0
-		for _, b := range q {
-			c := codes[int(b)-prev+deltaBias]
-			w.writeBits(c.bits, uint(c.len))
-			prev = int(b)
-		}
-	}
-	eof := codes[qualEOFSymbol]
-	w.writeBits(eof.bits, uint(eof.len))
-	payload := w.finish()
-	out := make([]byte, 0, qualAlphabet+len(payload))
-	out = append(out, lens...)
-	out = append(out, payload...)
-	return out, nil
-}
-
 // DecodeQualBlock inverts EncodeQualBlock given the original string lengths.
-// With the kernels on, the returned strings are disjoint regions of one slab
-// (capacity clipped to length): in-place writes stay record-local, appends
-// copy. Any block the word-wide decoder cannot vouch for goes to the
-// reference decoder, which owns every error message.
+// The returned strings are disjoint regions of one slab (capacity clipped to
+// length): in-place writes stay record-local, appends copy. Any block the
+// word-wide decoder (quality_fast.go) cannot vouch for goes to
+// decodeQualBlockRef, which owns every error message.
 func DecodeQualBlock(data []byte, lengths []int) ([][]byte, error) {
-	if kernels.Enabled() {
-		if out, ok := decodeQualBlockFast(data, lengths); ok {
-			return out, nil
-		}
+	if out, ok := decodeQualBlockFast(data, lengths); ok {
+		return out, nil
 	}
 	return decodeQualBlockRef(data, lengths)
 }
 
-// decodeQualBlockRef is the original decoder, kept as the equivalence oracle,
-// the error path and the kernels.SetEnabled(false) path. Symbols are decoded
-// straight into the output quality strings.
+// decodeQualBlockRef is the symbol-at-a-time decoder: the fallback for every
+// block decodeQualBlockFast refuses — so it owns every decode error — and the
+// fast decoder's equivalence oracle. Symbols are decoded straight into the
+// output quality strings.
 func decodeQualBlockRef(data []byte, lengths []int) ([][]byte, error) {
 	if len(data) < qualAlphabet {
 		return nil, fmt.Errorf("compress: quality block shorter than code table")

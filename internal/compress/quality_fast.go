@@ -5,12 +5,13 @@ import (
 	"fmt"
 )
 
-// The word-wide quality coder: the same bytes as the reference coder in
-// quality.go and huffman.go, produced and consumed without a heap allocation
-// per block beyond the output itself. The P×P shuffle cuts partitions into
-// blocks of a few dozen records, so the per-block fixed costs — tree build,
-// canonical codes, decode tables — are array code on the stack, and the
-// per-symbol loops move whole words.
+// The word-wide quality coder: the same bytes as the reference coder
+// (encodeQualBlockRef and its pointer-node tree builder, now the oracles in
+// quality_kernel_test.go; decodeQualBlockRef in quality.go), produced and
+// consumed without a heap allocation per block beyond the output itself. The
+// P×P shuffle cuts partitions into blocks of a few dozen records, so the
+// per-block fixed costs — tree build, canonical codes, decode tables — are
+// array code on the stack, and the per-symbol loops move whole words.
 //
 // Exactness, piece by piece:
 //   - code lengths: buildCodeLengthsFast runs container/heap's sift-up and
@@ -20,7 +21,7 @@ import (
 //   - codewords: canonical numbering by counting sort on length is the
 //     reference's sort by (length, symbol) followed by consecutive codes;
 //   - bit order: MSB-first into a 64-bit accumulator flushed 32 bits at a
-//     time, zero padded at the end, like bitWriter;
+//     time, zero padded at the end, like the reference's bitWriter;
 //   - decode: a symbol is whatever codeword prefixes the remaining bits, so
 //     the table walk, the canonical walk and the reference's bit-by-bit walk
 //     agree; a stream the fast loops cannot finish cleanly is handed to the
@@ -28,8 +29,9 @@ import (
 
 // lenHeap is container/heap's binary heap over packed keys: weight<<9 in the
 // high bits, symbol+1 in the low nine (0 for internal nodes, which therefore
-// sort before a leaf of equal weight and tie with each other, as in
-// huffHeap.Less). Weights are symbol counts of one block, far below 2^55.
+// sort before a leaf of equal weight and tie with each other, as in the
+// reference's huffHeap.Less). Weights are symbol counts of one block, far
+// below 2^55.
 type lenHeap struct {
 	key [qualAlphabet]uint64
 	id  [qualAlphabet]uint16 // node id: leaves are their symbol, internal nodes follow
@@ -81,7 +83,10 @@ func (h *lenHeap) pop() (uint64, uint16) {
 	return h.key[n], h.id[n]
 }
 
-// buildCodeLengthsFast is buildCodeLengths without pointer nodes: the same
+// buildCodeLengthsFast returns the canonical code length per symbol given
+// frequencies (0-frequency symbols get length 0 = absent); at least one
+// symbol must have nonzero frequency. It is the reference builder
+// buildCodeLengths (quality_kernel_test.go) without pointer nodes: the same
 // heap operations in the same order, then depths read off a parent array
 // (a parent is always created after its children, so one descending pass
 // over the internal nodes assigns every depth).
@@ -146,9 +151,12 @@ func canonicalFirst(lens *[qualAlphabet]uint8) (count, first [maxCodeLen + 2]uin
 	return count, first, max
 }
 
-// encodeQualBlockFast is encodeQualBlockRef with interleaved histograms, an
-// exactly sized output and 4-byte stores.
-func encodeQualBlockFast(quals [][]byte) ([]byte, error) {
+// EncodeQualBlock compresses a batch of quality strings: a 256-entry
+// code-length table (one byte per symbol) followed by the Huffman payload
+// ending in EOF. Lengths are carried externally by the block framing. It is
+// encodeQualBlockRef (the oracle in quality_kernel_test.go) with interleaved
+// histograms, an exactly sized output and 4-byte stores.
+func EncodeQualBlock(quals [][]byte) ([]byte, error) {
 	// Pass 1: delta-symbol frequencies into four tables by position mod 4.
 	// Runs of equal deltas are the common case, and one table would chain
 	// every increment through a store-to-load forward of the same counter.

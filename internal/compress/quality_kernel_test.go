@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 	"github.com/gpf-go/gpf/internal/testutil/qualgen"
 )
 
@@ -50,6 +50,152 @@ func randQuals(rng *rand.Rand, count, maxLen int) [][]byte {
 	return quals
 }
 
+// encodeQualBlockRef is the original coder, kept as the equivalence oracle.
+// The delta stream is produced and consumed inline (no staging buffer).
+func encodeQualBlockRef(quals [][]byte) ([]byte, error) {
+	// Pass 1: delta-symbol frequencies.
+	freqs := make([]int64, qualAlphabet)
+	total := 0
+	for _, q := range quals {
+		total += len(q)
+		prev := 0
+		for _, b := range q {
+			if b > maxQualByte {
+				return nil, fmt.Errorf("%w: quality byte %d", ErrQualUncodable, b)
+			}
+			freqs[int(b)-prev+deltaBias]++
+			prev = int(b)
+		}
+	}
+	freqs[qualEOFSymbol]++
+	lens, err := buildCodeLengths(freqs)
+	if err != nil {
+		if errors.Is(err, errCodeTooLong) {
+			return nil, fmt.Errorf("%w: %v", ErrQualUncodable, err)
+		}
+		return nil, err
+	}
+	codes := canonicalCodes(lens)
+	// Pass 2: emit (reserve ~4 bits/symbol, the typical entropy).
+	w := bitWriter{buf: make([]byte, 0, total/2+16)}
+	for _, q := range quals {
+		prev := 0
+		for _, b := range q {
+			c := codes[int(b)-prev+deltaBias]
+			w.writeBits(c.bits, uint(c.len))
+			prev = int(b)
+		}
+	}
+	eof := codes[qualEOFSymbol]
+	w.writeBits(eof.bits, uint(eof.len))
+	payload := w.finish()
+	out := make([]byte, 0, qualAlphabet+len(payload))
+	out = append(out, lens...)
+	out = append(out, payload...)
+	return out, nil
+}
+
+type huffNode struct {
+	weight      int64
+	symbol      int // -1 for internal
+	left, right *huffNode
+}
+
+type huffHeap []*huffNode
+
+func (h huffHeap) Len() int { return len(h) }
+func (h huffHeap) Less(i, j int) bool {
+	if h[i].weight != h[j].weight {
+		return h[i].weight < h[j].weight
+	}
+	return h[i].symbol < h[j].symbol // deterministic ties
+}
+func (h huffHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *huffHeap) Push(x interface{}) { *h = append(*h, x.(*huffNode)) }
+func (h *huffHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// buildCodeLengths returns the canonical code length per symbol given
+// frequencies (0-frequency symbols get length 0 = absent). At least one
+// symbol must have nonzero frequency, and the alphabet must not exceed 256
+// symbols (depths are uint8). It is the reference tree builder:
+// buildCodeLengthsFast reproduces its lengths tie for tie.
+func buildCodeLengths(freqs []int64) ([]uint8, error) {
+	h := &huffHeap{}
+	for sym, f := range freqs {
+		if f > 0 {
+			heap.Push(h, &huffNode{weight: f, symbol: sym})
+		}
+	}
+	if h.Len() == 0 {
+		return nil, fmt.Errorf("compress: no symbols to code")
+	}
+	if h.Len() == 1 {
+		lens := make([]uint8, len(freqs))
+		lens[(*h)[0].symbol] = 1
+		return lens, nil
+	}
+	for h.Len() > 1 {
+		a := heap.Pop(h).(*huffNode)
+		b := heap.Pop(h).(*huffNode)
+		heap.Push(h, &huffNode{weight: a.weight + b.weight, symbol: -1, left: a, right: b})
+	}
+	root := heap.Pop(h).(*huffNode)
+	lens := make([]uint8, len(freqs))
+	var walk func(n *huffNode, depth uint8)
+	walk = func(n *huffNode, depth uint8) {
+		if n.symbol >= 0 {
+			if depth == 0 {
+				depth = 1
+			}
+			lens[n.symbol] = depth
+			return
+		}
+		walk(n.left, depth+1)
+		walk(n.right, depth+1)
+	}
+	walk(root, 0)
+	for _, l := range lens {
+		if l > maxCodeLen {
+			return nil, errCodeTooLong
+		}
+	}
+	return lens, nil
+}
+
+// bitWriter packs bits MSB-first into a byte slice through a 64-bit
+// accumulator: the reference coder's bit sink.
+type bitWriter struct {
+	buf  []byte
+	acc  uint64
+	nAcc uint // bits held in acc
+}
+
+// writeBits appends the low n bits of v (MSB of those n first). n must be
+// at most 32.
+func (w *bitWriter) writeBits(v uint32, n uint) {
+	w.acc = w.acc<<n | uint64(v)&((1<<n)-1)
+	w.nAcc += n
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
+	}
+}
+
+// finish flushes a final partial byte (zero padded) and returns the buffer.
+func (w *bitWriter) finish() []byte {
+	if w.nAcc > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.nAcc)))
+		w.acc, w.nAcc = 0, 0
+	}
+	return w.buf
+}
+
 func qualLengths(quals [][]byte) []int {
 	lengths := make([]int, len(quals))
 	for i, q := range quals {
@@ -63,7 +209,7 @@ func qualLengths(quals [][]byte) []int {
 func checkEncodeEquivalence(t *testing.T, quals [][]byte) ([]byte, bool) {
 	t.Helper()
 	want, errRef := encodeQualBlockRef(quals)
-	got, errFast := encodeQualBlockFast(quals)
+	got, errFast := EncodeQualBlock(quals)
 	if (errRef == nil) != (errFast == nil) {
 		t.Fatalf("encode: reference err %v, fast err %v", errRef, errFast)
 	}
@@ -149,15 +295,6 @@ func TestKernelQualBlockEquivalence(t *testing.T) {
 				t.Fatalf("batch %d string %d: round trip %v -> %v", bi, i, quals[i], back[i])
 			}
 		}
-		// The dispatcher under both modes.
-		prev := kernels.SetEnabled(false)
-		slow, errSlow := EncodeQualBlock(quals)
-		kernels.SetEnabled(true)
-		fast, errFast := EncodeQualBlock(quals)
-		kernels.SetEnabled(prev)
-		if errSlow != nil || errFast != nil || !bytes.Equal(slow, fast) {
-			t.Fatalf("batch %d: dispatcher disagrees (%v, %v)", bi, errSlow, errFast)
-		}
 
 		// Corruptions: both decoders must agree on every one of them.
 		for c := 0; c < 24; c++ {
@@ -201,7 +338,7 @@ func TestKernelQualBlockUncodable(t *testing.T) {
 				if _, ok := checkEncodeEquivalence(t, quals); ok {
 					t.Fatalf("byte %d at %d encoded", b, at)
 				}
-				if _, err := encodeQualBlockFast(quals); !errors.Is(err, ErrQualUncodable) {
+				if _, err := EncodeQualBlock(quals); !errors.Is(err, ErrQualUncodable) {
 					t.Fatalf("byte %d at %d: err %v, want ErrQualUncodable", b, at, err)
 				}
 			}
@@ -296,7 +433,7 @@ func TestKernelQualBlockCodeLengthEdge(t *testing.T) {
 		}
 	}
 	quals = qualgen.Fibonacci(maxCodeLen + 1)
-	for _, encode := range []func([][]byte) ([]byte, error){encodeQualBlockRef, encodeQualBlockFast} {
+	for _, encode := range []func([][]byte) ([]byte, error){encodeQualBlockRef, EncodeQualBlock} {
 		if _, err := encode(quals); !errors.Is(err, ErrQualUncodable) {
 			t.Fatalf("%d rungs: err %v, want ErrQualUncodable", maxCodeLen+1, err)
 		}
@@ -542,7 +679,7 @@ func benchQualEncode(b *testing.B, encode func([][]byte) ([]byte, error)) {
 }
 
 func BenchmarkKernelQualBlockEncodeReference(b *testing.B) { benchQualEncode(b, encodeQualBlockRef) }
-func BenchmarkKernelQualBlockEncodeFast(b *testing.B)      { benchQualEncode(b, encodeQualBlockFast) }
+func BenchmarkKernelQualBlockEncodeFast(b *testing.B)      { benchQualEncode(b, EncodeQualBlock) }
 
 func benchQualDecode(b *testing.B, decode func([]byte, []int) ([][]byte, error)) {
 	for _, records := range []int{64, 2000} {

@@ -15,7 +15,6 @@ func TestUnmarshalRobustness(t *testing.T) {
 		if _, err := (GPFPairCodec{}).Unmarshal(data); err == nil && len(data) == 0 {
 			return false // empty input cannot be a valid block
 		}
-		GPFSAMCodec{}.Unmarshal(data)
 		FieldPairCodec{}.Unmarshal(data)
 		FieldSAMCodec{}.Unmarshal(data)
 		GobCodec[fastq.Pair]{}.Unmarshal(data)

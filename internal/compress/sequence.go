@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // The sequence codec implements Fig 4 of the paper: bases are stored in
@@ -117,41 +116,6 @@ func restoreSpecials(seq, qual []byte) {
 	}
 }
 
-// Pack2Bit appends the 2-bit packed form of seq to dst, substituting code 0
-// ('A') for any non-ACGT byte instead of failing. Callers that must restore
-// the original bytes (e.g. the columnar codec's seq column) record the
-// substituted positions out of band; packSeq remains the strict variant used
-// by the quality-coupled Fig 4 path.
-func Pack2Bit(dst, seq []byte) []byte {
-	if kernels.Enabled() {
-		return pack2BitFast(dst, seq)
-	}
-	return pack2BitRef(dst, seq)
-}
-
-// pack2BitRef is the original per-base packer, kept as the equivalence
-// oracle and the kernels.SetEnabled(false) path.
-func pack2BitRef(dst, seq []byte) []byte {
-	var cur byte
-	var n uint
-	for _, b := range seq {
-		code := genome.BaseCode(b)
-		if code < 0 {
-			code = 0
-		}
-		cur = cur<<2 | byte(code)
-		n++
-		if n == 4 {
-			dst = append(dst, cur)
-			cur, n = 0, 0
-		}
-	}
-	if n > 0 {
-		dst = append(dst, cur<<(2*(4-n)))
-	}
-	return dst
-}
-
 // packCodeTab folds genome.BaseCode and the non-ACGT→0 substitution into one
 // table so the packer is a pure gather (no sign test per base).
 var packCodeTab = func() (t [256]byte) {
@@ -163,13 +127,18 @@ var packCodeTab = func() (t [256]byte) {
 	return
 }()
 
-// pack2BitFast is the word-parallel packer: the output is grown once, then
-// each iteration gathers eight input bytes through packCodeTab into two
-// packed bytes — no rolling shift register, no per-base append, and the
-// bounds checks amortize over the unrolled body. Byte-identical to
-// pack2BitRef (property-tested, and the colfmt fuzz corpus crosses it with
-// the reference unpacker).
-func pack2BitFast(dst, seq []byte) []byte {
+// Pack2Bit appends the 2-bit packed form of seq to dst, substituting code 0
+// ('A') for any non-ACGT byte instead of failing. Callers that must restore
+// the original bytes (e.g. the columnar codec's seq column) record the
+// substituted positions out of band; packSeq remains the strict variant used
+// by the quality-coupled Fig 4 path.
+//
+// It is word-parallel: the output is grown once, then each iteration gathers
+// eight input bytes through packCodeTab into two packed bytes — no rolling
+// shift register, no per-base append, and the bounds checks amortize over the
+// unrolled body. Byte-identical to the per-base oracle pack2BitRef
+// (sequence_kernel_test.go).
+func Pack2Bit(dst, seq []byte) []byte {
 	need := (len(seq) + 3) / 4
 	n := len(dst)
 	dst = slices.Grow(dst, need)[:n+need]
@@ -197,40 +166,6 @@ func pack2BitFast(dst, seq []byte) []byte {
 	return dst
 }
 
-// Unpack2Bit decodes len(dst) bases from packed into dst (the caller's arena
-// slab) and returns the number of packed bytes consumed. Unlike unpackSeq it
-// never allocates: the 4-base tail that would overrun dst is staged through a
-// stack temporary.
-func Unpack2Bit(dst, packed []byte) (int, error) {
-	length := len(dst)
-	need := (length + 3) / 4
-	if len(packed) < need {
-		return 0, fmt.Errorf("compress: packed sequence truncated: need %d bytes, have %d", need, len(packed))
-	}
-	if kernels.Enabled() {
-		unpack2BitFast(dst, packed)
-	} else {
-		unpack2BitRef(dst, packed)
-	}
-	return need, nil
-}
-
-// unpack2BitRef is the original table-copy expansion, kept as the
-// equivalence oracle and the kernels.SetEnabled(false) path. Bounds are
-// already checked by Unpack2Bit.
-func unpack2BitRef(dst, packed []byte) {
-	length := len(dst)
-	i := 0
-	for ; i+4 <= length; i += 4 {
-		copy(dst[i:i+4], unpack4Tab[packed[i/4]][:])
-	}
-	if i < length {
-		var tail [4]byte
-		copy(tail[:], unpack4Tab[packed[i/4]][:])
-		copy(dst[i:], tail[:length-i])
-	}
-}
-
 // unpack4LE holds unpack4Tab's four expanded bases as one little-endian
 // uint32, so the unpacker can emit four bases with a single 32-bit store
 // (and eight with one 64-bit store) instead of a 4-byte copy loop.
@@ -241,10 +176,18 @@ var unpack4LE = func() (t [256]uint32) {
 	return
 }()
 
-// unpack2BitFast is the word-parallel expansion: two packed bytes become one
-// 8-byte store per iteration. Byte-identical to unpack2BitRef.
-func unpack2BitFast(dst, packed []byte) {
+// Unpack2Bit decodes len(dst) bases from packed into dst (the caller's arena
+// slab) and returns the number of packed bytes consumed. Unlike unpackSeq it
+// never allocates: the 4-base tail that would overrun dst is staged through a
+// stack temporary. The expansion is word-parallel — two packed bytes become
+// one 8-byte store per iteration — and byte-identical to the table-copy
+// oracle unpack2BitRef (sequence_kernel_test.go).
+func Unpack2Bit(dst, packed []byte) (int, error) {
 	length := len(dst)
+	need := (length + 3) / 4
+	if len(packed) < need {
+		return 0, fmt.Errorf("compress: packed sequence truncated: need %d bytes, have %d", need, len(packed))
+	}
 	i := 0
 	for ; i+8 <= length; i += 8 {
 		w := uint64(unpack4LE[packed[i/4]]) | uint64(unpack4LE[packed[i/4+1]])<<32
@@ -258,6 +201,7 @@ func unpack2BitFast(dst, packed []byte) {
 		binary.LittleEndian.PutUint32(tail[:], unpack4LE[packed[i/4]])
 		copy(dst[i:], tail[:length-i])
 	}
+	return need, nil
 }
 
 // EncodeSeq compresses one sequence (no quality coupling): uvarint length +

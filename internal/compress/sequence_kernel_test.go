@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/gpf-go/gpf/internal/kernels"
+	"github.com/gpf-go/gpf/internal/genome"
 )
 
 func randBases(rng *rand.Rand, n int, dirty bool) []byte {
@@ -22,6 +22,44 @@ func randBases(rng *rand.Rand, n int, dirty bool) []byte {
 	return s
 }
 
+// pack2BitRef is the original per-base packer, kept as the equivalence
+// oracle.
+func pack2BitRef(dst, seq []byte) []byte {
+	var cur byte
+	var n uint
+	for _, b := range seq {
+		code := genome.BaseCode(b)
+		if code < 0 {
+			code = 0
+		}
+		cur = cur<<2 | byte(code)
+		n++
+		if n == 4 {
+			dst = append(dst, cur)
+			cur, n = 0, 0
+		}
+	}
+	if n > 0 {
+		dst = append(dst, cur<<(2*(4-n)))
+	}
+	return dst
+}
+
+// unpack2BitRef is the original table-copy expansion, kept as the
+// equivalence oracle. packed must hold (len(dst)+3)/4 bytes.
+func unpack2BitRef(dst, packed []byte) {
+	length := len(dst)
+	i := 0
+	for ; i+4 <= length; i += 4 {
+		copy(dst[i:i+4], unpack4Tab[packed[i/4]][:])
+	}
+	if i < length {
+		var tail [4]byte
+		copy(tail[:], unpack4Tab[packed[i/4]][:])
+		copy(dst[i:], tail[:length-i])
+	}
+}
+
 // TestKernelPack2BitEquivalence: the word-parallel packer must emit exactly
 // the reference's bytes for every length (all four tail phases) and for
 // non-ACGT input (both substitute code 0), including when appending to a
@@ -31,25 +69,16 @@ func TestKernelPack2BitEquivalence(t *testing.T) {
 	for c := 0; c < 400; c++ {
 		seq := randBases(rng, rng.Intn(130), c%3 == 0)
 		want := pack2BitRef(nil, seq)
-		got := pack2BitFast(nil, seq)
+		got := Pack2Bit(nil, seq)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("len %d: fast %x != reference %x", len(seq), got, want)
 		}
 		// Append semantics: prior dst contents must be preserved.
 		prefix := []byte{0xde, 0xad}
-		got = pack2BitFast(append([]byte(nil), prefix...), seq)
+		got = Pack2Bit(append([]byte(nil), prefix...), seq)
 		want = pack2BitRef(append([]byte(nil), prefix...), seq)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("len %d with prefix: fast %x != reference %x", len(seq), got, want)
-		}
-		// Public dispatcher under both kernel modes.
-		prev := kernels.SetEnabled(false)
-		slow := Pack2Bit(nil, seq)
-		kernels.SetEnabled(true)
-		fast := Pack2Bit(nil, seq)
-		kernels.SetEnabled(prev)
-		if !bytes.Equal(slow, fast) {
-			t.Fatalf("len %d: dispatcher disagrees: %x vs %x", len(seq), slow, fast)
 		}
 	}
 }
@@ -66,7 +95,9 @@ func TestKernelUnpack2BitEquivalence(t *testing.T) {
 		want := make([]byte, length)
 		unpack2BitRef(want, packed)
 		got := make([]byte, length)
-		unpack2BitFast(got, packed)
+		if _, err := Unpack2Bit(got, packed); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("len %d: fast %q != reference %q", length, got, want)
 		}
@@ -80,13 +111,8 @@ func TestKernelUnpack2BitEquivalence(t *testing.T) {
 			t.Fatalf("round-trip %q -> %q", seq, rt)
 		}
 	}
-	// Truncated input still errors identically in both modes.
-	for _, fast := range []bool{true, false} {
-		prev := kernels.SetEnabled(fast)
-		if _, err := Unpack2Bit(make([]byte, 9), []byte{0, 0}); err == nil {
-			t.Fatalf("fast=%v: truncated unpack did not error", fast)
-		}
-		kernels.SetEnabled(prev)
+	if _, err := Unpack2Bit(make([]byte, 9), []byte{0, 0}); err == nil {
+		t.Fatal("truncated unpack did not error")
 	}
 }
 
@@ -111,7 +137,7 @@ func BenchmarkKernelPack2BitFast(b *testing.B) {
 	dst := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pack2BitFast(dst[:0], seq)
+		Pack2Bit(dst[:0], seq)
 	}
 }
 
@@ -129,6 +155,8 @@ func BenchmarkKernelUnpack2BitFast(b *testing.B) {
 	dst := make([]byte, len(seq))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		unpack2BitFast(dst, packed)
+		if _, err := Unpack2Bit(dst, packed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -63,11 +63,13 @@ func Table3(s Scale) (*Table3Result, error) {
 		r1, r2 := aligner.AlignPair(&d.Pairs[i])
 		records = append(records, r1, r2)
 	}
-	samOrigin, err := compress.FieldSAMCodec{}.Marshal(records)
+	// The two SAM codec tiers the pipeline can ship: TierField against
+	// TierGPF, the columnar codec.
+	samOrigin, err := core.TierField.SAMCodec().Marshal(records)
 	if err != nil {
 		return nil, err
 	}
-	samCompressed, err := compress.GPFSAMCodec{}.Marshal(records)
+	samCompressed, err := core.TierGPF.SAMCodec().Marshal(records)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // Bases used throughout the framework. Sequences are stored as upper-case
@@ -203,24 +201,11 @@ var complementTab = func() (t [256]byte) {
 
 // ReverseComplement returns the reverse complement of seq as a new slice.
 func ReverseComplement(seq []byte) []byte {
-	if !kernels.Enabled() {
-		return reverseComplementRef(seq)
-	}
 	out := make([]byte, len(seq))
 	// Walk both ends toward the middle: every iteration fills two output
 	// bytes from one cache line at each end of the input.
 	for i, j := 0, len(seq)-1; i <= j; i, j = i+1, j-1 {
 		out[j], out[i] = complementTab[seq[i]], complementTab[seq[j]]
-	}
-	return out
-}
-
-// reverseComplementRef is the original per-base implementation, kept as the
-// equivalence oracle and the kernels.SetEnabled(false) path.
-func reverseComplementRef(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	for i, b := range seq {
-		out[len(seq)-1-i] = Complement(b)
 	}
 	return out
 }

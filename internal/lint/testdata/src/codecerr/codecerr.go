@@ -15,7 +15,7 @@ import (
 )
 
 func positives(recs []sam.Record, buf *bytes.Buffer, w io.Writer) {
-	codec := compress.GPFSAMCodec{}
+	codec := compress.FieldSAMCodec{}
 	codec.Marshal(recs) // want "error return of compress.Marshal dropped"
 
 	_, _ = codec.Marshal(recs) // want "error return of compress.Marshal dropped"
@@ -27,7 +27,7 @@ func positives(recs []sam.Record, buf *bytes.Buffer, w io.Writer) {
 }
 
 func negatives(recs []sam.Record, buf *bytes.Buffer, w io.Writer) error {
-	codec := compress.GPFSAMCodec{}
+	codec := compress.FieldSAMCodec{}
 
 	// Consumed errors are the point.
 	block, err := codec.Marshal(recs)

@@ -1,6 +1,9 @@
 package gpf
 
-import "github.com/gpf-go/gpf/internal/compress"
+import (
+	"github.com/gpf-go/gpf/internal/colfmt"
+	"github.com/gpf-go/gpf/internal/compress"
+)
 
 // Genomic codecs (§4.2 of the paper): partition-level serializers that store
 // sequences in 2-bit codes with N exceptions routed through the quality
@@ -8,8 +11,10 @@ import "github.com/gpf-go/gpf/internal/compress"
 type (
 	// GPFPairCodec serializes FASTQ pairs with the genomic codec.
 	GPFPairCodec = compress.GPFPairCodec
-	// GPFSAMCodec serializes SAM records with the genomic codec.
-	GPFSAMCodec = compress.GPFSAMCodec
+	// GPFSAMCodec serializes SAM records with the genomic codec: the
+	// columnar block format the pipeline's TierGPF ships, one column per
+	// field, 2-bit sequences and delta-Huffman qualities.
+	GPFSAMCodec = colfmt.Codec
 	// FieldPairCodec is the fast binary comparator without genomic modeling.
 	FieldPairCodec = compress.FieldPairCodec
 	// FieldSAMCodec is the fast binary comparator for SAM records.
