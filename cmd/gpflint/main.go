@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,9 +29,8 @@ import (
 func main() {
 	listOnly := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout (exit codes unchanged)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gpflint [-list] [-only name,...] [-json] <packages or .go files>\n")
+		fmt.Fprintf(os.Stderr, "usage: gpflint [-list] [-only name,...] <packages or .go files>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -78,17 +76,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gpflint:", err)
 		os.Exit(2)
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(lint.ToJSON(pkgs[0].Fset, diags)); err != nil {
-			fmt.Fprintln(os.Stderr, "gpflint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(lint.Format(pkgs[0].Fset, d))
-		}
+	for _, d := range diags {
+		fmt.Println(lint.Format(pkgs[0].Fset, d))
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "gpflint: %d diagnostic(s)\n", len(diags))

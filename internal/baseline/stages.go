@@ -8,12 +8,6 @@ import (
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
-// readsWhole declares that a baseline stage touches every record field.
-// The comparators model whole-record systems — projection pushdown is the
-// GPF-side optimization they lack — so every stage here opts out of pruning
-// explicitly rather than relying on the planner's silent AllFields default.
-var readsWhole = engine.ReadsOnly(engine.FieldsAll)
-
 // StageStyle captures how a comparator executes one pipeline stage: which
 // serializer tier it shuffles through, and whether it converts records
 // into its own storage format before and after the stage (ADAM's
@@ -55,7 +49,7 @@ func convertStage(style StageStyle, name string, ds *engine.Dataset[sam.Record])
 			return nil, err
 		}
 		return gob.Unmarshal(blob)
-	}, readsWhole)
+	})
 }
 
 // positionKey partitions mapped records by coarse genomic position.
@@ -80,7 +74,7 @@ func runStage(rt *core.Runtime, records []sam.Record, style StageStyle, shuffle 
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	grouped, err := engine.PartitionBy(sys+"/"+shuffle, ds, rt.NumPartitions, key, readsWhole)
+	grouped, err := engine.PartitionBy(sys+"/"+shuffle, ds, rt.NumPartitions, key)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
@@ -103,7 +97,7 @@ func mutateStage(name string, ds *engine.Dataset[sam.Record], fn func([]sam.Reco
 	return engine.MapPartitions(name, ds, ds.Codec(), func(_ int, recs []sam.Record) ([]sam.Record, error) {
 		out := append([]sam.Record(nil), recs...)
 		return out, fn(out)
-	}, readsWhole)
+	})
 }
 
 // RunMarkDupStage executes the duplicate-marking stage under the style and
@@ -139,7 +133,7 @@ func RunBQSRStage(rt *core.Runtime, records []sam.Record, style StageStyle) (eng
 			tables, err := engine.MapPartitions(sys+"/count-covariates", grouped, nil,
 				func(_ int, recs []sam.Record) ([]*cleaner.RecalTable, error) {
 					return []*cleaner.RecalTable{cleaner.BuildRecalTable(recs, rt.Ref, nil)}, nil
-				}, readsWhole)
+				})
 			if err != nil {
 				return nil, err
 			}

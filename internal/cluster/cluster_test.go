@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -243,10 +244,10 @@ func TestSparkOptionsPreservedThroughNoDisk(t *testing.T) {
 	}
 }
 
-// TestPredictScalingShape: predictions cover every requested point, makespan
-// never increases with more processes on a parallel trace, and speedup is
-// anchored at the first point.
-func TestPredictScalingShape(t *testing.T) {
+// shuffleMetrics runs one 16-partition shuffle in process and returns its
+// metrics — a real trace for PredictScaling to replay.
+func shuffleMetrics(t *testing.T) engine.Metrics {
+	t.Helper()
 	ctx := engine.NewContext(2)
 	items := make([]int, 4000)
 	for i := range items {
@@ -256,7 +257,14 @@ func TestPredictScalingShape(t *testing.T) {
 	if _, err := engine.PartitionBy("s/pb", d, 16, func(x int) int { return x * 7 }); err != nil {
 		t.Fatal(err)
 	}
-	m := ctx.Metrics()
+	return ctx.Metrics()
+}
+
+// TestPredictScalingShape: predictions cover every requested point, makespan
+// never increases with more processes on a parallel trace, and speedup is
+// anchored at the first point.
+func TestPredictScalingShape(t *testing.T) {
+	m := shuffleMetrics(t)
 	// Inflate task costs so the modeled makespans are well above rounding.
 	for i := range m.Stages {
 		for j := range m.Stages[i].Tasks {
@@ -278,5 +286,42 @@ func TestPredictScalingShape(t *testing.T) {
 	}
 	if preds[3].Speedup <= 1.5 {
 		t.Fatalf("16 partitions across 8 procs predicted speedup %.2f, want > 1.5", preds[3].Speedup)
+	}
+}
+
+// TestSimulateDeterministic: the simulator is a function of its trace — no
+// wall clock, no global random source, no map order in its output. Each
+// entry point replayed on the same input returns deeply equal results, with
+// uneven task costs so ties and heap order are in play.
+func TestSimulateDeterministic(t *testing.T) {
+	var tr Trace
+	for s := 0; s < 5; s++ {
+		sw := StageWork{Name: "s", Kind: engine.StageShuffle, Driver: time.Duration(s) * time.Millisecond}
+		for i := 0; i < 97; i++ {
+			skew := time.Duration((i*31+s*17)%13) * 3 * time.Millisecond
+			sw.Tasks = append(sw.Tasks, TaskWork{CPU: skew, ReadBytes: int64(i%7) << 20, WriteBytes: int64(i%5) << 19})
+		}
+		tr.Stages = append(tr.Stages, sw)
+	}
+	cfg := PaperCluster()
+	for _, cores := range []int{1, 48, 2048} {
+		if a, b := Simulate(tr, cfg, cores, SparkOptions()), Simulate(tr, cfg, cores, SparkOptions()); !reflect.DeepEqual(a, b) {
+			t.Fatalf("Simulate at %d cores differs between replays:\n%+v\n%+v", cores, a, b)
+		}
+	}
+
+	files := []FileStage{
+		{Name: "align", CPU: 60 * time.Minute, ReadBytes: 17 << 30, WriteBytes: 20 << 30},
+		{Name: "call", CPU: 45 * time.Minute, ReadBytes: 20 << 30, WriteBytes: 1 << 30},
+	}
+	if a, b := SimulateFilePipeline(files, 30, Lustre()), SimulateFilePipeline(files, 30, Lustre()); !reflect.DeepEqual(a, b) {
+		t.Fatalf("SimulateFilePipeline differs between replays:\n%+v\n%+v", a, b)
+	}
+
+	// PredictScaling goes through TraceFromMetrics, so a real run's metrics
+	// are the input; only the replay is repeated, not the run.
+	m := shuffleMetrics(t)
+	if a, b := PredictScaling(m, 2, []int{1, 2, 4, 8}), PredictScaling(m, 2, []int{1, 2, 4, 8}); !reflect.DeepEqual(a, b) {
+		t.Fatalf("PredictScaling differs between replays:\n%+v\n%+v", a, b)
 	}
 }

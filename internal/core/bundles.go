@@ -94,9 +94,7 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 				return 0
 			}
 			return info.FinalID(int(r.RefID), int(r.Pos))
-		},
-		// Routing reads only the coordinates; records pass through whole.
-		engine.ReadsOnly(colfmt.FieldCoord))
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -95,10 +95,7 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	}
 	grouped, err := engine.PartitionBy(p.name+"/group",
 		engine.WithCodec(flat, rt.SAMCodec()), rt.NumPartitions,
-		func(r sam.Record) int { return cleaner.GroupKey(&r) },
-		// The duplicate signature reads coordinates, flags, mate fields, the
-		// CIGAR (unclipped 5') and the library tag; records pass through.
-		engine.ReadsOnly(colfmt.FieldCoord|colfmt.FieldFlag|colfmt.FieldMate|colfmt.FieldCigar|colfmt.FieldTags))
+		func(r sam.Record) int { return cleaner.GroupKey(&r) })
 	if err != nil {
 		return err
 	}

@@ -50,9 +50,7 @@ func (p *CoordinateSortProcess) Run(rt *Runtime) error {
 				return n - 1
 			}
 			return info.BaseID(int(r.RefID), int(r.Pos))
-		},
-		// Routing reads only the coordinates; records pass through whole.
-		engine.ReadsOnly(colfmt.FieldCoord))
+		})
 	if err != nil {
 		return err
 	}

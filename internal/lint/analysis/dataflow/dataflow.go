@@ -30,7 +30,6 @@ import (
 // variable assigned inside it, with nested function literals flattened in.
 type Func struct {
 	Info *types.Info
-	Decl ast.Node // *ast.FuncDecl or *ast.FuncLit
 	Body *ast.BlockStmt
 	Sig  *types.Signature
 
@@ -39,12 +38,11 @@ type Func struct {
 }
 
 // Def is one definition of a variable: an assignment, a declaration with a
-// value, or a range-clause binding.
+// value, or a range-clause binding (LHS iterates over container RHS).
 type Def struct {
 	LHS    *types.Var
 	RHS    ast.Expr // defining expression; nil for zero-value declarations
 	Result int      // result index when RHS is a multi-value call
-	Range  bool     // range binding: LHS iterates over container RHS
 }
 
 // New builds the dataflow view of fn, which must be an *ast.FuncDecl or
@@ -52,7 +50,6 @@ type Def struct {
 func New(info *types.Info, fn ast.Node) *Func {
 	f := &Func{
 		Info: info,
-		Decl: fn,
 		defs: make(map[*types.Var][]Def),
 		lits: make(map[*types.Var]*ast.FuncLit),
 	}
@@ -96,8 +93,8 @@ func New(info *types.Info, fn ast.Node) *Func {
 				if lhs == nil {
 					continue
 				}
-				if v := RootVar(f.Info, lhs); v != nil {
-					f.addDef(Def{LHS: v, RHS: n.X, Range: true})
+				if v := rootVar(f.Info, lhs); v != nil {
+					f.addDef(Def{LHS: v, RHS: n.X})
 				}
 			}
 		}
@@ -110,7 +107,7 @@ func (f *Func) addAssign(n *ast.AssignStmt) {
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
 		// Multi-value: a, b := f().
 		for i, lhs := range n.Lhs {
-			if v := RootVar(f.Info, lhs); v != nil {
+			if v := rootVar(f.Info, lhs); v != nil {
 				f.addDef(Def{LHS: v, RHS: n.Rhs[0], Result: i})
 			}
 		}
@@ -120,7 +117,7 @@ func (f *Func) addAssign(n *ast.AssignStmt) {
 		if i >= len(n.Rhs) {
 			break
 		}
-		v := RootVar(f.Info, lhs)
+		v := rootVar(f.Info, lhs)
 		if v == nil {
 			continue
 		}
@@ -147,12 +144,9 @@ func (f *Func) varOfIdent(id *ast.Ident) *types.Var {
 	return obj
 }
 
-// DefsOf returns every recorded definition of v, in source order.
-func (f *Func) DefsOf(v *types.Var) []Def { return f.defs[v] }
-
-// RootVar returns the variable at the base of an lvalue-shaped expression:
+// rootVar returns the variable at the base of an lvalue-shaped expression:
 // x, x.f, x[i], *x, x.f[i].g all root at x. Nil for other shapes.
-func RootVar(info *types.Info, e ast.Expr) *types.Var {
+func rootVar(info *types.Info, e ast.Expr) *types.Var {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
@@ -184,8 +178,8 @@ func RootVar(info *types.Info, e ast.Expr) *types.Var {
 // `length` when need was computed from length.
 type SeedSet map[token.Pos]bool
 
-// Intersects reports whether the two sets share a seed.
-func (s SeedSet) Intersects(o SeedSet) bool {
+// intersects reports whether the two sets share a seed.
+func (s SeedSet) intersects(o SeedSet) bool {
 	if len(s) > len(o) {
 		s, o = o, s
 	}
@@ -321,12 +315,7 @@ func (t *Taint) Seeds(e ast.Expr) SeedSet {
 	return nil
 }
 
-// Tainted reports whether any source reaches e.
-func (t *Taint) Tainted(e ast.Expr) bool { return len(t.Seeds(e)) > 0 }
-
-// VarSeeds returns the sources reaching variable v.
-func (t *Taint) VarSeeds(v *types.Var) SeedSet { return t.varSeeds(v) }
-
+// varSeeds returns the sources reaching variable v.
 func (t *Taint) varSeeds(v *types.Var) SeedSet {
 	s := t.vars[v]
 	if t.spec.Var != nil && t.spec.Var(v) {
@@ -431,9 +420,9 @@ func returnsOf(body *ast.BlockStmt) []*ast.ReturnStmt {
 	return out
 }
 
-// PathTo returns the ancestor chain from the function body down to n
+// pathTo returns the ancestor chain from the function body down to n
 // (inclusive of both), or nil if n is not inside this function.
-func (f *Func) PathTo(n ast.Node) []ast.Node {
+func (f *Func) pathTo(n ast.Node) []ast.Node {
 	var path, stack []ast.Node
 	ast.Inspect(f.Body, func(m ast.Node) bool {
 		if m == nil {
@@ -470,7 +459,7 @@ func (t *Taint) BoundedBy(n ast.Node, seeds SeedSet) bool {
 	if len(seeds) == 0 {
 		return false
 	}
-	path := t.F.PathTo(n)
+	path := t.F.pathTo(n)
 	for i, anc := range path {
 		ifs, ok := anc.(*ast.IfStmt)
 		if !ok || i+1 >= len(path) {
@@ -493,7 +482,7 @@ func (t *Taint) BoundedBy(n ast.Node, seeds SeedSet) bool {
 			return false
 		}
 		ifs, ok := m.(*ast.IfStmt)
-		if !ok || ifs.Pos() >= n.Pos() || !Terminates(ifs.Body) {
+		if !ok || ifs.Pos() >= n.Pos() || !terminates(ifs.Body) {
 			return true
 		}
 		if t.condBounds(ifs.Cond, seeds, taintedLarge) {
@@ -540,7 +529,7 @@ func (t *Taint) condBounds(cond ast.Expr, seeds SeedSet, dir boundDir) bool {
 		if t.isZero(other) {
 			return true
 		}
-		if t.Seeds(tainted).Intersects(seeds) {
+		if t.Seeds(tainted).intersects(seeds) {
 			found = true
 		}
 		return true
@@ -557,20 +546,20 @@ func (t *Taint) isZero(e ast.Expr) bool {
 	return exact && v == 0
 }
 
-// Terminates reports whether executing s always exits the enclosing
+// terminates reports whether executing s always exits the enclosing
 // statement sequence: a return, branch, panic, or fatal call in tail
 // position, or an if whose branches all terminate.
-func Terminates(s ast.Stmt) bool {
+func terminates(s ast.Stmt) bool {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		if len(s.List) == 0 {
 			return false
 		}
-		return Terminates(s.List[len(s.List)-1])
+		return terminates(s.List[len(s.List)-1])
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
 	case *ast.IfStmt:
-		return s.Else != nil && Terminates(s.Body) && Terminates(s.Else)
+		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
 	case *ast.ExprStmt:
 		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
 		if !ok {

@@ -58,7 +58,7 @@ func taintOf(t *testing.T, src, fn string) (*Taint, func(name string) bool) {
 	return tt, func(name string) bool {
 		for v := range f.defs {
 			if v.Name() == name {
-				return len(tt.VarSeeds(v)) > 0
+				return len(tt.varSeeds(v)) > 0
 			}
 		}
 		t.Fatalf("no variable %q in %s", name, fn)
@@ -90,10 +90,10 @@ func TestDefUseConstruction(t *testing.T) {
 	if x == nil || y == nil {
 		t.Fatalf("missing defs: x=%v y=%v", x, y)
 	}
-	if n := len(f.DefsOf(x)); n != 2 {
+	if n := len(f.defs[x]); n != 2 {
 		t.Errorf("x has %d defs, want 2 (declaration and reassignment)", n)
 	}
-	defs := f.DefsOf(y)
+	defs := f.defs[y]
 	if len(defs) != 1 || defs[0].Result != 0 {
 		t.Errorf("y defs = %+v, want one def at result 0 of the call", defs)
 	}
@@ -127,7 +127,7 @@ func TestTaintPropagation(t *testing.T) {
 	tainted := func(name string) bool {
 		for v := range f.defs {
 			if v.Name() == name {
-				return len(tt.VarSeeds(v)) > 0
+				return len(tt.varSeeds(v)) > 0
 			}
 		}
 		t.Fatalf("no variable %q", name)

@@ -20,31 +20,14 @@ func TestMapIter(t *testing.T) {
 	analysistest.Run(t, fixture("mapiter"), "github.com/gpf-go/gpf/internal/engine/mapiterfixture", lint.MapIter)
 }
 
-func TestWallTime(t *testing.T) {
-	analysistest.Run(t, fixture("walltime"), "github.com/gpf-go/gpf/internal/cluster/walltimefixture", lint.WallTime)
-}
-
 func TestCodecErr(t *testing.T) {
 	analysistest.Run(t, fixture("codecerr"), "gpf/fixture/codecerr", lint.CodecErr)
 }
 
-func TestBufAlloc(t *testing.T) {
-	analysistest.Run(t, fixture("bufalloc"), "github.com/gpf-go/gpf/internal/compress/bufallocfixture", lint.BufAlloc)
-}
-
-// TestKernelBufFixture loads the kernel-hot-path fixture under a package
-// path inside internal/caller: the bufalloc scope extension to the pooled-
-// buffer kernels applies there, watching PairHMM*/…Align* entry points.
-func TestKernelBufFixture(t *testing.T) {
-	analysistest.Run(t, fixture("kernelbuf"), "github.com/gpf-go/gpf/internal/caller/kernelbuffixture", lint.BufAlloc)
-}
-
-// TestColfmtCodecFixture runs bufalloc and codecerr together over the
-// columnar-codec fixture: the fixture loads under a package path inside
-// internal/colfmt, so the bufalloc scope extension applies, and the colfmt
-// serializer calls are watched codec surfaces for codecerr.
+// TestColfmtCodecFixture runs codecerr over the columnar-codec fixture: the
+// colfmt serializer calls are watched codec surfaces.
 func TestColfmtCodecFixture(t *testing.T) {
-	analysistest.Run(t, fixture("colfmtcodec"), "github.com/gpf-go/gpf/internal/colfmt/colfmtcodecfixture", lint.BufAlloc, lint.CodecErr)
+	analysistest.Run(t, fixture("colfmtcodec"), "github.com/gpf-go/gpf/internal/colfmt/colfmtcodecfixture", lint.CodecErr)
 }
 
 // TestMprocTransportFixture runs codecerr and sharedcapture together over
@@ -67,22 +50,10 @@ func TestGoLeak(t *testing.T) {
 	analysistest.Run(t, fixture("goleak"), "github.com/gpf-go/gpf/internal/engine/goleakfixture", lint.GoLeak)
 }
 
-func TestChanLife(t *testing.T) {
-	analysistest.Run(t, fixture("chanlife"), "github.com/gpf-go/gpf/internal/engine/chanlifefixture", lint.ChanLife)
-}
-
-// TestFieldFX: engine ops over sam.Record must declare field effects
-// (undeclared → loud AllFields default) and declared masks must cover the
-// callback's field reads (the unsafe-narrow case the planner would turn
-// into silently-zeroed fields).
-func TestFieldFX(t *testing.T) {
-	analysistest.Run(t, fixture("fieldfx"), "gpf/fixture/fieldfx", lint.FieldFX)
-}
-
 // TestScopeFilters asserts that path-scoped analyzers stay quiet outside
-// their packages: the scopecheck fixture contains mapiter and walltime
-// violations but is loaded under an unrelated import path, so the whole
-// suite must produce zero diagnostics (the fixture has no want comments).
+// their packages: the scopecheck fixture contains a mapiter violation but is
+// loaded under an unrelated import path, so the whole suite must produce zero
+// diagnostics (the fixture has no want comments).
 func TestScopeFilters(t *testing.T) {
 	analysistest.Run(t, fixture("scopecheck"), "example.com/elsewhere/scopecheck", lint.Suite()...)
 }

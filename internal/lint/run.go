@@ -22,13 +22,9 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		SharedCapture,
 		MapIter,
-		WallTime,
 		CodecErr,
-		BufAlloc,
 		AllocLen,
 		GoLeak,
-		ChanLife,
-		FieldFX,
 	}
 }
 
@@ -39,7 +35,7 @@ type ignoreDirective struct {
 }
 
 // ignorePrefix introduces a suppression comment. The reason is mandatory:
-// `//lint:ignore gpflint/walltime simulated clock unavailable here`.
+// `//lint:ignore gpflint/codecerr best-effort write on the error path`.
 const ignorePrefix = "lint:ignore"
 
 // IgnoreDirective is the parsed form of one suppression comment, including
@@ -161,31 +157,4 @@ func sortDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
 func Format(fset *token.FileSet, d analysis.Diagnostic) string {
 	pos := fset.Position(d.Pos)
 	return fmt.Sprintf("%s: %s (gpflint/%s)", pos, d.Message, d.Analyzer)
-}
-
-// JSONDiagnostic is the machine-readable finding record behind
-// `gpflint -json` — one object per diagnostic, consumed by CI to emit
-// annotations and archived as a build artifact.
-type JSONDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// ToJSON converts diagnostics to their machine-readable form.
-func ToJSON(fset *token.FileSet, diags []analysis.Diagnostic) []JSONDiagnostic {
-	out := make([]JSONDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		out = append(out, JSONDiagnostic{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	return out
 }
