@@ -74,7 +74,7 @@ func runners() []runner {
 		{"projection-planner", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.ProjectionPlanner(s)
 			return format(r, err)
-		}, "projection planner: declared-effect decode narrowing vs disabled vs row codec, census decode bytes"},
+		}, "projection planner: declared-read decode narrowing vs undeclared vs row codec, census decode bytes"},
 		{"scaling", func(s experiments.Scale) ([]string, error) {
 			r, err := experiments.Scaling(s)
 			return format(r, err)

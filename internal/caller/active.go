@@ -22,7 +22,6 @@ type Config struct {
 	MinActiveFrac  float64 // fraction of disagreeing bases that activates a site
 	MinActiveDepth int     // minimum depth for a site to activate
 	MinQual        float64 // emit threshold on variant QUAL
-	UseGVCF        bool    // also emit reference blocks (gVCF mode)
 	// MaxReadsPerRegion caps the reads entering the pair-HMM per active
 	// region (GATK-style downsampling): coverage pileups beyond ~10,000x
 	// (§4.4) would otherwise make single regions arbitrarily expensive.

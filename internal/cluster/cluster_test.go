@@ -158,9 +158,14 @@ func TestEfficiency(t *testing.T) {
 	}
 }
 
+// The two shared filesystems of Table 1 (experiments/table1.go's fitted
+// values): striped Lustre, and a single NFS server that saturates earlier.
+var (
+	lustre = SharedFS{Name: "Lustre", AggregateMBps: 800, PerClientCapMBps: 700, MetadataPenalty: 1.0}
+	nfs    = SharedFS{Name: "NFS", AggregateMBps: 500, PerClientCapMBps: 860, MetadataPenalty: 1.0}
+)
+
 func TestSharedFSContention(t *testing.T) {
-	lustre := Lustre()
-	nfs := NFS()
 	// Per-client bandwidth collapses with client count.
 	if lustre.PerClientMBps(1) <= lustre.PerClientMBps(30) {
 		t.Fatal("contention should reduce per-client bandwidth")
@@ -184,8 +189,8 @@ func TestSimulateFilePipelineIOShare(t *testing.T) {
 		{Name: "sort", CPU: 20 * time.Minute, ReadBytes: 600 << 30 / 30, WriteBytes: 600 << 30 / 30},
 		{Name: "call", CPU: 60 * time.Minute, ReadBytes: 600 << 30 / 30, WriteBytes: 1 << 30},
 	}
-	one := SimulateFilePipeline(stages, 1, Lustre())
-	thirty := SimulateFilePipeline(stages, 30, Lustre())
+	one := SimulateFilePipeline(stages, 1, lustre)
+	thirty := SimulateFilePipeline(stages, 30, lustre)
 	if thirty.IOPercent <= one.IOPercent {
 		t.Fatalf("I/O share should grow with samples: %v vs %v", one.IOPercent, thirty.IOPercent)
 	}
@@ -314,7 +319,7 @@ func TestSimulateDeterministic(t *testing.T) {
 		{Name: "align", CPU: 60 * time.Minute, ReadBytes: 17 << 30, WriteBytes: 20 << 30},
 		{Name: "call", CPU: 45 * time.Minute, ReadBytes: 20 << 30, WriteBytes: 1 << 30},
 	}
-	if a, b := SimulateFilePipeline(files, 30, Lustre()), SimulateFilePipeline(files, 30, Lustre()); !reflect.DeepEqual(a, b) {
+	if a, b := SimulateFilePipeline(files, 30, lustre), SimulateFilePipeline(files, 30, lustre); !reflect.DeepEqual(a, b) {
 		t.Fatalf("SimulateFilePipeline differs between replays:\n%+v\n%+v", a, b)
 	}
 

@@ -18,16 +18,6 @@ type SharedFS struct {
 	MetadataPenalty float64
 }
 
-// Lustre returns a Lustre-like shared FS: high aggregate bandwidth, striped.
-func Lustre() SharedFS {
-	return SharedFS{Name: "Lustre", AggregateMBps: 8000, PerClientCapMBps: 1200, MetadataPenalty: 1.0}
-}
-
-// NFS returns an NFS-like shared FS: a single server, saturating early.
-func NFS() SharedFS {
-	return SharedFS{Name: "NFS", AggregateMBps: 3000, PerClientCapMBps: 1000, MetadataPenalty: 1.25}
-}
-
 // PerClientMBps returns the bandwidth one of `clients` concurrently
 // streaming clients receives.
 func (fs SharedFS) PerClientMBps(clients int) float64 {

@@ -62,8 +62,8 @@ import (
 )
 
 // Field bits of the columnar layout, in column order. The values double as
-// engine.FieldMask bits: op effect declarations (engine.ReadsOnly, Rebuilds,
-// WithEffects) are built by OR-ing these.
+// engine.FieldMask bits: a read declaration (engine.ReadsOnly) is built by
+// OR-ing these.
 const (
 	FieldName engine.FieldMask = 1 << iota
 	FieldFlag

@@ -565,9 +565,8 @@ func TestPipelineWithSerializedStorage(t *testing.T) {
 
 func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 	// The repartitioner census declares ReadsOnly(FieldCoord) and nothing
-	// else. The projection planner must derive the coordinate-only decode on
-	// its own: the columnar census must decode at least 90% fewer stored
-	// bytes than the same census over the row-wise field tier.
+	// else annotates the read: the columnar census must decode at least 90%
+	// fewer stored bytes than the same census over the row-wise field tier.
 	run := func(tier CodecTier) (decoded, pruned int64) {
 		rt := testRuntime(t, 2)
 		rt.Engine.StoreSerialized = true
@@ -605,7 +604,7 @@ func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 		t.Fatalf("census decoded no bytes: columnar=%d row=%d", colDec, rowDec)
 	}
 	if colPruned == 0 {
-		t.Fatal("planner-inferred census pruned nothing")
+		t.Fatal("the declared census pruned nothing")
 	}
 	if reduction := 1 - float64(colDec)/float64(rowDec); reduction < 0.90 {
 		t.Fatalf("census decode reduction %.1f%% < 90%% (columnar %d bytes, row %d)",

@@ -105,14 +105,7 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 			cleaner.SortByCoordinate(out)
 			cleaner.MarkDuplicates(out)
 			return out, nil
-		},
-		// Marking reads the signature fields plus names and base qualities
-		// (tie-breaks) and rewrites only the flag column.
-		engine.WithEffects(engine.FieldEffects{
-			Reads: colfmt.FieldCoord | colfmt.FieldFlag | colfmt.FieldMate |
-				colfmt.FieldCigar | colfmt.FieldTags | colfmt.FieldName | colfmt.FieldQual,
-			Writes: colfmt.FieldFlag,
-		}))
+		})
 	if err != nil {
 		return err
 	}
@@ -174,8 +167,7 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 		if err != nil {
 			return err
 		}
-		// The census keys on RefID/Pos only. Declaring ReadsOnly(FieldCoord)
-		// lets the projection planner derive the pruning itself: a
+		// The census keys on RefID/Pos only: with ReadsOnly(FieldCoord) a
 		// columnar-stored input decodes just the coord column and prunes
 		// name/seq/qual/tags. On a non-columnar input the mask is a no-op.
 		c, err := engine.CountByKey(p.name+"/census", flat, baseID, engine.ReadsOnly(colfmt.FieldCoord))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
@@ -56,9 +55,7 @@ func (p *CoordinateSortProcess) Run(rt *Runtime) error {
 	}
 	sorted, err := engine.SortPartitions(p.name+"/sort", parted, func(a, b sam.Record) bool {
 		return sam.CoordinateLess(&a, &b)
-	},
-		// CoordinateLess orders by RefID/Pos, strand (a flag bit) and name.
-		engine.ReadsOnly(colfmt.FieldCoord|colfmt.FieldFlag|colfmt.FieldName))
+	})
 	if err != nil {
 		return err
 	}
@@ -135,9 +132,7 @@ func (p *IndexProcess) Run(rt *Runtime) error {
 				}
 			}
 			return []IndexEntry{e}, nil
-		},
-		// Spans need coordinates, the unmapped flag and the CIGAR (End).
-		engine.ReadsOnly(colfmt.FieldCoord|colfmt.FieldFlag|colfmt.FieldCigar))
+		})
 	if err != nil {
 		return err
 	}
@@ -189,10 +184,7 @@ func (ix *SAMIndex) Query(rt *Runtime, iv genome.Interval) ([]sam.Record, error)
 				}
 			}
 			return out, nil
-		},
-		// Overlap tests read coordinates, the unmapped flag and the CIGAR;
-		// matching records pass through whole.
-		engine.ReadsOnly(colfmt.FieldCoord|colfmt.FieldFlag|colfmt.FieldCigar))
+		})
 	if err != nil {
 		return nil, err
 	}

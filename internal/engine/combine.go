@@ -48,10 +48,10 @@ func sortedPairs[C any](m map[int]C) []Keyed[C] {
 // shuffled pairs (nil selects the gob fallback).
 //
 // CombineByKey runs at the call like every wide op and returns a materialized
-// dataset. opts declare the fields that key/create/mergeValue read: the
-// combine changes record type, so nothing downstream can demand a field of d
-// and the map-side read mask is exactly the declared reads (FieldsAll when
-// undeclared) — a census over columnar blocks decodes only its key columns.
+// dataset. opts declare the fields that key/create/mergeValue read
+// (ReadsOnly): the map task consumes its input records, so that mask is the
+// one it decodes them under (FieldsAll when undeclared) — a census over
+// columnar blocks decodes only its key columns.
 func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key func(T) int,
 	create func(T) C, mergeValue func(C, T) C, mergeCombiners func(C, C) C,
 	codec Serializer[Keyed[C]], opts ...StageOption) (*Dataset[Keyed[C]], error) {
@@ -64,7 +64,7 @@ func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key f
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
-	mapNeed := resolveFX(sameRecordType[T, Keyed[C]](), opts).inNeed(FieldsAll)
+	mapNeed := readMask(opts)
 	res := newResult(d.ctx, codec, numPartitions)
 	in := d.NumPartitions()
 	sc := &shuffleCore[[]Keyed[C], Keyed[C]]{
@@ -72,7 +72,6 @@ func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key f
 		name:    name,
 		in:      in,
 		out:     numPartitions,
-		inMask:  mapNeed,
 		mapHint: d.partitionSizeHint,
 		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {

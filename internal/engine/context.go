@@ -16,10 +16,10 @@
 // length. Calling Force() after each op is the unfused reference the
 // equivalence tests compare against.
 //
-// A dataset is materialized at full width or lazy. Ops declare the record
-// fields they read and write (effects.go); the only thing a declaration
-// narrows is the decode of a columnar block at the root of the chain that
-// reads it (planner.go, projection.go).
+// A dataset is materialized at full width or lazy. A narrow op reads its
+// input whole; an op that runs at the call may name the record fields its
+// callbacks read (effects.go), and the only thing that narrows is the one
+// decode of a columnar block that op itself performs (projection.go).
 //
 // Wide operations move data through a pipelined push-based hash shuffle
 // (see shuffle.go): map and reduce tasks share one worker-pool pass, each
@@ -32,9 +32,8 @@
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
 // which owns the slot semaphore, first-error cancellation, panic recovery
-// and the metrics row. A Context carries two switches: StoreSerialized (the
-// paper's §4.2 storage mode) and DisableProjectionPlanner (the reference its
-// equivalence suite compares against).
+// and the metrics row. A Context carries one switch: StoreSerialized (the
+// paper's §4.2 storage mode).
 package engine
 
 import (
@@ -70,12 +69,6 @@ type Context struct {
 	// whenever a codec is attached — Spark's MEMORY_ONLY_SER mode that GPF
 	// relies on (§4.2). Off by default.
 	StoreSerialized bool
-
-	// DisableProjectionPlanner turns off decode narrowing: every partition
-	// read demands all fields whatever its consumer declared (planner.go) —
-	// the reference the equivalence suites compare against. Off (narrowing
-	// on) by default.
-	DisableProjectionPlanner bool
 
 	mu      sync.Mutex
 	metrics Metrics

@@ -99,7 +99,6 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 			ops:      append([]string(nil), d.plan.ops...),
 			compute:  d.plan.compute,
 			sizeHint: d.plan.sizeHint,
-			inMask:   d.plan.inMask,
 		}
 		// The fork is one more consumer of the chain's inputs, so a lazy input
 		// both variants read is computed once.
@@ -144,28 +143,22 @@ func (d *Dataset[T]) decodeCodec() Serializer[T] {
 	return effectiveSerializer(d.codec)
 }
 
-// partition materializes partition p with full field demand — the
-// conservative read actions and effect-undeclared consumers use.
+// partition materializes partition p whole — how narrow ops and actions
+// read. On a lazy dataset the partition is computed through the fused chain
+// closure (downstream lineages read their sources this way, which is what
+// fuses an unforced upstream chain into the caller's task).
 func (d *Dataset[T]) partition(p int, tm *TaskMetrics) ([]T, error) {
 	return d.partitionNeed(p, tm, FieldsAll)
 }
 
-// partitionNeed materializes partition p for a consumer that declared it
-// needs only the fields in need, decoding serialized blocks through
-// Project(need) when the codec supports it and charging codec time to tm
-// when non-nil. On a lazy dataset the partition is computed through the
-// fused chain closure with the demand threaded down (downstream lineages
-// read their sources this way, which is what fuses an unforced upstream
-// chain — and its inferred mask — into the caller's task). Every demand in
-// the engine passes through here, so this is the one place
-// Context.DisableProjectionPlanner is read: it coerces the demand to
-// FieldsAll.
+// partitionNeed materializes partition p for an op that runs at the call and
+// declared that its callbacks read only the fields in need: serialized blocks
+// decode through Project(need) when the codec supports it, codec time charged
+// to tm when non-nil. Items already in memory (and a lazy chain's output)
+// come back whole.
 func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	if d.isLazy() {
-		return d.plan.compute(p, tm, need)
+		return d.plan.compute(p, tm)
 	}
 	if d.meta != nil && d.meta.err != nil {
 		// Forced and failed: the error is sticky, don't serve partial data.

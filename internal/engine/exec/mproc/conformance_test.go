@@ -117,42 +117,40 @@ func init() {
 		return buf.Bytes(), nil
 	})
 
-	// conf-projection: decode narrowing over the real columnar codec. The
-	// census declares its reads, so its map tasks decode the coordinate
-	// columns only; the same dataflow (census, shuffle, strip) runs again
-	// under DisableProjectionPlanner and must produce identical records on
-	// every backend.
+	// conf-projection: decode narrowing over the real columnar codec. A
+	// shuffle and a filter leave StoreSerialized columnar blocks; a census
+	// that declares its key's columns decodes only those, Count decodes
+	// headers only, and a later Collect still reads every column. The same
+	// dataflow runs again with nothing declared and must produce identical
+	// bytes on every backend.
 	RegisterJob("conf-projection", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		run := func(disable bool) ([]byte, error) {
-			ctx.DisableProjectionPlanner = disable
+		run := func(reads ...engine.StageOption) ([]byte, error) {
 			ctx.StoreSerialized = true
 			d := engine.WithCodec(engine.Parallelize(ctx, confRecords(n), inParts),
 				engine.Serializer[sam.Record](colfmt.Codec{}))
-			census, err := engine.CountByKey("cp/census", d,
-				func(r sam.Record) int { return int(r.RefID) },
-				engine.ReadsOnly(colfmt.FieldCoord))
-			if err != nil {
-				return nil, err
-			}
 			sh, err := engine.PartitionBy("cp/pb", d, outParts,
-				func(r sam.Record) int { return int(r.Pos) },
-				engine.ReadsOnly(colfmt.FieldCoord))
+				func(r sam.Record) int { return int(r.Pos) })
 			if err != nil {
 				return nil, err
 			}
-			proj, err := engine.Map("cp/proj", sh, engine.Serializer[sam.Record](colfmt.Codec{}),
-				func(r sam.Record) sam.Record {
-					return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
-				},
-				engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))
+			kept, err := engine.Filter("cp/mapped", sh, func(r sam.Record) bool { return r.Flag&4 == 0 })
 			if err != nil {
 				return nil, err
 			}
-			items, err := engine.Collect("cp/collect", proj)
+			census, err := engine.CountByKey("cp/census", kept,
+				func(r sam.Record) int { return int(r.RefID) }, reads...)
+			if err != nil {
+				return nil, err
+			}
+			count, err := engine.Count("cp/count", kept)
+			if err != nil {
+				return nil, err
+			}
+			items, err := engine.Collect("cp/collect", kept)
 			if err != nil {
 				return nil, err
 			}
@@ -165,24 +163,24 @@ func init() {
 			for _, k := range keys {
 				fmt.Fprintf(&buf, "%d=%d\n", k, census[k])
 			}
+			fmt.Fprintf(&buf, "count=%d\n", count)
 			for _, r := range items {
-				fmt.Fprintf(&buf, "%d:%d:%d\n", r.RefID, r.Pos, r.Flag)
+				fmt.Fprintf(&buf, "%s:%d:%d:%d:%s\n", r.Name, r.RefID, r.Pos, r.Flag, r.Seq)
 			}
 			return buf.Bytes(), nil
 		}
-		on, err := run(false)
+		declared, err := run(engine.ReadsOnly(colfmt.FieldCoord))
 		if err != nil {
 			return nil, err
 		}
-		off, err := run(true)
+		undeclared, err := run()
 		if err != nil {
 			return nil, err
 		}
-		ctx.DisableProjectionPlanner = false
-		if !bytes.Equal(on, off) {
-			return nil, fmt.Errorf("conf-projection: planner output differs from ablation")
+		if !bytes.Equal(declared, undeclared) {
+			return nil, fmt.Errorf("conf-projection: declared output differs from undeclared")
 		}
-		return append(on, off...), nil
+		return declared, nil
 	})
 }
 

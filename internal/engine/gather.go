@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Action allgather: under an SPMD executor every rank runs only the action
 // tasks it owns, then replicates the per-partition results so all ranks
@@ -13,10 +16,13 @@ import "fmt"
 // effective codec, allgathers the blobs, and decodes the partitions sibling
 // ranks ran. Locally-run partitions keep their original items (codecs
 // round-trip values exactly, so both sides agree). No-op with one process.
-func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
+// wait is the time spent blocked on peers inside Executor.Gather, which the
+// stage runner keeps out of DriverTime; the encode and decode around it are
+// this rank's own serial work.
+func allgatherParts[T any](d *Dataset[T], parts [][]T) (wait time.Duration, err error) {
 	ctx := d.ctx
 	if ctx.procs() == 1 {
-		return nil
+		return 0, nil
 	}
 	rank := ctx.rank()
 	codec := effectiveSerializer(d.codec)
@@ -27,13 +33,15 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		}
 		b, err := codec.Marshal(parts[p])
 		if err != nil {
-			return fmt.Errorf("engine: gather encode partition %d: %w", p, err)
+			return 0, fmt.Errorf("engine: gather encode partition %d: %w", p, err)
 		}
 		owned[p] = b
 	}
+	t0 := time.Now()
 	blobs, err := ctx.exec.Gather(ctx.nextSeq(), len(parts), owned)
+	wait = time.Since(t0)
 	if err != nil {
-		return err
+		return wait, err
 	}
 	for p := range parts {
 		if ctx.ownerOf(p) == rank {
@@ -41,9 +49,9 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		}
 		items, err := codec.Unmarshal(blobs[p])
 		if err != nil {
-			return fmt.Errorf("engine: gather decode partition %d: %w", p, err)
+			return wait, fmt.Errorf("engine: gather decode partition %d: %w", p, err)
 		}
 		parts[p] = items
 	}
-	return nil
+	return wait, nil
 }

@@ -24,20 +24,14 @@ type lineage[T any] struct {
 	// ops holds the recorded op names in execution order; the fused stage is
 	// named by joining them with "+".
 	ops []string
-	// compute evaluates partition p through the whole fused chain, materializing
-	// only the fields in need (demanded by the consumer; FieldsAll when unknown).
-	// It reads ancestor partitions via Dataset.partitionNeed with the demand
-	// narrowed by each op's declared effects, so a chain rooted at a
-	// since-materialized columnar dataset decodes only what the chain reads.
-	compute func(p int, tm *TaskMetrics, need FieldMask) ([]T, error)
+	// compute evaluates partition p through the whole fused chain. It reads
+	// ancestor partitions whole via Dataset.partition, which is what fuses an
+	// unforced upstream chain into the caller's task.
+	compute func(p int, tm *TaskMetrics) ([]T, error)
 	// sizeHint estimates partition p's input size for LPT dispatch by asking
 	// the chain's source dataset(s). Nil means no information (index-order
 	// dispatch).
 	sizeHint func(p int) int64
-	// inMask maps an output demand to the union of masks the chain's root
-	// sources are read with — the chain-input edge mask recorded in
-	// StageMetrics when the chain runs fused.
-	inMask func(need FieldMask) FieldMask
 }
 
 // fusedName joins the recorded op names into the fused stage name.
@@ -64,17 +58,6 @@ func chainOps(upstream []string, name string) []string {
 	return append(ops, name)
 }
 
-// inMaskOf composes d's chain-root mask function with the demand an op
-// places on d: for a lazy input the root mask comes from d's own chain; for
-// a materialized input the edge itself is the root.
-func inMaskOf[T any](d *Dataset[T], fx fieldFX) func(need FieldMask) FieldMask {
-	if d.isLazy() && d.plan.inMask != nil {
-		up := d.plan.inMask
-		return func(need FieldMask) FieldMask { return up(fx.inNeed(need)) }
-	}
-	return fx.inNeed
-}
-
 // newLazyMeta attaches the plan node for a freshly recorded narrow chain
 // tail — forcing it runs the fused chain — and records it as one more
 // consumer of each input. Nothing forces here: a shared prefix materializes
@@ -98,9 +81,8 @@ func recordTaskInput(tm *TaskMetrics, n int) {
 }
 
 // lazyNarrow records a single-input narrow op as a lineage node, composing fn
-// over the input's pending chain. fx declares the op's field effects (the
-// zero value = undeclared = reads everything).
-func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fieldFX, fn func(p int, items []T) ([]U, error)) *Dataset[U] {
+// over the input's pending chain.
+func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error)) *Dataset[U] {
 	res := &Dataset[U]{
 		ctx:   d.ctx,
 		codec: codec,
@@ -108,9 +90,8 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 			nparts:   d.NumPartitions(),
 			ops:      chainOps(d.lineageOps(), name),
 			sizeHint: d.partitionSizeHint,
-			inMask:   inMaskOf(d, fx),
-			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
-				in, err := d.partitionNeed(p, tm, fx.inNeed(need))
+			compute: func(p int, tm *TaskMetrics) ([]U, error) {
+				in, err := d.partition(p, tm)
 				if err != nil {
 					return nil, err
 				}
@@ -127,23 +108,9 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 	return res
 }
 
-// zipFX narrows a zip edge's effect record: declared Writes bits may only
-// satisfy downstream demand for inputs sharing the output's field space;
-// a type-changing edge keeps its reads but forwards full demand.
-func zipFX(fx fieldFX, sameSpace bool) fieldFX {
-	if fx.declared && !sameSpace {
-		fx.writes = FieldsAll
-	}
-	return fx
-}
-
 // lazyZip3 records a three-input narrow op (co-partitioned zip) as a lineage
 // node; all three inputs' pending chains fuse into the new plan.
-func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fx fieldFX, fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
-	fxA := zipFX(fx, sameRecordType[A, U]())
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	fxC := zipFX(fx, sameRecordType[C, U]())
-	inA, inB, inC := inMaskOf(a, fxA), inMaskOf(b, fxB), inMaskOf(c, fxC)
+func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
 	ops := append(append([]string(nil), a.lineageOps()...), b.lineageOps()...)
 	ops = append(ops, c.lineageOps()...)
 	res := &Dataset[U]{
@@ -153,17 +120,16 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 			nparts:   a.NumPartitions(),
 			ops:      chainOps(ops, name),
 			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) + c.partitionSizeHint(p) },
-			inMask:   func(need FieldMask) FieldMask { return inA(need) | inB(need) | inC(need) },
-			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
-				as, err := a.partitionNeed(p, tm, fxA.inNeed(need))
+			compute: func(p int, tm *TaskMetrics) ([]U, error) {
+				as, err := a.partition(p, tm)
 				if err != nil {
 					return nil, err
 				}
-				bs, err := b.partitionNeed(p, tm, fxB.inNeed(need))
+				bs, err := b.partition(p, tm)
 				if err != nil {
 					return nil, err
 				}
-				cs, err := c.partitionNeed(p, tm, fxC.inNeed(need))
+				cs, err := c.partition(p, tm)
 				if err != nil {
 					return nil, err
 				}
@@ -184,8 +150,8 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 // consumer are forced first, producers first, each as its own stage; then
 // this dataset's fused narrow chain runs as ONE stage (one task launch per
 // partition), single-consumer ancestors fused in. The result is stored in the
-// dataset at full width, so later reads — and downstream lineages rooted
-// here — reuse it instead of recomputing. Actions and wide operations call
+// dataset, so later reads — and downstream lineages rooted here — reuse it
+// instead of recomputing. Actions and wide operations call
 // Force implicitly; it is exported for callers that want an explicit
 // execution barrier (e.g. before timing a downstream stage). Forcing a
 // materialized dataset is a no-op; a failed Force is sticky.
@@ -199,24 +165,17 @@ func (d *Dataset[T]) Force() error {
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
 // and storing only the final output. The stage is recorded under the joined
-// op names with FusedOps set to the chain length and, in InMask, the mask its
-// root sources are read with. The output holds every field (whoever reads it
-// later may touch anything); the chain's own declared effects still narrow
-// what it decodes from its sources.
+// op names with FusedOps set to the chain length.
 func runFused[T any](d *Dataset[T]) error {
 	pl := d.plan
 	n := pl.nparts
 	allocResult(d, n)
-	row := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops)}
-	if pl.inMask != nil {
-		row.InMask = pl.inMask(FieldsAll)
-	}
 	return d.ctx.runStage(taskSet{
-		row:  row,
+		row:  StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops)},
 		n:    n,
 		hint: pl.sizeHint,
 		fn: func(p int, tm *TaskMetrics) error {
-			out, err := pl.compute(p, tm, FieldsAll)
+			out, err := pl.compute(p, tm)
 			if err != nil {
 				return err
 			}

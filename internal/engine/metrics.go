@@ -46,7 +46,7 @@ type TaskMetrics struct {
 	// blocks for non-columnar codecs).
 	DecodedBytes int64
 	// PrunedBytes counts serialized bytes skipped via projection pushdown:
-	// columns the planner-resolved read mask excluded, left untouched by the
+	// columns the op's declared read mask excluded, left untouched by the
 	// columnar decoder. Always zero for non-projectable codecs.
 	PrunedBytes int64
 	// Ran marks a task this process actually executed. Under a multi-process
@@ -69,11 +69,7 @@ type StageMetrics struct {
 	// shuffles and actions). The stage Name joins the fused op names with "+"
 	// in execution order.
 	FusedOps int
-	// InMask is the field demand the stage's tasks read their input under —
-	// what its declared effects narrowed the source decode to. FieldsAll when
-	// nothing narrowed; zero on actions, which record no mask.
-	InMask FieldMask
-	Tasks  []TaskMetrics
+	Tasks    []TaskMetrics
 	// GCPause is the delta of runtime GC pause time observed across the
 	// stage (driver-wide, attributed to the stage that triggered it).
 	GCPause time.Duration

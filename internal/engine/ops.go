@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 )
 
 // MapPartitions is the fundamental narrow operation: fn transforms each
@@ -11,42 +12,36 @@ import (
 // Narrow operations are LAZY: the call records a lineage node and returns
 // immediately; a downstream barrier (action, shuffle) forces the maximal
 // pending chain as one fused stage (see lineage.go). Errors from fn therefore
-// surface at the barrier, wrapped with this stage's name.
-//
-// opts declare the op's field effects (WithEffects/ReadsOnly/Rebuilds), which
-// decide what its source blocks decode; with none the op conservatively reads
-// every field. Declared Writes only satisfy downstream demand when T and U
-// are the same type — a type-changing op always rebuilds its records.
-func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
-	return lazyNarrow(name, d, codec, resolveFX(sameRecordType[T, U](), opts), fn), nil
+// surface at the barrier, wrapped with this stage's name. A narrow op reads
+// its input whole.
+func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error)) (*Dataset[U], error) {
+	return lazyNarrow(name, d, codec, fn), nil
 }
 
 // Map applies fn to every item.
-func Map[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) U, opts ...StageOption) (*Dataset[U], error) {
+func Map[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) U) (*Dataset[U], error) {
 	return MapPartitions(name, d, codec, func(_ int, items []T) ([]U, error) {
 		out := make([]U, len(items))
 		for i, it := range items {
 			out[i] = fn(it)
 		}
 		return out, nil
-	}, opts...)
+	})
 }
 
 // FlatMap applies fn to every item and concatenates the results.
-func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) []U, opts ...StageOption) (*Dataset[U], error) {
+func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) []U) (*Dataset[U], error) {
 	return MapPartitions(name, d, codec, func(_ int, items []T) ([]U, error) {
 		var out []U
 		for _, it := range items {
 			out = append(out, fn(it)...)
 		}
 		return out, nil
-	}, opts...)
+	})
 }
 
-// Filter keeps items for which pred is true. A Filter that declares
-// ReadsOnly(mask) examines only those fields and passes every record through
-// untouched — the canonical pass-through op.
-func Filter[T any](name string, d *Dataset[T], pred func(T) bool, opts ...StageOption) (*Dataset[T], error) {
+// Filter keeps items for which pred is true.
+func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], error) {
 	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		var out []T
 		for _, it := range items {
@@ -55,25 +50,23 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool, opts ...StageO
 			}
 		}
 		return out, nil
-	}, opts...)
+	})
 }
 
 // ZipPartitions3 applies fn to aligned partitions of three co-partitioned
 // datasets — the bundle join of Fig 7 (FASTA + SAM + VCF per partition). The
 // partition counts must match. It is a narrow operation, lazy like
 // MapPartitions: all three inputs' pending chains fuse into the recorded
-// node. Declared effects apply per input: Writes bits only satisfy downstream
-// demand for inputs sharing the output's record type.
-func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
+// node.
+func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error)) (*Dataset[U], error) {
 	if a.NumPartitions() != b.NumPartitions() || a.NumPartitions() != c.NumPartitions() {
 		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d/%d", name, a.NumPartitions(), b.NumPartitions(), c.NumPartitions())
 	}
-	// Per-input field spaces are checked edge by edge (zipFX).
-	return lazyZip3(name, a, b, c, codec, resolveFX(true, opts), fn), nil
+	return lazyZip3(name, a, b, c, codec, fn), nil
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is
-// an action: it forces any pending narrow chain first and reads every field.
+// an action: it forces any pending narrow chain first.
 func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 	if err := d.Force(); err != nil {
 		return nil, err
@@ -90,9 +83,10 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 			parts[p] = items
 			return err
 		},
-		driver: func() error {
-			if err := allgatherParts(d, parts); err != nil {
-				return err
+		driver: func() (time.Duration, error) {
+			wait, err := allgatherParts(d, parts)
+			if err != nil {
+				return wait, err
 			}
 			total := 0
 			for _, p := range parts {
@@ -102,7 +96,7 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 			for _, p := range parts {
 				out = append(out, p...)
 			}
-			return nil
+			return wait, nil
 		},
 	})
 	if err != nil {
@@ -120,11 +114,10 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 	if err := d.Force(); err != nil {
 		return zero, false, err
 	}
-	type partial struct {
-		v  T
-		ok bool
-	}
-	partials := make([]partial, d.NumPartitions())
+	// Each task leaves its partition's fold as a 0- or 1-item slice: the form
+	// the allgather moves through the codec, so every rank folds the identical
+	// sequence.
+	partials := make([][]T, d.NumPartitions())
 	var acc T
 	found := false
 	err := d.ctx.runStage(taskSet{
@@ -142,44 +135,26 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 				for _, it := range items[1:] {
 					acc = fn(acc, it)
 				}
-				partials[p] = partial{v: acc, ok: true}
+				partials[p] = []T{acc}
 			}
 			return nil
 		},
-		driver: func() error {
-			if d.ctx.procs() > 1 {
-				// Allgather the per-partition partials (as 0- or 1-item slices
-				// through the codec) so every rank folds the identical sequence.
-				pparts := make([][]T, len(partials))
-				for p := range partials {
-					if partials[p].ok {
-						pparts[p] = []T{partials[p].v}
-					} else {
-						pparts[p] = []T{}
-					}
-				}
-				if err := allgatherParts(d, pparts); err != nil {
-					return err
-				}
-				for p := range partials {
-					if len(pparts[p]) > 0 {
-						partials[p] = partial{v: pparts[p][0], ok: true}
-					} else {
-						partials[p] = partial{}
-					}
-				}
+		driver: func() (time.Duration, error) {
+			wait, err := allgatherParts(d, partials)
+			if err != nil {
+				return wait, err
 			}
 			for _, p := range partials {
-				if !p.ok {
+				if len(p) == 0 {
 					continue
 				}
 				if !found {
-					acc, found = p.v, true
+					acc, found = p[0], true
 				} else {
-					acc = fn(acc, p.v)
+					acc = fn(acc, p[0])
 				}
 			}
-			return nil
+			return wait, nil
 		},
 	})
 	if err != nil {
@@ -189,9 +164,9 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 }
 
 // Count returns the total number of items. Count is an action: it forces any
-// pending narrow chain first (at full width, like every Force). It then reads
-// with a zero field demand: a columnar-stored dataset decodes only block
-// headers (the record count is in the header), pruning every column.
+// pending narrow chain first. It then reads with a zero field mask: a
+// columnar-stored dataset decodes only block headers (the record count is in
+// the header), pruning every column.
 func Count[T any](name string, d *Dataset[T]) (int, error) {
 	if err := d.Force(); err != nil {
 		return 0, err

@@ -5,21 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Field demand and the lazy plan graph.
+// The lazy plan graph — and nothing else: field masks never reach the plan
+// (a narrow op reads its input whole; see effects.go for the ops that narrow
+// their own decode).
 //
-// The only thing a field mask narrows is a decode. Every op may declare which
-// record fields it reads and which it writes (effects.go); a fused chain
-// threads the demand of its consumer down through its composed closures —
-// each reads its input through partitionNeed with fx.inNeed(need) — so the
-// materialized blocks at the chain's root decode through Project(mask) with
-// no one annotating the read. Stored partitions and shuffle buckets are
-// always full width: a dataset is materialized (items or blocks) or lazy,
-// never "materialized, but only these columns". Undeclared ops demand
-// everything, so a forgotten declaration costs pruning, never correctness.
-// Context.DisableProjectionPlanner is the reference: partitionNeed coerces
-// every demand to FieldsAll.
-//
-// What is left to plan is which lazy nodes must materialize on their own
+// What there is to plan is which lazy nodes must materialize on their own
 // instead of fusing into their consumer: exactly those more than one consumer
 // was recorded over (computing a shared prefix once). planMeta is that graph.
 

@@ -25,45 +25,6 @@ func (explodingCodec) Unmarshal([]byte) ([]fakeRec, error) {
 	return nil, fmt.Errorf("exploding codec: kaboom")
 }
 
-// TestPlannerInfersChainPruning: a consumer declaring Rebuilds(A) over a
-// columnar-stored source must decode only column A, inferred from the
-// declaration with no annotation at the read.
-func TestPlannerInfersChainPruning(t *testing.T) {
-	ctx := NewContext(2)
-	base := storeFake(t, ctx, fakeRecs(64), fakeColCodec{})
-	ctx.ResetMetrics()
-	proj, err := Map("proj", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{A: r.A * 2} }, Rebuilds(fakeFieldA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect("collect", proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range out {
-		if r.A != int32(2*i) || r.B != 0 {
-			t.Fatalf("record %d = %+v", i, r)
-		}
-	}
-	m := ctx.Metrics()
-	if m.TotalPrunedBytes() == 0 {
-		t.Fatal("planner inferred no pruning: column B was decoded")
-	}
-	var fused *StageMetrics
-	for i := range m.Stages {
-		if strings.Contains(m.Stages[i].Name, "proj") {
-			fused = &m.Stages[i]
-		}
-	}
-	if fused == nil {
-		t.Fatalf("no fused stage recorded: %+v", m.Stages)
-	}
-	if fused.InMask != fakeFieldA {
-		t.Fatalf("fused stage InMask = %#x, want %#x", fused.InMask, fakeFieldA)
-	}
-}
-
 // TestPlannerDiamondDisjointConsumers: two consumers of a shared prefix need
 // disjoint fields; the shared node must materialize once, as its own stage,
 // with every field — narrowing to either consumer's mask would feed the
@@ -72,17 +33,17 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(40), fakeColCodec{})
 	shared, err := Map("shared", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return r }, ReadsOnly(0))
+		func(r fakeRec) fakeRec { return r })
 	if err != nil {
 		t.Fatal(err)
 	}
 	armA, err := Map("armA", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{A: r.A * 2} }, Rebuilds(fakeFieldA))
+		func(r fakeRec) fakeRec { return fakeRec{A: r.A * 2} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	armB, err := Map("armB", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{B: r.B + 7} }, Rebuilds(fakeFieldB))
+		func(r fakeRec) fakeRec { return fakeRec{B: r.B + 7} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,16 +230,36 @@ func TestShuffleDoesNotRetainInput(t *testing.T) {
 	}
 }
 
-// plannerPropOp is one randomly generated, honestly declared operation:
-// the callback's reads and writes are derived from the declared masks, so
-// equivalence between narrowing-on and narrowing-off runs is exactly the
-// correctness property (inferred masks never prune a field some downstream
-// op reads).
+// plannerPropStep appends one random narrow op whose callback reads and
+// writes random columns of the toy record.
 func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[fakeRec], error) {
 	masks := []FieldMask{0, fakeFieldA, fakeFieldB, fakeFieldA | fakeFieldB}
 	reads := masks[r.Intn(len(masks))]
 	writes := masks[r.Intn(len(masks))]
-	val := func(rec fakeRec) int32 {
+	val := fakeKey(reads)
+	switch r.Intn(3) {
+	case 0:
+		return Map(name, d, Serializer[fakeRec](fakeColCodec{}), func(rec fakeRec) fakeRec {
+			v := val(rec)
+			if writes&fakeFieldA != 0 {
+				rec.A = v + 3
+			}
+			if writes&fakeFieldB != 0 {
+				rec.B = v - 5
+			}
+			return rec
+		})
+	case 1:
+		return Filter(name, d, func(rec fakeRec) bool { return val(rec)%3 != 0 })
+	default:
+		return SortPartitions(name, d, func(a, b fakeRec) bool { return val(a) < val(b) })
+	}
+}
+
+// fakeKey returns a key function that reads exactly the columns in reads —
+// honest for a CountByKey that declares ReadsOnly(reads).
+func fakeKey(reads FieldMask) func(fakeRec) int32 {
+	return func(rec fakeRec) int32 {
 		var v int32
 		if reads&fakeFieldA != 0 {
 			v += rec.A
@@ -288,147 +269,54 @@ func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[f
 		}
 		return v
 	}
-	apply := func(rec fakeRec) fakeRec {
-		v := val(rec)
-		if writes&fakeFieldA != 0 {
-			rec.A = v + 3
-		}
-		if writes&fakeFieldB != 0 {
-			rec.B = v - 5
-		}
-		return rec
-	}
-	switch r.Intn(5) {
-	case 0: // declared map
-		return Map(name, d, Serializer[fakeRec](fakeColCodec{}), apply,
-			WithEffects(FieldEffects{Reads: reads, Writes: writes}))
-	case 1: // undeclared map (conservative: reads everything)
-		return Map(name, d, Serializer[fakeRec](fakeColCodec{}), apply)
-	case 2: // declared filter on the read fields
-		return Filter(name, d, func(rec fakeRec) bool { return val(rec)%3 != 0 }, ReadsOnly(reads))
-	case 3: // shuffle routed by the read fields
-		return PartitionBy(name, d, 1+r.Intn(5), func(rec fakeRec) int { return int(val(rec)) }, ReadsOnly(reads))
-	default: // sort comparing the read fields
-		return SortPartitions(name, d, func(a, b fakeRec) bool { return val(a) < val(b) }, ReadsOnly(reads))
-	}
 }
 
-// TestPlannerRandomizedPlans is the equivalence property: random chains of
-// honestly-declared ops produce identical results with decode narrowing on
-// and off.
+// TestPlannerRandomizedPlans is the equivalence property of the one place a
+// mask lands: over StoreSerialized columnar blocks, random narrow chains
+// (optionally through a shuffle) ending in a CountByKey that honestly
+// declares its key's columns, and in Count, return what the same dataflow
+// returns with nothing declared.
 func TestPlannerRandomizedPlans(t *testing.T) {
+	type result struct {
+		census map[int]int
+		count  int
+	}
 	for trial := 0; trial < 25; trial++ {
-		build := func(disable bool) []fakeRec {
+		build := func(declare bool) result {
 			r := rand.New(rand.NewSource(int64(7000 + trial)))
 			ctx := NewContext(1 + r.Intn(4))
 			ctx.StoreSerialized = true
-			ctx.DisableProjectionPlanner = disable
 			d := WithCodec(Parallelize(ctx, fakeRecs(60+r.Intn(200)), 1+r.Intn(5)),
 				Serializer[fakeRec](fakeColCodec{}))
-			steps := 2 + r.Intn(6)
-			for i := 0; i < steps; i++ {
-				var err error
-				d, err = plannerPropStep(r, fmt.Sprintf("t%d/op%d", trial, i), d)
-				if err != nil {
+			var err error
+			for i, steps := 0, r.Intn(6); i < steps; i++ {
+				if d, err = plannerPropStep(r, fmt.Sprintf("t%d/op%d", trial, i), d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			out, err := Collect(fmt.Sprintf("t%d/collect", trial), d)
-			if err != nil {
+			if r.Intn(2) == 0 {
+				if d, err = PartitionBy(fmt.Sprintf("t%d/shuffle", trial), d, 1+r.Intn(5), func(rec fakeRec) int { return int(rec.A) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads := []FieldMask{0, fakeFieldA, fakeFieldB, fakeFieldA | fakeFieldB}[r.Intn(4)]
+			var opts []StageOption
+			if declare {
+				opts = append(opts, ReadsOnly(reads))
+			}
+			key := fakeKey(reads)
+			var res result
+			if res.census, err = CountByKey(fmt.Sprintf("t%d/census", trial), d, func(rec fakeRec) int { return int(key(rec)) }, opts...); err != nil {
 				t.Fatal(err)
 			}
-			return out
+			if res.count, err = Count(fmt.Sprintf("t%d/count", trial), d); err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		on, off := build(false), build(true)
-		if !reflect.DeepEqual(on, off) {
-			t.Fatalf("trial %d: planner changed the result\n on: %v\noff: %v", trial, on, off)
-		}
-	}
-}
-
-// TestPlannerWidensForOutOfSessionConsumers: a prefix recorded under two
-// consumers and forced through the narrow one must materialize with every
-// field — the other consumer reads it later.
-func TestPlannerWidensForOutOfSessionConsumers(t *testing.T) {
-	ctx := NewContext(2)
-	base := storeFake(t, ctx, fakeRecs(32), fakeColCodec{})
-	shared, err := Map("shared", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return r }, ReadsOnly(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	armA, err := Map("armA", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{A: r.A} }, Rebuilds(fakeFieldA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	armB, err := Map("armB", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{B: r.B} }, Rebuilds(fakeFieldB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force arm A first: shared has two recorded consumers, so it materializes
-	// on its own, full width; arm B forced later still reads correct B values.
-	outA, err := Collect("collectA", armA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := Collect("collectB", armB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outA {
-		if outA[i].A != int32(i) {
-			t.Fatalf("armA record %d = %+v", i, outA[i])
-		}
-	}
-	for i := range outB {
-		if outB[i].B != int32(1000+i) {
-			t.Fatalf("armB record %d = %+v: widening failed, field pruned for a later consumer", i, outB[i])
-		}
-	}
-}
-
-// TestNarrowActionLeavesFullWidthCache: a pipeline process publishes a
-// dataset for stages declared only later. A narrow action forced first must
-// (a) keep its own decode pruning and (b) leave the late consumer — not even
-// constructed at force time — real values in every field.
-func TestNarrowActionLeavesFullWidthCache(t *testing.T) {
-	ctx := NewContext(2)
-	base := storeFake(t, ctx, fakeRecs(48), fakeColCodec{})
-	pub, err := Map("publish", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return r }, ReadsOnly(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx.ResetMetrics()
-	narrow, err := Map("narrow", pub, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{A: r.A} }, Rebuilds(fakeFieldA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outA, err := Collect("collectA", narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outA {
-		if outA[i].A != int32(i) {
-			t.Fatalf("narrow[%d] = %+v", i, outA[i])
-		}
-	}
-	if ctx.Metrics().TotalPrunedBytes() == 0 {
-		t.Fatal("the narrow action should decode-prune its own read")
-	}
-
-	// Late consumer, constructed after the force: full records.
-	late, err := Collect("late", pub)
-	if err != nil {
-		t.Fatalf("late full-width read: %v", err)
-	}
-	for i := range late {
-		if late[i].A != int32(i) || late[i].B != int32(1000+i) {
-			t.Fatalf("late[%d] = %+v: the narrow action left a pruned cache", i, late[i])
+		declared, undeclared := build(true), build(false)
+		if !reflect.DeepEqual(declared, undeclared) {
+			t.Fatalf("trial %d: the declaration changed the result\n  declared: %v\nundeclared: %v", trial, declared, undeclared)
 		}
 	}
 }

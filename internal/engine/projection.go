@@ -3,25 +3,23 @@ package engine
 // Field projection (projection pushdown) lets a stage that reads only a few
 // record fields skip decoding the rest. The engine knows nothing about what
 // the fields ARE — FieldMask bits are assigned by the codec package (colfmt
-// maps them to SAM columns) — it only plumbs the demand a chain's declared
-// effects resolve to (planner.go, effects.go) to the decode call:
-// partitionNeed decodes serialized blocks through codec.Project(mask) when
-// the codec supports it. Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore
-// the mask and decode fully — projection is an optimization, never a
-// semantics change.
+// maps them to SAM columns) — it only hands the mask an op running at the
+// call declared (effects.go) to that op's decode: partitionNeed decodes
+// serialized blocks through codec.Project(mask) when the codec supports it.
+// Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore the mask and
+// decode fully — projection is an optimization, never a semantics change.
 //
 // DecodedBytes/PrunedBytes accounting rides the same seam: StatsSerializer
 // codecs report exactly which bytes they touched, and non-stats codecs are
 // charged the whole block.
 
-// FieldMask is a bitset of record fields a consumer reads. Bit meanings
+// FieldMask is a bitset of record fields an op's callbacks read. Bit meanings
 // belong to the projectable codec (see internal/colfmt's Field* constants);
 // the engine treats the mask as opaque. The zero mask is legal and means "no
 // field content" — a count-only read that decodes just block headers.
 type FieldMask uint64
 
-// FieldsAll selects every field — the mask of an undeclared (conservative)
-// reader.
+// FieldsAll selects every field — the mask of a reader that declared nothing.
 const FieldsAll = ^FieldMask(0)
 
 // DecodeStats reports how many serialized bytes one Unmarshal call actually

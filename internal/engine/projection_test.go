@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -166,5 +167,62 @@ func TestCountDecodesHeadersOnly(t *testing.T) {
 	fullDec := ctx.Metrics().TotalDecodedBytes()
 	if countDec >= fullDec {
 		t.Fatalf("count decoded %d bytes, full decode %d — count should be header-only", countDec, fullDec)
+	}
+}
+
+// TestOnlyCallTimeReadsNarrow: the rule in one test. Over stored columnar
+// blocks, a CountByKey that declares its key's column prunes the other one
+// and returns what the undeclared call returns; a Map — a narrow op, lazy —
+// prunes nothing and sees both columns; and the dataset the census read
+// narrowly still serves both columns to a later reader.
+func TestOnlyCallTimeReadsNarrow(t *testing.T) {
+	ctx := NewContext(2)
+	d := storeFake(t, ctx, fakeRecs(96), fakeColCodec{})
+	key := func(r fakeRec) int { return int(r.A) % 5 }
+
+	ctx.ResetMetrics()
+	undeclared, err := CountByKey("census", d, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned := ctx.Metrics().TotalPrunedBytes(); pruned != 0 {
+		t.Fatalf("undeclared census pruned %d bytes", pruned)
+	}
+	ctx.ResetMetrics()
+	declared, err := CountByKey("census", d, key, ReadsOnly(fakeFieldA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(declared, undeclared) {
+		t.Fatalf("declared census = %v, undeclared = %v", declared, undeclared)
+	}
+	if pruned := ctx.Metrics().TotalPrunedBytes(); pruned != 4*96 {
+		t.Fatalf("declared census pruned %d bytes, want column B's %d", pruned, 4*96)
+	}
+
+	ctx.ResetMetrics()
+	sums, err := Map("sum", d, nil, func(r fakeRec) int32 { return r.A + r.B })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect("collect-sum", sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != int32(1000+2*i) {
+			t.Fatalf("sum[%d] = %d: the map did not see both columns", i, v)
+		}
+	}
+	if pruned := ctx.Metrics().TotalPrunedBytes(); pruned != 0 {
+		t.Fatalf("a narrow op pruned %d bytes", pruned)
+	}
+
+	full, err := Collect("collect", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, fakeRecs(96)) {
+		t.Fatal("a full-width read after the narrow census lost a column")
 	}
 }

@@ -23,8 +23,9 @@ type taskSet struct {
 	hint func(task int) int64
 	fn   func(task int, tm *TaskMetrics) error
 	// driver is the stage's serial driver step (allgather, fold), run once
-	// the tasks have succeeded and timed into DriverTime.
-	driver func() error
+	// the tasks have succeeded and timed into DriverTime less the wait it
+	// reports: time blocked on peers in Executor.Gather is not driver work.
+	driver func() (wait time.Duration, err error)
 }
 
 // stage is one pass of the stage runner — the only place the engine launches
@@ -209,8 +210,9 @@ func (st *stage) run(sets ...taskSet) error {
 		}
 		if sets[k].driver != nil && err == nil {
 			t0 := time.Now()
-			err = sets[k].driver()
-			row.DriverTime = time.Since(t0)
+			var wait time.Duration
+			wait, err = sets[k].driver()
+			row.DriverTime = time.Since(t0) - wait
 		}
 		c.recordStage(*row)
 	}

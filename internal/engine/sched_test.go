@@ -156,10 +156,13 @@ func TestJobFailureCancelsStage(t *testing.T) {
 // rankBus is the shared memory the fake ranks of one SPMD job meet on: one
 // exchange and one gather board per collective sequence number.
 type rankBus struct {
-	procs     int
-	mu        sync.Mutex
-	exchanges map[uint64]*localExchange
-	gathers   map[uint64]*busGather
+	procs int
+	// gatherDelay makes every rank arrive late at each gather, standing in
+	// for peers still running their tasks.
+	gatherDelay time.Duration
+	mu          sync.Mutex
+	exchanges   map[uint64]*localExchange
+	gathers     map[uint64]*busGather
 }
 
 type busGather struct {
@@ -194,6 +197,7 @@ func (e *rankExec) Exchange(seq uint64, in, out int) Exchange {
 
 func (e *rankExec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
 	b := e.bus
+	time.Sleep(b.gatherDelay)
 	b.mu.Lock()
 	g, ok := b.gathers[seq]
 	if !ok {
@@ -274,6 +278,44 @@ func TestOwnershipIsCanonical(t *testing.T) {
 				if tk.Ran != (p%procs == rank) {
 					t.Errorf("rank %d, stage %q, task %d: ran = %v", rank, st.Name, p, tk.Ran)
 				}
+			}
+		}
+	}
+}
+
+// TestDriverTimeExcludesGatherWait: DriverTime is this rank's serial driver
+// work. Time an action's driver step spends blocked on peers inside
+// Executor.Gather is not — the simulator would replay it as driver CPU.
+func TestDriverTimeExcludesGatherWait(t *testing.T) {
+	const procs, delay = 2, 300 * time.Millisecond
+	bus := &rankBus{procs: procs, gatherDelay: delay, exchanges: map[uint64]*localExchange{}, gathers: map[uint64]*busGather{}}
+	stages := make([][]StageMetrics, procs)
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for rank := 0; rank < procs; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			ctx := NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank})
+			d := Parallelize(ctx, intRange(40), 4)
+			if _, errs[rank] = Collect("collect", d); errs[rank] != nil {
+				return
+			}
+			_, _, errs[rank] = Reduce("reduce", d, func(a, b int) int { return a + b })
+			stages[rank] = ctx.Metrics().Stages
+		}(rank)
+	}
+	wg.Wait()
+	for rank := range stages {
+		if errs[rank] != nil {
+			t.Fatalf("rank %d: %v", rank, errs[rank])
+		}
+		if len(stages[rank]) != 2 {
+			t.Fatalf("rank %d recorded %d stages, want collect and reduce", rank, len(stages[rank]))
+		}
+		for _, st := range stages[rank] {
+			if st.DriverTime < 0 || st.DriverTime > delay/3 {
+				t.Errorf("rank %d, stage %q: DriverTime = %v with peers %v late at the gather", rank, st.Name, st.DriverTime, delay)
 			}
 		}
 	}

@@ -21,13 +21,11 @@ import (
 //     Merging strictly in map-task order is what keeps the output
 //     deterministic whatever order buckets arrived in.
 //
-// inMask is the field demand map tasks read their input under, recorded on
-// the name/map StageMetrics row. Buckets always carry whole items.
+// Buckets always carry whole items.
 type shuffleCore[B, O any] struct {
 	ctx     *Context
 	name    string
 	in, out int
-	inMask  FieldMask
 	mapHint func(m int) int64
 	mapTask func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
 	decode  func(r int, block []byte, tm *TaskMetrics) (B, error)
@@ -62,7 +60,7 @@ func (sc *shuffleCore[B, O]) run() error {
 	defer ex.Close()
 	st := sc.ctx.newStage(sc.name)
 	maps := taskSet{
-		row:  StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask},
+		row:  StageMetrics{Name: sc.name + "/map", Kind: StageShuffle},
 		n:    sc.in,
 		hint: sc.mapHint,
 		fn: func(m int, tm *TaskMetrics) error {
@@ -87,7 +85,7 @@ func (sc *shuffleCore[B, O]) run() error {
 		},
 	}
 	reduces := taskSet{
-		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: FieldsAll},
+		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle},
 		n:   sc.out,
 		fn: func(r int, tm *TaskMetrics) error {
 			decoded := make([]B, sc.in)
@@ -125,19 +123,16 @@ func (sc *shuffleCore[B, O]) run() error {
 // to disk) even for in-memory datasets — the behaviour §5.3.1 measures.
 //
 // PartitionBy runs at the call: the input is forced and buckets are encoded
-// whole. opts declare the fields key reads (e.g.
-// ReadsOnly(colfmt.FieldCoord)); the records it routes pass through with
-// every field, so map tasks read their partitions under
-// fx.inNeed(FieldsAll) — every field — and still decode them whole. The
-// result is materialized and holds no reference to the input.
-func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, opts ...StageOption) (*Dataset[T], error) {
+// whole. The result is materialized and holds no reference to the input.
+// The options are ignored — routed records keep every field, so a key's read
+// mask cannot narrow the decode — and stay because bench/layers.go passes one.
+func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, _ ...StageOption) (*Dataset[T], error) {
 	if numPartitions < 1 {
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
 	}
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
-	mapNeed := resolveFX(true, opts).inNeed(FieldsAll)
 	codec := effectiveSerializer(d.codec)
 	res := newResult(d.ctx, d.codec, numPartitions)
 	in := d.NumPartitions()
@@ -146,11 +141,10 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 		name:    name,
 		in:      in,
 		out:     numPartitions,
-		inMask:  mapNeed,
 		mapHint: d.partitionSizeHint,
 		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {
-			items, err := d.partitionNeed(p, tm, mapNeed)
+			items, err := d.partition(p, tm)
 			if err != nil {
 				return err
 			}
@@ -228,12 +222,10 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 // keyed on genomic position to produce coordinate-sorted partitions (the
 // Cleaner's sort step). A partition is whole inside one task, so sorting
 // needs no barrier: it is a narrow op, lazy and fused like MapPartitions.
-// opts declare the fields less reads; the output is a permutation of the
-// input, so every field a consumer demands passes through.
-func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool, opts ...StageOption) (*Dataset[T], error) {
+func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool) (*Dataset[T], error) {
 	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		out := append([]T(nil), items...)
 		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 		return out, nil
-	}, opts...)
+	})
 }

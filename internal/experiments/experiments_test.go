@@ -400,8 +400,8 @@ func TestTable5Efficiencies(t *testing.T) {
 }
 
 // TestProjectionPushdownWins asserts the projection-planner table: over
-// columnar blocks the census decodes less with narrowing on than with it
-// disabled or with the row codec (decoded whole), and only it prunes.
+// columnar blocks the census decodes less with its read declared than
+// undeclared or with the row codec (decoded whole), and only it prunes.
 func TestProjectionPushdownWins(t *testing.T) {
 	res, err := ProjectionPlanner(SmallScale())
 	if err != nil {
@@ -413,14 +413,14 @@ func TestProjectionPushdownWins(t *testing.T) {
 	if res.Planner.CensusDecoded >= res.Row.CensusDecoded {
 		t.Fatalf("planner decoded %d bytes, row codec %d", res.Planner.CensusDecoded, res.Row.CensusDecoded)
 	}
-	if res.Planner.CensusDecoded >= res.Disabled.CensusDecoded {
-		t.Fatalf("planner decoded %d bytes, disabled %d", res.Planner.CensusDecoded, res.Disabled.CensusDecoded)
+	if res.Planner.CensusDecoded >= res.Undeclared.CensusDecoded {
+		t.Fatalf("planner decoded %d bytes, undeclared %d", res.Planner.CensusDecoded, res.Undeclared.CensusDecoded)
 	}
 	if res.Planner.CensusPruned <= 0 {
 		t.Fatalf("planner pruned %d bytes, want > 0", res.Planner.CensusPruned)
 	}
-	if res.Disabled.CensusPruned != 0 || res.Row.CensusPruned != 0 {
-		t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Disabled.CensusPruned, res.Row.CensusPruned)
+	if res.Undeclared.CensusPruned != 0 || res.Row.CensusPruned != 0 {
+		t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Undeclared.CensusPruned, res.Row.CensusPruned)
 	}
 	for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction()} {
 		if red <= 0 || red >= 1 {

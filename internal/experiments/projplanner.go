@@ -16,7 +16,7 @@ import (
 // repartitioner's census over stored partitions, with the bytes its reader
 // decoded and the bytes it skipped.
 type ProjPlannerRun struct {
-	Mode          string // "planner", "disabled" or "row"
+	Mode          string // "planner", "undeclared" or "row"
 	CensusWall    time.Duration
 	CensusDecoded int64
 	CensusPruned  int64
@@ -27,17 +27,17 @@ type ProjPlannerRun struct {
 //
 //   - planner: columnar blocks (colfmt); the census declares its reads and
 //     the blocks decode through Project(mask).
-//   - disabled: columnar blocks, Context.DisableProjectionPlanner. Every
-//     read decodes every column.
-//   - row: the row-wise field codec (core.TierField) with narrowing on — a
-//     codec that cannot project, so blocks are decoded whole whatever the
+//   - undeclared: columnar blocks; the same census declaring nothing, so
+//     its read decodes every column.
+//   - row: the row-wise field codec (core.TierField) with the declaration —
+//     a codec that cannot project, so blocks are decoded whole whatever the
 //     census declares.
 type ProjPlannerResult struct {
-	Records  int
-	Buckets  int // census cardinality, identical across modes by construction
-	Planner  ProjPlannerRun
-	Disabled ProjPlannerRun
-	Row      ProjPlannerRun
+	Records    int
+	Buckets    int // census cardinality, identical across modes by construction
+	Planner    ProjPlannerRun
+	Undeclared ProjPlannerRun
+	Row        ProjPlannerRun
 }
 
 // reduction is the fraction of base that got saved.
@@ -48,10 +48,10 @@ func reduction(got, base int64) float64 {
 	return 1 - float64(got)/float64(base)
 }
 
-// DecodeReduction is the fraction of census decode bytes the planner saved
-// relative to the disabled run.
+// DecodeReduction is the fraction of census decode bytes the declaration
+// saved relative to the undeclared run.
 func (r *ProjPlannerResult) DecodeReduction() float64 {
-	return reduction(r.Planner.CensusDecoded, r.Disabled.CensusDecoded)
+	return reduction(r.Planner.CensusDecoded, r.Undeclared.CensusDecoded)
 }
 
 // RowDecodeReduction is the fraction of census decode bytes the planner over
@@ -79,17 +79,18 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 
 	res := &ProjPlannerResult{Records: len(records)}
 	var baseCensus map[int]int
+	coord := []engine.StageOption{engine.ReadsOnly(colfmt.FieldCoord)}
 	for _, mode := range []struct {
-		name    string
-		codec   engine.Serializer[sam.Record]
-		disable bool
-		out     *ProjPlannerRun
+		name  string
+		codec engine.Serializer[sam.Record]
+		reads []engine.StageOption
+		out   *ProjPlannerRun
 	}{
-		{"planner", colfmt.Codec{}, false, &res.Planner},
-		{"disabled", colfmt.Codec{}, true, &res.Disabled},
-		{"row", compress.FieldSAMCodec{}, false, &res.Row},
+		{"planner", colfmt.Codec{}, coord, &res.Planner},
+		{"undeclared", colfmt.Codec{}, nil, &res.Undeclared},
+		{"row", compress.FieldSAMCodec{}, coord, &res.Row},
 	} {
-		run, census, err := projPlannerMode(s, records, mode.codec, mode.disable)
+		run, census, err := projPlannerMode(s, records, mode.codec, mode.reads)
 		if err != nil {
 			return nil, fmt.Errorf("projection-planner %s: %w", mode.name, err)
 		}
@@ -107,7 +108,7 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 
 	// The ablation is only worth printing if the ordering holds: the planner
 	// decodes less than either whole-block side.
-	for _, whole := range []*ProjPlannerRun{&res.Disabled, &res.Row} {
+	for _, whole := range []*ProjPlannerRun{&res.Undeclared, &res.Row} {
 		if res.Planner.CensusDecoded >= whole.CensusDecoded {
 			return nil, fmt.Errorf("projection-planner: planner decoded %d bytes, %s %d — decode pruning ineffective",
 				res.Planner.CensusDecoded, whole.Mode, whole.CensusDecoded)
@@ -121,15 +122,13 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 func censusKey(r sam.Record) int { return int(r.RefID)<<20 | int(r.Pos) }
 
 // projPlannerMode stores the records as serialized partitions under codec,
-// then runs the census under one mode's configuration.
-func projPlannerMode(s Scale, records []sam.Record, codec engine.Serializer[sam.Record], disablePlanner bool) (ProjPlannerRun, map[int]int, error) {
+// then runs the census with the given read declaration.
+func projPlannerMode(s Scale, records []sam.Record, codec engine.Serializer[sam.Record], reads []engine.StageOption) (ProjPlannerRun, map[int]int, error) {
 	ctx := engine.NewContext(s.Workers)
 	ctx.StoreSerialized = true
-	ctx.DisableProjectionPlanner = disablePlanner
 	stored, err := engine.MapPartitions("projplanner/store",
 		engine.Parallelize(ctx, records, s.NumPartitions), codec,
-		func(_ int, items []sam.Record) ([]sam.Record, error) { return items, nil },
-		engine.ReadsOnly(0))
+		func(_ int, items []sam.Record) ([]sam.Record, error) { return items, nil })
 	if err != nil {
 		return ProjPlannerRun{}, nil, err
 	}
@@ -137,12 +136,11 @@ func projPlannerMode(s Scale, records []sam.Record, codec engine.Serializer[sam.
 		return ProjPlannerRun{}, nil, err
 	}
 
-	// Count records per coordinate bucket. Every mode declares the read; the
-	// reference switch and the codec decide what the decode touches.
+	// Count records per coordinate bucket; the declaration and the codec
+	// decide what the decode touches.
 	ctx.ResetMetrics()
 	start := time.Now()
-	census, err := engine.CountByKey("projplanner/census", stored, censusKey,
-		engine.ReadsOnly(colfmt.FieldCoord))
+	census, err := engine.CountByKey("projplanner/census", stored, censusKey, reads...)
 	if err != nil {
 		return ProjPlannerRun{}, nil, err
 	}
@@ -173,12 +171,12 @@ func (r *ProjPlannerResult) Format() []string {
 	out := []string{fmt.Sprintf(
 		"Projection planner: census over %d records (%d buckets)",
 		r.Records, r.Buckets)}
-	for _, run := range []*ProjPlannerRun{&r.Planner, &r.Disabled, &r.Row} {
+	for _, run := range []*ProjPlannerRun{&r.Planner, &r.Undeclared, &r.Row} {
 		out = append(out, row(run.Mode,
 			fmt.Sprintf("decoded %7.3f MB", float64(run.CensusDecoded)/1e6),
 			fmt.Sprintf("pruned %7.3f MB", float64(run.CensusPruned)/1e6),
 			fmt.Sprintf("census %s", run.CensusWall.Round(time.Millisecond))))
 	}
 	return append(out,
-		fmt.Sprintf("census decode reduction vs disabled: %.1f%%, vs row: %.1f%%", 100*r.DecodeReduction(), 100*r.RowDecodeReduction()))
+		fmt.Sprintf("census decode reduction vs undeclared: %.1f%%, vs row: %.1f%%", 100*r.DecodeReduction(), 100*r.RowDecodeReduction()))
 }

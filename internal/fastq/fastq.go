@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Quality score encoding bounds: Phred+33 ASCII. The paper (§4.2, footnote 1)
@@ -102,7 +103,9 @@ func (r *Reader) Read() (Record, error) {
 	lines := make([]string, 0, 4)
 	for len(lines) < 4 && r.sc.Scan() {
 		r.line++
-		lines = append(lines, r.sc.Text())
+		// A line ends at LF or CRLF; stray CRs before it cannot be written
+		// back, so they go with the terminator.
+		lines = append(lines, strings.TrimRight(r.sc.Text(), "\r"))
 	}
 	if err := r.sc.Err(); err != nil {
 		return Record{}, fmt.Errorf("fastq: line %d: %w", r.line, err)

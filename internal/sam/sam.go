@@ -194,6 +194,11 @@ func (c Cigar) String() string {
 	return b.String()
 }
 
+// maxCigarOpLen is the longest CIGAR op the SAM specification allows (BAM
+// stores the length in 28 bits). The bound also keeps the count below from
+// overflowing on a hostile digit run.
+const maxCigarOpLen = 1<<28 - 1
+
 // ParseCigar parses SAM text CIGAR ("*" yields nil).
 func ParseCigar(s string) (Cigar, error) {
 	if s == "*" || s == "" {
@@ -204,7 +209,9 @@ func ParseCigar(s string) (Cigar, error) {
 	for i := 0; i < len(s); i++ {
 		ch := s[i]
 		if ch >= '0' && ch <= '9' {
-			n = n*10 + int(ch-'0')
+			if n = n*10 + int(ch-'0'); n > maxCigarOpLen {
+				return nil, fmt.Errorf("sam: CIGAR op longer than %d in %q", maxCigarOpLen, s)
+			}
 			continue
 		}
 		switch ch {

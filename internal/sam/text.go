@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -103,7 +104,9 @@ func ReadText(rd io.Reader) (*Header, []Record, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		// A line ends at LF or CRLF; stray CRs before it cannot be written
+		// back, so they go with the terminator.
+		line := strings.TrimRight(sc.Text(), "\r")
 		if line == "" {
 			continue
 		}
@@ -184,8 +187,8 @@ func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("bad flag %q", fields[1])
 	}
-	pos, err := strconv.Atoi(fields[3])
-	if err != nil {
+	pos, ok := parseCoord(fields[3])
+	if !ok {
 		return Record{}, fmt.Errorf("bad pos %q", fields[3])
 	}
 	mapq, err := strconv.Atoi(fields[4])
@@ -196,11 +199,14 @@ func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	matePos, err := strconv.Atoi(fields[7])
-	if err != nil {
+	if int64(pos)+int64(cigar.RefLen()) > math.MaxInt32 {
+		return Record{}, fmt.Errorf("alignment at %s spanning %s ends past the coordinate range", fields[3], fields[5])
+	}
+	matePos, ok := parseCoord(fields[7])
+	if !ok {
 		return Record{}, fmt.Errorf("bad mate pos %q", fields[7])
 	}
-	tlen, err := strconv.Atoi(fields[8])
+	tlen, err := strconv.ParseInt(fields[8], 10, 32)
 	if err != nil {
 		return Record{}, fmt.Errorf("bad tlen %q", fields[8])
 	}
@@ -208,10 +214,10 @@ func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
 		Name:    fields[0],
 		Flag:    uint16(flag),
 		RefID:   lookupRef(refIndex, fields[2]),
-		Pos:     int32(pos - 1),
+		Pos:     pos,
 		MapQ:    uint8(mapq),
 		Cigar:   cigar,
-		MatePos: int32(matePos - 1),
+		MatePos: matePos,
 		TempLen: int32(tlen),
 	}
 	switch fields[6] {
@@ -222,10 +228,10 @@ func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
 	default:
 		rec.MateRef = lookupRef(refIndex, fields[6])
 	}
-	if fields[9] != "*" {
+	if fields[9] != "*" && fields[9] != "" {
 		rec.Seq = []byte(fields[9])
 	}
-	if fields[10] != "*" {
+	if fields[10] != "*" && fields[10] != "" {
 		rec.Qual = []byte(fields[10])
 	}
 	for _, f := range fields[11:] {
@@ -238,6 +244,13 @@ func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
 		}
 	}
 	return rec, nil
+}
+
+// parseCoord parses a 1-based POS/PNEXT column — 0 for "unavailable", at most
+// 2^31-1 — into the 0-based coordinate a Record holds.
+func parseCoord(s string) (int32, bool) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	return int32(v - 1), err == nil && v >= 0
 }
 
 func lookupRef(refIndex map[string]int32, name string) int32 {

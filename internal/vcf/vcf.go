@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,7 +142,9 @@ func Read(rd io.Reader) (*Header, []Record, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		// A line ends at LF or CRLF; stray CRs before it cannot be written
+		// back, so they go with the terminator.
+		line := strings.TrimRight(sc.Text(), "\r")
 		switch {
 		case line == "":
 		case strings.HasPrefix(line, "##contig=<"):
@@ -201,22 +204,24 @@ func parseRecordLine(line string) (Record, error) {
 		return Record{}, fmt.Errorf("only %d fields", len(fields))
 	}
 	pos, err := strconv.Atoi(fields[1])
-	if err != nil {
+	if err != nil || pos < 0 {
 		return Record{}, fmt.Errorf("bad pos %q", fields[1])
 	}
 	qual := 0.0
 	if fields[5] != "." {
 		qual, err = strconv.ParseFloat(fields[5], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(qual) || math.IsInf(qual, 0) {
 			return Record{}, fmt.Errorf("bad qual %q", fields[5])
 		}
 	}
 	rec := Record{Chrom: fields[0], Pos: pos - 1, Ref: fields[3], Alt: fields[4], Qual: qual}
 	if fields[7] != "." {
-		rec.Info = map[string]string{}
 		for _, kv := range strings.Split(fields[7], ";") {
 			parts := strings.SplitN(kv, "=", 2)
 			if len(parts) == 2 {
+				if rec.Info == nil {
+					rec.Info = map[string]string{}
+				}
 				rec.Info[parts[0]] = parts[1]
 			}
 		}

@@ -15,25 +15,21 @@ import (
 // by joining the op names with "+"; errors from narrow op functions likewise
 // surface at the barrier, not at the recording call.
 //
-// Every operation accepts optional StageOptions declaring its field effects
-// (ReadsOnly, Rebuilds, WithEffects). A fused chain derives from the
-// declarations the minimal field set its columnar source blocks must decode,
-// with no annotation at the read; stored partitions and shuffle buckets
-// always hold every field. Undeclared ops conservatively read and write all
-// fields.
+// A narrow op reads its input whole. CountByKey, which runs at the call,
+// accepts ReadsOnly(mask) naming the fields its key function reads: over
+// columnar-stored blocks its one decode then skips the other columns. Stored
+// partitions and shuffle buckets always hold every field, and declaring
+// nothing reads every field.
 
 // Serializer is the partition codec interface (see GPFSAMCodec and friends).
 type Serializer[T any] = engine.Serializer[T]
 
-// FieldMask selects record fields for effect declarations (bit meanings
+// FieldMask selects record fields for read declarations (bit meanings
 // belong to the codec; see the colfmt Field* constants).
 type FieldMask = engine.FieldMask
 
-// FieldEffects declares which fields an operation reads and which it writes.
-type FieldEffects = engine.FieldEffects
-
 // Field bits of the SAM record codec — the columns of the columnar block
-// layout. Combine with | in effect declarations. FieldCoord covers
+// layout. Combine with | in read declarations. FieldCoord covers
 // RefID+Pos; FieldMate covers MateRef/MatePos/TempLen.
 const (
 	FieldName  = colfmt.FieldName
@@ -47,25 +43,16 @@ const (
 	FieldTags  = colfmt.FieldTags
 )
 
-// FieldsAll saturates a mask: the op touches every field of its record
-// type, whatever the codec. Use it — not a union of the bits above — to
-// declare "reads everything", so the materialized partitions satisfy any
-// later demand.
+// FieldsAll saturates a mask: the op reads every field of its record type,
+// whatever the codec — what declaring nothing means.
 const FieldsAll = engine.FieldsAll
 
-// StageOption configures an engine operation (currently: effect declarations).
+// StageOption configures an engine operation (currently: ReadsOnly).
 type StageOption = engine.StageOption
 
-// WithEffects declares an op's field effects explicitly.
-func WithEffects(fx FieldEffects) StageOption { return engine.WithEffects(fx) }
-
-// ReadsOnly declares a pass-through op that reads only the given fields and
-// rewrites none (output fields come from the input unchanged).
+// ReadsOnly declares that the op's callbacks read only the given fields of
+// their input records.
 func ReadsOnly(mask FieldMask) StageOption { return engine.ReadsOnly(mask) }
-
-// Rebuilds declares an op that reads the given fields and rewrites every
-// field of its output records.
-func Rebuilds(reads FieldMask) StageOption { return engine.Rebuilds(reads) }
 
 // Parallelize distributes items over numPartitions.
 func Parallelize[T any](eng *Engine, items []T, numPartitions int) *Dataset[T] {
@@ -78,33 +65,33 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 }
 
 // Map applies fn to every item.
-func Map[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) U, opts ...StageOption) (*Dataset[U], error) {
-	return engine.Map(name, d, codec, fn, opts...)
+func Map[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) U) (*Dataset[U], error) {
+	return engine.Map(name, d, codec, fn)
 }
 
 // Filter keeps items for which pred is true.
-func Filter[T any](name string, d *Dataset[T], pred func(T) bool, opts ...StageOption) (*Dataset[T], error) {
-	return engine.Filter(name, d, pred, opts...)
+func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], error) {
+	return engine.Filter(name, d, pred)
 }
 
 // FlatMap applies fn to every item and concatenates the results.
-func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) []U, opts ...StageOption) (*Dataset[U], error) {
-	return engine.FlatMap(name, d, codec, fn, opts...)
+func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(T) []U) (*Dataset[U], error) {
+	return engine.FlatMap(name, d, codec, fn)
 }
 
 // MapPartitions transforms whole partitions.
-func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
-	return engine.MapPartitions(name, d, codec, fn, opts...)
+func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error)) (*Dataset[U], error) {
+	return engine.MapPartitions(name, d, codec, fn)
 }
 
 // PartitionBy shuffles items to the partition selected by key.
-func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, opts ...StageOption) (*Dataset[T], error) {
-	return engine.PartitionBy(name, d, numPartitions, key, opts...)
+func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int) (*Dataset[T], error) {
+	return engine.PartitionBy(name, d, numPartitions, key)
 }
 
 // SortPartitions sorts every partition by less (a narrow, lazy op).
-func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool, opts ...StageOption) (*Dataset[T], error) {
-	return engine.SortPartitions(name, d, less, opts...)
+func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool) (*Dataset[T], error) {
+	return engine.SortPartitions(name, d, less)
 }
 
 // Collect gathers all partitions to the driver.
@@ -123,7 +110,8 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 	return engine.Count(name, d)
 }
 
-// CountByKey counts items per integer key.
+// CountByKey counts items per integer key. opts may declare the fields key
+// reads (ReadsOnly).
 func CountByKey[T any](name string, d *Dataset[T], key func(T) int, opts ...StageOption) (map[int]int, error) {
 	return engine.CountByKey(name, d, key, opts...)
 }
