@@ -1,7 +1,7 @@
 // Compression demo: shows the effect of GPF's genomic data compression
 // (§4.2, Figs 4-6, Table 3 of the paper) on simulated reads — the 2-bit
-// sequence packing with N exceptions and the delta+Huffman quality coding —
-// against a plain field serializer.
+// sequence packing with an exception list and the delta+Huffman quality
+// coding — against a plain field serializer.
 package main
 
 import (
@@ -41,8 +41,8 @@ func main() {
 	fmt.Println("round trip: identical")
 
 	// The raw seq/qual block codec, usable standalone. The example read
-	// below carries an N whose quality is rewritten through the marker
-	// channel and restored on decode (Fig 4's worked example).
+	// below (Fig 4's) carries an N, which packs as A and comes back from the
+	// seq column's exception list; its quality is stored as it is.
 	seqs := [][]byte{[]byte("GGTTNCCTA")}
 	quals := [][]byte{[]byte("CCCB#FFFF")}
 	block, err := gpf.EncodeSeqQualBlock(seqs, quals)

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"github.com/gpf-go/gpf/internal/cleaner"
-	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
@@ -42,7 +41,7 @@ func convertStage(style StageStyle, name string, ds *engine.Dataset[sam.Record])
 	if !style.Convert {
 		return ds, nil
 	}
-	gob := compress.GobCodec[sam.Record]{}
+	gob := engine.GobCodec[sam.Record]{}
 	return engine.MapPartitions(name, ds, ds.Codec(), func(_ int, recs []sam.Record) ([]sam.Record, error) {
 		blob, err := gob.Marshal(recs)
 		if err != nil {

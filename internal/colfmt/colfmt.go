@@ -27,21 +27,16 @@
 //	mapq   one raw byte per record
 //	cigar  per-record uvarint op counts, then (uvarint len, op byte) stream
 //	mate   per-record varint ΔMateRef, varint ΔMatePos, varint TempLen
-//	seq    per-record uvarint lengths; uvarint exception count; exceptions as
-//	       (uvarint gap in global base index, original byte); then per-record
-//	       2-bit packed bases (bytes outside the uppercase ACGT alphabet pack
-//	       as their case-fold or code 0 and are restored from the exception
-//	       list — self-contained, unlike the Fig 4 codec whose N restoration
-//	       rides the quality stream)
-//	qual   mode byte (0 Huffman-delta via compress.EncodeQualBlock, 1 raw for
-//	       out-of-range bytes or a histogram whose code would pass 31 bits);
-//	       per-record uvarint lengths; payload
+//	seq    compress.AppendSeqColumn: 2-bit packed bases with an exception
+//	       list restoring every other byte
+//	qual   compress.AppendQualColumn: delta-Huffman qualities, raw when the
+//	       coder cannot represent the batch
 //	tags   per-record uvarint tag counts with (uvarint klen, uvarint vlen)
 //	       pairs, then concatenated key/value bytes in sorted-key order
 //
 // The batch decoder is arena-backed: names and tag strings are substrings of
 // one string allocation per column, cigar ops slice one shared []CigarOp
-// slab, and seq/qual bases decode into shared byte slabs — per-record
+// slab, and seq/qual bytes decode into shared byte slabs — per-record
 // allocations are amortized to a handful per column. Decoded records may
 // therefore share backing arrays; like every dataset partition they must be
 // treated as immutable (in-place writes stay record-local because slab
@@ -50,14 +45,12 @@ package colfmt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
-	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
@@ -85,9 +78,6 @@ const (
 	colMagic0  = 'G'
 	colMagic1  = 'c'
 	colVersion = 1
-
-	qualModeHuffman = 0
-	qualModeRaw     = 1
 )
 
 // Codec is the columnar serializer for []sam.Record partitions. The zero
@@ -152,9 +142,9 @@ func encodeColumn(bit int, recs []sam.Record) ([]byte, error) {
 	case FieldMate:
 		return encMateCol(recs), nil
 	case FieldSeq:
-		return encSeqCol(recs), nil
+		return compress.AppendSeqColumn(nil, len(recs), func(i int) []byte { return recs[i].Seq }), nil
 	case FieldQual:
-		return encQualCol(recs)
+		return compress.AppendQualColumn(nil, len(recs), func(i int) []byte { return recs[i].Qual })
 	case FieldTags:
 		return encTagsCol(recs), nil
 	}
@@ -245,9 +235,9 @@ func decodeColumn(bit int, col []byte, recs []sam.Record) error {
 	case FieldMate:
 		return decMateCol(col, recs)
 	case FieldSeq:
-		return decSeqCol(col, recs)
+		return compress.DecodeSeqColumn(col, len(recs), func(i int, s []byte) { recs[i].Seq = s })
 	case FieldQual:
-		return decQualCol(col, recs)
+		return compress.DecodeQualColumn(col, len(recs), func(i int, q []byte) { recs[i].Qual = q })
 	case FieldTags:
 		return decTagsCol(col, recs)
 	}
@@ -272,30 +262,6 @@ func getVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// readLengths decodes count per-record uvarint lengths from col, returning
-// the lengths, their sum, and the remaining payload. maxTotal caps the sum —
-// a corruption guard sized by the caller to the column's densest legal
-// packing (4 bases/byte for 2-bit seq, up to 8 symbols/byte for Huffman
-// qual) so a corrupt length cannot trigger a huge slab allocation; exact
-// consistency is still verified by the column decoders afterwards.
-func readLengths(col []byte, count, maxTotal int) ([]int, int, []byte, error) {
-	lens := make([]int, count)
-	total := 0
-	for i := 0; i < count; i++ {
-		v, rest, err := getUvarint(col)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("length %d: %w", i, err)
-		}
-		col = rest
-		lens[i] = int(v)
-		total += int(v)
-		if v > uint64(maxTotal) || total > maxTotal {
-			return nil, 0, nil, fmt.Errorf("lengths through %d sum to %d, exceeding column bound %d", i, total, maxTotal)
-		}
-	}
-	return lens, total, col, nil
-}
-
 // --- name column ---
 
 func encNameCol(recs []sam.Record) []byte {
@@ -310,7 +276,7 @@ func encNameCol(recs []sam.Record) []byte {
 }
 
 func decNameCol(col []byte, recs []sam.Record) error {
-	lens, total, blob, err := readLengths(col, len(recs), len(col))
+	lens, total, blob, err := compress.ReadLengths(col, len(recs), len(col))
 	if err != nil {
 		return err
 	}
@@ -427,7 +393,7 @@ func encCigarCol(recs []sam.Record) []byte {
 }
 
 func decCigarCol(col []byte, recs []sam.Record) error {
-	nops, totalOps, ops, err := readLengths(col, len(recs), len(col))
+	nops, totalOps, ops, err := compress.ReadLengths(col, len(recs), len(col))
 	if err != nil {
 		return err
 	}
@@ -499,187 +465,6 @@ func decMateCol(col []byte, recs []sam.Record) error {
 		return fmt.Errorf("%d trailing mate bytes", len(col))
 	}
 	return nil
-}
-
-// --- seq column ---
-
-// seqException marks the bytes that do not round-trip through the 2-bit
-// alphabet — non-ACGT (N etc.) and lowercase bases, which BaseCode
-// case-folds — and therefore go on the seq column's exception list.
-var seqException = func() (t [256]bool) {
-	for b := range t {
-		code := genome.BaseCode(byte(b))
-		t[b] = code < 0 || genome.CodeBase(code) != byte(b)
-	}
-	return
-}()
-
-func encSeqCol(recs []sam.Record) []byte {
-	total := 0
-	for i := range recs {
-		total += len(recs[i].Seq)
-	}
-	// Lengths (two bytes cover a 16 kb read), the exception count, a quarter
-	// byte per base rounded up per record; exceptions grow it if there are any.
-	dst := make([]byte, 0, 3*len(recs)+binary.MaxVarintLen64+total/4)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(len(recs[i].Seq)))
-	}
-	// Exceptions: global base index (cumulative across the concatenated
-	// sequences) and original byte.
-	var excIdx []int
-	var excByte []byte
-	gi := 0
-	for i := range recs {
-		for j, b := range recs[i].Seq {
-			if seqException[b] {
-				excIdx = append(excIdx, gi+j)
-				excByte = append(excByte, b)
-			}
-		}
-		gi += len(recs[i].Seq)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(excIdx)))
-	prev := 0
-	for j, idx := range excIdx {
-		dst = binary.AppendUvarint(dst, uint64(idx-prev))
-		dst = append(dst, excByte[j])
-		prev = idx
-	}
-	for i := range recs {
-		dst = compress.Pack2Bit(dst, recs[i].Seq)
-	}
-	return dst
-}
-
-func decSeqCol(col []byte, recs []sam.Record) error {
-	lens, total, rest, err := readLengths(col, len(recs), 4*len(col))
-	if err != nil {
-		return err
-	}
-	nExc, rest, err := getUvarint(rest)
-	if err != nil {
-		return fmt.Errorf("exception count: %w", err)
-	}
-	if nExc > uint64(len(rest)) {
-		return fmt.Errorf("exception count %d exceeds column size %d", nExc, len(rest))
-	}
-	excIdx := make([]int, nExc)
-	excByte := make([]byte, nExc)
-	prev := 0
-	for j := range excIdx {
-		gap, r2, err := getUvarint(rest)
-		if err != nil {
-			return fmt.Errorf("exception %d gap: %w", j, err)
-		}
-		if len(r2) == 0 {
-			return fmt.Errorf("exception %d missing byte", j)
-		}
-		idx := prev + int(gap)
-		if idx < 0 || idx >= total {
-			return fmt.Errorf("exception %d index %d out of range [0,%d)", j, idx, total)
-		}
-		excIdx[j] = idx
-		excByte[j] = r2[0]
-		rest = r2[1:]
-		prev = idx
-	}
-	slab := make([]byte, total)
-	pos := 0
-	for i, l := range lens {
-		consumed, err := compress.Unpack2Bit(slab[pos:pos+l], rest)
-		if err != nil {
-			return fmt.Errorf("seq %d: %w", i, err)
-		}
-		rest = rest[consumed:]
-		if l > 0 {
-			recs[i].Seq = slab[pos : pos+l : pos+l]
-		}
-		pos += l
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%d trailing seq bytes", len(rest))
-	}
-	for j, idx := range excIdx {
-		slab[idx] = excByte[j]
-	}
-	return nil
-}
-
-// --- qual column ---
-
-func encQualCol(recs []sam.Record) ([]byte, error) {
-	quals := make([][]byte, len(recs))
-	total := 0
-	for i := range recs {
-		quals[i] = recs[i].Qual
-		total += len(recs[i].Qual)
-	}
-	// The Huffman-delta coder covers quality bytes 0..126 (the legal FASTQ
-	// range plus the N marker) under histograms whose code fits 31 bits;
-	// anything else selects the raw fallback.
-	mode := byte(qualModeHuffman)
-	block, err := compress.EncodeQualBlock(quals)
-	if errors.Is(err, compress.ErrQualUncodable) {
-		mode = qualModeRaw
-	} else if err != nil {
-		return nil, err
-	}
-	payload := len(block)
-	if mode == qualModeRaw {
-		payload = total
-	}
-	dst := make([]byte, 0, 1+3*len(recs)+payload)
-	dst = append(dst, mode)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(len(recs[i].Qual)))
-	}
-	if mode == qualModeRaw {
-		for i := range recs {
-			dst = append(dst, recs[i].Qual...)
-		}
-		return dst, nil
-	}
-	return append(dst, block...), nil
-}
-
-func decQualCol(col []byte, recs []sam.Record) error {
-	if len(col) == 0 {
-		return fmt.Errorf("missing qual mode byte")
-	}
-	mode := col[0]
-	lens, total, payload, err := readLengths(col[1:], len(recs), 8*len(col))
-	if err != nil {
-		return err
-	}
-	switch mode {
-	case qualModeRaw:
-		if len(payload) != total {
-			return fmt.Errorf("raw qual bytes: have %d, lengths sum to %d", len(payload), total)
-		}
-		slab := make([]byte, total)
-		copy(slab, payload)
-		pos := 0
-		for i, l := range lens {
-			if l > 0 {
-				recs[i].Qual = slab[pos : pos+l : pos+l]
-			}
-			pos += l
-		}
-		return nil
-	case qualModeHuffman:
-		quals, err := compress.DecodeQualBlock(payload, lens)
-		if err != nil {
-			return err
-		}
-		for i, q := range quals {
-			if len(q) > 0 {
-				recs[i].Qual = q
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown qual mode %d", mode)
 }
 
 // --- tags column ---

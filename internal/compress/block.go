@@ -1,3 +1,17 @@
+// Package compress implements GPF's genomic data compression (§4.2 of the
+// paper) in one format: a seq column of 2-bit packed bases with a lossless
+// exception list for every other byte (sequence.go), and a qual column of
+// delta+Huffman coded qualities with an EOF symbol (Figs 5-6, quality.go),
+// stored raw when the coder cannot represent a batch. colfmt stores SAM
+// records' bases and qualities in these columns; EncodeSeqQualBlock frames
+// the same two columns for FASTQ pairs (GPFPairCodec) and standalone use.
+// Partition-level codecs store whole record batches as single byte arrays —
+// the serialized in-memory representation the GPF engine keeps resident and
+// shuffles between workers.
+//
+// A field codec without genomic modeling (standing in for Kryo) is the
+// paper's comparator; the engine's gob fallback stands in for Java
+// serialization.
 package compress
 
 import (
@@ -5,118 +19,80 @@ import (
 	"fmt"
 )
 
+// ReadLengths decodes count per-record uvarint lengths from col, returning
+// the lengths, their sum, and the remaining payload. maxTotal caps the sum —
+// a corruption guard sized by the caller to the column's densest legal
+// packing (4 bases/byte for 2-bit seq, up to 8 symbols/byte for Huffman
+// qual) so a corrupt length cannot trigger a huge slab allocation; exact
+// consistency is still verified by the column decoders afterwards.
+func ReadLengths(col []byte, count, maxTotal int) ([]int, int, []byte, error) {
+	// Every length takes at least one byte.
+	if count > len(col) {
+		return nil, 0, nil, fmt.Errorf("compress: %d lengths in a %d-byte column", count, len(col))
+	}
+	lens := make([]int, count)
+	total := 0
+	for i := 0; i < count; i++ {
+		v, k := binary.Uvarint(col)
+		if k <= 0 {
+			return nil, 0, nil, fmt.Errorf("compress: truncated length %d", i)
+		}
+		col = col[k:]
+		lens[i] = int(v)
+		total += int(v)
+		if v > uint64(maxTotal) || total > maxTotal {
+			return nil, 0, nil, fmt.Errorf("compress: lengths through %d sum to %d, exceeding column bound %d", i, total, maxTotal)
+		}
+	}
+	return lens, total, col, nil
+}
+
 // EncodeSeqQualBlock compresses parallel batches of sequences and quality
 // strings into one byte block — the serialized form of a partition's
 // seq/qual columns. Layout:
 //
 //	uvarint recordCount
-//	recordCount × uvarint sequenceLength
-//	uvarint packedSeqBytes, then the packed 2-bit sequences (byte aligned
-//	  per record)
-//	quality block (code table + Huffman payload, see EncodeQualBlock)
+//	uvarint seq column length, then the seq column (AppendSeqColumn)
+//	the qual column (AppendQualColumn)
 //
-// Ns are converted per Fig 4 before packing; markers flow through the
-// quality stream and are restored on decode.
+// Any bytes round-trip exactly, sequences and qualities of unequal length
+// included.
 func EncodeSeqQualBlock(seqs, quals [][]byte) ([]byte, error) {
 	if len(seqs) != len(quals) {
 		return nil, fmt.Errorf("compress: %d seqs but %d quals", len(seqs), len(quals))
 	}
-	convSeqs := make([][]byte, len(seqs))
-	convQuals := make([][]byte, len(quals))
-	for i := range seqs {
-		s, q, err := convertSpecials(seqs[i], quals[i])
-		if err != nil {
-			return nil, fmt.Errorf("compress: record %d: %w", i, err)
-		}
-		convSeqs[i], convQuals[i] = s, q
-	}
-
-	out := binary.AppendUvarint(nil, uint64(len(seqs)))
-	for _, s := range convSeqs {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-	}
-	totalBases := 0
-	for _, s := range convSeqs {
-		totalBases += len(s)
-	}
-	packed := make([]byte, 0, totalBases/4+len(convSeqs))
-	for i, s := range convSeqs {
-		var err error
-		packed, err = packSeq(packed, s)
-		if err != nil {
-			return nil, fmt.Errorf("compress: record %d: %w", i, err)
-		}
-	}
-	out = binary.AppendUvarint(out, uint64(len(packed)))
-	out = append(out, packed...)
-
-	qb, err := EncodeQualBlock(convQuals)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, qb...)
-	return out, nil
+	n := len(seqs)
+	seqCol := AppendSeqColumn(nil, n, func(i int) []byte { return seqs[i] })
+	out := binary.AppendUvarint(nil, uint64(n))
+	out = binary.AppendUvarint(out, uint64(len(seqCol)))
+	out = append(out, seqCol...)
+	return AppendQualColumn(out, n, func(i int) []byte { return quals[i] })
 }
 
-// DecodeSeqQualBlock inverts EncodeSeqQualBlock.
+// DecodeSeqQualBlock inverts EncodeSeqQualBlock. Empty sequences and
+// qualities come back nil.
 func DecodeSeqQualBlock(data []byte) (seqs, quals [][]byte, err error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	count, k := binary.Uvarint(data)
+	if k <= 0 {
 		return nil, nil, fmt.Errorf("compress: bad block count header")
 	}
-	data = data[n:]
-	if count > uint64(len(data))+1 {
+	data = data[k:]
+	// Every record takes at least one length byte in each column.
+	if count > uint64(len(data)) {
 		return nil, nil, fmt.Errorf("compress: block count %d exceeds payload", count)
 	}
-	lengths := make([]int, count)
-	for i := range lengths {
-		l, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("compress: bad length header for record %d", i)
-		}
-		data = data[n:]
-		// Huffman emits at least one bit per symbol and packing one byte
-		// per four bases, so the decoded size is bounded by a small
-		// multiple of the payload; anything larger marks corruption (and
-		// guards the per-record allocations below).
-		if l > uint64(8*len(data)+64) {
-			return nil, nil, fmt.Errorf("compress: record %d length %d exceeds payload bound", i, l)
-		}
-		lengths[i] = int(l)
+	seqLen, k := binary.Uvarint(data)
+	if k <= 0 || seqLen > uint64(len(data)-k) {
+		return nil, nil, fmt.Errorf("compress: bad seq column length")
 	}
-	totalLen := 0
-	for _, l := range lengths {
-		totalLen += l
-	}
-	if totalLen > 8*len(data)+64 {
-		return nil, nil, fmt.Errorf("compress: decoded size %d exceeds payload bound", totalLen)
-	}
-	packedLen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("compress: bad packed-bytes header")
-	}
-	data = data[n:]
-	if uint64(len(data)) < packedLen {
-		return nil, nil, fmt.Errorf("compress: packed section truncated")
-	}
-	packed := data[:packedLen]
-	qualData := data[packedLen:]
-
-	seqs = make([][]byte, count)
-	for i, l := range lengths {
-		s, consumed, err := unpackSeq(packed, l)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compress: record %d: %w", i, err)
-		}
-		seqs[i] = s
-		packed = packed[consumed:]
-	}
-	quals, err = DecodeQualBlock(qualData, lengths)
-	if err != nil {
+	seqCol, qualCol := data[k:k+int(seqLen)], data[k+int(seqLen):]
+	n := int(count)
+	seqs, quals = make([][]byte, n), make([][]byte, n)
+	if err := DecodeSeqColumn(seqCol, n, func(i int, s []byte) { seqs[i] = s }); err != nil {
 		return nil, nil, err
 	}
-	for i := range seqs {
-		restoreSpecials(seqs[i], quals[i])
+	if err := DecodeQualColumn(qualCol, n, func(i int, q []byte) { quals[i] = q }); err != nil {
+		return nil, nil, err
 	}
 	return seqs, quals, nil
 }

@@ -1,26 +1,25 @@
 package compress
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
-	"github.com/gpf-go/gpf/internal/bufpool"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/sam"
 )
 
 // This file provides partition serializers used by the engine to persist
 // datasets "in serialized form" (§4.2: GPF stores each RDD partition as one
-// large byte array). Three tiers mirror the paper's comparison:
+// large byte array). Two of the paper's three tiers live here:
 //
-//   - GPF codecs: genomic-aware (2-bit sequences, delta+Huffman qualities).
+//   - GPF codecs: genomic-aware (the seq and qual columns of block.go).
+//     colfmt.Codec is the SAM one.
 //   - Field codecs: fast binary field packing without genomic modeling —
 //     the stand-in for Kryo.
-//   - Gob codec: Go's generic reflective serializer — the stand-in for Java
-//     serialization.
+//
+// The third, Go's generic reflective serializer standing in for Java
+// serialization, is the engine's own fallback codec, engine.GobCodec.
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -70,7 +69,8 @@ func readCount(data []byte, perItemMin int) (int, []byte, error) {
 	return int(count), rest, nil
 }
 
-// GPFPairCodec serializes FASTQ pairs with the genomic codec.
+// GPFPairCodec serializes FASTQ pairs with the genomic codec, losslessly:
+// the seq and qual columns colfmt stores SAM reads in.
 type GPFPairCodec struct{}
 
 // Name identifies the codec in metrics output.
@@ -331,32 +331,4 @@ func (FieldSAMCodec) Unmarshal(data []byte) ([]sam.Record, error) {
 		}
 	}
 	return records, nil
-}
-
-// GobCodec is the generic reflective serializer used as the Java-like
-// comparator in Table 3-style measurements.
-type GobCodec[T any] struct{}
-
-// Name identifies the codec in metrics output.
-func (GobCodec[T]) Name() string { return "gob" }
-
-// Marshal encodes a batch through encoding/gob. The encode buffer is pooled:
-// gob grows its scratch buffer through several doublings per partition, which
-// dominates shuffle-side allocations without reuse.
-func (GobCodec[T]) Marshal(items []T) ([]byte, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if err := gob.NewEncoder(buf).Encode(items); err != nil {
-		return nil, fmt.Errorf("compress: gob encode: %w", err)
-	}
-	return bufpool.Bytes(buf), nil
-}
-
-// Unmarshal inverts Marshal.
-func (GobCodec[T]) Unmarshal(data []byte) ([]T, error) {
-	var items []T
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&items); err != nil {
-		return nil, fmt.Errorf("compress: gob decode: %w", err)
-	}
-	return items, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
@@ -39,67 +40,17 @@ func TestBitReaderExhaustion(t *testing.T) {
 
 func TestPackSeqRoundTrip(t *testing.T) {
 	seq := []byte("ACGTACGTTTGGCCAA")
-	packed, err := packSeq(nil, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := Pack2Bit(nil, seq)
 	if len(packed) != 4 {
 		t.Fatalf("packed %d bytes, want 4", len(packed))
 	}
-	back, consumed, err := unpackSeq(packed, len(seq))
+	back := make([]byte, len(seq))
+	consumed, err := Unpack2Bit(back, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if consumed != 4 || !bytes.Equal(back, seq) {
 		t.Fatalf("unpacked %q (consumed %d)", back, consumed)
-	}
-}
-
-func TestPackSeqRejectsN(t *testing.T) {
-	if _, err := packSeq(nil, []byte("ACGN")); err == nil {
-		t.Fatal("packSeq must reject N")
-	}
-}
-
-func TestEncodeDecodeSeq(t *testing.T) {
-	seq := []byte("ACGTACG") // non-multiple of 4
-	enc, err := EncodeSeq(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSeq(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, seq) {
-		t.Fatalf("round trip = %q", back)
-	}
-	// ~4x compression: 7 bases in 1 varint byte + 2 payload bytes.
-	if len(enc) > 3 {
-		t.Fatalf("encoded %d bytes", len(enc))
-	}
-}
-
-func TestConvertRestoreSpecials(t *testing.T) {
-	seq := []byte("GGTTNCCTA")
-	qual := []byte("CCCB#FFFF")
-	s, q, err := convertSpecials(seq, qual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[4] != 'A' || q[4] != qualNMarker {
-		t.Fatalf("conversion: %q %v", s, q)
-	}
-	// Original untouched.
-	if seq[4] != 'N' {
-		t.Fatal("convertSpecials must not mutate input")
-	}
-	restoreSpecials(s, q)
-	if s[4] != 'N' || q[4] != qualNRestore {
-		t.Fatalf("restore: %q %q", s, q)
-	}
-	if !bytes.Equal(s, seq) || !bytes.Equal(q, qual) {
-		t.Fatalf("full round trip: %q %q", s, q)
 	}
 }
 
@@ -158,13 +109,10 @@ func TestSeqQualBlockMismatch(t *testing.T) {
 	if _, err := EncodeSeqQualBlock([][]byte{[]byte("AC")}, nil); err == nil {
 		t.Fatal("count mismatch should error")
 	}
-	if _, err := EncodeSeqQualBlock([][]byte{[]byte("AC")}, [][]byte{[]byte("I")}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
 }
 
-// Property: seq/qual block round-trip is the identity for random reads whose
-// N bases carry '#' quality (the sequencer convention the codec normalizes to).
+// Property: seq/qual block round-trip is the identity for random reads, with
+// N and lowercase bases at any quality.
 func TestSeqQualBlockProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -176,12 +124,10 @@ func TestSeqQualBlockProperty(t *testing.T) {
 			s := make([]byte, l)
 			q := make([]byte, l)
 			for j := 0; j < l; j++ {
+				s[j] = genome.Alphabet[rng.Intn(4)]
+				q[j] = byte(33 + rng.Intn(42))
 				if rng.Float64() < 0.02 {
-					s[j] = 'N'
-					q[j] = '#'
-				} else {
-					s[j] = genome.Alphabet[rng.Intn(4)]
-					q[j] = byte(33 + rng.Intn(42))
+					s[j] = "Nnacgt"[rng.Intn(6)]
 				}
 			}
 			seqs[i], quals[i] = s, q
@@ -253,7 +199,7 @@ func TestCodecCompressionOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobEnc, err := GobCodec[fastq.Pair]{}.Marshal(pairs)
+	gobEnc, err := engine.GobCodec[fastq.Pair]{}.Marshal(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,31 +280,12 @@ func TestFieldSAMCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobCodecRoundTrip(t *testing.T) {
-	type item struct{ A, B int }
-	items := []item{{1, 2}, {3, 4}}
-	enc, err := GobCodec[item]{}.Marshal(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := GobCodec[item]{}.Unmarshal(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[1].B != 4 {
-		t.Fatalf("decoded %v", back)
-	}
-}
-
 func TestUnmarshalCorruptData(t *testing.T) {
 	if _, err := (GPFPairCodec{}).Unmarshal([]byte{0xFF}); err == nil {
 		t.Fatal("corrupt pair data should error")
 	}
 	if _, err := (FieldSAMCodec{}).Unmarshal([]byte{0x01, 0x00}); err == nil {
 		t.Fatal("corrupt sam data should error")
-	}
-	if _, err := (GobCodec[int]{}).Unmarshal([]byte{1, 2, 3}); err == nil {
-		t.Fatal("corrupt gob data should error")
 	}
 	if _, err := (FieldPairCodec{}).Unmarshal([]byte{0x02, 0x05}); err == nil {
 		t.Fatal("corrupt field data should error")

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/fastq"
@@ -225,16 +226,19 @@ func checkEncodeEquivalence(t *testing.T, quals [][]byte) ([]byte, bool) {
 	return want, true
 }
 
-// checkDecodeEquivalence asserts the fast decoder vouches for exactly the
-// blocks the reference accepts, with equal output.
+// checkDecodeEquivalence asserts DecodeQualBlock accepts exactly the blocks
+// the reference accepts, with equal output, and explains every refusal.
 func checkDecodeEquivalence(t *testing.T, block []byte, lengths []int) ([][]byte, bool) {
 	t.Helper()
 	want, errRef := decodeQualBlockRef(block, lengths)
-	got, ok := decodeQualBlockFast(block, lengths)
-	if ok != (errRef == nil) {
-		t.Fatalf("decode of %d-byte block, %d strings: fast ok=%v, reference err %v", len(block), len(lengths), ok, errRef)
+	got, errFast := DecodeQualBlock(block, lengths)
+	if (errFast == nil) != (errRef == nil) {
+		t.Fatalf("decode of %d-byte block, %d strings: fast err %v, reference err %v", len(block), len(lengths), errFast, errRef)
 	}
-	if !ok {
+	if errFast != nil {
+		if !strings.HasPrefix(errFast.Error(), "compress: ") || got != nil {
+			t.Fatalf("decode: refusal %q (output %v) is not a compress error alone", errFast, got)
+		}
 		return nil, false
 	}
 	if len(got) != len(want) {
@@ -322,6 +326,51 @@ func TestKernelQualBlockEquivalence(t *testing.T) {
 				bad = append(bad, byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
 			checkDecodeEquivalence(t, bad, badLens)
+		}
+	}
+}
+
+// TestKernelQualBlockErrorsNameCause: each way a block can be refused —
+// both decoders refusing it — gets its own error from DecodeQualBlock.
+func TestKernelQualBlockErrorsNameCause(t *testing.T) {
+	enc := func(quals ...[]byte) []byte {
+		block, err := EncodeQualBlock(quals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return block
+	}
+	q := []byte("IIIIHHHGGFFA#")
+	block := enc(q, q[:5])
+	tooLong := append([]byte(nil), block...)
+	tooLong[0] = maxCodeLen + 1
+	// EOF "0", delta 0 "10", delta +1 "11": a byte holds four symbols.
+	twoBit := make([]byte, qualAlphabet)
+	twoBit[qualEOFSymbol], twoBit[deltaBias], twoBit[deltaBias+1] = 1, 2, 2
+	// EOF alone codes as "0"; a 1 bit starts no codeword.
+	eofOnly := make([]byte, qualAlphabet)
+	eofOnly[qualEOFSymbol] = 1
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		lengths []int
+		want    string
+	}{
+		{"short", block[:qualAlphabet-1], []int{13, 5}, "shorter than code table"},
+		{"long code", tooLong, []int{13, 5}, "exceeds max"},
+		{"overfull", bytes.Repeat([]byte{1}, qualAlphabet+4), []int{13, 5}, "overfull Huffman code"},
+		{"lengths past payload", block, []int{200, 200}, "out of bounds"},
+		{"truncated", append(twoBit, 0xaa), []int{5}, "truncated Huffman stream"},
+		{"no codeword", append(eofOnly, 0xff), nil, "invalid Huffman code"},
+		{"early EOF", block, []int{13, 6}, "ends early"},
+		{"late EOF", block, []int{13, 4}, "continues past"},
+		{"out of range", enc([]byte{1, 0}), []int{1, 1}, "value -1 out of range in record 1"},
+	} {
+		if _, ok := checkDecodeEquivalence(t, c.data, c.lengths); ok {
+			t.Fatalf("%s: block decoded", c.name)
+		}
+		if _, err := DecodeQualBlock(c.data, c.lengths); !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 }
@@ -560,8 +609,8 @@ func fuzzQualSeeds(tb testing.TB) []fuzzQualSeed {
 // FuzzQualBlockDifferential holds the word-wide quality coder to the
 // reference on three readings of the input, chosen by kind mod 3: as quality
 // strings (encoded bytes equal, or both refuse; then the decoders agree and
-// round-trip), as a framed block (the fast decoder vouches for exactly what
-// the reference accepts, with equal strings), and as a symbol histogram (code
+// round-trip), as a framed block (both decoders accept the same blocks, with
+// equal strings, and refuse the rest), and as a symbol histogram (code
 // lengths equal tie for tie, or both refuse at maxCodeLen).
 func FuzzQualBlockDifferential(f *testing.F) {
 	for _, s := range fuzzQualSeeds(f) {
@@ -700,12 +749,4 @@ func benchQualDecode(b *testing.B, decode func([]byte, []int) ([][]byte, error))
 }
 
 func BenchmarkKernelQualBlockDecodeReference(b *testing.B) { benchQualDecode(b, decodeQualBlockRef) }
-func BenchmarkKernelQualBlockDecodeFast(b *testing.B) {
-	benchQualDecode(b, func(block []byte, lengths []int) ([][]byte, error) {
-		out, ok := decodeQualBlockFast(block, lengths)
-		if !ok {
-			return nil, errors.New("fast decoder refused the block")
-		}
-		return out, nil
-	})
-}
+func BenchmarkKernelQualBlockDecodeFast(b *testing.B)      { benchQualDecode(b, DecodeQualBlock) }

@@ -3,9 +3,6 @@ package compress
 import (
 	"testing"
 	"testing/quick"
-
-	"github.com/gpf-go/gpf/internal/fastq"
-	"github.com/gpf-go/gpf/internal/sam"
 )
 
 // Unmarshal must never panic on arbitrary bytes — corrupted shuffle blocks
@@ -17,10 +14,7 @@ func TestUnmarshalRobustness(t *testing.T) {
 		}
 		FieldPairCodec{}.Unmarshal(data)
 		FieldSAMCodec{}.Unmarshal(data)
-		GobCodec[fastq.Pair]{}.Unmarshal(data)
-		GobCodec[sam.Record]{}.Unmarshal(data)
 		DecodeSeqQualBlock(data)
-		DecodeSeq(data)
 		DecodeQualBlock(data, []int{4})
 		return true
 	}

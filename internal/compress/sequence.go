@@ -8,112 +8,127 @@ import (
 	"github.com/gpf-go/gpf/internal/genome"
 )
 
-// The sequence codec implements Fig 4 of the paper: bases are stored in
-// 2-bit codes (A:00 C:01 G:10 T:11 per genome.BaseCode), the sequence length
-// precedes the packed payload, and special characters (N) are converted to A
-// with the corresponding quality byte replaced by the out-of-band marker
-// qualNMarker. The quality codec (quality.go) carries the marker through, so
-// the decompressor recognizes "A with marker quality" and restores N.
-//
-// Restoration convention: an N base's quality is rewritten to '#' (Phred 2),
-// the standard no-call quality. The codec is therefore lossless for inputs
-// where N bases already carry '#' — which sequencers emit and the fastq
-// simulator guarantees — and normalizing otherwise.
+// The sequence codec stores bases in 2-bit codes (A:00 C:01 G:10 T:11 per
+// genome.BaseCode), §4.2 of the paper. Every byte outside the uppercase ACGT
+// alphabet — N, IUPAC codes, lowercase — packs as its case-fold or code 0 and
+// goes on an exception list that restores it on decode, so the column is
+// lossless for any bytes and independent of the quality column.
 
-// qualNMarker is the out-of-band quality value marking a converted N base.
-// Legal FASTQ quality bytes are [33,126] (§4.2 footnote 1), so 0 is safe.
-const qualNMarker = 0
-
-// qualNRestore is the quality byte written back for an N base on decode.
-const qualNRestore = '#'
-
-// packSeq appends the 2-bit packed form of seq to dst. seq must contain only
-// ACGT (N conversion happens earlier).
-func packSeq(dst []byte, seq []byte) ([]byte, error) {
-	var cur byte
-	var n uint
-	for _, b := range seq {
-		code := genome.BaseCode(b)
-		if code < 0 {
-			return nil, fmt.Errorf("compress: unpackable base %q", b)
-		}
-		cur = cur<<2 | byte(code)
-		n++
-		if n == 4 {
-			dst = append(dst, cur)
-			cur, n = 0, 0
-		}
-	}
-	if n > 0 {
-		dst = append(dst, cur<<(2*(4-n)))
-	}
-	return dst, nil
-}
-
-// unpack4Tab expands one packed byte into its four bases.
-var unpack4Tab = func() (t [256][4]byte) {
-	for b := 0; b < 256; b++ {
-		for i := 0; i < 4; i++ {
-			t[b][i] = genome.CodeBase((b >> uint(6-2*i)) & 3)
-		}
+// seqException marks the bytes that do not round-trip through the 2-bit
+// alphabet — non-ACGT (N etc.) and lowercase bases, which BaseCode
+// case-folds — and therefore go on the seq column's exception list.
+var seqException = func() (t [256]bool) {
+	for b := range t {
+		code := genome.BaseCode(byte(b))
+		t[b] = code < 0 || genome.CodeBase(code) != byte(b)
 	}
 	return
 }()
 
-// unpackSeq decodes length bases from packed, returning the bases and the
-// number of bytes consumed. It routes through Unpack2Bit so DecodeSeq shares
-// the word-parallel fast path.
-func unpackSeq(packed []byte, length int) ([]byte, int, error) {
-	// Validate against the available bytes before sizing the output: length
-	// may come from a corrupt header.
-	need := (length + 3) / 4
-	if length < 0 || len(packed) < need {
-		return nil, 0, fmt.Errorf("compress: packed sequence truncated: need %d bytes, have %d", need, len(packed))
+// AppendSeqColumn appends the seq column of n sequences, seq(i) returning the
+// i-th, to dst. Layout: per-record uvarint lengths; uvarint exception count;
+// exceptions as (uvarint gap in global base index, original byte); then
+// per-record 2-bit packed bases (Pack2Bit, byte aligned per record).
+func AppendSeqColumn(dst []byte, n int, seq func(i int) []byte) []byte {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(seq(i))
 	}
-	out := make([]byte, length)
-	n, err := Unpack2Bit(out, packed)
+	// Lengths (two bytes cover a 16 kb read), the exception count, a quarter
+	// byte per base rounded up per record; exceptions grow it if there are any.
+	dst = slices.Grow(dst, 3*n+binary.MaxVarintLen64+total/4)
+	for i := 0; i < n; i++ {
+		dst = binary.AppendUvarint(dst, uint64(len(seq(i))))
+	}
+	// Exceptions: global base index (cumulative across the concatenated
+	// sequences) and original byte.
+	var excIdx []int
+	var excByte []byte
+	gi := 0
+	for i := 0; i < n; i++ {
+		s := seq(i)
+		for j, b := range s {
+			if seqException[b] {
+				excIdx = append(excIdx, gi+j)
+				excByte = append(excByte, b)
+			}
+		}
+		gi += len(s)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(excIdx)))
+	prev := 0
+	for j, idx := range excIdx {
+		dst = binary.AppendUvarint(dst, uint64(idx-prev))
+		dst = append(dst, excByte[j])
+		prev = idx
+	}
+	for i := 0; i < n; i++ {
+		dst = Pack2Bit(dst, seq(i))
+	}
+	return dst
+}
+
+// DecodeSeqColumn inverts AppendSeqColumn: col must hold exactly one column
+// of n sequences. set receives each non-empty sequence, a disjoint region of
+// one slab with capacity clipped to length (in-place writes stay record-local,
+// appends copy); empty sequences are not handed over.
+func DecodeSeqColumn(col []byte, n int, set func(i int, s []byte)) error {
+	lens, total, rest, err := ReadLengths(col, n, 4*len(col))
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	return out, n, nil
-}
-
-// convertSpecials returns seq and qual with every non-ACGT base rewritten to
-// 'A' and its quality to the marker, per Fig 4. Clean sequences (the common
-// case) are returned as-is without copying.
-func convertSpecials(seq, qual []byte) ([]byte, []byte, error) {
-	if len(seq) != len(qual) {
-		return nil, nil, fmt.Errorf("compress: seq len %d != qual len %d", len(seq), len(qual))
+	nExc, k := binary.Uvarint(rest)
+	if k <= 0 {
+		return fmt.Errorf("compress: truncated exception count")
 	}
-	first := -1
-	for i, b := range seq {
-		if genome.BaseCode(b) < 0 {
-			first = i
-			break
+	rest = rest[k:]
+	if nExc > uint64(len(rest)) {
+		return fmt.Errorf("compress: exception count %d exceeds column size %d", nExc, len(rest))
+	}
+	excIdx := make([]int, nExc)
+	excByte := make([]byte, nExc)
+	prev := 0
+	for j := range excIdx {
+		gap, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return fmt.Errorf("compress: truncated exception %d gap", j)
 		}
-	}
-	if first == -1 {
-		return seq, qual, nil
-	}
-	outSeq := append([]byte(nil), seq...)
-	outQual := append([]byte(nil), qual...)
-	for i := first; i < len(outSeq); i++ {
-		if genome.BaseCode(outSeq[i]) < 0 {
-			outSeq[i] = 'A'
-			outQual[i] = qualNMarker
+		if len(rest) == k {
+			return fmt.Errorf("compress: exception %d missing byte", j)
 		}
-	}
-	return outSeq, outQual, nil
-}
-
-// restoreSpecials rewrites marker positions back to N/'#' in place.
-func restoreSpecials(seq, qual []byte) {
-	for i, q := range qual {
-		if q == qualNMarker {
-			seq[i] = 'N'
-			qual[i] = qualNRestore
+		idx := prev + int(gap)
+		if idx < 0 || idx >= total {
+			return fmt.Errorf("compress: exception %d index %d out of range [0,%d)", j, idx, total)
 		}
+		excIdx[j] = idx
+		excByte[j] = rest[k]
+		rest = rest[k+1:]
+		prev = idx
 	}
+	slab := make([]byte, total)
+	pos := 0
+	for i, l := range lens {
+		consumed, err := Unpack2Bit(slab[pos:pos+l], rest)
+		if err != nil {
+			return fmt.Errorf("compress: seq %d: %w", i, err)
+		}
+		rest = rest[consumed:]
+		pos += l
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("compress: %d trailing seq bytes", len(rest))
+	}
+	for j, idx := range excIdx {
+		slab[idx] = excByte[j]
+	}
+	pos = 0
+	for i, l := range lens {
+		if l > 0 {
+			set(i, slab[pos:pos+l:pos+l])
+		}
+		pos += l
+	}
+	return nil
 }
 
 // packCodeTab folds genome.BaseCode and the non-ACGT→0 substitution into one
@@ -128,10 +143,8 @@ var packCodeTab = func() (t [256]byte) {
 }()
 
 // Pack2Bit appends the 2-bit packed form of seq to dst, substituting code 0
-// ('A') for any non-ACGT byte instead of failing. Callers that must restore
-// the original bytes (e.g. the columnar codec's seq column) record the
-// substituted positions out of band; packSeq remains the strict variant used
-// by the quality-coupled Fig 4 path.
+// ('A') for any non-ACGT byte instead of failing; the seq column restores the
+// original bytes from its exception list.
 //
 // It is word-parallel: the output is grown once, then each iteration gathers
 // eight input bytes through packCodeTab into two packed bytes — no rolling
@@ -166,6 +179,16 @@ func Pack2Bit(dst, seq []byte) []byte {
 	return dst
 }
 
+// unpack4Tab expands one packed byte into its four bases.
+var unpack4Tab = func() (t [256][4]byte) {
+	for b := 0; b < 256; b++ {
+		for i := 0; i < 4; i++ {
+			t[b][i] = genome.CodeBase((b >> uint(6-2*i)) & 3)
+		}
+	}
+	return
+}()
+
 // unpack4LE holds unpack4Tab's four expanded bases as one little-endian
 // uint32, so the unpacker can emit four bases with a single 32-bit store
 // (and eight with one 64-bit store) instead of a 4-byte copy loop.
@@ -177,11 +200,11 @@ var unpack4LE = func() (t [256]uint32) {
 }()
 
 // Unpack2Bit decodes len(dst) bases from packed into dst (the caller's arena
-// slab) and returns the number of packed bytes consumed. Unlike unpackSeq it
-// never allocates: the 4-base tail that would overrun dst is staged through a
-// stack temporary. The expansion is word-parallel — two packed bytes become
-// one 8-byte store per iteration — and byte-identical to the table-copy
-// oracle unpack2BitRef (sequence_kernel_test.go).
+// slab) and returns the number of packed bytes consumed. It never allocates:
+// the 4-base tail that would overrun dst is staged through a stack temporary.
+// The expansion is word-parallel — two packed bytes become one 8-byte store
+// per iteration — and byte-identical to the table-copy oracle unpack2BitRef
+// (sequence_kernel_test.go).
 func Unpack2Bit(dst, packed []byte) (int, error) {
 	length := len(dst)
 	need := (length + 3) / 4
@@ -202,22 +225,4 @@ func Unpack2Bit(dst, packed []byte) (int, error) {
 		copy(dst[i:], tail[:length-i])
 	}
 	return need, nil
-}
-
-// EncodeSeq compresses one sequence (no quality coupling): uvarint length +
-// 2-bit payload. Ns are not allowed here; use the block codec for reads with
-// quality-coupled N handling. Exposed for reference-sequence storage.
-func EncodeSeq(seq []byte) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(len(seq)))
-	return packSeq(out, seq)
-}
-
-// DecodeSeq inverts EncodeSeq.
-func DecodeSeq(data []byte) ([]byte, error) {
-	length, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("compress: bad sequence length header")
-	}
-	seq, _, err := unpackSeq(data[n:], int(length))
-	return seq, err
 }

@@ -59,7 +59,7 @@ func (t CodecTier) String() string {
 
 // SAMCodec returns the tier's SAM serializer (nil selects the engine's gob
 // fallback). The GPF tier is the columnar codec: per-field blocks with
-// projection pushdown (colfmt), whose seq and qual columns are the Fig 4
+// projection pushdown (colfmt), whose seq and qual columns are compress's
 // 2-bit and Figs 5-6 delta-Huffman coders; it is the one genomic SAM codec,
 // on both sides of the §4.2 codec-tier comparisons (Table 3). TierField is
 // the row side those and the columnar tests compare against.

@@ -59,7 +59,7 @@ func CombineByKey[T, C any](name string, d *Dataset[T], numPartitions int, key f
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
 	}
 	if codec == nil {
-		codec = gobSerializer[Keyed[C]]{}
+		codec = GobCodec[Keyed[C]]{}
 	}
 	if err := d.Force(); err != nil {
 		return nil, err

@@ -196,7 +196,7 @@ func TestKeyedIntCodecCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fat, err := gobSerializer[Keyed[int]]{}.Marshal(pairs)
+	fat, err := GobCodec[Keyed[int]]{}.Marshal(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

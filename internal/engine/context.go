@@ -44,7 +44,7 @@ import (
 
 // Serializer turns a batch of records into one byte block and back. It is the
 // engine's equivalent of a Spark serializer; the compress package provides
-// genomic-aware implementations, and gobSerializer is the built-in generic
+// genomic-aware implementations, and GobCodec is the built-in generic
 // fallback (the "Java serialization" tier).
 type Serializer[T any] interface {
 	Name() string

@@ -264,8 +264,8 @@ func TestTaskPanicRecovered(t *testing.T) {
 func TestSerializedStorage(t *testing.T) {
 	ctx := NewContext(2)
 	ctx.StoreSerialized = true
-	d := WithCodec(Parallelize(ctx, intRange(100), 4), gobSerializer[int]{})
-	m, err := Map("ser", d, gobSerializer[int]{}, func(x int) int { return x + 1 })
+	d := WithCodec(Parallelize(ctx, intRange(100), 4), GobCodec[int]{})
+	m, err := Map("ser", d, GobCodec[int]{}, func(x int) int { return x + 1 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ const (
 	maxFramePayload = 1 << 28 // 256 MiB
 	// readChunk bounds how much readFrame allocates ahead of data actually
 	// received, so a lying length header on a truncated stream costs at most
-	// one chunk (same fix-class as compress.unpackSeq: never size a buffer
-	// from an unvalidated header).
+	// one chunk (the fix-class gpflint/alloclen enforces: validate a length
+	// before sizing a buffer from it).
 	readChunk = 1 << 20 // 1 MiB
 	// maxRanks bounds rank/proc counts in control frames.
 	maxRanks = 1 << 12

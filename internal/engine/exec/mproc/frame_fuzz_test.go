@@ -17,7 +17,8 @@ func frame(kind byte, body []byte) []byte {
 // FuzzFrameDecode drives the full untrusted-input surface: the frame reader
 // (length header validated before any allocation) and every payload parser
 // (bounds-checked field readers). Nothing here may panic or allocate
-// proportionally to a lying header — same fix-class as compress.unpackSeq.
+// proportionally to a lying header: a length is validated before it sizes a
+// buffer.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid encodings of every message kind.
 	f.Add(frame(frameHello, encodeHello(helloMsg{rank: 2, addr: "127.0.0.1:4242"})))

@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 )
 
-// countingCodec wraps gobSerializer and counts codec invocations, so tests
+// countingCodec wraps GobCodec and counts codec invocations, so tests
 // can assert that fused chains pay no intermediate round-trips.
 type countingCodec[T any] struct {
 	marshals, unmarshals *atomic.Int64
@@ -24,12 +24,12 @@ func (countingCodec[T]) Name() string { return "counting" }
 
 func (c countingCodec[T]) Marshal(items []T) ([]byte, error) {
 	c.marshals.Add(1)
-	return gobSerializer[T]{}.Marshal(items)
+	return GobCodec[T]{}.Marshal(items)
 }
 
 func (c countingCodec[T]) Unmarshal(data []byte) ([]T, error) {
 	c.unmarshals.Add(1)
-	return gobSerializer[T]{}.Unmarshal(data)
+	return GobCodec[T]{}.Unmarshal(data)
 }
 
 func TestFusionSingleStagePerChain(t *testing.T) {
@@ -156,7 +156,7 @@ func applyChain(ctx *Context, spec chainSpec, serialized, forceEach bool) ([]int
 	}
 	d := Parallelize(ctx, in, 3)
 	if serialized {
-		d = WithCodec(d, gobSerializer[int]{})
+		d = WithCodec(d, GobCodec[int]{})
 	}
 	cur := d
 	for i, op := range spec.ops {
@@ -395,7 +395,7 @@ func TestWithCodecOnLazyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded := WithCodec(m, gobSerializer[int]{})
+	coded := WithCodec(m, GobCodec[int]{})
 	if err := coded.Force(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,13 +474,13 @@ func BenchmarkAblationFusion(b *testing.B) {
 			}
 			return d
 		}
-		base := WithCodec(Parallelize(ctx, intRange(100000), 16), gobSerializer[int]{})
+		base := WithCodec(Parallelize(ctx, intRange(100000), 16), GobCodec[int]{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m := force(Map("m", base, gobSerializer[int]{}, func(x int) int { return x + 1 }))
+			m := force(Map("m", base, GobCodec[int]{}, func(x int) int { return x + 1 }))
 			f := force(Filter("f", m, func(x int) bool { return x%3 != 0 }))
-			fm := force(FlatMap("fm", f, gobSerializer[int]{}, func(x int) []int { return []int{x} }))
+			fm := force(FlatMap("fm", f, GobCodec[int]{}, func(x int) []int { return []int{x} }))
 			n, err := Count("count", fm)
 			if err != nil {
 				b.Fatal(err)

@@ -26,12 +26,12 @@ func (slowCodec) Name() string { return "slow-gob" }
 
 func (c slowCodec) Marshal(items []int) ([]byte, error) {
 	time.Sleep(c.delay)
-	return gobSerializer[int]{}.Marshal(items)
+	return GobCodec[int]{}.Marshal(items)
 }
 
 func (c slowCodec) Unmarshal(data []byte) ([]int, error) {
 	time.Sleep(c.delay)
-	return gobSerializer[int]{}.Unmarshal(data)
+	return GobCodec[int]{}.Unmarshal(data)
 }
 
 // jitterCodec sleeps a random duration per call so map tasks complete in a
@@ -44,11 +44,11 @@ func (jitterCodec) Name() string { return "jitter-gob" }
 
 func (jitterCodec) Marshal(items []int) ([]byte, error) {
 	time.Sleep(time.Duration(rand.Intn(3)) * time.Millisecond)
-	return gobSerializer[int]{}.Marshal(items)
+	return GobCodec[int]{}.Marshal(items)
 }
 
 func (c jitterCodec) Unmarshal(data []byte) ([]int, error) {
-	return gobSerializer[int]{}.Unmarshal(data)
+	return GobCodec[int]{}.Unmarshal(data)
 }
 
 // failingCodec errors on any block containing poison.
@@ -64,11 +64,11 @@ func (c failingCodec) Marshal(items []int) ([]byte, error) {
 			return nil, fmt.Errorf("poisoned block")
 		}
 	}
-	return gobSerializer[int]{}.Marshal(items)
+	return GobCodec[int]{}.Marshal(items)
 }
 
 func (c failingCodec) Unmarshal(data []byte) ([]int, error) {
-	return gobSerializer[int]{}.Unmarshal(data)
+	return GobCodec[int]{}.Unmarshal(data)
 }
 
 // shuffleRoute is the key function of the shuffle property tests.
@@ -315,7 +315,7 @@ func TestWithCodecSwapDecodesWithOriginalCodec(t *testing.T) {
 	}
 	// Swap the codec: the stored blocks are still intsCodec bytes. Before the
 	// blockCodec fix this decoded fixed-width words with the gob decoder.
-	swapped := WithCodec(d, gobSerializer[int]{})
+	swapped := WithCodec(d, GobCodec[int]{})
 	got, err := Collect("collect", swapped)
 	if err != nil {
 		t.Fatalf("collect after codec swap: %v", err)
@@ -324,7 +324,7 @@ func TestWithCodecSwapDecodesWithOriginalCodec(t *testing.T) {
 		t.Fatalf("codec swap corrupted data: got %v", got[:8])
 	}
 	// New stage outputs derived from the swapped dataset use the new codec.
-	d2, err := Map("reenc", swapped, Serializer[int](gobSerializer[int]{}), func(x int) int { return x })
+	d2, err := Map("reenc", swapped, Serializer[int](GobCodec[int]{}), func(x int) int { return x })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ package engine
 // maps them to SAM columns) — it only hands the mask an op running at the
 // call declared (effects.go) to that op's decode: partitionNeed decodes
 // serialized blocks through codec.Project(mask) when the codec supports it.
-// Codecs that cannot project (gob, the Fig 4 SAM codecs) ignore the mask and
+// Codecs that cannot project (gob, the field codecs) ignore the mask and
 // decode fully — projection is an optimization, never a semantics change.
 //
 // DecodedBytes/PrunedBytes accounting rides the same seam: StatsSerializer
@@ -57,7 +57,7 @@ type StatsSerializer[T any] interface {
 // the attached codec, or the gob fallback when none is attached.
 func effectiveSerializer[T any](codec Serializer[T]) Serializer[T] {
 	if codec == nil {
-		return gobSerializer[T]{}
+		return GobCodec[T]{}
 	}
 	return codec
 }

@@ -138,7 +138,7 @@ func storeFake(t *testing.T, ctx *Context, recs []fakeRec, codec Serializer[fake
 }
 
 func TestEffectiveSerializerResolution(t *testing.T) {
-	if _, ok := effectiveSerializer[fakeRec](nil).(gobSerializer[fakeRec]); !ok {
+	if _, ok := effectiveSerializer[fakeRec](nil).(GobCodec[fakeRec]); !ok {
 		t.Fatal("nil codec must resolve to gob")
 	}
 	if _, ok := effectiveSerializer[fakeRec](fakeColCodec{}).(fakeColCodec); !ok {

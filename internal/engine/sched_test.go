@@ -29,7 +29,7 @@ func (c brokenCodec) Marshal(items []int) ([]byte, error) {
 	if c.failMarshal {
 		return nil, errBroken
 	}
-	return gobSerializer[int]{}.Marshal(items)
+	return GobCodec[int]{}.Marshal(items)
 }
 
 func (c brokenCodec) Unmarshal([]byte) ([]int, error) {

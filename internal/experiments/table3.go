@@ -7,7 +7,6 @@ import (
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/sam"
-	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -96,7 +95,6 @@ func Table3(s Scale) (*Table3Result, error) {
 	for _, v := range d.Known {
 		vcfBytes += len(v.Chrom) + len(v.Ref) + len(v.Alt) + 16
 	}
-	_ = vcf.Record{}
 	bundleOrigin := len(samOrigin) + fastaBytes + vcfBytes
 	bundleCompressed := len(samCompressed) + fastaBytes/4 + vcfBytes
 	res.Rows = append(res.Rows, Table3Row{

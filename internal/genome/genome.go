@@ -238,8 +238,8 @@ var baseCodeTab = func() (t [256]int8) {
 }()
 
 // BaseCode maps a base to its 2-bit code (A=0, C=1, G=2, T=3). Non-ACGT bases
-// return -1; the compression layer encodes them through the quality channel
-// (Fig 4 of the paper).
+// return -1; the compression layer packs them as code 0 and restores them
+// from the seq column's exception list.
 func BaseCode(b byte) int {
 	return int(baseCodeTab[b])
 }

@@ -12,12 +12,13 @@ import (
 // AllocLen taints integer lengths read straight off untrusted bytes at the
 // codec, colfmt and frame decode surfaces (binary.Uvarint and friends) and
 // flags any allocation sized by such a length that is not dominated by a
-// bounds check. This is the analyzer form of two real bugs: the pre-fix
-// compress.unpackSeq OOM (a corrupt header length sized a []byte before
-// anything validated it) and the PR 8 frame-decoder allocate-before-validate
-// class. Taint flows through assignments, arithmetic, conversions, container
-// stores and one level of calls (per-function summaries), so `need :=
-// (length+3)/4; if len(b) < need` counts as a check on length.
+// bounds check. This is the analyzer form of two real bugs: the OOM of PR 7's
+// sequence decoder (compress.unpackSeq, since deleted: a corrupt header
+// length sized a []byte before anything validated it) and the PR 8
+// frame-decoder allocate-before-validate class. Taint flows through
+// assignments, arithmetic, conversions, container stores and one level of
+// calls (per-function summaries), so `need := (length+3)/4; if len(b) <
+// need` counts as a check on length.
 var AllocLen = &analysis.Analyzer{
 	Name: "alloclen",
 	Doc: "flags allocations sized by untrusted decoded lengths without a " +

@@ -79,9 +79,11 @@ func TestSweepCatchesRepartitionRace(t *testing.T) {
 }
 
 // TestSweepCatchesAllocBeforeValidate asserts the alloclen acceptance
-// criterion: gpflint exits non-zero on the seeded fixture reproducing the
-// pre-fix unpackSeq OOM and the PR 8 frame-decoder allocate-before-validate
-// shape, and attributes both findings to the alloclen analyzer.
+// criterion: gpflint exits non-zero on the seeded fixture reproducing the OOM
+// of PR 7's sequence decoder (compress.unpackSeq, since deleted) and the PR 8
+// frame-decoder allocate-before-validate shape — both a length that sized a
+// buffer before it was validated — and attributes both findings to the
+// alloclen analyzer.
 func TestSweepCatchesAllocBeforeValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping gpflint subprocess test in -short mode")
@@ -93,6 +95,6 @@ func TestSweepCatchesAllocBeforeValidate(t *testing.T) {
 		t.Fatalf("gpflint %s exited %d; want 1\n%s", fixture, code, out)
 	}
 	if got := strings.Count(out, "gpflint/alloclen"); got != 2 {
-		t.Fatalf("want 2 alloclen findings (unpackSeq and frame decoder shapes), got %d:\n%s", got, out)
+		t.Fatalf("want 2 alloclen findings (sequence and frame decoder shapes), got %d:\n%s", got, out)
 	}
 }

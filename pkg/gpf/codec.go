@@ -6,8 +6,9 @@ import (
 )
 
 // Genomic codecs (§4.2 of the paper): partition-level serializers that store
-// sequences in 2-bit codes with N exceptions routed through the quality
-// channel, and qualities as Huffman-coded adjacent deltas.
+// sequences in 2-bit codes with an exception list restoring every other byte,
+// and qualities as Huffman-coded adjacent deltas (raw when a batch cannot be
+// coded). Both are lossless.
 type (
 	// GPFPairCodec serializes FASTQ pairs with the genomic codec.
 	GPFPairCodec = compress.GPFPairCodec
@@ -25,7 +26,7 @@ type (
 // read data outside the engine.
 var (
 	// EncodeSeqQualBlock compresses parallel sequence/quality batches into
-	// one byte block.
+	// one byte block: the seq and qual columns GPFSAMCodec stores.
 	EncodeSeqQualBlock = compress.EncodeSeqQualBlock
 	// DecodeSeqQualBlock inverts EncodeSeqQualBlock.
 	DecodeSeqQualBlock = compress.DecodeSeqQualBlock
