@@ -152,9 +152,9 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	// Census: reads per base partition (engine.CountByKey: a map-side-combined
-	// ReduceByKey over the compact keyed-varint codec, so each map task ships
-	// one (partition, count) pair per locally observed base partition).
+	// Census: reads per base partition (engine.CountByKey: one action stage,
+	// each task emitting one (partition, count) pair per locally observed base
+	// partition, summed on the driver).
 	counts := map[int]int{}
 	baseID := func(r sam.Record) int {
 		if r.RefID < 0 {

@@ -1,0 +1,92 @@
+package engine
+
+import (
+	"fmt"
+	"time"
+)
+
+// action runs the one stage shape every action folds over: task p reads
+// partition p under the field mask need and reduces it to a slice via part;
+// the driver step allgathers those slices through codec, so every rank holds
+// all of them, and hands them to fold in partition order. An action is a
+// barrier: it forces any pending narrow chain first.
+func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializer[R],
+	part func(items []T) []R, fold func(parts [][]R)) error {
+	if err := d.Force(); err != nil {
+		return err
+	}
+	parts := make([][]R, d.NumPartitions())
+	return d.ctx.runStage(taskSet{
+		row:  StageMetrics{Name: name, Kind: StageAction},
+		n:    len(parts),
+		hint: d.partitionSizeHint,
+		fn: func(p int, tm *TaskMetrics) error {
+			items, err := d.partitionNeed(p, tm, need)
+			if err != nil {
+				return err
+			}
+			tm.InputItems = len(items)
+			parts[p] = part(items)
+			tm.OutputItems = len(parts[p])
+			return nil
+		},
+		driver: func() (time.Duration, error) {
+			wait, err := allgather(d.ctx, codec, parts)
+			if err == nil {
+				fold(parts)
+			}
+			return wait, err
+		},
+	})
+}
+
+// allgather replicates an action's per-partition results across ranks, so
+// every rank resumes the driver program with identical values (SPMD
+// lockstep). It rides the shuffle's Exchange with len(parts) map slots and
+// procs reduce slots, reduce slot r being rank r: each rank publishes the blob
+// of every partition it owns to every sibling, then awaits and decodes the
+// rest. Locally-run partitions keep their values (codecs round-trip values
+// exactly, so all ranks agree), and no blob is charged as shuffle bytes. wait
+// is the time blocked on peers, which the stage runner keeps out of
+// DriverTime; the encode and decode are this rank's own serial work. No-op
+// with one process.
+func allgather[R any](ctx *Context, codec Serializer[R], parts [][]R) (wait time.Duration, err error) {
+	procs, rank := ctx.procs(), ctx.rank()
+	if procs == 1 {
+		return 0, nil
+	}
+	ex := ctx.exec.Exchange(ctx.nextSeq(), len(parts), procs)
+	defer ex.Close()
+	missing := 0
+	for p := range parts {
+		if ctx.ownerOf(p) != rank {
+			missing++
+			continue
+		}
+		blob, err := codec.Marshal(parts[p])
+		if err != nil {
+			return 0, fmt.Errorf("engine: gather encode partition %d: %w", p, err)
+		}
+		for r := 0; r < procs; r++ {
+			if r != rank {
+				ex.Publish(p, r, blob)
+			}
+		}
+	}
+	for ; missing > 0; missing-- {
+		t0 := time.Now()
+		var p int
+		select {
+		case p = <-ex.Notify(rank):
+		case <-ctx.exec.Failed():
+			return wait + time.Since(t0), ctx.exec.Err()
+		}
+		wait += time.Since(t0)
+		items, err := codec.Unmarshal(ex.Block(p, rank))
+		if err != nil {
+			return wait, fmt.Errorf("engine: gather decode partition %d: %w", p, err)
+		}
+		parts[p] = items
+	}
+	return wait, nil
+}

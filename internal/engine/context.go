@@ -7,11 +7,11 @@
 // not run when called — they record a lineage node, and each maximal chain of
 // narrow ops is fused into ONE task launch per partition when a barrier
 // forces the plan. Barriers are the actions (Collect, Reduce, Count,
-// CountByKey) and the wide operations (PartitionBy,
-// CombineByKey/ReduceByKey), which run at the call and return a materialized
-// dataset. Within a fused stage, items flow through the composed closures
-// with no intermediate partition storage and no intermediate codec
-// round-trip; the stage is recorded in metrics under the joined op names
+// CountByKey), which return values to the driver, and the one wide operation,
+// PartitionBy, which runs at the call and returns a materialized dataset.
+// Within a fused stage, items flow through the composed closures with no
+// intermediate partition storage and no intermediate codec round-trip; the
+// stage is recorded in metrics under the joined op names
 // (e.g. "align/bwa-mem+filter") with StageMetrics.FusedOps set to the chain
 // length. Calling Force() after each op is the unfused reference the
 // equivalence tests compare against.
@@ -21,14 +21,17 @@
 // callbacks read (effects.go), and the only thing that narrows is the one
 // decode of a columnar block that op itself performs (projection.go).
 //
-// Wide operations move data through a pipelined push-based hash shuffle
+// The wide operation moves data through a pipelined push-based hash shuffle
 // (see shuffle.go): map and reduce tasks share one worker-pool pass, each
 // reduce task consuming bucket (m, r) as soon as map task m publishes it,
 // with output kept deterministic by merging buckets in map-task order.
-// Shuffle byte volume is charged through a pluggable serializer; actions
-// return data to the driver. Per-task and per-stage metrics (wall time,
-// shuffle bytes, serialization time, fetch wait, GC pauses) feed the cluster
-// simulator and the blocked-time analysis of §5.3.
+// Shuffle byte volume is charged through a pluggable serializer. Every
+// action is one stage that folds per-partition results on the driver
+// (action.go); under several processes those results are allgathered over
+// the same Exchange the shuffle uses, so one transport path connects ranks.
+// Per-task and per-stage metrics (wall time, shuffle bytes, serialization
+// time, fetch wait, GC pauses) feed the cluster simulator and the
+// blocked-time analysis of §5.3.
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
 // which owns the slot semaphore, first-error cancellation, panic recovery
@@ -59,10 +62,10 @@ type Context struct {
 	exec    Executor
 
 	// seq numbers the collective operations (shuffle exchanges, action
-	// gathers) issued by this context. Under an SPMD executor every rank runs
-	// the same deterministic driver program, so equal sequence numbers across
-	// ranks identify the same collective — that is how bucket and gather
-	// frames find their stage without a global scheduler.
+	// allgathers) issued by this context. Under an SPMD executor every rank
+	// runs the same deterministic driver program, so equal sequence numbers
+	// across ranks identify the same collective — that is how bucket frames
+	// find their collective without a global scheduler.
 	seq atomic.Uint64
 
 	// StoreSerialized keeps dataset partitions as serialized byte blocks

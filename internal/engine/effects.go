@@ -3,8 +3,8 @@ package engine
 // Read declarations — the op-side half of decode narrowing.
 //
 // A narrow op reads its input whole. An op that runs at the call and consumes
-// its input records (the map side of CombineByKey/ReduceByKey/CountByKey) may
-// name the fields its callbacks read; the mask goes to the one decode the op
+// its input records (CountByKey's tasks) may name the fields its callbacks
+// read; the mask goes to the one decode the op
 // itself performs (Dataset.partitionNeed). Declaring nothing reads every
 // field, so a forgotten declaration costs pruning, never correctness.
 

@@ -3,6 +3,7 @@ package mproc
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -75,46 +76,76 @@ func init() {
 		return []byte(fmt.Sprint(items)), nil
 	})
 
-	// conf-combine: map-side combine, the census (CountByKey) and a Reduce —
-	// the action gathers whose driver-side folds must stay in lockstep.
+	// conf-combine: the census (CountByKey) over a shuffled dataset, a
+	// Reduce and a Collect — the action allgathers whose driver-side folds
+	// must stay in lockstep.
 	RegisterJob("conf-combine", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
 		if err != nil {
 			return nil, err
 		}
 		d := engine.WithCodec(engine.Parallelize(ctx, seqInts(n), inParts), varintCodec{jitter: true})
-		counts, err := engine.ReduceByKey("c/rbk", d, outParts,
-			func(x int) int { return x % 23 },
-			func(int) int { return 1 },
-			func(a, b int) int { return a + b },
-			engine.KeyedIntCodec{})
+		shuf, err := engine.PartitionBy("c/pb", d, outParts, func(x int) int { return x * 13 })
 		if err != nil {
 			return nil, err
 		}
-		kvs, err := engine.Collect("c/collect", counts)
+		census, err := engine.CountByKey("c/census", shuf, func(x int) int { return x % 23 })
 		if err != nil {
 			return nil, err
 		}
-		census, err := engine.CountByKey("c/census", d, func(x int) int { return x % 7 })
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]int, 0, len(census))
-		for k := range census {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
 		sum, ok, err := engine.Reduce("c/reduce", d, func(a, b int) int { return a + b })
+		if err != nil {
+			return nil, err
+		}
+		items, err := engine.Collect("c/collect", shuf)
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "sum=%d ok=%v\n", sum, ok)
-		for _, k := range keys {
+		for _, k := range sortedKeys(census) {
 			fmt.Fprintf(&buf, "%d=%d\n", k, census[k])
 		}
-		fmt.Fprintf(&buf, "%v\n", kvs)
+		fmt.Fprintf(&buf, "%v\n", items)
 		return buf.Bytes(), nil
+	})
+
+	// conf-few: fewer partitions than ranks. At procs = 3 rank 2 owns no
+	// partition, runs no task and publishes nothing, yet must resume from
+	// every action with every value: each rank checks its results against a
+	// sequential fold and fails the job on a mismatch, since only rank 0's
+	// output is compared.
+	RegisterJob("conf-few", func(ctx *engine.Context, spec []byte) ([]byte, error) {
+		n, inParts, _, err := parseTestSpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		d := engine.WithCodec(engine.Parallelize(ctx, seqInts(n), inParts), varintCodec{jitter: true})
+		items, err := engine.Collect("f/collect", d)
+		if err != nil {
+			return nil, err
+		}
+		sum, ok, err := engine.Reduce("f/reduce", d, func(a, b int) int { return a + b })
+		if err != nil {
+			return nil, err
+		}
+		count, err := engine.Count("f/count", d)
+		if err != nil {
+			return nil, err
+		}
+		census, err := engine.CountByKey("f/census", d, func(x int) int { return x % 7 })
+		if err != nil {
+			return nil, err
+		}
+		want := map[int]int{}
+		for _, x := range seqInts(n) {
+			want[x%7]++
+		}
+		if !reflect.DeepEqual(items, seqInts(n)) || !ok || sum != n*(n-1)/2 || count != n || !reflect.DeepEqual(census, want) {
+			return nil, fmt.Errorf("conf-few: rank %d resumed with %d items, sum %d (ok %v), count %d, census %v",
+				ctx.Executor().Rank(), len(items), sum, ok, count, census)
+		}
+		return []byte(fmt.Sprintf("items=%v sum=%d count=%d census=%v", items, sum, count, census)), nil
 	})
 
 	// conf-projection: decode narrowing over the real columnar codec. A
@@ -155,12 +186,7 @@ func init() {
 				return nil, err
 			}
 			var buf bytes.Buffer
-			keys := make([]int, 0, len(census))
-			for k := range census {
-				keys = append(keys, k)
-			}
-			sort.Ints(keys)
-			for _, k := range keys {
+			for _, k := range sortedKeys(census) {
 				fmt.Fprintf(&buf, "%d=%d\n", k, census[k])
 			}
 			fmt.Fprintf(&buf, "count=%d\n", count)
@@ -182,6 +208,17 @@ func init() {
 		}
 		return declared, nil
 	})
+}
+
+// sortedKeys returns m's keys ascending, so printed census maps are
+// byte-deterministic.
+func sortedKeys(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // confRecords builds n fully deterministic SAM records with every column
@@ -222,6 +259,7 @@ var conformanceJobs = []struct {
 	{"conf-broadcast", []byte("1000,4,3")},
 	{"conf-combine", []byte("2000,6,5")},
 	{"conf-projection", []byte("1500,4,3")},
+	{"conf-few", []byte("50,2,2")},
 }
 
 // runOn executes a registered job on a constructed in-process context.

@@ -1,10 +1,11 @@
 // Package mproc is the multi-process executor backend: W cooperating OS
 // processes run the same registered job function in SPMD lockstep (rank 0 is
-// the driver process itself, ranks 1..W-1 are re-exec'd workers), and shuffle
-// buckets move between ranks as length-prefixed frames over local TCP
-// connections. The serialized blocks crossing the wire are exactly the blocks
-// the engine's codecs produced (internal/colfmt for columnar datasets) — no
-// re-encode at the transport boundary.
+// the driver process itself, ranks 1..W-1 are re-exec'd workers), and the
+// buckets of every collective — shuffles and action allgathers alike — move
+// between ranks as length-prefixed frames over local TCP connections. The
+// serialized blocks crossing the wire are exactly the blocks the engine's
+// codecs produced (internal/colfmt for columnar datasets) — no re-encode at
+// the transport boundary.
 //
 // Because Go closures cannot cross process boundaries, jobs are registered by
 // name (RegisterJob) and workers are the current executable re-exec'd with a
@@ -24,18 +25,16 @@ import (
 // Frame kinds. A frame is [kind u8][len u32 LE][payload]; payload fields are
 // uvarint-framed (see payload/reader below).
 const (
-	frameHello    = byte(iota + 1) // worker→driver: rank, listen addr
-	frameJob                       // driver→worker: name, procs, slots, peer addrs, spec
-	framePeer                      // dialing worker→accepting worker: own rank
-	frameReady                     // worker→driver: mesh established
-	frameGo                        // driver→worker: start the job
-	frameBucket                    // shuffle bucket: seq, geometry, (m, r), block
-	frameGather                    // worker→driver: seq, n, p, blob
-	frameGathered                  // driver→worker: seq, all n blobs
-	frameDone                      // worker→driver: job done, gob metrics
-	frameFin                       // worker→peer: clean shutdown, expect EOF next
-	frameErr                       // any→any: origin rank, error message
-	frameMax      = frameErr
+	frameHello  = byte(iota + 1) // worker→driver: rank, listen addr
+	frameJob                     // driver→worker: name, procs, slots, peer addrs, spec
+	framePeer                    // dialing worker→accepting worker: own rank
+	frameReady                   // worker→driver: mesh established
+	frameGo                      // driver→worker: start the job
+	frameBucket                  // shuffle or allgather bucket: seq, geometry, (m, r), block
+	frameDone                    // worker→driver: job done, gob metrics
+	frameFin                     // worker→peer: clean shutdown, expect EOF next
+	frameErr                     // any→any: origin rank, error message
+	frameMax    = frameErr
 )
 
 const (
@@ -308,60 +307,6 @@ func parseBucket(b []byte) (bucketMsg, error) {
 		if m.in < 1 || m.out < 1 || m.m >= m.in || m.r >= m.out || m.in*m.out > maxPartitions {
 			r.fail("bucket (%d,%d) outside %dx%d geometry", m.m, m.r, m.in, m.out)
 		}
-	}
-	return m, r.done()
-}
-
-type gatherMsg struct {
-	seq  uint64
-	n    int
-	p    int
-	blob []byte
-}
-
-func encodeGather(m gatherMsg) []byte {
-	var p payload
-	p.uvarint(m.seq)
-	p.uvarint(uint64(m.n))
-	p.uvarint(uint64(m.p))
-	p.bytes(m.blob)
-	return p.b
-}
-
-func parseGather(b []byte) (gatherMsg, error) {
-	r := reader{b: b}
-	m := gatherMsg{seq: r.uvarint(), n: r.intn("partition count", maxPartitions)}
-	m.p = r.intn("partition", maxPartitions)
-	m.blob = r.bytes()
-	if r.err == nil && (m.n < 1 || m.p >= m.n) {
-		r.fail("gather partition %d outside %d", m.p, m.n)
-	}
-	return m, r.done()
-}
-
-type gatheredMsg struct {
-	seq   uint64
-	blobs [][]byte
-}
-
-func encodeGathered(m gatheredMsg) []byte {
-	var p payload
-	p.uvarint(m.seq)
-	p.uvarint(uint64(len(m.blobs)))
-	for _, b := range m.blobs {
-		p.bytes(b)
-	}
-	return p.b
-}
-
-func parseGathered(b []byte) (gatheredMsg, error) {
-	r := reader{b: b}
-	m := gatheredMsg{seq: r.uvarint()}
-	n := r.intn("blob count", maxPartitions)
-	// Blobs are appended as parsed (each consumes ≥1 payload byte), never
-	// pre-allocated from the declared count.
-	for i := 0; i < n && r.err == nil; i++ {
-		m.blobs = append(m.blobs, r.bytes())
 	}
 	return m, r.done()
 }

@@ -29,8 +29,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(frameGo, nil))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 1, r: 1, block: []byte{1, 2, 3}})))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 2, r: 0, empty: true})))
-	f.Add(frame(frameGather, encodeGather(gatherMsg{seq: 9, n: 4, p: 2, blob: []byte("blob")})))
-	f.Add(frame(frameGathered, encodeGathered(gatheredMsg{seq: 9, blobs: [][]byte{{1}, nil, {2, 3}}})))
+	// An allgather bucket: n = 4 partitions × 3 ranks, partition 2 to rank 1.
+	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 9, in: 4, out: 3, m: 2, r: 1, block: []byte("blob")})))
+	f.Add(frame(frameMax+1, []byte{9, 3, 1})) // first kind past the table
 	f.Add(frame(frameDone, []byte{0xff, 0x01}))
 	f.Add(frame(frameFin, nil))
 	f.Add(frame(frameErr, encodeErr(errMsg{origin: 1, msg: "boom"})))
@@ -61,14 +62,6 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("parseBucket accepted bad geometry: %+v", m)
 				}
 			}
-		case frameGather:
-			if m, err := parseGather(body); err == nil {
-				if m.n < 1 || m.p >= m.n || m.n > maxPartitions {
-					t.Fatalf("parseGather accepted bad shape: %+v", m)
-				}
-			}
-		case frameGathered:
-			_, _ = parseGathered(body)
 		case frameDone:
 			var metrics = struct{}{}
 			_ = metrics
@@ -78,13 +71,25 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// TestFrameRoundTrip pins the exact wire encodings surviving a round trip.
+// TestFrameRoundTrip pins the exact wire bytes of a bucket frame and of an
+// empty-payload frame, and the bucket surviving a round trip.
 func TestFrameRoundTrip(t *testing.T) {
 	bm := bucketMsg{seq: 42, in: 5, out: 3, m: 4, r: 2, block: []byte{9, 8, 7}}
 	var buf bytes.Buffer
 	c := conn{c: nopConn{&buf}}
 	if err := c.writeFrame(frameBucket, encodeBucket(bm)); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.writeFrame(frameGo, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		frameBucket, 10, 0, 0, 0, // kind, payload length u32 LE
+		42, 5, 3, 4, 2, 0, 3, 9, 8, 7, // seq, in, out, m, r, non-empty, block
+		frameGo, 0, 0, 0, 0,
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("wire bytes = %v, want %v", buf.Bytes(), want)
 	}
 	kind, body, err := readFrame(&buf)
 	if err != nil || kind != frameBucket {

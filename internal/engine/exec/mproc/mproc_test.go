@@ -86,9 +86,9 @@ func parseTestSpec(spec []byte) (n, in, out int, err error) {
 }
 
 func init() {
-	// test-wordcount: shuffle + map-side-combined reduceByKey + collect +
-	// count, with a jittery codec so bucket publish order varies per run. The
-	// output bytes must be identical whatever the backend or schedule.
+	// test-wordcount: shuffle + census + count, with a jittery codec so
+	// bucket publish order varies per run. The output bytes must be identical
+	// whatever the backend or schedule.
 	RegisterJob("test-wordcount", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
 		if err != nil {
@@ -99,15 +99,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		counts, err := engine.ReduceByKey("t/rbk", shuf, outParts,
-			func(x int) int { return x % 17 },
-			func(int) int { return 1 },
-			func(a, b int) int { return a + b },
-			engine.KeyedIntCodec{})
-		if err != nil {
-			return nil, err
-		}
-		kvs, err := engine.Collect("t/collect", counts)
+		counts, err := engine.CountByKey("t/census", shuf, func(x int) int { return x % 17 })
 		if err != nil {
 			return nil, err
 		}
@@ -117,8 +109,8 @@ func init() {
 		}
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "total=%d\n", total)
-		for _, kv := range kvs {
-			fmt.Fprintf(&buf, "%d=%d\n", kv.Key, kv.Val)
+		for _, k := range sortedKeys(counts) {
+			fmt.Fprintf(&buf, "%d=%d\n", k, counts[k])
 		}
 		return buf.Bytes(), nil
 	})

@@ -59,6 +59,11 @@ const (
 // EOF or a non-zero exit instead.
 const handshakeTimeout = 30 * time.Second
 
+// causeGrace is how long a symptom of a lost peer — its process exiting, a
+// write to it breaking — waits for the peer's in-band ERR frame, so the
+// reported error names the real failure. First cause wins after that.
+const causeGrace = 2 * time.Second
+
 // Options configures a Run.
 type Options struct {
 	// Procs is the process count W (driver + W-1 workers); <1 means 1.
@@ -181,12 +186,10 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 			defer reap.Done()
 			if werr := cmd.Wait(); werr != nil {
 				// A worker that fails its job sends an ERR frame and then
-				// exits non-zero: give the in-band cause a grace period to
-				// land so the reported error names the real failure, not the
-				// exit status. First cause wins after that.
+				// exits non-zero.
 				select {
 				case <-t.failedCh:
-				case <-time.After(2 * time.Second):
+				case <-time.After(causeGrace):
 				}
 				t.fail(fmt.Errorf("mproc: worker rank %d exited: %w", rank, werr))
 			}

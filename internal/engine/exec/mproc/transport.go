@@ -6,13 +6,14 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/gpf-go/gpf/internal/engine"
 )
 
 // conn is one peer connection with serialized frame writes. reads happen on
-// exactly one goroutine (the read loop), writes from many (map tasks
-// publishing buckets, gather senders) under wmu.
+// exactly one goroutine (the read loop), writes from many (tasks and
+// allgathers publishing buckets) under wmu.
 type conn struct {
 	rank int
 	c    net.Conn
@@ -36,26 +37,25 @@ func (c *conn) isFinished() bool {
 	return c.finished
 }
 
-// writeFrame sends one frame; header and payload go out under the write
-// mutex so concurrent senders never interleave.
+// writeFrame sends one frame: header and payload go out as one vectored
+// write (writev on a TCP connection) under the write mutex, so concurrent
+// senders never interleave.
 func (c *conn) writeFrame(kind byte, body []byte) error {
 	var hdr [frameHeaderLen]byte
 	putFrameHeader(&hdr, kind, len(body))
+	bufs := net.Buffers{hdr[:]}
+	if len(body) > 0 {
+		bufs = append(bufs, body)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := c.c.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := bufs.WriteTo(c.c)
+	return err
 }
 
 // transport is one rank's view of the job's connection mesh plus the
-// per-collective state (shuffle exchanges, gathers) frames are routed into.
+// per-collective exchanges (shuffles, allgathers) bucket frames are routed
+// into.
 type transport struct {
 	rank  int
 	procs int
@@ -63,7 +63,6 @@ type transport struct {
 	mu        sync.Mutex
 	conns     []*conn // indexed by rank; conns[rank] == nil
 	exchanges map[uint64]*wireExchange
-	gathers   map[uint64]*gatherState
 
 	failOnce sync.Once
 	failedCh chan struct{}
@@ -90,7 +89,6 @@ func newTransport(rank, procs int) *transport {
 		procs:     procs,
 		conns:     make([]*conn, procs),
 		exchanges: make(map[uint64]*wireExchange),
-		gathers:   make(map[uint64]*gatherState),
 		failedCh:  make(chan struct{}),
 		readyCh:   make(chan int, procs),
 		doneCh:    make(chan rankDone, procs),
@@ -136,7 +134,10 @@ func (t *transport) conn(rank int) *conn {
 }
 
 // sendTo writes a frame to a peer; a broken pipe fails the job (the peer is
-// gone, so its tasks will never complete).
+// gone, so its tasks will never complete). A peer that failed its job sends
+// ERR and exits, so the write can break while that ERR is still unread: the
+// read loop gets causeGrace to report it as the first cause before the broken
+// write is.
 func (t *transport) sendTo(rank int, kind byte, body []byte) {
 	c := t.conn(rank)
 	if c == nil {
@@ -144,6 +145,10 @@ func (t *transport) sendTo(rank int, kind byte, body []byte) {
 		return
 	}
 	if err := c.writeFrame(kind, body); err != nil {
+		select {
+		case <-t.failedCh:
+		case <-time.After(causeGrace):
+		}
 		t.fail(fmt.Errorf("mproc: send to rank %d: %w", rank, err))
 	}
 }
@@ -174,7 +179,7 @@ func (t *transport) startReadLoop(c *conn) {
 	}()
 }
 
-// readLoop demultiplexes incoming frames into the exchange/gather state until
+// readLoop demultiplexes incoming frames into the exchange state until
 // the connection closes. EOF after the peer announced clean shutdown ends the
 // loop silently; EOF before that is a crashed peer and fails the job.
 func (t *transport) readLoop(c *conn) {
@@ -232,18 +237,6 @@ func (t *transport) readOne(c *conn) (bool, error) {
 				return false, derr
 			}
 		}
-	case frameGather:
-		m, perr := parseGather(body)
-		if perr != nil {
-			return false, perr
-		}
-		t.gatherStore(t.gatherFor(m.seq, m.n), m.p, m.blob)
-	case frameGathered:
-		m, perr := parseGathered(body)
-		if perr != nil {
-			return false, perr
-		}
-		t.gatherFor(m.seq, len(m.blobs)).complete(m.blobs)
 	case frameDone:
 		var metrics engine.Metrics
 		if derr := decodeMetrics(body, &metrics); derr != nil {
@@ -283,9 +276,9 @@ func (t *transport) closeAll() {
 	t.wg.Wait()
 }
 
-// --- shuffle exchange ---
+// --- exchange ---
 
-// wireExchange is the cross-process bucket transport of one shuffle stage.
+// wireExchange is the cross-process bucket transport of one collective.
 // Publishes to reduce partitions this rank owns go straight into the local
 // block table + notify channel (the Sparkle shared-memory fast path);
 // publishes to remote-owned partitions leave as bucket frames, and arrivals
@@ -389,87 +382,4 @@ func (ex *wireExchange) Close() {
 	ex.closed = true
 	ex.blocks = nil
 	ex.mu.Unlock()
-}
-
-// --- action gather ---
-
-// gatherState accumulates one allgather collective: per-partition blobs flow
-// from their owning ranks to the driver, which rebroadcasts the full set.
-type gatherState struct {
-	t   *transport
-	seq uint64
-
-	mu    sync.Mutex
-	n     int
-	blobs [][]byte
-	have  []bool
-	got   int
-	sent  bool          // driver: full set already rebroadcast
-	done  chan struct{} // closed when blobs holds the complete set locally
-}
-
-// gatherFor returns (creating on demand) the gather state for seq; n sizes
-// it (every creation path knows n: the engine call and both frame kinds
-// carry it).
-func (t *transport) gatherFor(seq uint64, n int) *gatherState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gs, ok := t.gathers[seq]; ok {
-		return gs
-	}
-	gs := &gatherState{t: t, seq: seq, n: n, blobs: make([][]byte, n), have: make([]bool, n), done: make(chan struct{})}
-	t.gathers[seq] = gs
-	return gs
-}
-
-// gatherStore records one partition blob on the driver and rebroadcasts the
-// completed set once the last one lands (whether it arrived by frame or from
-// the driver's own tasks).
-func (t *transport) gatherStore(gs *gatherState, p int, blob []byte) {
-	gs.mu.Lock()
-	if p >= gs.n {
-		gs.mu.Unlock()
-		t.fail(fmt.Errorf("mproc: gather %d: partition %d outside %d", gs.seq, p, gs.n))
-		return
-	}
-	if !gs.have[p] {
-		gs.have[p] = true
-		gs.blobs[p] = blob
-		gs.got++
-	}
-	full := gs.got == gs.n && !gs.sent
-	if full {
-		gs.sent = true
-	}
-	gs.mu.Unlock()
-	if full {
-		body := encodeGathered(gatheredMsg{seq: gs.seq, blobs: gs.blobs})
-		for rank := 1; rank < t.procs; rank++ {
-			t.sendTo(rank, frameGathered, body)
-		}
-		close(gs.done)
-	}
-}
-
-// complete installs the driver's rebroadcast set on a worker.
-func (gs *gatherState) complete(blobs [][]byte) {
-	gs.mu.Lock()
-	if len(blobs) == gs.n && gs.got != gs.n {
-		copy(gs.blobs, blobs)
-		gs.got = gs.n
-		gs.mu.Unlock()
-		close(gs.done)
-		return
-	}
-	gs.mu.Unlock()
-}
-
-// wait blocks until the full set is assembled or the job fails.
-func (gs *gatherState) wait() ([][]byte, error) {
-	select {
-	case <-gs.done:
-		return gs.blobs, nil
-	case <-gs.t.failedCh:
-		return nil, gs.t.Err()
-	}
 }

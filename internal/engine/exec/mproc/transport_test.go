@@ -3,27 +3,56 @@ package mproc
 import (
 	"errors"
 	"net"
-	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
 )
 
-// TestTransportRepeatedSignals reaches each of the transport's four close
-// sites a second time: a driver and a worker transport joined by a net.Pipe
-// exchange a duplicated GO, a GATHER repeated after the set is complete
-// (gatherStore's close under the sent flag), a duplicated GATHERED for a
-// gather that is already assembled (complete's close under got == n), and
-// two fail calls with different causes. A real job sends each signal once, so
-// a guard that let the second one through — a double close, a panic in the
-// read loop — would not show in any other test.
-func TestTransportRepeatedSignals(t *testing.T) {
-	base := leakcheck.Snapshot()
-	drv, wrk := newTransport(0, 2), newTransport(1, 2)
+// pipePair joins a driver and a worker transport over a net.Pipe, with both
+// read loops running.
+func pipePair() (drv, wrk *transport) {
+	drv, wrk = newTransport(0, 2), newTransport(1, 2)
 	a, b := net.Pipe()
 	drv.startReadLoop(drv.register(1, a))
 	wrk.startReadLoop(wrk.register(0, b))
+	return drv, wrk
+}
 
+// finish ends both read loops with FIN, each side's last frame: once the
+// loop a FIN ends has joined, every frame sent before it has been
+// dispatched. It then closes both transports.
+func finish(drv, wrk *transport) {
+	drv.sendTo(1, frameFin, nil)
+	wrk.wg.Wait()
+	wrk.sendTo(0, frameFin, nil)
+	drv.closeAll()
+	wrk.closeAll()
+}
+
+// failure waits for tr to fail the job and returns the cause; a guard that
+// let the fault through fails the test instead of hanging it.
+func failure(t *testing.T, tr *transport) error {
+	t.Helper()
+	select {
+	case <-tr.failedCh:
+		return tr.Err()
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fault did not fail the job")
+		return nil
+	}
+}
+
+// TestTransportRepeatedSignals reaches each of the transport's two close
+// sites a second time: a driver and a worker transport joined by a net.Pipe
+// exchange a duplicated GO, and a transport takes two fail calls with
+// different causes. A real job sends each signal once, so a guard that let
+// the second one through — a double close, a panic in the read loop — would
+// not show in any other test.
+func TestTransportRepeatedSignals(t *testing.T) {
+	base := leakcheck.Snapshot()
+	drv, wrk := pipePair()
 	drv.sendTo(1, frameGo, nil)
 	drv.sendTo(1, frameGo, nil)
 	select {
@@ -31,32 +60,7 @@ func TestTransportRepeatedSignals(t *testing.T) {
 	case <-wrk.failedCh:
 		t.Fatalf("worker failed before GO: %v", wrk.Err())
 	}
-
-	const seq = 7
-	want := [][]byte{[]byte("p0"), []byte("p1")}
-	gsD, gsW := drv.gatherFor(seq, len(want)), wrk.gatherFor(seq, len(want))
-	for _, p := range []int{0, 1, 1} {
-		wrk.sendTo(0, frameGather, encodeGather(gatherMsg{seq: seq, n: len(want), p: p, blob: want[p]}))
-	}
-	for _, gs := range []*gatherState{gsD, gsW} {
-		got, err := gs.wait()
-		if err != nil {
-			t.Fatalf("rank %d gather: %v", gs.t.rank, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rank %d gathered %q, want %q", gs.t.rank, got, want)
-		}
-	}
-	// FIN is a side's last frame: once the read loop it ends has joined,
-	// every frame before it has been dispatched. The driver's loop goes
-	// first, while the worker still reads, so a wrongly repeated rebroadcast
-	// would be delivered (and panic) rather than block the pipe.
-	wrk.sendTo(0, frameFin, nil)
-	drv.wg.Wait()
-	drv.sendTo(1, frameGathered, encodeGathered(gatheredMsg{seq: seq, blobs: want}))
-	drv.sendTo(1, frameFin, nil)
-	drv.closeAll()
-	wrk.closeAll()
+	finish(drv, wrk)
 	for _, tr := range []*transport{drv, wrk} {
 		if err := tr.Err(); err != nil {
 			t.Fatalf("rank %d: repeated signals failed the job: %v", tr.rank, err)
@@ -69,5 +73,62 @@ func TestTransportRepeatedSignals(t *testing.T) {
 	if err := wrk.Err(); err != first {
 		t.Fatalf("Err() = %v, want the first cause", err)
 	}
+	base.Check(t)
+}
+
+// TestExchangeIntegrity drives the guards every bucket frame passes through —
+// shuffle and allgather alike — over a net.Pipe: a duplicate (m, r) bucket
+// fails the job and the error names it; a geometry that contradicts the one a
+// known sequence number was created with fails the job; and a bucket that
+// arrives after Close is dropped, without failing the job or re-creating the
+// exchange's state.
+func TestExchangeIntegrity(t *testing.T) {
+	base := leakcheck.Snapshot()
+	bucket := func(seq uint64, in, out, m, r int) []byte {
+		return encodeBucket(bucketMsg{seq: seq, in: in, out: out, m: m, r: r, block: []byte{1}})
+	}
+
+	t.Run("duplicate bucket", func(t *testing.T) {
+		drv, wrk := pipePair()
+		defer drv.closeAll()
+		defer wrk.closeAll()
+		drv.sendTo(1, frameBucket, bucket(3, 2, 2, 0, 1))
+		drv.sendTo(1, frameBucket, bucket(3, 2, 2, 0, 1))
+		if err := failure(t, wrk); !strings.Contains(err.Error(), "exchange 3: duplicate bucket (0,1)") {
+			t.Fatalf("err = %v, want the duplicate bucket named", err)
+		}
+	})
+
+	t.Run("geometry mismatch", func(t *testing.T) {
+		drv, wrk := pipePair()
+		defer drv.closeAll()
+		defer wrk.closeAll()
+		wrk.exchangeFor(4, 2, 2) // the local engine reached collective 4 first
+		drv.sendTo(1, frameBucket, bucket(4, 3, 2, 0, 1))
+		if err := failure(t, wrk); !strings.Contains(err.Error(), "exchange 4 geometry mismatch") {
+			t.Fatalf("err = %v, want the geometry mismatch", err)
+		}
+	})
+
+	t.Run("bucket after close", func(t *testing.T) {
+		drv, wrk := pipePair()
+		ex := wrk.exchangeFor(5, 2, 2)
+		ex.Close()
+		drv.sendTo(1, frameBucket, bucket(5, 2, 2, 1, 1))
+		finish(drv, wrk)
+		for _, tr := range []*transport{drv, wrk} {
+			if err := tr.Err(); err != nil {
+				t.Fatalf("rank %d: a late bucket failed the job: %v", tr.rank, err)
+			}
+		}
+		if got := wrk.exchangeFor(5, 2, 2); got != ex {
+			t.Fatal("a late bucket re-created the closed exchange")
+		}
+		select {
+		case m := <-ex.Notify(1):
+			t.Fatalf("late bucket from map %d delivered to a closed exchange", m)
+		default:
+		}
+	})
 	base.Check(t)
 }

@@ -2,8 +2,10 @@ package engine
 
 // The executor seam abstracts HOW the engine runs a job: how many task slots
 // this process owns, how many cooperating processes share the job, which rank
-// runs which task, how shuffle buckets travel from map to reduce tasks, and
-// how action results come back together. Two implementations exist:
+// runs which task, and how blocks travel between tasks: shuffle buckets from
+// map to reduce tasks, and action results to every rank (action.go's
+// allgather is a shuffle-shaped collective on the same Exchange). Two
+// implementations exist:
 //
 //   - the in-process pool (this file): one process, shared memory, channel
 //     sends for bucket readiness — the single-node fast path (the Sparkle
@@ -14,9 +16,9 @@ package engine
 //
 // The SPMD contract every distributed executor relies on: all ranks run the
 // same job function deterministically, so they issue the same collective
-// operations (shuffles, gathers) in the same order. The engine numbers
+// operations (shuffles, allgathers) in the same order. The engine numbers
 // collectives with Context.nextSeq; matching sequence numbers across ranks is
-// what lets bucket and gather frames find their stage without any global
+// what lets bucket frames find their collective without any global
 // scheduler. Task ownership is a pure function of the task index (task %
 // Procs, Context.ownerOf), so no rank ever asks another what to run.
 
@@ -30,14 +32,11 @@ type Executor interface {
 	Procs() int
 	// Rank is this process's index in [0, Procs); rank 0 is the driver.
 	Rank() int
-	// Exchange creates the bucket transport for one shuffle stage: in map
-	// tasks, out reduce partitions. seq is the collective sequence number
-	// (identical across ranks for the same stage).
+	// Exchange creates the bucket transport for one collective: in map
+	// slots, out reduce slots, reduce slot r owned by rank r % Procs. seq is
+	// the collective sequence number (identical across ranks for the same
+	// collective). It is the only path between ranks.
 	Exchange(seq uint64, in, out int) Exchange
-	// Gather allgathers per-partition action blobs: each rank fills owned[p]
-	// for the partitions it owns (p % Procs) and receives the complete n-slot
-	// slice back. With Procs()==1 it returns owned unchanged.
-	Gather(seq uint64, n int, owned [][]byte) ([][]byte, error)
 	// Failed returns a channel closed when the job has failed globally (a
 	// remote rank errored or a worker connection was lost); nil when the
 	// backend cannot fail remotely. Err reports the failure cause.
@@ -74,10 +73,6 @@ func (e *localExec) Failed() <-chan struct{} { return nil }
 
 func (e *localExec) Exchange(_ uint64, in, out int) Exchange {
 	return newLocalExchange(in, out)
-}
-
-func (e *localExec) Gather(_ uint64, _ int, owned [][]byte) ([][]byte, error) {
-	return owned, nil
 }
 
 // localExchange is the shared-memory bucket transport: a flat block table

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"encoding/binary"
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // MapPartitions is the fundamental narrow operation: fn transforms each
 // partition independently. fn receives the partition index and its items.
@@ -68,26 +64,10 @@ func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c
 // Collect gathers all partitions to the driver in partition order. Collect is
 // an action: it forces any pending narrow chain first.
 func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
-	if err := d.Force(); err != nil {
-		return nil, err
-	}
-	parts := make([][]T, d.NumPartitions())
 	var out []T
-	err := d.ctx.runStage(taskSet{
-		row:  StageMetrics{Name: name, Kind: StageAction},
-		n:    d.NumPartitions(),
-		hint: d.partitionSizeHint,
-		fn: func(p int, tm *TaskMetrics) error {
-			items, err := d.partition(p, tm)
-			tm.InputItems = len(items)
-			parts[p] = items
-			return err
-		},
-		driver: func() (time.Duration, error) {
-			wait, err := allgatherParts(d, parts)
-			if err != nil {
-				return wait, err
-			}
+	err := action(name, d, FieldsAll, effectiveSerializer(d.codec),
+		func(items []T) []T { return items },
+		func(parts [][]T) {
 			total := 0
 			for _, p := range parts {
 				total += len(p)
@@ -96,9 +76,7 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 			for _, p := range parts {
 				out = append(out, p...)
 			}
-			return wait, nil
-		},
-	})
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -110,54 +88,32 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 // serial step that throttles BQSR in §5.2.2). Reduce is an action: it forces
 // any pending narrow chain first.
 func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error) {
-	var zero T
-	if err := d.Force(); err != nil {
-		return zero, false, err
-	}
-	// Each task leaves its partition's fold as a 0- or 1-item slice: the form
-	// the allgather moves through the codec, so every rank folds the identical
-	// sequence.
-	partials := make([][]T, d.NumPartitions())
 	var acc T
 	found := false
-	err := d.ctx.runStage(taskSet{
-		row:  StageMetrics{Name: name, Kind: StageAction},
-		n:    d.NumPartitions(),
-		hint: d.partitionSizeHint,
-		fn: func(p int, tm *TaskMetrics) error {
-			items, err := d.partition(p, tm)
-			if err != nil {
-				return err
+	err := action(name, d, FieldsAll, effectiveSerializer(d.codec),
+		func(items []T) []T { // a partition's fold, as 0 or 1 items
+			if len(items) == 0 {
+				return nil
 			}
-			tm.InputItems = len(items)
-			if len(items) > 0 {
-				acc := items[0]
-				for _, it := range items[1:] {
-					acc = fn(acc, it)
-				}
-				partials[p] = []T{acc}
+			part := items[0]
+			for _, it := range items[1:] {
+				part = fn(part, it)
 			}
-			return nil
+			return []T{part}
 		},
-		driver: func() (time.Duration, error) {
-			wait, err := allgatherParts(d, partials)
-			if err != nil {
-				return wait, err
-			}
-			for _, p := range partials {
-				if len(p) == 0 {
-					continue
-				}
-				if !found {
-					acc, found = p[0], true
-				} else {
-					acc = fn(acc, p[0])
+		func(parts [][]T) {
+			for _, p := range parts {
+				for _, v := range p {
+					if found {
+						acc = fn(acc, v)
+					} else {
+						acc, found = v, true
+					}
 				}
 			}
-			return wait, nil
-		},
-	})
+		})
 	if err != nil {
+		var zero T
 		return zero, false, err
 	}
 	return acc, found, nil
@@ -166,56 +122,21 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 // Count returns the total number of items. Count is an action: it forces any
 // pending narrow chain first. It then reads with a zero field mask: a
 // columnar-stored dataset decodes only block headers (the record count is in
-// the header), pruning every column.
+// the header), pruning every column. Each task's count travels as the census
+// pair of a single key.
 func Count[T any](name string, d *Dataset[T]) (int, error) {
-	if err := d.Force(); err != nil {
-		return 0, err
-	}
-	ctx := d.ctx
-	counts := make([]int, d.NumPartitions())
-	err := ctx.runStage(taskSet{
-		row:  StageMetrics{Name: name, Kind: StageAction},
-		n:    d.NumPartitions(),
-		hint: d.partitionSizeHint,
-		fn: func(p int, tm *TaskMetrics) error {
-			items, err := d.partitionNeed(p, tm, 0)
-			counts[p] = len(items)
-			tm.InputItems = len(items)
-			return err
-		},
-	})
-	if err == nil && ctx.procs() > 1 {
-		rank := ctx.rank()
-		owned := make([][]byte, len(counts))
-		for p := range counts {
-			if ctx.ownerOf(p) != rank {
-				continue
-			}
-			var tmp [binary.MaxVarintLen64]byte
-			owned[p] = append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(counts[p]))]...)
-		}
-		var blobs [][]byte
-		blobs, err = ctx.exec.Gather(ctx.nextSeq(), len(counts), owned)
-		if err == nil {
-			for p := range counts {
-				if ctx.ownerOf(p) == rank {
-					continue
+	total := 0
+	err := action(name, d, 0, KeyedIntCodec{},
+		func(items []T) []Keyed { return []Keyed{{Val: len(items)}} },
+		func(parts [][]Keyed) {
+			for _, p := range parts {
+				for _, kv := range p {
+					total += kv.Val
 				}
-				v, read := binary.Uvarint(blobs[p])
-				if read <= 0 {
-					err = fmt.Errorf("engine: stage %q: corrupt gathered count for partition %d", name, p)
-					break
-				}
-				counts[p] = int(v)
 			}
-		}
-	}
+		})
 	if err != nil {
 		return 0, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
 	}
 	return total, nil
 }

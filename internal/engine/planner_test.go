@@ -123,8 +123,9 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 }
 
 // TestWideOpRunsAtCall: a wide op executes when it is called — partitions
-// readable and both shuffle rows recorded with no Force — and a failing map
-// task's own error comes back from the call.
+// readable and both shuffle rows recorded with no Force — and a failing
+// input task's own error comes back from the call, as it does from the
+// census action.
 func TestWideOpRunsAtCall(t *testing.T) {
 	base := leakcheck.Snapshot()
 	ctx := NewContext(2)
@@ -163,10 +164,8 @@ func TestWideOpRunsAtCall(t *testing.T) {
 	if _, err := PartitionBy("doomed", failing, 5, func(x int) int { return x }); !errors.Is(err, boom) {
 		t.Fatalf("PartitionBy returned %v, want the failing task's own error", err)
 	}
-	if _, err := CombineByKey("doomed-c", failing, 5, func(x int) int { return x },
-		func(x int) int { return x }, func(c, x int) int { return c + x }, func(a, b int) int { return a + b },
-		nil); !errors.Is(err, boom) {
-		t.Fatalf("CombineByKey returned %v, want the failing task's own error", err)
+	if _, err := CountByKey("doomed-census", failing, func(x int) int { return x }); !errors.Is(err, boom) {
+		t.Fatalf("CountByKey returned %v, want the failing task's own error", err)
 	}
 	base.Check(t, leakcheck.Timeout(3*time.Second))
 }
@@ -212,20 +211,6 @@ func TestShuffleDoesNotRetainInput(t *testing.T) {
 		t.Fatal("PartitionBy output keeps its input chain reachable")
 	}
 	if n, err := Count("count-pb", sh); err != nil || n != 64 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-
-	in, freed = input(ctx)
-	cb, err := ReduceByKey("rbk", in, 3, func(x int) int { return x % 7 },
-		func(int) int { return 1 }, func(a, b int) int { return a + b }, KeyedIntCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in = nil
-	if !collected(freed) {
-		t.Fatal("CombineByKey output keeps its input chain reachable")
-	}
-	if n, err := Count("count-rbk", cb); err != nil || n != 7 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 }

@@ -24,7 +24,7 @@ type taskSet struct {
 	fn   func(task int, tm *TaskMetrics) error
 	// driver is the stage's serial driver step (allgather, fold), run once
 	// the tasks have succeeded and timed into DriverTime less the wait it
-	// reports: time blocked on peers in Executor.Gather is not driver work.
+	// reports: time blocked on peers in the allgather is not driver work.
 	driver func() (wait time.Duration, err error)
 }
 

@@ -154,27 +154,21 @@ func TestJobFailureCancelsStage(t *testing.T) {
 }
 
 // rankBus is the shared memory the fake ranks of one SPMD job meet on: one
-// exchange and one gather board per collective sequence number.
+// exchange per collective sequence number, so shuffles and action
+// allgathers alike cross between ranks through it.
 type rankBus struct {
 	procs int
-	// gatherDelay makes every rank arrive late at each gather, standing in
-	// for peers still running their tasks.
-	gatherDelay time.Duration
-	mu          sync.Mutex
-	exchanges   map[uint64]*localExchange
-	gathers     map[uint64]*busGather
-}
-
-type busGather struct {
-	blobs   [][]byte
-	arrived int
-	done    chan struct{} // closed once every rank has contributed
+	// publishDelay delivers every bucket that long after its Publish
+	// returns, standing in for peers still running their tasks: a rank
+	// awaiting a sibling's allgather blob blocks for it.
+	publishDelay time.Duration
+	mu           sync.Mutex
+	exchanges    map[uint64]*localExchange
 }
 
 // rankExec is one rank of a fake multi-rank job running inside this process:
 // the in-process pool reporting the bus's Procs and its own Rank, publishing
-// buckets into the exchange all ranks share and allgathering through the
-// bus's board.
+// buckets into the exchange all ranks share.
 type rankExec struct {
 	localExec
 	bus  *rankBus
@@ -192,27 +186,21 @@ func (e *rankExec) Exchange(seq uint64, in, out int) Exchange {
 		ex = newLocalExchange(in, out)
 		e.bus.exchanges[seq] = ex
 	}
+	if e.bus.publishDelay > 0 {
+		return lateExchange{ex, e.bus.publishDelay}
+	}
 	return ex
 }
 
-func (e *rankExec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
-	b := e.bus
-	time.Sleep(b.gatherDelay)
-	b.mu.Lock()
-	g, ok := b.gathers[seq]
-	if !ok {
-		g = &busGather{blobs: make([][]byte, n), done: make(chan struct{})}
-		b.gathers[seq] = g
-	}
-	for p := e.rank; p < n; p += b.procs {
-		g.blobs[p] = owned[p]
-	}
-	if g.arrived++; g.arrived == b.procs {
-		close(g.done)
-	}
-	b.mu.Unlock()
-	<-g.done
-	return g.blobs, nil
+// lateExchange delivers each publish after delay without holding up the
+// publisher.
+type lateExchange struct {
+	*localExchange
+	delay time.Duration
+}
+
+func (ex lateExchange) Publish(m, r int, block []byte) {
+	time.AfterFunc(ex.delay, func() { ex.localExchange.Publish(m, r, block) })
 }
 
 // TestOwnershipIsCanonical: partition ownership is the rule p % procs, not
@@ -222,7 +210,7 @@ func (e *rankExec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
 // sibling holds is the loud non-resident error.
 func TestOwnershipIsCanonical(t *testing.T) {
 	const procs = 3
-	bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}, gathers: map[uint64]*busGather{}}
+	bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}}
 	type outcome struct {
 		collected  []int
 		sum, count int
@@ -284,11 +272,11 @@ func TestOwnershipIsCanonical(t *testing.T) {
 }
 
 // TestDriverTimeExcludesGatherWait: DriverTime is this rank's serial driver
-// work. Time an action's driver step spends blocked on peers inside
-// Executor.Gather is not — the simulator would replay it as driver CPU.
+// work. Time an action's driver step spends blocked on peers' allgather
+// blobs is not — the simulator would replay it as driver CPU.
 func TestDriverTimeExcludesGatherWait(t *testing.T) {
 	const procs, delay = 2, 300 * time.Millisecond
-	bus := &rankBus{procs: procs, gatherDelay: delay, exchanges: map[uint64]*localExchange{}, gathers: map[uint64]*busGather{}}
+	bus := &rankBus{procs: procs, publishDelay: delay, exchanges: map[uint64]*localExchange{}}
 	stages := make([][]StageMetrics, procs)
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
@@ -315,7 +303,7 @@ func TestDriverTimeExcludesGatherWait(t *testing.T) {
 		}
 		for _, st := range stages[rank] {
 			if st.DriverTime < 0 || st.DriverTime > delay/3 {
-				t.Errorf("rank %d, stage %q: DriverTime = %v with peers %v late at the gather", rank, st.Name, st.DriverTime, delay)
+				t.Errorf("rank %d, stage %q: DriverTime = %v with peers' blobs %v late", rank, st.Name, st.DriverTime, delay)
 			}
 		}
 	}

@@ -6,31 +6,24 @@ import (
 	"time"
 )
 
-// shuffleCore is the wide-operation executor shared by every shuffle-shaped
-// op (PartitionBy, CombineByKey). It is generic over B, the
-// decoded form of one map-side bucket, and O, the output item type:
+// shuffleCore is PartitionBy's transport half: it runs one shuffle over one
+// Exchange and moves opaque blocks, leaving what they hold to the caller.
 //
 //   - mapTask runs once per input partition m and calls emit(r, block) for
 //     every non-empty serialized bucket as soon as that bucket is encoded
 //     (per-bucket readiness: a long map task streams its buckets out rather
 //     than landing them all at task end), charging shuffle-write bytes
 //     itself; buckets it never emits are treated as empty;
-//   - decode turns one arriving block into a B (called in arrival order);
-//   - merge combines the decoded buckets of reduce partition r — indexed by
-//     map task, zero values for empty buckets — into the output partition.
-//     Merging strictly in map-task order is what keeps the output
-//     deterministic whatever order buckets arrived in.
-//
-// Buckets always carry whole items.
-type shuffleCore[B, O any] struct {
-	ctx     *Context
-	name    string
-	in, out int
-	mapHint func(m int) int64
-	mapTask func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
-	decode  func(r int, block []byte, tm *TaskMetrics) (B, error)
-	merge   func(r int, decoded []B, tm *TaskMetrics) ([]O, error)
-	res     *Dataset[O]
+//   - reduceTask runs once per output partition r; each call of next returns
+//     one of the in buckets of r in arrival order, as its map index and
+//     block (nil for an empty bucket), parking the task while none is ready.
+type shuffleCore struct {
+	ctx        *Context
+	name       string
+	in, out    int
+	mapHint    func(m int) int64
+	mapTask    func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
+	reduceTask func(r int, tm *TaskMetrics, next func() (m int, block []byte, err error)) error
 }
 
 // run executes the shuffle as one two-set pass of the stage runner: map tasks
@@ -44,9 +37,7 @@ type shuffleCore[B, O any] struct {
 // to the map-task count so publishing never blocks; under mproc, publishes to
 // a remote-owned partition leave as bucket frames and arrivals from sibling
 // ranks feed the same channels. Reduce task r receives map indices in
-// publication order, decodes each bucket as it arrives — overlapping decode
-// with still-running maps — and finally merges the decoded buckets in
-// map-task order, which makes the output independent of arrival order.
+// publication order.
 //
 // A reduce task that finds nothing published parks in the runner's await.
 // Map tasks never wait on other tasks, so the pass cannot deadlock:
@@ -55,7 +46,7 @@ type shuffleCore[B, O any] struct {
 // before the last map has released it, so FetchWait and PipelineOverlap are
 // structurally zero there. On error the caller discards the result dataset —
 // no partial output.
-func (sc *shuffleCore[B, O]) run() error {
+func (sc *shuffleCore) run() error {
 	ex := sc.ctx.exec.Exchange(sc.ctx.nextSeq(), sc.in, sc.out)
 	defer ex.Close()
 	st := sc.ctx.newStage(sc.name)
@@ -88,27 +79,15 @@ func (sc *shuffleCore[B, O]) run() error {
 		row: StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle},
 		n:   sc.out,
 		fn: func(r int, tm *TaskMetrics) error {
-			decoded := make([]B, sc.in)
-			for seen := 0; seen < sc.in; seen++ {
+			return sc.reduceTask(r, tm, func() (int, []byte, error) {
 				m, err := st.await(tm, ex.Notify(r))
 				if err != nil {
-					return err
+					return 0, nil, err
 				}
 				block := ex.Block(m, r)
-				if block == nil {
-					continue
-				}
 				tm.ShuffleReadBytes += int64(len(block))
-				if decoded[m], err = sc.decode(r, block, tm); err != nil {
-					return err
-				}
-			}
-			out, err := sc.merge(r, decoded, tm)
-			if err != nil {
-				return err
-			}
-			tm.OutputItems = len(out)
-			return storePartition(sc.res, r, out, tm)
+				return m, block, nil
+			})
 		},
 	}
 	return st.run(maps, reduces)
@@ -136,13 +115,12 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	codec := effectiveSerializer(d.codec)
 	res := newResult(d.ctx, d.codec, numPartitions)
 	in := d.NumPartitions()
-	sc := &shuffleCore[[]T, T]{
+	sc := &shuffleCore{
 		ctx:     d.ctx,
 		name:    name,
 		in:      in,
 		out:     numPartitions,
 		mapHint: d.partitionSizeHint,
-		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {
 			items, err := d.partition(p, tm)
 			if err != nil {
@@ -189,27 +167,34 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 			tm.OutputItems = len(items)
 			return nil
 		},
-		decode: func(r int, block []byte, tm *TaskMetrics) ([]T, error) {
-			serStart := time.Now()
-			items, err := unmarshalCharged(codec, block, tm)
-			tm.SerializeTime += time.Since(serStart)
-			if err != nil {
-				return nil, fmt.Errorf("engine: stage %q reduce %d: %w", name, r, err)
-			}
-			return items, nil
-		},
-		merge: func(_ int, decoded [][]T, _ *TaskMetrics) ([]T, error) {
-			// Pre-size from decoded bucket lengths: one allocation instead of
-			// append-doubling across in buckets.
+		reduceTask: func(r int, tm *TaskMetrics, next func() (int, []byte, error)) error {
+			// Decode each bucket as it arrives, overlapping decode with
+			// still-running maps; concatenating in map-task order keeps the
+			// output independent of arrival order.
+			chunks := make([][]T, in)
 			total := 0
-			for _, chunk := range decoded {
-				total += len(chunk)
+			for range in {
+				m, block, err := next()
+				if err != nil {
+					return err
+				}
+				if block == nil {
+					continue
+				}
+				serStart := time.Now()
+				chunks[m], err = unmarshalCharged(codec, block, tm)
+				tm.SerializeTime += time.Since(serStart)
+				if err != nil {
+					return fmt.Errorf("engine: stage %q reduce %d: %w", name, r, err)
+				}
+				total += len(chunks[m])
 			}
 			out := make([]T, 0, total)
-			for _, chunk := range decoded {
+			for _, chunk := range chunks {
 				out = append(out, chunk...)
 			}
-			return out, nil
+			tm.OutputItems = len(out)
+			return storePartition(res, r, out, tm)
 		},
 	}
 	if err := sc.run(); err != nil {

@@ -35,9 +35,7 @@ var opFuncs = map[string]bool{
 	"ZipPartitions3": true,
 	"PartitionBy":    true, // key func: the shuffle route callback
 	"SortPartitions": true,
-	"CountByKey":     true,
-	"CombineByKey":   true, // key + create/mergeValue/mergeCombiners closures
-	"ReduceByKey":    true,
+	"CountByKey":     true, // key func: the census
 	"Reduce":         true,
 }
 

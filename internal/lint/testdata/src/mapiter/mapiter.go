@@ -65,14 +65,14 @@ func negatives(m map[string]int) ([]string, int, map[string]int) {
 	return ordered, sum, copied
 }
 
-// keyed mirrors the engine's Keyed pair flowing through the combine shuffle.
+// keyed mirrors the engine's Keyed pair, a census task's output.
 type keyed struct {
 	Key int
 	Val int
 }
 
-// combinerPositives: emitting shuffle pairs straight out of a combiner
-// accumulator map makes bucket blocks byte-nondeterministic per run.
+// combinerPositives: emitting census pairs straight out of a count map
+// makes the blocks they are encoded into byte-nondeterministic per run.
 func combinerPositives(acc map[int]int, notify chan int) []keyed {
 	var pairs []keyed
 	for k, v := range acc {

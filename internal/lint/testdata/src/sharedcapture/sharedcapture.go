@@ -84,55 +84,20 @@ func negatives(ctx *engine.Context, d *engine.Dataset[int], parts [][]int) {
 	_ = swaps
 }
 
-// combinePositives: CombineByKey/ReduceByKey combiner closures run once per
-// map task across the worker pool, so captured writes in them race exactly
+// censusPositives: CountByKey's key closure runs once per item inside every
+// census task across the worker pool, so captured writes in it race exactly
 // like Map op funcs.
-func combinePositives(d *engine.Dataset[int]) {
-	firsts := map[int]int{}
-	merges := 0
-	_, _ = engine.CombineByKey("cbk", d, 4,
-		func(v int) int { return v },
-		func(v int) int {
-			firsts[v] = v // want "map write to variable \"firsts\" captured"
-			return v
-		},
-		func(c, v int) int {
-			merges++ // want "assignment to variable \"merges\" captured"
-			return c + v
-		},
-		func(a, b int) int { return a + b },
-		nil)
-
-	var total int
-	_, _ = engine.ReduceByKey("rbk", d, 4,
-		func(v int) int { return v },
-		func(v int) int { return 1 },
-		func(a, b int) int {
-			total = a + b // want "assignment to variable \"total\" captured"
-			return a + b
-		},
-		nil)
-	_ = total
+func censusPositives(d *engine.Dataset[int]) {
+	seen := map[int]bool{}
+	keys := 0
+	_, _ = engine.CountByKey("census", d, func(v int) int {
+		seen[v] = true // want "map write to variable \"seen\" captured"
+		keys++         // want "assignment to variable \"keys\" captured"
+		return v
+	})
 }
 
-// combineNegatives: pure combiner closures that fold through their return
-// values — the intended shape — and read-only captures stay quiet.
-func combineNegatives(d *engine.Dataset[int], buckets int) {
-	_, _ = engine.CombineByKey("cbk-ok", d, buckets,
-		func(v int) int { return v % buckets },
-		func(v int) int { return 1 },
-		func(c, _ int) int { return c + 1 },
-		func(a, b int) int { return a + b },
-		nil)
-
-	_, _ = engine.ReduceByKey("rbk-ok", d, 4,
-		func(v int) int { return v },
-		func(v int) int { return v },
-		func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		},
-		nil)
+// censusNegatives: a pure key closure, reading captured state, stays quiet.
+func censusNegatives(d *engine.Dataset[int], buckets int) {
+	_, _ = engine.CountByKey("census-ok", d, func(v int) int { return v % buckets })
 }
