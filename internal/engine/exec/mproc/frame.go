@@ -2,10 +2,16 @@
 // processes run the same registered job function in SPMD lockstep (rank 0 is
 // the driver process itself, ranks 1..W-1 are re-exec'd workers), and the
 // buckets of every collective — shuffles and action allgathers alike — move
-// between ranks as length-prefixed frames over local TCP connections. The
+// between ranks as length-prefixed frames over loopback TCP connections. The
 // serialized blocks crossing the wire are exactly the blocks the engine's
 // codecs produced (internal/colfmt for columnar datasets) — no re-encode at
 // the transport boundary.
+//
+// Ranks are born connected: the driver dials and accepts every pair's
+// connection itself before any worker exists, and each worker inherits its
+// ends as file descriptors (a Unix host is required). The driver then sends
+// each worker one JOB frame and starts its own job once every worker has
+// answered READY; there is no other setup protocol.
 //
 // Because Go closures cannot cross process boundaries, jobs are registered by
 // name (RegisterJob) and workers are the current executable re-exec'd with a
@@ -25,11 +31,8 @@ import (
 // Frame kinds. A frame is [kind u8][len u32 LE][payload]; payload fields are
 // uvarint-framed (see payload/reader below).
 const (
-	frameHello  = byte(iota + 1) // worker→driver: rank, listen addr
-	frameJob                     // driver→worker: name, procs, slots, peer addrs, spec
-	framePeer                    // dialing worker→accepting worker: own rank
-	frameReady                   // worker→driver: mesh established
-	frameGo                      // driver→worker: start the job
+	frameJob    = byte(iota + 1) // driver→worker: name, rank, procs, slots, spec
+	frameReady                   // worker→driver: mesh adopted, job starting
 	frameBucket                  // shuffle or allgather bucket: seq, geometry, (m, r), block
 	frameDone                    // worker→driver: job done, gob metrics
 	frameFin                     // worker→peer: clean shutdown, expect EOF next
@@ -200,66 +203,34 @@ func (r *reader) done() error {
 
 // --- typed messages ---
 
-type helloMsg struct {
-	rank int
-	addr string
-}
-
-func encodeHello(m helloMsg) []byte {
-	var p payload
-	p.uvarint(uint64(m.rank))
-	p.str(m.addr)
-	return p.b
-}
-
-func parseHello(b []byte) (helloMsg, error) {
-	r := reader{b: b}
-	m := helloMsg{rank: r.intn("rank", maxRanks), addr: r.str()}
-	return m, r.done()
-}
-
 type jobMsg struct {
 	name  string
+	rank  int
 	procs int
 	slots int
-	addrs []string
 	spec  []byte
 }
 
 func encodeJob(m jobMsg) []byte {
 	var p payload
 	p.str(m.name)
+	p.uvarint(uint64(m.rank))
 	p.uvarint(uint64(m.procs))
 	p.uvarint(uint64(m.slots))
-	p.uvarint(uint64(len(m.addrs)))
-	for _, a := range m.addrs {
-		p.str(a)
-	}
 	p.bytes(m.spec)
 	return p.b
 }
 
+// parseJob accepts only a worker's rank: 1 <= rank < procs, since rank 0 is
+// the driver that sends the frame.
 func parseJob(b []byte) (jobMsg, error) {
 	r := reader{b: b}
-	m := jobMsg{name: r.str(), procs: r.intn("procs", maxRanks), slots: r.intn("slots", 1<<16)}
-	n := r.intn("addr count", maxRanks)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.addrs = append(m.addrs, r.str())
+	m := jobMsg{name: r.str(), rank: r.intn("rank", maxRanks), procs: r.intn("procs", maxRanks),
+		slots: r.intn("slots", 1<<16), spec: r.bytes()}
+	if r.err == nil && (m.rank < 1 || m.rank >= m.procs) {
+		r.fail("worker rank %d outside job of %d procs", m.rank, m.procs)
 	}
-	m.spec = r.bytes()
 	return m, r.done()
-}
-
-func encodePeer(rank int) []byte {
-	var p payload
-	p.uvarint(uint64(rank))
-	return p.b
-}
-
-func parsePeer(b []byte) (int, error) {
-	r := reader{b: b}
-	rank := r.intn("rank", maxRanks)
-	return rank, r.done()
 }
 
 type bucketMsg struct {

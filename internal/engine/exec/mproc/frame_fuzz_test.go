@@ -20,18 +20,19 @@ func frame(kind byte, body []byte) []byte {
 // proportionally to a lying header: a length is validated before it sizes a
 // buffer.
 func FuzzFrameDecode(f *testing.F) {
-	// Valid encodings of every message kind.
-	f.Add(frame(frameHello, encodeHello(helloMsg{rank: 2, addr: "127.0.0.1:4242"})))
-	f.Add(frame(frameJob, encodeJob(jobMsg{name: "wgs", procs: 4, slots: 8,
-		addrs: []string{"", "a:1", "b:2", "c:3"}, spec: []byte("spec")})))
-	f.Add(frame(framePeer, encodePeer(3)))
+	// Valid encodings of every message kind, and JOBs naming no worker (rank
+	// 0 is the driver, rank 4 of 4 does not exist), which parseJob refuses.
+	job := jobMsg{name: "wgs", rank: 2, procs: 4, slots: 8, spec: []byte("spec")}
+	f.Add(frame(frameJob, encodeJob(job)))
+	f.Add(frame(frameJob, encodeJob(jobMsg{name: "wgs", rank: 0, procs: 4})))
+	f.Add(frame(frameJob, encodeJob(jobMsg{name: "wgs", rank: 4, procs: 4})))
+	f.Add(frame(frameJob, encodeJob(job)[:6])) // cut after procs
 	f.Add(frame(frameReady, nil))
-	f.Add(frame(frameGo, nil))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 1, r: 1, block: []byte{1, 2, 3}})))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 2, r: 0, empty: true})))
 	// An allgather bucket: n = 4 partitions × 3 ranks, partition 2 to rank 1.
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 9, in: 4, out: 3, m: 2, r: 1, block: []byte("blob")})))
-	f.Add(frame(frameMax+1, []byte{9, 3, 1})) // first kind past the table
+	f.Add(frame(frameMax+1, []byte{9, 3, 1})) // first kind past the table: 7
 	f.Add(frame(frameDone, []byte{0xff, 0x01}))
 	f.Add(frame(frameFin, nil))
 	f.Add(frame(frameErr, encodeErr(errMsg{origin: 1, msg: "boom"})))
@@ -48,12 +49,10 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		switch kind {
-		case frameHello:
-			_, _ = parseHello(body)
 		case frameJob:
-			_, _ = parseJob(body)
-		case framePeer:
-			_, _ = parsePeer(body)
+			if m, err := parseJob(body); err == nil && (m.rank < 1 || m.rank >= m.procs) {
+				t.Fatalf("parseJob accepted a rank no worker holds: %+v", m)
+			}
 		case frameBucket:
 			if m, err := parseBucket(body); err == nil {
 				// The parsed geometry is what sizes exchange state: re-check
@@ -62,37 +61,47 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("parseBucket accepted bad geometry: %+v", m)
 				}
 			}
-		case frameDone:
-			var metrics = struct{}{}
-			_ = metrics
 		case frameErr:
 			_, _ = parseErr(body)
 		}
 	})
 }
 
-// TestFrameRoundTrip pins the exact wire bytes of a bucket frame and of an
-// empty-payload frame, and the bucket surviving a round trip.
+// TestFrameRoundTrip pins the exact wire bytes of a JOB frame, a bucket
+// frame and the empty FIN frame, and the JOB and the bucket surviving a round
+// trip.
 func TestFrameRoundTrip(t *testing.T) {
+	jm := jobMsg{name: "wgs", rank: 2, procs: 3, slots: 4, spec: []byte("s")}
 	bm := bucketMsg{seq: 42, in: 5, out: 3, m: 4, r: 2, block: []byte{9, 8, 7}}
 	var buf bytes.Buffer
 	c := conn{c: nopConn{&buf}}
-	if err := c.writeFrame(frameBucket, encodeBucket(bm)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.writeFrame(frameGo, nil); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct {
+		kind byte
+		body []byte
+	}{{frameJob, encodeJob(jm)}, {frameBucket, encodeBucket(bm)}, {frameFin, nil}} {
+		if err := c.writeFrame(f.kind, f.body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := []byte{
-		frameBucket, 10, 0, 0, 0, // kind, payload length u32 LE
+		1, 9, 0, 0, 0, // JOB, payload length u32 LE
+		3, 'w', 'g', 's', 2, 3, 4, 1, 's', // name, rank, procs, slots, spec
+		3, 10, 0, 0, 0, // BUCKET
 		42, 5, 3, 4, 2, 0, 3, 9, 8, 7, // seq, in, out, m, r, non-empty, block
-		frameGo, 0, 0, 0, 0,
+		5, 0, 0, 0, 0, // FIN
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("wire bytes = %v, want %v", buf.Bytes(), want)
 	}
 	kind, body, err := readFrame(&buf)
-	if err != nil || kind != frameBucket {
+	if err != nil || kind != frameJob {
+		t.Fatalf("kind %d err %v", kind, err)
+	}
+	if gotJob, err := parseJob(body); err != nil || gotJob.name != jm.name || gotJob.rank != jm.rank ||
+		gotJob.procs != jm.procs || gotJob.slots != jm.slots || !bytes.Equal(gotJob.spec, jm.spec) {
+		t.Fatalf("job round trip: %+v, %v; want %+v", gotJob, err, jm)
+	}
+	if kind, body, err = readFrame(&buf); err != nil || kind != frameBucket {
 		t.Fatalf("kind %d err %v", kind, err)
 	}
 	got, err := parseBucket(body)

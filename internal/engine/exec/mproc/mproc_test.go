@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,9 +177,10 @@ func init() {
 }
 
 // TestMprocMatchesInproc is the backend-identity property: the same job run
-// in one process and across 2 and 3 processes must return byte-identical
+// in one process and across 2, 3 and 4 processes must return byte-identical
 // output (and move the same shuffle volume), despite the jitter codec
-// randomizing bucket arrival order.
+// randomizing bucket arrival order. 4 is the first size at which a worker
+// inherits more than one worker peer, so the order it adopts fds in matters.
 func TestMprocMatchesInproc(t *testing.T) {
 	spec := []byte("4000,5,7")
 	ref, err := Run("test-wordcount", spec, Options{Procs: 1, Slots: 4})
@@ -186,7 +190,7 @@ func TestMprocMatchesInproc(t *testing.T) {
 	if len(ref.Output) == 0 {
 		t.Fatal("empty reference output")
 	}
-	for _, procs := range []int{2, 3} {
+	for _, procs := range []int{2, 3, 4} {
 		got, err := Run("test-wordcount", spec, Options{Procs: procs, Slots: 2})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
@@ -266,6 +270,84 @@ func TestMprocWorkerMapError(t *testing.T) {
 		t.Fatalf("root cause masked: %v", err)
 	}
 	base.Check(t)
+}
+
+// TestWireRejectsStray: a local client already queued on the listener when
+// the driver wires the mesh is accepted in place of the driver's own dial, so
+// wire must refuse it by address and close every connection it made.
+func TestWireRejectsStray(t *testing.T) {
+	base := leakcheck.Snapshot()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stray, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	mesh, err := wire(ln, 3)
+	if err == nil {
+		t.Fatalf("wire accepted a stray connection: %v", mesh)
+	}
+	if !strings.Contains(err.Error(), stray.LocalAddr().String()) {
+		t.Fatalf("error does not name the stray %s: %v", stray.LocalAddr(), err)
+	}
+	// wire closed its end of the stray, so the stray reads EOF.
+	_ = stray.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, rerr := stray.Read(make([]byte, 1)); rerr != io.EOF {
+		t.Fatalf("stray read = %v, want EOF from the closed accepted end", rerr)
+	}
+	base.Check(t)
+}
+
+// TestMprocNoFDLeak: every mesh end the driver wires — its own, and the ones
+// it hands to workers — is closed by the time Run returns: after a clean job,
+// after a worker crash, and when the first worker cannot start, which leaves
+// every later worker's ends unstarted.
+func TestMprocNoFDLeak(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd")
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	// The first Run opens the runtime's poller fds; open them before counting.
+	if _, err := Run("test-wordcount", []byte("100,2,2"), Options{Procs: 2, Slots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, job string
+		fails     bool
+	}{
+		{"clean", "test-wordcount", false},
+		{"crash", "test-crash", true},
+		{"unstarted", "test-wordcount", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "unstarted" {
+				// One environment string past the kernel's 128 KiB limit makes
+				// every exec fail with E2BIG.
+				t.Setenv("GPF_MPROC_TEST_PAD", strings.Repeat("x", 256<<10))
+			}
+			before := fds()
+			_, err := Run(tc.job, []byte("500,3,3"), Options{Procs: 3, Slots: 2})
+			if (err != nil) != tc.fails {
+				t.Fatalf("Run error = %v, want failure %v", err, tc.fails)
+			}
+			if tc.name == "unstarted" && !strings.Contains(err.Error(), "start worker 1") {
+				t.Fatalf("error does not name the worker that failed to start: %v", err)
+			}
+			if after := fds(); after != before {
+				t.Fatalf("%d fds open before Run, %d after", before, after)
+			}
+		})
+	}
 }
 
 // TestMprocUnknownJob fails fast without forking anything.

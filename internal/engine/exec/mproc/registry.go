@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"strconv"
 	"sync"
 	"time"
 
@@ -46,17 +45,14 @@ func jobFor(name string) (JobFunc, bool) {
 	return fn, ok
 }
 
-// Worker environment: when these are set the process is a re-exec'd worker
-// and WorkerMaybe takes over instead of running the normal main.
-const (
-	envWorker = "GPF_MPROC_WORKER"
-	envRank   = "GPF_MPROC_RANK"
-	envDriver = "GPF_MPROC_DRIVER"
-)
+// envWorker marks a re-exec'd worker: when it is set WorkerMaybe takes over
+// instead of running the normal main. Everything else a worker needs arrives
+// on its inherited connections.
+const envWorker = "GPF_MPROC_WORKER"
 
-// handshakeTimeout bounds every step of mesh establishment (dial, hello, job,
-// peer, ready). The job itself runs without a deadline; crashes surface as
-// EOF or a non-zero exit instead.
+// handshakeTimeout bounds the wait for every worker's READY — the one step
+// that catches a re-exec'd binary that never calls WorkerMaybe. The job itself
+// runs without a deadline; crashes surface as EOF or a non-zero exit instead.
 const handshakeTimeout = 30 * time.Second
 
 // causeGrace is how long a symptom of a lost peer — its process exiting, a
@@ -97,19 +93,13 @@ func decodeMetrics(b []byte, m *engine.Metrics) error {
 	return nil
 }
 
-// writeFrameTo writes one frame on a not-yet-registered connection (the
-// handshake path, before a conn wrapper exists).
-func writeFrameTo(nc net.Conn, kind byte, body []byte) error {
-	c := conn{c: nc}
-	return c.writeFrame(kind, body)
-}
-
 // Run executes the registered job name with the given spec. Procs <= 1 runs
-// purely in-process; otherwise the current binary is re-exec'd W-1 times, the
-// full TCP mesh is established, and all ranks run the job in SPMD lockstep.
-// Run returns rank 0's output and the cross-rank merged metrics; any rank's
-// failure (error return, crash, lost connection) fails the whole job with the
-// first cause.
+// purely in-process; otherwise the driver wires the full loopback TCP mesh,
+// re-execs the current binary W-1 times with each worker's ends as inherited
+// file descriptors, and all ranks run the job in SPMD lockstep. Run returns
+// rank 0's output and the cross-rank merged metrics; any rank's failure
+// (error return, crash, lost connection) fails the whole job with the first
+// cause.
 func Run(name string, spec []byte, opts Options) (*Result, error) {
 	fn, ok := jobFor(name)
 	if !ok {
@@ -139,45 +129,36 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mproc: listen: %w", err)
 	}
-	// Join the HELLO accept loop on every exit path: closing the listener
-	// unblocks a parked Accept, so the loop cannot outlive Run.
-	var accept sync.WaitGroup
-	defer func() {
-		_ = ln.Close()
-		accept.Wait()
-	}()
+	mesh, err := wire(ln, procs)
+	_ = ln.Close()
+	if err != nil {
+		return nil, err
+	}
 
-	t := newTransport(0, procs)
+	t := newTransport(0, mesh[0])
 	cmds := make([]*exec.Cmd, procs)
 	var reap sync.WaitGroup
-	kill := func() {
-		for _, cmd := range cmds {
-			if cmd != nil && cmd.Process != nil {
-				_ = cmd.Process.Kill()
-			}
-		}
-	}
 	// teardown is the failure-path cleanup: push the cause to live workers so
 	// their blocked collectives unwind, kill and reap the children, close the
 	// sockets and join the read loops — no goroutine and no fd outlives Run.
 	teardown := func(cause error) error {
 		t.broadcastErr(cause)
-		kill()
+		for _, cmd := range cmds {
+			if cmd != nil {
+				_ = cmd.Process.Kill()
+			}
+		}
 		reap.Wait()
 		t.closeAll()
 		return t.Err()
 	}
 
 	for rank := 1; rank < procs; rank++ {
-		cmd := exec.Command(bin)
-		cmd.Env = append(os.Environ(),
-			envWorker+"=1",
-			envRank+"="+strconv.Itoa(rank),
-			envDriver+"="+ln.Addr().String(),
-		)
-		cmd.Stdout = os.Stderr // a worker's prints must not corrupt driver stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
+		cmd, err := startWorker(bin, mesh[rank])
+		if err != nil {
+			for _, ends := range mesh[rank+1:] {
+				closeConns(ends)
+			}
 			return nil, teardown(fmt.Errorf("mproc: start worker %d: %w", rank, err))
 		}
 		cmds[rank] = cmd
@@ -194,84 +175,20 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 				t.fail(fmt.Errorf("mproc: worker rank %d exited: %w", rank, werr))
 			}
 		}(rank, cmd)
+		t.sendTo(rank, frameJob, encodeJob(jobMsg{name: name, rank: rank, procs: procs, slots: opts.Slots, spec: spec}))
 	}
-
-	// Accept one HELLO per worker (any order); each carries the worker's own
-	// peer listen address for the mesh.
-	type hello struct {
-		rank int
-		addr string
-		c    net.Conn
-		err  error
-	}
-	helloCh := make(chan hello, procs)
-	accept.Add(1)
-	go func() {
-		defer accept.Done()
-		for i := 1; i < procs; i++ {
-			nc, aerr := ln.Accept()
-			if aerr != nil {
-				helloCh <- hello{err: fmt.Errorf("mproc: accept: %w", aerr)}
-				return
-			}
-			//lint:ignore gpflint/goleak handshake read is deadline-bounded (handshakeTimeout), so a stalled peer errors the goroutine out; its hello send lands in a procs-capacity buffer
-			go func(nc net.Conn) {
-				_ = nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-				kind, body, rerr := readFrame(nc)
-				if rerr != nil || kind != frameHello {
-					_ = nc.Close()
-					helloCh <- hello{err: fmt.Errorf("mproc: expected hello, got kind 0x%02x: %v", kind, rerr)}
-					return
-				}
-				m, perr := parseHello(body)
-				if perr != nil {
-					_ = nc.Close()
-					helloCh <- hello{err: perr}
-					return
-				}
-				_ = nc.SetReadDeadline(time.Time{})
-				helloCh <- hello{rank: m.rank, addr: m.addr, c: nc}
-			}(nc)
-		}
-	}()
-	addrs := make([]string, procs)
-	for got := 0; got < procs-1; got++ {
-		select {
-		case h := <-helloCh:
-			if h.err != nil {
-				return nil, teardown(h.err)
-			}
-			if h.rank < 1 || h.rank >= procs || t.conn(h.rank) != nil {
-				_ = h.c.Close()
-				return nil, teardown(fmt.Errorf("mproc: bad hello rank %d", h.rank))
-			}
-			addrs[h.rank] = h.addr
-			t.register(h.rank, h.c)
-		case <-t.failedCh:
-			return nil, teardown(t.Err())
-		case <-time.After(handshakeTimeout):
-			return nil, teardown(fmt.Errorf("mproc: handshake timeout waiting for workers"))
-		}
-	}
-
-	// Ship the job (name, geometry, peer addresses, spec), start demuxing, and
-	// release the barrier once every worker reports its mesh is up.
-	jobBody := encodeJob(jobMsg{name: name, procs: procs, slots: opts.Slots, addrs: addrs, spec: spec})
-	for rank := 1; rank < procs; rank++ {
-		t.sendTo(rank, frameJob, jobBody)
-		t.startReadLoop(t.conn(rank))
-	}
-	for ready := 0; ready < procs-1; ready++ {
+	// Read loops start only now: before this a closed end is the driver's own
+	// doing (an unstarted worker's), not a lost peer.
+	t.startReadLoops()
+	ready := time.After(handshakeTimeout)
+	for n := 1; n < procs; n++ {
 		select {
 		case <-t.readyCh:
 		case <-t.failedCh:
 			return nil, teardown(t.Err())
-		case <-time.After(handshakeTimeout):
-			return nil, teardown(fmt.Errorf("mproc: handshake timeout waiting for ready"))
+		case <-ready:
+			return nil, teardown(fmt.Errorf("mproc: %d of %d workers ready at the handshake timeout (does the binary call WorkerMaybe?)", n-1, procs-1))
 		}
-	}
-	for rank := 1; rank < procs; rank++ {
-		t.sendTo(rank, frameGo, nil)
 	}
 
 	ctx := engine.NewContextOn(&Exec{t: t, slots: opts.Slots})
@@ -288,8 +205,8 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 	workerMetrics := make([]engine.Metrics, 0, procs-1)
 	for len(workerMetrics) < procs-1 {
 		select {
-		case d := <-t.doneCh:
-			workerMetrics = append(workerMetrics, d.metrics)
+		case m := <-t.doneCh:
+			workerMetrics = append(workerMetrics, m)
 		case <-t.failedCh:
 			return nil, teardown(t.Err())
 		}
@@ -314,6 +231,76 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 	}, nil
 }
 
+// wire builds the whole mesh in the driver before any worker exists: for
+// every pair of ranks i < j it dials ln and accepts. mesh[i][j] is rank i's
+// end of the pair and the diagonal stays nil. A dialed connection is queued
+// before the Accept that follows it, so an accepted connection whose remote
+// address is not the dialer's local address is some other local client: wire
+// fails naming it and closes every connection it made.
+func wire(ln net.Listener, procs int) ([][]net.Conn, error) {
+	mesh := make([][]net.Conn, procs)
+	for i := range mesh {
+		mesh[i] = make([]net.Conn, procs)
+	}
+	fail := func(err error) ([][]net.Conn, error) {
+		for _, ends := range mesh {
+			closeConns(ends)
+		}
+		return nil, fmt.Errorf("mproc: wire: %w", err)
+	}
+	for i := range mesh {
+		for j := i + 1; j < procs; j++ {
+			var err error
+			if mesh[i][j], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+				return fail(err)
+			}
+			if mesh[j][i], err = ln.Accept(); err != nil {
+				return fail(err)
+			}
+			if got := mesh[j][i].RemoteAddr().String(); got != mesh[i][j].LocalAddr().String() {
+				return fail(fmt.Errorf("stray connection from %s", got))
+			}
+		}
+	}
+	return mesh, nil
+}
+
+func closeConns(conns []net.Conn) {
+	for _, c := range conns {
+		if c != nil {
+			_ = c.Close()
+		}
+	}
+}
+
+// startWorker re-execs bin as the worker whose mesh ends are ends, passed as
+// inherited fds in ascending peer rank order: fd 3 is the driver, fds 4… the
+// other workers. The driver's copies of those ends are closed once Start
+// returns, whatever it returned, so a worker's exit is its peers' EOF.
+func startWorker(bin string, ends []net.Conn) (*exec.Cmd, error) {
+	cmd := exec.Command(bin)
+	cmd.Env = append(os.Environ(), envWorker+"=1")
+	cmd.Stdout = os.Stderr // a worker's prints must not corrupt driver stdout
+	cmd.Stderr = os.Stderr
+	defer func() {
+		closeConns(ends)
+		for _, f := range cmd.ExtraFiles {
+			_ = f.Close()
+		}
+	}()
+	for _, c := range ends {
+		if c == nil {
+			continue
+		}
+		f, err := c.(*net.TCPConn).File()
+		if err != nil {
+			return nil, err
+		}
+		cmd.ExtraFiles = append(cmd.ExtraFiles, f)
+	}
+	return cmd, cmd.Start()
+}
+
 // WorkerMaybe hijacks the process as an mproc worker when the worker
 // environment is present, and never returns in that case. Any binary that
 // calls Run with Procs > 1 must call WorkerMaybe first thing in main (or
@@ -331,96 +318,20 @@ func fatalWorker(err error) {
 	os.Exit(1)
 }
 
-// workerMain is the worker process body: establish the mesh, run the job in
-// lockstep, report DONE (or ERR) and exit.
+// workerMain is the worker process body: adopt the inherited mesh, report
+// READY, run the job in lockstep, report DONE (or ERR) and exit.
 func workerMain() {
-	rank, err := strconv.Atoi(os.Getenv(envRank))
-	if err != nil || rank < 1 {
-		fatalWorker(fmt.Errorf("bad %s=%q", envRank, os.Getenv(envRank)))
-	}
-	driverAddr := os.Getenv(envDriver)
-	if driverAddr == "" {
-		fatalWorker(fmt.Errorf("missing %s", envDriver))
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalWorker(fmt.Errorf("peer listen: %w", err))
-	}
-	dc, err := net.DialTimeout("tcp", driverAddr, handshakeTimeout)
-	if err != nil {
-		fatalWorker(fmt.Errorf("dial driver: %w", err))
-	}
-	if err := writeFrameTo(dc, frameHello, encodeHello(helloMsg{rank: rank, addr: ln.Addr().String()})); err != nil {
-		fatalWorker(fmt.Errorf("hello: %w", err))
-	}
-	_ = dc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	kind, body, err := readFrame(dc)
-	if err != nil || kind != frameJob {
-		fatalWorker(fmt.Errorf("expected job frame, got kind 0x%02x: %v", kind, err))
-	}
-	job, err := parseJob(body)
+	job, conns, err := inherit()
 	if err != nil {
 		fatalWorker(err)
-	}
-	_ = dc.SetReadDeadline(time.Time{})
-	if rank >= job.procs || len(job.addrs) != job.procs {
-		fatalWorker(fmt.Errorf("rank %d outside job geometry %d", rank, job.procs))
 	}
 	fn, ok := jobFor(job.name)
 	if !ok {
 		fatalWorker(fmt.Errorf("job %q not registered in worker binary (register before WorkerMaybe)", job.name))
 	}
-
-	t := newTransport(rank, job.procs)
-	t.register(0, dc)
-	// Mesh: dial every lower-ranked worker, accept every higher-ranked one
-	// (j dials i for i < j, so each pair gets exactly one connection).
-	for i := 1; i < rank; i++ {
-		pc, derr := net.DialTimeout("tcp", job.addrs[i], handshakeTimeout)
-		if derr != nil {
-			fatalWorker(fmt.Errorf("dial peer %d: %w", i, derr))
-		}
-		if werr := writeFrameTo(pc, framePeer, encodePeer(rank)); werr != nil {
-			fatalWorker(fmt.Errorf("peer hello to %d: %w", i, werr))
-		}
-		t.register(i, pc)
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		_ = tl.SetDeadline(time.Now().Add(handshakeTimeout))
-	}
-	for i := rank + 1; i < job.procs; i++ {
-		nc, aerr := ln.Accept()
-		if aerr != nil {
-			fatalWorker(fmt.Errorf("accept peer: %w", aerr))
-		}
-		_ = nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		kind, body, rerr := readFrame(nc)
-		if rerr != nil || kind != framePeer {
-			fatalWorker(fmt.Errorf("expected peer frame, got kind 0x%02x: %v", kind, rerr))
-		}
-		prank, perr := parsePeer(body)
-		if perr != nil {
-			fatalWorker(perr)
-		}
-		if prank <= rank || prank >= job.procs || t.conn(prank) != nil {
-			fatalWorker(fmt.Errorf("bad peer rank %d", prank))
-		}
-		_ = nc.SetReadDeadline(time.Time{})
-		t.register(prank, nc)
-	}
-	_ = ln.Close()
-	for r := 0; r < job.procs; r++ {
-		if c := t.conn(r); c != nil {
-			t.startReadLoop(c)
-		}
-	}
+	t := newTransport(job.rank, conns)
+	t.startReadLoops()
 	t.sendTo(0, frameReady, nil)
-	select {
-	case <-t.goCh:
-	case <-t.failedCh:
-		fatalWorker(t.Err())
-	}
 
 	ctx := engine.NewContextOn(&Exec{t: t, slots: job.slots})
 	// The worker's output is discarded — it computes the job purely to hold
@@ -439,7 +350,7 @@ func workerMain() {
 	}
 	t.sendTo(0, frameDone, mb)
 	for r := 1; r < job.procs; r++ {
-		if r != rank {
+		if r != job.rank {
 			t.sendTo(r, frameFin, nil)
 		}
 	}
@@ -448,4 +359,48 @@ func workerMain() {
 	// every socket is drained and closing on exit cannot RST undelivered data.
 	t.wg.Wait()
 	os.Exit(0)
+}
+
+// inherit reads the JOB frame from the driver's connection at fd 3, then
+// adopts the other workers' connections at fds 4… in ascending rank order.
+func inherit() (jobMsg, []net.Conn, error) {
+	dc, err := fileConn(3)
+	if err != nil {
+		return jobMsg{}, nil, err
+	}
+	kind, body, err := readFrame(dc)
+	if err == nil && kind != frameJob {
+		err = fmt.Errorf("got frame kind 0x%02x", kind)
+	}
+	if err != nil {
+		return jobMsg{}, nil, fmt.Errorf("expected job frame: %w", err)
+	}
+	job, err := parseJob(body)
+	if err != nil {
+		return jobMsg{}, nil, err
+	}
+	conns := make([]net.Conn, job.procs)
+	conns[0] = dc
+	fd := 4
+	for r := 1; r < job.procs; r++ {
+		if r == job.rank {
+			continue
+		}
+		if conns[r], err = fileConn(fd); err != nil {
+			return jobMsg{}, nil, err
+		}
+		fd++
+	}
+	return job, conns, nil
+}
+
+// fileConn adopts an inherited socket fd as a net.Conn.
+func fileConn(fd int) (net.Conn, error) {
+	f := os.NewFile(uintptr(fd), "mproc-peer")
+	defer f.Close()
+	c, err := net.FileConn(f)
+	if err != nil {
+		return nil, fmt.Errorf("adopt fd %d: %w", fd, err)
+	}
+	return c, nil
 }

@@ -1,9 +1,7 @@
 package mproc
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -18,23 +16,6 @@ type conn struct {
 	rank int
 	c    net.Conn
 	wmu  sync.Mutex
-	// finished is set when the peer announced clean shutdown (frameFin, or
-	// frameDone on the driver side); a subsequent EOF is then expected and
-	// must not fail the job.
-	finished bool
-	fmu      sync.Mutex
-}
-
-func (c *conn) markFinished() {
-	c.fmu.Lock()
-	c.finished = true
-	c.fmu.Unlock()
-}
-
-func (c *conn) isFinished() bool {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.finished
 }
 
 // writeFrame sends one frame: header and payload go out as one vectored
@@ -59,9 +40,9 @@ func (c *conn) writeFrame(kind byte, body []byte) error {
 type transport struct {
 	rank  int
 	procs int
+	conns []*conn // indexed by rank; conns[rank] == nil; fixed at construction
 
 	mu        sync.Mutex
-	conns     []*conn // indexed by rank; conns[rank] == nil
 	exchanges map[uint64]*wireExchange
 
 	failOnce sync.Once
@@ -71,29 +52,30 @@ type transport struct {
 
 	// driver-side signals (rank 0)
 	readyCh chan int
-	doneCh  chan rankDone
-	// worker-side signal
-	goCh chan struct{}
+	doneCh  chan engine.Metrics
 
-	wg sync.WaitGroup // read loops; joined by Close
+	wg sync.WaitGroup // read loops; joined by closeAll
 }
 
-type rankDone struct {
-	rank    int
-	metrics engine.Metrics
-}
-
-func newTransport(rank, procs int) *transport {
-	return &transport{
+// newTransport wraps rank's ends of the mesh, indexed by peer rank (nil at
+// rank itself).
+func newTransport(rank int, conns []net.Conn) *transport {
+	procs := len(conns)
+	t := &transport{
 		rank:      rank,
 		procs:     procs,
 		conns:     make([]*conn, procs),
 		exchanges: make(map[uint64]*wireExchange),
 		failedCh:  make(chan struct{}),
-		readyCh:   make(chan int, procs),
-		doneCh:    make(chan rankDone, procs),
-		goCh:      make(chan struct{}),
+		readyCh:   make(chan int, procs-1),
+		doneCh:    make(chan engine.Metrics, procs),
 	}
+	for r, nc := range conns {
+		if nc != nil {
+			t.conns[r] = &conn{rank: r, c: nc}
+		}
+	}
+	return t
 }
 
 // fail records the first job-level failure and unblocks everything waiting
@@ -118,33 +100,13 @@ func (t *transport) Err() error {
 	return t.err
 }
 
-// register installs a peer connection and starts its read loop.
-func (t *transport) register(rank int, nc net.Conn) *conn {
-	c := &conn{rank: rank, c: nc}
-	t.mu.Lock()
-	t.conns[rank] = c
-	t.mu.Unlock()
-	return c
-}
-
-func (t *transport) conn(rank int) *conn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.conns[rank]
-}
-
 // sendTo writes a frame to a peer; a broken pipe fails the job (the peer is
 // gone, so its tasks will never complete). A peer that failed its job sends
 // ERR and exits, so the write can break while that ERR is still unread: the
 // read loop gets causeGrace to report it as the first cause before the broken
 // write is.
 func (t *transport) sendTo(rank int, kind byte, body []byte) {
-	c := t.conn(rank)
-	if c == nil {
-		t.fail(fmt.Errorf("mproc: no connection to rank %d", rank))
-		return
-	}
-	if err := c.writeFrame(kind, body); err != nil {
+	if err := t.conns[rank].writeFrame(kind, body); err != nil {
 		select {
 		case <-t.failedCh:
 		case <-time.After(causeGrace):
@@ -158,10 +120,7 @@ func (t *transport) sendTo(rank int, kind byte, body []byte) {
 // ignored: the peer may already be gone, and the first cause is what matters.
 func (t *transport) broadcastErr(err error) {
 	body := encodeErr(errMsg{origin: t.rank, msg: err.Error()})
-	t.mu.Lock()
-	conns := append([]*conn(nil), t.conns...)
-	t.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range t.conns {
 		if c != nil {
 			//lint:ignore gpflint/codecerr best-effort fan-out of an error that is already being raised; dead peers are expected here
 			_ = c.writeFrame(frameErr, body)
@@ -170,25 +129,27 @@ func (t *transport) broadcastErr(err error) {
 	t.fail(err)
 }
 
-// startReadLoop spawns the demux goroutine for one peer connection.
-func (t *transport) startReadLoop(c *conn) {
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		t.readLoop(c)
-	}()
+// startReadLoops spawns one demux goroutine per peer connection.
+func (t *transport) startReadLoops() {
+	for _, c := range t.conns {
+		if c != nil {
+			t.wg.Add(1)
+			go func() {
+				defer t.wg.Done()
+				t.readLoop(c)
+			}()
+		}
+	}
 }
 
-// readLoop demultiplexes incoming frames into the exchange state until
-// the connection closes. EOF after the peer announced clean shutdown ends the
-// loop silently; EOF before that is a crashed peer and fails the job.
+// readLoop demultiplexes incoming frames into the exchange state until the
+// peer's terminal frame, after which nothing is read: the EOF that follows a
+// clean shutdown is never seen. EOF before a terminal frame is a crashed peer
+// and fails the job.
 func (t *transport) readLoop(c *conn) {
 	for {
 		terminal, err := t.readOne(c)
 		if err != nil {
-			if errors.Is(err, io.EOF) && c.isFinished() {
-				return
-			}
 			select {
 			case <-t.failedCh:
 				// Already failed (or shutting down): the closed socket is a
@@ -221,14 +182,13 @@ func (t *transport) readOne(c *conn) (bool, error) {
 		case t.readyCh <- c.rank:
 		default:
 		}
-	case frameGo:
-		select {
-		case <-t.goCh:
-		default:
-			close(t.goCh)
-		}
 	case frameBucket:
 		m, perr := parseBucket(body)
+		if perr == nil && m.r%t.procs != t.rank {
+			// A mis-wired mesh, caught here instead of as a reduce that waits
+			// forever on the rank that does own the bucket.
+			perr = fmt.Errorf("mproc: bucket (%d,%d) reached rank %d, not its owner", m.m, m.r, t.rank)
+		}
 		if perr != nil {
 			return false, perr
 		}
@@ -242,18 +202,15 @@ func (t *transport) readOne(c *conn) (bool, error) {
 		if derr := decodeMetrics(body, &metrics); derr != nil {
 			return false, derr
 		}
-		c.markFinished()
-		t.doneCh <- rankDone{rank: c.rank, metrics: metrics}
+		t.doneCh <- metrics
 		return true, nil
 	case frameFin:
-		c.markFinished()
 		return true, nil
 	case frameErr:
 		m, perr := parseErr(body)
 		if perr != nil {
 			return false, perr
 		}
-		c.markFinished() // the origin exits after sending; expect EOF
 		t.fail(fmt.Errorf("mproc: rank %d: %s", m.origin, m.msg))
 		return true, nil
 	default:
@@ -265,10 +222,7 @@ func (t *transport) readOne(c *conn) (bool, error) {
 // closeAll closes every connection and joins the read loops. Safe to call
 // more than once.
 func (t *transport) closeAll() {
-	t.mu.Lock()
-	conns := append([]*conn(nil), t.conns...)
-	t.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range t.conns {
 		if c != nil {
 			_ = c.c.Close()
 		}

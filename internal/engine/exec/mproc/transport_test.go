@@ -13,10 +13,10 @@ import (
 // pipePair joins a driver and a worker transport over a net.Pipe, with both
 // read loops running.
 func pipePair() (drv, wrk *transport) {
-	drv, wrk = newTransport(0, 2), newTransport(1, 2)
 	a, b := net.Pipe()
-	drv.startReadLoop(drv.register(1, a))
-	wrk.startReadLoop(wrk.register(0, b))
+	drv, wrk = newTransport(0, []net.Conn{nil, a}), newTransport(1, []net.Conn{b, nil})
+	drv.startReadLoops()
+	wrk.startReadLoops()
 	return drv, wrk
 }
 
@@ -44,21 +44,22 @@ func failure(t *testing.T, tr *transport) error {
 	}
 }
 
-// TestTransportRepeatedSignals reaches each of the transport's two close
-// sites a second time: a driver and a worker transport joined by a net.Pipe
-// exchange a duplicated GO, and a transport takes two fail calls with
-// different causes. A real job sends each signal once, so a guard that let
-// the second one through — a double close, a panic in the read loop — would
-// not show in any other test.
+// TestTransportRepeatedSignals reaches each of the transport's two signal
+// sites a second time: a worker joined to the driver by a net.Pipe sends
+// READY twice, past the one slot the driver's ready channel holds for it, and
+// a transport takes two fail calls with different causes. A real job sends
+// each signal once, so a guard that let the second one through — a read loop
+// wedged on a full channel, a double close — would not show in any other
+// test.
 func TestTransportRepeatedSignals(t *testing.T) {
 	base := leakcheck.Snapshot()
 	drv, wrk := pipePair()
-	drv.sendTo(1, frameGo, nil)
-	drv.sendTo(1, frameGo, nil)
+	wrk.sendTo(0, frameReady, nil)
+	wrk.sendTo(0, frameReady, nil)
 	select {
-	case <-wrk.goCh:
-	case <-wrk.failedCh:
-		t.Fatalf("worker failed before GO: %v", wrk.Err())
+	case <-drv.readyCh:
+	case <-drv.failedCh:
+		t.Fatalf("driver failed before READY: %v", drv.Err())
 	}
 	finish(drv, wrk)
 	for _, tr := range []*transport{drv, wrk} {
@@ -79,7 +80,8 @@ func TestTransportRepeatedSignals(t *testing.T) {
 // TestExchangeIntegrity drives the guards every bucket frame passes through —
 // shuffle and allgather alike — over a net.Pipe: a duplicate (m, r) bucket
 // fails the job and the error names it; a geometry that contradicts the one a
-// known sequence number was created with fails the job; and a bucket that
+// known sequence number was created with fails the job; a bucket for a
+// reduce partition another rank owns fails the job; and a bucket that
 // arrives after Close is dropped, without failing the job or re-creating the
 // exchange's state.
 func TestExchangeIntegrity(t *testing.T) {
@@ -107,6 +109,16 @@ func TestExchangeIntegrity(t *testing.T) {
 		drv.sendTo(1, frameBucket, bucket(4, 3, 2, 0, 1))
 		if err := failure(t, wrk); !strings.Contains(err.Error(), "exchange 4 geometry mismatch") {
 			t.Fatalf("err = %v, want the geometry mismatch", err)
+		}
+	})
+
+	t.Run("bucket for another rank", func(t *testing.T) {
+		drv, wrk := pipePair()
+		defer drv.closeAll()
+		defer wrk.closeAll()
+		drv.sendTo(1, frameBucket, bucket(6, 2, 2, 1, 0)) // reduce 0 is rank 0's
+		if err := failure(t, wrk); !strings.Contains(err.Error(), "bucket (1,0) reached rank 1, not its owner") {
+			t.Fatalf("err = %v, want the misrouted bucket named", err)
 		}
 	})
 

@@ -12,7 +12,9 @@ package engine
 //     tradeoff: when everything fits one node, shared memory beats sockets);
 //   - the multi-process backend (internal/engine/exec/mproc): W cooperating
 //     OS processes running the same registered job in SPMD lockstep, moving
-//     buckets as length-prefixed frames over local TCP sockets.
+//     buckets as length-prefixed frames over a loopback TCP mesh that the
+//     driver wires before the workers start and that they inherit as file
+//     descriptors, so a rank's first act is its job, not a negotiation.
 //
 // The SPMD contract every distributed executor relies on: all ranks run the
 // same job function deterministically, so they issue the same collective

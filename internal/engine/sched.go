@@ -12,9 +12,8 @@ import (
 // taskSet is one batch of like tasks inside a stage pass and the template of
 // the StageMetrics row the runner records for it.
 type taskSet struct {
-	// row carries Name, Kind, FusedOps and the edge masks; the runner fills
-	// Tasks, GCPause (first set of the pass), PipelineOverlap (later sets)
-	// and DriverTime.
+	// row carries Name, Kind and FusedOps; the runner fills Tasks, GCPause
+	// (first set of the pass), PipelineOverlap (later sets) and DriverTime.
 	row StageMetrics
 	n   int
 	// hint orders dispatch largest-first (LPT, stable on ties) to shrink the
