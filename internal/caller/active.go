@@ -3,7 +3,8 @@
 // assembly of haplotypes in an active region based on paired-HMM algorithm").
 // The pipeline is: detect active regions from pileup disagreement, assemble
 // candidate haplotypes with a local de Bruijn graph, score every read against
-// every haplotype with a log-space pair-HMM, genotype diploid haplotype
+// every haplotype with a pair-HMM (probability space, shared haplotype
+// prefixes computed once; pairhmm.go), genotype diploid haplotype
 // pairs, and emit VCF records. A simple pileup caller is included as the
 // baseline comparator.
 package caller

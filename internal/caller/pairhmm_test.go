@@ -1,28 +1,45 @@
 package caller
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
 )
 
-// randomHMMCase builds a (read, qual, hap) triple: a haplotype, a read copied
-// from a random window of it, then mutated with substitutions and indels.
+// randomHMMCase builds a (read, qual, hap) triple: a haplotype, and a read
+// drawn from it by readFrom.
 func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte) {
+	hap = randomSeq(rng, 10+rng.Intn(maxHap-10))
+	read, qual = readFrom(rng, hap, maxRead)
+	return read, qual, hap
+}
+
+// randomSeq returns n random bases.
+func randomSeq(rng *rand.Rand, n int) []byte {
 	bases := []byte("ACGT")
-	n := 10 + rng.Intn(maxHap-10)
-	hap = make([]byte, n)
-	for i := range hap {
-		hap[i] = bases[rng.Intn(4)]
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = bases[rng.Intn(4)]
 	}
-	m := 5 + rng.Intn(maxRead-5)
-	if m > n {
-		m = n
+	return s
+}
+
+// readFrom copies a read of up to maxRead bases from a random window of hap,
+// then mutates it with substitutions, N and an occasional deletion, and gives
+// it random qualities, sometimes fewer than its bases. An empty hap gives a
+// random read.
+func readFrom(rng *rand.Rand, hap []byte, maxRead int) (read, qual []byte) {
+	bases := []byte("ACGT")
+	if len(hap) == 0 {
+		hap = randomSeq(rng, maxRead)
 	}
-	off := rng.Intn(n - m + 1)
+	m := min(5+rng.Intn(maxRead-5), len(hap))
+	off := rng.Intn(len(hap) - m + 1)
 	read = append([]byte(nil), hap[off:off+m]...)
 	// Mutations: substitutions, occasional N, occasional indel.
 	for i := range read {
@@ -46,220 +63,92 @@ func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte)
 	if rng.Float64() < 0.2 {
 		qual = qual[:len(qual)/2]
 	}
-	return read, qual, hap
+	return read, qual
 }
 
-// Log-space transition probabilities for pairHMMReference.
-var (
-	logMM = math.Log(1 - 2*gapOpenProb)
-	logMG = math.Log(gapOpenProb)
-	logGG = math.Log(gapExtendProb)
-	logGM = math.Log(1 - gapExtendProb)
-)
-
-func logSumExp3(a, b, c float64) float64 {
-	return logSumExp2(logSumExp2(a, b), c)
-}
-
-// pairHMMReference is the unoptimized log-space forward pass the caller
-// shipped before the probability-space kernels, kept verbatim as their
-// equivalence oracle.
-func pairHMMReference(read, qual, hap []byte) float64 {
-	m, n := len(read), len(hap)
-	if m == 0 || n == 0 {
-		return math.Inf(-1)
-	}
-	negInf := math.Inf(-1)
-	// Rolling rows over the haplotype dimension.
-	prevM := make([]float64, n+1)
-	prevI := make([]float64, n+1)
-	prevD := make([]float64, n+1)
-	curM := make([]float64, n+1)
-	curI := make([]float64, n+1)
-	curD := make([]float64, n+1)
-	// Initialization: the read may start anywhere on the haplotype (free
-	// leading flank): uniform prior over start columns.
-	startLog := -math.Log(float64(n))
-	for j := 0; j <= n; j++ {
-		prevM[j] = negInf
-		prevI[j] = negInf
-		prevD[j] = negInf
-	}
-	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = negInf, negInf, negInf
-		errP := phredToProb(qual, i-1)
-		for j := 1; j <= n; j++ {
-			var emit float64
-			if read[i-1] == hap[j-1] && read[i-1] != 'N' {
-				emit = math.Log(1 - errP)
-			} else {
-				emit = math.Log(errP / 3)
-			}
-			var diag float64
-			if i == 1 {
-				diag = startLog // start of read anchored at column j
-			} else {
-				diag = logSumExp3(prevM[j-1]+logMM, prevI[j-1]+logGM, prevD[j-1]+logGM)
-			}
-			curM[j] = emit + diag
-			// Insertion (read base not on haplotype): consumes read only.
-			curI[j] = logSumExp2(prevM[j]+logMG, prevI[j]+logGG)
-			// Deletion (haplotype base skipped): consumes haplotype only.
-			curD[j] = logSumExp2(curM[j-1]+logMG, curD[j-1]+logGG)
-		}
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
-	}
-	// Free trailing flank: sum over end columns of M and I.
-	total := negInf
-	for j := 1; j <= n; j++ {
-		total = logSumExp2(total, logSumExp2(prevM[j], prevI[j]))
-	}
-	return total
-}
-
-// oracleRescales counts the rows pairHMMScaled has renormalized.
-var oracleRescales int
-
-// pairHMMScaled is the one-read probability-space kernel pairHMMLanes
-// replaced, kept verbatim (plus the rescale counter) as its bit-identity
-// oracle: the forward recurrence on probabilities, the row maximum tracked in
-// the cell loop, the row renormalized when it falls below scaledRescaleBelow.
-// rows is caller scratch of length ≥ 6*(n+1), arbitrary contents.
-func pairHMMScaled(read, qual, hap []byte, rows []float64) float64 {
-	m, n := len(read), len(hap)
-	if m == 0 || n == 0 {
-		return math.Inf(-1)
-	}
-	w := n + 1
-	prevM, prevI, prevD := rows[0:w], rows[w:2*w], rows[2*w:3*w]
-	curM, curI, curD := rows[3*w:4*w], rows[4*w:5*w], rows[5*w:6*w]
-	for j := 0; j <= n; j++ {
-		prevM[j] = 0
-		prevI[j] = 0
-		prevD[j] = 0
-	}
-	logScale := 0.0
-	start := 1 / float64(n) // uniform prior over start columns
-	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = 0, 0, 0
+// unscaledTotal is the one-read scalar form of pairHMMLanes, kept as its
+// bit-identity oracle: the forward recurrence on probabilities from a
+// 2^hmmStartExp start, every cell written with the lanes' operations in their
+// order and expression shapes, and the flank summed left to right. It returns
+// the total hmmLogLikelihood takes.
+func unscaledTotal(read, qual, hap []byte) float64 {
+	n := len(hap)
+	prevM, prevI, prevD := make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+	curM, curI, curD := make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+	start := math.Ldexp(1, hmmStartExp)
+	for i := 1; i <= len(read); i++ {
 		qb := byte(defaultQualByte)
 		if i-1 < len(qual) {
 			qb = qual[i-1]
 		}
 		e := &emitTab[qb]
-		pMatch, pMismatch := e.pMatch, e.pMismatch
 		rb := read[i-1]
-		rowMax := 0.0
-		if i == 1 {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * start
-				curM[j] = mv
-				curI[j] = 0
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
-				}
+		for j := 1; j <= n; j++ {
+			emit := e.pMismatch
+			if rb == hap[j-1] && rb != 'N' {
+				emit = e.pMatch
 			}
-		} else {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * (prevM[j-1]*probMM + (prevI[j-1]+prevD[j-1])*probGM)
-				iv := prevM[j]*probMG + prevI[j]*probGG
-				curM[j] = mv
-				curI[j] = iv
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
-				}
-				if iv > rowMax {
-					rowMax = iv
-				}
+			if i == 1 {
+				curM[j], curI[j] = emit*start, 0
+			} else {
+				curM[j] = emit * (prevM[j-1]*probMM + (prevI[j-1]+prevD[j-1])*probGM)
+				curI[j] = prevM[j]*probMG + prevI[j]*probGG
 			}
-		}
-		if rowMax > 0 && rowMax < scaledRescaleBelow {
-			inv := 1 / rowMax
-			for j := 1; j <= n; j++ {
-				curM[j] *= inv
-				curI[j] *= inv
-				curD[j] *= inv
-			}
-			logScale += math.Log(rowMax)
-			oracleRescales++
+			curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
 		}
 		prevM, curM = curM, prevM
 		prevI, curI = curI, prevI
 		prevD, curD = curD, prevD
 	}
-	// Free trailing flank: sum over end columns of M and I.
 	total := 0.0
 	for j := 1; j <= n; j++ {
 		total += prevM[j] + prevI[j]
 	}
-	if total == 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(total) + logScale
+	return total
 }
 
-// TestKernelPairHMMScaledEquivalence checks the scaled linear-space kernel
-// against the log-space reference to tight relative tolerance across random
-// cases, including long reads where rescaling must engage.
-func TestKernelPairHMMScaledEquivalence(t *testing.T) {
+// pairHMMUnscaled is unscaledTotal through the certificate, with
+// PairHMMBatch's zero-length convention: the value PairHMMBatch must return
+// for one pair, bit for bit.
+func pairHMMUnscaled(read, qual, hap []byte) float64 {
+	switch {
+	case len(read) == 0 || len(hap) == 0:
+		return math.Inf(-1)
+	case len(hap) > hmmMaxHap:
+		return pairHMMReference(read, qual, hap)
+	}
+	return hmmLogLikelihood(unscaledTotal(read, qual, hap), read, qual, hap)
+}
+
+// TestKernelPairHMMReferenceAccuracy: wherever the certificate accepts a
+// pair, the kernel's log-likelihood is within 1e-12 relative of the
+// log-space reference, over random cases up to 300-base reads.
+func TestKernelPairHMMReferenceAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	worst := 0.0
+	worst, held := 0.0, 0
 	for c := 0; c < 500; c++ {
 		read, qual, hap := randomHMMCase(rng, 400, 300)
-		want := pairHMMReference(read, qual, hap)
-		rows := bufpool.GetF64(6 * (len(hap) + 1))
-		got := pairHMMScaled(read, qual, hap, rows)
-		bufpool.PutF64(rows)
-		rel := math.Abs(got-want) / math.Abs(want)
-		if rel > worst {
-			worst = rel
+		if unscaledTotal(read, qual, hap) < hmmFloor {
+			continue
 		}
-		if rel > 1e-9 {
-			t.Fatalf("case %d (m=%d n=%d): scaled=%v reference=%v rel=%g",
+		held++
+		want := pairHMMReference(read, qual, hap)
+		got := PairHMMLogLikelihood(read, qual, hap)
+		rel := math.Abs(got-want) / math.Abs(want)
+		worst = max(worst, rel)
+		if rel > 1e-12 {
+			t.Fatalf("case %d (m=%d n=%d): kernel=%v reference=%v rel=%g",
 				c, len(read), len(hap), got, want, rel)
 		}
 	}
-	t.Logf("worst relative error over 500 cases: %g", worst)
-}
-
-// TestKernelPairHMMScaledRescale forces the underflow-rescue path: a read
-// long enough that unscaled forward probabilities drop below 1e-260.
-func TestKernelPairHMMScaledRescale(t *testing.T) {
-	read, qual, hap := rescaleCase()
-	want := pairHMMReference(read, qual, hap)
-	rows := bufpool.GetF64(6 * (len(hap) + 1))
-	got := pairHMMScaled(read, qual, hap, rows)
-	bufpool.PutF64(rows)
-	if want > -700 {
-		t.Fatalf("case not deep enough to exercise rescaling: reference=%v", want)
+	if held < 450 {
+		t.Fatalf("the certificate held on only %d of 500 shallow cases", held)
 	}
-	rel := math.Abs(got-want) / math.Abs(want)
-	if rel > 1e-9 {
-		t.Fatalf("scaled=%v reference=%v rel=%g", got, want, rel)
-	}
+	t.Logf("worst relative error over %d certified cases: %g", held, worst)
 }
 
-// oracleLL is pairHMMScaled with PairHMMBatch's zero-length convention.
-func oracleLL(read, qual, hap []byte) float64 {
-	rows := bufpool.GetF64(6 * (len(hap) + 1))
-	defer bufpool.PutF64(rows)
-	return pairHMMScaled(read, qual, hap, rows)
-}
-
-// checkBatchAgainstOracle asserts PairHMMBatch ≡ pairHMMScaled bit for bit on
-// every (read, hap) pair.
+// checkBatchAgainstOracle asserts PairHMMBatch ≡ pairHMMUnscaled bit for bit
+// on every (read, hap) pair.
 func checkBatchAgainstOracle(t testing.TB, reads, quals, haps [][]byte) {
 	t.Helper()
 	L := PairHMMBatch(reads, quals, haps)
@@ -271,10 +160,10 @@ func checkBatchAgainstOracle(t testing.TB, reads, quals, haps [][]byte) {
 			t.Fatalf("L[%d] has %d entries for %d haplotypes", i, len(L[i]), len(haps))
 		}
 		for h := range haps {
-			want := oracleLL(reads[i], quals[i], haps[h])
+			want := pairHMMUnscaled(reads[i], quals[i], haps[h])
 			if math.Float64bits(L[i][h]) != math.Float64bits(want) {
-				t.Fatalf("read %d (m=%d, %d quals) hap %d (n=%d) in a batch of %d: lanes=%x (%v) oracle=%x (%v)",
-					i, len(reads[i]), len(quals[i]), h, len(haps[h]), len(reads),
+				t.Fatalf("read %d (m=%d, %d quals) hap %d (n=%d) in a batch of %d×%d: lanes=%x (%v) oracle=%x (%v)",
+					i, len(reads[i]), len(quals[i]), h, len(haps[h]), len(reads), len(haps),
 					math.Float64bits(L[i][h]), L[i][h], math.Float64bits(want), want)
 			}
 		}
@@ -319,8 +208,9 @@ func TestKernelPairHMMLanesBitIdentical(t *testing.T) {
 	}
 }
 
-// rescaleCase is the 1 800-base read of TestKernelPairHMMScaledRescale: deep
-// enough that unscaled forward probabilities fall below 1e-260.
+// rescaleCase is an 1 800-base read at Q30 with 8% substitutions, the depth
+// at which the kernel once had to rescale rows: unscaled, its total still
+// clears hmmFloor.
 func rescaleCase() (read, qual, hap []byte) {
 	rng := rand.New(rand.NewSource(13))
 	bases := []byte("ACGT")
@@ -341,34 +231,143 @@ func rescaleCase() (read, qual, hap []byte) {
 	return read, qual, hap
 }
 
-// TestKernelPairHMMLanesRescale puts the long read in one lane beside three
-// 100-base reads: the certificate must rescale that lane on the scalar
-// kernel's rows and leave its neighbours alone. The oracle's counter shows
-// the scalar schedule (rescales for the long read only); bit-equality with it
-// shows the lanes followed that schedule, since a missed rescale underflows
-// to -Inf and a spurious one moves the low bits through math.Log.
-func TestKernelPairHMMLanesRescale(t *testing.T) {
-	long, longQ, hap := rescaleCase()
-	reads, quals := [][]byte{long}, [][]byte{longQ}
-	for k := 0; k < 3; k++ {
-		reads = append(reads, hap[300*k+50:300*k+150])
-		quals = append(quals, longQ[:100])
-	}
-	for i := range reads {
-		oracleRescales = 0
-		oracleLL(reads[i], quals[i], hap)
-		if (oracleRescales > 0) != (i == 0) {
-			t.Fatalf("read %d (m=%d): scalar kernel rescaled %d rows", i, len(reads[i]), oracleRescales)
+// TestKernelPairHMMCertificate: the certificate accepts the deep-but-honest
+// 1 800-base read and refuses pairs whose total falls under hmmFloor, which
+// then carry pairHMMReference's bits, whatever shares the lane group. A
+// haplotype over hmmMaxHap never enters the lanes.
+func TestKernelPairHMMCertificate(t *testing.T) {
+	t.Run("accepted", func(t *testing.T) {
+		long, longQ, hap := rescaleCase()
+		if tot := unscaledTotal(long, longQ, hap); tot < hmmFloor {
+			t.Fatalf("1 800-base read refused: total %g", tot)
 		}
+		want := pairHMMReference(long, longQ, hap)
+		if got := PairHMMLogLikelihood(long, longQ, hap); math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("1 800-base read: kernel %v, reference %v", got, want)
+		}
+		// Beside three 100-base reads, in every lane position.
+		reads, quals := [][]byte{long}, [][]byte{longQ}
+		for k := 0; k < 3; k++ {
+			reads = append(reads, hap[300*k+50:300*k+150])
+			quals = append(quals, longQ[:100])
+		}
+		for at := range reads {
+			reads[0], reads[at] = reads[at], reads[0]
+			quals[0], quals[at] = quals[at], quals[0]
+			checkBatchAgainstOracle(t, reads, quals, [][]byte{hap})
+			reads[0], reads[at] = reads[at], reads[0]
+			quals[0], quals[at] = quals[at], quals[0]
+		}
+	})
+	t.Run("refused", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		// Insertions emit nothing in this model, so even an unrelated read
+		// keeps ln P ≥ about m·ln(probGG) ≈ −2.3·m; 700 bases take it under
+		// −(960+hmmStartExp)·ln 2 − ln n ≈ −1 360, where the total meets
+		// hmmFloor.
+		polyA, q60 := bytes.Repeat([]byte("A"), 700), bytes.Repeat([]byte{33 + 60}, 700)
+		polyC := bytes.Repeat([]byte("C"), 120)
+		random, hap := randomSeq(rng, 700), randomSeq(rng, 300)
+		randQ := bytes.Repeat([]byte{33 + 30}, len(random))
+		for _, c := range []struct{ read, qual, hap []byte }{{polyA, q60, polyC}, {random, randQ, hap}} {
+			if tot := unscaledTotal(c.read, c.qual, c.hap); tot >= hmmFloor {
+				t.Fatalf("m=%d n=%d: total %g clears the floor; case not deep enough", len(c.read), len(c.hap), tot)
+			}
+			want := math.Float64bits(pairHMMReference(c.read, c.qual, c.hap))
+			// Alone, then in a lane group with shallow reads that stay in
+			// the lanes.
+			reads, quals := [][]byte{c.read}, [][]byte{c.qual}
+			for k := 0; k < 4; k++ {
+				L := PairHMMBatch(reads, quals, [][]byte{c.hap})
+				if got := math.Float64bits(L[0][0]); got != want {
+					t.Fatalf("m=%d n=%d beside %d reads: %x, reference %x", len(c.read), len(c.hap), k, got, want)
+				}
+				reads, quals = append(reads, c.hap[10*k:10*k+60]), append(quals, q60[:60])
+			}
+			checkBatchAgainstOracle(t, reads, quals, [][]byte{c.hap})
+		}
+	})
+	t.Run("over length bound", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the reference's 200 MB of rows, under the race detector")
+		}
+		hap := bytes.Repeat([]byte("A"), hmmMaxHap+1)
+		read, qual := []byte("A"), []byte("I")
+		L := PairHMMBatch([][]byte{read}, [][]byte{qual}, [][]byte{hap, hap[:100]})
+		if got, want := L[0][0], pairHMMReference(read, qual, hap); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("haplotype of %d bases: %v, reference %v", len(hap), got, want)
+		}
+		if got, want := L[0][1], pairHMMUnscaled(read, qual, hap[:100]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("its 100-base prefix: %v, oracle %v", got, want)
+		}
+	})
+}
+
+// TestKernelPairHMMPrefixReuse: scoring haplotypes together, each resumed
+// from a column of another, has the bits of scoring each alone. The sets grow
+// from one random haplotype, each new one cut from an earlier one at any
+// length 0…n and extended by a changed byte and a random tail, or kept as a
+// bare prefix, or a duplicate, or empty; so prefixes nest, lengths differ,
+// and a checkpoint's column can be the last of the pass that fills it.
+// Batches of 1…9 reads.
+func TestKernelPairHMMPrefixReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	bases := []byte("ACGT")
+	var resumed, dups int
+	for c := 0; c < 400; c++ {
+		haps := [][]byte{randomSeq(rng, 20+rng.Intn(100))}
+		for k := 1 + rng.Intn(7); k > 0; k-- {
+			src := haps[rng.Intn(len(haps))]
+			cut := rng.Intn(len(src) + 1)
+			h := append([]byte(nil), src[:cut]...)
+			switch rng.Intn(6) {
+			case 0: // a prefix
+			case 1:
+				h = append(h, src[cut:]...) // a duplicate
+			case 2:
+				h = nil
+			default:
+				if cut < len(src) {
+					h = append(h, bases[(bytes.IndexByte(bases, src[cut])+1+rng.Intn(3))%4])
+				}
+				h = append(h, randomSeq(rng, rng.Intn(60))...)
+			}
+			haps = append(haps, h)
+		}
+		rng.Shuffle(len(haps), func(a, b int) { haps[a], haps[b] = haps[b], haps[a] })
+		var reads, quals [][]byte
+		for k := 1 + rng.Intn(9); k > 0; k-- {
+			r, q := readFrom(rng, haps[rng.Intn(len(haps))], 80)
+			reads, quals = append(reads, r), append(quals, q)
+		}
+		L := PairHMMBatch(reads, quals, haps)
+		for h := range haps {
+			alone := PairHMMBatch(reads, quals, haps[h:h+1])
+			for i := range reads {
+				if math.Float64bits(L[i][h]) != math.Float64bits(alone[i][0]) {
+					t.Fatalf("case %d read %d hap %d (n=%d) of %d: together %v, alone %v",
+						c, i, h, len(haps[h]), len(haps), L[i][h], alone[i][0])
+				}
+			}
+		}
+		var hs []int
+		for h := range haps {
+			if len(haps[h]) > 0 {
+				hs = append(hs, h)
+			}
+		}
+		passes, dd, _ := hmmPlan(haps, hs)
+		for _, ps := range passes {
+			if ps.from != nil {
+				resumed++
+			}
+		}
+		dups += len(dd)
 	}
-	// Every lane position for the long read.
-	for at := 0; at < len(reads); at++ {
-		reads[0], reads[at] = reads[at], reads[0]
-		quals[0], quals[at] = quals[at], quals[0]
-		checkBatchAgainstOracle(t, reads, quals, [][]byte{hap})
-		reads[0], reads[at] = reads[at], reads[0]
-		quals[0], quals[at] = quals[at], quals[0]
+	if resumed < 500 || dups < 50 {
+		t.Fatalf("weak coverage: %d resumed passes, %d duplicates", resumed, dups)
 	}
+	t.Logf("%d resumed passes, %d duplicates", resumed, dups)
 }
 
 // TestKernelPairHMMBatchConcurrent: concurrent batches over shared inputs
@@ -408,7 +407,10 @@ func TestKernelPairHMMBatchConcurrent(t *testing.T) {
 // FuzzPairHMMLanes: arbitrary bytes as read, qualities and haplotype must
 // score bit-identically to the scalar oracle. The read is scored whole and in
 // four pieces cut at a fuzzed point, so lanes of unequal length — some empty —
-// share a pass. Seeds: testdata/fuzz/FuzzPairHMMLanes.
+// share a pass; the haplotypes are built to share prefixes — hap, hap cut
+// short, hap with the byte at the cut changed, and the read itself — so the
+// passes resume from each other's columns. Seeds:
+// testdata/fuzz/FuzzPairHMMLanes.
 func FuzzPairHMMLanes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seq, qual, hap []byte, cut uint16) {
 		if len(seq) > 400 || len(hap) > 400 {
@@ -420,7 +422,12 @@ func FuzzPairHMMLanes(f *testing.F) {
 			reads = append(reads, seq[span[0]:span[1]])
 			quals = append(quals, qual[min(span[0], len(qual)):min(span[1], len(qual))])
 		}
-		checkBatchAgainstOracle(t, reads, quals, [][]byte{hap, seq})
+		hc := int(cut) % (len(hap) + 1)
+		changed := append([]byte(nil), hap...)
+		if hc < len(changed) {
+			changed[hc]++
+		}
+		checkBatchAgainstOracle(t, reads, quals, [][]byte{hap, hap[:hc], changed, seq})
 	})
 }
 
@@ -532,18 +539,6 @@ func reportPerCell(b *testing.B, cells int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
-// BenchmarkKernelPairHMMScaled times the scalar oracle: the denominator of
-// the lanes kernel's speedup.
-func BenchmarkKernelPairHMMScaled(b *testing.B) {
-	read, qual, hap := benchHMMInputs()
-	rows := bufpool.GetF64(6 * (len(hap) + 1))
-	defer bufpool.PutF64(rows)
-	for i := 0; i < b.N; i++ {
-		pairHMMScaled(read, qual, hap, rows)
-	}
-	reportPerCell(b, len(read)*len(hap))
-}
-
 // BenchmarkKernelPairHMMLanes times one full pass of the lanes kernel.
 func BenchmarkKernelPairHMMLanes(b *testing.B) {
 	read, qual, hap := benchHMMInputs()
@@ -553,9 +548,9 @@ func BenchmarkKernelPairHMMLanes(b *testing.B) {
 	}
 	rows := bufpool.GetF64(3 * hmmLanes * (len(read) + len(hap)))
 	defer bufpool.PutF64(rows)
-	var ll [hmmLanes]float64
+	var total [hmmLanes]float64
 	for i := 0; i < b.N; i++ {
-		pairHMMLanes(&reads, &quals, hap, rows, &ll)
+		pairHMMLanes(&reads, &quals, hap, nil, nil, rows, &total)
 	}
 	reportPerCell(b, hmmLanes*len(read)*len(hap))
 }
@@ -568,13 +563,56 @@ func BenchmarkKernelPairHMMFast(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelPairHMMBatch times an active region's likelihood matrix:
+// twelve 100-base reads from a 300-base reference window, against the window
+// and one alternative haplotype diverging at ½ (ref+1), or three diverging at
+// ¼, ½ and ¾ (ref+3). It reports ns per (read, hap) pair, and the DP cells
+// the batch computes per iteration (read bases × haplotype columns, resumed
+// columns not counted) beside the cells of scoring each haplotype alone.
 func BenchmarkKernelPairHMMBatch(b *testing.B) {
-	read, qual, hap := benchHMMInputs()
-	reads := [][]byte{read, read, read, read}
-	quals := [][]byte{qual, qual, qual, qual}
-	haps := [][]byte{hap, hap}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		PairHMMBatch(reads, quals, haps)
+	_, qual, window := benchHMMInputs()
+	rng := rand.New(rand.NewSource(43))
+	var reads, quals [][]byte
+	for k := 0; k < 12; k++ {
+		off := rng.Intn(len(window) - 100)
+		reads, quals = append(reads, window[off:off+100]), append(quals, qual)
+	}
+	alt := func(at int) []byte {
+		h := append([]byte(nil), window...)
+		h[at] = "CGTA"[strings.IndexByte("ACGT", h[at])]
+		return h
+	}
+	n := len(window)
+	for _, c := range []struct {
+		name string
+		haps [][]byte
+	}{
+		{"ref+1", [][]byte{window, alt(n / 2)}},
+		{"ref+3", [][]byte{window, alt(n / 4), alt(n / 2), alt(3 * n / 4)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, cells, full := 0, 0, 0
+			for _, r := range reads {
+				m += len(r)
+			}
+			passes, _, _ := hmmPlan(c.haps, []int{0, 1, 2, 3}[:len(c.haps)])
+			for _, ps := range passes {
+				from := 0
+				if ps.from != nil {
+					from = ps.from.col
+				}
+				cells += m * (len(c.haps[ps.hap]) - from)
+			}
+			for _, h := range c.haps {
+				full += m * len(h)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PairHMMBatch(reads, quals, c.haps)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reads)*len(c.haps)), "ns/pair")
+			b.ReportMetric(float64(cells), "cells/op")
+			b.ReportMetric(float64(full), "alone-cells/op")
+		})
 	}
 }
