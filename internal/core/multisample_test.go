@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,16 +14,18 @@ import (
 
 func TestMultiSampleWGS(t *testing.T) {
 	// Two samples over one reference, distinct donors.
-	p := workload.DefaultProfile(workload.WGS, 30000)
-	p.Coverage = 8
-	batch := workload.MultiSample(p, 2, 950)
-	rt := NewRuntime(engine.NewContext(2), batch[0].Ref)
+	ref := genome.Synthesize(genome.DefaultSynthConfig(950, 30000, 3))
+	rt := NewRuntime(engine.NewContext(2), ref)
 	rt.PartitionLen = 5000
-	rt.Known = batch[0].Known
-
 	var samples []SampleInput
-	for _, d := range batch {
-		samples = append(samples, SampleInput{Name: d.Name, Pairs: PairsToRDD(rt, d.Pairs, 4)})
+	for i := range 2 {
+		seed := int64(950 + 1000*(i+1))
+		donor := genome.Mutate(ref, genome.DefaultMutateConfig(seed))
+		if i == 0 {
+			rt.Known = workload.KnownSites(ref, donor, seed+2)
+		}
+		pairs := fastq.Simulate(donor, fastq.DefaultSimConfig(seed+1, 8))
+		samples = append(samples, SampleInput{Name: fmt.Sprintf("sample%d", i+1), Pairs: PairsToRDD(rt, pairs, 4)})
 	}
 	multi, err := BuildMultiSampleWGS(rt, samples, false)
 	if err != nil {

@@ -10,18 +10,6 @@ import (
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
-// ProcessState is the three-state machine of Fig 2.
-type ProcessState int
-
-// Process states: Blocked until all input Resources are defined, Ready when
-// schedulable, Running while executing; End is implicit on return.
-const (
-	Blocked ProcessState = iota
-	Ready
-	Running
-	End
-)
-
 // Process is an execution instance of the pipeline: named, with declared
 // input and output Resources and a body run by the scheduler.
 type Process interface {
@@ -29,19 +17,6 @@ type Process interface {
 	Inputs() []Resource
 	Outputs() []Resource
 	Run(rt *Runtime) error
-}
-
-// partitionProcess marks Processes that operate on position-partitioned
-// bundle data (Fig 7's "partition Process"); chains of these are candidates
-// for redundancy elimination.
-type partitionProcess interface {
-	Process
-	// samInput returns the SAM resource whose bundled form the process can
-	// reuse; samOutput the SAM resource it fills.
-	samInput() *SAMBundle
-	// setUseBundle tells the process the optimizer fused it with its
-	// predecessor: consume the input's bundled dataset directly.
-	setUseBundle(bool)
 }
 
 // Runtime carries the shared execution state handed to Processes.
@@ -69,6 +44,9 @@ type Runtime struct {
 	CallerConfig caller.Config
 
 	index *align.FMIndex
+	// optimize is the running Pipeline's Optimize: whether partition
+	// Processes may reuse a bundled input (partitionBase.bundles).
+	optimize bool
 }
 
 // NewRuntime builds a Runtime with defaults sized for the engine context.
@@ -98,14 +76,14 @@ func (rt *Runtime) Index() (*align.FMIndex, error) {
 }
 
 // Pipeline is the runtime-system driver (Table 2): Processes are added one
-// by one to form a dynamic DAG; Run analyzes dependencies, applies the
-// redundancy-elimination rewrite, and executes Processes as their inputs
-// become defined.
+// by one to form a dynamic DAG; Run analyzes dependencies and executes
+// Processes as their inputs become defined.
 type Pipeline struct {
 	Name string
 	rt   *Runtime
-	// Optimize enables Process-level redundancy elimination (§4.3); the
-	// Table 4 experiment flips it.
+	// Optimize enables Process-level redundancy elimination (§4.3, Fig 7): a
+	// partition Process reads its predecessor's bundles instead of
+	// re-partitioning SAM, FASTA and VCF. The Table 4 experiment flips it.
 	Optimize  bool
 	processes []Process
 	executed  []string
@@ -124,18 +102,9 @@ func (p *Pipeline) AddProcess(proc Process) {
 // ExecutionOrder returns the names of executed processes after Run.
 func (p *Pipeline) ExecutionOrder() []string { return p.executed }
 
-// Run executes the pipeline: Algorithm 1's resource-pool scheduling, with
-// the Fig 7 rewrite applied first when Optimize is set.
+// Run executes the pipeline: Algorithm 1's resource-pool scheduling.
 func (p *Pipeline) Run() error {
-	if p.Optimize {
-		p.fusePartitionChains()
-	} else {
-		for _, proc := range p.processes {
-			if pp, ok := proc.(partitionProcess); ok {
-				pp.setUseBundle(false)
-			}
-		}
-	}
+	p.rt.optimize = p.Optimize
 
 	// Algorithm 1: pool of defined resources, iterate until all processes
 	// have run or no progress is possible (circular dependency).
@@ -178,45 +147,4 @@ func (p *Pipeline) Run() error {
 		unfinished = blocked
 	}
 	return nil
-}
-
-// fusePartitionChains implements the Fig 7 rewrite: walk the process list
-// and mark a partition Process as bundle-consuming when its SAM input is
-// produced by another partition Process whose output feeds only this one
-// (interior in/out degree 1 along the chain).
-func (p *Pipeline) fusePartitionChains() {
-	// Count consumers of each resource and record producers.
-	consumers := map[Resource]int{}
-	producer := map[Resource]Process{}
-	for _, proc := range p.processes {
-		for _, in := range proc.Inputs() {
-			consumers[in]++
-		}
-		for _, out := range proc.Outputs() {
-			producer[out] = proc
-		}
-	}
-	for _, proc := range p.processes {
-		pp, ok := proc.(partitionProcess)
-		if !ok {
-			continue
-		}
-		in := pp.samInput()
-		if in == nil {
-			pp.setUseBundle(false)
-			continue
-		}
-		prev, ok := producer[Resource(in)].(partitionProcess)
-		if !ok || prev == nil {
-			pp.setUseBundle(false)
-			continue
-		}
-		// The producer's output must feed exactly this process (out-degree 1
-		// of the chain edge); shared outputs force the flat form.
-		if consumers[Resource(in)] != 1 {
-			pp.setUseBundle(false)
-			continue
-		}
-		pp.setUseBundle(true)
-	}
 }

@@ -124,8 +124,6 @@ type ReadRepartitionerProcess struct {
 	baseProcess
 	ins []*SAMBundle
 	out *PartitionInfoBundle
-	// AdvisedPartitionLength overrides the runtime's PartitionLen when set.
-	AdvisedPartitionLength int
 }
 
 // NewReadRepartitionerProcess constructs the repartitioner over the given
@@ -144,11 +142,7 @@ func NewReadRepartitionerProcess(name string, ins []*SAMBundle, out *PartitionIn
 // Run builds the PartitionInfo and broadcasts it (§4.4 step 2 creates
 // broadcast variables from the contig start-ID structure).
 func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
-	partLen := rt.PartitionLen
-	if p.AdvisedPartitionLength > 0 {
-		partLen = p.AdvisedPartitionLength
-	}
-	info, err := NewPartitionInfo(rt.Ref.Lengths(), partLen)
+	info, err := NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
 	if err != nil {
 		return err
 	}
@@ -208,48 +202,44 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 	return nil
 }
 
-// partitionBase carries the shared mechanics of partition Processes
-// (IndelRealign, BQSR, HaplotypeCaller): the bundle input resolution and the
-// optimizer's fuse flag.
+// partitionBase carries what the partition Processes (IndelRealign, BQSR,
+// HaplotypeCaller) share: the SAM input and the PartitionInfo they bundle it
+// under.
 type partitionBase struct {
 	baseProcess
-	samIn     *SAMBundle
-	infoIn    *PartitionInfoBundle
-	useBundle bool
+	samIn  *SAMBundle
+	infoIn *PartitionInfoBundle
 }
 
-func (p *partitionBase) samInput() *SAMBundle  { return p.samIn }
-func (p *partitionBase) setUseBundle(use bool) { p.useBundle = use }
-
-// bundles resolves the input bundle dataset per the fuse decision.
-func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], *PartitionInfo, error) {
+// bundles resolves the bundle dataset the Process reads; it is where the
+// Fig 7 decision is made. An optimized pipeline reuses the input's bundled
+// form when it was built under this Process's PartitionInfo (Fig 7b: SAM,
+// FASTA and VCF are not re-shuffled). Otherwise the flat records are
+// partitioned afresh (Fig 7a).
+func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
 	info := p.infoIn.Info
-	if p.useBundle && p.samIn.Info != nil {
-		info = p.samIn.Info
-	}
 	if info == nil {
-		return nil, nil, fmt.Errorf("core: process %s: no partition info", p.name)
+		return nil, fmt.Errorf("core: process %s: no partition info", p.name)
 	}
-	ds, err := bundleInput(rt, p.name, p.samIn, info, p.useBundle)
-	return ds, info, err
+	in := p.samIn
+	if rt.optimize && in.Bundled != nil && in.Info == info {
+		return in.Bundled, nil
+	}
+	flat, err := in.EnsureFlat(rt)
+	if err != nil {
+		return nil, err
+	}
+	return buildBundles(rt, p.name, flat, info)
 }
 
-// emitSAM stores the bundle result on the output resource: bundled when the
-// optimizer fused the chain, flattened otherwise (Fig 7a merges after each
-// partition Process).
-func (p *partitionBase) emitSAM(rt *Runtime, out *SAMBundle, bundled *engine.Dataset[Bundle], info *PartitionInfo) error {
-	out.Bundled = bundled
-	out.Info = info
-	if p.useBundle {
-		// Fused chain: leave the bundled form for the next process.
-		return nil
+// publish stores a partition Process's result on its SAM output: the bundled
+// form and the PartitionInfo it was built under. A reader that needs flat
+// records gets them from EnsureFlat.
+func (p *partitionBase) publish(out *SAMBundle, bundled *engine.Dataset[Bundle]) {
+	out.Bundled, out.Info = bundled, p.infoIn.Info
+	if out.Header == nil && p.samIn.Header != nil {
+		out.Header = p.samIn.Header.Clone(sam.Coordinate)
 	}
-	flat, err := flattenBundles(rt, p.name, bundled)
-	if err != nil {
-		return err
-	}
-	out.Data = flat
-	return nil
 }
 
 // IndelRealignProcess adjusts alignments around candidate indels (Table 2).
@@ -271,7 +261,7 @@ func NewIndelRealignProcess(name string, info *PartitionInfoBundle, in, out *SAM
 
 // Run realigns each bundle partition.
 func (p *IndelRealignProcess) Run(rt *Runtime) error {
-	bundled, info, err := p.bundles(rt)
+	bundled, err := p.bundles(rt)
 	if err != nil {
 		return err
 	}
@@ -285,10 +275,8 @@ func (p *IndelRealignProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	if p.out.Header == nil && p.samIn.Header != nil {
-		p.out.Header = p.samIn.Header.Clone(sam.Coordinate)
-	}
-	return p.emitSAM(rt, p.out, next, info)
+	p.publish(p.out, next)
+	return nil
 }
 
 // BaseRecalibrationProcess adjusts base quality scores (Table 2). Pass 1
@@ -313,8 +301,14 @@ func NewBaseRecalibrationProcess(name string, info *PartitionInfoBundle, in, out
 
 // Run executes the two BQSR passes.
 func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
-	bundled, info, err := p.bundles(rt)
+	bundled, err := p.bundles(rt)
 	if err != nil {
+		return err
+	}
+	// Both passes read the bundles, on either side of the Reduce that merges
+	// the tables: materialize them once here (Spark's persist) so pass 2 does
+	// not compute them again.
+	if err := bundled.Force(); err != nil {
 		return err
 	}
 	// Pass 1: per-partition covariate tables.
@@ -352,10 +346,8 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	if p.out.Header == nil && p.samIn.Header != nil {
-		p.out.Header = p.samIn.Header.Clone(sam.Coordinate)
-	}
-	return p.emitSAM(rt, p.out, next, info)
+	p.publish(p.out, next)
+	return nil
 }
 
 // knownSitesFunc builds a mask over the partition's known variants: the
@@ -388,7 +380,7 @@ func knownSitesFunc(rt *Runtime, known []vcf.Record) cleaner.KnownSites {
 type HaplotypeCallerProcess struct {
 	partitionBase
 	out     *VCFBundle
-	UseGVCF bool
+	useGVCF bool
 }
 
 // NewHaplotypeCallerProcess constructs the caller process.
@@ -399,14 +391,14 @@ func NewHaplotypeCallerProcess(name string, info *PartitionInfoBundle, in *SAMBu
 			samIn:       in, infoIn: info,
 		},
 		out:     out,
-		UseGVCF: useGVCF,
+		useGVCF: useGVCF,
 	}
 }
 
 // Run calls variants in every bundle partition, restricting emitted records
 // to the partition's core interval so overlapping pads don't double-call.
 func (p *HaplotypeCallerProcess) Run(rt *Runtime) error {
-	bundled, _, err := p.bundles(rt)
+	bundled, err := p.bundles(rt)
 	if err != nil {
 		return err
 	}
@@ -431,7 +423,7 @@ func (p *HaplotypeCallerProcess) Run(rt *Runtime) error {
 				// collect dedupes the rare same-site calls from adjacent
 				// partitions' distinct regions.
 				calls := caller.CallVariantsFiltered(b.Sams, rt.Ref, cfg, keep)
-				if p.UseGVCF && b.Interval.Len() > 0 {
+				if p.useGVCF && b.Interval.Len() > 0 {
 					blocks := caller.ReferenceBlocks(b.Sams, rt.Ref, b.Interval, calls, cfg.MinActiveDepth)
 					calls = caller.MergeGVCF(calls, blocks)
 				}

@@ -1,12 +1,13 @@
 // Package core implements the GPF programming model — the paper's primary
 // contribution. Users describe a genomic pipeline as Processes connected by
 // Resources (§3.1, Fig 2); the Pipeline driver performs the Process-level
-// dependency analysis of Algorithm 1, applies the redundancy-elimination
-// rewrite of Fig 7 (fusing chains of partition Processes so FASTA/VCF
-// re-partitioning and join shuffles happen once), and executes everything on
-// the in-memory engine. Dynamic load balance follows §4.4: a
-// RepartitionInfoProducer builds the PartitionInfo structure (Figs 8-9) that
-// maps genomic positions to partition IDs, splitting overloaded partitions.
+// dependency analysis of Algorithm 1 and executes everything on the in-memory
+// engine. Redundancy elimination (Fig 7) is decided where a partition Process
+// reads its input: it reuses its predecessor's bundles, so FASTA/VCF
+// re-partitioning and join shuffles happen once per chain. Dynamic load
+// balance follows §4.4: a RepartitionInfoProducer builds the PartitionInfo
+// structure (Figs 8-9) that maps genomic positions to partition IDs,
+// splitting overloaded partitions.
 package core
 
 import (

@@ -102,7 +102,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.plan.nparts,
-			ops:      append([]string(nil), d.plan.ops...),
+			ops:      d.plan.ops,
 			compute:  d.plan.compute,
 			sizeHint: d.plan.sizeHint,
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -21,9 +22,11 @@ import (
 // typed compute machinery.
 type lineage[T any] struct {
 	nparts int
-	// ops holds the recorded op names in execution order; the fused stage is
-	// named by joining them with "+".
-	ops []string
+	// ops returns the names of the ops the fused stage runs, in execution
+	// order: the upstream ops still pending, then this node's own. runFused
+	// calls it after forceShared, so an ancestor materialized on its own is not
+	// claimed again; the stage is named by joining the names with "+".
+	ops func() []string
 	// compute evaluates partition p through the whole fused chain. It reads
 	// ancestor partitions whole via Dataset.partition, which is what fuses an
 	// unforced upstream chain into the caller's task.
@@ -34,28 +37,18 @@ type lineage[T any] struct {
 	sizeHint func(p int) int64
 }
 
-// fusedName joins the recorded op names into the fused stage name.
-func (l *lineage[T]) fusedName() string { return strings.Join(l.ops, "+") }
-
 // isLazy reports whether the dataset still has an unforced plan.
 func (d *Dataset[T]) isLazy() bool {
 	return d.plan != nil && d.meta != nil && !d.meta.done.Load()
 }
 
-// lineageOps returns the pending op names of a lazy dataset (nil otherwise).
+// lineageOps returns the pending op names of a lazy dataset (nil otherwise),
+// in a slice the caller owns.
 func (d *Dataset[T]) lineageOps() []string {
 	if d.isLazy() {
-		return d.plan.ops
+		return d.plan.ops()
 	}
 	return nil
-}
-
-// chainOps builds the op list for a new lineage node: the pending upstream
-// ops followed by name.
-func chainOps(upstream []string, name string) []string {
-	ops := make([]string, 0, len(upstream)+1)
-	ops = append(ops, upstream...)
-	return append(ops, name)
 }
 
 // newLazyMeta attaches the plan node for a freshly recorded narrow chain
@@ -88,7 +81,7 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 		codec: codec,
 		plan: &lineage[U]{
 			nparts:   d.NumPartitions(),
-			ops:      chainOps(d.lineageOps(), name),
+			ops:      func() []string { return append(d.lineageOps(), name) },
 			sizeHint: d.partitionSizeHint,
 			compute: func(p int, tm *TaskMetrics) ([]U, error) {
 				in, err := d.partition(p, tm)
@@ -111,14 +104,14 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 // lazyZip3 records a three-input narrow op (co-partitioned zip) as a lineage
 // node; all three inputs' pending chains fuse into the new plan.
 func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
-	ops := append(append([]string(nil), a.lineageOps()...), b.lineageOps()...)
-	ops = append(ops, c.lineageOps()...)
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
 		plan: &lineage[U]{
-			nparts:   a.NumPartitions(),
-			ops:      chainOps(ops, name),
+			nparts: a.NumPartitions(),
+			ops: func() []string {
+				return append(slices.Concat(a.lineageOps(), b.lineageOps(), c.lineageOps()), name)
+			},
 			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) + c.partitionSizeHint(p) },
 			compute: func(p int, tm *TaskMetrics) ([]U, error) {
 				as, err := a.partition(p, tm)
@@ -164,14 +157,15 @@ func (d *Dataset[T]) Force() error {
 
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
-// and storing only the final output. The stage is recorded under the joined
-// op names with FusedOps set to the chain length.
+// and storing only the final output. The stage is recorded under the names of
+// the ops it runs, joined, with FusedOps set to their count.
 func runFused[T any](d *Dataset[T]) error {
 	pl := d.plan
 	n := pl.nparts
+	ops := pl.ops()
 	allocResult(d, n)
 	return d.ctx.runStage(taskSet{
-		row:  StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops)},
+		row:  StageMetrics{Name: strings.Join(ops, "+"), Kind: StageNarrow, FusedOps: len(ops)},
 		n:    n,
 		hint: pl.sizeHint,
 		fn: func(p int, tm *TaskMetrics) error {

@@ -277,6 +277,49 @@ func TestFusionDiamondForcesSharedPrefix(t *testing.T) {
 	}
 }
 
+// TestFusedStageNamedAfterOpsRun: a shared prefix that forceShared
+// materializes on its own is not claimed again by the stage that reads it.
+// shared -> {armA, armB} -> zip runs "shared" as one row and
+// "armA+armB+zip" as the next, with FusedOps counting only those three.
+func TestFusedStageNamedAfterOpsRun(t *testing.T) {
+	ctx := NewContext(2)
+	d := Parallelize(ctx, intRange(40), 2)
+	shared, err := Map("shared", d, nil, func(x int) int { return x + 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	armA, err := Map("armA", shared, nil, func(x int) int { return x * 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	armB, err := Map("armB", shared, nil, func(x int) int { return x * 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	zip, err := ZipPartitions3("zip", armA, armB, d, nil, func(_ int, as, bs, cs []int) ([]int, error) {
+		out := make([]int, len(as))
+		for i := range as {
+			out[i] = as[i] + bs[i] + cs[i]
+		}
+		return out, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect("c", zip); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, s := range ctx.Metrics().Stages {
+		if s.Kind == StageNarrow {
+			rows = append(rows, fmt.Sprintf("%s/%d", s.Name, s.FusedOps))
+		}
+	}
+	if want := []string{"shared/1", "armA+armB+zip/3"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("narrow rows = %v, want %v", rows, want)
+	}
+}
+
 func TestFusionForceIsIdempotent(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(50), 4)

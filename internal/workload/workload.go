@@ -1,7 +1,7 @@
 // Package workload synthesizes the evaluation datasets of §5.1 at laptop
 // scale: whole-genome (WGS), whole-exome (WES) and gene-panel sequencing
-// profiles, multi-sample batches for the Table 1 scaling experiment, and the
-// coverage-hotspot structure (§4.4) that drives the load-balance results.
+// profiles, and the coverage-hotspot structure (§4.4) that drives the
+// load-balance results.
 package workload
 
 import (
@@ -141,28 +141,6 @@ func KnownSites(ref *genome.Reference, donor *genome.Donor, seed int64) []vcf.Re
 			Ref:   string(v.Ref),
 			Alt:   string(v.Alt),
 		})
-	}
-	return out
-}
-
-// MultiSample synthesizes n samples over one shared reference — the Table 1
-// batch. Samples differ in donor variants and reads but share the genome.
-func MultiSample(p Profile, n int, seed int64) []*Dataset {
-	ref := genome.Synthesize(genome.DefaultSynthConfig(seed, p.GenomeLen, p.Contigs))
-	out := make([]*Dataset, n)
-	for i := 0; i < n; i++ {
-		s := seed + int64(i+1)*1000
-		donor := genome.Mutate(ref, genome.DefaultMutateConfig(s))
-		cfg := fastq.DefaultSimConfig(s+1, p.Coverage)
-		cfg.SampleName = fmt.Sprintf("sample%d", i+1)
-		out[i] = &Dataset{
-			Name:    cfg.SampleName,
-			Profile: p,
-			Ref:     ref,
-			Donor:   donor,
-			Pairs:   fastq.Simulate(donor, cfg),
-			Known:   KnownSites(ref, donor, s+2),
-		}
 	}
 	return out
 }

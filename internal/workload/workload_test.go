@@ -58,34 +58,6 @@ func TestKnownSitesSubsetOfTruth(t *testing.T) {
 	}
 }
 
-func TestMultiSample(t *testing.T) {
-	batch := MultiSample(DefaultProfile(WGS, 20000), 3, 17)
-	if len(batch) != 3 {
-		t.Fatalf("batch = %d", len(batch))
-	}
-	// Shared reference.
-	if batch[0].Ref != batch[1].Ref {
-		t.Fatal("samples should share one reference")
-	}
-	// Distinct donors.
-	if len(batch[0].Donor.Truth.Variants) == len(batch[1].Donor.Truth.Variants) {
-		a, b := batch[0].Donor.Truth.Variants, batch[1].Donor.Truth.Variants
-		same := true
-		for i := range a {
-			if a[i].Pos != b[i].Pos {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("samples have identical variants")
-		}
-	}
-	if batch[0].Name == batch[1].Name {
-		t.Fatal("sample names must differ")
-	}
-}
-
 func TestMakeDeterministic(t *testing.T) {
 	a := Make(DefaultProfile(WGS, 20000), 23)
 	b := Make(DefaultProfile(WGS, 20000), 23)

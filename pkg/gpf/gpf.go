@@ -112,12 +112,8 @@ var (
 	NewPartitionInfo       = core.NewPartitionInfo
 )
 
-// Process constructors (the algorithm-specific interfaces of Table 2, plus
-// the explicit sort/index steps of Fig 1's Cleaner).
+// Process constructors (the algorithm-specific interfaces of Table 2).
 var (
-	NewCoordinateSortProcess    = core.NewCoordinateSortProcess
-	NewIndexProcess             = core.NewIndexProcess
-	UndefinedSAMIndex           = core.UndefinedSAMIndex
 	NewBwaMemProcess            = core.NewBwaMemProcess
 	NewMarkDuplicateProcess     = core.NewMarkDuplicateProcess
 	NewReadRepartitionerProcess = core.NewReadRepartitionerProcess
@@ -135,9 +131,6 @@ func BuildWGSPipeline(rt *Runtime, pairs *Dataset[FASTQPair], useGVCF bool) *WGS
 
 // Multi-sample pipelines (the Table 2 interfaces take SAM bundle lists).
 type (
-	// SAMIndex is the genomic index resource supporting region queries over a
-	// coordinate-sorted bundle.
-	SAMIndex = core.SAMIndex
 	// SampleInput is one sample's reads for a multi-sample pipeline.
 	SampleInput = core.SampleInput
 	// MultiSampleWGS is a batch pipeline with per-sample VCF terminals.
