@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,21 +71,21 @@ func testIndex(t *testing.T, size int, seed int64) *FMIndex {
 
 func TestBackwardSearchFindsAllOccurrences(t *testing.T) {
 	idx := testIndex(t, 20000, 101)
-	ref := idx.Reference()
+	ref := idx.ref
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		c := rng.Intn(ref.NumContigs())
 		seq := ref.Contigs[c].Seq
 		pos := rng.Intn(len(seq) - 25)
 		pattern := seq[pos : pos+25]
-		if genome.ValidateSeq(pattern) != -1 || bytes.ContainsAny(pattern, "N") {
+		if bytes.IndexByte(pattern, 'N') >= 0 {
 			continue
 		}
 		iv := idx.BackwardSearch(pattern)
 		if iv.Size() == 0 {
 			t.Fatalf("pattern from reference not found: %q", pattern)
 		}
-		hits := idx.Locate(iv, 1000)
+		hits := idx.appendLocate(nil, iv, 1000)
 		// Verify every hit is a real occurrence and our source position is
 		// among them.
 		found := false
@@ -114,7 +115,7 @@ func TestBackwardSearchFindsAllOccurrences(t *testing.T) {
 
 func TestBackwardSearchVersusNaive(t *testing.T) {
 	idx := testIndex(t, 5000, 103)
-	ref := idx.Reference()
+	ref := idx.ref
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		// Random pattern: mostly absent, sometimes present.
@@ -207,9 +208,6 @@ func TestFitAlignInsertion(t *testing.T) {
 	if fit.Cigar.String() != "6M2I4M" {
 		t.Fatalf("cigar = %s", fit.Cigar)
 	}
-	if fit.Cigar.QueryLen() != len(read) {
-		t.Fatalf("querylen = %d", fit.Cigar.QueryLen())
-	}
 }
 
 func TestFitAlignEmptyRead(t *testing.T) {
@@ -234,8 +232,14 @@ func TestFitAlignConsumesReadProperty(t *testing.T) {
 			window[i] = genome.Alphabet[rng.Intn(4)]
 		}
 		fit := fitAlign(read, window, DefaultScoring())
-		if fit.Cigar.QueryLen() != m {
-			t.Fatalf("cigar %s consumes %d read bases, want %d", fit.Cigar, fit.Cigar.QueryLen(), m)
+		consumed := 0
+		for _, op := range fit.Cigar {
+			if strings.IndexByte("MIS=X", op.Op) >= 0 {
+				consumed += op.Len
+			}
+		}
+		if consumed != m {
+			t.Fatalf("cigar %s consumes %d read bases, want %d", fit.Cigar, consumed, m)
 		}
 		if fit.RefStart < 0 || fit.RefStart+fit.Cigar.RefLen() > n {
 			t.Fatalf("alignment out of window: start %d reflen %d window %d", fit.RefStart, fit.Cigar.RefLen(), n)
@@ -245,7 +249,7 @@ func TestFitAlignConsumesReadProperty(t *testing.T) {
 
 func TestAlignSeqRecoverPosition(t *testing.T) {
 	idx := testIndex(t, 50000, 109)
-	ref := idx.Reference()
+	ref := idx.ref
 	aligner := NewAligner(idx, Config{})
 	rng := rand.New(rand.NewSource(13))
 	recovered := 0
@@ -280,7 +284,7 @@ func TestAlignSeqRecoverPosition(t *testing.T) {
 
 func TestAlignSeqReverseStrand(t *testing.T) {
 	idx := testIndex(t, 50000, 111)
-	ref := idx.Reference()
+	ref := idx.ref
 	aligner := NewAligner(idx, Config{})
 	seq := ref.Contigs[0].Seq
 	pos := 5000
@@ -407,7 +411,7 @@ func mustCigar(t *testing.T, s string) sam.Cigar {
 
 func TestMapQOrdering(t *testing.T) {
 	idx := testIndex(t, 50000, 121)
-	ref := idx.Reference()
+	ref := idx.ref
 	aligner := NewAligner(idx, Config{})
 	// A unique read should get higher MapQ than one from a repeat. Find a
 	// repeat by querying seeds until one has many hits.
@@ -448,7 +452,7 @@ func TestBuildFMIndexEmpty(t *testing.T) {
 
 func TestAlignmentsSortedByScore(t *testing.T) {
 	idx := testIndex(t, 40000, 123)
-	ref := idx.Reference()
+	ref := idx.ref
 	aligner := NewAligner(idx, Config{})
 	read := ref.Slice(0, 2000, 2100)
 	if bytes.IndexByte(read, 'N') >= 0 {

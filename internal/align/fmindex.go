@@ -203,13 +203,8 @@ func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 	return Interval{Lo: lo, Hi: hi}
 }
 
-// Locate resolves up to maxHits text positions for an interval by LF-walking
-// to sampled suffix-array rows.
-func (x *FMIndex) Locate(iv Interval, maxHits int) []int64 {
-	return x.appendLocate(nil, iv, maxHits)
-}
-
-// appendLocate is Locate appending to dst, for callers that reuse a buffer.
+// appendLocate resolves up to maxHits text positions for an interval by
+// LF-walking to sampled suffix-array rows, appending them to dst.
 func (x *FMIndex) appendLocate(dst []int64, iv Interval, maxHits int) []int64 {
 	for r := iv.Lo; r < iv.Hi && maxHits > 0; r, maxHits = r+1, maxHits-1 {
 		row := r
@@ -250,6 +245,3 @@ func (x *FMIndex) Resolve(off int64) (genome.Position, bool) {
 	}
 	return genome.Position{Contig: c, Pos: pos}, true
 }
-
-// Reference returns the indexed reference.
-func (x *FMIndex) Reference() *genome.Reference { return x.ref }

@@ -40,14 +40,14 @@ func TestPairHMMPrefersMatchingHaplotype(t *testing.T) {
 	hap := []byte("ACGTACGTACGTACGTACGTACGTACGT")
 	read := hap[4:20]
 	qual := bytes.Repeat([]byte("I"), len(read))
-	match := PairHMMLogLikelihood(read, qual, hap)
+	match := pairLL(read, qual, hap)
 	// Mutate the haplotype in the read's span.
 	altHap := append([]byte(nil), hap...)
 	altHap[10] = 'T'
 	if altHap[10] == hap[10] {
 		altHap[10] = 'C'
 	}
-	mismatch := PairHMMLogLikelihood(read, qual, altHap)
+	mismatch := pairLL(read, qual, altHap)
 	if match <= mismatch {
 		t.Fatalf("match LL %v should exceed mismatch LL %v", match, mismatch)
 	}
@@ -63,8 +63,8 @@ func TestPairHMMQualitySensitivity(t *testing.T) {
 	hiQ := bytes.Repeat([]byte("I"), len(read)) // Q40
 	loQ := append([]byte(nil), hiQ...)
 	loQ[7] = '#' // Q2 at the mismatch
-	hi := PairHMMLogLikelihood(read, hiQ, hap)
-	lo := PairHMMLogLikelihood(read, loQ, hap)
+	hi := pairLL(read, hiQ, hap)
+	lo := pairLL(read, loQ, hap)
 	// A low-quality mismatch is less surprising: higher likelihood.
 	if lo <= hi {
 		t.Fatalf("low-qual mismatch LL %v should exceed high-qual %v", lo, hi)
@@ -72,10 +72,10 @@ func TestPairHMMQualitySensitivity(t *testing.T) {
 }
 
 func TestPairHMMEmptyInputs(t *testing.T) {
-	if !math.IsInf(PairHMMLogLikelihood(nil, nil, []byte("ACGT")), -1) {
+	if !math.IsInf(pairLL(nil, nil, []byte("ACGT")), -1) {
 		t.Fatal("empty read should yield -inf")
 	}
-	if !math.IsInf(PairHMMLogLikelihood([]byte("ACGT"), []byte("IIII"), nil), -1) {
+	if !math.IsInf(pairLL([]byte("ACGT"), []byte("IIII"), nil), -1) {
 		t.Fatal("empty hap should yield -inf")
 	}
 }
@@ -384,7 +384,7 @@ func TestFindActiveRegionsHostileRecords(t *testing.T) {
 		{"no quality string", four(noQual)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			CallVariants(c.records, ref, DefaultConfig()) // must not panic
+			CallVariantsFiltered(c.records, ref, DefaultConfig(), nil) // must not panic
 			for _, iv := range FindActiveRegions(c.records, ref, DefaultConfig()) {
 				if iv.Start < 0 || iv.Start >= iv.End || iv.End > contigLen {
 					t.Fatalf("malformed interval %+v on a %d-base contig", iv, contigLen)
@@ -407,7 +407,7 @@ func TestKernelCallVariantsGolden(t *testing.T) {
 	const want = "c9e6fbcca38bf3729d1fa4e644b4148b2d5bba90f83dd6b4ad1c5828ce8e42c4"
 	ref, _, records := pipelineRecords(t, 401, 40000, 20)
 	var buf bytes.Buffer
-	if err := vcf.Write(&buf, nil, CallVariants(records, ref, DefaultConfig())); err != nil {
+	if err := vcf.Write(&buf, nil, CallVariantsFiltered(records, ref, DefaultConfig(), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
@@ -417,7 +417,7 @@ func TestKernelCallVariantsGolden(t *testing.T) {
 
 func TestCallVariantsRecall(t *testing.T) {
 	ref, donor, records := pipelineRecords(t, 401, 40000, 20)
-	calls := CallVariants(records, ref, DefaultConfig())
+	calls := CallVariantsFiltered(records, ref, DefaultConfig(), nil)
 	if len(calls) == 0 {
 		t.Fatal("no variants called")
 	}
@@ -443,14 +443,14 @@ func TestCallVariantsRecall(t *testing.T) {
 
 func TestCallVariantsEmptyInput(t *testing.T) {
 	ref := genome.Synthesize(genome.DefaultSynthConfig(501, 5000, 1))
-	if got := CallVariants(nil, ref, DefaultConfig()); got != nil {
+	if got := CallVariantsFiltered(nil, ref, DefaultConfig(), nil); got != nil {
 		t.Fatalf("no reads should call nothing, got %v", got)
 	}
 }
 
 func TestCallVariantsSortedAndDeduped(t *testing.T) {
 	ref, _, records := pipelineRecords(t, 601, 30000, 15)
-	calls := CallVariants(records, ref, DefaultConfig())
+	calls := CallVariantsFiltered(records, ref, DefaultConfig(), nil)
 	for i := 1; i < len(calls); i++ {
 		a, b := calls[i-1], calls[i]
 		if a.Chrom == b.Chrom && a.Pos == b.Pos && a.Ref == b.Ref && a.Alt == b.Alt {
@@ -603,7 +603,7 @@ func TestPileupCallRecordWithoutQualities(t *testing.T) {
 
 func TestHaplotypeCallerBeatsPileupOnIndels(t *testing.T) {
 	ref, donor, records := pipelineRecords(t, 801, 40000, 20)
-	hcCalls := CallVariants(records, ref, DefaultConfig())
+	hcCalls := CallVariantsFiltered(records, ref, DefaultConfig(), nil)
 	puCalls := pileupCall(records, ref, 5, 0.25, 10)
 	var truthIndels []vcf.Record
 	for _, v := range donor.Truth.Variants {
@@ -631,7 +631,7 @@ func BenchmarkPairHMM(b *testing.B) {
 	qual := bytes.Repeat([]byte("I"), len(read))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PairHMMLogLikelihood(read, qual, hap)
+		pairLL(read, qual, hap)
 	}
 }
 

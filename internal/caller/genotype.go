@@ -192,15 +192,10 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 	return out
 }
 
-// CallVariants runs active-region detection and per-region genotyping over a
-// partition of records, returning sorted VCF records. It is the body of the
-// HaplotypeCallerProcess.
-func CallVariants(records []sam.Record, ref *genome.Reference, cfg Config) []vcf.Record {
-	return CallVariantsFiltered(records, ref, cfg, nil)
-}
-
-// CallVariantsFiltered is CallVariants restricted to active regions for
-// which keep returns true. Partitioned execution passes an ownership filter
+// CallVariantsFiltered runs active-region detection and per-region
+// genotyping over a partition of records, returning sorted VCF records — the
+// body of the HaplotypeCallerProcess — for the active regions keep returns
+// true for (nil keeps all). Partitioned execution passes an ownership filter
 // so a region overlapping several partition pads is genotyped exactly once —
 // by the partition whose core interval contains its midpoint — keeping the
 // expensive pair-HMM work proportional to owned territory.

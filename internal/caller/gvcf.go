@@ -105,16 +105,3 @@ func MergeGVCF(calls, blocks []vcf.Record) []vcf.Record {
 	vcf.SortRecords(out)
 	return out
 }
-
-// BlockEnd parses a reference block's END info (1-based inclusive); ok is
-// false for non-block records.
-func BlockEnd(r *vcf.Record) (int, bool) {
-	if r.Alt != NonRefAlt || r.Info == nil {
-		return 0, false
-	}
-	v, err := strconv.Atoi(r.Info["END"])
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}

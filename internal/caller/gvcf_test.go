@@ -2,6 +2,7 @@ package caller
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/genome"
@@ -38,9 +39,8 @@ func TestReferenceBlocksCoveredRun(t *testing.T) {
 	if b.Pos != 100 || b.Alt != NonRefAlt || b.GT != vcf.HomRef {
 		t.Fatalf("block = %+v", b)
 	}
-	end, ok := BlockEnd(&b)
-	if !ok || end != 200 {
-		t.Fatalf("END = %d %v", end, ok)
+	if end, err := strconv.Atoi(b.Info["END"]); err != nil || end != 200 {
+		t.Fatalf("END = %d %v", end, err)
 	}
 	if b.Depth != 1 { // minimum depth across the run
 		t.Fatalf("block depth = %d", b.Depth)
@@ -59,7 +59,7 @@ func TestReferenceBlocksSplitByVariant(t *testing.T) {
 	if blocks[0].Pos != 100 || blocks[1].Pos != 151 {
 		t.Fatalf("block starts: %d %d", blocks[0].Pos, blocks[1].Pos)
 	}
-	if end, _ := BlockEnd(&blocks[0]); end != 150 {
+	if end, _ := strconv.Atoi(blocks[0].Info["END"]); end != 150 {
 		t.Fatalf("first block END = %d, want 150 (1-based inclusive before variant)", end)
 	}
 }
@@ -116,16 +116,5 @@ func TestMergeGVCFOrdering(t *testing.T) {
 	}
 	if merged[0].Pos != 0 || merged[1].Pos != 50 || merged[2].Pos != 51 {
 		t.Fatalf("order: %d %d %d", merged[0].Pos, merged[1].Pos, merged[2].Pos)
-	}
-}
-
-func TestBlockEndNonBlock(t *testing.T) {
-	r := vcf.Record{Alt: "T"}
-	if _, ok := BlockEnd(&r); ok {
-		t.Fatal("non-block record must not parse as block")
-	}
-	bad := vcf.Record{Alt: NonRefAlt, Info: map[string]string{"END": "x"}}
-	if _, ok := BlockEnd(&bad); ok {
-		t.Fatal("bad END must not parse")
 	}
 }

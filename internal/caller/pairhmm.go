@@ -98,12 +98,6 @@ var emitTab = func() (t [256]emitEntry) {
 	return
 }()
 
-// PairHMMLogLikelihood returns ln P(read | hap) under the pair-HMM with
-// quality-derived emissions. qual holds Phred+33 bytes parallel to read.
-func PairHMMLogLikelihood(read, qual, hap []byte) float64 {
-	return PairHMMBatch([][]byte{read}, [][]byte{qual}, [][]byte{hap})[0][0]
-}
-
 // The kernel's start: row 1's M cells begin at 2^hmmStartExp instead of the
 // uniform prior 1/n, and hmmLogLikelihood takes hmmStartExp·ln 2 + ln n back
 // off. A forward value is 2^hmmStartExp times a sum over the n start columns

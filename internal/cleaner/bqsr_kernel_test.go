@@ -235,7 +235,7 @@ func TestKernelApplyRecalibrationEquivalence(t *testing.T) {
 }
 
 // TestKernelSortByCoordinateStable: the sorted-permutation sort returns
-// sort.SliceStable's order under sam.CoordinateLess, ties (same contig,
+// sort.SliceStable's order under sam.CoordinateCompare, ties (same contig,
 // position, strand and name) in input order, unmapped reads last.
 func TestKernelSortByCoordinateStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2161))
@@ -253,7 +253,7 @@ func TestKernelSortByCoordinateStable(t *testing.T) {
 			}
 		}
 		want := append([]sam.Record(nil), recs...)
-		sort.SliceStable(want, func(i, j int) bool { return sam.CoordinateLess(&want[i], &want[j]) })
+		sort.SliceStable(want, func(i, j int) bool { return sam.CoordinateCompare(&want[i], &want[j]) < 0 })
 		SortByCoordinate(recs)
 		for i := range want {
 			if recs[i].TempLen != want[i].TempLen {

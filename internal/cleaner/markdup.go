@@ -139,7 +139,7 @@ func GroupKey(r *sam.Record) int {
 }
 
 // SortByCoordinate sorts records in place by genomic coordinate (the
-// Cleaner's sort step), stably: the order of sam.CoordinateLess, ties kept
+// Cleaner's sort step), stably: the order of sam.CoordinateCompare, ties kept
 // in input order. It sorts a permutation — index swaps, not 136-byte record
 // swaps through reflection — with the input position as the last key, which
 // makes the order total and the unstable sort's result the stable one, and

@@ -2,8 +2,10 @@ package colfmt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/colfmt"
@@ -371,5 +373,20 @@ func TestPartialBlockEncode(t *testing.T) {
 	got, err = colfmt.Codec{}.Project(colfmt.FieldCoord).Unmarshal(partial)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("coord decoder over a partial block: %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestQualColumnTrailingBytesRefused: a qual-only block whose Huffman column
+// carries one byte after its EOF is refused, naming the column and the cause.
+func TestQualColumnTrailingBytesRefused(t *testing.T) {
+	col, err := compress.AppendQualColumn(nil, 1, func(int) []byte { return []byte("IIHH") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := binary.AppendUvarint([]byte{'G', 'c', 1, 1}, uint64(colfmt.FieldQual)) // one record, qual only
+	block = binary.AppendUvarint(block, uint64(len(col)+1))
+	_, err = colfmt.Codec{}.Unmarshal(append(append(block, col...), 0))
+	if err == nil || !strings.Contains(err.Error(), "column 7: compress: 1 trailing bytes after") {
+		t.Fatalf("qual column with a byte past its EOF: err %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package colfmt_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,12 +12,13 @@ import (
 
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/sam"
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
 )
 
 // fuzzSeedBlocks are the deterministic seed inputs shared by the fuzz target
 // and the checked-in corpus under testdata/fuzz/FuzzColumnarRoundTrip (see
-// TestFuzzSeedCorpusInSync): valid blocks of characteristic shapes plus a few
-// corrupt prefixes.
+// TestFuzzSeedCorpusInSync): valid blocks of characteristic shapes, a few
+// corrupt prefixes, the densest legal block, and counts that lie.
 func fuzzSeedBlocks(tb testing.TB) [][]byte {
 	mustMarshal := func(recs []sam.Record) []byte {
 		block, err := colfmt.Codec{}.Marshal(recs)
@@ -26,6 +28,8 @@ func fuzzSeedBlocks(tb testing.TB) [][]byte {
 		return block
 	}
 	r := rand.New(rand.NewSource(1701))
+	tags := binary.AppendUvarint(nil, 1<<63) // one record claiming 2^63 tags
+	ops := binary.AppendUvarint(nil, 1<<20)  // one record claiming 2^20 cigar ops
 	seeds := [][]byte{
 		mustMarshal(nil),
 		mustMarshal([]sam.Record{{}}),
@@ -43,19 +47,37 @@ func fuzzSeedBlocks(tb testing.TB) [][]byte {
 		{'G', 'c', 1},     // header only
 		{'G', 'c', 2, 0},  // bad version
 		{'X', 'x', 1, 99}, // bad magic
+		append(binary.AppendUvarint([]byte{'G', 'c', 1}, 1<<17), 0), // 2^17 records, no columns
+		// The densest legal block: 64 records in a 64-byte flag column.
+		append([]byte{'G', 'c', 1, 64, byte(colfmt.FieldFlag), 64}, make([]byte, 64)...),
+		append(binary.AppendUvarint(binary.AppendUvarint([]byte{'G', 'c', 1, 1}, uint64(colfmt.FieldTags)), uint64(len(tags))), tags...),
+		append([]byte{'G', 'c', 1, 1, byte(colfmt.FieldCigar), byte(len(ops))}, ops...),
 	}
 	return seeds
 }
 
+// Allocation budget of FuzzColumnarRoundTrip. A flag-only block legally
+// decodes n bytes into n 136-byte records, so the budget is a record per
+// input byte with room to spare. Worst ratio seen on the seeds: 135 bytes per
+// byte, on the 64-record flag-only block.
+const (
+	colPerByte = 192
+	colSlack   = 4 << 10
+)
+
 // FuzzColumnarRoundTrip: any input the decoder accepts must re-encode
 // canonically — Marshal(Unmarshal(x)) decodes back to the same records — and
-// no input may panic or over-allocate.
+// no input may panic or allocate past the budget above.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedBlocks(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := colfmt.Codec{}.Unmarshal(data)
+		var recs []sam.Record
+		var err error
+		allocbudget.Check(t, len(data), colPerByte, colSlack, func() {
+			recs, err = colfmt.Codec{}.Unmarshal(data)
+		})
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}

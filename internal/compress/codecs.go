@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/gpf-go/gpf/internal/fastq"
@@ -163,6 +164,9 @@ func (FieldPairCodec) Unmarshal(data []byte) ([]fastq.Pair, error) {
 			}
 		}
 	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("compress: %d trailing bytes after %d pairs", len(data), count)
+	}
 	return pairs, nil
 }
 
@@ -210,25 +214,29 @@ func readSAMFixed(data []byte, r *sam.Record) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("compress: bad flag")
 	}
+	if flag > math.MaxUint16 {
+		return nil, fmt.Errorf("compress: flag %#x out of range", flag)
+	}
 	r.Flag = uint16(flag)
 	data = data[n:]
-	readV := func() (int64, error) {
+	readI32 := func(field string, dst *int32) error {
 		v, n := binary.Varint(data)
 		if n <= 0 {
-			return 0, fmt.Errorf("compress: truncated varint")
+			return fmt.Errorf("compress: truncated %s", field)
+		}
+		if v != int64(int32(v)) {
+			return fmt.Errorf("compress: %s %d out of int32 range", field, v)
 		}
 		data = data[n:]
-		return v, nil
+		*dst = int32(v)
+		return nil
 	}
-	var v int64
-	if v, err = readV(); err != nil {
+	if err = readI32("RefID", &r.RefID); err != nil {
 		return nil, err
 	}
-	r.RefID = int32(v)
-	if v, err = readV(); err != nil {
+	if err = readI32("Pos", &r.Pos); err != nil {
 		return nil, err
 	}
-	r.Pos = int32(v)
 	if len(data) < 1 {
 		return nil, fmt.Errorf("compress: truncated mapq")
 	}
@@ -255,18 +263,15 @@ func readSAMFixed(data []byte, r *sam.Record) ([]byte, error) {
 	} else {
 		r.Cigar = nil
 	}
-	if v, err = readV(); err != nil {
+	if err = readI32("MateRef", &r.MateRef); err != nil {
 		return nil, err
 	}
-	r.MateRef = int32(v)
-	if v, err = readV(); err != nil {
+	if err = readI32("MatePos", &r.MatePos); err != nil {
 		return nil, err
 	}
-	r.MatePos = int32(v)
-	if v, err = readV(); err != nil {
+	if err = readI32("TempLen", &r.TempLen); err != nil {
 		return nil, err
 	}
-	r.TempLen = int32(v)
 	nTags, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, fmt.Errorf("compress: bad tag count")
@@ -329,6 +334,9 @@ func (FieldSAMCodec) Unmarshal(data []byte) ([]sam.Record, error) {
 		if records[i].Qual, data, err = readBytes(data); err != nil {
 			return nil, err
 		}
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("compress: %d trailing bytes after %d records", len(data), count)
 	}
 	return records, nil
 }

@@ -3,7 +3,10 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -293,8 +296,8 @@ func TestUnmarshalCorruptData(t *testing.T) {
 }
 
 // TestReadSAMFixedBoundsTagCount: a corrupt tag count must error before it
-// sizes the tag map — the allocate-before-validate shape gpflint/alloclen
-// guards against (pre-fix this line allocated a map hinted at 2^40 entries).
+// sizes the tag map (pre-fix this line allocated a map hinted at 2^40
+// entries).
 func TestReadSAMFixedBoundsTagCount(t *testing.T) {
 	rec := sam.Record{Name: "r1"}
 	enc := appendSAMFixed(nil, &rec)
@@ -304,6 +307,74 @@ func TestReadSAMFixedBoundsTagCount(t *testing.T) {
 	var got sam.Record
 	if _, err := readSAMFixed(enc, &got); err == nil {
 		t.Fatal("tag count exceeding the payload must error, not allocate")
+	}
+}
+
+// TestDecodersRejectBytesTheyNeverWrote: a valid block with one byte
+// appended is refused, and so is a field record whose flag or coordinates do
+// not fit sam.Record; each error names the cause.
+func TestDecodersRejectBytesTheyNeverWrote(t *testing.T) {
+	seqs, quals := [][]byte{[]byte("ACGTN"), []byte("GG")}, [][]byte{[]byte("IIIIH"), []byte("#I")}
+	qualBlock, err := EncodeQualBlock(quals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qualCol, err := AppendQualColumn(nil, 2, func(i int) []byte { return quals[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqQual, err := EncodeSeqQualBlock(seqs, quals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := simulatedPairs(t, 3)
+	gpfPairs, err := GPFPairCodec{}.Marshal(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fieldPairs, _ := FieldPairCodec{}.Marshal(pairs)
+	fieldSAM, _ := FieldSAMCodec{}.Marshal(sampleSAMRecords())
+	plus := func(b []byte) []byte { return append(slices.Clip(b), 0) }
+	// fixed hand-writes a FieldSAMCodec record prefix: name "r", flag, RefID,
+	// Pos, MAPQ 0, no cigar, MateRef, MatePos, TempLen, no tags.
+	fixed := func(flag uint64, v [5]int64) []byte {
+		b := binary.AppendUvarint(appendString(nil, "r"), flag)
+		b = binary.AppendVarint(binary.AppendVarint(b, v[0]), v[1])
+		b = append(b, 0, 0)
+		for _, x := range v[2:] {
+			b = binary.AppendVarint(b, x)
+		}
+		return append(b, 0)
+	}
+	readFixed := func(b []byte) error {
+		var r sam.Record
+		_, err := readSAMFixed(b, &r)
+		return err
+	}
+	if err := readFixed(fixed(0xffff, [5]int64{math.MaxInt32, math.MinInt32, -1, 0, math.MaxInt32})); err != nil {
+		t.Fatalf("in-range record refused: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func() error
+		want   string
+	}{
+		{"qual block", func() error { _, err := DecodeQualBlock(plus(qualBlock), []int{5, 2}); return err }, "1 trailing bytes after the quality stream's EOF"},
+		{"qual column", func() error { return DecodeQualColumn(plus(qualCol), 2, func(int, []byte) {}) }, "1 trailing bytes after"},
+		{"seq/qual block", func() error { _, _, err := DecodeSeqQualBlock(plus(seqQual)); return err }, "1 trailing bytes after"},
+		{"gpf pairs", func() error { _, err := GPFPairCodec{}.Unmarshal(plus(gpfPairs)); return err }, "1 trailing bytes after"},
+		{"field pairs", func() error { _, err := FieldPairCodec{}.Unmarshal(plus(fieldPairs)); return err }, "1 trailing bytes after 3 pairs"},
+		{"field sam", func() error { _, err := FieldSAMCodec{}.Unmarshal(plus(fieldSAM)); return err }, "1 trailing bytes after 3 records"},
+		{"flag", func() error { return readFixed(fixed(0x10003, [5]int64{})) }, "flag 0x10003 out of range"},
+		{"RefID", func() error { return readFixed(fixed(0, [5]int64{1 << 31, 0, 0, 0, 0})) }, "RefID 2147483648 out of int32 range"},
+		{"Pos", func() error { return readFixed(fixed(0, [5]int64{0, math.MinInt32 - 1, 0, 0, 0})) }, "Pos -2147483649 out of"},
+		{"MateRef", func() error { return readFixed(fixed(0, [5]int64{0, 0, 1 << 40, 0, 0})) }, "MateRef 1099511627776 out of"},
+		{"MatePos", func() error { return readFixed(fixed(0, [5]int64{0, 0, 0, -1 << 33, 0})) }, "MatePos -8589934592 out of"},
+		{"TempLen", func() error { return readFixed(fixed(0, [5]int64{0, 0, 0, 0, 1 << 31})) }, "TempLen 2147483648 out of"},
+	} {
+		if err := c.decode(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/fastq"
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
 )
 
 // lossyOnFig4 are the reads the Fig 4 marker codec (convertSpecials and
@@ -65,16 +67,25 @@ func checkPairsLossless(t *testing.T, pairs []fastq.Pair) {
 	}
 }
 
+// Allocation budget of FuzzSeqQualBlock's decode. The record count is
+// checked against one byte per record, and each record reserves two slice
+// headers (48 bytes) before the columns are read, then two lengths; the
+// slabs hold at most 4 bases and 8 qualities per byte. Worst ratio seen on
+// the seeds: 7.4 bytes per byte; 160 bytes on the shortest.
+const (
+	seqQualPerByte = 96
+	seqQualSlack   = 1 << 10
+)
+
 // FuzzSeqQualBlock: any batch of byte strings round-trips through
 // EncodeSeqQualBlock/DecodeSeqQualBlock unchanged, and the input read as a
-// block decodes or errors, never panics or allocates from a length it did not
-// check.
+// block decodes or errors, never panics or allocates past the budget above.
 func FuzzSeqQualBlock(f *testing.F) {
 	for _, seed := range fuzzSeqQualSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		DecodeSeqQualBlock(data)
+		allocbudget.Check(t, len(data), seqQualPerByte, seqQualSlack, func() { DecodeSeqQualBlock(data) })
 		seqs, quals := splitBatch(data)
 		block, err := EncodeSeqQualBlock(seqs, quals)
 		if err != nil {
@@ -125,7 +136,10 @@ func batchBytes(strs ...string) []byte {
 
 // fuzzSeqQualSeeds are the seeds of FuzzSeqQualBlock, shared with the
 // checked-in corpus (TestFuzzSeqQualSeedCorpusInSync): no records, an empty
-// record, each read the Fig 4 codec lost, and all of them in one batch.
+// record, each read the Fig 4 codec lost, all of them in one batch, and three
+// blocks whose lengths lie: 2^19 records in an empty seq column, one
+// 2^24-base sequence in a 5-byte seq column, and 2^20 exceptions in a 4-byte
+// one.
 func fuzzSeqQualSeeds() [][]byte {
 	seeds := [][]byte{nil, batchBytes("", "")}
 	var all []string
@@ -133,7 +147,10 @@ func fuzzSeqQualSeeds() [][]byte {
 		seeds = append(seeds, batchBytes(c.seq, c.qual))
 		all = append(all, c.seq, c.qual)
 	}
-	return append(seeds, batchBytes(all...))
+	return append(seeds, batchBytes(all...),
+		append(binary.AppendUvarint(nil, 1<<19), 0),
+		append(binary.AppendUvarint([]byte{1, 5}, 1<<24), 0),
+		append(binary.AppendUvarint([]byte{0, 4}, 1<<20), 0))
 }
 
 // TestFuzzSeqQualSeedCorpusInSync verifies the checked-in corpus matches

@@ -555,8 +555,8 @@ func (d *qualDecoder) streamErr(r *qualBits, slab []byte, n int, decoded bool) e
 // turns deltas into values per record and range-checks them. A block it
 // refuses is short of its code table, carries a bad table, has lengths past
 // what its payload can hold, stops inside a codeword or at a bit pattern that
-// is no codeword, ends early or late, or yields a value outside 0..126; the
-// error says which.
+// is no codeword, ends early or late, carries whole bytes after its EOF, or
+// yields a value outside 0..126; the error says which.
 func DecodeQualBlock(data []byte, lengths []int) ([][]byte, error) {
 	if len(data) < qualAlphabet {
 		return nil, fmt.Errorf("compress: quality block shorter than code table")
@@ -591,6 +591,9 @@ func DecodeQualBlock(data []byte, lengths []int) ([][]byte, error) {
 	}
 	if sym, ok := d.next(&r); !ok || sym != qualEOFSymbol {
 		return nil, d.streamErr(&r, slab, n, ok)
+	}
+	if extra := (r.cnt + 8*uint(len(r.p)-r.pos)) / 8; extra > 0 {
+		return nil, fmt.Errorf("compress: %d trailing bytes after the quality stream's EOF", extra)
 	}
 
 	// Pass 2: deltas to values, in uint8. With every earlier value in range,

@@ -16,6 +16,7 @@ import (
 
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
 	"github.com/gpf-go/gpf/internal/testutil/qualgen"
 )
 
@@ -227,11 +228,16 @@ func checkEncodeEquivalence(t *testing.T, quals [][]byte) ([]byte, bool) {
 }
 
 // checkDecodeEquivalence asserts DecodeQualBlock accepts exactly the blocks
-// the reference accepts, with equal output, and explains every refusal.
+// the reference accepts, with equal output, within the allocation budget
+// qualPerByte per block byte and string length, and explains every refusal.
 func checkDecodeEquivalence(t *testing.T, block []byte, lengths []int) ([][]byte, bool) {
 	t.Helper()
 	want, errRef := decodeQualBlockRef(block, lengths)
-	got, errFast := DecodeQualBlock(block, lengths)
+	var got [][]byte
+	var errFast error
+	allocbudget.Check(t, len(block)+len(lengths), qualPerByte, qualSlack, func() {
+		got, errFast = DecodeQualBlock(block, lengths)
+	})
 	if (errFast == nil) != (errRef == nil) {
 		t.Fatalf("decode of %d-byte block, %d strings: fast err %v, reference err %v", len(block), len(lengths), errFast, errRef)
 	}
@@ -322,7 +328,7 @@ func TestKernelQualBlockEquivalence(t *testing.T) {
 						badLens[i] = 0
 					}
 				}
-			case 5: // trailing garbage after EOF is not looked at
+			case 5: // whole bytes after EOF: both refuse
 				bad = append(bad, byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
 			checkDecodeEquivalence(t, bad, badLens)
@@ -364,6 +370,7 @@ func TestKernelQualBlockErrorsNameCause(t *testing.T) {
 		{"no codeword", append(eofOnly, 0xff), nil, "invalid Huffman code"},
 		{"early EOF", block, []int{13, 6}, "ends early"},
 		{"late EOF", block, []int{13, 4}, "continues past"},
+		{"trailing bytes", append(slices.Clip(block), 0), []int{13, 5}, "1 trailing bytes after"},
 		{"out of range", enc([]byte{1, 0}), []int{1, 1}, "value -1 out of range in record 1"},
 	} {
 		if _, ok := checkDecodeEquivalence(t, c.data, c.lengths); ok {
@@ -606,12 +613,23 @@ func fuzzQualSeeds(tb testing.TB) []fuzzQualSeed {
 	}
 }
 
+// Allocation budget of DecodeQualBlock in checkDecodeEquivalence, per block
+// byte and string length: a payload byte holds at most 8 symbols, and each
+// string costs a slice header. Worst ratio seen: 0.4 bytes per byte on the
+// fuzz seeds, 18.8 on the 46 366 one-byte strings of
+// TestKernelQualBlockEquivalence.
+const (
+	qualPerByte = 32
+	qualSlack   = 1 << 10
+)
+
 // FuzzQualBlockDifferential holds the word-wide quality coder to the
 // reference on three readings of the input, chosen by kind mod 3: as quality
 // strings (encoded bytes equal, or both refuse; then the decoders agree and
 // round-trip), as a framed block (both decoders accept the same blocks, with
 // equal strings, and refuse the rest), and as a symbol histogram (code
-// lengths equal tie for tie, or both refuse at maxCodeLen).
+// lengths equal tie for tie, or both refuse at maxCodeLen). The first two
+// decode within the budget above; a histogram decodes nothing.
 func FuzzQualBlockDifferential(f *testing.F) {
 	for _, s := range fuzzQualSeeds(f) {
 		f.Add(s.data, s.kind)

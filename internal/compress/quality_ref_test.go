@@ -51,6 +51,9 @@ func decodeQualBlockRef(data []byte, lengths []int) ([][]byte, error) {
 	if sym != qualEOFSymbol {
 		return nil, fmt.Errorf("compress: trailing quality symbols after records")
 	}
+	if extra := (r.nAcc + 8*uint(len(r.buf)-r.pos)) / 8; extra > 0 {
+		return nil, fmt.Errorf("compress: %d trailing bytes after EOF", extra)
+	}
 	return out, nil
 }
 

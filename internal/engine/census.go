@@ -95,6 +95,9 @@ func (KeyedIntCodec) Unmarshal(data []byte) ([]Keyed, error) {
 		prev += int(dk)
 		pairs = append(pairs, Keyed{Key: prev, Val: int(v)})
 	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("engine: keyed-varint: %d trailing bytes after %d pairs", len(data), n)
+	}
 	return pairs, nil
 }
 

@@ -3,8 +3,11 @@ package engine
 import (
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
 )
 
 func countReference(items []int, key func(int) int) map[int]int {
@@ -105,16 +108,51 @@ func TestKeyedIntCodecRejectsGarbage(t *testing.T) {
 	if _, err := (KeyedIntCodec{}).Unmarshal([]byte{0x05, 0x02}); err == nil {
 		t.Fatal("truncated block must not decode")
 	}
+	if _, err := (KeyedIntCodec{}).Unmarshal([]byte{0x01, 0x02, 0x04, 0x00}); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Fatalf("block with a byte after its last pair: err %v", err)
+	}
 }
 
 // TestKeyedIntCodecBoundsPairCount: a corrupt pair count must error before
-// it sizes the slice — the allocate-before-validate shape gpflint/alloclen
-// guards against (pre-fix this reserved 2^40 pairs, ~16 TiB).
+// it sizes the slice (pre-fix this reserved 2^40 pairs, ~16 TiB).
 func TestKeyedIntCodecBoundsPairCount(t *testing.T) {
 	block := binary.AppendUvarint(nil, 1<<40)
 	if _, err := (KeyedIntCodec{}).Unmarshal(block); err == nil {
 		t.Fatal("pair count exceeding the payload must error, not allocate")
 	}
+}
+
+// Allocation budget of FuzzKeyedIntCodec: the pair slice, 16 bytes a pair,
+// is reserved from the count, which is at most the payload length, and the
+// allocator rounds it up by as much as an eighth. Worst ratio seen on the
+// corpus: 10 bytes per byte, 160 bytes for a 16-byte blob.
+const (
+	keyedPerByte = 24
+	keyedSlack   = 1 << 10
+)
+
+// FuzzKeyedIntCodec: any bytes decode to pairs or an error within the budget
+// above, and accepted pairs survive Marshal and a second Unmarshal. The
+// checked-in corpus (testdata/fuzz/FuzzKeyedIntCodec) holds a census blob,
+// unsorted keys, extreme values, an empty input, zero pairs, a truncated
+// pair, a trailing byte and a 2^20-pair count with nothing behind it.
+func FuzzKeyedIntCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pairs []Keyed
+		var err error
+		allocbudget.Check(t, len(data), keyedPerByte, keyedSlack, func() { pairs, err = KeyedIntCodec{}.Unmarshal(data) })
+		if err != nil {
+			return
+		}
+		block, err := KeyedIntCodec{}.Marshal(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := KeyedIntCodec{}.Unmarshal(block)
+		if err != nil || !reflect.DeepEqual(pairs, again) {
+			t.Fatalf("pairs changed over a marshal/unmarshal round trip (err %v):\n%v\n%v", err, pairs, again)
+		}
+	})
 }
 
 // TestKeyedIntCodecCompact: sorted census-shaped pairs must encode well

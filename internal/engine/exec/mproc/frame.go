@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame kinds. A frame is [kind u8][len u32 LE][payload]; payload fields are
@@ -47,8 +48,7 @@ const (
 	maxFramePayload = 1 << 28 // 256 MiB
 	// readChunk bounds how much readFrame allocates ahead of data actually
 	// received, so a lying length header on a truncated stream costs at most
-	// one chunk (the fix-class gpflint/alloclen enforces: validate a length
-	// before sizing a buffer from it).
+	// one chunk (FuzzFrameDecode's allocation budget holds it to that).
 	readChunk = 1 << 20 // 1 MiB
 	// maxRanks bounds rank/proc counts in control frames.
 	maxRanks = 1 << 12
@@ -88,21 +88,14 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n == 0 {
 		return kind, nil, nil
 	}
-	first := n
-	if first > readChunk {
-		first = readChunk
-	}
-	payload := make([]byte, 0, first)
-	buf := make([]byte, first)
+	payload := make([]byte, 0, min(n, readChunk))
 	for len(payload) < n {
-		k := n - len(payload)
-		if k > readChunk {
-			k = readChunk
+		got := len(payload)
+		k := min(n-got, readChunk)
+		payload = slices.Grow(payload, k)[:got+k]
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return 0, nil, fmt.Errorf("mproc: truncated frame payload (%d of %d bytes): %w", got, n, err)
 		}
-		if _, err := io.ReadFull(r, buf[:k]); err != nil {
-			return 0, nil, fmt.Errorf("mproc: truncated frame payload (%d of %d bytes): %w", len(payload), n, err)
-		}
-		payload = append(payload, buf[:k]...)
 	}
 	return kind, payload, nil
 }

@@ -2,9 +2,12 @@ package mproc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
+
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
 )
 
 // frame wraps body in a wire frame for the seed corpus.
@@ -14,11 +17,20 @@ func frame(kind byte, body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
+// Allocation budget of FuzzFrameDecode. A lying header costs one chunk ahead
+// of the data, plus the header and the error's formatting; past the first
+// chunk the payload grows like an append, at most 5 bytes allocated per byte
+// received. Worst seen on the seeds: 1 MiB + 128 bytes for the 16 MiB claim
+// behind 69 input bytes, at most 192 bytes on any other.
+const (
+	framePerByte = 6
+	frameSlack   = readChunk + frameHeaderLen + 1<<10
+)
+
 // FuzzFrameDecode drives the full untrusted-input surface: the frame reader
-// (length header validated before any allocation) and every payload parser
-// (bounds-checked field readers). Nothing here may panic or allocate
-// proportionally to a lying header: a length is validated before it sizes a
-// buffer.
+// (length header validated before any payload byte is read) and every
+// payload parser (bounds-checked field readers). Nothing here may panic or
+// allocate past the budget above.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid encodings of every message kind, and JOBs naming no worker (rank
 	// 0 is the driver, rank 4 of 4 does not exist), which parseJob refuses.
@@ -26,7 +38,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(frameJob, encodeJob(job)))
 	f.Add(frame(frameJob, encodeJob(jobMsg{name: "wgs", rank: 0, procs: 4})))
 	f.Add(frame(frameJob, encodeJob(jobMsg{name: "wgs", rank: 4, procs: 4})))
-	f.Add(frame(frameJob, encodeJob(job)[:6])) // cut after procs
+	f.Add(frame(frameJob, encodeJob(job)[:6]))                                                          // cut after procs
+	f.Add(frame(frameJob, append(encodeJob(jobMsg{name: "wgs", rank: 2, procs: 4, slots: 8})[:7], 16))) // 16-byte spec, none sent
 	f.Add(frame(frameReady, nil))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 1, r: 1, block: []byte{1, 2, 3}})))
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 7, in: 3, out: 2, m: 2, r: 0, empty: true})))
@@ -37,32 +50,41 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(frameFin, nil))
 	f.Add(frame(frameErr, encodeErr(errMsg{origin: 1, msg: "boom"})))
 	// Hostile headers: lying lengths, truncation, geometry overflow.
-	f.Add([]byte{frameBucket, 0xff, 0xff, 0xff, 0xff})       // 4 GiB claim, no data
-	f.Add([]byte{frameBucket, 0x10, 0x00, 0x00, 0x10, 0x01}) // length >> payload
+	f.Add([]byte{frameBucket, 0xff, 0xff, 0xff, 0xff, 1, 2, 3})                     // 4 GiB claim, 3 bytes of data
+	f.Add([]byte{frameBucket, 0x10, 0x00, 0x00, 0x10, 0x01})                        // length >> payload
+	f.Add(append([]byte{frameBucket, 0x00, 0x00, 0x00, 0x01}, make([]byte, 64)...)) // 16 MiB claim, 64 B shipped
 	f.Add(frame(frameBucket, encodeBucket(bucketMsg{seq: 1, in: 1 << 19, out: 1 << 19, m: 0, r: 0, empty: true})))
 	f.Add(frame(0x7f, []byte("unknown kind")))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, err := readFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		switch kind {
-		case frameJob:
-			if m, err := parseJob(body); err == nil && (m.rank < 1 || m.rank >= m.procs) {
-				t.Fatalf("parseJob accepted a rank no worker holds: %+v", m)
+		var in *bytes.Reader
+		allocbudget.Check(t, len(data), framePerByte, frameSlack, func() {
+			in = bytes.NewReader(data)
+			kind, body, err := readFrame(in)
+			if err != nil {
+				return
 			}
-		case frameBucket:
-			if m, err := parseBucket(body); err == nil {
-				// The parsed geometry is what sizes exchange state: re-check
-				// the invariants the transport relies on.
-				if m.in < 1 || m.out < 1 || m.m >= m.in || m.r >= m.out || m.in*m.out > maxPartitions {
-					t.Fatalf("parseBucket accepted bad geometry: %+v", m)
+			switch kind {
+			case frameJob:
+				if m, err := parseJob(body); err == nil && (m.rank < 1 || m.rank >= m.procs) {
+					t.Fatalf("parseJob accepted a rank no worker holds: %+v", m)
 				}
+			case frameBucket:
+				if m, err := parseBucket(body); err == nil {
+					// The parsed geometry is what sizes exchange state: re-check
+					// the invariants the transport relies on.
+					if m.in < 1 || m.out < 1 || m.m >= m.in || m.r >= m.out || m.in*m.out > maxPartitions {
+						t.Fatalf("parseBucket accepted bad geometry: %+v", m)
+					}
+				}
+			case frameErr:
+				_, _ = parseErr(body)
 			}
-		case frameErr:
-			_, _ = parseErr(body)
+		})
+		if len(data) >= frameHeaderLen && binary.LittleEndian.Uint32(data[1:]) > maxFramePayload && in.Len() < len(data)-frameHeaderLen {
+			t.Fatalf("readFrame read %d payload bytes of a frame declared past the %d-byte cap",
+				len(data)-frameHeaderLen-in.Len(), maxFramePayload)
 		}
 	})
 }
@@ -114,15 +136,19 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameLengthRejectedBeforeAlloc: a header claiming more than the payload
-// cap errors immediately; a header claiming less than it ships errors after
-// at most one chunk.
+// cap errors immediately; a header claiming more than it ships errors after
+// allocating at most one chunk.
 func TestFrameLengthRejectedBeforeAlloc(t *testing.T) {
 	huge := []byte{frameBucket, 0xff, 0xff, 0xff, 0x7f} // ~2 GiB declared
 	if _, _, err := readFrame(bytes.NewReader(huge)); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
-	lying := append([]byte{frameBucket, 0x00, 0x00, 0x10, 0x00}, make([]byte, 64)...) // 1 MiB declared, 64 B shipped
-	if _, _, err := readFrame(bytes.NewReader(lying)); err == nil {
+	lying := append([]byte{frameBucket, 0x00, 0x00, 0x00, 0x01}, make([]byte, 64)...) // 16 MiB declared, 64 B shipped
+	var err error
+	allocbudget.Check(t, 0, 0, readChunk+1<<10, func() {
+		_, _, err = readFrame(bytes.NewReader(lying))
+	})
+	if err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

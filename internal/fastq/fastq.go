@@ -133,22 +133,6 @@ func (r *Reader) Read() (Record, error) {
 	return rec, nil
 }
 
-// ReadAll parses every record in the stream.
-func ReadAll(rd io.Reader) ([]Record, error) {
-	r := NewReader(rd)
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
 // ReadPairs zips two mate streams (1.fastq / 2.fastq) into Pairs, erroring on
 // length mismatch. This is the substrate of FileLoader.loadFastqPairToRdd in
 // the paper's Fig 3.

@@ -42,17 +42,18 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
-	}
+	r := NewReader(&buf)
 	for i := range recs {
-		if got[i].Name != recs[i].Name || !bytes.Equal(got[i].Seq, recs[i].Seq) || !bytes.Equal(got[i].Qual, recs[i].Qual) {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
+		got, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.Name != recs[i].Name || !bytes.Equal(got.Seq, recs[i].Seq) || !bytes.Equal(got.Qual, recs[i].Qual) {
+			t.Fatalf("record %d mismatch: %+v vs %+v", i, got, recs[i])
+		}
+	}
+	if _, err := r.Read(); err != io.EOF {
+		t.Fatalf("after %d records: err %v, want io.EOF", len(recs), err)
 	}
 }
 
@@ -64,7 +65,7 @@ func TestReaderErrors(t *testing.T) {
 		"len mismatch": "@r\nACGT\n+\nIII\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadAll(strings.NewReader(in)); err == nil {
+		if _, err := NewReader(strings.NewReader(in)).Read(); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
@@ -197,16 +198,17 @@ func TestQualityProfilesDiffer(t *testing.T) {
 	cfgB.Profile = ProfileGAII()
 	a := Simulate(donor, cfgA)
 	b := Simulate(donor, cfgB)
-	meanA, meanB := 0.0, 0.0
-	for i := range a {
-		meanA += MeanQuality(a[i].R1.Qual)
+	mean := func(pairs []Pair) float64 {
+		sum, n := 0, 0
+		for i := range pairs {
+			for _, q := range pairs[i].R1.Qual {
+				sum += int(q) - QualMin
+			}
+			n += len(pairs[i].R1.Qual)
+		}
+		return float64(sum) / float64(n)
 	}
-	for i := range b {
-		meanB += MeanQuality(b[i].R1.Qual)
-	}
-	meanA /= float64(len(a))
-	meanB /= float64(len(b))
-	if meanA <= meanB {
+	if meanA, meanB := mean(a), mean(b); meanA <= meanB {
 		t.Fatalf("HiSeq profile mean %.1f should exceed GAII %.1f", meanA, meanB)
 	}
 }
@@ -232,14 +234,5 @@ func TestQualityAdjacentDeltasSmall(t *testing.T) {
 	}
 	if frac := float64(small) / float64(total); frac < 0.9 {
 		t.Fatalf("only %.2f of adjacent deltas within 10; want >= 0.9", frac)
-	}
-}
-
-func TestMeanQuality(t *testing.T) {
-	if MeanQuality(nil) != 0 {
-		t.Fatal("empty qual mean should be 0")
-	}
-	if got := MeanQuality([]byte{QualMin + 10, QualMin + 20}); got != 15 {
-		t.Fatalf("mean = %v", got)
 	}
 }

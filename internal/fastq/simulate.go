@@ -229,15 +229,3 @@ func substitute(rng *rand.Rand, b byte) byte {
 		}
 	}
 }
-
-// MeanQuality returns the average Phred score of a quality string.
-func MeanQuality(qual []byte) float64 {
-	if len(qual) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, q := range qual {
-		sum += int(q) - QualMin
-	}
-	return float64(sum) / float64(len(qual))
-}

@@ -7,7 +7,6 @@ package genome
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Bases used throughout the framework. Sequences are stored as upper-case
@@ -104,14 +103,6 @@ type Position struct {
 	Pos    int
 }
 
-// Less orders positions by (contig, pos).
-func (p Position) Less(q Position) bool {
-	if p.Contig != q.Contig {
-		return p.Contig < q.Contig
-	}
-	return p.Pos < q.Pos
-}
-
 // String renders the position as contig:pos for diagnostics.
 func (p Position) String() string { return fmt.Sprintf("%d:%d", p.Contig, p.Pos) }
 
@@ -189,9 +180,8 @@ func Complement(b byte) byte {
 }
 
 // complementTab is Complement as a 256-entry lookup table: one indexed load
-// per base instead of a branch ladder, and the same table serves the in-place
-// two-pointer kernel. Built from Complement itself so the two can never
-// drift.
+// per base instead of a branch ladder. Built from Complement itself so the
+// two can never drift.
 var complementTab = func() (t [256]byte) {
 	for i := range t {
 		t[i] = Complement(byte(i))
@@ -208,21 +198,6 @@ func ReverseComplement(seq []byte) []byte {
 		out[j], out[i] = complementTab[seq[i]], complementTab[seq[j]]
 	}
 	return out
-}
-
-// ReverseComplementInPlace reverse-complements seq in place (no allocation),
-// for callers that own the buffer — e.g. flipping a mate's strand during
-// alignment without copying the read.
-func ReverseComplementInPlace(seq []byte) {
-	i, j := 0, len(seq)-1
-	for i < j {
-		seq[i], seq[j] = complementTab[seq[j]], complementTab[seq[i]]
-		i++
-		j--
-	}
-	if i == j {
-		seq[i] = complementTab[seq[i]]
-	}
 }
 
 // baseCodeTab maps every byte to its 2-bit code, -1 for non-ACGT.
@@ -247,44 +222,4 @@ func BaseCode(b byte) int {
 // CodeBase is the inverse of BaseCode for codes 0..3.
 func CodeBase(code int) byte {
 	return Alphabet[code&3]
-}
-
-// GCContent returns the fraction of G/C bases in seq (0 for empty input).
-func GCContent(seq []byte) float64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, b := range seq {
-		if b == 'G' || b == 'C' || b == 'g' || b == 'c' {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(seq))
-}
-
-// ValidateSeq reports the first non-ACGTN byte in seq, or -1 if the sequence
-// is clean.
-func ValidateSeq(seq []byte) int {
-	for i, b := range seq {
-		switch b {
-		case 'A', 'C', 'G', 'T', 'N':
-		default:
-			return i
-		}
-	}
-	return -1
-}
-
-// FormatRegion renders a human-readable region string like "chr1:100-200"
-// given the reference for name lookup.
-func (r *Reference) FormatRegion(iv Interval) string {
-	c := r.Contig(iv.Contig)
-	name := "?"
-	if c != nil {
-		name = c.Name
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:%d-%d", name, iv.Start, iv.End)
-	return b.String()
 }

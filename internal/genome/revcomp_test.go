@@ -37,12 +37,6 @@ func TestKernelReverseComplementEquivalence(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("len %d: fast %q != reference %q", len(seq), got, want)
 		}
-		// In-place variant on a copy.
-		inPlace := append([]byte(nil), seq...)
-		ReverseComplementInPlace(inPlace)
-		if !bytes.Equal(inPlace, want) {
-			t.Fatalf("len %d: in-place %q != reference %q", len(seq), inPlace, want)
-		}
 	}
 	// complementTab must be Complement, byte for byte.
 	for b := 0; b < 256; b++ {
@@ -88,13 +82,5 @@ func BenchmarkKernelReverseComplementFast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ReverseComplement(seq)
-	}
-}
-
-func BenchmarkKernelReverseComplementInPlace(b *testing.B) {
-	seq := benchSeq(151)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ReverseComplementInPlace(seq)
 	}
 }

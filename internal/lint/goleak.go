@@ -6,7 +6,6 @@ import (
 	"go/types"
 
 	"github.com/gpf-go/gpf/internal/lint/analysis"
-	"github.com/gpf-go/gpf/internal/lint/analysis/dataflow"
 )
 
 // GoLeak flags goroutines launched in the engine and its executor backends
@@ -53,56 +52,38 @@ func runGoLeak(pass *analysis.Pass) error {
 	}
 
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			flow := dataflow.New(info, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				body := goBody(info, flow, decls, gs)
-				if body == nil {
-					reportNode(pass, gs, "goroutine body cannot be resolved statically, so its "+
-						"exit cannot be verified — launch a function literal or a package-local "+
-						"function, or suppress with the reason it terminates")
-					return true
-				}
-				if !exitTied(info, body) {
-					reportNode(pass, gs, "goroutine exit is not tied to a WaitGroup, cancel "+
-						"channel, context, or drained channel — it can outlive its stage and leak; "+
-						"join it or select on a cancellation signal")
-				}
+		ast.Inspect(file, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
 				return true
-			})
-		}
+			}
+			body := goBody(info, decls, gs)
+			if body == nil {
+				reportNode(pass, gs, "goroutine body cannot be resolved statically, so its "+
+					"exit cannot be verified — launch a function literal or a package-local "+
+					"function, or suppress with the reason it terminates")
+				return true
+			}
+			if !exitTied(info, body) {
+				reportNode(pass, gs, "goroutine exit is not tied to a WaitGroup, cancel "+
+					"channel, context, or drained channel — it can outlive its stage and leak; "+
+					"join it or select on a cancellation signal")
+			}
+			return true
+		})
 	}
 	return nil
 }
 
-// goBody resolves the body a go statement runs: a function literal, a
-// package-local function or method, or — through the enclosing function's
-// def-use chains — a local variable bound to a function literal.
-func goBody(info *types.Info, flow *dataflow.Func, decls map[*types.Func]*ast.FuncDecl, gs *ast.GoStmt) *ast.BlockStmt {
-	fun := ast.Unparen(gs.Call.Fun)
-	if lit, ok := fun.(*ast.FuncLit); ok {
+// goBody resolves the body a go statement runs: a function literal or a
+// package-local function or method. A function value — a parameter, a field,
+// a local bound to a literal — does not resolve.
+func goBody(info *types.Info, decls map[*types.Func]*ast.FuncDecl, gs *ast.GoStmt) *ast.BlockStmt {
+	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	if fn := calleeFunc(info, gs.Call); fn != nil {
-		if fd := decls[fn]; fd != nil {
-			return fd.Body
-		}
-		return nil
-	}
-	if id, ok := fun.(*ast.Ident); ok && flow != nil {
-		if v, ok := objOf(info, id).(*types.Var); ok {
-			if lit := flow.ClosureOf(v); lit != nil {
-				return lit.Body
-			}
-		}
+	if fd := decls[calleeFunc(info, gs.Call)]; fd != nil {
+		return fd.Body
 	}
 	return nil
 }

@@ -39,13 +39,6 @@ func TestMprocTransportFixture(t *testing.T) {
 	analysistest.Run(t, fixture("mproctransport"), "github.com/gpf-go/gpf/internal/engine/exec/mproc/transportfixture", lint.CodecErr, lint.SharedCapture)
 }
 
-// TestAllocLen loads the untrusted-length fixture under a package path
-// inside internal/compress, one of the decode surfaces in the analyzer's
-// scope.
-func TestAllocLen(t *testing.T) {
-	analysistest.Run(t, fixture("alloclen"), "github.com/gpf-go/gpf/internal/compress/alloclenfixture", lint.AllocLen)
-}
-
 func TestGoLeak(t *testing.T) {
 	analysistest.Run(t, fixture("goleak"), "github.com/gpf-go/gpf/internal/engine/goleakfixture", lint.GoLeak)
 }

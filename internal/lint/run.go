@@ -23,7 +23,6 @@ func Suite() []*analysis.Analyzer {
 		SharedCapture,
 		MapIter,
 		CodecErr,
-		AllocLen,
 		GoLeak,
 	}
 }

@@ -77,24 +77,3 @@ func TestSweepCatchesRepartitionRace(t *testing.T) {
 		t.Fatalf("diagnostic does not name the captured variable:\n%s", out)
 	}
 }
-
-// TestSweepCatchesAllocBeforeValidate asserts the alloclen acceptance
-// criterion: gpflint exits non-zero on the seeded fixture reproducing the OOM
-// of PR 7's sequence decoder (compress.unpackSeq, since deleted) and the PR 8
-// frame-decoder allocate-before-validate shape — both a length that sized a
-// buffer before it was validated — and attributes both findings to the
-// alloclen analyzer.
-func TestSweepCatchesAllocBeforeValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping gpflint subprocess test in -short mode")
-	}
-	root := moduleRoot(t)
-	fixture := filepath.Join("internal", "lint", "testdata", "oomfixture", "fixture.go")
-	out, code := runGpflint(t, root, fixture)
-	if code != 1 {
-		t.Fatalf("gpflint %s exited %d; want 1\n%s", fixture, code, out)
-	}
-	if got := strings.Count(out, "gpflint/alloclen"); got != 2 {
-		t.Fatalf("want 2 alloclen findings (sequence and frame decoder shapes), got %d:\n%s", got, out)
-	}
-}

@@ -78,12 +78,13 @@ func contextBound(ctx context.Context) {
 	}()
 }
 
-// viaLocalClosure resolves through the enclosing function's def-use chains.
+// viaLocalClosure launches a local bound to a function literal: a function
+// value, so the body is not resolved even though this one would exit.
 func viaLocalClosure(done chan struct{}) {
 	waiter := func() {
 		<-done
 	}
-	go waiter()
+	go waiter() // want "goroutine body cannot be resolved statically"
 }
 
 // suppressedHandshake is bounded by other means (a deadline on the

@@ -130,15 +130,6 @@ type CigarOp struct {
 // reference.
 type Cigar []CigarOp
 
-// consumesQuery reports whether the op advances through read bases.
-func consumesQuery(op byte) bool {
-	switch op {
-	case 'M', 'I', 'S', '=', 'X':
-		return true
-	}
-	return false
-}
-
 // consumesRef reports whether the op advances through reference bases.
 func consumesRef(op byte) bool {
 	switch op {
@@ -153,17 +144,6 @@ func (c Cigar) RefLen() int {
 	n := 0
 	for _, op := range c {
 		if consumesRef(op.Op) {
-			n += op.Len
-		}
-	}
-	return n
-}
-
-// QueryLen returns the number of read bases consumed.
-func (c Cigar) QueryLen() int {
-	n := 0
-	for _, op := range c {
-		if consumesQuery(op.Op) {
 			n += op.Len
 		}
 	}
@@ -286,12 +266,9 @@ func (h *Header) Clone(sort SortOrder) *Header {
 	}
 }
 
-// CoordinateLess orders records by (RefID, Pos, strand, name); unmapped reads
-// (-1 contig) sort last, matching samtools sort.
-func CoordinateLess(a, b *Record) bool { return CoordinateCompare(a, b) < 0 }
-
-// CoordinateCompare is the three-way form of CoordinateLess: negative when a
-// sorts before b, positive when after, zero when the order leaves them tied.
+// CoordinateCompare orders records by (RefID, Pos, strand, name), unmapped
+// reads (-1 contig) last, matching samtools sort: negative when a sorts
+// before b, positive when after, zero when the order leaves them tied.
 func CoordinateCompare(a, b *Record) int {
 	ar, br := a.RefID, b.RefID
 	if ar < 0 {

@@ -43,9 +43,6 @@ func TestParseCigar(t *testing.T) {
 	if c.RefLen() != 18 {
 		t.Fatalf("RefLen = %d, want 18", c.RefLen())
 	}
-	if c.QueryLen() != 17 {
-		t.Fatalf("QueryLen = %d, want 17", c.QueryLen())
-	}
 	if !c.HasIndel() {
 		t.Fatal("HasIndel should be true")
 	}
@@ -103,15 +100,16 @@ func TestCoordinateLess(t *testing.T) {
 	b := &Record{RefID: 0, Pos: 200, Name: "b"}
 	c := &Record{RefID: 1, Pos: 0, Name: "c"}
 	un := &Record{RefID: -1, Pos: 0, Name: "u", Flag: FlagUnmapped}
-	if !CoordinateLess(a, b) || !CoordinateLess(b, c) || !CoordinateLess(c, un) {
+	less := func(a, b *Record) bool { return CoordinateCompare(a, b) < 0 }
+	if !less(a, b) || !less(b, c) || !less(c, un) {
 		t.Fatal("coordinate ordering broken")
 	}
-	if CoordinateLess(un, a) {
+	if less(un, a) {
 		t.Fatal("unmapped should sort last")
 	}
 	fwd := &Record{RefID: 0, Pos: 100, Name: "f"}
 	rev := &Record{RefID: 0, Pos: 100, Name: "r", Flag: FlagReverse}
-	if !CoordinateLess(fwd, rev) {
+	if !less(fwd, rev) {
 		t.Fatal("forward strand should sort before reverse at equal pos")
 	}
 }
@@ -249,7 +247,7 @@ func TestSortStability(t *testing.T) {
 	_, recs := sampleRecords()
 	// Shuffle deterministically then sort.
 	recs[0], recs[2] = recs[2], recs[0]
-	sort.Slice(recs, func(i, j int) bool { return CoordinateLess(&recs[i], &recs[j]) })
+	sort.Slice(recs, func(i, j int) bool { return CoordinateCompare(&recs[i], &recs[j]) < 0 })
 	if recs[0].Name != "r1" || recs[2].Name != "r3" {
 		t.Fatalf("sorted order: %s %s %s", recs[0].Name, recs[1].Name, recs[2].Name)
 	}
@@ -280,8 +278,8 @@ func TestCigarRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: RefLen + insertions/clips relation — QueryLen counts M,I,S,=,X
-// and RefLen counts M,D,N,=,X; they must agree on the M,=,X overlap.
+// Property: RefLen counts the M, D, N, = and X bases of any CIGAR, and
+// skips insertions and clips.
 func TestCigarLenConsistencyProperty(t *testing.T) {
 	f := func(lens []uint8) bool {
 		var c Cigar
@@ -289,20 +287,16 @@ func TestCigarLenConsistencyProperty(t *testing.T) {
 		for i, l := range lens {
 			c = append(c, CigarOp{Len: int(l%20) + 1, Op: ops[i%len(ops)]})
 		}
-		m, ins, del, s := 0, 0, 0, 0
+		m, del := 0, 0
 		for _, op := range c {
 			switch op.Op {
 			case 'M':
 				m += op.Len
-			case 'I':
-				ins += op.Len
 			case 'D':
 				del += op.Len
-			case 'S':
-				s += op.Len
 			}
 		}
-		return c.QueryLen() == m+ins+s && c.RefLen() == m+del
+		return c.RefLen() == m+del
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -140,17 +140,6 @@ func (h *Histogram) Percent(v int) float64 {
 	return float64(h.Counts[v-h.Min]) / float64(h.Total) * 100
 }
 
-// Mode returns the bin with the highest count.
-func (h *Histogram) Mode() int {
-	best, bestCount := h.Min, int64(-1)
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = h.Min+i, c
-		}
-	}
-	return best
-}
-
 // MassWithin returns the fraction of observations with |v| <= radius of
 // center.
 func (h *Histogram) MassWithin(center, radius int) float64 {

@@ -101,9 +101,6 @@ func TestHistogram(t *testing.T) {
 	if h.Total != 6 {
 		t.Fatalf("total = %d", h.Total)
 	}
-	if h.Mode() != 5 {
-		t.Fatalf("mode = %d", h.Mode())
-	}
 	if got := h.Percent(5); got != 50 {
 		t.Fatalf("percent(5) = %v", got)
 	}

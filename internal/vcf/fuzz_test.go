@@ -7,6 +7,17 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
+)
+
+// Allocation budget of Read. The scanner's 64 KiB buffer is the fixed cost;
+// past it a record line costs its struct and strings. Worst ratio seen on
+// the seeds: 5.0 bytes per byte on the 1 MB line, 66 264 bytes on the
+// shortest; 2 000 records of 16 bytes measured 31.
+const (
+	textPerByte = 64
+	textSlack   = 96 << 10
 )
 
 // FuzzRead: Read never panics on hostile text, and whatever it accepts
@@ -18,7 +29,10 @@ import (
 func FuzzRead(f *testing.F) {
 	f.Add([]byte("chr1\t5\t.\tA\t" + strings.Repeat("T", 1<<20) + "\t30\tPASS\t.\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, recs, err := Read(bytes.NewReader(data))
+		var h *Header
+		var recs []Record
+		var err error
+		allocbudget.Check(t, len(data), textPerByte, textSlack, func() { h, recs, err = Read(bytes.NewReader(data)) })
 		if err != nil {
 			return
 		}
