@@ -27,60 +27,51 @@ var (
 	backendProc int
 )
 
+// A runner reads the invocation's shared runs: every experiment that replays
+// a configuration of the WGS pipeline replays the same measured run.
 type runner struct {
 	id  string
-	fn  func(experiments.Scale) ([]string, error)
+	fn  func(*experiments.Runs) ([]string, error)
 	doc string
 }
 
 func runners() []runner {
 	return []runner{
-		{"table1", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Table1(s)
-			return format(r, err)
+		{"table1", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Table1(r))
 		}, "I/O vs CPU share of the file-handoff pipeline, 1 vs 30 samples, Lustre vs NFS"},
-		{"fig5", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Fig5(s)
-			return format(r, err)
+		{"fig5", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Fig5(r.Scale))
 		}, "quality-score and adjacent-delta distributions of two samples"},
-		{"table3", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Table3(s)
-			return format(r, err)
+		{"table3", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Table3(r.Scale))
 		}, "genomic compression per pipeline stage"},
-		{"table4", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Table4(s)
-			return format(r, err)
+		{"table4", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Table4(r))
 		}, "redundancy elimination on vs off"},
-		{"fig10", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Fig10(s)
-			return format(r, err)
+		{"fig10", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Fig10(r))
 		}, "cluster scalability: GPF vs Churchill, 128-2048 cores"},
-		{"fig11", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Fig11(s)
-			return format(r, err)
+		{"fig11", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Fig11(r))
 		}, "per-stage strong scaling vs ADAM/GATK4/Persona + aligner throughput"},
-		{"fig12", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Fig12(s)
-			return format(r, err)
+		{"fig12", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Fig12(r))
 		}, "blocked-time analysis: JCT bound from eliminating disk/network"},
-		{"fig13", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Fig13(s)
-			return format(r, err)
+		{"fig13", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Fig13(r))
 		}, "resource-utilization timeline at 2048 cores"},
-		{"table5", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Table5(s)
-			return format(r, err)
+		{"table5", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Table5(r))
 		}, "platform comparison: parallel efficiency"},
-		{"projection-planner", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.ProjectionPlanner(s)
-			return format(r, err)
+		{"projection-planner", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.ProjectionPlanner(r.Scale))
 		}, "projection planner: declared-read decode narrowing vs undeclared vs row codec, census decode bytes"},
-		{"scaling", func(s experiments.Scale) ([]string, error) {
-			r, err := experiments.Scaling(s)
-			return format(r, err)
+		{"scaling", func(r *experiments.Runs) ([]string, error) {
+			return format(experiments.Scaling(r.Scale))
 		}, "multi-process scaling: measured W=1,2,4,8 vs simulator prediction"},
-		{"wgs", func(s experiments.Scale) ([]string, error) {
-			return experiments.RunWGSOn(s, backendName, backendProc)
+		{"wgs", func(r *experiments.Runs) ([]string, error) {
+			return experiments.RunWGSOn(r, backendName, backendProc)
 		}, "one WGS run on the selected executor backend (-backend, -procs)"},
 	}
 }
@@ -130,6 +121,7 @@ func main() {
 	if *scaleName == "default" {
 		scale = experiments.DefaultScale()
 	}
+	runs := experiments.NewRuns(scale)
 	ran := false
 	for _, r := range runners() {
 		if *exp != "all" && *exp != r.id {
@@ -137,7 +129,7 @@ func main() {
 		}
 		ran = true
 		start := time.Now()
-		lines, err := r.fn(scale)
+		lines, err := r.fn(runs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpf-bench: %s: %v\n", r.id, err)
 			os.Exit(1)

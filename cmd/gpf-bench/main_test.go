@@ -48,7 +48,7 @@ func TestRunnerExecutes(t *testing.T) {
 		if r.id != "fig5" {
 			continue
 		}
-		lines, err := r.fn(experiments.SmallScale())
+		lines, err := r.fn(experiments.NewRuns(experiments.SmallScale()))
 		if err != nil {
 			t.Fatal(err)
 		}

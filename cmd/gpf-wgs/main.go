@@ -18,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/pkg/gpf"
 )
 
@@ -116,13 +117,29 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 		return err
 	}
 
-	m := eng.Metrics()
-	fmt.Printf("pipeline: %v, %d stages, %d variants -> %s\n",
-		elapsed.Round(time.Millisecond), m.NumStages(), len(calls), outPath)
-	fmt.Printf("execution order: %v\n", wgs.Pipeline.ExecutionOrder())
-	fmt.Printf("shuffle: %.1f MB moved, %.1fs serializing\n",
-		float64(m.TotalShuffleBytes())/1e6, m.TotalTaskTime().Seconds())
+	for _, line := range summary(eng.Metrics(), elapsed, len(calls), outPath, rt.PartitionLen, wgs.Pipeline.ExecutionOrder()) {
+		fmt.Println(line)
+	}
 	return nil
+}
+
+// summary is the report printed after a run: pipeline time, stage and call
+// counts, the partition length the run used (clampPartLen may have lowered
+// the requested one), the execution order, and the bytes shuffled with the
+// codec time spent on them.
+func summary(m engine.Metrics, elapsed time.Duration, calls int, outPath string, partLen int, order []string) []string {
+	var serialize time.Duration
+	for i := range m.Stages {
+		serialize += m.Stages[i].SerializeTime()
+	}
+	return []string{
+		fmt.Sprintf("pipeline: %v, %d stages, %d variants -> %s",
+			elapsed.Round(time.Millisecond), m.NumStages(), calls, outPath),
+		fmt.Sprintf("partition length: %d bases", partLen),
+		fmt.Sprintf("execution order: %v", order),
+		fmt.Sprintf("shuffle: %.1f MB moved, %.2fs serializing",
+			float64(m.TotalShuffleBytes())/1e6, serialize.Seconds()),
+	}
 }
 
 // clampPartLen keeps the partition length sensible for tiny genomes.

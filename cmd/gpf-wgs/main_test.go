@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/pkg/gpf"
 )
 
@@ -37,6 +41,26 @@ func TestWGSRunMissingInputs(t *testing.T) {
 	}
 	if err := run("/nonexistent.fa", "a", "b", "x.vcf", 1, 2, 1000, false, 0, 0, false, false); err == nil {
 		t.Fatal("bad reference path should error")
+	}
+}
+
+// TestSummaryReportsSerializeTimeAndPartitionLength: the "serializing" figure
+// is the codec time, not all task time, and the partition length the run
+// used is printed.
+func TestSummaryReportsSerializeTimeAndPartitionLength(t *testing.T) {
+	m := engine.Metrics{Stages: []engine.StageMetrics{
+		{Tasks: []engine.TaskMetrics{{Wall: 3 * time.Second, SerializeTime: time.Second}}},
+		{Tasks: []engine.TaskMetrics{{Wall: 2 * time.Second, SerializeTime: 250 * time.Millisecond, ShuffleWriteBytes: 2e6}}},
+	}}
+	got := summary(m, time.Second, 7, "calls.vcf", clampPartLen(1_000_000, 120000), []string{"a", "b"})
+	want := []string{
+		"pipeline: 1s, 2 stages, 7 variants -> calls.vcf",
+		"partition length: 12000 bases",
+		"execution order: [a b]",
+		"shuffle: 2.0 MB moved, 1.25s serializing",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("summary:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

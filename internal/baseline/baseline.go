@@ -13,8 +13,6 @@ import (
 
 	"github.com/gpf-go/gpf/internal/cluster"
 	"github.com/gpf-go/gpf/internal/core"
-	"github.com/gpf-go/gpf/internal/engine"
-	"github.com/gpf-go/gpf/internal/fastq"
 )
 
 // System identifies a comparator.
@@ -54,21 +52,18 @@ type WGSOptions struct {
 	Fuse bool
 	// Codec selects the serializer tier.
 	Codec core.CodecTier
-	// FileHandoff charges per-stage intermediate file I/O (Churchill-style
-	// workflow managers spill between tools).
-	FileHandoff bool
 }
 
 // GPFOptions is the paper's system: dynamic repartition, fusion, genomic
-// codec, no file handoff.
+// codec.
 func GPFOptions() WGSOptions {
 	return WGSOptions{DynamicRepartition: true, Fuse: true, Codec: core.TierGPF}
 }
 
-// ChurchillOptions: static regions decided up front, tool handoff through
-// files, no in-memory fusion.
+// ChurchillOptions: static regions decided up front, no in-memory fusion.
+// Its tool handoff through files is charged to its trace (AddFileHandoff).
 func ChurchillOptions() WGSOptions {
-	return WGSOptions{DynamicRepartition: false, Fuse: false, Codec: core.TierField, FileHandoff: true}
+	return WGSOptions{DynamicRepartition: false, Fuse: false, Codec: core.TierField}
 }
 
 // Configure translates the options into runtime settings: the codec tier and,
@@ -80,29 +75,6 @@ func (o WGSOptions) Configure(rt *core.Runtime) {
 	if !o.DynamicRepartition {
 		rt.SplitThresholdFactor = 1e18
 	}
-}
-
-// WGSRun is the outcome of a full-pipeline baseline run.
-type WGSRun struct {
-	Metrics  engine.Metrics
-	NumCalls int
-}
-
-// RunWGS executes the WGS pipeline under the given options and returns the
-// engine metrics (the raw material for trace replay at cluster scale).
-func RunWGS(rt *core.Runtime, pairs []fastq.Pair, opts WGSOptions) (*WGSRun, error) {
-	opts.Configure(rt)
-	ds := core.PairsToRDD(rt, pairs, rt.NumPartitions)
-	wgs := core.BuildWGSPipeline(rt, ds, false)
-	wgs.Pipeline.Optimize = opts.Fuse
-	if err := wgs.Pipeline.Run(); err != nil {
-		return nil, err
-	}
-	calls, err := core.CollectVCF(rt, wgs.VCF)
-	if err != nil {
-		return nil, err
-	}
-	return &WGSRun{Metrics: rt.Engine.Metrics(), NumCalls: len(calls)}, nil
 }
 
 // AddFileHandoff rewrites a trace to the file-handoff execution style: after

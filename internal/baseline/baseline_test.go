@@ -47,31 +47,6 @@ func TestSystemNames(t *testing.T) {
 	}
 }
 
-func TestRunWGSBothConfigs(t *testing.T) {
-	rt, pairs := testSetup(t, 8)
-	gpf, err := RunWGS(rt, pairs, GPFOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpf.NumCalls == 0 {
-		t.Fatal("GPF run called nothing")
-	}
-	rt2 := core.NewRuntime(engine.NewContext(2), rt.Ref)
-	rt2.PartitionLen = 5000
-	chl, err := RunWGS(rt2, pairs, ChurchillOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chl.NumCalls == 0 {
-		t.Fatal("Churchill run called nothing")
-	}
-	// Unfused pipeline must execute more stages.
-	if gpf.Metrics.NumStages() >= chl.Metrics.NumStages() {
-		t.Fatalf("GPF stages %d should be < Churchill stages %d",
-			gpf.Metrics.NumStages(), chl.Metrics.NumStages())
-	}
-}
-
 func TestAddFileHandoff(t *testing.T) {
 	tr := cluster.Trace{Stages: []cluster.StageWork{{
 		Name:  "s",

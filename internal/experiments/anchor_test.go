@@ -16,13 +16,11 @@ import (
 // Aligner task wall multiplied by 0.1 — or Go Cleaner and Caller kernels
 // twice as fast must produce the same GPF row.
 func TestFig10IndependentOfKernelSpeed(t *testing.T) {
-	s := SmallScale()
-	d := s.dataset(workload.WGS)
-	run, err := baseline.RunWGS(s.newRuntime(d), d.Pairs, baseline.GPFOptions())
+	run, err := smallRuns.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fig10FromTraces(paperTrace(run.Metrics, d, 4096), cluster.Trace{})
+	want := fig10FromTraces(run.trace(4096), cluster.Trace{})
 	for _, tc := range []struct {
 		name    string
 		aligner bool
@@ -46,7 +44,7 @@ func TestFig10IndependentOfKernelSpeed(t *testing.T) {
 		if scaled == 0 {
 			t.Fatalf("%s: no such tasks in the measured run", tc.name)
 		}
-		got := fig10FromTraces(paperTrace(fast, d, 4096), cluster.Trace{})
+		got := fig10FromTraces((&Run{Data: run.Data, Metrics: fast}).trace(4096), cluster.Trace{})
 		for i, w := range want.Points {
 			g := got.Points[i]
 			// Integer-nanosecond walls lose up to 1 ns each to the division.

@@ -8,14 +8,19 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/cluster"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
+	"github.com/gpf-go/gpf/internal/fastq"
+	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -59,9 +64,9 @@ func DefaultScale() Scale {
 	return Scale{GenomeLen: 120000, Coverage: 12, Workers: 4, NumPartitions: 8, PartitionLen: 8000, Seed: 42}
 }
 
-// newRuntime builds a core runtime for a dataset under this scale.
-func (s Scale) newRuntime(d *workload.Dataset) *core.Runtime {
-	rt := core.NewRuntime(engine.NewContext(s.Workers), d.Ref)
+// newRuntime builds a core runtime on ctx for a dataset under this scale.
+func (s Scale) newRuntime(ctx *engine.Context, d *workload.Dataset) *core.Runtime {
+	rt := core.NewRuntime(ctx, d.Ref)
 	rt.PartitionLen = s.PartitionLen
 	rt.NumPartitions = s.NumPartitions
 	rt.Known = d.Known
@@ -82,8 +87,6 @@ func calibration(d *workload.Dataset) (cpuScale, byteScale float64) {
 	if bases <= 0 {
 		return 1, 1
 	}
-	// Divide by local worker count: engine task wall time was measured on
-	// s.Workers local cores but represents one paper core's work per task.
 	return PaperBases / bases, PaperFASTQBytes / float64(d.FASTQBytes())
 }
 
@@ -146,26 +149,101 @@ func anchorTools(tr cluster.Trace) {
 	}
 }
 
-// paperTrace converts a measured run over d into the paper-scale trace:
-// calibrated to the paper's dataset size, task CPU anchored to the paper's
-// tools, tasks refined to targetTasks per stage.
-func paperTrace(m engine.Metrics, d *workload.Dataset, targetTasks int) cluster.Trace {
-	cpuScale, byteScale := calibration(d)
-	tr := cluster.TraceFromMetrics(m, cpuScale, byteScale)
-	anchorTools(tr)
-	return refine(tr, targetTasks)
+// driveWGS is the one WGS driver: it synthesizes sp.Scale's dataset of the
+// given kind and runs the full pipeline under sp.Opts on ctx, from FASTQ pairs
+// to VCF. It returns the dataset and the rendered VCF text, the byte-identity
+// witness across backends. Runs calls it on a fresh in-process Context; the
+// mproc scaling job calls it on each rank's Context.
+func driveWGS(ctx *engine.Context, kind workload.Kind, sp ScalingSpec) (*workload.Dataset, []byte, error) {
+	d := sp.Scale.dataset(kind)
+	rt := sp.Scale.newRuntime(ctx, d)
+	sp.Opts.Configure(rt)
+	ds := core.PairsToRDD(rt, d.Pairs, rt.NumPartitions)
+	if sp.InjectMapError {
+		var err error
+		ds, err = engine.MapPartitions("inject-fail", ds,
+			engine.Serializer[fastq.Pair](compress.GPFPairCodec{}),
+			func(p int, items []fastq.Pair) ([]fastq.Pair, error) {
+				if p == 1 {
+					return nil, errors.New("injected worker-side map failure")
+				}
+				return items, nil
+			})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	wgs := core.BuildWGSPipeline(rt, ds, false)
+	wgs.Pipeline.Optimize = sp.Opts.Fuse
+	if err := wgs.Pipeline.Run(); err != nil {
+		return nil, nil, err
+	}
+	calls, err := core.CollectVCF(rt, wgs.VCF)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	if err := vcf.Write(&buf, wgs.VCF.Header, calls); err != nil {
+		return nil, nil, err
+	}
+	return d, buf.Bytes(), nil
 }
 
-// runWGS executes the full pipeline under opts and returns the dataset, the
-// run result and the paper-scale trace.
-func runWGS(s Scale, kind workload.Kind, opts baseline.WGSOptions, targetTasks int) (*workload.Dataset, *baseline.WGSRun, cluster.Trace, error) {
-	d := s.dataset(kind)
-	rt := s.newRuntime(d)
-	run, err := baseline.RunWGS(rt, d.Pairs, opts)
-	if err != nil {
-		return nil, nil, cluster.Trace{}, err
+// Run is one measured in-process WGS run: the dataset it read, the engine
+// metrics it recorded, the VCF it wrote and its wall time (dataset synthesis
+// included).
+type Run struct {
+	Data    *workload.Dataset
+	Metrics engine.Metrics
+	VCF     []byte
+	Wall    time.Duration
+}
+
+// runKey is one configuration of the WGS pipeline.
+type runKey struct {
+	kind workload.Kind
+	opts baseline.WGSOptions
+}
+
+// Runs measures each configuration of the WGS pipeline at most once at one
+// Scale and keeps the run for every figure that reads it, so figures that
+// describe the same configuration describe the same run. Readers must not
+// modify a Run. Callers are sequential: Runs has no lock.
+type Runs struct {
+	Scale Scale
+	runs  map[runKey]*Run
+}
+
+// NewRuns returns an empty memo of runs at scale s.
+func NewRuns(s Scale) *Runs {
+	return &Runs{Scale: s, runs: map[runKey]*Run{}}
+}
+
+// Get returns the run of (kind, opts), measuring it on first use.
+func (r *Runs) Get(kind workload.Kind, opts baseline.WGSOptions) (*Run, error) {
+	k := runKey{kind, opts}
+	if run, ok := r.runs[k]; ok {
+		return run, nil
 	}
-	return d, run, paperTrace(run.Metrics, d, targetTasks), nil
+	ctx := engine.NewContext(r.Scale.Workers)
+	start := time.Now()
+	d, out, err := driveWGS(ctx, kind, ScalingSpec{Scale: r.Scale, Opts: opts})
+	if err != nil {
+		return nil, err
+	}
+	run := &Run{Data: d, Metrics: ctx.Metrics(), VCF: out, Wall: time.Since(start)}
+	r.runs[k] = run
+	return run, nil
+}
+
+// trace converts the run into the paper-scale trace: calibrated to the
+// paper's dataset size, task CPU anchored to the paper's tools, tasks refined
+// to targetTasks per stage.
+func (run *Run) trace(targetTasks int) cluster.Trace {
+	cpuScale, byteScale := calibration(run.Data)
+	tr := cluster.TraceFromMetrics(run.Metrics, cpuScale, byteScale)
+	anchorTools(tr)
+	return refine(tr, targetTasks)
 }
 
 // phaseOf buckets a stage name into the pipeline phase it belongs to.

@@ -5,10 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
-	"github.com/gpf-go/gpf/internal/core"
-	"github.com/gpf-go/gpf/internal/vcf"
+	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -16,7 +16,7 @@ import (
 // who wins, roughly by how much, and where the crossovers and plateaus fall.
 
 func TestTable1IOShareGrows(t *testing.T) {
-	res, err := Table1(SmallScale())
+	res, err := Table1(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTable3CompressionRatios(t *testing.T) {
 }
 
 func TestTable4RedundancyElimination(t *testing.T) {
-	res, err := Table4(SmallScale())
+	res, err := Table4(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTable4RedundancyElimination(t *testing.T) {
 }
 
 func TestFig10ScalingShape(t *testing.T) {
-	res, err := Fig10(SmallScale())
+	res, err := Fig10(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +200,9 @@ func TestFig10ScalingShape(t *testing.T) {
 
 // fig11Gate checks one family of Fig 11 ratios, fed by wall-clock-measured
 // traces. The direction (> 1x) must hold on every measurement and fails at
-// once; a ratio under its margin re-measures Fig11(SmallScale()) up to twice
-// before failing, since a single loaded-core run can dip a ratio that sits
-// near its gate.
+// once; a ratio under its margin re-measures Fig 11 over a fresh SmallScale
+// Runs up to twice before failing, since a single loaded-core run can dip a
+// ratio that sits near its gate.
 func fig11Gate(t *testing.T, res *Fig11Result, what string, ratios func(*Fig11Result) map[string]float64, min func(name string) float64) {
 	t.Helper()
 	for attempt := 1; ; attempt++ {
@@ -223,14 +223,14 @@ func fig11Gate(t *testing.T, res *Fig11Result, what string, ratios func(*Fig11Re
 		}
 		t.Logf("%s; re-measuring", missed)
 		var err error
-		if res, err = Fig11(SmallScale()); err != nil {
+		if res, err = Fig11(NewRuns(SmallScale())); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestFig11StageComparisons(t *testing.T) {
-	res, err := Fig11(SmallScale())
+	res, err := Fig11(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFig11StageComparisons(t *testing.T) {
 }
 
 func TestFig12IOBoundsSmall(t *testing.T) {
-	res, err := Fig12(SmallScale())
+	res, err := Fig12(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestFig12IOBoundsSmall(t *testing.T) {
 }
 
 func TestFig13CPUBoundProfile(t *testing.T) {
-	res, err := Fig13(SmallScale())
+	res, err := Fig13(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestFig13CPUBoundProfile(t *testing.T) {
 }
 
 func TestTable5Efficiencies(t *testing.T) {
-	res, err := Table5(SmallScale())
+	res, err := Table5(smallRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,25 +438,48 @@ func TestProjectionPushdownWins(t *testing.T) {
 // `gpf-bench -exp kernels` could run the pipeline with them (37 calls, 1813
 // bytes; that commit asserted the fast kernels wrote the same). The reference
 // kernels are test oracles now, so this hash is the end-to-end check that no
-// kernel moves a call.
+// kernel moves a call. The bytes hashed are those of the GPF run every paper
+// figure reads.
 func TestWGSGoldenVCF(t *testing.T) {
 	const golden = "0a6da75f4b82cbf892afde9e0f09d03f34cf4602db50e5dc35721ff43b9f95cd"
-	s := SmallScale()
-	d := s.dataset(workload.WGS)
-	rt := s.newRuntime(d)
-	wgs := core.BuildWGSPipeline(rt, core.PairsToRDD(rt, d.Pairs, rt.NumPartitions), false)
-	if err := wgs.Pipeline.Run(); err != nil {
-		t.Fatal(err)
-	}
-	calls, err := core.CollectVCF(rt, wgs.VCF)
+	run, err := smallRuns.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	if err := vcf.Write(h, wgs.VCF.Header, calls); err != nil {
-		t.Fatal(err)
+	sum := sha256.Sum256(run.VCF)
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Fatalf("VCF of %d bytes hashes to %s, want %s", len(run.VCF), got, golden)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-		t.Fatalf("VCF of %d calls hashes to %s, want %s", len(calls), got, golden)
+}
+
+// TestFig11FormatPanelOrder: the speedup lines come in panel order on every
+// call, not in map order.
+func TestFig11FormatPanelOrder(t *testing.T) {
+	res := &Fig11Result{
+		Panels:           []Fig11Panel{{Name: "Mark Duplicate"}, {Name: "BQSR"}, {Name: "INDEL Realignment"}},
+		SpeedupOverADAM:  map[string]float64{"Mark Duplicate": 3.1, "BQSR": 3.3, "INDEL Realignment": 2.6},
+		SpeedupOverGATK4: map[string]float64{"Mark Duplicate": 2.2, "BQSR": 2.3},
+	}
+	var speedups []string
+	for _, l := range res.Format() {
+		if strings.HasPrefix(l, "GPF over ") {
+			speedups = append(speedups, l)
+		}
+	}
+	want := []string{
+		"GPF over ADAM, Mark Duplicate: 3.1x",
+		"GPF over ADAM, BQSR: 3.3x",
+		"GPF over ADAM, INDEL Realignment: 2.6x",
+		"GPF over GATK4, Mark Duplicate: 2.2x",
+		"GPF over GATK4, BQSR: 2.3x",
+	}
+	if !slices.Equal(speedups, want) {
+		t.Fatalf("speedup lines %q, want %q", speedups, want)
+	}
+	first := res.Format()
+	for i := 0; i < 20; i++ {
+		if got := res.Format(); !slices.Equal(got, first) {
+			t.Fatalf("call %d printed %q, first call %q", i+2, got, first)
+		}
 	}
 }

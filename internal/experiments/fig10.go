@@ -30,11 +30,11 @@ type Fig10Result struct {
 // start of the analysis (§5.2.1: its scalability was limited to 1024 cores).
 const churchillMaxRegions = 1024
 
-// Fig10 measures both systems once, replays the traces across core counts.
-func Fig10(s Scale) (*Fig10Result, error) {
+// Fig10 replays the GPF and Churchill runs across core counts.
+func Fig10(runs *Runs) (*Fig10Result, error) {
 	// GPF: dynamic repartition, fusion, genomic codec. Task granularity
 	// refined as a full-size dataset would provide.
-	_, _, gpfTrace, err := runWGS(s, workload.WGS, baseline.GPFOptions(), 4096)
+	gpf, err := runs.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -42,15 +42,15 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	// Churchill: static regions (no dynamic splits), file handoff between
 	// tools, serial scatter/gather merges. The region count is fixed at
 	// analysis start, capping usable parallelism.
-	d, _, chTrace, err := runWGS(s, workload.WGS, baseline.ChurchillOptions(), churchillMaxRegions)
+	ch, err := runs.Get(workload.WGS, baseline.ChurchillOptions())
 	if err != nil {
 		return nil, err
 	}
-	_, byteScale := calibration(d)
-	perTaskFile := int64(float64(d.FASTQBytes()) * byteScale / churchillMaxRegions)
-	chTrace = baseline.AddFileHandoff(chTrace, perTaskFile)
+	_, byteScale := calibration(ch.Data)
+	perTaskFile := int64(float64(ch.Data.FASTQBytes()) * byteScale / churchillMaxRegions)
+	chTrace := baseline.AddFileHandoff(ch.trace(churchillMaxRegions), perTaskFile)
 	chTrace = baseline.SerialScatterGather(chTrace, 30*time.Second)
-	return fig10FromTraces(gpfTrace, chTrace), nil
+	return fig10FromTraces(gpf.trace(4096), chTrace), nil
 }
 
 // fig10FromTraces replays the two systems' paper-scale traces across the

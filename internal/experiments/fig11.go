@@ -48,10 +48,12 @@ type Fig11Result struct {
 // fig11Cores are the x-axis of the figure.
 var fig11Cores = []int{128, 256, 512, 1024}
 
-// Fig11 measures every stage/system pair once and replays the traces.
-func Fig11(s Scale) (*Fig11Result, error) {
+// Fig11 measures every stage/system pair once and replays the traces; panel
+// (d) replays the Aligner stages of the GPF run.
+func Fig11(runs *Runs) (*Fig11Result, error) {
+	s := runs.Scale
 	d := s.dataset(workload.WGS)
-	rt := s.newRuntime(d)
+	rt := s.newRuntime(engine.NewContext(s.Workers), d)
 	cpuScale, byteScale := calibration(d)
 
 	// Aligned input shared by every stage run.
@@ -125,10 +127,9 @@ func Fig11(s Scale) (*Fig11Result, error) {
 
 	// Panel (d): aligner throughput. GPF aligns paired-end through the
 	// pipeline's aligner stage; Persona aligns single-end and pays AGD
-	// conversion serially.
-	rtAln := s.newRuntime(d)
-	rtAln.Engine.ResetMetrics()
-	gpfRun, err := baseline.RunWGS(rtAln, d.Pairs, baseline.GPFOptions())
+	// conversion serially. On a fresh Runs the GPF run is measured here, next
+	// to Persona's, after the stage runs.
+	gpfRun, err := runs.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +141,7 @@ func Fig11(s Scale) (*Fig11Result, error) {
 	}
 	gpfTrace := refine(cluster.TraceFromMetrics(gpfAlignMetrics, cpuScale, byteScale), 2048)
 
-	rtP := s.newRuntime(d)
+	rtP := s.newRuntime(engine.NewContext(s.Workers), d)
 	pMetrics, fastqBytes, err := baseline.RunPersonaAlign(rtP, d.Pairs)
 	if err != nil {
 		return nil, err
@@ -196,11 +197,16 @@ func (r *Fig11Result) Format() []string {
 			out = append(out, line)
 		}
 	}
-	for name, sp := range r.SpeedupOverADAM {
-		out = append(out, fmt.Sprintf("GPF over ADAM, %s: %.1fx", name, sp))
+	// Speedup lines in panel order, not map order.
+	for _, panel := range r.Panels {
+		if sp, ok := r.SpeedupOverADAM[panel.Name]; ok {
+			out = append(out, fmt.Sprintf("GPF over ADAM, %s: %.1fx", panel.Name, sp))
+		}
 	}
-	for name, sp := range r.SpeedupOverGATK4 {
-		out = append(out, fmt.Sprintf("GPF over GATK4, %s: %.1fx", name, sp))
+	for _, panel := range r.Panels {
+		if sp, ok := r.SpeedupOverGATK4[panel.Name]; ok {
+			out = append(out, fmt.Sprintf("GPF over GATK4, %s: %.1fx", panel.Name, sp))
+		}
 	}
 	out = append(out, "Figure 11(d): aligner throughput (Gbases/s)")
 	out = append(out, row("cores", "    GPF BWA", "Persona BWA", "Persona real"))

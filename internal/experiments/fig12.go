@@ -36,15 +36,17 @@ type Fig12Result struct {
 	Workloads []Fig12Workload
 }
 
-// Fig12 runs the three workloads and applies blocked-time analysis.
-func Fig12(s Scale) (*Fig12Result, error) {
+// Fig12 applies blocked-time analysis to GPF's run of each of the three
+// workloads.
+func Fig12(runs *Runs) (*Fig12Result, error) {
 	cfg := cluster.PaperCluster()
 	res := &Fig12Result{}
 	for _, kind := range []workload.Kind{workload.WGS, workload.WES, workload.GenePanel} {
-		_, run, full, err := runWGS(s, kind, baseline.GPFOptions(), 2048)
+		run, err := runs.Get(kind, baseline.GPFOptions())
 		if err != nil {
 			return nil, err
 		}
+		full := run.trace(2048)
 
 		wl := Fig12Workload{Workload: kind.String()}
 		for _, phase := range []string{"Aligner", "Cleaner", "Caller"} {

@@ -20,14 +20,14 @@ type Fig13Result struct {
 	MeanCPUUtil float64
 }
 
-// Fig13 runs the pipeline, simulates it at 2048 cores and samples the
-// utilization timeline.
-func Fig13(s Scale) (*Fig13Result, error) {
-	_, _, tr, err := runWGS(s, workload.WGS, baseline.GPFOptions(), 4096)
+// Fig13 simulates the GPF run at 2048 cores and samples the utilization
+// timeline.
+func Fig13(runs *Runs) (*Fig13Result, error) {
+	run, err := runs.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		return nil, err
 	}
-	sim := cluster.Simulate(tr, cluster.PaperCluster(), 2048, cluster.SparkOptions())
+	sim := cluster.Simulate(run.trace(4096), cluster.PaperCluster(), 2048, cluster.SparkOptions())
 	points := stats.Timeline(sim, sim.Cores, 48)
 	res := &Fig13Result{Points: points}
 	var cpuSum float64

@@ -65,7 +65,7 @@ func (r *ProjPlannerResult) RowDecodeReduction() float64 {
 // before reporting byte deltas.
 func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 	d := s.dataset(workload.WGS)
-	rt := s.newRuntime(d)
+	rt := s.newRuntime(engine.NewContext(s.Workers), d)
 	idx, err := rt.Index()
 	if err != nil {
 		return nil, err

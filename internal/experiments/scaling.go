@@ -3,18 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"time"
 
 	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/cluster"
-	"github.com/gpf-go/gpf/internal/compress"
-	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/engine/exec/mproc"
-	"github.com/gpf-go/gpf/internal/fastq"
-	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -49,49 +44,9 @@ func init() {
 		if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&sp); err != nil {
 			return nil, fmt.Errorf("%s: decode spec: %w", ScalingJobName, err)
 		}
-		return runScalingWGS(ctx, sp)
+		_, out, err := driveWGS(ctx, workload.WGS, sp)
+		return out, err
 	})
-}
-
-// runScalingWGS is baseline.RunWGS rebuilt on a provided engine context — the
-// SPMD job body. The output is the rendered VCF text, the byte-identity
-// witness across backends.
-func runScalingWGS(ctx *engine.Context, sp ScalingSpec) ([]byte, error) {
-	d := sp.Scale.dataset(workload.WGS)
-	rt := core.NewRuntime(ctx, d.Ref)
-	rt.PartitionLen = sp.Scale.PartitionLen
-	rt.NumPartitions = sp.Scale.NumPartitions
-	rt.Known = d.Known
-	sp.Opts.Configure(rt)
-	ds := core.PairsToRDD(rt, d.Pairs, rt.NumPartitions)
-	if sp.InjectMapError {
-		var err error
-		ds, err = engine.MapPartitions("inject-fail", ds,
-			engine.Serializer[fastq.Pair](compress.GPFPairCodec{}),
-			func(p int, items []fastq.Pair) ([]fastq.Pair, error) {
-				if p == 1 {
-					return nil, errors.New("injected worker-side map failure")
-				}
-				return items, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	wgs := core.BuildWGSPipeline(rt, ds, false)
-	wgs.Pipeline.Optimize = sp.Opts.Fuse
-	if err := wgs.Pipeline.Run(); err != nil {
-		return nil, err
-	}
-	calls, err := core.CollectVCF(rt, wgs.VCF)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := vcf.Write(&buf, wgs.VCF.Header, calls); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // ScalingPoint is one process count of the scaling experiment.
@@ -188,48 +143,40 @@ func (r *ScalingResult) Format() []string {
 
 // RunWGSOn executes the WGS pipeline once on the named executor backend —
 // the `gpf-bench -exp wgs -backend=...` path. backend is "inproc" or "mproc";
-// procs only matters for mproc. The in-process run doubles as the planning
-// oracle: its metrics replay through the cluster model for the predicted
-// W=1..8 curve.
-func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
-	slots := s.Workers
+// procs only matters for mproc. The in-process run is runs' GPF run, the one
+// the paper figures read, and doubles as the planning oracle: its metrics
+// replay through the cluster model for the predicted W=1..8 curve.
+func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
+	slots := runs.Scale.Workers
 	if slots < 1 {
 		slots = 1
 	}
-	sp := ScalingSpec{Scale: s, Opts: baseline.GPFOptions()}
-	start := time.Now()
-	var (
-		out     []byte
-		metrics engine.Metrics
-		err     error
-	)
+	var run *Run
 	switch backend {
 	case "mproc":
-		spec, eerr := EncodeScalingSpec(sp)
-		if eerr != nil {
-			return nil, eerr
+		spec, err := EncodeScalingSpec(ScalingSpec{Scale: runs.Scale, Opts: baseline.GPFOptions()})
+		if err != nil {
+			return nil, err
 		}
-		var r *mproc.Result
-		if r, err = mproc.Run(ScalingJobName, spec, mproc.Options{Procs: procs, Slots: slots}); err == nil {
-			out, metrics = r.Output, r.Metrics
+		r, err := mproc.Run(ScalingJobName, spec, mproc.Options{Procs: procs, Slots: slots})
+		if err != nil {
+			return nil, err
 		}
+		run = &Run{Metrics: r.Metrics, VCF: r.Output, Wall: r.Wall}
 	case "inproc", "":
 		backend = "inproc"
-		ctx := engine.NewContext(slots)
-		if out, err = runScalingWGS(ctx, sp); err == nil {
-			metrics = ctx.Metrics()
+		var err error
+		if run, err = runs.Get(workload.WGS, baseline.GPFOptions()); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("unknown backend %q (inproc|mproc)", backend)
 	}
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
+	metrics := run.Metrics
 	lines := []string{
 		fmt.Sprintf("WGS pipeline on backend=%s (procs=%d, slots=%d)", backend, procs, slots),
-		row("wall", fmt.Sprintf("%.2fs", wall.Seconds())),
-		row("output VCF bytes", fmt.Sprintf("%d", len(out))),
+		row("wall", fmt.Sprintf("%.2fs", run.Wall.Seconds())),
+		row("output VCF bytes", fmt.Sprintf("%d", len(run.VCF))),
 		row("stages", fmt.Sprintf("%d", metrics.NumStages())),
 		row("shuffle GB", fmt.Sprintf("%.4f", gb(metrics.TotalShuffleBytes()))),
 		row("fetch wait", fmt.Sprintf("%.3fs", metrics.TotalFetchWait().Seconds())),

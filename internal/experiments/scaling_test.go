@@ -9,6 +9,7 @@ import (
 	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/engine/exec/mproc"
+	"github.com/gpf-go/gpf/internal/workload"
 )
 
 // TestMain lets this test binary double as the forked mproc worker.
@@ -40,7 +41,7 @@ func scalingTestSpec() ScalingSpec {
 // several process counts.
 func TestScalingWGSByteIdentityAcrossBackends(t *testing.T) {
 	sp := scalingTestSpec()
-	ref, err := runScalingWGS(engine.NewContext(2), sp)
+	_, ref, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestScalingWGSByteIdentityAcrossBackends(t *testing.T) {
 func TestScalingWGSInjectedWorkerError(t *testing.T) {
 	sp := scalingTestSpec()
 	sp.InjectMapError = true
-	if _, err := runScalingWGS(engine.NewContext(2), sp); err == nil ||
+	if _, _, err := driveWGS(engine.NewContext(2), workload.WGS, sp); err == nil ||
 		!strings.Contains(err.Error(), "injected worker-side map failure") {
 		t.Fatalf("inproc: want injected failure, got %v", err)
 	}
@@ -85,7 +86,7 @@ func TestScalingWGSInjectedWorkerError(t *testing.T) {
 		t.Fatalf("mproc: want injected failure, got %v", err)
 	}
 	sp.InjectMapError = false
-	ref, err := runScalingWGS(engine.NewContext(2), sp)
+	_, ref, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +138,12 @@ func TestScalingExperimentShape(t *testing.T) {
 // the in-process run prints the oracle's predicted curve, and the retired
 // "sim" name is unknown.
 func TestRunWGSOnBackends(t *testing.T) {
-	s := scalingTestScale()
+	runs := smallRuns
+	if raceEnabled {
+		runs = NewRuns(scalingTestScale())
+	}
 	for _, backend := range []string{"inproc", "mproc"} {
-		lines, err := RunWGSOn(s, backend, 2)
+		lines, err := RunWGSOn(runs, backend, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -152,7 +156,7 @@ func TestRunWGSOnBackends(t *testing.T) {
 		}
 	}
 	for _, backend := range []string{"sim", "bogus"} {
-		if _, err := RunWGSOn(s, backend, 2); err == nil {
+		if _, err := RunWGSOn(runs, backend, 2); err == nil {
 			t.Fatalf("unknown backend %q accepted", backend)
 		}
 	}

@@ -51,12 +51,12 @@ func table1FS() []cluster.SharedFS {
 	}
 }
 
-// Table1 measures the phase proportions from a real pipeline run, anchors
+// Table1 takes the phase proportions from a real pipeline run, anchors
 // total compute to conventional-tool throughput, and models the file-handoff
 // chain for 1 and 30 concurrent samples on Lustre and NFS.
-func Table1(s Scale) (*Table1Result, error) {
+func Table1(runs *Runs) (*Table1Result, error) {
 	// Phase proportions from a real run of the conventional-style pipeline.
-	_, run, _, err := runWGS(s, workload.WGS, baseline.ChurchillOptions(), 0)
+	run, err := runs.Get(workload.WGS, baseline.ChurchillOptions())
 	if err != nil {
 		return nil, err
 	}

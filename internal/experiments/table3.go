@@ -6,6 +6,7 @@ import (
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
+	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/workload"
 )
@@ -30,7 +31,7 @@ type Table3Result struct {
 // each stage's records through both serializer tiers.
 func Table3(s Scale) (*Table3Result, error) {
 	d := s.dataset(workload.WGS)
-	rt := s.newRuntime(d)
+	rt := s.newRuntime(engine.NewContext(s.Workers), d)
 	_, byteScale := calibration(d)
 	toGB := func(bytes int) float64 { return float64(bytes) * byteScale / 1e9 }
 

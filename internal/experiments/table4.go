@@ -29,18 +29,18 @@ type Table4Result struct {
 	Redundant Table4Column
 }
 
-// Table4 runs both configurations and simulates each trace at 256 cores.
-func Table4(s Scale) (*Table4Result, error) {
+// Table4 simulates the runs of both configurations at 256 cores.
+func Table4(runs *Runs) (*Table4Result, error) {
 	runCol := func(label string, fuse bool) (Table4Column, error) {
 		opts := baseline.GPFOptions()
 		opts.Fuse = fuse
-		d, run, tr, err := runWGS(s, workload.WGS, opts, 1024)
+		run, err := runs.Get(workload.WGS, opts)
 		if err != nil {
 			return Table4Column{}, err
 		}
-		cpuScale, _ := calibration(d)
-		sim := cluster.Simulate(tr, cluster.PaperCluster(), 256, cluster.SparkOptions())
-		m := run.Metrics
+		d, m := run.Data, run.Metrics
+		cpuScale, byteScale := calibration(d)
+		sim := cluster.Simulate(run.trace(1024), cluster.PaperCluster(), 256, cluster.SparkOptions())
 		return Table4Column{
 			Label:       label,
 			RunningTime: sim.Makespan,
@@ -48,7 +48,7 @@ func Table4(s Scale) (*Table4Result, error) {
 			CoreHours:   (sim.CPUTime + sim.DiskTime + sim.NetTime).Hours(),
 			GCTime:      time.Duration(float64(m.TotalGCPause()) * cpuScale),
 			ShuffleTime: time.Duration(float64(m.TotalShuffleTime()) * cpuScale),
-			ShuffleData: int64(float64(m.TotalShuffleBytes()) * byteScaleOf(d)),
+			ShuffleData: int64(float64(m.TotalShuffleBytes()) * byteScale),
 		}, nil
 	}
 	opt, err := runCol("Original", true)
@@ -60,11 +60,6 @@ func Table4(s Scale) (*Table4Result, error) {
 		return nil, err
 	}
 	return &Table4Result{Optimized: opt, Redundant: red}, nil
-}
-
-func byteScaleOf(d *workload.Dataset) float64 {
-	_, bs := calibration(d)
-	return bs
 }
 
 // Format renders the table in the paper's layout (optimized column first,

@@ -24,9 +24,10 @@ type Table5Result struct {
 	Rows []Table5Row
 }
 
-// Table5 derives the measured rows from Fig 10 and fills the cited ones.
-func Table5(s Scale) (*Table5Result, error) {
-	f10, err := Fig10(s)
+// Table5 derives the measured rows from Fig 10 over the same runs, so its GPF
+// row is Fig 10's efficiency, and fills the cited ones.
+func Table5(runs *Runs) (*Table5Result, error) {
+	f10, err := Fig10(runs)
 	if err != nil {
 		return nil, err
 	}

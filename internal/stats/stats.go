@@ -20,10 +20,8 @@ type BlockedTimeResult struct {
 	DiskImprovement float64
 	NetImprovement  float64
 	// ShuffleFraction is the fraction of task time spent moving shuffle
-	// data; GCFraction the fraction spent in GC pauses (reported alongside
-	// in Fig 12's source analysis).
+	// data.
 	ShuffleFraction float64
-	GCFraction      float64
 }
 
 // BlockedTime runs the trace three times through the simulator — as-is,
