@@ -11,28 +11,15 @@ import (
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
-// bundlePad is the reference flank carried with each bundle partition so
-// reads overhanging the partition boundary can still be realigned/called.
-const bundlePad = 300
-
-// Bundle is one position-partition of the pipeline's working set: the
-// reference slice, the SAM records and the known variants of one genomic
-// partition — the "Partition Bundle RDD" of Fig 7.
+// Bundle is one position-partition of the pipeline's working set: the SAM
+// records and the known variants of one genomic partition, with the
+// partition's interval — the "Partition Bundle RDD" of Fig 7. It carries no
+// reference slice: every kernel a partition Process runs reads rt.Ref, the
+// whole reference every process already holds (a Spark broadcast's role).
 type Bundle struct {
-	PartID   int
-	Interval genome.Interval // the partition's core (unpadded) interval
-	RefStart int             // start of the padded reference slice
-	Ref      []byte          // padded reference bases
+	Interval genome.Interval // the partition's interval
 	Sams     []sam.Record
 	Known    []vcf.Record
-}
-
-// refChunk is the FASTA-partition element shuffled when building bundles.
-type refChunk struct {
-	PartID   int
-	Interval genome.Interval
-	RefStart int
-	Seq      []byte
 }
 
 // CodecTier selects the serializer family used throughout a pipeline.
@@ -78,49 +65,28 @@ func (t CodecTier) SAMCodec() engine.Serializer[sam.Record] {
 func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] { return rt.Codec.SAMCodec() }
 
 // buildBundles performs the partition operation of Fig 7a: groupBy partition
-// ID on the SAM records, the FASTA chunks and the known VCF records (three
-// shuffles), then join them partition-wise into the bundle dataset.
+// ID on the SAM records and the known VCF records (two shuffles), then join
+// them partition-wise into the bundle dataset, each bundle taking its
+// partition's interval from info.
 func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], info *PartitionInfo) (*engine.Dataset[Bundle], error) {
 	n := info.NumPartitions()
 	if n == 0 {
 		return nil, fmt.Errorf("core: partition info has no partitions")
 	}
 
-	// SAM records by final partition ID.
-	samPart, err := engine.PartitionBy(name+"/sam-partition",
-		engine.WithCodec(flat, rt.SAMCodec()), n,
+	// SAM records by final partition ID. Re-attaching the codec a flatten
+	// already carries would fork its lazy plan into a second consumer of the
+	// bundled input, which would then materialize as a stage of its own.
+	if flat.Codec() != rt.SAMCodec() {
+		flat = engine.WithCodec(flat, rt.SAMCodec())
+	}
+	samPart, err := engine.PartitionBy(name+"/sam-partition", flat, n,
 		func(r sam.Record) int {
 			if r.RefID < 0 {
 				return 0
 			}
 			return info.FinalID(int(r.RefID), int(r.Pos))
 		})
-	if err != nil {
-		return nil, err
-	}
-
-	// FASTA chunks by partition ID.
-	chunks := make([]refChunk, 0, n)
-	for p := 0; p < n; p++ {
-		iv, ok := info.Interval(p)
-		if !ok {
-			continue
-		}
-		start := iv.Start - bundlePad
-		if start < 0 {
-			start = 0
-		}
-		end := iv.End + bundlePad
-		chunks = append(chunks, refChunk{
-			PartID:   p,
-			Interval: iv,
-			RefStart: start,
-			Seq:      rt.Ref.Slice(iv.Contig, start, end),
-		})
-	}
-	chunkDS := engine.Parallelize(rt.Engine, chunks, rt.NumPartitions)
-	chunkPart, err := engine.PartitionBy(name+"/fasta-partition", chunkDS, n,
-		func(c refChunk) int { return c.PartID })
 	if err != nil {
 		return nil, err
 	}
@@ -140,15 +106,10 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 	}
 
 	// Join: partition-wise zip into bundles.
-	return engine.ZipPartitions3(name+"/join", samPart, chunkPart, knownPart, nil,
-		func(p int, sams []sam.Record, cs []refChunk, known []vcf.Record) ([]Bundle, error) {
-			b := Bundle{PartID: p, Sams: sams, Known: known}
-			if len(cs) > 0 {
-				b.Interval = cs[0].Interval
-				b.RefStart = cs[0].RefStart
-				b.Ref = cs[0].Seq
-			}
-			return []Bundle{b}, nil
+	return engine.ZipPartitions2(name+"/join", samPart, knownPart, nil,
+		func(p int, sams []sam.Record, known []vcf.Record) ([]Bundle, error) {
+			iv, _ := info.Interval(p)
+			return []Bundle{{Interval: iv, Sams: sams, Known: known}}, nil
 		})
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -382,6 +385,33 @@ func TestEachOpRunsOnce(t *testing.T) {
 	}
 }
 
+// TestUnoptimizedFlattenFuses: with Optimize off, a partition Process's
+// bundled output is read only through its flatten, so the two run as one
+// stage instead of the bundled output materializing on its own.
+func TestUnoptimizedFlattenFuses(t *testing.T) {
+	rt := testRuntime(t, 2)
+	wgs := BuildWGSPipeline(rt, PairsToRDD(rt, simPairs(t, rt, 6), 4), false)
+	wgs.Pipeline.Optimize = false
+	if err := wgs.Pipeline.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CollectVCF(rt, wgs.VCF); err != nil {
+		t.Fatal(err)
+	}
+	ran := map[string]bool{}
+	for _, s := range rt.Engine.Metrics().Stages {
+		ran[s.Name] = true
+	}
+	for _, want := range []string{
+		"IndelRealign/join+IndelRealign/realign+realignedSam/flatten",
+		"BaseRecalibration/apply-recalibration+recaledSam/flatten",
+	} {
+		if !ran[want] {
+			t.Errorf("no stage %q among %v", want, slices.Sorted(maps.Keys(ran)))
+		}
+	}
+}
+
 // definedInfo returns a filled PartitionInfo resource over rt's reference.
 func definedInfo(t *testing.T, rt *Runtime, name string, partLen int) *PartitionInfoBundle {
 	t.Helper()
@@ -529,6 +559,9 @@ func TestRepartitionerSplitsHotspots(t *testing.T) {
 	}
 }
 
+// TestBundleConstruction: one build shuffles the SAM records and the known
+// VCF records and joins them, nothing else; bundle i holds partition i's
+// interval and exactly the reads FinalID routes to it.
 func TestBundleConstruction(t *testing.T) {
 	rt := testRuntime(t, 2)
 	pairs := simPairs(t, rt, 6)
@@ -540,10 +573,14 @@ func TestBundleConstruction(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if err := aligned.Data.Force(); err != nil {
+		t.Fatal(err)
+	}
 	pi, err := NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := len(rt.Engine.Metrics().Stages)
 	bundled, err := buildBundles(rt, "test", aligned.Data, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -552,25 +589,36 @@ func TestBundleConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rows []string
+	for _, s := range rt.Engine.Metrics().Stages[before:] {
+		rows = append(rows, s.Name)
+	}
+	want := []string{
+		"test/sam-partition/map", "test/sam-partition/reduce",
+		"test/vcf-partition/map", "test/vcf-partition/reduce",
+		"test/join", "collect",
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("stages recorded by one build = %v, want %v", rows, want)
+	}
 	if len(bundles) != pi.NumPartitions() {
 		t.Fatalf("bundles = %d, want %d", len(bundles), pi.NumPartitions())
 	}
 	totalReads := 0
-	for _, b := range bundles {
+	for i, b := range bundles {
+		if iv, _ := pi.Interval(i); b.Interval != iv {
+			t.Fatalf("bundle %d interval %+v, want %+v", i, b.Interval, iv)
+		}
 		totalReads += len(b.Sams)
 		// Every mapped read must belong to its bundle's partition.
-		for i := range b.Sams {
-			r := &b.Sams[i]
+		for j := range b.Sams {
+			r := &b.Sams[j]
 			if r.RefID < 0 {
 				continue
 			}
-			if got := pi.FinalID(int(r.RefID), int(r.Pos)); got != b.PartID {
-				t.Fatalf("read at %d:%d in partition %d, want %d", r.RefID, r.Pos, b.PartID, got)
+			if got := pi.FinalID(int(r.RefID), int(r.Pos)); got != i {
+				t.Fatalf("read at %d:%d in partition %d, want %d", r.RefID, r.Pos, i, got)
 			}
-		}
-		// Reference slice must cover the padded interval.
-		if b.Interval.Len() > 0 && len(b.Ref) == 0 {
-			t.Fatalf("bundle %d has no reference slice", b.PartID)
 		}
 	}
 	if totalReads != 2*len(pairs) {

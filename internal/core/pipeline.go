@@ -83,7 +83,7 @@ type Pipeline struct {
 	rt   *Runtime
 	// Optimize enables Process-level redundancy elimination (§4.3, Fig 7): a
 	// partition Process reads its predecessor's bundles instead of
-	// re-partitioning SAM, FASTA and VCF. The Table 4 experiment flips it.
+	// re-partitioning SAM and VCF. The Table 4 experiment flips it.
 	Optimize  bool
 	processes []Process
 	executed  []string

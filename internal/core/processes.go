@@ -213,9 +213,9 @@ type partitionBase struct {
 
 // bundles resolves the bundle dataset the Process reads; it is where the
 // Fig 7 decision is made. An optimized pipeline reuses the input's bundled
-// form when it was built under this Process's PartitionInfo (Fig 7b: SAM,
-// FASTA and VCF are not re-shuffled). Otherwise the flat records are
-// partitioned afresh (Fig 7a).
+// form when it was built under this Process's PartitionInfo (Fig 7b: SAM
+// and VCF are not re-shuffled). Otherwise the flat records are partitioned
+// afresh (Fig 7a).
 func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
 	info := p.infoIn.Info
 	if info == nil {
@@ -396,7 +396,8 @@ func NewHaplotypeCallerProcess(name string, info *PartitionInfoBundle, in *SAMBu
 }
 
 // Run calls variants in every bundle partition, restricting emitted records
-// to the partition's core interval so overlapping pads don't double-call.
+// to regions owned by the partition's interval so neighbours don't
+// double-call.
 func (p *HaplotypeCallerProcess) Run(rt *Runtime) error {
 	bundled, err := p.bundles(rt)
 	if err != nil {
@@ -409,8 +410,8 @@ func (p *HaplotypeCallerProcess) Run(rt *Runtime) error {
 			for i := range bs {
 				b := &bs[i]
 				// Each active region is genotyped by the partition owning
-				// its midpoint, so regions in the overlap pads are not
-				// recomputed by the neighbours.
+				// its midpoint, so a region crossing a boundary is not
+				// recomputed by the neighbour.
 				var keep func(genome.Interval) bool
 				if b.Interval.Len() > 0 {
 					core := b.Interval

@@ -3,7 +3,7 @@
 // partitions processed by a worker pool.
 //
 // Execution follows the paper's lazy lineage DAG (§4.3): narrow operations
-// (Map, Filter, FlatMap, MapPartitions, SortPartitions, ZipPartitions3) do
+// (Map, Filter, FlatMap, MapPartitions, SortPartitions, ZipPartitions2) do
 // not run when called — they record a lineage node, and each maximal chain of
 // narrow ops is fused into ONE task launch per partition when a barrier
 // forces the plan. Barriers are the actions (Collect, Reduce, Count,

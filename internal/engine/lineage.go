@@ -8,7 +8,7 @@ import (
 
 // lineage is the deferred execution plan of a lazy dataset: the maximal chain
 // of narrow operations recorded since the last materialized ancestor. Narrow
-// ops (Map/Filter/FlatMap/MapPartitions/SortPartitions/ZipPartitions3) do not
+// ops (Map/Filter/FlatMap/MapPartitions/SortPartitions/ZipPartitions2) do not
 // execute when called — they append themselves to the lineage, and compute is
 // the fully composed partition closure. A barrier (action, shuffle) forces
 // the plan (planner.go): ancestors shared by several consumers materialize
@@ -101,18 +101,16 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 	return res
 }
 
-// lazyZip3 records a three-input narrow op (co-partitioned zip) as a lineage
-// node; all three inputs' pending chains fuse into the new plan.
-func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error)) *Dataset[U] {
+// lazyZip2 records a two-input narrow op (co-partitioned zip) as a lineage
+// node; both inputs' pending chains fuse into the new plan.
+func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fn func(p int, as []A, bs []B) ([]U, error)) *Dataset[U] {
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
 		plan: &lineage[U]{
-			nparts: a.NumPartitions(),
-			ops: func() []string {
-				return append(slices.Concat(a.lineageOps(), b.lineageOps(), c.lineageOps()), name)
-			},
-			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) + c.partitionSizeHint(p) },
+			nparts:   a.NumPartitions(),
+			ops:      func() []string { return append(slices.Concat(a.lineageOps(), b.lineageOps()), name) },
+			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) },
 			compute: func(p int, tm *TaskMetrics) ([]U, error) {
 				as, err := a.partition(p, tm)
 				if err != nil {
@@ -122,12 +120,8 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 				if err != nil {
 					return nil, err
 				}
-				cs, err := c.partition(p, tm)
-				if err != nil {
-					return nil, err
-				}
-				recordTaskInput(tm, len(as)+len(bs)+len(cs))
-				out, err := fn(p, as, bs, cs)
+				recordTaskInput(tm, len(as)+len(bs))
+				out, err := fn(p, as, bs)
 				if err != nil {
 					return nil, fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
 				}
@@ -135,7 +129,7 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 			},
 		},
 	}
-	newLazyMeta(res, a.meta, b.meta, c.meta)
+	newLazyMeta(res, a.meta, b.meta)
 	return res
 }
 

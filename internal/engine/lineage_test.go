@@ -296,10 +296,10 @@ func TestFusedStageNamedAfterOpsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zip, err := ZipPartitions3("zip", armA, armB, d, nil, func(_ int, as, bs, cs []int) ([]int, error) {
+	zip, err := ZipPartitions2("zip", armA, armB, nil, func(_ int, as, bs []int) ([]int, error) {
 		out := make([]int, len(as))
 		for i := range as {
-			out[i] = as[i] + bs[i] + cs[i]
+			out[i] = as[i] + bs[i]
 		}
 		return out, nil
 	})
@@ -348,7 +348,6 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
 	b := Parallelize(ctx, []int{10, 20, 30, 40}, 2)
-	c := Parallelize(ctx, []int{100, 200, 300, 400}, 2)
 	am, err := Map("a-inc", a, nil, func(x int) int { return x + 1 })
 	if err != nil {
 		t.Fatal(err)
@@ -357,10 +356,10 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := ZipPartitions3("zip", am, bm, c, nil, func(_ int, as, bs, cs []int) ([]int, error) {
+	z, err := ZipPartitions2("zip", am, bm, nil, func(_ int, as, bs []int) ([]int, error) {
 		out := make([]int, len(as))
 		for i := range as {
-			out[i] = as[i] + bs[i] + cs[i]
+			out[i] = as[i] + bs[i]
 		}
 		return out, nil
 	})
@@ -375,7 +374,7 @@ func TestFusionZipChainsFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{113, 224, 335, 446}
+	want := []int{13, 24, 35, 46}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("zip chain = %v, want %v", out, want)

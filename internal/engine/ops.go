@@ -49,16 +49,15 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], 
 	})
 }
 
-// ZipPartitions3 applies fn to aligned partitions of three co-partitioned
-// datasets — the bundle join of Fig 7 (FASTA + SAM + VCF per partition). The
+// ZipPartitions2 applies fn to aligned partitions of two co-partitioned
+// datasets — the bundle join of Fig 7 (SAM + known VCF per partition). The
 // partition counts must match. It is a narrow operation, lazy like
-// MapPartitions: all three inputs' pending chains fuse into the recorded
-// node.
-func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Dataset[C], codec Serializer[U], fn func(p int, as []A, bs []B, cs []C) ([]U, error)) (*Dataset[U], error) {
-	if a.NumPartitions() != b.NumPartitions() || a.NumPartitions() != c.NumPartitions() {
-		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d/%d", name, a.NumPartitions(), b.NumPartitions(), c.NumPartitions())
+// MapPartitions: both inputs' pending chains fuse into the recorded node.
+func ZipPartitions2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fn func(p int, as []A, bs []B) ([]U, error)) (*Dataset[U], error) {
+	if a.NumPartitions() != b.NumPartitions() {
+		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d", name, a.NumPartitions(), b.NumPartitions())
 	}
-	return lazyZip3(name, a, b, c, codec, fn), nil
+	return lazyZip2(name, a, b, codec, fn), nil
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is

@@ -47,12 +47,11 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The arms join through the three-way zip, the materialized base as its
-	// third input.
-	zipped, err := ZipPartitions3("zip", armA, armB, base, Serializer[fakeRec](fakeColCodec{}),
-		func(_ int, as, bs, cs []fakeRec) ([]fakeRec, error) {
-			if len(as) != len(bs) || len(as) != len(cs) {
-				return nil, fmt.Errorf("zip length mismatch: %d/%d/%d", len(as), len(bs), len(cs))
+	// The arms join through the zip.
+	zipped, err := ZipPartitions2("zip", armA, armB, Serializer[fakeRec](fakeColCodec{}),
+		func(_ int, as, bs []fakeRec) ([]fakeRec, error) {
+			if len(as) != len(bs) {
+				return nil, fmt.Errorf("zip length mismatch: %d/%d", len(as), len(bs))
 			}
 			out := make([]fakeRec, len(as))
 			for i := range as {
@@ -108,8 +107,8 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Claiming two consumers must not force (and must not swallow) anything.
-	zipped, err := ZipPartitions3("zip", armA, armB, base, nil,
-		func(_ int, as, _, _ []fakeRec) ([]fakeRec, error) { return as, nil })
+	zipped, err := ZipPartitions2("zip", armA, armB, nil,
+		func(_ int, as, _ []fakeRec) ([]fakeRec, error) { return as, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

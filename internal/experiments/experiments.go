@@ -14,12 +14,14 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/cluster"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
+	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
@@ -78,6 +80,23 @@ func (s Scale) dataset(kind workload.Kind) *workload.Dataset {
 	p := workload.DefaultProfile(kind, s.GenomeLen)
 	p.Coverage = s.Coverage
 	return workload.Make(p, s.Seed)
+}
+
+// alignAll aligns every pair on the driver with rt's aligner, two records
+// per pair in input order: the aligned input of the experiments that replay
+// a stage or a codec on fixed records.
+func alignAll(rt *core.Runtime, pairs []fastq.Pair) ([]sam.Record, error) {
+	idx, err := rt.Index()
+	if err != nil {
+		return nil, err
+	}
+	aligner := align.NewAligner(idx, rt.AlignerConfig)
+	records := make([]sam.Record, 0, 2*len(pairs))
+	for i := range pairs {
+		r1, r2 := aligner.AlignPair(&pairs[i])
+		records = append(records, r1, r2)
+	}
+	return records, nil
 }
 
 // calibration converts a measured laptop run to paper scale: CPU times and

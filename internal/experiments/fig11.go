@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/baseline"
 	"github.com/gpf-go/gpf/internal/cluster"
 	"github.com/gpf-go/gpf/internal/engine"
-	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -57,15 +55,9 @@ func Fig11(runs *Runs) (*Fig11Result, error) {
 	cpuScale, byteScale := calibration(d)
 
 	// Aligned input shared by every stage run.
-	idx, err := rt.Index()
+	records, err := alignAll(rt, d.Pairs)
 	if err != nil {
 		return nil, err
-	}
-	aligner := align.NewAligner(idx, rt.AlignerConfig)
-	var records []sam.Record
-	for i := range d.Pairs {
-		r1, r2 := aligner.AlignPair(&d.Pairs[i])
-		records = append(records, r1, r2)
 	}
 
 	stages := []struct {

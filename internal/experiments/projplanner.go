@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
@@ -66,15 +65,9 @@ func (r *ProjPlannerResult) RowDecodeReduction() float64 {
 func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 	d := s.dataset(workload.WGS)
 	rt := s.newRuntime(engine.NewContext(s.Workers), d)
-	idx, err := rt.Index()
+	records, err := alignAll(rt, d.Pairs)
 	if err != nil {
 		return nil, err
-	}
-	aligner := align.NewAligner(idx, rt.AlignerConfig)
-	records := make([]sam.Record, 0, 2*len(d.Pairs))
-	for i := range d.Pairs {
-		r1, r2 := aligner.AlignPair(&d.Pairs[i])
-		records = append(records, r1, r2)
 	}
 
 	res := &ProjPlannerResult{Records: len(records)}
