@@ -196,9 +196,9 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 // genotyping over a partition of records, returning sorted VCF records — the
 // body of the HaplotypeCallerProcess — for the active regions keep returns
 // true for (nil keeps all). Partitioned execution passes an ownership filter
-// so a region overlapping several partition pads is genotyped exactly once —
-// by the partition whose core interval contains its midpoint — keeping the
-// expensive pair-HMM work proportional to owned territory.
+// so a region whose reads cross a partition boundary is genotyped by one
+// partition only — the one whose interval contains the region's midpoint —
+// keeping the expensive pair-HMM work proportional to owned territory.
 func CallVariantsFiltered(records []sam.Record, ref *genome.Reference, cfg Config, keep func(genome.Interval) bool) []vcf.Record {
 	regions := FindActiveRegions(records, ref, cfg)
 	var out []vcf.Record

@@ -8,18 +8,17 @@ import (
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
-	"github.com/gpf-go/gpf/internal/vcf"
 )
 
 // Bundle is one position-partition of the pipeline's working set: the SAM
-// records and the known variants of one genomic partition, with the
-// partition's interval — the "Partition Bundle RDD" of Fig 7. It carries no
-// reference slice: every kernel a partition Process runs reads rt.Ref, the
-// whole reference every process already holds (a Spark broadcast's role).
+// records of one genomic partition, with the partition's interval — the
+// "Partition Bundle RDD" of Fig 7. It carries no reference slice and no known
+// variants: every kernel a partition Process runs reads rt.Ref and rt.Known,
+// which every process already holds whole (a Spark broadcast's role), and
+// BaseRecalibration groups rt.Known by partition itself.
 type Bundle struct {
 	Interval genome.Interval // the partition's interval
 	Sams     []sam.Record
-	Known    []vcf.Record
 }
 
 // CodecTier selects the serializer family used throughout a pipeline.
@@ -64,19 +63,18 @@ func (t CodecTier) SAMCodec() engine.Serializer[sam.Record] {
 // SAMCodec returns the SAM serializer for the runtime's tier.
 func (rt *Runtime) SAMCodec() engine.Serializer[sam.Record] { return rt.Codec.SAMCodec() }
 
-// buildBundles performs the partition operation of Fig 7a: groupBy partition
-// ID on the SAM records and the known VCF records (two shuffles), then join
-// them partition-wise into the bundle dataset, each bundle taking its
-// partition's interval from info.
+// buildBundles performs the partition operation of Fig 7a: groupBy final
+// partition ID on the SAM records (one shuffle), then wrap each partition's
+// records with its interval from info into the bundle dataset.
 func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], info *PartitionInfo) (*engine.Dataset[Bundle], error) {
 	n := info.NumPartitions()
 	if n == 0 {
 		return nil, fmt.Errorf("core: partition info has no partitions")
 	}
 
-	// SAM records by final partition ID. Re-attaching the codec a flatten
-	// already carries would fork its lazy plan into a second consumer of the
-	// bundled input, which would then materialize as a stage of its own.
+	// Re-attaching the codec a flatten already carries would fork its lazy
+	// plan into a second consumer of the bundled input, which would then
+	// materialize as a stage of its own.
 	if flat.Codec() != rt.SAMCodec() {
 		flat = engine.WithCodec(flat, rt.SAMCodec())
 	}
@@ -90,26 +88,10 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 	if err != nil {
 		return nil, err
 	}
-
-	// Known VCF by partition ID.
-	knownDS := engine.Parallelize(rt.Engine, rt.Known, rt.NumPartitions)
-	knownPart, err := engine.PartitionBy(name+"/vcf-partition", knownDS, n,
-		func(v vcf.Record) int {
-			contig, ok := rt.Ref.ContigID(v.Chrom)
-			if !ok {
-				return 0
-			}
-			return info.FinalID(contig, v.Pos)
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// Join: partition-wise zip into bundles.
-	return engine.ZipPartitions2(name+"/join", samPart, knownPart, nil,
-		func(p int, sams []sam.Record, known []vcf.Record) ([]Bundle, error) {
+	return engine.MapPartitions(name+"/bundle", samPart, nil,
+		func(p int, sams []sam.Record) ([]Bundle, error) {
 			iv, _ := info.Interval(p)
-			return []Bundle{{Interval: iv, Sams: sams, Known: known}}, nil
+			return []Bundle{{Interval: iv, Sams: sams}}, nil
 		})
 }
 

@@ -403,7 +403,7 @@ func TestUnoptimizedFlattenFuses(t *testing.T) {
 		ran[s.Name] = true
 	}
 	for _, want := range []string{
-		"IndelRealign/join+IndelRealign/realign+realignedSam/flatten",
+		"IndelRealign/bundle+IndelRealign/realign+realignedSam/flatten",
 		"BaseRecalibration/apply-recalibration+recaledSam/flatten",
 	} {
 		if !ran[want] {
@@ -559,8 +559,8 @@ func TestRepartitionerSplitsHotspots(t *testing.T) {
 	}
 }
 
-// TestBundleConstruction: one build shuffles the SAM records and the known
-// VCF records and joins them, nothing else; bundle i holds partition i's
+// TestBundleConstruction: one build shuffles the SAM records and wraps each
+// partition in its bundle, nothing else; bundle i holds partition i's
 // interval and exactly the reads FinalID routes to it.
 func TestBundleConstruction(t *testing.T) {
 	rt := testRuntime(t, 2)
@@ -595,8 +595,7 @@ func TestBundleConstruction(t *testing.T) {
 	}
 	want := []string{
 		"test/sam-partition/map", "test/sam-partition/reduce",
-		"test/vcf-partition/map", "test/vcf-partition/reduce",
-		"test/join", "collect",
+		"test/bundle", "collect",
 	}
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("stages recorded by one build = %v, want %v", rows, want)
@@ -623,6 +622,70 @@ func TestBundleConstruction(t *testing.T) {
 	}
 	if totalReads != 2*len(pairs) {
 		t.Fatalf("bundles hold %d reads, want %d", totalReads, 2*len(pairs))
+	}
+}
+
+// TestRecalKnownSitesByPartition: BQSR's partition p masks exactly the known
+// variants whose start FinalID routes to p — what a shuffle of rt.Known by
+// that key would deliver — including across a split and for a deletion whose
+// span runs into the next partition; a variant on a contig the reference
+// lacks lands in partition 0 and masks nothing.
+func TestRecalKnownSitesByPartition(t *testing.T) {
+	rt := testRuntime(t, 2)
+	pi, err := NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pi.Split(1, 2); err != nil { // [5000, 7500) and [7500, 10000)
+		t.Fatal(err)
+	}
+	chrom := rt.Ref.Contigs[0].Name
+	unknown := vcf.Record{Chrom: "chrUn", Pos: 7500, Ref: "AAA", Alt: "A"}
+	rt.Known = []vcf.Record{
+		{Chrom: chrom, Pos: 100, Ref: "A", Alt: "C"},
+		{Chrom: chrom, Pos: 7498, Ref: "ACGTA", Alt: "A"}, // deletion over the split
+		unknown,
+		{Chrom: chrom, Pos: 7600, Ref: "G", Alt: "T"},
+		{Chrom: chrom, Pos: 12000, Ref: "C", Alt: "G"},
+	}
+	if knownSitesFunc(rt, []vcf.Record{unknown}) != nil {
+		t.Fatal("a variant on an unknown contig adds a site")
+	}
+	groups := knownByPartition(rt, pi)
+	if len(groups) != pi.NumPartitions() {
+		t.Fatalf("groups = %d, want %d", len(groups), pi.NumPartitions())
+	}
+	if !slices.ContainsFunc(groups[0], func(v vcf.Record) bool { return v.Chrom == unknown.Chrom }) {
+		t.Fatal("the unknown-contig variant is not in partition 0")
+	}
+	contigLen := rt.Ref.Contigs[0].Len()
+	for p := range groups {
+		var want []vcf.Record
+		for _, v := range rt.Known {
+			if v.Chrom == chrom && pi.FinalID(0, v.Pos) == p {
+				want = append(want, v)
+			}
+		}
+		got, wantMask := knownSitesFunc(rt, groups[p]), knownSitesFunc(rt, want)
+		if (got == nil) != (wantMask == nil) {
+			t.Fatalf("partition %d: mask nil = %v, want %v", p, got == nil, wantMask == nil)
+		}
+		if got == nil {
+			continue
+		}
+		for pos := 0; pos < contigLen; pos++ {
+			if got(0, pos) != wantMask(0, pos) {
+				t.Fatalf("partition %d: mask(%d) = %v, want %v", p, pos, got(0, pos), wantMask(0, pos))
+			}
+		}
+	}
+	// The deletion starting in partition 1 masks its whole span there; the
+	// part of the span inside partition 2 is not masked in partition 2.
+	if !knownSitesFunc(rt, groups[1])(0, 7501) {
+		t.Fatal("partition 1 does not mask the deletion's span past its end")
+	}
+	if knownSitesFunc(rt, groups[2])(0, 7501) {
+		t.Fatal("partition 2 masks a deletion that starts in partition 1")
 	}
 }
 

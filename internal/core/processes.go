@@ -213,8 +213,8 @@ type partitionBase struct {
 
 // bundles resolves the bundle dataset the Process reads; it is where the
 // Fig 7 decision is made. An optimized pipeline reuses the input's bundled
-// form when it was built under this Process's PartitionInfo (Fig 7b: SAM
-// and VCF are not re-shuffled). Otherwise the flat records are partitioned
+// form when it was built under this Process's PartitionInfo (Fig 7b: the SAM
+// records are not re-shuffled). Otherwise the flat records are partitioned
 // afresh (Fig 7a).
 func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
 	info := p.infoIn.Info
@@ -311,13 +311,15 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	if err := bundled.Force(); err != nil {
 		return err
 	}
-	// Pass 1: per-partition covariate tables.
+	// Pass 1: per-partition covariate tables, partition p masking the known
+	// variants that start in it.
+	known := knownByPartition(rt, p.infoIn.Info)
 	tables, err := engine.MapPartitions(p.name+"/count-covariates", bundled, nil,
-		func(_ int, bs []Bundle) ([]*cleaner.RecalTable, error) {
+		func(part int, bs []Bundle) ([]*cleaner.RecalTable, error) {
+			mask := knownSitesFunc(rt, known[part])
 			var out []*cleaner.RecalTable
 			for i := range bs {
-				known := knownSitesFunc(rt, bs[i].Known)
-				out = append(out, cleaner.BuildRecalTable(bs[i].Sams, rt.Ref, known))
+				out = append(out, cleaner.BuildRecalTable(bs[i].Sams, rt.Ref, mask))
 			}
 			return out, nil
 		})
@@ -348,6 +350,20 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	}
 	p.publish(p.out, next)
 	return nil
+}
+
+// knownByPartition groups rt.Known by the final partition ID of each
+// variant's start, or partition 0 when the reference or info lacks its contig.
+func knownByPartition(rt *Runtime, info *PartitionInfo) [][]vcf.Record {
+	known := make([][]vcf.Record, info.NumPartitions())
+	for _, v := range rt.Known {
+		p := 0
+		if contig, ok := rt.Ref.ContigID(v.Chrom); ok {
+			p = max(info.FinalID(contig, v.Pos), 0)
+		}
+		known[p] = append(known[p], v)
+	}
+	return known
 }
 
 // knownSitesFunc builds a mask over the partition's known variants: the
@@ -461,8 +477,9 @@ func CollectVCF(rt *Runtime, b *VCFBundle) ([]vcf.Record, error) {
 		return nil, err
 	}
 	vcf.SortRecords(out)
-	// Dedupe identical calls produced by adjacent partitions whose active
-	// regions overlapped in the pad zones.
+	// Dedupe identical calls from adjacent partitions: a partition's reads
+	// run past its boundary, so two partitions' distinct active regions can
+	// call the same site.
 	dedup := out[:0]
 	for i, r := range out {
 		if i > 0 {

@@ -3,8 +3,8 @@
 // Resources (§3.1, Fig 2); the Pipeline driver performs the Process-level
 // dependency analysis of Algorithm 1 and executes everything on the in-memory
 // engine. Redundancy elimination (Fig 7) is decided where a partition Process
-// reads its input: it reuses its predecessor's bundles, so FASTA/VCF
-// re-partitioning and join shuffles happen once per chain. Dynamic load
+// reads its input: it reuses its predecessor's bundles, so the SAM
+// partitioning shuffle happens once per chain. Dynamic load
 // balance follows §4.4: a RepartitionInfoProducer builds the PartitionInfo
 // structure (Figs 8-9) that maps genomic positions to partition IDs,
 // splitting overloaded partitions.

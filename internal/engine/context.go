@@ -3,10 +3,10 @@
 // partitions processed by a worker pool.
 //
 // Execution follows the paper's lazy lineage DAG (§4.3): narrow operations
-// (Map, Filter, FlatMap, MapPartitions, SortPartitions, ZipPartitions2) do
-// not run when called — they record a lineage node, and each maximal chain of
-// narrow ops is fused into ONE task launch per partition when a barrier
-// forces the plan. Barriers are the actions (Collect, Reduce, Count,
+// (Map, Filter, FlatMap, MapPartitions, SortPartitions) do not run when
+// called — each records a lineage node over its one input, and each maximal
+// chain of narrow ops is fused into ONE task launch per partition when a
+// barrier forces the plan. Barriers are the actions (Collect, Reduce, Count,
 // CountByKey), which return values to the driver, and the one wide operation,
 // PartitionBy, which runs at the call and returns a materialized dataset.
 // Within a fused stage, items flow through the composed closures with no

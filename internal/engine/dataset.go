@@ -106,9 +106,9 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 			compute:  d.plan.compute,
 			sizeHint: d.plan.sizeHint,
 		}
-		// The fork is one more consumer of the chain's inputs, so a lazy input
+		// The fork is one more consumer of the chain's input, so a lazy input
 		// both variants read is computed once.
-		newLazyMeta(res, d.meta.inputs...)
+		newLazyMeta(res, d.meta.input)
 		return res
 	}
 	res := &Dataset[T]{

@@ -186,27 +186,6 @@ func TestSortPartitions(t *testing.T) {
 	}
 }
 
-func TestZipPartitions2(t *testing.T) {
-	ctx := NewContext(1)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{10, 20}, 2)
-	z, err := ZipPartitions2("zip2", a, b, nil, func(_ int, as, bs []int) ([]int, error) {
-		return []int{as[0] + bs[0]}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, _ := Collect("c", z)
-	if len(all) != 2 || all[0] != 11 || all[1] != 22 {
-		t.Fatalf("zip2 = %v", all)
-	}
-	// Mismatched partition counts must error.
-	short := Parallelize(ctx, []int{1}, 1)
-	if _, err := ZipPartitions2("bad", a, short, nil, func(_ int, as, bs []int) ([]int, error) { return nil, nil }); err == nil {
-		t.Fatal("mismatched zip must error")
-	}
-}
-
 func TestCountByKey(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(30), 3)

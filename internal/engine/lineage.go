@@ -2,15 +2,14 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
 // lineage is the deferred execution plan of a lazy dataset: the maximal chain
 // of narrow operations recorded since the last materialized ancestor. Narrow
-// ops (Map/Filter/FlatMap/MapPartitions/SortPartitions/ZipPartitions2) do not
-// execute when called — they append themselves to the lineage, and compute is
-// the fully composed partition closure. A barrier (action, shuffle) forces
+// ops (Map/Filter/FlatMap/MapPartitions/SortPartitions) do not execute when
+// called — each appends itself to its one input's lineage, and compute is the
+// fully composed partition closure. A barrier (action, shuffle) forces
 // the plan (planner.go): ancestors shared by several consumers materialize
 // first, then one task launch per partition runs the whole chain, items flow
 // through the composed closures with no intermediate storePartition and no
@@ -32,7 +31,7 @@ type lineage[T any] struct {
 	// unforced upstream chain into the caller's task.
 	compute func(p int, tm *TaskMetrics) ([]T, error)
 	// sizeHint estimates partition p's input size for LPT dispatch by asking
-	// the chain's source dataset(s). Nil means no information (index-order
+	// the chain's source dataset. Nil means no information (index-order
 	// dispatch).
 	sizeHint func(p int) int64
 }
@@ -53,14 +52,12 @@ func (d *Dataset[T]) lineageOps() []string {
 
 // newLazyMeta attaches the plan node for a freshly recorded narrow chain
 // tail — forcing it runs the fused chain — and records it as one more
-// consumer of each input. Nothing forces here: a shared prefix materializes
+// consumer of its input. Nothing forces here: a shared prefix materializes
 // when its first consumer is forced (planMeta.forceShared), so its errors
 // propagate from that Force instead of being dropped on the floor now.
-func newLazyMeta[T any](d *Dataset[T], inputs ...*planMeta) {
-	for _, in := range inputs {
-		in.claim()
-	}
-	d.meta = &planMeta{inputs: inputs, run: func() error { return runFused(d) }}
+func newLazyMeta[T any](d *Dataset[T], input *planMeta) {
+	input.claim()
+	d.meta = &planMeta{input: input, run: func() error { return runFused(d) }}
 }
 
 // recordTaskInput charges the fused chain's source partition size to the
@@ -98,38 +95,6 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 		},
 	}
 	newLazyMeta(res, d.meta)
-	return res
-}
-
-// lazyZip2 records a two-input narrow op (co-partitioned zip) as a lineage
-// node; both inputs' pending chains fuse into the new plan.
-func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fn func(p int, as []A, bs []B) ([]U, error)) *Dataset[U] {
-	res := &Dataset[U]{
-		ctx:   a.ctx,
-		codec: codec,
-		plan: &lineage[U]{
-			nparts:   a.NumPartitions(),
-			ops:      func() []string { return append(slices.Concat(a.lineageOps(), b.lineageOps()), name) },
-			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) },
-			compute: func(p int, tm *TaskMetrics) ([]U, error) {
-				as, err := a.partition(p, tm)
-				if err != nil {
-					return nil, err
-				}
-				bs, err := b.partition(p, tm)
-				if err != nil {
-					return nil, err
-				}
-				recordTaskInput(tm, len(as)+len(bs))
-				out, err := fn(p, as, bs)
-				if err != nil {
-					return nil, fmt.Errorf("engine: stage %q partition %d: %w", name, p, err)
-				}
-				return out, nil
-			},
-		},
-	}
-	newLazyMeta(res, a.meta, b.meta)
 	return res
 }
 

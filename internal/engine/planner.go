@@ -12,15 +12,17 @@ import (
 // What there is to plan is which lazy nodes must materialize on their own
 // instead of fusing into their consumer: exactly those more than one consumer
 // was recorded over (computing a shared prefix once). planMeta is that graph.
+// Every lazy node has one input, so the graph is a forest of chains: a shared
+// prefix can have several consumers, but nothing joins them again.
 
 // planMeta is the type-erased plan node of one lazy dataset (a recorded chain
 // of narrow ops). The generic constructors in lineage.go capture their
 // dataset in the run closure; forcing needs only the graph shape and a way to
 // run the node once.
 type planMeta struct {
-	// inputs are the plan nodes of the chain's inputs; nil entries are inputs
-	// that were born materialized.
-	inputs []*planMeta
+	// input is the plan node of the chain's input; nil when the input was
+	// born materialized.
+	input *planMeta
 	// children counts the consumers recorded over this node (lazy narrow ops,
 	// codec forks). Recording only counts — nothing forces at that point.
 	children atomic.Int32
@@ -46,22 +48,16 @@ func (m *planMeta) force() error {
 	return m.err
 }
 
-// forceShared walks the unforced ancestors and forces, producers first, every
-// one that more than one consumer was recorded over, so a shared prefix is
-// computed once and read by all its consumers. Single-consumer ancestors stay
-// lazy and fuse into this node's tasks. The first error aborts the walk and
-// is returned by the forcing action; it stays sticky on the node that failed.
+// forceShared walks up the unforced ancestors to the first one that more
+// than one consumer was recorded over and forces it, so a shared prefix is
+// computed once and read by all its consumers (its own force walks on above
+// it). Single-consumer ancestors on the way stay lazy and fuse into this
+// node's tasks. An error is returned by the forcing action; it stays sticky on
+// the node that failed.
 func (m *planMeta) forceShared() error {
-	for _, in := range m.inputs {
-		if in == nil || in.done.Load() {
-			continue
-		}
-		next := in.forceShared
+	for in := m.input; in != nil && !in.done.Load(); in = in.input {
 		if in.children.Load() > 1 {
-			next = in.force
-		}
-		if err := next(); err != nil {
-			return err
+			return in.force()
 		}
 	}
 	return nil

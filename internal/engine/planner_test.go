@@ -47,31 +47,21 @@ func TestPlannerDiamondDisjointConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The arms join through the zip.
-	zipped, err := ZipPartitions2("zip", armA, armB, Serializer[fakeRec](fakeColCodec{}),
-		func(_ int, as, bs []fakeRec) ([]fakeRec, error) {
-			if len(as) != len(bs) {
-				return nil, fmt.Errorf("zip length mismatch: %d/%d", len(as), len(bs))
-			}
-			out := make([]fakeRec, len(as))
-			for i := range as {
-				out[i] = fakeRec{A: as[i].A, B: bs[i].B}
-			}
-			return out, nil
-		})
+	// Each arm is read by its own action.
+	outA, err := Collect("collectA", armA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Collect("collect", zipped)
+	outB, err := Collect("collectB", armB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 40 {
-		t.Fatalf("got %d records", len(out))
+	if len(outA) != 40 || len(outB) != 40 {
+		t.Fatalf("got %d/%d records", len(outA), len(outB))
 	}
-	for i, r := range out {
-		if r.A != int32(2*i) || r.B != int32(1000+i+7) {
-			t.Fatalf("record %d = %+v: a pruned field was read downstream", i, r)
+	for i := range outA {
+		if outA[i].A != int32(2*i) || outB[i].B != int32(1000+i+7) {
+			t.Fatalf("record %d = %+v/%+v: a pruned field was read downstream", i, outA[i], outB[i])
 		}
 	}
 	// The shared node materialized as its own stage, once.
@@ -107,16 +97,11 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Claiming two consumers must not force (and must not swallow) anything.
-	zipped, err := ZipPartitions2("zip", armA, armB, nil,
-		func(_ int, as, _ []fakeRec) ([]fakeRec, error) { return as, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect("collect", zipped); err == nil || !strings.Contains(err.Error(), "kaboom") {
+	if _, err := Collect("collect", armA); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("shared-prefix materialization error lost: %v", err)
 	}
-	// The failure is sticky on the shared node: a retry reports it too.
-	if _, err := Collect("retry", armA); err == nil || !strings.Contains(err.Error(), "kaboom") {
+	// The failure is sticky on the shared node: the other arm reports it too.
+	if _, err := Collect("retry", armB); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("sticky error lost on retry: %v", err)
 	}
 }

@@ -74,8 +74,8 @@ func Table3(s Scale) (*Table3Result, error) {
 	// Stage 20: Generate Bundle RDD — SAM plus the FASTA and VCF partition
 	// payloads that ride along in the paper's bundle (uncompressed fields,
 	// §5.2.4: "the compression rate is slightly lower" there). The row models
-	// that bundle by formula, FASTA included; this repo's bundles carry no
-	// reference slice.
+	// that bundle by formula, FASTA and known VCF included; this repo's
+	// bundles carry only SAM records and their interval.
 	info, err := core.NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,6 @@ var opFuncs = map[string]bool{
 	"Filter":         true,
 	"FlatMap":        true,
 	"MapPartitions":  true,
-	"ZipPartitions2": true,
 	"PartitionBy":    true, // key func: the shuffle route callback
 	"SortPartitions": true,
 	"CountByKey":     true, // key func: the census

@@ -40,11 +40,6 @@ func positives(ctx *engine.Context, d *engine.Dataset[int]) {
 		return nil
 	})
 
-	_, _ = engine.ZipPartitions2("zip", d, d, nil, func(_ int, as, bs []int) ([]int, error) {
-		counter += len(bs) // want "assignment to variable \"counter\" captured"
-		return as, nil
-	})
-
 	_, _, _ = engine.Reduce("fold", d, func(a, b int) int {
 		counter = a + b // want "assignment to variable \"counter\" captured"
 		return a + b
