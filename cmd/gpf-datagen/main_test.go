@@ -65,4 +65,16 @@ func TestDatagenRunBadDir(t *testing.T) {
 	if err := run(1000, 1, 2, 1, "/proc/definitely/not/writable"); err == nil {
 		t.Fatal("unwritable output dir should error")
 	}
+	// A reads file that cannot take its bytes (a symlink to /dev/full) fails
+	// the run instead of leaving a short file behind.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		return
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "reads_1.fastq")); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(1000, 1, 2, 1, dir); err == nil {
+		t.Fatal("writing reads to a full device should error")
+	}
 }

@@ -189,7 +189,7 @@ func appendSAMFixed(out []byte, r *sam.Record) []byte {
 	out = binary.AppendUvarint(out, uint64(len(r.Tags)))
 	// Serialize tags in sorted key order: map iteration order is randomized
 	// per run, and shuffle blocks must be byte-identical across runs for
-	// reproducible replays (gpflint/mapiter enforces this).
+	// reproducible replays (TestFieldSAMCodecRoundTrip encodes twice).
 	if len(r.Tags) > 0 {
 		keys := make([]string, 0, len(r.Tags))
 		for k := range r.Tags {

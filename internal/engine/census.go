@@ -15,10 +15,9 @@ type Keyed struct {
 	Val int
 }
 
-// sortedPairs flattens a count map into pairs sorted by key, so a task's
-// output — and the blob it is allgathered as — is byte-deterministic
-// regardless of map iteration order (the gpflint/mapiter invariant: collect
-// keys, sort, then emit).
+// sortedPairs flattens a count map into pairs sorted by key. The census
+// folds the pairs back into a map, so no output depends on their order; the
+// sort keeps KeyedIntCodec's key deltas small and non-negative.
 func sortedPairs(m map[int]int) []Keyed {
 	keys := make([]int, 0, len(m))
 	for k := range m {

@@ -122,7 +122,8 @@ func (t *transport) broadcastErr(err error) {
 	body := encodeErr(errMsg{origin: t.rank, msg: err.Error()})
 	for _, c := range t.conns {
 		if c != nil {
-			//lint:ignore gpflint/codecerr best-effort fan-out of an error that is already being raised; dead peers are expected here
+			// Best effort: the error is already being raised, and a dead
+			// peer is expected here.
 			_ = c.writeFrame(frameErr, body)
 		}
 	}

@@ -1,7 +1,9 @@
 package mproc
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -9,6 +11,12 @@ import (
 
 	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
 )
+
+// writeFailConn is a connection whose writes fail while its reads still
+// block, like a socket whose send side broke before the peer's FIN arrived.
+type writeFailConn struct{ net.Conn }
+
+func (writeFailConn) Write([]byte) (int, error) { return 0, errors.New("write refused") }
 
 // pipePair joins a driver and a worker transport over a net.Pipe, with both
 // read loops running.
@@ -77,13 +85,55 @@ func TestTransportRepeatedSignals(t *testing.T) {
 	base.Check(t)
 }
 
+// blockingConn's Read blocks until release is closed, and its Close does not
+// wake it: a read loop parked in it ends only after release.
+type blockingConn struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c blockingConn) Read([]byte) (int, error) {
+	<-c.release
+	return 0, io.EOF
+}
+
+func (blockingConn) Close() error { return nil }
+
+// TestCloseAllJoinsReadLoops: closeAll returns only once every read loop has
+// ended, so no read loop outlives the transport.
+func TestCloseAllJoinsReadLoops(t *testing.T) {
+	base := leakcheck.Snapshot()
+	a, b := net.Pipe()
+	defer b.Close()
+	defer a.Close()
+	release := make(chan struct{})
+	tr := newTransport(0, []net.Conn{nil, blockingConn{a, release}})
+	tr.startReadLoops()
+	closed := make(chan struct{})
+	go func() {
+		tr.closeAll()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("closeAll returned while a read loop was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	base.Check(t)
+}
+
 // TestExchangeIntegrity drives the guards every bucket frame passes through —
 // shuffle and allgather alike — over a net.Pipe: a duplicate (m, r) bucket
 // fails the job and the error names it; a geometry that contradicts the one a
 // known sequence number was created with fails the job; a bucket for a
 // reduce partition another rank owns fails the job; and a bucket that
 // arrives after Close is dropped, without failing the job or re-creating the
-// exchange's state.
+// exchange's state. A worker's DONE frame whose metrics do not decode fails
+// the job too, rather than handing the driver zero metrics; so does a send
+// that fails while reads still block, and a frame over the length cap fails
+// it with the cap as the cause.
 func TestExchangeIntegrity(t *testing.T) {
 	base := leakcheck.Snapshot()
 	bucket := func(seq uint64, in, out, m, r int) []byte {
@@ -140,6 +190,44 @@ func TestExchangeIntegrity(t *testing.T) {
 		case m := <-ex.Notify(1):
 			t.Fatalf("late bucket from map %d delivered to a closed exchange", m)
 		default:
+		}
+	})
+
+	t.Run("corrupt DONE metrics", func(t *testing.T) {
+		drv, wrk := pipePair()
+		defer drv.closeAll()
+		defer wrk.closeAll()
+		wrk.sendTo(0, frameDone, []byte("not gob"))
+		if err := failure(t, drv); !strings.Contains(err.Error(), "decode metrics") {
+			t.Fatalf("err = %v, want the metrics decode error", err)
+		}
+	})
+
+	t.Run("failed send", func(t *testing.T) {
+		a, b := net.Pipe()
+		drv, wrk := newTransport(0, []net.Conn{nil, writeFailConn{a}}), newTransport(1, []net.Conn{b, nil})
+		drv.startReadLoops()
+		wrk.startReadLoops()
+		defer wrk.closeAll()
+		defer drv.closeAll()
+		drv.sendTo(1, frameBucket, bucket(7, 2, 2, 0, 1))
+		if err := failure(t, drv); !strings.Contains(err.Error(), "send to rank 1: write refused") {
+			t.Fatalf("err = %v, want the failed send named", err)
+		}
+	})
+
+	t.Run("frame over the length cap", func(t *testing.T) {
+		a, b := net.Pipe()
+		wrk := newTransport(1, []net.Conn{b, nil})
+		wrk.startReadLoops()
+		defer wrk.closeAll()
+		defer a.Close()
+		var hdr [frameHeaderLen]byte
+		hdr[0] = frameBucket
+		binary.LittleEndian.PutUint32(hdr[1:], maxFramePayload+1)
+		go a.Write(hdr[:])
+		if err := failure(t, wrk); !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("err = %v, want the length cap as the cause", err)
 		}
 	})
 	base.Check(t)

@@ -32,10 +32,18 @@ func (c brokenCodec) Marshal(items []int) ([]byte, error) {
 	return GobCodec[int]{}.Marshal(items)
 }
 
-func (c brokenCodec) Unmarshal([]byte) ([]int, error) {
+func (c brokenCodec) Unmarshal(b []byte) ([]int, error) {
 	c.unmarshals.Add(1)
+	if c.failMarshal {
+		return GobCodec[int]{}.Unmarshal(b)
+	}
 	return nil, errBroken
 }
+
+// gobRefused is a value gob refuses to encode.
+type gobRefused struct{}
+
+func (gobRefused) GobEncode() ([]byte, error) { return nil, errBroken }
 
 // TestFirstErrorAborts: with one slot and eight partitions, a failure in the
 // first task must stop the stage — the failing callback is the only one
@@ -81,6 +89,29 @@ func TestFirstErrorAborts(t *testing.T) {
 			}
 			_, err = Collect("collect", d)
 			return codec.unmarshals.Load(), err
+		}},
+		{"stored partition over a failing encoder", errBroken, func(ctx *Context) (int32, error) {
+			ctx.StoreSerialized = true
+			codec := brokenCodec{failMarshal: true, marshals: new(atomic.Int32), unmarshals: new(atomic.Int32)}
+			d, err := Map("store", Parallelize(ctx, intRange(80), 8), Serializer[int](codec), func(x int) int { return x })
+			if err != nil {
+				return 0, err
+			}
+			err = d.Force()
+			return codec.marshals.Load(), err
+		}},
+		{"stored partition gob refuses", errBroken, func(ctx *Context) (int32, error) {
+			ctx.StoreSerialized = true
+			d, err := MapPartitions("gob", Parallelize(ctx, intRange(80), 8), GobCodec[gobRefused]{},
+				func(p int, items []int) ([]gobRefused, error) {
+					calls.Add(1)
+					return make([]gobRefused, len(items)), nil
+				})
+			if err != nil {
+				return 0, err
+			}
+			err = d.Force()
+			return calls.Load(), err
 		}},
 		{"PartitionBy map task", errBroken, func(ctx *Context) (int32, error) {
 			codec := brokenCodec{failMarshal: true, marshals: new(atomic.Int32), unmarshals: new(atomic.Int32)}
@@ -266,6 +297,34 @@ func TestOwnershipIsCanonical(t *testing.T) {
 				if tk.Ran != (p%procs == rank) {
 					t.Errorf("rank %d, stage %q, task %d: ran = %v", rank, st.Name, p, tk.Ran)
 				}
+			}
+		}
+	}
+}
+
+// TestAllgatherCodecErrors: at procs = 2 on the fake bus, an action whose
+// codec fails to encode a partition's result, or to decode a sibling's blob,
+// fails on every rank with the codec's own error, not with a short or empty
+// result.
+func TestAllgatherCodecErrors(t *testing.T) {
+	const procs = 2
+	for _, failMarshal := range []bool{true, false} {
+		bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}}
+		codec := brokenCodec{failMarshal: failMarshal, marshals: new(atomic.Int32), unmarshals: new(atomic.Int32)}
+		errs := make([]error, procs)
+		var wg sync.WaitGroup
+		for rank := range errs {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				ctx := NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank})
+				_, errs[rank] = Collect("collect", WithCodec(Parallelize(ctx, intRange(40), 4), codec))
+			}(rank)
+		}
+		wg.Wait()
+		for rank, err := range errs {
+			if !errors.Is(err, errBroken) {
+				t.Errorf("failMarshal=%v, rank %d: err = %v, want the codec's own error", failMarshal, rank, err)
 			}
 		}
 	}

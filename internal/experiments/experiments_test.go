@@ -399,34 +399,40 @@ func TestTable5Efficiencies(t *testing.T) {
 
 // TestProjectionPushdownWins asserts the projection-planner table: over
 // columnar blocks the census decodes less with its read declared than
-// undeclared or with the row codec (decoded whole), and only it prunes.
+// undeclared or with the row codec (decoded whole), and only it prunes. It
+// holds at W = 1 and 2; at W = 2 the store and census closures run
+// concurrently, under the race detector too.
 func TestProjectionPushdownWins(t *testing.T) {
-	res, err := ProjectionPlanner(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records == 0 {
-		t.Fatal("no records aligned")
-	}
-	if res.Planner.CensusDecoded >= res.Row.CensusDecoded {
-		t.Fatalf("planner decoded %d bytes, row codec %d", res.Planner.CensusDecoded, res.Row.CensusDecoded)
-	}
-	if res.Planner.CensusDecoded >= res.Undeclared.CensusDecoded {
-		t.Fatalf("planner decoded %d bytes, undeclared %d", res.Planner.CensusDecoded, res.Undeclared.CensusDecoded)
-	}
-	if res.Planner.CensusPruned <= 0 {
-		t.Fatalf("planner pruned %d bytes, want > 0", res.Planner.CensusPruned)
-	}
-	if res.Undeclared.CensusPruned != 0 || res.Row.CensusPruned != 0 {
-		t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Undeclared.CensusPruned, res.Row.CensusPruned)
-	}
-	for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction()} {
-		if red <= 0 || red >= 1 {
-			t.Fatalf("reduction = %v, want in (0,1)", red)
+	for _, workers := range []int{1, 2} {
+		s := SmallScale()
+		s.Workers = workers
+		res, err := ProjectionPlanner(s)
+		if err != nil {
+			t.Fatalf("W=%d: %v", workers, err)
 		}
-	}
-	if rows := res.Format(); len(rows) != 5 {
-		t.Fatalf("format rows = %d, want 5", len(rows))
+		if res.Records == 0 {
+			t.Fatal("no records aligned")
+		}
+		if res.Planner.CensusDecoded >= res.Row.CensusDecoded {
+			t.Fatalf("planner decoded %d bytes, row codec %d", res.Planner.CensusDecoded, res.Row.CensusDecoded)
+		}
+		if res.Planner.CensusDecoded >= res.Undeclared.CensusDecoded {
+			t.Fatalf("planner decoded %d bytes, undeclared %d", res.Planner.CensusDecoded, res.Undeclared.CensusDecoded)
+		}
+		if res.Planner.CensusPruned <= 0 {
+			t.Fatalf("planner pruned %d bytes, want > 0", res.Planner.CensusPruned)
+		}
+		if res.Undeclared.CensusPruned != 0 || res.Row.CensusPruned != 0 {
+			t.Fatalf("whole-block sides pruned %d / %d bytes, want 0", res.Undeclared.CensusPruned, res.Row.CensusPruned)
+		}
+		for _, red := range []float64{res.DecodeReduction(), res.RowDecodeReduction()} {
+			if red <= 0 || red >= 1 {
+				t.Fatalf("reduction = %v, want in (0,1)", red)
+			}
+		}
+		if rows := res.Format(); len(rows) != 5 {
+			t.Fatalf("format rows = %d, want 5", len(rows))
+		}
 	}
 }
 

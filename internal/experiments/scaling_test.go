@@ -71,6 +71,10 @@ func TestScalingWGSByteIdentityAcrossBackends(t *testing.T) {
 // partition must surface as a clean error on every backend, and a subsequent
 // clean run must still produce the reference bytes (no poisoned state).
 func TestScalingWGSInjectedWorkerError(t *testing.T) {
+	if _, err := mproc.Run(ScalingJobName, []byte("not gob"), mproc.Options{Procs: 2, Slots: 2}); err == nil ||
+		!strings.Contains(err.Error(), "decode spec") {
+		t.Fatalf("mproc: want the spec decode error, got %v", err)
+	}
 	sp := scalingTestSpec()
 	sp.InjectMapError = true
 	if _, _, err := driveWGS(engine.NewContext(2), workload.WGS, sp); err == nil ||

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -148,9 +149,22 @@ func sampleRecords() (*Header, []Record) {
 
 func TestTextRoundTrip(t *testing.T) {
 	h, recs := sampleRecords()
-	var buf bytes.Buffer
+	// Five tags per record: a writer that walks the tag map in iteration
+	// order instead of sorted key order writes different text on two calls.
+	for i := 0; i < 8; i++ {
+		recs = append(recs, Record{Name: "t" + strconv.Itoa(i), Flag: FlagUnmapped, RefID: -1, Pos: -1,
+			MateRef: -1, MatePos: -1, Seq: []byte("ACGT"), Qual: []byte("IIII"),
+			Tags: map[string]string{"RG": "rg1", "LB": "lib1", "PG": "gpf", "MC": "50M", "XS": strconv.Itoa(i)}})
+	}
+	var buf, again bytes.Buffer
 	if err := WriteText(&buf, h, recs); err != nil {
 		t.Fatal(err)
+	}
+	if err := WriteText(&again, h, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("writing the same records twice gave different text: tags written in map order")
 	}
 	h2, recs2, err := ReadText(&buf)
 	if err != nil {
@@ -170,7 +184,7 @@ func TestTextRoundTrip(t *testing.T) {
 		if a.Name != b.Name || a.Flag != b.Flag || a.RefID != b.RefID || a.Pos != b.Pos ||
 			a.MapQ != b.MapQ || a.Cigar.String() != b.Cigar.String() ||
 			a.MateRef != b.MateRef || a.MatePos != b.MatePos || a.TempLen != b.TempLen ||
-			!bytes.Equal(a.Seq, b.Seq) || !bytes.Equal(a.Qual, b.Qual) {
+			!bytes.Equal(a.Seq, b.Seq) || !bytes.Equal(a.Qual, b.Qual) || !reflect.DeepEqual(a.Tags, b.Tags) {
 			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, a, b)
 		}
 	}

@@ -6,8 +6,8 @@
 // Identity-based diffing beats the NumGoroutine comparison it replaces: a
 // test that leaks one goroutine while an unrelated one exits keeps the count
 // level and slips through, and on failure a bare count says nothing about
-// what leaked. The gpflint/goleak analyzer proves lifecycle ties statically;
-// this is its runtime companion for the paths the analyzer cannot see.
+// what leaked. It is how the engine's and the transport's tests check that
+// every goroutine they start is joined or cancelled.
 //
 //	base := leakcheck.Snapshot()
 //	runWorkUnderTest()
