@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench scaling clean
+.PHONY: all build test race vet check bench figures scaling clean
 
 all: build
 
@@ -24,6 +24,11 @@ check: build vet test
 # every workload on seed 42; exits non-zero if any operation failed.
 bench:
 	bash bench/run.sh
+
+# figures regenerates every paper table and figure quoted in EXPERIMENTS.md
+# (the raw `-exp all` block) in one invocation; CI runs the same target.
+figures:
+	$(GO) run ./cmd/gpf-bench -exp all
 
 # scaling regenerates the measured-vs-predicted multi-process curve quoted in
 # EXPERIMENTS.md (W = 1, 2, 4, 8 worker processes over the TCP transport next

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"github.com/gpf-go/gpf/internal/cleaner"
 	"github.com/gpf-go/gpf/internal/core"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
@@ -34,6 +33,41 @@ func StylePersona() StageStyle {
 	return StageStyle{System: Persona, Codec: core.TierField, Convert: true}
 }
 
+// Step is a Cleaner Process of the WGS pipeline that a panel of Fig 11 times
+// on its own.
+type Step int
+
+// The Cleaner steps of Fig 11.
+const (
+	MarkDuplicate Step = iota
+	IndelRealign
+	BaseRecalibration
+)
+
+// String is the name the step's Process runs under in the WGS pipeline.
+func (s Step) String() string {
+	switch s {
+	case IndelRealign:
+		return "IndelRealign"
+	case BaseRecalibration:
+		return "BaseRecalibration"
+	default:
+		return "MarkDuplicate"
+	}
+}
+
+// process builds the step's core Process from in to out.
+func (s Step) process(info *core.PartitionInfoBundle, in, out *core.SAMBundle) core.Process {
+	switch s {
+	case IndelRealign:
+		return core.NewIndelRealignProcess(s.String(), info, in, out)
+	case BaseRecalibration:
+		return core.NewBaseRecalibrationProcess(s.String(), info, in, out)
+	default:
+		return core.NewMarkDuplicateProcess(s.String(), in, out)
+	}
+}
+
 // convertStage round-trips every partition through the generic serializer —
 // the cost of materializing another framework's on-memory format. Styles
 // that do not convert get ds back.
@@ -51,102 +85,42 @@ func convertStage(style StageStyle, name string, ds *engine.Dataset[sam.Record])
 	})
 }
 
-// positionKey partitions mapped records by coarse genomic position.
-func positionKey(r sam.Record) int {
-	if r.RefID < 0 {
-		return 0
-	}
-	return int(r.RefID)<<16 | int(r.Pos)>>16
-}
-
-// runStage is the skeleton the Fig 11 stage measurements share: reset the
-// metrics, attach the style's codec, convert in, shuffle by key (the shuffle
-// row is named after shuffle), run body over the shuffled partitions, convert
-// out and materialize. It returns the engine metrics of just this stage; sys,
-// the style's name, prefixes every stage row.
-func runStage(rt *core.Runtime, records []sam.Record, style StageStyle, shuffle string, key func(sam.Record) int,
-	body func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error)) (engine.Metrics, error) {
+// RunStage executes one Cleaner step under the style and returns the engine
+// metrics of just this stage (a Fig 11 measurement). It runs the pipeline's
+// own Process on a copy of rt whose codec is the style's, between the style's
+// conversions in and out, and materializes the flat result. A partition step
+// reads a PartitionInfo of rt.PartitionLen as built, with no census: the
+// stage is timed without the dynamic split.
+func RunStage(rt *core.Runtime, records []sam.Record, style StageStyle, step Step) (engine.Metrics, error) {
 	rt.Engine.ResetMetrics()
+	srt := *rt
+	srt.Codec = style.Codec
 	sys := style.System.String()
-	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), style.Codec.SAMCodec())
+	ds := engine.WithCodec(engine.Parallelize(rt.Engine, records, rt.NumPartitions), srt.SAMCodec())
 	ds, err := convertStage(style, sys+"/convert-in", ds)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	grouped, err := engine.PartitionBy(sys+"/"+shuffle, ds, rt.NumPartitions, key)
+	info, err := core.NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	out, err := body(sys, grouped)
+	// A Process reads its inputs' data; only a Pipeline looks at their state.
+	infoIn := core.UndefinedPartitionInfo("partitionInfo")
+	infoIn.Info = info
+	out := core.UndefinedSAM("out", nil)
+	if err := step.process(infoIn, core.DefinedSAM("in", nil, ds), out).Run(&srt); err != nil {
+		return engine.Metrics{}, err
+	}
+	flat, err := out.EnsureFlat(&srt)
 	if err != nil {
 		return engine.Metrics{}, err
 	}
-	if out, err = convertStage(style, sys+"/convert-out", out); err != nil {
+	if flat, err = convertStage(style, sys+"/convert-out", flat); err != nil {
 		return engine.Metrics{}, err
 	}
-	if _, err := engine.Count(sys+"/materialize", out); err != nil {
+	if _, err := engine.Count(sys+"/materialize", flat); err != nil {
 		return engine.Metrics{}, err
 	}
 	return rt.Engine.Metrics(), nil
-}
-
-// mutateStage runs fn over a private copy of every partition (dataset
-// partitions are immutable; the cleaner kernels work in place).
-func mutateStage(name string, ds *engine.Dataset[sam.Record], fn func([]sam.Record) error) (*engine.Dataset[sam.Record], error) {
-	return engine.MapPartitions(name, ds, ds.Codec(), func(_ int, recs []sam.Record) ([]sam.Record, error) {
-		out := append([]sam.Record(nil), recs...)
-		return out, fn(out)
-	})
-}
-
-// RunMarkDupStage executes the duplicate-marking stage under the style and
-// returns the engine metrics of just this stage (the Fig 11(a) measurement).
-func RunMarkDupStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
-	return runStage(rt, records, style, "group", func(r sam.Record) int { return cleaner.GroupKey(&r) },
-		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
-			return mutateStage(sys+"/mark", grouped, func(recs []sam.Record) error {
-				cleaner.SortByCoordinate(recs)
-				cleaner.MarkDuplicates(recs)
-				return nil
-			})
-		})
-}
-
-// RunRealignStage executes indel realignment under the style (Fig 11(c)).
-func RunRealignStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
-	sc := rt.AlignerConfig.Scoring
-	return runStage(rt, records, style, "partition", positionKey,
-		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
-			return mutateStage(sys+"/realign", grouped, func(recs []sam.Record) error {
-				cleaner.RealignIndels(recs, rt.Ref, sc)
-				return nil
-			})
-		})
-}
-
-// RunBQSRStage executes base recalibration under the style (Fig 11(b)),
-// including the serial collect+broadcast step.
-func RunBQSRStage(rt *core.Runtime, records []sam.Record, style StageStyle) (engine.Metrics, error) {
-	return runStage(rt, records, style, "partition", positionKey,
-		func(sys string, grouped *engine.Dataset[sam.Record]) (*engine.Dataset[sam.Record], error) {
-			tables, err := engine.MapPartitions(sys+"/count-covariates", grouped, nil,
-				func(_ int, recs []sam.Record) ([]*cleaner.RecalTable, error) {
-					return []*cleaner.RecalTable{cleaner.BuildRecalTable(recs, rt.Ref, nil)}, nil
-				})
-			if err != nil {
-				return nil, err
-			}
-			merged, found, err := engine.Reduce(sys+"/collect", tables,
-				func(a, b *cleaner.RecalTable) *cleaner.RecalTable { return a.Merge(b) })
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				merged = &cleaner.RecalTable{}
-			}
-			bc := engine.NewBroadcast(rt.Engine, sys+"/broadcast-mask", merged, merged.SizeBytes())
-			return mutateStage(sys+"/apply", grouped, func(recs []sam.Record) error {
-				return cleaner.ApplyRecalibration(recs, bc.Value)
-			})
-		})
 }

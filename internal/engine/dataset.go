@@ -111,14 +111,10 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		newLazyMeta(res, d.meta.input)
 		return res
 	}
-	res := &Dataset[T]{
-		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec,
+	return &Dataset[T]{
+		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec, blockCodec: d.blockCodec,
 		plan: d.plan, meta: d.meta, resident: d.resident,
 	}
-	if d.blocks != nil {
-		res.blockCodec = d.decodeCodec()
-	}
-	return res
 }
 
 // Codec returns the attached serializer (nil when none).
@@ -137,16 +133,6 @@ func (d *Dataset[T]) NumPartitions() int {
 		return len(d.blocks)
 	}
 	return len(d.parts)
-}
-
-// decodeCodec returns the serializer to decode stored blocks with: the codec
-// that encoded them when recorded, the effective codec otherwise (pre-fix
-// datasets and zero values).
-func (d *Dataset[T]) decodeCodec() Serializer[T] {
-	if d.blockCodec != nil {
-		return d.blockCodec
-	}
-	return effectiveSerializer(d.codec)
 }
 
 // partition materializes partition p whole — how narrow ops and actions
@@ -175,7 +161,7 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	}
 	if d.blocks != nil {
 		start := time.Now()
-		codec := d.decodeCodec()
+		codec := d.blockCodec
 		if need != FieldsAll {
 			if pc, ok := codec.(ProjectableSerializer[T]); ok {
 				codec = pc.Project(need)

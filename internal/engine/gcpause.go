@@ -7,32 +7,16 @@ import (
 )
 
 // gcPauseMetric is the runtime/metrics histogram of stop-the-world GC pause
-// latencies. Resolved once at init: newer runtimes publish the pause
-// distribution under /sched/pauses/total/gc, older ones under /gc/pauses.
-// Empty when neither exists (delta then reads as zero).
-var gcPauseMetric = func() string {
-	for _, name := range []string{"/sched/pauses/total/gc:seconds", "/gc/pauses:seconds"} {
-		s := []metrics.Sample{{Name: name}}
-		metrics.Read(s)
-		if s[0].Value.Kind() == metrics.KindFloat64Histogram {
-			return name
-		}
-	}
-	return ""
-}()
+// latencies. It exists from Go 1.22 (go.mod says 1.23) and supersedes the
+// deprecated /gc/pauses:seconds.
+const gcPauseMetric = "/sched/pauses/total/gc:seconds"
 
 // readGCPauseHist samples the GC pause histogram. Unlike the former
 // runtime.ReadMemStats implementation this does not itself stop the world,
 // so bracketing every stage with it is cheap.
 func readGCPauseHist() *metrics.Float64Histogram {
-	if gcPauseMetric == "" {
-		return nil
-	}
 	s := []metrics.Sample{{Name: gcPauseMetric}}
 	metrics.Read(s)
-	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return nil
-	}
 	return s[0].Value.Float64Histogram()
 }
 

@@ -170,10 +170,11 @@ func anchorTools(tr cluster.Trace) {
 
 // driveWGS is the one WGS driver: it synthesizes sp.Scale's dataset of the
 // given kind and runs the full pipeline under sp.Opts on ctx, from FASTQ pairs
-// to VCF. It returns the dataset and the rendered VCF text, the byte-identity
-// witness across backends. Runs calls it on a fresh in-process Context; the
-// mproc scaling job calls it on each rank's Context.
-func driveWGS(ctx *engine.Context, kind workload.Kind, sp ScalingSpec) (*workload.Dataset, []byte, error) {
+// to VCF. The Run it returns holds the dataset, the rendered VCF text (the
+// byte-identity witness across backends) and the pipeline's Process order;
+// the caller fills in metrics and wall. Runs calls it on a fresh in-process
+// Context; the mproc scaling job calls it on each rank's Context.
+func driveWGS(ctx *engine.Context, kind workload.Kind, sp ScalingSpec) (*Run, error) {
 	d := sp.Scale.dataset(kind)
 	rt := sp.Scale.newRuntime(ctx, d)
 	sp.Opts.Configure(rt)
@@ -189,33 +190,35 @@ func driveWGS(ctx *engine.Context, kind workload.Kind, sp ScalingSpec) (*workloa
 				return items, nil
 			})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	wgs := core.BuildWGSPipeline(rt, ds, false)
 	wgs.Pipeline.Optimize = sp.Opts.Fuse
 	if err := wgs.Pipeline.Run(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	calls, err := core.CollectVCF(rt, wgs.VCF)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := vcf.Write(&buf, wgs.VCF.Header, calls); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d, buf.Bytes(), nil
+	return &Run{Data: d, VCF: buf.Bytes(), Order: wgs.Pipeline.ExecutionOrder()}, nil
 }
 
 // Run is one measured in-process WGS run: the dataset it read, the engine
-// metrics it recorded, the VCF it wrote and its wall time (dataset synthesis
-// included).
+// metrics it recorded, the VCF it wrote, its wall time (dataset synthesis
+// included) and the pipeline's Processes in the order they ran — the tools a
+// tool-chain comparator hands files between.
 type Run struct {
 	Data    *workload.Dataset
 	Metrics engine.Metrics
 	VCF     []byte
 	Wall    time.Duration
+	Order   []string
 }
 
 // runKey is one configuration of the WGS pipeline.
@@ -246,11 +249,11 @@ func (r *Runs) Get(kind workload.Kind, opts baseline.WGSOptions) (*Run, error) {
 	}
 	ctx := engine.NewContext(r.Scale.Workers)
 	start := time.Now()
-	d, out, err := driveWGS(ctx, kind, ScalingSpec{Scale: r.Scale, Opts: opts})
+	run, err := driveWGS(ctx, kind, ScalingSpec{Scale: r.Scale, Opts: opts})
 	if err != nil {
 		return nil, err
 	}
-	run := &Run{Data: d, Metrics: ctx.Metrics(), VCF: out, Wall: time.Since(start)}
+	run.Metrics, run.Wall = ctx.Metrics(), time.Since(start)
 	r.runs[k] = run
 	return run, nil
 }

@@ -39,17 +39,21 @@ func Fig10(runs *Runs) (*Fig10Result, error) {
 		return nil, err
 	}
 
-	// Churchill: static regions (no dynamic splits), file handoff between
-	// tools, serial scatter/gather merges. The region count is fixed at
-	// analysis start, capping usable parallelism.
+	// Churchill: static regions (no dynamic splits), unfused, and a file
+	// handoff with a serial scatter/gather merge after each tool — each
+	// Process of the pipeline, in the order it ran. The region count is fixed
+	// at analysis start, capping usable parallelism.
 	ch, err := runs.Get(workload.WGS, baseline.ChurchillOptions())
 	if err != nil {
 		return nil, err
 	}
 	_, byteScale := calibration(ch.Data)
 	perTaskFile := int64(float64(ch.Data.FASTQBytes()) * byteScale / churchillMaxRegions)
-	chTrace := baseline.AddFileHandoff(ch.trace(churchillMaxRegions), perTaskFile)
-	chTrace = baseline.SerialScatterGather(chTrace, 30*time.Second)
+	chTrace := ch.trace(churchillMaxRegions)
+	for _, tool := range ch.Order {
+		chTrace.Stages = append(chTrace.Stages,
+			baseline.FileHandoff(tool, churchillMaxRegions, perTaskFile, 30*time.Second))
+	}
 	return fig10FromTraces(gpf.trace(4096), chTrace), nil
 }
 

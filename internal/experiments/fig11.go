@@ -62,18 +62,15 @@ func Fig11(runs *Runs) (*Fig11Result, error) {
 
 	stages := []struct {
 		name    string
-		run     func(baseline.StageStyle) (engine.Metrics, error)
+		step    baseline.Step
 		systems []baseline.StageStyle
 	}{
-		{"Mark Duplicate", func(st baseline.StageStyle) (engine.Metrics, error) {
-			return baseline.RunMarkDupStage(rt, records, st)
-		}, []baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM(), baseline.StyleGATK4(), baseline.StylePersona()}},
-		{"BQSR", func(st baseline.StageStyle) (engine.Metrics, error) {
-			return baseline.RunBQSRStage(rt, records, st)
-		}, []baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM(), baseline.StyleGATK4()}},
-		{"INDEL Realignment", func(st baseline.StageStyle) (engine.Metrics, error) {
-			return baseline.RunRealignStage(rt, records, st)
-		}, []baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM()}},
+		{"Mark Duplicate", baseline.MarkDuplicate,
+			[]baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM(), baseline.StyleGATK4(), baseline.StylePersona()}},
+		{"BQSR", baseline.BaseRecalibration,
+			[]baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM(), baseline.StyleGATK4()}},
+		{"INDEL Realignment", baseline.IndelRealign,
+			[]baseline.StageStyle{baseline.StyleGPF(), baseline.StyleADAM()}},
 	}
 
 	res := &Fig11Result{
@@ -84,7 +81,7 @@ func Fig11(runs *Runs) (*Fig11Result, error) {
 	for _, st := range stages {
 		panel := Fig11Panel{Name: st.name, Cores: fig11Cores}
 		for _, style := range st.systems {
-			m, err := st.run(style)
+			m, err := baseline.RunStage(rt, records, style, st.step)
 			if err != nil {
 				return nil, err
 			}

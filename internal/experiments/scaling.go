@@ -44,8 +44,11 @@ func init() {
 		if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&sp); err != nil {
 			return nil, fmt.Errorf("%s: decode spec: %w", ScalingJobName, err)
 		}
-		_, out, err := driveWGS(ctx, workload.WGS, sp)
-		return out, err
+		run, err := driveWGS(ctx, workload.WGS, sp)
+		if err != nil {
+			return nil, err
+		}
+		return run.VCF, nil
 	})
 }
 
@@ -143,9 +146,10 @@ func (r *ScalingResult) Format() []string {
 
 // RunWGSOn executes the WGS pipeline once on the named executor backend —
 // the `gpf-bench -exp wgs -backend=...` path. backend is "inproc" or "mproc";
-// procs only matters for mproc. The in-process run is runs' GPF run, the one
-// the paper figures read, and doubles as the planning oracle: its metrics
-// replay through the cluster model for the predicted W=1..8 curve.
+// procs only matters for mproc, and the in-process header reports the one
+// process it ran. The in-process run is runs' GPF run, the one the paper
+// figures read, and doubles as the planning oracle: its metrics replay
+// through the cluster model for the predicted W=1..8 curve.
 func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
 	slots := runs.Scale.Workers
 	if slots < 1 {
@@ -164,7 +168,7 @@ func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
 		}
 		run = &Run{Metrics: r.Metrics, VCF: r.Output, Wall: r.Wall}
 	case "inproc", "":
-		backend = "inproc"
+		backend, procs = "inproc", 1
 		var err error
 		if run, err = runs.Get(workload.WGS, baseline.GPFOptions()); err != nil {
 			return nil, err

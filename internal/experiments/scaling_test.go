@@ -41,10 +41,11 @@ func scalingTestSpec() ScalingSpec {
 // several process counts.
 func TestScalingWGSByteIdentityAcrossBackends(t *testing.T) {
 	sp := scalingTestSpec()
-	_, ref, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
+	run, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := run.VCF
 	if len(ref) == 0 || !bytes.HasPrefix(ref, []byte("##fileformat")) {
 		t.Fatalf("reference output is not a VCF (%d bytes)", len(ref))
 	}
@@ -77,7 +78,7 @@ func TestScalingWGSInjectedWorkerError(t *testing.T) {
 	}
 	sp := scalingTestSpec()
 	sp.InjectMapError = true
-	if _, _, err := driveWGS(engine.NewContext(2), workload.WGS, sp); err == nil ||
+	if _, err := driveWGS(engine.NewContext(2), workload.WGS, sp); err == nil ||
 		!strings.Contains(err.Error(), "injected worker-side map failure") {
 		t.Fatalf("inproc: want injected failure, got %v", err)
 	}
@@ -90,10 +91,11 @@ func TestScalingWGSInjectedWorkerError(t *testing.T) {
 		t.Fatalf("mproc: want injected failure, got %v", err)
 	}
 	sp.InjectMapError = false
-	_, ref, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
+	run, err := driveWGS(engine.NewContext(2), workload.WGS, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := run.VCF
 	spec, err = EncodeScalingSpec(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +141,8 @@ func TestScalingExperimentShape(t *testing.T) {
 }
 
 // TestRunWGSOnBackends smoke-tests the CLI entry for each backend name: only
-// the in-process run prints the oracle's predicted curve, and the retired
-// "sim" name is unknown.
+// the in-process run prints the oracle's predicted curve, its header reports
+// the one process it ran, and the retired "sim" name is unknown.
 func TestRunWGSOnBackends(t *testing.T) {
 	runs := smallRuns
 	if raceEnabled {
@@ -153,6 +155,10 @@ func TestRunWGSOnBackends(t *testing.T) {
 		}
 		if len(lines) == 0 || !strings.Contains(lines[0], "backend="+backend) {
 			t.Fatalf("%s: bad header %q", backend, lines)
+		}
+		// The in-process run is one process whatever -procs says.
+		if backend == "inproc" && !strings.Contains(lines[0], "procs=1,") {
+			t.Fatalf("inproc header %q, want procs=1", lines[0])
 		}
 		oracle := strings.Contains(strings.Join(lines, "\n"), "oracle W=")
 		if oracle != (backend == "inproc") {
