@@ -126,13 +126,17 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 // summary is the report printed after a run: pipeline time, stage and call
 // counts, the partition length the run used (clampPartLen may have lowered
 // the requested one), the execution order, and the bytes shuffled with the
-// codec time spent on them.
+// codec time spent on them, and the largest heap a stage ended on.
 func summary(m engine.Metrics, elapsed time.Duration, calls int, outPath string, partLen int, order []string) []string {
 	var serialize time.Duration
+	peak := 0
 	for i := range m.Stages {
 		serialize += m.Stages[i].SerializeTime()
+		if m.Stages[i].HeapBytes > m.Stages[peak].HeapBytes {
+			peak = i
+		}
 	}
-	return []string{
+	lines := []string{
 		fmt.Sprintf("pipeline: %v, %d stages, %d variants -> %s",
 			elapsed.Round(time.Millisecond), m.NumStages(), calls, outPath),
 		fmt.Sprintf("partition length: %d bases", partLen),
@@ -140,6 +144,11 @@ func summary(m engine.Metrics, elapsed time.Duration, calls int, outPath string,
 		fmt.Sprintf("shuffle: %.1f MB moved, %.2fs serializing",
 			float64(m.TotalShuffleBytes())/1e6, serialize.Seconds()),
 	}
+	if len(m.Stages) > 0 {
+		st := &m.Stages[peak]
+		lines = append(lines, fmt.Sprintf("heap: peak %.1f MB, after %s", float64(st.HeapBytes)/1e6, st.Name))
+	}
+	return lines
 }
 
 // clampPartLen keeps the partition length sensible for tiny genomes.

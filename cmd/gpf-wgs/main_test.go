@@ -45,12 +45,12 @@ func TestWGSRunMissingInputs(t *testing.T) {
 }
 
 // TestSummaryReportsSerializeTimeAndPartitionLength: the "serializing" figure
-// is the codec time, not all task time, and the partition length the run
-// used is printed.
+// is the codec time, not all task time, the partition length the run used is
+// printed, and so is the stage that ended on the largest heap.
 func TestSummaryReportsSerializeTimeAndPartitionLength(t *testing.T) {
 	m := engine.Metrics{Stages: []engine.StageMetrics{
-		{Tasks: []engine.TaskMetrics{{Wall: 3 * time.Second, SerializeTime: time.Second}}},
-		{Tasks: []engine.TaskMetrics{{Wall: 2 * time.Second, SerializeTime: 250 * time.Millisecond, ShuffleWriteBytes: 2e6}}},
+		{Name: "align", HeapBytes: 30e6, Tasks: []engine.TaskMetrics{{Wall: 3 * time.Second, SerializeTime: time.Second}}},
+		{Name: "sort/map", HeapBytes: 20e6, Tasks: []engine.TaskMetrics{{Wall: 2 * time.Second, SerializeTime: 250 * time.Millisecond, ShuffleWriteBytes: 2e6}}},
 	}}
 	got := summary(m, time.Second, 7, "calls.vcf", clampPartLen(1_000_000, 120000), []string{"a", "b"})
 	want := []string{
@@ -58,6 +58,7 @@ func TestSummaryReportsSerializeTimeAndPartitionLength(t *testing.T) {
 		"partition length: 12000 bases",
 		"execution order: [a b]",
 		"shuffle: 2.0 MB moved, 1.25s serializing",
+		"heap: peak 30.0 MB, after align",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("summary:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -21,6 +21,7 @@ func NewBroadcast[T any](ctx *Context, name string, value T, sizeBytes int64) *B
 		Name:       name,
 		Kind:       StageAction,
 		DriverTime: time.Since(start),
+		HeapBytes:  readHeapBytes(),
 		Tasks: []TaskMetrics{{
 			Partition:         0,
 			ShuffleWriteBytes: sizeBytes,

@@ -14,7 +14,9 @@ import (
 // and the context stores serialized — or lazy (plan: a recorded chain of
 // narrow ops not yet executed — see lineage.go). Materialized storage always
 // holds every field. Datasets are immutable once materialized: operations
-// return new datasets; forcing fills parts/blocks in place exactly once.
+// return new datasets; forcing fills parts/blocks in place exactly once and
+// drops the plan, so no materialized dataset references its input and an
+// input nobody else holds is reclaimed by the garbage collector.
 type Dataset[T any] struct {
 	ctx    *Context
 	parts  [][]T
@@ -113,7 +115,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	}
 	return &Dataset[T]{
 		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec, blockCodec: d.blockCodec,
-		plan: d.plan, meta: d.meta, resident: d.resident,
+		meta: d.meta, resident: d.resident,
 	}
 }
 
@@ -227,9 +229,9 @@ func newResult[T any](ctx *Context, codec Serializer[T], n int) *Dataset[T] {
 	return res
 }
 
-// MemoryBytes estimates the resident size of the dataset: exact for
-// serialized storage, codec-estimated otherwise (encoding a sample is too
-// invasive, so materialized datasets report 0 and callers use SizeOf).
+// MemoryBytes returns the serialized bytes the dataset stores: exact for
+// serialized storage, 0 for items held in memory (sizing Go values would mean
+// encoding them; the stage rows' HeapBytes is the process-wide measure).
 func (d *Dataset[T]) MemoryBytes() int64 {
 	var n int64
 	for _, b := range d.blocks {

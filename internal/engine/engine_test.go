@@ -306,6 +306,20 @@ func TestMetricsAggregation(t *testing.T) {
 	if m.TotalTaskTime() <= 0 {
 		t.Fatal("task time zero")
 	}
+	for _, st := range m.Stages {
+		if st.HeapBytes <= 0 {
+			t.Fatalf("stage %q recorded no heap sample", st.Name)
+		}
+	}
+	// Merged across ranks, a stage's heap is the largest rank's and its GC
+	// pause the sum.
+	rank0 := Metrics{Stages: []StageMetrics{{HeapBytes: 10, GCPause: 1}, {HeapBytes: 30, GCPause: 1}}}
+	rank1 := Metrics{Stages: []StageMetrics{{HeapBytes: 20, GCPause: 2}, {HeapBytes: 5, GCPause: 2}}}
+	for i, st := range rank0.MergeRanks(rank1).Stages {
+		if want := []int64{20, 30}[i]; st.HeapBytes != want || st.GCPause != 3 {
+			t.Fatalf("merged stage %d: heap %d, pause %v; want %d, 3", i, st.HeapBytes, st.GCPause, want)
+		}
+	}
 	ctx.ResetMetrics()
 	if ctx.Metrics().NumStages() != 0 {
 		t.Fatal("reset failed")

@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/gpf-go/gpf/internal/colfmt"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
+	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
 )
 
 // The conformance suite: every registered conformance job must produce
@@ -320,4 +322,62 @@ func TestConformanceRepeatedMproc(t *testing.T) {
 			t.Fatalf("trial %d: output drifted", trial)
 		}
 	}
+}
+
+// TestExchangeBlockHandsOver: on both backends Block hands a bucket over —
+// the fetch clears the exchange's slot, so the exchange stops holding the
+// block as soon as its reader has it, and a second Block of the same (m, r)
+// returns nil. Over mproc this holds for a bucket that arrived as a frame
+// from a sibling rank and for one published locally, and a bucket still
+// unread at Close is gone after it. Reduce slots 1 and 3 are rank 1's.
+func TestExchangeBlockHandsOver(t *testing.T) {
+	base := leakcheck.Snapshot()
+	// fetch receives the next map index on r's Notify and checks that the
+	// first Block returns want[m] and the second nil.
+	fetch := func(t *testing.T, ex engine.Exchange, r int, want map[int]string) {
+		t.Helper()
+		for range want {
+			var m int
+			select {
+			case m = <-ex.Notify(r):
+			case <-time.After(10 * time.Second):
+				t.Fatalf("reduce %d: no bucket arrived", r)
+			}
+			if got := ex.Block(m, r); string(got) != want[m] {
+				t.Fatalf("Block(%d, %d) = %q, want %q", m, r, got, want[m])
+			}
+			if got := ex.Block(m, r); got != nil {
+				t.Fatalf("second Block(%d, %d) = %q, want nil", m, r, got)
+			}
+		}
+	}
+
+	t.Run("inproc", func(t *testing.T) {
+		ex := engine.NewContext(1).Executor().Exchange(1, 2, 4)
+		defer ex.Close()
+		ex.Publish(0, 1, []byte("m0"))
+		ex.Publish(1, 1, []byte("m1"))
+		fetch(t, ex, 1, map[int]string{0: "m0", 1: "m1"})
+	})
+
+	t.Run("mproc", func(t *testing.T) {
+		drv, wrk := pipePair()
+		ex := wrk.exchangeFor(1, 2, 4)
+		drv.exchangeFor(1, 2, 4).Publish(0, 1, []byte("remote"))
+		ex.Publish(1, 1, []byte("local"))
+		fetch(t, ex, 1, map[int]string{0: "remote", 1: "local"})
+		ex.Publish(0, 3, []byte("unread"))
+		<-ex.Notify(3)
+		ex.Close()
+		if got := ex.Block(0, 3); got != nil {
+			t.Fatalf("Block after Close = %q, want nil", got)
+		}
+		finish(drv, wrk)
+		for _, tr := range []*transport{drv, wrk} {
+			if err := tr.Err(); err != nil {
+				t.Fatalf("rank %d: %v", tr.rank, err)
+			}
+		}
+	})
+	base.Check(t)
 }

@@ -323,10 +323,18 @@ func (ex *wireExchange) Notify(r int) <-chan int {
 	return ex.notify[r]
 }
 
+// Block implements engine.Exchange: it hands the block over and clears its
+// slot, and returns nil after Close.
 func (ex *wireExchange) Block(m, r int) []byte {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	return ex.blocks[m*ex.out+r]
+	if ex.closed {
+		return nil
+	}
+	i := m*ex.out + r
+	block := ex.blocks[i]
+	ex.blocks[i] = nil
+	return block
 }
 
 // Close releases the stage's block table. The state entry stays registered

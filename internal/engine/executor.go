@@ -56,8 +56,11 @@ type Exchange interface {
 	// Notify returns reduce r's readiness channel, carrying map indices in
 	// publication order. Only the rank that owns r receives on it.
 	Notify(r int) <-chan int
-	// Block returns the stored block for (m, r); call only after m arrived on
-	// Notify(r). nil means the bucket was empty.
+	// Block hands over the stored block for (m, r) and clears its slot, so
+	// the exchange holds a block only until its reader fetches it; call only
+	// after m arrived on Notify(r). Each (m, r) is read exactly once (by its
+	// reduce task, or by the allgather); a second read, or a read after
+	// Close, returns nil. nil also means the bucket was empty.
 	Block(m, r int) []byte
 	// Close releases the stage's transport state once the local tasks are
 	// done with it.
@@ -103,6 +106,11 @@ func (ex *localExchange) Publish(m, r int, block []byte) {
 
 func (ex *localExchange) Notify(r int) <-chan int { return ex.notify[r] }
 
-func (ex *localExchange) Block(m, r int) []byte { return ex.blocks[m*ex.out+r] }
+func (ex *localExchange) Block(m, r int) []byte {
+	i := m*ex.out + r
+	block := ex.blocks[i]
+	ex.blocks[i] = nil
+	return block
+}
 
 func (ex *localExchange) Close() {}

@@ -56,3 +56,16 @@ func gcPauseDelta(fn func()) time.Duration {
 	fn()
 	return gcPauseHistDelta(before, readGCPauseHist())
 }
+
+// heapObjectsMetric is the runtime/metrics gauge of heap memory occupied by
+// objects: live ones plus dead ones the collector has not yet freed.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+
+// readHeapBytes samples the heap-objects gauge. Like the pause histogram it
+// neither stops the world nor forces a collection, so it reads what the heap
+// holds at the moment of the call, garbage not yet swept included.
+func readHeapBytes() int64 {
+	s := []metrics.Sample{{Name: heapObjectsMetric}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}

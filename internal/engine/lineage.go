@@ -18,7 +18,10 @@ import (
 //
 // Run-once state (children, once, err) lives on the dataset's planMeta — the
 // type-erased node Force walks — not here; the lineage itself is only the
-// typed compute machinery.
+// typed compute machinery. Its closures capture the input dataset, so
+// runFused drops the lineage once the partitions are stored. The engine
+// never recomputes a forced dataset from its lineage (a failed task fails
+// the job; nothing replays).
 type lineage[T any] struct {
 	nparts int
 	// ops returns the names of the ops the fused stage runs, in execution
@@ -103,7 +106,9 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 // this dataset's fused narrow chain runs as ONE stage (one task launch per
 // partition), single-consumer ancestors fused in. The result is stored in the
 // dataset, so later reads — and downstream lineages rooted here — reuse it
-// instead of recomputing. Actions and wide operations call
+// instead of recomputing, and the dataset lets go of its lineage: after a
+// successful Force nothing in the engine refers to its input, which is
+// reclaimed once the caller drops it too. Actions and wide operations call
 // Force implicitly; it is exported for callers that want an explicit
 // execution barrier (e.g. before timing a downstream stage). Forcing a
 // materialized dataset is a no-op; a failed Force is sticky.
@@ -117,13 +122,15 @@ func (d *Dataset[T]) Force() error {
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
 // and storing only the final output. The stage is recorded under the names of
-// the ops it runs, joined, with FusedOps set to their count.
+// the ops it runs, joined, with FusedOps set to their count. Once the
+// partitions are stored the dataset drops its plan: the closures are what
+// referenced the input, and nothing reads a plan after force.
 func runFused[T any](d *Dataset[T]) error {
 	pl := d.plan
 	n := pl.nparts
 	ops := pl.ops()
 	allocResult(d, n)
-	return d.ctx.runStage(taskSet{
+	err := d.ctx.runStage(taskSet{
 		row:  StageMetrics{Name: strings.Join(ops, "+"), Kind: StageNarrow, FusedOps: len(ops)},
 		n:    n,
 		hint: pl.sizeHint,
@@ -136,4 +143,8 @@ func runFused[T any](d *Dataset[T]) error {
 			return storePartition(d, p, out, tm)
 		},
 	})
+	if err == nil {
+		d.plan = nil
+	}
+	return err
 }

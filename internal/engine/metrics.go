@@ -80,6 +80,12 @@ type StageMetrics struct {
 	// only: last map finish minus first reduce start, clamped at zero). Zero
 	// with one slot in one process.
 	PipelineOverlap time.Duration
+	// HeapBytes is this process's heap occupied by objects when the stage
+	// ended (after its driver step), sampled through runtime/metrics without
+	// forcing a collection: what the stage's output and everything still
+	// referenced hold, plus garbage not yet swept. Merged across ranks it is
+	// the largest rank's.
+	HeapBytes int64
 }
 
 // ShuffleReadBytes sums shuffle-read bytes across tasks.
@@ -178,7 +184,8 @@ func (m Metrics) NumStages() int { return len(m.Stages) }
 // snapshot. All ranks of a job run the same deterministic driver program, so
 // they record the same stage sequence with the same task counts; each task's
 // record is taken from the rank whose Ran flag says it executed the task,
-// and per-process GC pause deltas are summed into a cluster total. Stage
+// and per-process GC pause deltas are summed into a cluster total; HeapBytes
+// keeps the largest rank's value, the one that bounds a node's memory. Stage
 // scalars measured identically everywhere (DriverTime, PipelineOverlap) keep
 // rank 0's values.
 func (m Metrics) MergeRanks(others ...Metrics) Metrics {
@@ -195,6 +202,7 @@ func (m Metrics) MergeRanks(others ...Metrics) Metrics {
 				}
 			}
 			ls.GCPause += os.GCPause
+			ls.HeapBytes = max(ls.HeapBytes, os.HeapBytes)
 		}
 	}
 	return out

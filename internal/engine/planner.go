@@ -21,7 +21,7 @@ import (
 // run the node once.
 type planMeta struct {
 	// input is the plan node of the chain's input; nil when the input was
-	// born materialized.
+	// born materialized, and once this node has run.
 	input *planMeta
 	// children counts the consumers recorded over this node (lazy narrow ops,
 	// codec forks). Recording only counts — nothing forces at that point.
@@ -37,12 +37,16 @@ type planMeta struct {
 }
 
 // force materializes the node exactly once — shared ancestors first, then
-// its own chain; later calls return the sticky first result.
+// its own chain; later calls return the sticky first result. Once it has run
+// the node lets go of its input edge and its run closure (which captures the
+// dataset and, through its plan, the ancestors): forceShared stops at a done
+// node, so nothing walks the edge again.
 func (m *planMeta) force() error {
 	m.once.Do(func() {
 		if m.err = m.forceShared(); m.err == nil {
 			m.err = m.run()
 		}
+		m.input, m.run = nil, nil
 		m.done.Store(true)
 	})
 	return m.err

@@ -1,0 +1,234 @@
+package engine
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// probe is an input item whose reclamation the collector reports. It is
+// larger than the tiny allocator's 16 bytes, whose batched objects finalize
+// late or never.
+type probe struct {
+	v   int
+	pad [4]int64
+}
+
+// probes returns n probes and the count of them the collector has reclaimed.
+func probes(n int) ([]*probe, *atomic.Int64) {
+	freed := new(atomic.Int64)
+	items := make([]*probe, n)
+	for i := range items {
+		items[i] = &probe{v: i}
+		runtime.SetFinalizer(items[i], func(*probe) { freed.Add(1) })
+	}
+	return items, freed
+}
+
+// reclaimed collects until all n probes counted by freed are reclaimed,
+// reporting false if they are not within 2 s.
+func reclaimed(freed *atomic.Int64, n int) bool {
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		if freed.Load() == int64(n) {
+			return true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return false
+}
+
+func probeValue(p *probe) int { return p.v }
+
+// TestForcedChainReleasesInput: a forced narrow chain refers to its input
+// through nothing — not its lineage closures, not its plan node — so once the
+// caller drops the input, the input's items are garbage while the forced
+// result is still held and still reads.
+func TestForcedChainReleasesInput(t *testing.T) {
+	ctx := NewContext(2)
+	out, freed := func() (*Dataset[int], *atomic.Int64) {
+		items, freed := probes(64)
+		v, err := Map("value", Parallelize(ctx, items, 4), nil, probeValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		even, err := Filter("even", v, func(x int) bool { return x%2 == 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := even.Force(); err != nil {
+			t.Fatal(err)
+		}
+		return even, freed
+	}()
+	if !reclaimed(freed, 64) {
+		t.Fatalf("forced chain keeps its input reachable: %d of 64 items reclaimed", freed.Load())
+	}
+	if n, err := Count("count", out); err != nil || n != 32 {
+		t.Fatalf("count = %d, %v; want 32", n, err)
+	}
+}
+
+// TestSharedPrefixReleasedAfterConsumers: a prefix two consumers were
+// recorded over materializes once, with the first consumer; from then on it
+// no longer holds its input. The second consumer's plan still reads the
+// prefix, so the prefix stays until that consumer is forced too, and then
+// nothing but the caller's handles refers to it — no consumer count needed.
+func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
+	ctx := NewContext(2)
+	prefixFreed := new(atomic.Int64)
+	a, b, inFreed := func() (*Dataset[int], *Dataset[int], *atomic.Int64) {
+		items, inFreed := probes(64)
+		prefix, err := Map("copy", Parallelize(ctx, items, 4), nil, func(p *probe) *probe {
+			c := &probe{v: p.v}
+			runtime.SetFinalizer(c, func(*probe) { prefixFreed.Add(1) })
+			return c
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Map("a", prefix, nil, probeValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Map("b", prefix, nil, func(p *probe) int { return -p.v })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b, inFreed
+	}()
+	if err := a.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if !reclaimed(inFreed, 64) {
+		t.Fatalf("materialized shared prefix keeps its input reachable: %d of 64 items reclaimed", inFreed.Load())
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := prefixFreed.Load(); n != 0 {
+		t.Fatalf("%d prefix items reclaimed while the unforced consumer still reads them", n)
+	}
+	if err := b.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if !reclaimed(prefixFreed, 64) {
+		t.Fatalf("forced consumers keep the shared prefix reachable: %d of 64 items reclaimed", prefixFreed.Load())
+	}
+	for _, d := range []*Dataset[int]{a, b} {
+		if n, err := Count("count", d); err != nil || n != 64 {
+			t.Fatalf("count = %d, %v; want 64", n, err)
+		}
+	}
+}
+
+// TestForcedCodecForkReleasesInput: a WithCodec fork of a lazy chain copies
+// the chain's closures; forcing the fork drops them like any other plan, and
+// a fork of the forced result shares its storage and nothing else.
+func TestForcedCodecForkReleasesInput(t *testing.T) {
+	ctx := NewContext(2)
+	ctx.StoreSerialized = true
+	fork, freed := func() (*Dataset[int], *atomic.Int64) {
+		items, freed := probes(64)
+		v, err := Map("value", Parallelize(ctx, items, 4), nil, probeValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork := WithCodec(v, Serializer[int](GobCodec[int]{}))
+		if err := fork.Force(); err != nil {
+			t.Fatal(err)
+		}
+		return WithCodec(fork, Serializer[int](GobCodec[int]{})), freed
+	}()
+	if !reclaimed(freed, 64) {
+		t.Fatalf("forced codec fork keeps its input reachable: %d of 64 items reclaimed", freed.Load())
+	}
+	if got, err := Collect("collect", fork); err != nil || !reflect.DeepEqual(got, intRange(64)) {
+		t.Fatalf("collect = %v, %v", got, err)
+	}
+}
+
+// TestForceKeepsSemantics: dropping the plan at force changes nothing a
+// reader sees. Partition count, size hints and contents are what they were
+// lazy; a chain recorded on the forced dataset reads its stored partitions
+// instead of running the forced op again; a second Force is a no-op; and a
+// failed Force stays sticky on every later read.
+func TestForceKeepsSemantics(t *testing.T) {
+	ctx := NewContext(2)
+	in := Parallelize(ctx, intRange(90), 4) // partitions of 23, 23, 23, 21
+	var calls atomic.Int64
+	inc, err := Map("inc", in, nil, func(x int) int { calls.Add(1); return x + 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	hints := func(d *Dataset[int]) []int64 {
+		h := make([]int64, d.NumPartitions())
+		for p := range h {
+			h[p] = d.partitionSizeHint(p)
+		}
+		return h
+	}
+	lazyHints := hints(inc)
+	if err := inc.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if inc.NumPartitions() != 4 || !reflect.DeepEqual(hints(inc), lazyHints) {
+		t.Fatalf("forced: %d partitions, hints %v; lazy hints %v", inc.NumPartitions(), hints(inc), lazyHints)
+	}
+	want := make([]int, 90)
+	for i := range want {
+		want[i] = i + 1
+	}
+	if got, err := Collect("collect", inc); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("collect = %v, %v", got, err)
+	}
+	ctx.ResetMetrics()
+	double, err := Map("double", inc, nil, func(x int) int { return 2 * x })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Count("count", double); err != nil || n != 90 {
+		t.Fatalf("count = %d, %v", n, err)
+	}
+	if n := calls.Load(); n != 90 {
+		t.Fatalf("inc ran %d times, want 90: a chain rooted on a forced dataset re-ran its op", n)
+	}
+	if name := ctx.Metrics().Stages[0].Name; name != "double" {
+		t.Fatalf("downstream stage %q, want \"double\" alone", name)
+	}
+
+	errBoom := errors.New("boom")
+	bad, err := MapPartitions("fail", in, nil, func(p int, items []int) ([]int, error) {
+		if p == 1 {
+			return nil, errBoom
+		}
+		return items, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Force(); !errors.Is(err, errBoom) {
+		t.Fatalf("force = %v, want boom", err)
+	}
+	if bad.NumPartitions() != 4 {
+		t.Fatalf("failed dataset reports %d partitions, want 4", bad.NumPartitions())
+	}
+	after, err := Map("after", bad, nil, func(x int) int { return x })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []func() error{
+		bad.Force,
+		func() error { _, err := Collect("collect-bad", bad); return err },
+		func() error { _, err := Collect("collect-after", after); return err },
+	} {
+		if err := read(); !errors.Is(err, errBoom) {
+			t.Fatalf("read after a failed force = %v, want the sticky boom", err)
+		}
+	}
+}

@@ -13,7 +13,8 @@ import (
 // the StageMetrics row the runner records for it.
 type taskSet struct {
 	// row carries Name, Kind and FusedOps; the runner fills Tasks, GCPause
-	// (first set of the pass), PipelineOverlap (later sets) and DriverTime.
+	// (first set of the pass), PipelineOverlap (later sets), DriverTime and
+	// HeapBytes.
 	row StageMetrics
 	n   int
 	// hint orders dispatch largest-first (LPT, stable on ties) to shrink the
@@ -213,6 +214,7 @@ func (st *stage) run(sets ...taskSet) error {
 			wait, err = sets[k].driver()
 			row.DriverTime = time.Since(t0) - wait
 		}
+		row.HeapBytes = readHeapBytes()
 		c.recordStage(*row)
 	}
 	return err

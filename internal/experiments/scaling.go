@@ -147,7 +147,8 @@ func (r *ScalingResult) Format() []string {
 // RunWGSOn executes the WGS pipeline once on the named executor backend —
 // the `gpf-bench -exp wgs -backend=...` path. backend is "inproc" or "mproc";
 // procs only matters for mproc, and the in-process header reports the one
-// process it ran. The in-process run is runs' GPF run, the one the paper
+// process it ran. It prints each shuffle's bytes and every stage's heap at
+// stage end, with the peak. The in-process run is runs' GPF run, the one the paper
 // figures read, and doubles as the planning oracle: its metrics replay
 // through the cluster model for the predicted W=1..8 curve.
 func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
@@ -198,6 +199,20 @@ func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
 		lines = append(lines, row("  shuffle "+st.Name,
 			fmt.Sprintf("write %8.3f MB", float64(w)/1e6),
 			fmt.Sprintf("read %8.3f MB", float64(st.ShuffleReadBytes())/1e6)))
+	}
+	// Per-stage heap at stage end (largest rank under mproc): what the run
+	// still holds after each stage, and the stage where that peaks.
+	peak := 0
+	for i := range metrics.Stages {
+		st := &metrics.Stages[i]
+		lines = append(lines, row("  heap "+st.Name, fmt.Sprintf("%8.1f MB", float64(st.HeapBytes)/1e6)))
+		if st.HeapBytes > metrics.Stages[peak].HeapBytes {
+			peak = i
+		}
+	}
+	if len(metrics.Stages) > 0 {
+		st := &metrics.Stages[peak]
+		lines = append(lines, row("peak heap", fmt.Sprintf("%.1f MB", float64(st.HeapBytes)/1e6), "after "+st.Name))
 	}
 	if backend == "inproc" {
 		for _, p := range cluster.PredictScaling(metrics, slots, scalingProcs) {

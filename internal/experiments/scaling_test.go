@@ -160,6 +160,17 @@ func TestRunWGSOnBackends(t *testing.T) {
 		if backend == "inproc" && !strings.Contains(lines[0], "procs=1,") {
 			t.Fatalf("inproc header %q, want procs=1", lines[0])
 		}
+		// Every stage row carries the heap it ended on; merged across ranks
+		// under mproc, so the peak is never zero.
+		var peak string
+		for _, l := range lines {
+			if strings.HasPrefix(l, "peak heap ") {
+				peak = l
+			}
+		}
+		if peak == "" || strings.Contains(peak, " 0.0 MB") {
+			t.Fatalf("%s: peak heap row %q, want a non-zero peak", backend, peak)
+		}
 		oracle := strings.Contains(strings.Join(lines, "\n"), "oracle W=")
 		if oracle != (backend == "inproc") {
 			t.Fatalf("%s: oracle rows printed = %v", backend, oracle)
