@@ -64,9 +64,6 @@ func runners() []runner {
 		{"table5", func(r *experiments.Runs) ([]string, error) {
 			return format(experiments.Table5(r))
 		}, "platform comparison: parallel efficiency"},
-		{"projection-planner", func(r *experiments.Runs) ([]string, error) {
-			return format(experiments.ProjectionPlanner(r.Scale))
-		}, "projection planner: declared-read decode narrowing vs undeclared vs row codec, census decode bytes"},
 		{"scaling", func(r *experiments.Runs) ([]string, error) {
 			return format(experiments.Scaling(r.Scale))
 		}, "multi-process scaling: measured W=1,2,4,8 vs simulator prediction"},
@@ -94,6 +91,18 @@ func expUsage() string {
 	return "experiment id (" + ids.String() + "all)"
 }
 
+// scaleNamed resolves -scale. A name other than small or default is an
+// error rather than a silent small run.
+func scaleNamed(name string) (experiments.Scale, error) {
+	switch name {
+	case "small":
+		return experiments.SmallScale(), nil
+	case "default":
+		return experiments.DefaultScale(), nil
+	}
+	return experiments.Scale{}, fmt.Errorf("unknown scale %q (small|default)", name)
+}
+
 func main() {
 	// When re-exec'd as an mproc worker this never returns; it must run
 	// before any flag or experiment logic.
@@ -117,9 +126,10 @@ func main() {
 		}
 		return
 	}
-	scale := experiments.SmallScale()
-	if *scaleName == "default" {
-		scale = experiments.DefaultScale()
+	scale, err := scaleNamed(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gpf-bench: %v\n", err)
+		os.Exit(1)
 	}
 	runs := experiments.NewRuns(scale)
 	ran := false

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -11,7 +14,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 	want := map[string]bool{
 		"table1": false, "fig5": false, "table3": false, "table4": false,
 		"fig10": false, "fig11": false, "fig12": false, "fig13": false, "table5": false,
-		"projection-planner": false, "scaling": false, "wgs": false,
+		"scaling": false, "wgs": false,
 	}
 	for _, r := range runners() {
 		if _, ok := want[r.id]; !ok {
@@ -54,6 +57,32 @@ func TestRunnerExecutes(t *testing.T) {
 		}
 		if len(lines) == 0 {
 			t.Fatal("no output lines")
+		}
+	}
+}
+
+// TestUnknownScaleExits runs the command with a misspelt -scale: it must exit
+// non-zero and name the scale instead of running the small one. The test
+// re-executes its own binary as the command.
+func TestUnknownScaleExits(t *testing.T) {
+	if os.Getenv("GPF_BENCH_TEST_MAIN") == "1" {
+		os.Args = []string{"gpf-bench", "-scale", "defualt", "-exp", "fig5"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownScaleExits$")
+	cmd.Env = append(os.Environ(), "GPF_BENCH_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-scale defualt: err %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown scale "defualt"`) {
+		t.Fatalf("-scale defualt: output does not name the scale:\n%s", out)
+	}
+	for _, name := range []string{"small", "default"} {
+		if _, err := scaleNamed(name); err != nil {
+			t.Fatalf("scale %q: %v", name, err)
 		}
 	}
 }

@@ -79,6 +79,13 @@ func (p *CoverageStatsProcess) Run(rt *gpf.Runtime) error {
 	if err != nil {
 		return err
 	}
+	// The count below and the pass-through both read flat, and the engine
+	// does not count readers: materialize it once here (Spark's persist, as
+	// BaseRecalibrationProcess does), or the aligner runs again for the
+	// pass-through's reader.
+	if err := flat.Force(); err != nil {
+		return err
+	}
 	type counts struct{ bases []int64 }
 	n := rt.Ref.NumContigs()
 	partials, err := gpf.MapPartitions(p.name+"/count", flat, nil,
@@ -119,11 +126,20 @@ func (p *CoverageStatsProcess) Run(rt *gpf.Runtime) error {
 }
 
 func main() {
+	if _, err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds and runs the custom pipeline, prints its results, and returns
+// the engine it ran on.
+func run() (*gpf.Engine, error) {
 	ref := gpf.SynthesizeGenome(gpf.DefaultSynthConfig(31, 50000, 2))
 	donor := gpf.MutateGenome(ref, gpf.DefaultMutateConfig(32))
 	reads := gpf.SimulateReads(donor, gpf.DefaultSimConfig(33, 10))
 
-	rt := gpf.NewRuntime(gpf.NewEngine(4), ref)
+	eng := gpf.NewEngine(4)
+	rt := gpf.NewRuntime(eng, ref)
 	rt.PartitionLen = 6000
 	pipeline := gpf.NewPipeline("custom", rt)
 
@@ -144,7 +160,7 @@ func main() {
 	pipeline.AddProcess(gpf.NewMarkDuplicateProcess("markdup", withStats, deduped))
 
 	if err := pipeline.Run(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	fmt.Printf("executed: %v\n", pipeline.ExecutionOrder())
 	for i, d := range stats.PerContig {
@@ -152,7 +168,7 @@ func main() {
 	}
 	recs, err := gpf.Collect("final", deduped.Data)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	dups := 0
 	for i := range recs {
@@ -161,4 +177,5 @@ func main() {
 		}
 	}
 	fmt.Printf("final records: %d (%d duplicates marked)\n", len(recs), dups)
+	return eng, nil
 }

@@ -73,8 +73,9 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 	}
 
 	// Re-attaching the codec a flatten already carries would fork its lazy
-	// plan into a second consumer of the bundled input, which would then
-	// materialize as a stage of its own.
+	// plan: the shuffle would force the fork, the flatten on the resource
+	// would stay lazy, and a later reader of the resource would run the
+	// chain again.
 	if flat.Codec() != rt.SAMCodec() {
 		flat = engine.WithCodec(flat, rt.SAMCodec())
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -245,6 +246,62 @@ func TestPipelineDisconnectedGraph(t *testing.T) {
 	}
 	if len(ran) != 2 {
 		t.Fatalf("ran %v", ran)
+	}
+}
+
+// countProcess counts its input's mapped records: one lazy narrow op over the
+// input, then an action.
+type countProcess struct {
+	baseProcess
+	in *SAMBundle
+}
+
+func (c *countProcess) Run(rt *Runtime) error {
+	mapped, err := engine.Filter(c.name+"/mapped", c.in.Data, func(r sam.Record) bool { return !r.Unmapped() })
+	if err != nil {
+		return err
+	}
+	_, err = engine.Count(c.name+"/count", mapped)
+	return err
+}
+
+// TestPipelinePersistsSharedResource: a lazy resource two Processes read is
+// forced by the Pipeline before the first of them runs, so its op runs once
+// per record, not once per reader; a resource one Process reads stays lazy
+// and fuses into that reader's stage.
+func TestPipelinePersistsSharedResource(t *testing.T) {
+	for _, readers := range []int{1, 2} {
+		rt := testRuntime(t, 2)
+		var runs atomic.Int64
+		data, err := engine.Map("r/op", engine.Parallelize(rt.Engine, make([]sam.Record, 200), 4), nil,
+			func(r sam.Record) sam.Record { runs.Add(1); return r })
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := DefinedSAM("r", nil, data)
+		p := NewPipeline("shared", rt)
+		for i := 1; i <= readers; i++ {
+			p.AddProcess(&countProcess{baseProcess: baseProcess{name: fmt.Sprintf("P%d", i), inputs: []Resource{r}}, in: r})
+		}
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.Load(); n != 200 {
+			t.Errorf("%d reader(s): r's op ran %d times on 200 records", readers, n)
+		}
+		var rows []string
+		for _, s := range rt.Engine.Metrics().Stages {
+			if s.Kind == engine.StageNarrow {
+				rows = append(rows, s.Name)
+			}
+		}
+		want := []string{"r/op+P1/mapped"}
+		if readers == 2 {
+			want = []string{"r/op", "P1/mapped", "P2/mapped"}
+		}
+		if !slices.Equal(rows, want) {
+			t.Errorf("%d reader(s): narrow rows %v, want %v", readers, rows, want)
+		}
 	}
 }
 

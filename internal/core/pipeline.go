@@ -102,9 +102,20 @@ func (p *Pipeline) AddProcess(proc Process) {
 // ExecutionOrder returns the names of executed processes after Run.
 func (p *Pipeline) ExecutionOrder() []string { return p.executed }
 
-// Run executes the pipeline: Algorithm 1's resource-pool scheduling.
+// Run executes the pipeline: Algorithm 1's resource-pool scheduling. Each
+// resource is filled once, so Run knows before anything runs which resources
+// are read more than once (by two Processes, or twice by one); it forces each
+// of those before the first of its readers runs (Spark's persist), and every
+// read then shares the one stored result instead of running the resource's
+// lazy chain again. The engine itself counts no consumers.
 func (p *Pipeline) Run() error {
 	p.rt.optimize = p.Optimize
+	readers := map[Resource]int{}
+	for _, proc := range p.processes {
+		for _, in := range proc.Inputs() {
+			readers[in]++
+		}
+	}
 
 	// Algorithm 1: pool of defined resources, iterate until all processes
 	// have run or no progress is possible (circular dependency).
@@ -136,6 +147,14 @@ func (p *Pipeline) Run() error {
 			return fmt.Errorf("core: circular dependency among processes %v", names)
 		}
 		for _, proc := range runnable {
+			for _, in := range proc.Inputs() {
+				if readers[in] > 1 {
+					delete(readers, in)
+					if err := in.persist(); err != nil {
+						return fmt.Errorf("core: resource %s: %w", in.ResourceName(), err)
+					}
+				}
+			}
 			if err := proc.Run(p.rt); err != nil {
 				return fmt.Errorf("core: process %s: %w", proc.ProcessName(), err)
 			}

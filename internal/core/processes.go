@@ -93,6 +93,13 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
+	// The fork is rarely for the codec: flat usually carries rt.SAMCodec()
+	// already. Its job is to keep a lazy input unforced. The shuffle forces the fork, which
+	// runs flat's lazy chain (the aligner, on the WGS pipeline) in its own
+	// tasks and is dropped after the call, so the aligned records are not
+	// pinned on the input resource for as long as the pipeline holds it.
+	// Without the fork, the bench wgs workload retains 28.4 MB instead of
+	// 23.0 (retained_heap_mb, 4 of 4 pairs on a 2-core Xeon).
 	grouped, err := engine.PartitionBy(p.name+"/group",
 		engine.WithCodec(flat, rt.SAMCodec()), rt.NumPartitions,
 		func(r sam.Record) int { return cleaner.GroupKey(&r) })
@@ -306,8 +313,8 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 		return err
 	}
 	// Both passes read the bundles, on either side of the Reduce that merges
-	// the tables: materialize them once here (Spark's persist) so pass 2 does
-	// not compute them again.
+	// the tables, and the engine counts no readers: materialize them once
+	// here (Spark's persist) so pass 2 does not compute them again.
 	if err := bundled.Force(); err != nil {
 		return err
 	}

@@ -33,6 +33,9 @@ type Resource interface {
 	ResourceName() string
 	State() ResourceState
 	setDefined()
+	// persist materializes the resource's lazy data, so that the Processes
+	// reading it share one computation (Pipeline.Run calls it).
+	persist() error
 }
 
 // baseResource implements the shared Resource mechanics; concrete bundles
@@ -50,6 +53,14 @@ func (r *baseResource) State() ResourceState { return r.state }
 
 func (r *baseResource) setDefined() { r.state = Defined }
 
+// force materializes d when the resource holds it.
+func force[T any](d *engine.Dataset[T]) error {
+	if d == nil {
+		return nil
+	}
+	return d.Force()
+}
+
 // FASTQPairBundle is a Resource holding paired-end reads.
 type FASTQPairBundle struct {
 	baseResource
@@ -63,6 +74,8 @@ func DefinedFASTQPair(name string, data *engine.Dataset[fastq.Pair]) *FASTQPairB
 	return b
 }
 
+func (b *FASTQPairBundle) persist() error { return force(b.Data) }
+
 // SAMBundle is a Resource holding alignments. It carries either the flat
 // record dataset, the position-partitioned bundle dataset built by a
 // partition Process (the Fig 7b fused form), or both.
@@ -73,6 +86,13 @@ type SAMBundle struct {
 	Bundled *engine.Dataset[Bundle]
 	// Info is the PartitionInfo the bundled form was built with.
 	Info *PartitionInfo
+}
+
+func (b *SAMBundle) persist() error {
+	if err := force(b.Bundled); err != nil {
+		return err
+	}
+	return force(b.Data)
 }
 
 // UndefinedSAM creates an empty SAM bundle to be filled by a Process (the
@@ -93,6 +113,8 @@ type VCFBundle struct {
 	Data   *engine.Dataset[vcf.Record]
 }
 
+func (b *VCFBundle) persist() error { return force(b.Data) }
+
 // UndefinedVCF creates an empty VCF bundle to be filled by a Process.
 func UndefinedVCF(name string, header *vcf.Header) *VCFBundle {
 	return &VCFBundle{baseResource: baseResource{name: name}, Header: header}
@@ -103,6 +125,9 @@ type PartitionInfoBundle struct {
 	baseResource
 	Info *PartitionInfo
 }
+
+// persist has nothing to do: the bundle holds no dataset.
+func (b *PartitionInfoBundle) persist() error { return nil }
 
 // UndefinedPartitionInfo creates an empty PartitionInfo bundle.
 func UndefinedPartitionInfo(name string) *PartitionInfoBundle {

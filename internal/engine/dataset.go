@@ -29,9 +29,8 @@ type Dataset[T any] struct {
 	// derived from this dataset).
 	blockCodec Serializer[T]
 	plan       *lineage[T]
-	// meta is the plan-graph node of a dataset recorded lazy (planner.go): the
-	// run-once state, the consumer count and the input edges. Nil for
-	// datasets born materialized.
+	// meta is the run-once state of a dataset recorded lazy (lineage.go). Nil
+	// for datasets born materialized.
 	meta *planMeta
 	// resident marks which partitions this process actually holds. Nil means
 	// fully resident: either a single-process run, or a replicated root (a
@@ -97,20 +96,14 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 // are stored serialized when ctx.StoreSerialized is set, and shuffles use the
 // codec for byte accounting. Already-encoded blocks keep decoding with the
 // codec that wrote them (blockCodec), so swapping codecs never reinterprets
-// old bytes. On a lazy dataset the pending plan is forked so each codec
-// variant forces and materializes independently.
+// old bytes. On a lazy dataset the pending plan is forked: forcing the fork
+// runs the whole chain and stores the result on the fork alone, so the
+// original stays lazy, and forcing both runs the chain twice.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d.isLazy() {
-		res := &Dataset[T]{ctx: d.ctx, codec: codec}
-		res.plan = &lineage[T]{
-			nparts:   d.plan.nparts,
-			ops:      d.plan.ops,
-			compute:  d.plan.compute,
-			sizeHint: d.plan.sizeHint,
-		}
-		// The fork is one more consumer of the chain's input, so a lazy input
-		// both variants read is computed once.
-		newLazyMeta(res, d.meta.input)
+		pl := *d.plan
+		res := &Dataset[T]{ctx: d.ctx, codec: codec, plan: &pl}
+		newLazyMeta(res)
 		return res
 	}
 	return &Dataset[T]{

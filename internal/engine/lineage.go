@@ -3,31 +3,34 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // lineage is the deferred execution plan of a lazy dataset: the maximal chain
 // of narrow operations recorded since the last materialized ancestor. Narrow
 // ops (Map/Filter/FlatMap/MapPartitions/SortPartitions) do not execute when
 // called — each appends itself to its one input's lineage, and compute is the
-// fully composed partition closure. A barrier (action, shuffle) forces
-// the plan (planner.go): ancestors shared by several consumers materialize
-// first, then one task launch per partition runs the whole chain, items flow
-// through the composed closures with no intermediate storePartition and no
-// intermediate codec round-trip, and the chain is recorded as a single fused
-// StageMetrics row.
+// fully composed partition closure. A barrier (action, shuffle) forces the
+// plan: one task launch per partition runs the whole chain, every unforced
+// ancestor fused in, items flow through the composed closures with no
+// intermediate storePartition and no intermediate codec round-trip, and the
+// chain is recorded as a single fused StageMetrics row.
 //
-// Run-once state (children, once, err) lives on the dataset's planMeta — the
-// type-erased node Force walks — not here; the lineage itself is only the
-// typed compute machinery. Its closures capture the input dataset, so
-// runFused drops the lineage once the partitions are stored. The engine
-// never recomputes a forced dataset from its lineage (a failed task fails
-// the job; nothing replays).
+// The engine counts no consumers. Two lazy chains recorded over one lazy
+// node each run that node inside their own tasks; a caller that reads a node
+// twice forces it first (Spark's persist), and core.Pipeline does so for
+// every resource more than one Process reads. The lineage is only the typed
+// compute machinery; run-once state lives on the dataset's planMeta. Its
+// closures capture the input dataset, so runFused drops the lineage once the
+// partitions are stored. The engine never recomputes a forced dataset from
+// its lineage (a failed task fails the job; nothing replays).
 type lineage[T any] struct {
 	nparts int
 	// ops returns the names of the ops the fused stage runs, in execution
 	// order: the upstream ops still pending, then this node's own. runFused
-	// calls it after forceShared, so an ancestor materialized on its own is not
-	// claimed again; the stage is named by joining the names with "+".
+	// calls it when the stage runs, so an ancestor forced since recording is
+	// not named again; the stage is named by joining the names with "+".
 	ops func() []string
 	// compute evaluates partition p through the whole fused chain. It reads
 	// ancestor partitions whole via Dataset.partition, which is what fuses an
@@ -53,14 +56,34 @@ func (d *Dataset[T]) lineageOps() []string {
 	return nil
 }
 
+// planMeta is the run-once state of a lazy dataset: forcing runs its fused
+// chain exactly once, and Force and every later read share the first result
+// (a WithCodec copy of the forced dataset shares it too).
+type planMeta struct {
+	once sync.Once
+	err  error
+	done atomic.Bool
+	// run materializes the node: its fused chain as one stage.
+	run func() error
+}
+
+// force materializes the node exactly once; later calls return the sticky
+// first result. Once it has run the node lets go of its run closure, which
+// captures the dataset and, through its plan, the dataset's input.
+func (m *planMeta) force() error {
+	m.once.Do(func() {
+		m.err = m.run()
+		m.run = nil
+		m.done.Store(true)
+	})
+	return m.err
+}
+
 // newLazyMeta attaches the plan node for a freshly recorded narrow chain
-// tail — forcing it runs the fused chain — and records it as one more
-// consumer of its input. Nothing forces here: a shared prefix materializes
-// when its first consumer is forced (planMeta.forceShared), so its errors
-// propagate from that Force instead of being dropped on the floor now.
-func newLazyMeta[T any](d *Dataset[T], input *planMeta) {
-	input.claim()
-	d.meta = &planMeta{input: input, run: func() error { return runFused(d) }}
+// tail; forcing it runs the fused chain. Nothing forces here, so the chain's
+// errors come back from the Force that runs it.
+func newLazyMeta[T any](d *Dataset[T]) {
+	d.meta = &planMeta{run: func() error { return runFused(d) }}
 }
 
 // recordTaskInput charges the fused chain's source partition size to the
@@ -97,21 +120,20 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 			},
 		},
 	}
-	newLazyMeta(res, d.meta)
+	newLazyMeta(res)
 	return res
 }
 
-// Force materializes a lazy dataset: ancestors recorded under more than one
-// consumer are forced first, producers first, each as its own stage; then
-// this dataset's fused narrow chain runs as ONE stage (one task launch per
-// partition), single-consumer ancestors fused in. The result is stored in the
-// dataset, so later reads — and downstream lineages rooted here — reuse it
-// instead of recomputing, and the dataset lets go of its lineage: after a
-// successful Force nothing in the engine refers to its input, which is
-// reclaimed once the caller drops it too. Actions and wide operations call
-// Force implicitly; it is exported for callers that want an explicit
-// execution barrier (e.g. before timing a downstream stage). Forcing a
-// materialized dataset is a no-op; a failed Force is sticky.
+// Force materializes a lazy dataset: its fused narrow chain runs as ONE stage
+// (one task launch per partition), every unforced ancestor fused in. The
+// result is stored in the dataset, so later reads — and downstream lineages
+// rooted here — reuse it instead of recomputing, and the dataset lets go of
+// its lineage: after a successful Force nothing in the engine refers to its
+// input, which is reclaimed once the caller drops it too. Force is the
+// engine's persist: a lazy dataset read by two consumers runs inside each of
+// them unless it is forced first. Actions and wide operations call Force
+// implicitly. Forcing a materialized dataset is a no-op; a failed Force is
+// sticky.
 func (d *Dataset[T]) Force() error {
 	if d.meta == nil {
 		return nil

@@ -239,82 +239,106 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestFusionDiamondForcesSharedPrefix: the engine counts no consumers, so a
+// lazy prefix two arms read runs inside each arm's tasks, once per arm —
+// until the caller forces it (persist), after which both arms read the
+// stored result and the prefix runs once.
 func TestFusionDiamondForcesSharedPrefix(t *testing.T) {
-	ctx := NewContext(2)
-	var rootRuns atomic.Int64
-	d := Parallelize(ctx, intRange(60), 3)
-	shared, err := Map("shared", d, nil, func(x int) int {
-		rootRuns.Add(1)
-		return x + 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	left, err := Map("left", shared, nil, func(x int) int { return x * 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := Map("right", shared, nil, func(x int) int { return x * 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A single-consumer op between the read and the branch point: forcing
-	// walks up past it to the shared prefix.
-	leftTail, err := Map("left-tail", left, nil, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := Collect("l", leftTail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Collect("r", right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls) != 60 || len(rs) != 60 || ls[0] != 2 || rs[0] != 3 {
-		t.Fatalf("diamond results wrong: %d/%d items", len(ls), len(rs))
-	}
-	// The shared prefix is a DAG branch point: it must run once, not once per
-	// branch.
-	if got := rootRuns.Load(); got != 60 {
-		t.Fatalf("shared op ran %d times, want 60 (once per item)", got)
+	for _, persist := range []bool{false, true} {
+		ctx := NewContext(2)
+		var rootRuns atomic.Int64
+		d := Parallelize(ctx, intRange(60), 3)
+		shared, err := Map("shared", d, nil, func(x int) int {
+			rootRuns.Add(1)
+			return x + 1
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		left, err := Map("left", shared, nil, func(x int) int { return x * 2 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		right, err := Map("right", shared, nil, func(x int) int { return x * 3 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A single-consumer op between the read and the branch point.
+		leftTail, err := Map("left-tail", left, nil, func(x int) int { return x })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if persist {
+			if err := shared.Force(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ls, err := Collect("l", leftTail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Collect("r", right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ls) != 60 || len(rs) != 60 || ls[0] != 2 || rs[0] != 3 {
+			t.Fatalf("persist=%v: diamond results wrong: %d/%d items", persist, len(ls), len(rs))
+		}
+		want := int64(120) // once per item per arm
+		if persist {
+			want = 60
+		}
+		if got := rootRuns.Load(); got != want {
+			t.Fatalf("persist=%v: shared op ran %d times, want %d", persist, got, want)
+		}
 	}
 }
 
-// TestFusedStageNamedAfterOpsRun: a shared prefix that forceShared
-// materializes on its own is not claimed again by the stage that reads it.
-// shared -> {armA, armB}, each arm read by its own action, runs "shared" as
-// one row and each arm as a row of its own, with FusedOps counting only that
-// arm.
+// TestFusedStageNamedAfterOpsRun: a stage row names the ops its tasks ran.
+// shared -> {armA, armB}, each arm read by its own action: unforced, each
+// arm's row runs "shared" too and counts it in FusedOps; with "shared"
+// forced first, it runs as one row of its own and no arm claims it again.
 func TestFusedStageNamedAfterOpsRun(t *testing.T) {
-	ctx := NewContext(2)
-	d := Parallelize(ctx, intRange(40), 2)
-	shared, err := Map("shared", d, nil, func(x int) int { return x + 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	armA, err := Map("armA", shared, nil, func(x int) int { return x * 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	armB, err := Map("armB", shared, nil, func(x int) int { return x * 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, arm := range []*Dataset[int]{armA, armB} {
-		if _, err := Collect("c", arm); err != nil {
+	for _, tc := range []struct {
+		persist bool
+		want    []string
+	}{
+		{false, []string{"shared+armA/2", "shared+armB/2"}},
+		{true, []string{"shared/1", "armA/1", "armB/1"}},
+	} {
+		ctx := NewContext(2)
+		d := Parallelize(ctx, intRange(40), 2)
+		shared, err := Map("shared", d, nil, func(x int) int { return x + 1 })
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var rows []string
-	for _, s := range ctx.Metrics().Stages {
-		if s.Kind == StageNarrow {
-			rows = append(rows, fmt.Sprintf("%s/%d", s.Name, s.FusedOps))
+		armA, err := Map("armA", shared, nil, func(x int) int { return x * 2 })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := []string{"shared/1", "armA/1", "armB/1"}; !reflect.DeepEqual(rows, want) {
-		t.Fatalf("narrow rows = %v, want %v", rows, want)
+		armB, err := Map("armB", shared, nil, func(x int) int { return x * 3 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.persist {
+			if err := shared.Force(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, arm := range []*Dataset[int]{armA, armB} {
+			if _, err := Collect("c", arm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rows []string
+		for _, s := range ctx.Metrics().Stages {
+			if s.Kind == StageNarrow {
+				rows = append(rows, fmt.Sprintf("%s/%d", s.Name, s.FusedOps))
+			}
+		}
+		if !reflect.DeepEqual(rows, tc.want) {
+			t.Fatalf("persist=%v: narrow rows = %v, want %v", tc.persist, rows, tc.want)
+		}
 	}
 }
 

@@ -257,17 +257,6 @@ func (m Metrics) TotalPrunedBytes() int64 {
 	return n
 }
 
-// PruningRatio returns the fraction of stored serialized bytes that
-// projection pushdown skipped: pruned / (decoded + pruned). Zero when nothing
-// was decoded.
-func (m Metrics) PruningRatio() float64 {
-	dec, pr := m.TotalDecodedBytes(), m.TotalPrunedBytes()
-	if dec+pr == 0 {
-		return 0
-	}
-	return float64(pr) / float64(dec+pr)
-}
-
 // TotalGCPause sums observed GC pause deltas (Table 4's "GC Time").
 func (m Metrics) TotalGCPause() time.Duration {
 	var d time.Duration

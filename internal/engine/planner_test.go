@@ -26,59 +26,71 @@ func (explodingCodec) Unmarshal([]byte) ([]fakeRec, error) {
 }
 
 // TestPlannerDiamondDisjointConsumers: two consumers of a shared prefix need
-// disjoint fields; the shared node must materialize once, as its own stage,
-// with every field — narrowing to either consumer's mask would feed the
-// other zeros.
+// disjoint fields. Unforced, each arm runs the prefix in its own tasks and
+// stores nothing in between; forced, the prefix materializes once, as its own
+// stage, with every field — narrowing to either consumer's mask would feed
+// the other zeros. Both ways, every arm reads whole records.
 func TestPlannerDiamondDisjointConsumers(t *testing.T) {
-	ctx := NewContext(2)
-	base := storeFake(t, ctx, fakeRecs(40), fakeColCodec{})
-	shared, err := Map("shared", base, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	armA, err := Map("armA", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{A: r.A * 2} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	armB, err := Map("armB", shared, Serializer[fakeRec](fakeColCodec{}),
-		func(r fakeRec) fakeRec { return fakeRec{B: r.B + 7} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each arm is read by its own action.
-	outA, err := Collect("collectA", armA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := Collect("collectB", armB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outA) != 40 || len(outB) != 40 {
-		t.Fatalf("got %d/%d records", len(outA), len(outB))
-	}
-	for i := range outA {
-		if outA[i].A != int32(2*i) || outB[i].B != int32(1000+i+7) {
-			t.Fatalf("record %d = %+v/%+v: a pruned field was read downstream", i, outA[i], outB[i])
+	for _, persist := range []bool{false, true} {
+		ctx := NewContext(2)
+		base := storeFake(t, ctx, fakeRecs(40), fakeColCodec{})
+		shared, err := Map("shared", base, Serializer[fakeRec](fakeColCodec{}),
+			func(r fakeRec) fakeRec { return r })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The shared node materialized as its own stage, once.
-	ran := 0
-	for _, s := range ctx.Metrics().Stages {
-		if s.Name == "shared" {
-			ran++
+		armA, err := Map("armA", shared, Serializer[fakeRec](fakeColCodec{}),
+			func(r fakeRec) fakeRec { return fakeRec{A: r.A * 2} })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if ran != 1 {
-		t.Fatalf("shared prefix ran as its own stage %d times, want 1", ran)
+		armB, err := Map("armB", shared, Serializer[fakeRec](fakeColCodec{}),
+			func(r fakeRec) fakeRec { return fakeRec{B: r.B + 7} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if persist {
+			if err := shared.Force(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each arm is read by its own action.
+		outA, err := Collect("collectA", armA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outB, err := Collect("collectB", armB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outA) != 40 || len(outB) != 40 {
+			t.Fatalf("persist=%v: got %d/%d records", persist, len(outA), len(outB))
+		}
+		for i := range outA {
+			if outA[i].A != int32(2*i) || outB[i].B != int32(1000+i+7) {
+				t.Fatalf("persist=%v: record %d = %+v/%+v: a pruned field was read downstream", persist, i, outA[i], outB[i])
+			}
+		}
+		var rows []string
+		for _, s := range ctx.Metrics().Stages {
+			if s.Kind == StageNarrow {
+				rows = append(rows, s.Name)
+			}
+		}
+		want := []string{"store", "shared+armA", "shared+armB"}
+		if persist {
+			want = []string{"store", "shared", "armA", "armB"}
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("persist=%v: narrow rows = %v, want %v", persist, rows, want)
+		}
 	}
 }
 
-// TestPlannerSharedPrefixErrorPropagates: materializing a shared prefix
-// fails (codec error); the error must surface from the forcing action, not
-// be dropped on the floor when the second consumer is recorded.
+// TestPlannerSharedPrefixErrorPropagates: recording consumers runs nothing,
+// and a forced prefix that fails (codec error) keeps its error sticky — the
+// Force reports it, and so does every consumer recorded before it, instead of
+// reading partial data.
 func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 	ctx := NewContext(2)
 	ctx.StoreSerialized = true
@@ -96,13 +108,20 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Claiming two consumers must not force (and must not swallow) anything.
-	if _, err := Collect("collect", armA); err == nil || !strings.Contains(err.Error(), "kaboom") {
+	if n := ctx.Metrics().NumStages(); n != 0 {
+		t.Fatalf("recording two consumers ran %d stages", n)
+	}
+	if err := shared.Force(); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("shared-prefix materialization error lost: %v", err)
 	}
-	// The failure is sticky on the shared node: the other arm reports it too.
-	if _, err := Collect("retry", armB); err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("sticky error lost on retry: %v", err)
+	for _, read := range []func() error{
+		func() error { _, err := Collect("collect", armA); return err },
+		func() error { _, err := Collect("retry", armB); return err },
+		shared.Force,
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "kaboom") {
+			t.Fatalf("sticky error lost on a later read: %v", err)
+		}
 	}
 }
 

@@ -73,16 +73,17 @@ func TestForcedChainReleasesInput(t *testing.T) {
 }
 
 // TestSharedPrefixReleasedAfterConsumers: a prefix two consumers were
-// recorded over materializes once, with the first consumer; from then on it
-// no longer holds its input. The second consumer's plan still reads the
-// prefix, so the prefix stays until that consumer is forced too, and then
-// nothing but the caller's handles refers to it — no consumer count needed.
+// recorded over and the caller forced runs once; from then on it no longer
+// holds its input. Each consumer's plan still reads the prefix, so the prefix
+// stays until both consumers are forced, and then nothing but the caller's
+// handles refers to it — no consumer count needed.
 func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
 	ctx := NewContext(2)
-	prefixFreed := new(atomic.Int64)
+	prefixRuns, prefixFreed := new(atomic.Int64), new(atomic.Int64)
 	a, b, inFreed := func() (*Dataset[int], *Dataset[int], *atomic.Int64) {
 		items, inFreed := probes(64)
 		prefix, err := Map("copy", Parallelize(ctx, items, 4), nil, func(p *probe) *probe {
+			prefixRuns.Add(1)
 			c := &probe{v: p.v}
 			runtime.SetFinalizer(c, func(*probe) { prefixFreed.Add(1) })
 			return c
@@ -98,24 +99,29 @@ func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := prefix.Force(); err != nil {
+			t.Fatal(err)
+		}
 		return a, b, inFreed
 	}()
-	if err := a.Force(); err != nil {
-		t.Fatal(err)
-	}
 	if !reclaimed(inFreed, 64) {
 		t.Fatalf("materialized shared prefix keeps its input reachable: %d of 64 items reclaimed", inFreed.Load())
 	}
-	runtime.GC()
-	runtime.GC()
-	if n := prefixFreed.Load(); n != 0 {
-		t.Fatalf("%d prefix items reclaimed while the unforced consumer still reads them", n)
-	}
-	if err := b.Force(); err != nil {
-		t.Fatal(err)
+	for i, d := range []*Dataset[int]{a, b} {
+		runtime.GC()
+		runtime.GC()
+		if n := prefixFreed.Load(); n != 0 {
+			t.Fatalf("%d prefix items reclaimed while %d consumer(s) still read them", n, 2-i)
+		}
+		if err := d.Force(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reclaimed(prefixFreed, 64) {
 		t.Fatalf("forced consumers keep the shared prefix reachable: %d of 64 items reclaimed", prefixFreed.Load())
+	}
+	if n := prefixRuns.Load(); n != 64 {
+		t.Fatalf("forced prefix ran %d times, want 64 (once per item)", n)
 	}
 	for _, d := range []*Dataset[int]{a, b} {
 		if n, err := Count("count", d); err != nil || n != 64 {

@@ -185,8 +185,7 @@ func RunWGSOn(runs *Runs, backend string, procs int) ([]string, error) {
 		row("stages", fmt.Sprintf("%d", metrics.NumStages())),
 		row("shuffle GB", fmt.Sprintf("%.4f", gb(metrics.TotalShuffleBytes()))),
 		row("fetch wait", fmt.Sprintf("%.3fs", metrics.TotalFetchWait().Seconds())),
-		row("pruning ratio", fmt.Sprintf("%.1f%%", 100*metrics.PruningRatio()),
-			fmt.Sprintf("decoded %.3f MB", float64(metrics.TotalDecodedBytes())/1e6),
+		row("codec decode", fmt.Sprintf("decoded %.3f MB", float64(metrics.TotalDecodedBytes())/1e6),
 			fmt.Sprintf("pruned %.3f MB", float64(metrics.TotalPrunedBytes())/1e6)),
 	}
 	// Per-stage shuffle accounting: which stages move bytes.

@@ -1,9 +1,6 @@
 package gpf
 
-import (
-	"github.com/gpf-go/gpf/internal/colfmt"
-	"github.com/gpf-go/gpf/internal/engine"
-)
+import "github.com/gpf-go/gpf/internal/engine"
 
 // Engine operations for building custom Processes: the same primitives the
 // built-in Processes use. Narrow operations (Map, Filter, FlatMap,
@@ -15,44 +12,13 @@ import (
 // by joining the op names with "+"; errors from narrow op functions likewise
 // surface at the barrier, not at the recording call.
 //
-// A narrow op reads its input whole. CountByKey, which runs at the call,
-// accepts ReadsOnly(mask) naming the fields its key function reads: over
-// columnar-stored blocks its one decode then skips the other columns. Stored
-// partitions and shuffle buckets always hold every field, and declaring
-// nothing reads every field.
+// The engine counts no readers: a lazy dataset two operations read runs
+// inside each of them unless it is forced first (Dataset.Force, Spark's
+// persist). Pipeline.Run does this for every resource more than one Process
+// reads; a Process that reads one of its own datasets twice forces it itself.
 
 // Serializer is the partition codec interface (see GPFSAMCodec and friends).
 type Serializer[T any] = engine.Serializer[T]
-
-// FieldMask selects record fields for read declarations (bit meanings
-// belong to the codec; see the colfmt Field* constants).
-type FieldMask = engine.FieldMask
-
-// Field bits of the SAM record codec — the columns of the columnar block
-// layout. Combine with | in read declarations. FieldCoord covers
-// RefID+Pos; FieldMate covers MateRef/MatePos/TempLen.
-const (
-	FieldName  = colfmt.FieldName
-	FieldFlag  = colfmt.FieldFlag
-	FieldCoord = colfmt.FieldCoord
-	FieldMapQ  = colfmt.FieldMapQ
-	FieldCigar = colfmt.FieldCigar
-	FieldMate  = colfmt.FieldMate
-	FieldSeq   = colfmt.FieldSeq
-	FieldQual  = colfmt.FieldQual
-	FieldTags  = colfmt.FieldTags
-)
-
-// FieldsAll saturates a mask: the op reads every field of its record type,
-// whatever the codec — what declaring nothing means.
-const FieldsAll = engine.FieldsAll
-
-// StageOption configures an engine operation (currently: ReadsOnly).
-type StageOption = engine.StageOption
-
-// ReadsOnly declares that the op's callbacks read only the given fields of
-// their input records.
-func ReadsOnly(mask FieldMask) StageOption { return engine.ReadsOnly(mask) }
 
 // Parallelize distributes items over numPartitions.
 func Parallelize[T any](eng *Engine, items []T, numPartitions int) *Dataset[T] {
@@ -110,8 +76,7 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 	return engine.Count(name, d)
 }
 
-// CountByKey counts items per integer key. opts may declare the fields key
-// reads (ReadsOnly).
-func CountByKey[T any](name string, d *Dataset[T], key func(T) int, opts ...StageOption) (map[int]int, error) {
-	return engine.CountByKey(name, d, key, opts...)
+// CountByKey counts items per integer key.
+func CountByKey[T any](name string, d *Dataset[T], key func(T) int) (map[int]int, error) {
+	return engine.CountByKey(name, d, key)
 }
