@@ -98,8 +98,12 @@ func buildBundles(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 
 // EnsureFlat returns the flat record dataset of a SAM bundle. A bundle
 // holding only the bundled form gets a lazy flatten recorded on first use
-// (the "merge into a SAM RDD" of Fig 7a); it runs when a reader forces it.
+// (the "merge into a SAM RDD" of Fig 7a); it runs when a reader forces it. A
+// released bundle returns the release error.
 func (b *SAMBundle) EnsureFlat(rt *Runtime) (*engine.Dataset[sam.Record], error) {
+	if err := b.released(); err != nil {
+		return nil, err
+	}
 	if b.Data != nil {
 		return b.Data, nil
 	}

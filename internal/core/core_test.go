@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
+	"github.com/gpf-go/gpf/internal/testutil/reclaim"
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
@@ -256,6 +258,10 @@ type countProcess struct {
 	in *SAMBundle
 }
 
+func newCountProcess(name string, in *SAMBundle) *countProcess {
+	return &countProcess{baseProcess: baseProcess{name: name, inputs: []Resource{in}}, in: in}
+}
+
 func (c *countProcess) Run(rt *Runtime) error {
 	mapped, err := engine.Filter(c.name+"/mapped", c.in.Data, func(r sam.Record) bool { return !r.Unmapped() })
 	if err != nil {
@@ -281,7 +287,7 @@ func TestPipelinePersistsSharedResource(t *testing.T) {
 		r := DefinedSAM("r", nil, data)
 		p := NewPipeline("shared", rt)
 		for i := 1; i <= readers; i++ {
-			p.AddProcess(&countProcess{baseProcess: baseProcess{name: fmt.Sprintf("P%d", i), inputs: []Resource{r}}, in: r})
+			p.AddProcess(newCountProcess(fmt.Sprintf("P%d", i), r))
 		}
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
@@ -302,6 +308,168 @@ func TestPipelinePersistsSharedResource(t *testing.T) {
 		if !slices.Equal(rows, want) {
 			t.Errorf("%d reader(s): narrow rows %v, want %v", readers, rows, want)
 		}
+	}
+}
+
+// mapProcess defines its output as fn over its input's flat records: one lazy
+// narrow op.
+type mapProcess struct {
+	baseProcess
+	in, out *SAMBundle
+	fn      func(sam.Record) sam.Record
+}
+
+func newMapProcess(name string, in, out *SAMBundle, fn func(sam.Record) sam.Record) *mapProcess {
+	return &mapProcess{
+		baseProcess: baseProcess{name: name, inputs: []Resource{in}, outputs: []Resource{out}},
+		in:          in, out: out, fn: fn,
+	}
+}
+
+func (m *mapProcess) Run(rt *Runtime) error {
+	flat, err := m.in.EnsureFlat(rt)
+	if err != nil {
+		return err
+	}
+	m.out.Data, err = engine.Map(m.name+"/map", flat, nil, m.fn)
+	return err
+}
+
+// TestPipelineReleasesSharedResource: a resource a Process of the pipeline
+// defined and two Processes read is released after the second of them runs.
+// A lazy terminal downstream of it still holds its rows through its own plan
+// and collects them unchanged; then nothing holds them. Every later read
+// through core errors, naming the resource and its last reader. A resource
+// with one reader, a caller-defined one and a terminal stay Defined.
+func TestPipelineReleasesSharedResource(t *testing.T) {
+	const n = 200
+	source := func(rt *Runtime) *SAMBundle {
+		recs := make([]sam.Record, n)
+		for i := range recs {
+			recs[i].Pos = int32(i)
+		}
+		return DefinedSAM("src", nil, engine.Parallelize(rt.Engine, recs, 4))
+	}
+	countOf := func(t *testing.T, b *SAMBundle) {
+		t.Helper()
+		if b.State() != Defined {
+			t.Fatalf("%s is %v, want Defined", b.ResourceName(), b.State())
+		}
+		if got, err := engine.Count(b.ResourceName()+"/count", b.Data); err != nil || got != n {
+			t.Fatalf("%s counts %d, %v; want %d", b.ResourceName(), got, err, n)
+		}
+	}
+
+	rt := testRuntime(t, 2)
+	src := source(rt)
+	seqs := new(reclaim.Counter)
+	shared, terminal := UndefinedSAM("shared", nil), UndefinedSAM("terminal", nil)
+	p := NewPipeline("release", rt)
+	p.AddProcess(newMapProcess("Fill", src, shared, func(r sam.Record) sam.Record {
+		r.Seq = make([]byte, 64)
+		seqs.Track(&r.Seq[0])
+		return r
+	}))
+	p.AddProcess(newCountProcess("Count", shared))
+	p.AddProcess(newMapProcess("Copy", shared, terminal, func(r sam.Record) sam.Record {
+		r.Seq = slices.Clone(r.Seq)
+		return r
+	}))
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if shared.State() != Released || shared.Data != nil || shared.Bundled != nil {
+		t.Fatalf("shared: state %v, holds data %v, bundles %v; want Released, neither",
+			shared.State(), shared.Data != nil, shared.Bundled != nil)
+	}
+	if terminal.State() != Defined || src.State() != Defined {
+		t.Fatalf("terminal %v, caller-defined src %v; want both Defined", terminal.State(), src.State())
+	}
+	runtime.GC()
+	runtime.GC()
+	if k := seqs.Freed(); k != 0 {
+		t.Fatalf("%d shared rows reclaimed while the lazy terminal still reads them", k)
+	}
+	got, err := engine.Collect("terminal", terminal.Data)
+	if err != nil || len(got) != n {
+		t.Fatalf("terminal collected %d records, %v; want %d", len(got), err, n)
+	}
+	for i, r := range got {
+		if int(r.Pos) != i || len(r.Seq) != 64 {
+			t.Fatalf("terminal record %d: pos %d, %d seq bytes", i, r.Pos, len(r.Seq))
+		}
+	}
+	if !seqs.Reclaimed(n) {
+		t.Fatalf("released resource still reachable: %d of %d rows reclaimed", seqs.Freed(), n)
+	}
+
+	// Every read of the released resource errors, naming it and Copy.
+	_, err = shared.EnsureFlat(rt)
+	if err == nil || !strings.Contains(err.Error(), `"shared"`) || !strings.Contains(err.Error(), "Copy") {
+		t.Fatalf("EnsureFlat on a released resource = %v, want an error naming it and Copy", err)
+	}
+	want := err.Error()
+	info := definedInfo(t, rt, "info", rt.PartitionLen)
+	again := NewPipeline("again", rt)
+	again.AddProcess(newCountProcess("Third", shared))
+	for what, read := range map[string]func() error{
+		"persist":     shared.persist,
+		"a later Run": again.Run,
+		"partition bundles": func() error {
+			return NewIndelRealignProcess("Realign", info, shared, UndefinedSAM("out", nil)).Run(rt)
+		},
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s of a released resource = %v, want %q", what, err, want)
+		}
+	}
+	vcfs := UndefinedVCF("calls", nil)
+	vcfs.Data = engine.Parallelize(rt.Engine, []vcf.Record{{Chrom: "c"}}, 1)
+	vcfs.release("Caller")
+	if _, err := CollectVCF(rt, vcfs); err == nil || !strings.Contains(err.Error(), "Caller") {
+		t.Errorf("CollectVCF of a released bundle = %v, want an error naming Caller", err)
+	}
+
+	t.Run("one reader", func(t *testing.T) {
+		rt := testRuntime(t, 2)
+		one := UndefinedSAM("one", nil)
+		p := NewPipeline("one", rt)
+		p.AddProcess(newMapProcess("Fill", source(rt), one, func(r sam.Record) sam.Record { return r }))
+		p.AddProcess(newCountProcess("Count", one))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		countOf(t, one)
+	})
+	t.Run("caller-defined", func(t *testing.T) {
+		rt := testRuntime(t, 2)
+		src := source(rt)
+		p := NewPipeline("caller", rt)
+		p.AddProcess(newCountProcess("A", src))
+		p.AddProcess(newCountProcess("B", src))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		countOf(t, src)
+	})
+}
+
+// TestPipelineRunsOnce: a second Run errors and runs nothing; it would
+// otherwise run every Process again over inputs the first Run released.
+func TestPipelineRunsOnce(t *testing.T) {
+	rt := testRuntime(t, 1)
+	var ran []string
+	p := NewPipeline("once", rt)
+	p.AddProcess(newStub("only", &ran, []Resource{DefinedFASTQPair("src", nil)}, []Resource{UndefinedSAM("out", nil)}))
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	err := p.Run()
+	if err == nil || err.Error() != `core: pipeline "once" already ran` {
+		t.Fatalf("second Run = %v", err)
+	}
+	if len(ran) != 1 || len(p.ExecutionOrder()) != 1 {
+		t.Fatalf("after two Runs: ran %v, execution order %v", ran, p.ExecutionOrder())
 	}
 }
 

@@ -37,6 +37,21 @@ func TestMultiSampleWGS(t *testing.T) {
 	if len(multi.VCFs) != 2 {
 		t.Fatalf("VCFs = %d", len(multi.VCFs))
 	}
+	// Each sample's deduped records are read by the shared census and by the
+	// sample's IndelRealign, so the pipeline releases them after the latter.
+	released := 0
+	for _, proc := range multi.Pipeline.processes {
+		if strings.HasSuffix(proc.ProcessName(), "/MarkDuplicate") {
+			deduped := proc.Outputs()[0]
+			if deduped.State() != Released {
+				t.Errorf("%s is %v after Run, want Released", deduped.ResourceName(), deduped.State())
+			}
+			released++
+		}
+	}
+	if released != 2 {
+		t.Fatalf("found %d deduped resources, want 2", released)
+	}
 	// Both samples produce calls, and the calls differ (different donors).
 	callsA, err := CollectVCF(rt, multi.VCFs[0])
 	if err != nil {

@@ -87,6 +87,7 @@ type Pipeline struct {
 	Optimize  bool
 	processes []Process
 	executed  []string
+	ran       bool
 }
 
 // NewPipeline constructs a pipeline bound to a runtime.
@@ -104,11 +105,21 @@ func (p *Pipeline) ExecutionOrder() []string { return p.executed }
 
 // Run executes the pipeline: Algorithm 1's resource-pool scheduling. Each
 // resource is filled once, so Run knows before anything runs which resources
-// are read more than once (by two Processes, or twice by one); it forces each
+// are read more than once (by two Processes, or twice by one). It forces each
 // of those before the first of its readers runs (Spark's persist), and every
 // read then shares the one stored result instead of running the resource's
-// lazy chain again. The engine itself counts no consumers.
+// lazy chain again. A persisted resource that a Process of this pipeline
+// defined is released once its last reader has run (Spark's unpersist): Run
+// drops its data, and a later read errors. A resource with one reader, a
+// caller-defined one and a terminal are never released. Lazy results that
+// still need released rows hold them through their own plans, so the rows
+// are freed when nothing does. The engine itself counts no consumers. A
+// pipeline runs once.
 func (p *Pipeline) Run() error {
+	if p.ran {
+		return fmt.Errorf("core: pipeline %q already ran", p.Name)
+	}
+	p.ran = true
 	p.rt.optimize = p.Optimize
 	readers := map[Resource]int{}
 	for _, proc := range p.processes {
@@ -116,19 +127,31 @@ func (p *Pipeline) Run() error {
 			readers[in]++
 		}
 	}
+	// unread counts the reads still to run of each resource Run persists
+	// that a Process here defines: Run releases it after the last.
+	unread := map[Resource]int{}
+	for _, proc := range p.processes {
+		for _, out := range proc.Outputs() {
+			if readers[out] > 1 {
+				unread[out] = readers[out]
+			}
+		}
+	}
 
 	// Algorithm 1: pool of defined resources, iterate until all processes
 	// have run or no progress is possible (circular dependency).
 	unfinished := make([]Process, len(p.processes))
 	copy(unfinished, p.processes)
-	defined := func(r Resource) bool { return r.State() == Defined }
 	for len(unfinished) > 0 {
 		var runnable []Process
 		var blocked []Process
 		for _, proc := range unfinished {
 			ready := true
 			for _, in := range proc.Inputs() {
-				if !defined(in) {
+				if err := in.released(); err != nil {
+					return fmt.Errorf("core: process %s: %w", proc.ProcessName(), err)
+				}
+				if in.State() != Defined {
 					ready = false
 					break
 				}
@@ -162,6 +185,14 @@ func (p *Pipeline) Run() error {
 				out.setDefined()
 			}
 			p.executed = append(p.executed, proc.ProcessName())
+			for _, in := range proc.Inputs() {
+				if n, ok := unread[in]; ok {
+					unread[in] = n - 1
+					if n == 1 {
+						in.release(proc.ProcessName())
+					}
+				}
+			}
 		}
 		unfinished = blocked
 	}

@@ -94,12 +94,15 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 		return err
 	}
 	// The fork is rarely for the codec: flat usually carries rt.SAMCodec()
-	// already. Its job is to keep a lazy input unforced. The shuffle forces the fork, which
-	// runs flat's lazy chain (the aligner, on the WGS pipeline) in its own
-	// tasks and is dropped after the call, so the aligned records are not
-	// pinned on the input resource for as long as the pipeline holds it.
-	// Without the fork, the bench wgs workload retains 28.4 MB instead of
-	// 23.0 (retained_heap_mb, 4 of 4 pairs on a 2-core Xeon).
+	// already. Its job is to keep a lazy input unforced. The shuffle forces
+	// the fork, which runs flat's lazy chain (the aligner, on the WGS
+	// pipeline) in its own tasks and is dropped after the call, so the
+	// aligned records are not pinned on the input resource for as long as
+	// the pipeline holds it. Pipeline.Run's release does not replace it:
+	// this Process is the input's one reader, so the Pipeline neither
+	// persists nor releases the input. Without the fork, the bench wgs
+	// workload retains 20.7 MB instead of 15.3 (retained_heap_mb, 3 of 3
+	// pairs on a 2-core Xeon).
 	grouped, err := engine.PartitionBy(p.name+"/group",
 		engine.WithCodec(flat, rt.SAMCodec()), rt.NumPartitions,
 		func(r sam.Record) int { return cleaner.GroupKey(&r) })
@@ -222,8 +225,11 @@ type partitionBase struct {
 // Fig 7 decision is made. An optimized pipeline reuses the input's bundled
 // form when it was built under this Process's PartitionInfo (Fig 7b: the SAM
 // records are not re-shuffled). Otherwise the flat records are partitioned
-// afresh (Fig 7a).
+// afresh (Fig 7a). A released input returns its release error.
 func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
+	if err := p.infoIn.released(); err != nil {
+		return nil, err
+	}
 	info := p.infoIn.Info
 	if info == nil {
 		return nil, fmt.Errorf("core: process %s: no partition info", p.name)
@@ -476,6 +482,9 @@ func refNames(rt *Runtime) []string {
 // CollectVCF gathers and sorts the final call set (the driver-side read of
 // the ResultVCF resource).
 func CollectVCF(rt *Runtime, b *VCFBundle) ([]vcf.Record, error) {
+	if err := b.released(); err != nil {
+		return nil, err
+	}
 	if b.Data == nil {
 		return nil, fmt.Errorf("core: VCF bundle %q holds no data", b.ResourceName())
 	}

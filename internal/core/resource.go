@@ -11,20 +11,26 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
-// ResourceState is the two-state machine of Fig 2.
+// ResourceState is Fig 2's two-state machine plus the state a Pipeline
+// leaves a shared resource in once all its readers have run.
 type ResourceState int
 
 // Resource states: a Resource is Undefined until some Process (or the user)
-// fills it, after which dependent Processes become ready.
+// fills it, after which dependent Processes become ready. A Pipeline moves a
+// resource it persisted to Released after its last declared reader ran, and
+// drops its data; reading it again is an error.
 const (
 	Undefined ResourceState = iota
 	Defined
+	Released
 )
 
 // Resource is the abstraction of data flowing between Processes: named,
@@ -36,6 +42,12 @@ type Resource interface {
 	// persist materializes the resource's lazy data, so that the Processes
 	// reading it share one computation (Pipeline.Run calls it).
 	persist() error
+	// release drops the resource's data once lastReader, the last Process
+	// that reads it, has run (Pipeline.Run calls it on what it persisted).
+	release(lastReader string)
+	// released returns the error a read of a released resource gets, nil
+	// while it may be read.
+	released() error
 }
 
 // baseResource implements the shared Resource mechanics; concrete bundles
@@ -43,15 +55,29 @@ type Resource interface {
 type baseResource struct {
 	name  string
 	state ResourceState
+	// lastReader names the Process after which the resource was released.
+	lastReader string
 }
 
 // ResourceName returns the user-assigned resource name.
 func (r *baseResource) ResourceName() string { return r.name }
 
-// State returns Defined once the resource content has been filled.
+// State returns Defined once the resource content has been filled, and
+// Released once a Pipeline has dropped it.
 func (r *baseResource) State() ResourceState { return r.state }
 
 func (r *baseResource) setDefined() { r.state = Defined }
+
+func (r *baseResource) markReleased(lastReader string) {
+	r.state, r.lastReader = Released, lastReader
+}
+
+func (r *baseResource) released() error {
+	if r.state != Released {
+		return nil
+	}
+	return fmt.Errorf("core: resource %q was released after its last reader %s", r.name, r.lastReader)
+}
 
 // force materializes d when the resource holds it.
 func force[T any](d *engine.Dataset[T]) error {
@@ -74,7 +100,17 @@ func DefinedFASTQPair(name string, data *engine.Dataset[fastq.Pair]) *FASTQPairB
 	return b
 }
 
-func (b *FASTQPairBundle) persist() error { return force(b.Data) }
+func (b *FASTQPairBundle) persist() error {
+	if err := b.released(); err != nil {
+		return err
+	}
+	return force(b.Data)
+}
+
+func (b *FASTQPairBundle) release(lastReader string) {
+	b.markReleased(lastReader)
+	b.Data = nil
+}
 
 // SAMBundle is a Resource holding alignments. It carries either the flat
 // record dataset, the position-partitioned bundle dataset built by a
@@ -89,10 +125,18 @@ type SAMBundle struct {
 }
 
 func (b *SAMBundle) persist() error {
+	if err := b.released(); err != nil {
+		return err
+	}
 	if err := force(b.Bundled); err != nil {
 		return err
 	}
 	return force(b.Data)
+}
+
+func (b *SAMBundle) release(lastReader string) {
+	b.markReleased(lastReader)
+	b.Data, b.Bundled = nil, nil
 }
 
 // UndefinedSAM creates an empty SAM bundle to be filled by a Process (the
@@ -113,7 +157,17 @@ type VCFBundle struct {
 	Data   *engine.Dataset[vcf.Record]
 }
 
-func (b *VCFBundle) persist() error { return force(b.Data) }
+func (b *VCFBundle) persist() error {
+	if err := b.released(); err != nil {
+		return err
+	}
+	return force(b.Data)
+}
+
+func (b *VCFBundle) release(lastReader string) {
+	b.markReleased(lastReader)
+	b.Data = nil
+}
 
 // UndefinedVCF creates an empty VCF bundle to be filled by a Process.
 func UndefinedVCF(name string, header *vcf.Header) *VCFBundle {
@@ -126,8 +180,13 @@ type PartitionInfoBundle struct {
 	Info *PartitionInfo
 }
 
-// persist has nothing to do: the bundle holds no dataset.
-func (b *PartitionInfoBundle) persist() error { return nil }
+// persist has nothing to force: the bundle holds no dataset.
+func (b *PartitionInfoBundle) persist() error { return b.released() }
+
+func (b *PartitionInfoBundle) release(lastReader string) {
+	b.markReleased(lastReader)
+	b.Info = nil
+}
 
 // UndefinedPartitionInfo creates an empty PartitionInfo bundle.
 func UndefinedPartitionInfo(name string) *PartitionInfoBundle {

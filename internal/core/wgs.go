@@ -8,7 +8,9 @@ import (
 )
 
 // WGSPipeline bundles the constructed pipeline with handles to its terminal
-// resources, so callers can collect results after Run.
+// resources, so callers can collect results after Run. Deduped has two
+// readers, the census and IndelRealign, so Run releases it after the latter:
+// once Run returns it is Released and holds no data.
 type WGSPipeline struct {
 	Pipeline  *Pipeline
 	Aligned   *SAMBundle

@@ -12,6 +12,9 @@ import (
 // barrier: it forces any pending narrow chain first.
 func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializer[R],
 	part func(items []T) []R, fold func(parts [][]R)) error {
+	if d == nil {
+		return nilInput(name)
+	}
 	if err := d.Force(); err != nil {
 		return err
 	}

@@ -41,6 +41,12 @@ type Dataset[T any] struct {
 	resident []bool
 }
 
+// nilInput is the error an op named name returns for a nil input dataset: a
+// handle its owner dropped is an error to report, never an empty dataset.
+func nilInput(name string) error {
+	return fmt.Errorf("engine: stage %q: nil input dataset", name)
+}
+
 // GobCodec is Go's generic reflective serializer: the engine's fallback when
 // no codec is attached, and the stand-in for Java serialization in the
 // paper's comparisons. The encode buffer is pooled: gob grows its scratch
@@ -98,8 +104,12 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 // codec that wrote them (blockCodec), so swapping codecs never reinterprets
 // old bytes. On a lazy dataset the pending plan is forked: forcing the fork
 // runs the whole chain and stores the result on the fork alone, so the
-// original stays lazy, and forcing both runs the chain twice.
+// original stays lazy, and forcing both runs the chain twice. A nil dataset
+// stays nil, for the op that reads it to report.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
+	if d == nil {
+		return nil
+	}
 	if d.isLazy() {
 		pl := *d.plan
 		res := &Dataset[T]{ctx: d.ctx, codec: codec, plan: &pl}

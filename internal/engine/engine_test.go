@@ -427,3 +427,46 @@ func BenchmarkShuffle(b *testing.B) {
 		}
 	}
 }
+
+// TestNilDatasetErrors: every op handed a nil dataset returns an error naming
+// the op instead of dereferencing it, and WithCodec passes the nil on to the
+// op that reads it.
+func TestNilDatasetErrors(t *testing.T) {
+	var d *Dataset[int]
+	id := func(x int) int { return x }
+	ops := map[string]func() error{
+		"force": d.Force,
+		"map":   func() error { _, err := Map("map", d, nil, id); return err },
+		"map-partitions": func() error {
+			_, err := MapPartitions("map-partitions", d, nil, func(_ int, xs []int) ([]int, error) { return xs, nil })
+			return err
+		},
+		"flat-map": func() error {
+			_, err := FlatMap("flat-map", d, nil, func(x int) []int { return []int{x} })
+			return err
+		},
+		"filter": func() error { _, err := Filter("filter", d, func(int) bool { return true }); return err },
+		"sort": func() error {
+			_, err := SortPartitions("sort", d, func(a, b int) bool { return a < b })
+			return err
+		},
+		"partition-by": func() error { _, err := PartitionBy("partition-by", d, 2, id); return err },
+		"collect":      func() error { _, err := Collect("collect", d); return err },
+		"reduce": func() error {
+			_, _, err := Reduce("reduce", d, func(a, b int) int { return a + b })
+			return err
+		},
+		"count":        func() error { _, err := Count("count", d); return err },
+		"count-by-key": func() error { _, err := CountByKey("count-by-key", d, id); return err },
+		"codec-count": func() error {
+			_, err := Count("codec-count", WithCodec(d, Serializer[int](GobCodec[int]{})))
+			return err
+		},
+	}
+	for name, op := range ops {
+		err := op()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("%s on a nil dataset: err = %v, want one naming %q", name, err, name)
+		}
+	}
+}

@@ -133,8 +133,11 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 // engine's persist: a lazy dataset read by two consumers runs inside each of
 // them unless it is forced first. Actions and wide operations call Force
 // implicitly. Forcing a materialized dataset is a no-op; a failed Force is
-// sticky.
+// sticky. Forcing a nil dataset is an error.
 func (d *Dataset[T]) Force() error {
+	if d == nil {
+		return nilInput("force")
+	}
 	if d.meta == nil {
 		return nil
 	}

@@ -9,6 +9,9 @@ package engine
 // surface at the barrier, wrapped with this stage's name. A narrow op reads
 // its input whole.
 func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error)) (*Dataset[U], error) {
+	if d == nil {
+		return nil, nilInput(name)
+	}
 	return lazyNarrow(name, d, codec, fn), nil
 }
 
@@ -36,6 +39,9 @@ func FlatMap[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(
 
 // Filter keeps items for which pred is true.
 func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], error) {
+	if d == nil {
+		return nil, nilInput(name)
+	}
 	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		var out []T
 		for _, it := range items {
@@ -50,6 +56,9 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], 
 // Collect gathers all partitions to the driver in partition order. Collect is
 // an action: it forces any pending narrow chain first.
 func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
+	if d == nil {
+		return nil, nilInput(name)
+	}
 	var out []T
 	err := action(name, d, FieldsAll, effectiveSerializer(d.codec),
 		func(items []T) []T { return items },
@@ -75,6 +84,9 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 // any pending narrow chain first.
 func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error) {
 	var acc T
+	if d == nil {
+		return acc, false, nilInput(name)
+	}
 	found := false
 	err := action(name, d, FieldsAll, effectiveSerializer(d.codec),
 		func(items []T) []T { // a partition's fold, as 0 or 1 items

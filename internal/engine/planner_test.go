@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
+	"github.com/gpf-go/gpf/internal/testutil/reclaim"
 )
 
 // explodingCodec fails every Marshal — the materialization-time error source
@@ -178,29 +178,16 @@ func TestWideOpRunsAtCall(t *testing.T) {
 // whatever its closures captured) is garbage while the output is still held.
 func TestShuffleDoesNotRetainInput(t *testing.T) {
 	type sentinel struct{ payload [1 << 10]byte }
-	// input returns a lazy chain whose closure captures a finalizable
-	// sentinel; freed is closed when the collector reclaims it.
-	input := func(ctx *Context) (*Dataset[int], <-chan struct{}) {
-		s := new(sentinel)
-		freed := make(chan struct{})
-		runtime.SetFinalizer(s, func(*sentinel) { close(freed) })
+	// input returns a lazy chain whose closure captures a tracked sentinel.
+	input := func(ctx *Context) (*Dataset[int], *reclaim.Counter) {
+		s, freed := new(sentinel), new(reclaim.Counter)
+		freed.Track(s)
 		d, err := Map("in", Parallelize(ctx, intRange(64), 4), nil,
 			func(x int) int { return x + int(s.payload[0]) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d, freed
-	}
-	collected := func(freed <-chan struct{}) bool {
-		for i := 0; i < 10; i++ {
-			runtime.GC()
-			select {
-			case <-freed:
-				return true
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-		return false
 	}
 	ctx := NewContext(2)
 
@@ -210,7 +197,7 @@ func TestShuffleDoesNotRetainInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	in = nil
-	if !collected(freed) {
+	if !freed.Reclaimed(1) {
 		t.Fatal("PartitionBy output keeps its input chain reachable")
 	}
 	if n, err := Count("count-pb", sh); err != nil || n != 64 {

@@ -6,39 +6,26 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"github.com/gpf-go/gpf/internal/testutil/reclaim"
 )
 
-// probe is an input item whose reclamation the collector reports. It is
-// larger than the tiny allocator's 16 bytes, whose batched objects finalize
-// late or never.
+// probe is an input item whose reclamation a reclaim.Counter reports. It is
+// larger than the tiny allocator's 16 bytes.
 type probe struct {
 	v   int
 	pad [4]int64
 }
 
-// probes returns n probes and the count of them the collector has reclaimed.
-func probes(n int) ([]*probe, *atomic.Int64) {
-	freed := new(atomic.Int64)
+// probes returns n probes and the counter of those the collector reclaimed.
+func probes(n int) ([]*probe, *reclaim.Counter) {
+	freed := new(reclaim.Counter)
 	items := make([]*probe, n)
 	for i := range items {
 		items[i] = &probe{v: i}
-		runtime.SetFinalizer(items[i], func(*probe) { freed.Add(1) })
+		freed.Track(items[i])
 	}
 	return items, freed
-}
-
-// reclaimed collects until all n probes counted by freed are reclaimed,
-// reporting false if they are not within 2 s.
-func reclaimed(freed *atomic.Int64, n int) bool {
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		runtime.GC()
-		if freed.Load() == int64(n) {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return false
 }
 
 func probeValue(p *probe) int { return p.v }
@@ -49,7 +36,7 @@ func probeValue(p *probe) int { return p.v }
 // result is still held and still reads.
 func TestForcedChainReleasesInput(t *testing.T) {
 	ctx := NewContext(2)
-	out, freed := func() (*Dataset[int], *atomic.Int64) {
+	out, freed := func() (*Dataset[int], *reclaim.Counter) {
 		items, freed := probes(64)
 		v, err := Map("value", Parallelize(ctx, items, 4), nil, probeValue)
 		if err != nil {
@@ -64,8 +51,8 @@ func TestForcedChainReleasesInput(t *testing.T) {
 		}
 		return even, freed
 	}()
-	if !reclaimed(freed, 64) {
-		t.Fatalf("forced chain keeps its input reachable: %d of 64 items reclaimed", freed.Load())
+	if !freed.Reclaimed(64) {
+		t.Fatalf("forced chain keeps its input reachable: %d of 64 items reclaimed", freed.Freed())
 	}
 	if n, err := Count("count", out); err != nil || n != 32 {
 		t.Fatalf("count = %d, %v; want 32", n, err)
@@ -79,13 +66,13 @@ func TestForcedChainReleasesInput(t *testing.T) {
 // handles refers to it — no consumer count needed.
 func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
 	ctx := NewContext(2)
-	prefixRuns, prefixFreed := new(atomic.Int64), new(atomic.Int64)
-	a, b, inFreed := func() (*Dataset[int], *Dataset[int], *atomic.Int64) {
+	prefixRuns, prefixFreed := new(atomic.Int64), new(reclaim.Counter)
+	a, b, inFreed := func() (*Dataset[int], *Dataset[int], *reclaim.Counter) {
 		items, inFreed := probes(64)
 		prefix, err := Map("copy", Parallelize(ctx, items, 4), nil, func(p *probe) *probe {
 			prefixRuns.Add(1)
 			c := &probe{v: p.v}
-			runtime.SetFinalizer(c, func(*probe) { prefixFreed.Add(1) })
+			prefixFreed.Track(c)
 			return c
 		})
 		if err != nil {
@@ -104,21 +91,21 @@ func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
 		}
 		return a, b, inFreed
 	}()
-	if !reclaimed(inFreed, 64) {
-		t.Fatalf("materialized shared prefix keeps its input reachable: %d of 64 items reclaimed", inFreed.Load())
+	if !inFreed.Reclaimed(64) {
+		t.Fatalf("materialized shared prefix keeps its input reachable: %d of 64 items reclaimed", inFreed.Freed())
 	}
 	for i, d := range []*Dataset[int]{a, b} {
 		runtime.GC()
 		runtime.GC()
-		if n := prefixFreed.Load(); n != 0 {
+		if n := prefixFreed.Freed(); n != 0 {
 			t.Fatalf("%d prefix items reclaimed while %d consumer(s) still read them", n, 2-i)
 		}
 		if err := d.Force(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reclaimed(prefixFreed, 64) {
-		t.Fatalf("forced consumers keep the shared prefix reachable: %d of 64 items reclaimed", prefixFreed.Load())
+	if !prefixFreed.Reclaimed(64) {
+		t.Fatalf("forced consumers keep the shared prefix reachable: %d of 64 items reclaimed", prefixFreed.Freed())
 	}
 	if n := prefixRuns.Load(); n != 64 {
 		t.Fatalf("forced prefix ran %d times, want 64 (once per item)", n)
@@ -136,7 +123,7 @@ func TestSharedPrefixReleasedAfterConsumers(t *testing.T) {
 func TestForcedCodecForkReleasesInput(t *testing.T) {
 	ctx := NewContext(2)
 	ctx.StoreSerialized = true
-	fork, freed := func() (*Dataset[int], *atomic.Int64) {
+	fork, freed := func() (*Dataset[int], *reclaim.Counter) {
 		items, freed := probes(64)
 		v, err := Map("value", Parallelize(ctx, items, 4), nil, probeValue)
 		if err != nil {
@@ -148,8 +135,8 @@ func TestForcedCodecForkReleasesInput(t *testing.T) {
 		}
 		return WithCodec(fork, Serializer[int](GobCodec[int]{})), freed
 	}()
-	if !reclaimed(freed, 64) {
-		t.Fatalf("forced codec fork keeps its input reachable: %d of 64 items reclaimed", freed.Load())
+	if !freed.Reclaimed(64) {
+		t.Fatalf("forced codec fork keeps its input reachable: %d of 64 items reclaimed", freed.Freed())
 	}
 	if got, err := Collect("collect", fork); err != nil || !reflect.DeepEqual(got, intRange(64)) {
 		t.Fatalf("collect = %v, %v", got, err)

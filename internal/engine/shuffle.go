@@ -109,6 +109,9 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	if numPartitions < 1 {
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
 	}
+	if d == nil {
+		return nil, nilInput(name)
+	}
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
@@ -208,6 +211,9 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 // Cleaner's sort step). A partition is whole inside one task, so sorting
 // needs no barrier: it is a narrow op, lazy and fused like MapPartitions.
 func SortPartitions[T any](name string, d *Dataset[T], less func(a, b T) bool) (*Dataset[T], error) {
+	if d == nil {
+		return nil, nilInput(name)
+	}
 	return MapPartitions(name, d, d.codec, func(_ int, items []T) ([]T, error) {
 		out := append([]T(nil), items...)
 		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })

@@ -16,6 +16,10 @@ import "github.com/gpf-go/gpf/internal/engine"
 // inside each of them unless it is forced first (Dataset.Force, Spark's
 // persist). Pipeline.Run does this for every resource more than one Process
 // reads; a Process that reads one of its own datasets twice forces it itself.
+// Once the last Process that declares such a resource as an input has run,
+// Pipeline.Run releases it if a Process of the pipeline defined it: its data
+// handles are dropped, and a later read errors. A Process must therefore
+// declare every resource it reads.
 
 // Serializer is the partition codec interface (see GPFSAMCodec and friends).
 type Serializer[T any] = engine.Serializer[T]
