@@ -7,9 +7,11 @@ package fastq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+
+	"github.com/gpf-go/gpf/internal/textio"
 )
 
 // Quality score encoding bounds: Phred+33 ASCII. The paper (§4.2, footnote 1)
@@ -98,34 +100,55 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{sc: sc}
 }
 
-// Read parses the next record. It returns io.EOF at end of input.
+// Read parses the next record. It returns io.EOF at end of input. The record
+// holds no reference to the scanner's buffer: the name is its own string, and
+// seq and qual share one allocation, each capped so that an append to one
+// cannot overwrite the other.
 func (r *Reader) Read() (Record, error) {
-	lines := make([]string, 0, 4)
-	for len(lines) < 4 && r.sc.Scan() {
+	var name string
+	var named, separated bool // line 1 starts with @, line 3 with +
+	var seqQual []byte        // seq, then qual, in one allocation
+	var seqLen int
+	n := 0
+	for ; n < 4 && r.sc.Scan(); n++ {
 		r.line++
 		// A line ends at LF or CRLF; stray CRs before it cannot be written
 		// back, so they go with the terminator.
-		lines = append(lines, strings.TrimRight(r.sc.Text(), "\r"))
+		line := bytes.TrimRight(r.sc.Bytes(), "\r")
+		switch n {
+		case 0:
+			if named = len(line) > 0 && line[0] == '@'; named {
+				name = string(line[1:])
+			}
+		case 1:
+			// Room for a qual line as long as seq, which Validate requires.
+			seqLen = len(line)
+			seqQual = append(make([]byte, 0, 2*seqLen), line...)
+		case 2:
+			separated = len(line) > 0 && line[0] == '+'
+		case 3:
+			seqQual = append(seqQual, line...)
+		}
 	}
 	if err := r.sc.Err(); err != nil {
 		return Record{}, fmt.Errorf("fastq: line %d: %w", r.line, err)
 	}
-	if len(lines) == 0 {
+	if n == 0 {
 		return Record{}, io.EOF
 	}
-	if len(lines) != 4 {
+	if n != 4 {
 		return Record{}, fmt.Errorf("fastq: truncated record at line %d", r.line)
 	}
-	if len(lines[0]) == 0 || lines[0][0] != '@' {
+	if !named {
 		return Record{}, fmt.Errorf("fastq: line %d: missing @ header", r.line-3)
 	}
-	if len(lines[2]) == 0 || lines[2][0] != '+' {
+	if !separated {
 		return Record{}, fmt.Errorf("fastq: line %d: missing + separator", r.line-1)
 	}
 	rec := Record{
-		Name: lines[0][1:],
-		Seq:  []byte(lines[1]),
-		Qual: []byte(lines[3]),
+		Name: name,
+		Seq:  seqQual[:seqLen:seqLen],
+		Qual: seqQual[seqLen:len(seqQual):len(seqQual)],
 	}
 	if err := rec.Validate(); err != nil {
 		return Record{}, err
@@ -137,6 +160,7 @@ func (r *Reader) Read() (Record, error) {
 // length mismatch. This is the substrate of FileLoader.loadFastqPairToRdd in
 // the paper's Fig 3.
 func ReadPairs(rd1, rd2 io.Reader) ([]Pair, error) {
+	size := textio.Remaining(rd1)
 	r1 := NewReader(rd1)
 	r2 := NewReader(rd2)
 	var out []Pair
@@ -144,7 +168,7 @@ func ReadPairs(rd1, rd2 io.Reader) ([]Pair, error) {
 		a, err1 := r1.Read()
 		b, err2 := r2.Read()
 		if err1 == io.EOF && err2 == io.EOF {
-			return out, nil
+			return textio.Trim(out), nil
 		}
 		if err1 == io.EOF || err2 == io.EOF {
 			return nil, fmt.Errorf("fastq: mate files have unequal record counts")
@@ -154,6 +178,9 @@ func ReadPairs(rd1, rd2 io.Reader) ([]Pair, error) {
 		}
 		if err2 != nil {
 			return nil, err2
+		}
+		if out == nil {
+			out = textio.Sized[Pair](size, a.Bytes())
 		}
 		out = append(out, Pair{R1: a, R2: b})
 	}

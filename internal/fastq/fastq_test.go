@@ -3,6 +3,7 @@ package fastq
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,6 +96,61 @@ func TestReadPairs(t *testing.T) {
 	short := "@a/2\nCCCC\n+\nIIII\n"
 	if _, err := ReadPairs(strings.NewReader(f1), strings.NewReader(short)); err == nil {
 		t.Fatal("unequal mate counts should error")
+	}
+}
+
+// TestReadPairsSizedAndUnsizedReadersAgree: ReadPairs sizes its slice from
+// the first record when R1's reader can tell its size, and what it returns
+// must not depend on that. The first read is a tenth as long as the rest, so
+// the guess is ten times over and must be given back.
+func TestReadPairsSizedAndUnsizedReadersAgree(t *testing.T) {
+	var text bytes.Buffer
+	w := NewWriter(&text)
+	w.Write(&Record{Name: "s", Seq: []byte("A"), Qual: []byte("I")})
+	for i := 0; i < 40; i++ {
+		w.Write(&Record{Name: "long", Seq: bytes.Repeat([]byte("A"), 40), Qual: bytes.Repeat([]byte("I"), 40)})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	in := text.Bytes()
+	want, err := ReadPairs(struct{ io.Reader }{bytes.NewReader(in)}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPairs(bytes.NewReader(in), bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != 41 {
+		t.Fatalf("sized reader read %d pairs, unsized %d, or they differ", len(got), len(want))
+	}
+	if cap(got) > 2*len(got) {
+		t.Fatalf("%d pairs hold capacity for %d", len(got), cap(got))
+	}
+}
+
+// TestReadSeqQualDoNotAlias: seq and qual share one allocation, yet an
+// append to seq leaves qual as parsed, and a write to qual leaves seq.
+func TestReadSeqQualDoNotAlias(t *testing.T) {
+	read := func() Record {
+		rec, err := NewReader(strings.NewReader("@r\nACGT\n+\nIIII\n")).Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	r := read()
+	r.Seq = append(r.Seq, 'N', 'N')
+	if string(r.Qual) != "IIII" {
+		t.Fatalf("append to Seq changed Qual to %q", r.Qual)
+	}
+	r = read()
+	for i := range r.Qual {
+		r.Qual[i] = '#'
+	}
+	if string(r.Seq) != "ACGT" {
+		t.Fatalf("writes to Qual changed Seq to %q", r.Seq)
 	}
 }
 

@@ -2,17 +2,20 @@ package fastq
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/testutil/allocbudget"
+	"github.com/gpf-go/gpf/internal/testutil/fuzzcorpus"
 )
 
 // Allocation budget of ReadPairs over both mates' bytes. Two scanners' 64 KiB
-// buffers are the fixed cost; past them a record costs its struct and
-// strings. Worst ratio seen on the seeds: 4.0 bytes per byte on the 1 MB
-// lines, 131 312 bytes on the shortest; 2 000 one-base pairs measured 23.
+// buffers are the fixed cost; past them a record costs its struct, its name
+// and one seq+qual allocation. Worst ratio seen on the seeds: 3.0 bytes per
+// byte on the 1 MB lines, 131 264 bytes on the shortest; 2 000 one-base pairs
+// measure 11 (27 when each record held four line strings).
 const (
 	textPerByte = 64
 	textSlack   = 160 << 10
@@ -55,6 +58,27 @@ func FuzzReadPairs(f *testing.F) {
 		}
 		if !reflect.DeepEqual(pairs, again) {
 			t.Fatalf("pairs changed over a write/read round trip:\n%+v\n%+v", pairs, again)
+		}
+	})
+}
+
+// FuzzReadPairsDifferential: ReadPairs and the line-string reader it replaced
+// (oracle_test.go) accept and refuse the same mate files with the same error
+// and return the same pairs. It starts from FuzzReadPairs's checked-in corpus
+// and records with empty reads and quality lines longer and shorter than
+// their sequence.
+func FuzzReadPairsDifferential(f *testing.F) {
+	fuzzcorpus.Add(f, "FuzzReadPairs")
+	f.Add([]byte("@a\n\n+\n\n"), []byte("@\n\n+x\n\n"))
+	f.Add([]byte("@a\nAC\n+\nIII\n"), []byte("@b\nACG\n+\nII\n"))
+	f.Fuzz(func(t *testing.T, r1, r2 []byte) {
+		pairs, err := ReadPairs(bytes.NewReader(r1), bytes.NewReader(r2))
+		want, wantErr := readPairsSplit(bytes.NewReader(r1), bytes.NewReader(r2))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ReadPairs error %v, oracle %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(pairs, want) {
+			t.Fatalf("pairs %+v, oracle %+v", pairs, want)
 		}
 	})
 }

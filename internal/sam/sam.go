@@ -163,15 +163,19 @@ func (c Cigar) HasIndel() bool {
 
 // String renders the CIGAR in SAM text form ("*" when empty).
 func (c Cigar) String() string {
+	return string(c.appendText(make([]byte, 0, 16)))
+}
+
+// appendText appends the CIGAR's SAM text form to b.
+func (c Cigar) appendText(b []byte) []byte {
 	if len(c) == 0 {
-		return "*"
+		return append(b, '*')
 	}
-	var b strings.Builder
 	for _, op := range c {
-		b.WriteString(strconv.Itoa(op.Len))
-		b.WriteByte(op.Op)
+		b = strconv.AppendInt(b, int64(op.Len), 10)
+		b = append(b, op.Op)
 	}
-	return b.String()
+	return b
 }
 
 // maxCigarOpLen is the longest CIGAR op the SAM specification allows (BAM
@@ -180,8 +184,12 @@ func (c Cigar) String() string {
 const maxCigarOpLen = 1<<28 - 1
 
 // ParseCigar parses SAM text CIGAR ("*" yields nil).
-func ParseCigar(s string) (Cigar, error) {
-	if s == "*" || s == "" {
+func ParseCigar(s string) (Cigar, error) { return parseCigar(s) }
+
+// parseCigar is ParseCigar over either text form, so that ReadText parses a
+// CIGAR column where it lies in the scanner's buffer.
+func parseCigar[T string | []byte](s T) (Cigar, error) {
+	if len(s) == 0 || len(s) == 1 && s[0] == '*' {
 		return nil, nil
 	}
 	var c Cigar

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +256,61 @@ func TestReadTextErrors(t *testing.T) {
 		if _, _, err := ReadText(bytes.NewBufferString(in)); err == nil {
 			t.Fatalf("%s: expected parse error", name)
 		}
+	}
+}
+
+// TestReadTextRecordsDoNotPinLines: a record ReadText returns keeps its own
+// fields, not the line it was parsed from. Each line carries a 2 KB optional
+// field the parser skips (it has no second colon), so a record that shares
+// memory with its line keeps over 2 KB alive.
+func TestReadTextRecordsDoNotPinLines(t *testing.T) {
+	const n = 1000
+	pad := "XP:" + strings.Repeat("p", 2048)
+	var text bytes.Buffer
+	for i := 0; i < n; i++ {
+		text.WriteString("r" + strconv.Itoa(i) + "\t0\t*\t0\t0\t4M\t*\t0\t0\tACGT\tIIII\tRG:Z:rg0\t" + pad + "\n")
+	}
+	in := bytes.NewReader(text.Bytes())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, recs, err := ReadText(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRecord := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	if len(recs) != n || recs[n-1].Tags["RG"] != "rg0" {
+		t.Fatalf("parsed %d records, last %+v", len(recs), recs[len(recs)-1])
+	}
+	if perRecord >= 1024 {
+		t.Fatalf("each kept record holds %d heap bytes of a %d-byte line", perRecord, text.Len()/n)
+	}
+}
+
+// TestReadTextSeqQualDoNotAlias: seq and qual share one allocation, yet an
+// append to seq leaves qual as parsed, and a write to qual leaves seq.
+func TestReadTextSeqQualDoNotAlias(t *testing.T) {
+	const line = "r\t0\t*\t0\t0\t*\t*\t0\t0\tACGT\tIIII\n"
+	parse := func() Record {
+		_, recs, err := ReadText(strings.NewReader(line))
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("ReadText: %v, %d records", err, len(recs))
+		}
+		return recs[0]
+	}
+	r := parse()
+	r.Seq = append(r.Seq, 'N', 'N')
+	if string(r.Qual) != "IIII" {
+		t.Fatalf("append to Seq changed Qual to %q", r.Qual)
+	}
+	r = parse()
+	for i := range r.Qual {
+		r.Qual[i] = '#'
+	}
+	if string(r.Seq) != "ACGT" {
+		t.Fatalf("writes to Qual changed Seq to %q", r.Seq)
 	}
 }
 

@@ -2,14 +2,15 @@ package sam
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/gpf-go/gpf/internal/textio"
 )
 
 // WriteText serializes header and records in SAM text format.
@@ -24,8 +25,17 @@ func WriteText(w io.Writer, h *Header, records []Record) error {
 			fmt.Fprintf(bw, "@RG\tID:%s\n", rg)
 		}
 	}
+	var line []byte
+	var keys []string // one record's tag keys, sorted
 	for i := range records {
-		if err := writeRecord(bw, h, &records[i]); err != nil {
+		r := &records[i]
+		keys = keys[:0]
+		for k := range r.Tags {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		line = appendRecord(line[:0], h, r, keys)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -39,34 +49,44 @@ func refName(h *Header, id int32) string {
 	return h.RefNames[id]
 }
 
-func writeRecord(bw *bufio.Writer, h *Header, r *Record) error {
-	seq := "*"
-	if len(r.Seq) > 0 {
-		seq = string(r.Seq)
+// appendRecord appends r's text line, its tags in the order of keys, to b.
+func appendRecord(b []byte, h *Header, r *Record, keys []string) []byte {
+	b = append(b, r.Name...)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(r.Flag), 10)
+	b = append(b, '\t')
+	b = append(b, refName(h, r.RefID)...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Pos+1), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(r.MapQ), 10)
+	b = append(b, '\t')
+	b = r.Cigar.appendText(b)
+	b = append(b, '\t')
+	b = append(b, mateRefName(h, r)...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.MatePos+1), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.TempLen), 10)
+	b = append(b, '\t')
+	b = appendColumn(b, r.Seq)
+	b = append(b, '\t')
+	b = appendColumn(b, r.Qual)
+	for _, k := range keys {
+		b = append(b, '\t')
+		b = append(b, k...)
+		b = append(b, ":Z:"...)
+		b = append(b, r.Tags[k]...)
 	}
-	qual := "*"
-	if len(r.Qual) > 0 {
-		qual = string(r.Qual)
+	return append(b, '\n')
+}
+
+// appendColumn appends a SEQ or QUAL column: "*" when absent.
+func appendColumn(b, col []byte) []byte {
+	if len(col) == 0 {
+		return append(b, '*')
 	}
-	_, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s",
-		r.Name, r.Flag, refName(h, r.RefID), r.Pos+1, r.MapQ, r.Cigar.String(),
-		mateRefName(h, r), r.MatePos+1, r.TempLen, seq, qual)
-	if err != nil {
-		return err
-	}
-	if len(r.Tags) > 0 {
-		keys := make([]string, 0, len(r.Tags))
-		for k := range r.Tags {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if _, err := fmt.Fprintf(bw, "\t%s:Z:%s", k, r.Tags[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.WriteByte('\n')
+	return append(b, col...)
 }
 
 func mateRefName(h *Header, r *Record) string {
@@ -79,23 +99,12 @@ func mateRefName(h *Header, r *Record) string {
 	return refName(h, r.MateRef)
 }
 
-// remainingBytes reports how many bytes rd still holds when it can tell — an
-// in-memory reader's Len, a regular file's size — and 0 otherwise.
-func remainingBytes(rd io.Reader) int64 {
-	switch v := rd.(type) {
-	case interface{ Len() int }:
-		return int64(v.Len())
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
-			return fi.Size()
-		}
-	}
-	return 0
-}
-
-// ReadText parses SAM text into a header and records.
+// ReadText parses SAM text into a header and records. A record holds no
+// reference to its line: the name and tags are copied into their own strings,
+// and seq and qual share one allocation, each capped so that an append to one
+// cannot overwrite the other.
 func ReadText(rd io.Reader) (*Header, []Record, error) {
-	size := remainingBytes(rd)
+	size := textio.Remaining(rd)
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	h := &Header{Sort: Unsorted}
@@ -106,12 +115,12 @@ func ReadText(rd io.Reader) (*Header, []Record, error) {
 		lineNo++
 		// A line ends at LF or CRLF; stray CRs before it cannot be written
 		// back, so they go with the terminator.
-		line := strings.TrimRight(sc.Text(), "\r")
-		if line == "" {
+		line := bytes.TrimRight(sc.Bytes(), "\r")
+		if len(line) == 0 {
 			continue
 		}
 		if line[0] == '@' {
-			if err := parseHeaderLine(h, refIndex, line); err != nil {
+			if err := parseHeaderLine(h, refIndex, string(line)); err != nil {
 				return nil, nil, fmt.Errorf("sam: line %d: %w", lineNo, err)
 			}
 			continue
@@ -120,22 +129,15 @@ func ReadText(rd io.Reader) (*Header, []Record, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("sam: line %d: %w", lineNo, err)
 		}
-		if records == nil && size > 0 {
-			// Size the slice once from the first record line instead of
-			// append-doubling 136-byte records; lines of one run differ by a
-			// few digits, and append still covers an underestimate. The cap
-			// and the clone below bound what a short first line can cost.
-			records = make([]Record, 0, min(size/int64(len(line)+1)+1, 1<<20))
+		if records == nil {
+			records = textio.Sized[Record](size, len(line)+1)
 		}
 		records = append(records, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("sam: scanning: %w", err)
 	}
-	if cap(records) > 2*len(records) {
-		records = slices.Clone(records) // the guess was far over: give it back
-	}
-	return h, records, nil
+	return h, textio.Trim(records), nil
 }
 
 func parseHeaderLine(h *Header, refIndex map[string]int32, line string) error {
@@ -178,86 +180,112 @@ func parseHeaderLine(h *Header, refIndex map[string]int32, line string) error {
 	return nil
 }
 
-func parseRecordLine(refIndex map[string]int32, line string) (Record, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) < 11 {
-		return Record{}, fmt.Errorf("only %d fields", len(fields))
+// parseRecordLine parses one record line in place: the scanner reuses line's
+// bytes, so everything the record keeps is copied out of it. Numeric columns
+// go through strconv as short-lived strings, which do not leave the stack.
+func parseRecordLine(refIndex map[string]int32, line []byte) (Record, error) {
+	var f [11][]byte // the mandatory columns QNAME..QUAL
+	n, rest, more := 0, line, true
+	for ; n < len(f) && more; n++ {
+		f[n], rest, more = bytes.Cut(rest, []byte{'\t'})
 	}
-	flag, err := strconv.ParseUint(fields[1], 10, 16)
+	if n < len(f) {
+		return Record{}, fmt.Errorf("only %d fields", n)
+	}
+	flag, err := strconv.ParseUint(string(f[1]), 10, 16)
 	if err != nil {
-		return Record{}, fmt.Errorf("bad flag %q", fields[1])
+		return Record{}, fmt.Errorf("bad flag %q", f[1])
 	}
-	pos, ok := parseCoord(fields[3])
+	pos, ok := parseCoord(f[3])
 	if !ok {
-		return Record{}, fmt.Errorf("bad pos %q", fields[3])
+		return Record{}, fmt.Errorf("bad pos %q", f[3])
 	}
-	mapq, err := strconv.Atoi(fields[4])
+	mapq, err := strconv.Atoi(string(f[4]))
 	if err != nil || mapq < 0 || mapq > 255 {
-		return Record{}, fmt.Errorf("bad mapq %q", fields[4])
+		return Record{}, fmt.Errorf("bad mapq %q", f[4])
 	}
-	cigar, err := ParseCigar(fields[5])
+	cigar, err := parseCigar(f[5])
 	if err != nil {
 		return Record{}, err
 	}
 	if int64(pos)+int64(cigar.RefLen()) > math.MaxInt32 {
-		return Record{}, fmt.Errorf("alignment at %s spanning %s ends past the coordinate range", fields[3], fields[5])
+		return Record{}, fmt.Errorf("alignment at %s spanning %s ends past the coordinate range", f[3], f[5])
 	}
-	matePos, ok := parseCoord(fields[7])
+	matePos, ok := parseCoord(f[7])
 	if !ok {
-		return Record{}, fmt.Errorf("bad mate pos %q", fields[7])
+		return Record{}, fmt.Errorf("bad mate pos %q", f[7])
 	}
-	tlen, err := strconv.ParseInt(fields[8], 10, 32)
+	tlen, err := strconv.ParseInt(string(f[8]), 10, 32)
 	if err != nil {
-		return Record{}, fmt.Errorf("bad tlen %q", fields[8])
+		return Record{}, fmt.Errorf("bad tlen %q", f[8])
 	}
 	rec := Record{
-		Name:    fields[0],
+		Name:    string(f[0]),
 		Flag:    uint16(flag),
-		RefID:   lookupRef(refIndex, fields[2]),
+		RefID:   lookupRef(refIndex, f[2]),
 		Pos:     pos,
 		MapQ:    uint8(mapq),
 		Cigar:   cigar,
 		MatePos: matePos,
 		TempLen: int32(tlen),
 	}
-	switch fields[6] {
+	switch string(f[6]) {
 	case "*":
 		rec.MateRef = -1
 	case "=":
 		rec.MateRef = rec.RefID
 	default:
-		rec.MateRef = lookupRef(refIndex, fields[6])
+		rec.MateRef = lookupRef(refIndex, f[6])
 	}
-	if fields[9] != "*" && fields[9] != "" {
-		rec.Seq = []byte(fields[9])
+	seq, qual := present(f[9]), present(f[10])
+	if len(seq)+len(qual) > 0 {
+		b := append(append(make([]byte, 0, len(seq)+len(qual)), seq...), qual...)
+		if len(seq) > 0 {
+			rec.Seq = b[:len(seq):len(seq)]
+		}
+		if len(qual) > 0 {
+			rec.Qual = b[len(seq):]
+		}
 	}
-	if fields[10] != "*" && fields[10] != "" {
-		rec.Qual = []byte(fields[10])
-	}
-	for _, f := range fields[11:] {
-		parts := strings.SplitN(f, ":", 3)
-		if len(parts) == 3 {
+	// An optional field is TAG:TYPE:VALUE; one without a second colon is
+	// skipped.
+	for more {
+		var field []byte
+		field, rest, more = bytes.Cut(rest, []byte{'\t'})
+		key, typed, ok := bytes.Cut(field, []byte{':'})
+		if !ok {
+			continue
+		}
+		if _, value, ok := bytes.Cut(typed, []byte{':'}); ok {
 			if rec.Tags == nil {
 				rec.Tags = map[string]string{}
 			}
-			rec.Tags[parts[0]] = parts[2]
+			rec.Tags[string(key)] = string(value)
 		}
 	}
 	return rec, nil
 }
 
+// present returns a SEQ or QUAL column, or nil when it is "*" (absent).
+func present(col []byte) []byte {
+	if len(col) == 1 && col[0] == '*' {
+		return nil
+	}
+	return col
+}
+
 // parseCoord parses a 1-based POS/PNEXT column — 0 for "unavailable", at most
 // 2^31-1 — into the 0-based coordinate a Record holds.
-func parseCoord(s string) (int32, bool) {
-	v, err := strconv.ParseInt(s, 10, 32)
+func parseCoord(s []byte) (int32, bool) {
+	v, err := strconv.ParseInt(string(s), 10, 32)
 	return int32(v - 1), err == nil && v >= 0
 }
 
-func lookupRef(refIndex map[string]int32, name string) int32 {
-	if name == "*" {
+func lookupRef(refIndex map[string]int32, name []byte) int32 {
+	if string(name) == "*" {
 		return -1
 	}
-	if id, ok := refIndex[name]; ok {
+	if id, ok := refIndex[string(name)]; ok {
 		return id
 	}
 	return -1
