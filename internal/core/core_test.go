@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -378,9 +377,9 @@ func TestPipelineReleasesSharedResource(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if shared.State() != Released || shared.Data != nil || shared.Bundled != nil {
-		t.Fatalf("shared: state %v, holds data %v, bundles %v; want Released, neither",
-			shared.State(), shared.Data != nil, shared.Bundled != nil)
+	if shared.State() != Released || shared.Data != nil {
+		t.Fatalf("shared: state %v, holds data %v; want Released, no data",
+			shared.State(), shared.Data != nil)
 	}
 	if terminal.State() != Defined || src.State() != Defined {
 		t.Fatalf("terminal %v, caller-defined src %v; want both Defined", terminal.State(), src.State())
@@ -415,7 +414,7 @@ func TestPipelineReleasesSharedResource(t *testing.T) {
 	for what, read := range map[string]func() error{
 		"persist":     shared.persist,
 		"a later Run": again.Run,
-		"partition bundles": func() error {
+		"partition Process": func() error {
 			return NewIndelRealignProcess("Realign", info, shared, UndefinedSAM("out", nil)).Run(rt)
 		},
 	} {
@@ -610,33 +609,6 @@ func TestEachOpRunsOnce(t *testing.T) {
 	}
 }
 
-// TestUnoptimizedFlattenFuses: with Optimize off, a partition Process's
-// bundled output is read only through its flatten, so the two run as one
-// stage instead of the bundled output materializing on its own.
-func TestUnoptimizedFlattenFuses(t *testing.T) {
-	rt := testRuntime(t, 2)
-	wgs := BuildWGSPipeline(rt, PairsToRDD(rt, simPairs(t, rt, 6), 4), false)
-	wgs.Pipeline.Optimize = false
-	if err := wgs.Pipeline.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CollectVCF(rt, wgs.VCF); err != nil {
-		t.Fatal(err)
-	}
-	ran := map[string]bool{}
-	for _, s := range rt.Engine.Metrics().Stages {
-		ran[s.Name] = true
-	}
-	for _, want := range []string{
-		"IndelRealign/bundle+IndelRealign/realign+realignedSam/flatten",
-		"BaseRecalibration/apply-recalibration+recaledSam/flatten",
-	} {
-		if !ran[want] {
-			t.Errorf("no stage %q among %v", want, slices.Sorted(maps.Keys(ran)))
-		}
-	}
-}
-
 // definedInfo returns a filled PartitionInfo resource over rt's reference.
 func definedInfo(t *testing.T, rt *Runtime, name string, partLen int) *PartitionInfoBundle {
 	t.Helper()
@@ -651,8 +623,8 @@ func definedInfo(t *testing.T, rt *Runtime, name string, partLen int) *Partition
 }
 
 // TestBundleReuseRule: a partition Process of an optimized pipeline reads its
-// input's bundles exactly when they were built under its own PartitionInfo,
-// and every reader of one bundled output shares it.
+// input as it is exactly when the input is already partitioned by its own
+// PartitionInfo, and every reader of one partitioned output shares it.
 func TestBundleReuseRule(t *testing.T) {
 	var recs []sam.Record
 	{
@@ -674,7 +646,7 @@ func TestBundleReuseRule(t *testing.T) {
 		return rt, in, NewPipeline("reuse", rt)
 	}
 	// partitioned returns the reduce row of the SAM shuffle process name ran
-	// to build its bundles, nil when it reused its input's.
+	// to partition its input, nil when it read the input as it is.
 	partitioned := func(rt *Runtime, name string) *engine.StageMetrics {
 		m := rt.Engine.Metrics()
 		for i := range m.Stages {
@@ -695,10 +667,10 @@ func TestBundleReuseRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		if partitioned(rt, "IndelRealign") == nil || partitioned(rt, "BaseRecalibration") != nil {
-			t.Fatal("BaseRecalibration should reuse IndelRealign's bundles")
+			t.Fatal("BaseRecalibration should read IndelRealign's output as it is")
 		}
-		if recaled.Info != info.Info {
-			t.Fatal("output bundles not published under the process's info")
+		if realigned.info != info.Info || recaled.info != info.Info {
+			t.Fatal("outputs not published as partitioned by the process's info")
 		}
 	})
 
@@ -714,9 +686,9 @@ func TestBundleReuseRule(t *testing.T) {
 		}
 		row := partitioned(rt, "BaseRecalibration")
 		if row == nil {
-			t.Fatal("bundles built under A were reused under B")
+			t.Fatal("records partitioned by A were read as partitioned by B")
 		}
-		if len(row.Tasks) != infoB.Info.NumPartitions() || recaled.Info != infoB.Info {
+		if len(row.Tasks) != infoB.Info.NumPartitions() || recaled.info != infoB.Info {
 			t.Fatalf("rebuilt into %d partitions, want B's %d", len(row.Tasks), infoB.Info.NumPartitions())
 		}
 	})
@@ -741,7 +713,7 @@ func TestBundleReuseRule(t *testing.T) {
 			}
 		}
 		if partitioned(rt, "CallerA") != nil || partitioned(rt, "CallerB") != nil {
-			t.Fatal("a reader re-partitioned the shared bundled output")
+			t.Fatal("a reader re-partitioned the shared partitioned output")
 		}
 		if n := opRows(rt.Engine.Metrics())["IndelRealign/realign"]; n != 1 {
 			t.Fatalf("shared realign ran in %d stages, want 1", n)
@@ -784,10 +756,10 @@ func TestRepartitionerSplitsHotspots(t *testing.T) {
 	}
 }
 
-// TestBundleConstruction: one build shuffles the SAM records and wraps each
-// partition in its bundle, nothing else; bundle i holds partition i's
-// interval and exactly the reads FinalID routes to it.
-func TestBundleConstruction(t *testing.T) {
+// TestPartitionSAM: one partitioning is the SAM shuffle and nothing else,
+// into info's partitions; partition p holds exactly the reads FinalID routes
+// to p, and every read is present.
+func TestPartitionSAM(t *testing.T) {
 	rt := testRuntime(t, 2)
 	pairs := simPairs(t, rt, 6)
 	ds := PairsToRDD(rt, pairs, 2)
@@ -806,11 +778,7 @@ func TestBundleConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(rt.Engine.Metrics().Stages)
-	bundled, err := buildBundles(rt, "test", aligned.Data, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles, err := engine.Collect("collect", bundled)
+	parted, err := partitionSAM(rt, "test", aligned.Data, pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,35 +786,43 @@ func TestBundleConstruction(t *testing.T) {
 	for _, s := range rt.Engine.Metrics().Stages[before:] {
 		rows = append(rows, s.Name)
 	}
-	want := []string{
-		"test/sam-partition/map", "test/sam-partition/reduce",
-		"test/bundle", "collect",
+	if want := []string{"test/sam-partition/map", "test/sam-partition/reduce"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("stages recorded by one partitioning = %v, want %v", rows, want)
 	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("stages recorded by one build = %v, want %v", rows, want)
+	if n := parted.NumPartitions(); n != pi.NumPartitions() {
+		t.Fatalf("partitions = %d, want %d", n, pi.NumPartitions())
 	}
-	if len(bundles) != pi.NumPartitions() {
-		t.Fatalf("bundles = %d, want %d", len(bundles), pi.NumPartitions())
+	// Tag every read with the partition holding it.
+	type placed struct {
+		part int
+		rec  sam.Record
 	}
-	totalReads := 0
-	for i, b := range bundles {
-		if iv, _ := pi.Interval(i); b.Interval != iv {
-			t.Fatalf("bundle %d interval %+v, want %+v", i, b.Interval, iv)
-		}
-		totalReads += len(b.Sams)
-		// Every mapped read must belong to its bundle's partition.
-		for j := range b.Sams {
-			r := &b.Sams[j]
-			if r.RefID < 0 {
-				continue
+	tagged, err := engine.MapPartitions("tag", parted, nil,
+		func(p int, recs []sam.Record) ([]placed, error) {
+			out := make([]placed, len(recs))
+			for i := range recs {
+				out[i] = placed{p, recs[i]}
 			}
-			if got := pi.FinalID(int(r.RefID), int(r.Pos)); got != i {
-				t.Fatalf("read at %d:%d in partition %d, want %d", r.RefID, r.Pos, i, got)
-			}
+			return out, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := engine.Collect("collect", tagged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range all {
+		r := &x.rec
+		if r.RefID < 0 {
+			continue
+		}
+		if got := pi.FinalID(int(r.RefID), int(r.Pos)); got != x.part {
+			t.Fatalf("read at %d:%d in partition %d, want %d", r.RefID, r.Pos, x.part, got)
 		}
 	}
-	if totalReads != 2*len(pairs) {
-		t.Fatalf("bundles hold %d reads, want %d", totalReads, 2*len(pairs))
+	if len(all) != 2*len(pairs) {
+		t.Fatalf("partitions hold %d reads, want %d", len(all), 2*len(pairs))
 	}
 }
 
@@ -1051,6 +1027,20 @@ func TestPipelineWithSerializedStorage(t *testing.T) {
 	}
 	if len(calls) != len(calls2) {
 		t.Fatalf("serialized storage changed results: %d vs %d calls", len(calls), len(calls2))
+	}
+	// BQSR persists IndelRealign's output, which carries no codec, so the
+	// records are held as items (0 serialized bytes) and both BQSR passes
+	// read them without decoding. The realign stage ran on its own: that
+	// row is the persist.
+	ran := false
+	for _, s := range rt.Engine.Metrics().Stages {
+		ran = ran || s.Name == "IndelRealign/realign"
+	}
+	if !ran {
+		t.Fatal("BQSR did not persist IndelRealign's output")
+	}
+	if n := wgs.Realigned.Data.MemoryBytes(); n != 0 {
+		t.Fatalf("BQSR's persisted records hold %d serialized bytes, want 0", n)
 	}
 }
 

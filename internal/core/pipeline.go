@@ -45,7 +45,8 @@ type Runtime struct {
 
 	index *align.FMIndex
 	// optimize is the running Pipeline's Optimize: whether partition
-	// Processes may reuse a bundled input (partitionBase.bundles).
+	// Processes may read an already-partitioned input as it is
+	// (partitionBase.partitioned).
 	optimize bool
 }
 
@@ -82,8 +83,9 @@ type Pipeline struct {
 	Name string
 	rt   *Runtime
 	// Optimize enables Process-level redundancy elimination (§4.3, Fig 7): a
-	// partition Process reads its predecessor's bundles instead of
-	// re-partitioning SAM and VCF. The Table 4 experiment flips it.
+	// partition Process reads an input already partitioned by its
+	// PartitionInfo instead of re-partitioning it. The Table 4 experiment
+	// flips it.
 	Optimize  bool
 	processes []Process
 	executed  []string

@@ -213,20 +213,21 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 }
 
 // partitionBase carries what the partition Processes (IndelRealign, BQSR,
-// HaplotypeCaller) share: the SAM input and the PartitionInfo they bundle it
-// under.
+// HaplotypeCaller) share: the SAM input and the PartitionInfo they partition
+// it by.
 type partitionBase struct {
 	baseProcess
 	samIn  *SAMBundle
 	infoIn *PartitionInfoBundle
 }
 
-// bundles resolves the bundle dataset the Process reads; it is where the
-// Fig 7 decision is made. An optimized pipeline reuses the input's bundled
-// form when it was built under this Process's PartitionInfo (Fig 7b: the SAM
-// records are not re-shuffled). Otherwise the flat records are partitioned
-// afresh (Fig 7a). A released input returns its release error.
-func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
+// partitioned resolves the records the Process reads, partition p holding
+// those of info.Interval(p); it is where the Fig 7 decision is made. An
+// optimized pipeline reads an input already partitioned by this Process's
+// PartitionInfo as it is (Fig 7b: the SAM records are not re-shuffled).
+// Otherwise the records are partitioned afresh (Fig 7a). A released input
+// returns its release error.
+func (p *partitionBase) partitioned(rt *Runtime) (*engine.Dataset[sam.Record], error) {
 	if err := p.infoIn.released(); err != nil {
 		return nil, err
 	}
@@ -235,21 +236,20 @@ func (p *partitionBase) bundles(rt *Runtime) (*engine.Dataset[Bundle], error) {
 		return nil, fmt.Errorf("core: process %s: no partition info", p.name)
 	}
 	in := p.samIn
-	if rt.optimize && in.Bundled != nil && in.Info == info {
-		return in.Bundled, nil
-	}
 	flat, err := in.EnsureFlat(rt)
 	if err != nil {
 		return nil, err
 	}
-	return buildBundles(rt, p.name, flat, info)
+	if rt.optimize && in.info == info {
+		return flat, nil
+	}
+	return partitionSAM(rt, p.name, flat, info)
 }
 
-// publish stores a partition Process's result on its SAM output: the bundled
-// form and the PartitionInfo it was built under. A reader that needs flat
-// records gets them from EnsureFlat.
-func (p *partitionBase) publish(out *SAMBundle, bundled *engine.Dataset[Bundle]) {
-	out.Bundled, out.Info = bundled, p.infoIn.Info
+// publish stores a partition Process's result on its SAM output, with the
+// PartitionInfo it is partitioned by.
+func (p *partitionBase) publish(out *SAMBundle, data *engine.Dataset[sam.Record]) {
+	out.Data, out.info = data, p.infoIn.Info
 	if out.Header == nil && p.samIn.Header != nil {
 		out.Header = p.samIn.Header.Clone(sam.Coordinate)
 	}
@@ -272,19 +272,23 @@ func NewIndelRealignProcess(name string, info *PartitionInfoBundle, in, out *SAM
 	}
 }
 
-// Run realigns each bundle partition.
+// Run realigns each partition.
 func (p *IndelRealignProcess) Run(rt *Runtime) error {
-	bundled, err := p.bundles(rt)
+	in, err := p.partitioned(rt)
 	if err != nil {
 		return err
 	}
 	sc := rt.AlignerConfig.Scoring
-	next, err := engine.Map(p.name+"/realign", bundled, nil, func(b Bundle) Bundle {
-		recs := append([]sam.Record(nil), b.Sams...)
-		cleaner.RealignIndels(recs, rt.Ref, sc)
-		b.Sams = recs
-		return b
-	})
+	// The output carries no codec. BQSR persists these records and reads
+	// them in both its passes: under StoreSerialized a codec would encode
+	// them once and decode them twice. A reader that shuffles them again
+	// attaches the codec for the shuffle (partitionSAM).
+	next, err := engine.MapPartitions(p.name+"/realign", in, nil,
+		func(_ int, recs []sam.Record) ([]sam.Record, error) {
+			out := append([]sam.Record(nil), recs...)
+			cleaner.RealignIndels(out, rt.Ref, sc)
+			return out, nil
+		})
 	if err != nil {
 		return err
 	}
@@ -314,27 +318,23 @@ func NewBaseRecalibrationProcess(name string, info *PartitionInfoBundle, in, out
 
 // Run executes the two BQSR passes.
 func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
-	bundled, err := p.bundles(rt)
+	in, err := p.partitioned(rt)
 	if err != nil {
 		return err
 	}
-	// Both passes read the bundles, on either side of the Reduce that merges
+	// Both passes read the records, on either side of the Reduce that merges
 	// the tables, and the engine counts no readers: materialize them once
 	// here (Spark's persist) so pass 2 does not compute them again.
-	if err := bundled.Force(); err != nil {
+	if err := in.Force(); err != nil {
 		return err
 	}
 	// Pass 1: per-partition covariate tables, partition p masking the known
 	// variants that start in it.
 	known := knownByPartition(rt, p.infoIn.Info)
-	tables, err := engine.MapPartitions(p.name+"/count-covariates", bundled, nil,
-		func(part int, bs []Bundle) ([]*cleaner.RecalTable, error) {
+	tables, err := engine.MapPartitions(p.name+"/count-covariates", in, nil,
+		func(part int, recs []sam.Record) ([]*cleaner.RecalTable, error) {
 			mask := knownSitesFunc(rt, known[part])
-			var out []*cleaner.RecalTable
-			for i := range bs {
-				out = append(out, cleaner.BuildRecalTable(bs[i].Sams, rt.Ref, mask))
-			}
-			return out, nil
+			return []*cleaner.RecalTable{cleaner.BuildRecalTable(recs, rt.Ref, mask)}, nil
 		})
 	if err != nil {
 		return err
@@ -351,13 +351,11 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	// that throttles BQSR's parallel efficiency.
 	bc := engine.NewBroadcast(rt.Engine, p.name+"/broadcast-mask-table", merged, merged.SizeBytes())
 	// Pass 2: apply.
-	next, err := engine.Map(p.name+"/apply-recalibration", bundled, nil, func(b Bundle) Bundle {
-		recs := append([]sam.Record(nil), b.Sams...)
-		if err := cleaner.ApplyRecalibration(recs, bc.Value); err == nil {
-			b.Sams = recs
-		}
-		return b
-	})
+	next, err := engine.MapPartitions(p.name+"/apply-recalibration", in, rt.SAMCodec(),
+		func(_ int, recs []sam.Record) ([]sam.Record, error) {
+			out := append([]sam.Record(nil), recs...)
+			return out, cleaner.ApplyRecalibration(out, bc.Value)
+		})
 	if err != nil {
 		return err
 	}
@@ -424,42 +422,36 @@ func NewHaplotypeCallerProcess(name string, info *PartitionInfoBundle, in *SAMBu
 	}
 }
 
-// Run calls variants in every bundle partition, restricting emitted records
-// to regions owned by the partition's interval so neighbours don't
-// double-call.
+// Run calls variants in every partition, restricting emitted records to
+// regions owned by the partition's interval so neighbours don't double-call.
 func (p *HaplotypeCallerProcess) Run(rt *Runtime) error {
-	bundled, err := p.bundles(rt)
+	in, err := p.partitioned(rt)
 	if err != nil {
 		return err
 	}
-	cfg := rt.CallerConfig
-	calls, err := engine.MapPartitions(p.name+"/haplotype-caller", bundled, nil,
-		func(_ int, bs []Bundle) ([]vcf.Record, error) {
-			var out []vcf.Record
-			for i := range bs {
-				b := &bs[i]
-				// Each active region is genotyped by the partition owning
-				// its midpoint, so a region crossing a boundary is not
-				// recomputed by the neighbour.
-				var keep func(genome.Interval) bool
-				if b.Interval.Len() > 0 {
-					core := b.Interval
-					keep = func(region genome.Interval) bool {
-						return core.Contains(region.Contig, (region.Start+region.End)/2)
-					}
+	info, cfg := p.infoIn.Info, rt.CallerConfig
+	calls, err := engine.MapPartitions(p.name+"/haplotype-caller", in, nil,
+		func(part int, recs []sam.Record) ([]vcf.Record, error) {
+			iv, _ := info.Interval(part)
+			// Each active region is genotyped by the partition owning its
+			// midpoint, so a region crossing a boundary is not recomputed by
+			// the neighbour.
+			var keep func(genome.Interval) bool
+			if iv.Len() > 0 {
+				keep = func(region genome.Interval) bool {
+					return iv.Contains(region.Contig, (region.Start+region.End)/2)
 				}
-				// Every variant of an owned region is emitted: regions are
-				// owned by exactly one partition, and the driver-side
-				// collect dedupes the rare same-site calls from adjacent
-				// partitions' distinct regions.
-				calls := caller.CallVariantsFiltered(b.Sams, rt.Ref, cfg, keep)
-				if p.useGVCF && b.Interval.Len() > 0 {
-					blocks := caller.ReferenceBlocks(b.Sams, rt.Ref, b.Interval, calls, cfg.MinActiveDepth)
-					calls = caller.MergeGVCF(calls, blocks)
-				}
-				out = append(out, calls...)
 			}
-			return out, nil
+			// Every variant of an owned region is emitted: regions are owned
+			// by exactly one partition, and the driver-side collect dedupes
+			// the rare same-site calls from adjacent partitions' distinct
+			// regions.
+			calls := caller.CallVariantsFiltered(recs, rt.Ref, cfg, keep)
+			if p.useGVCF && iv.Len() > 0 {
+				blocks := caller.ReferenceBlocks(recs, rt.Ref, iv, calls, cfg.MinActiveDepth)
+				calls = caller.MergeGVCF(calls, blocks)
+			}
+			return calls, nil
 		})
 	if err != nil {
 		return err

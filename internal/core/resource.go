@@ -3,8 +3,8 @@
 // Resources (§3.1, Fig 2); the Pipeline driver performs the Process-level
 // dependency analysis of Algorithm 1 and executes everything on the in-memory
 // engine. Redundancy elimination (Fig 7) is decided where a partition Process
-// reads its input: it reuses its predecessor's bundles, so the SAM
-// partitioning shuffle happens once per chain. Dynamic load
+// reads its input: input already partitioned by its PartitionInfo is read as
+// it is, so the SAM partitioning shuffle happens once per chain. Dynamic load
 // balance follows §4.4: a RepartitionInfoProducer builds the PartitionInfo
 // structure (Figs 8-9) that maps genomic positions to partition IDs,
 // splitting overloaded partitions.
@@ -112,23 +112,20 @@ func (b *FASTQPairBundle) release(lastReader string) {
 	b.Data = nil
 }
 
-// SAMBundle is a Resource holding alignments. It carries either the flat
-// record dataset, the position-partitioned bundle dataset built by a
-// partition Process (the Fig 7b fused form), or both.
+// SAMBundle is a Resource holding alignments. A partition Process's output
+// is position-partitioned: partition p of Data holds the records of
+// info.Interval(p) (the Fig 7b "Partition Bundle RDD").
 type SAMBundle struct {
 	baseResource
-	Header  *sam.Header
-	Data    *engine.Dataset[sam.Record]
-	Bundled *engine.Dataset[Bundle]
-	// Info is the PartitionInfo the bundled form was built with.
-	Info *PartitionInfo
+	Header *sam.Header
+	Data   *engine.Dataset[sam.Record]
+	// info is the PartitionInfo Data is partitioned by, nil when Data is not
+	// position-partitioned. Only partitionBase.publish sets it, with Data.
+	info *PartitionInfo
 }
 
 func (b *SAMBundle) persist() error {
 	if err := b.released(); err != nil {
-		return err
-	}
-	if err := force(b.Bundled); err != nil {
 		return err
 	}
 	return force(b.Data)
@@ -136,7 +133,7 @@ func (b *SAMBundle) persist() error {
 
 func (b *SAMBundle) release(lastReader string) {
 	b.markReleased(lastReader)
-	b.Data, b.Bundled = nil, nil
+	b.Data = nil
 }
 
 // UndefinedSAM creates an empty SAM bundle to be filled by a Process (the

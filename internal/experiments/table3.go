@@ -75,7 +75,7 @@ func Table3(s Scale) (*Table3Result, error) {
 	// payloads that ride along in the paper's bundle (uncompressed fields,
 	// §5.2.4: "the compression rate is slightly lower" there). The row models
 	// that bundle by formula, FASTA and known VCF included; this repo's
-	// bundles carry only SAM records and their interval.
+	// partitioned SAM dataset carries only the records.
 	info, err := core.NewPartitionInfo(rt.Ref.Lengths(), rt.PartitionLen)
 	if err != nil {
 		return nil, err
