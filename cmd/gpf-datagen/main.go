@@ -95,14 +95,13 @@ func run(genomeLen, contigs int, coverage float64, seed int64, outDir string) er
 	for i := range names {
 		names[i] = ref.Contigs[i].Name
 	}
-	if err := gpf.WriteVCF(tf, nil, truth); err != nil {
+	if err := gpf.WriteVCF(tf, gpf.NewVCFHeader(names, ref.Lengths(), "SAMPLE"), truth); err != nil {
 		tf.Close()
 		return err
 	}
 	if err := tf.Close(); err != nil {
 		return err
 	}
-	_ = names
 
 	fmt.Printf("wrote %s (%d contigs, %d bases), %d read pairs, %d truth variants\n",
 		refPath, ref.NumContigs(), ref.TotalLen(), len(pairs), len(truth))

@@ -52,12 +52,22 @@ func TestDatagenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	_, truth, err := gpf.ReadVCF(tf)
+	header, truth, err := gpf.ReadVCF(tf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(truth) == 0 {
 		t.Fatal("no truth variants written")
+	}
+	// Its header names ref.fa's contigs, with their lengths.
+	if len(header.Contigs) != ref.NumContigs() {
+		t.Fatalf("truth.vcf has %d contigs, ref.fa %d", len(header.Contigs), ref.NumContigs())
+	}
+	for i, c := range header.Contigs {
+		if c.Name != ref.Contigs[i].Name || c.Length != ref.Lengths()[i] {
+			t.Fatalf("truth.vcf contig %d is %+v, ref.fa has %s of length %d",
+				i, c, ref.Contigs[i].Name, ref.Lengths()[i])
+		}
 	}
 }
 

@@ -91,9 +91,9 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 		return fmt.Errorf("either -synthetic or all of -ref/-fastq1/-fastq2 are required")
 	}
 
+	rt.Optimize = !noOptimize
 	start := time.Now()
 	wgs := gpf.BuildWGSPipeline(rt, pairs, gvcf)
-	wgs.Pipeline.Optimize = !noOptimize
 	if err := wgs.Pipeline.Run(); err != nil {
 		return err
 	}
@@ -108,12 +108,7 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 		return err
 	}
 	defer out.Close()
-	names := make([]string, ref.NumContigs())
-	for i := range names {
-		names[i] = ref.Contigs[i].Name
-	}
-	header := gpf.NewVCFHeader(names, ref.Lengths(), "sample")
-	if err := gpf.WriteVCF(out, header, calls); err != nil {
+	if err := gpf.WriteVCF(out, wgs.VCF.Header, calls); err != nil {
 		return err
 	}
 

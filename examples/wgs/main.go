@@ -34,9 +34,9 @@ func main() {
 	for _, optimize := range []bool{true, false} {
 		rt := gpf.NewRuntime(gpf.NewEngine(4), ref)
 		rt.PartitionLen = 8000
+		rt.Optimize = optimize
 		pairs := gpf.PairsToRDD(rt, reads, 8)
 		wgs := gpf.BuildWGSPipeline(rt, pairs, false)
-		wgs.Pipeline.Optimize = optimize
 		if err := wgs.Pipeline.Run(); err != nil {
 			log.Fatal(err)
 		}

@@ -49,8 +49,8 @@ type WGSOptions struct {
 	// DynamicRepartition enables §4.4's load balancing; Churchill fixes
 	// regions at the start of the analysis.
 	DynamicRepartition bool
-	// Fuse enables Process-level redundancy elimination.
-	Fuse bool
+	// Optimize enables Process-level redundancy elimination (Fig 7).
+	Optimize bool
 	// Codec selects the serializer tier.
 	Codec core.CodecTier
 }
@@ -58,24 +58,18 @@ type WGSOptions struct {
 // GPFOptions is the paper's system: dynamic repartition, fusion, genomic
 // codec.
 func GPFOptions() WGSOptions {
-	return WGSOptions{DynamicRepartition: true, Fuse: true, Codec: core.TierGPF}
+	return WGSOptions{DynamicRepartition: true, Optimize: true, Codec: core.TierGPF}
 }
 
 // ChurchillOptions: static regions decided up front, no in-memory fusion.
 // Its tool handoff through files is charged to its trace (FileHandoff).
 func ChurchillOptions() WGSOptions {
-	return WGSOptions{DynamicRepartition: false, Fuse: false, Codec: core.TierField}
+	return WGSOptions{DynamicRepartition: false, Optimize: false, Codec: core.TierField}
 }
 
-// Configure translates the options into runtime settings: the codec tier and,
-// with dynamic repartitioning off, a split threshold no census can exceed.
-// Fuse is a pipeline setting (Pipeline.Optimize), applied once the pipeline is
-// built over the dataset loaded under these settings.
+// Configure sets the runtime's three ablation switches from the options.
 func (o WGSOptions) Configure(rt *core.Runtime) {
-	rt.Codec = o.Codec
-	if !o.DynamicRepartition {
-		rt.SplitThresholdFactor = 1e18
-	}
+	rt.Codec, rt.Optimize, rt.DynamicRepartition = o.Codec, o.Optimize, o.DynamicRepartition
 }
 
 // FileHandoff is the stage Churchill spends handing one tool's output to the

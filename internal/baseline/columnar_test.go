@@ -19,9 +19,9 @@ func runWGSCalls(t *testing.T, rt *core.Runtime, pairs []fastq.Pair, tier core.C
 	t.Helper()
 	rt.Codec = tier
 	rt.Engine.StoreSerialized = true
+	rt.Optimize = true
 	ds := core.PairsToRDD(rt, pairs, rt.NumPartitions)
 	wgs := core.BuildWGSPipeline(rt, ds, false)
-	wgs.Pipeline.Optimize = true
 	if err := wgs.Pipeline.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -209,16 +209,5 @@ func CallVariantsFiltered(records []sam.Record, ref *genome.Reference, cfg Confi
 		out = append(out, CallRegion(records, ref, region, cfg)...)
 	}
 	// Deduplicate variants discovered from overlapping regions.
-	vcf.SortRecords(out)
-	dedup := out[:0]
-	for i, r := range out {
-		if i > 0 {
-			p := dedup[len(dedup)-1]
-			if p.Chrom == r.Chrom && p.Pos == r.Pos && p.Ref == r.Ref && p.Alt == r.Alt {
-				continue
-			}
-		}
-		dedup = append(dedup, r)
-	}
-	return dedup
+	return vcf.SortDedup(out)
 }

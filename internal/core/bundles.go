@@ -77,11 +77,5 @@ func partitionSAM(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 // EnsureFlat returns the record dataset of a SAM bundle, whether or not it
 // is position-partitioned. A released bundle returns the release error.
 func (b *SAMBundle) EnsureFlat(_ *Runtime) (*engine.Dataset[sam.Record], error) {
-	if err := b.released(); err != nil {
-		return nil, err
-	}
-	if b.Data == nil {
-		return nil, fmt.Errorf("core: SAM bundle %q holds no data", b.ResourceName())
-	}
-	return b.Data, nil
+	return b.dataset()
 }

@@ -519,9 +519,9 @@ func TestRedundancyEliminationReducesStages(t *testing.T) {
 	run := func(optimize bool) engine.Metrics {
 		rt := testRuntime(t, 2)
 		pairs := simPairs(t, rt, 8)
+		rt.Optimize = optimize
 		ds := PairsToRDD(rt, pairs, 4)
 		wgs := BuildWGSPipeline(rt, ds, false)
-		wgs.Pipeline.Optimize = optimize
 		if err := wgs.Pipeline.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -545,9 +545,9 @@ func TestOptimizationPreservesResults(t *testing.T) {
 	run := func(optimize bool) []vcf.Record {
 		rt := testRuntime(t, 2)
 		pairs := simPairs(t, rt, 10)
+		rt.Optimize = optimize
 		ds := PairsToRDD(rt, pairs, 4)
 		wgs := BuildWGSPipeline(rt, ds, false)
-		wgs.Pipeline.Optimize = optimize
 		if err := wgs.Pipeline.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -591,8 +591,8 @@ func TestEachOpRunsOnce(t *testing.T) {
 			t.Run(fmt.Sprintf("optimize=%v/serialized=%v", optimize, serialized), func(t *testing.T) {
 				rt := testRuntime(t, 2)
 				rt.Engine.StoreSerialized = serialized
+				rt.Optimize = optimize
 				wgs := BuildWGSPipeline(rt, PairsToRDD(rt, simPairs(t, rt, 6), 4), false)
-				wgs.Pipeline.Optimize = optimize
 				if err := wgs.Pipeline.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -721,38 +721,60 @@ func TestBundleReuseRule(t *testing.T) {
 	})
 }
 
+// TestRepartitionerSplitsHotspots: with dynamic repartitioning the census
+// splits the hotspot's partition; without it the census still runs and every
+// partition keeps its base interval.
 func TestRepartitionerSplitsHotspots(t *testing.T) {
-	rt := testRuntime(t, 2)
-	donor := genome.Mutate(rt.Ref, genome.DefaultMutateConfig(901))
-	cfg := fastq.DefaultSimConfig(903, 6)
-	cfg.Hotspots = []genome.Interval{{Contig: 0, Start: 2000, End: 4000}}
-	cfg.HotspotFactor = 30
-	pairs := fastq.Simulate(donor, cfg)
-	ds := PairsToRDD(rt, pairs, 4)
+	for _, dynamic := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
+			rt := testRuntime(t, 2)
+			rt.DynamicRepartition = dynamic
+			donor := genome.Mutate(rt.Ref, genome.DefaultMutateConfig(901))
+			cfg := fastq.DefaultSimConfig(903, 6)
+			cfg.Hotspots = []genome.Interval{{Contig: 0, Start: 2000, End: 4000}}
+			cfg.HotspotFactor = 30
+			pairs := fastq.Simulate(donor, cfg)
+			ds := PairsToRDD(rt, pairs, 4)
 
-	// Align, then repartition.
-	fastqBundle := DefinedFASTQPair("f", ds)
-	aligned := UndefinedSAM("aligned", nil)
-	info := UndefinedPartitionInfo("pi")
-	p := NewPipeline("repart", rt)
-	p.AddProcess(NewBwaMemProcess("bwa", fastqBundle, aligned))
-	p.AddProcess(NewReadRepartitionerProcess("repart", []*SAMBundle{aligned}, info))
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pi := info.Info
-	if pi == nil {
-		t.Fatal("no partition info produced")
-	}
-	if pi.NumPartitions() <= pi.NumBasePartitions() {
-		t.Fatalf("hotspot did not trigger splits: %d final vs %d base",
-			pi.NumPartitions(), pi.NumBasePartitions())
-	}
-	// The hotspot's partition must be among the split ones.
-	hotBase := pi.BaseID(0, 3000)
-	hotIv, _ := pi.Interval(pi.FinalID(0, 3000))
-	if hotIv.Len() >= rt.PartitionLen {
-		t.Fatalf("hotspot partition %d not split: interval %+v", hotBase, hotIv)
+			// Align, then repartition.
+			fastqBundle := DefinedFASTQPair("f", ds)
+			aligned := UndefinedSAM("aligned", nil)
+			info := UndefinedPartitionInfo("pi")
+			p := NewPipeline("repart", rt)
+			p.AddProcess(NewBwaMemProcess("bwa", fastqBundle, aligned))
+			p.AddProcess(NewReadRepartitionerProcess("repart", []*SAMBundle{aligned}, info))
+			if err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+			pi := info.Info
+			if pi == nil {
+				t.Fatal("no partition info produced")
+			}
+			census := false
+			for _, s := range rt.Engine.Metrics().Stages {
+				census = census || s.Name == "repart/census"
+			}
+			if !census {
+				t.Fatal("no census stage recorded")
+			}
+			if !dynamic {
+				if pi.NumPartitions() != pi.NumBasePartitions() {
+					t.Fatalf("static run split partitions: %d final vs %d base",
+						pi.NumPartitions(), pi.NumBasePartitions())
+				}
+				return
+			}
+			if pi.NumPartitions() <= pi.NumBasePartitions() {
+				t.Fatalf("hotspot did not trigger splits: %d final vs %d base",
+					pi.NumPartitions(), pi.NumBasePartitions())
+			}
+			// The hotspot's partition must be among the split ones.
+			hotBase := pi.BaseID(0, 3000)
+			hotIv, _ := pi.Interval(pi.FinalID(0, 3000))
+			if hotIv.Len() >= rt.PartitionLen {
+				t.Fatalf("hotspot partition %d not split: interval %+v", hotBase, hotIv)
+			}
+		})
 	}
 }
 

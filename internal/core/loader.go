@@ -3,7 +3,6 @@ package core
 import (
 	"io"
 
-	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 )
@@ -12,8 +11,7 @@ import (
 // files into engine datasets.
 
 // LoadFastqPairToRDD reads two mate FASTQ streams and distributes the pairs
-// over numPartitions, attaching the GPF pair codec when the runtime uses
-// genomic compression.
+// over numPartitions.
 func LoadFastqPairToRDD(rt *Runtime, r1, r2 io.Reader, numPartitions int) (*engine.Dataset[fastq.Pair], error) {
 	pairs, err := fastq.ReadPairs(r1, r2)
 	if err != nil {
@@ -22,16 +20,9 @@ func LoadFastqPairToRDD(rt *Runtime, r1, r2 io.Reader, numPartitions int) (*engi
 	return PairsToRDD(rt, pairs, numPartitions), nil
 }
 
-// PairsToRDD distributes in-memory pairs over numPartitions with the
-// configured codec — the entry point for simulated datasets.
+// PairsToRDD distributes in-memory pairs over numPartitions — the entry point
+// for simulated datasets. The pairs carry no codec: no stage stores or
+// shuffles them; the aligner reads them inside its own stage.
 func PairsToRDD(rt *Runtime, pairs []fastq.Pair, numPartitions int) *engine.Dataset[fastq.Pair] {
-	ds := engine.Parallelize(rt.Engine, pairs, numPartitions)
-	switch rt.Codec {
-	case TierGPF:
-		return engine.WithCodec[fastq.Pair](ds, compress.GPFPairCodec{})
-	case TierField:
-		return engine.WithCodec[fastq.Pair](ds, compress.FieldPairCodec{})
-	default:
-		return ds
-	}
+	return engine.Parallelize(rt.Engine, pairs, numPartitions)
 }

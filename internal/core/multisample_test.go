@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
+	"github.com/gpf-go/gpf/internal/vcf"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
@@ -97,6 +100,66 @@ func TestMultiSampleWGS(t *testing.T) {
 		if strings.Contains(n, "IndelRealign") && i < repIdx {
 			t.Fatalf("IndelRealign %q before the census", n)
 		}
+	}
+}
+
+// TestMultiSampleOneSampleIsWGS: one sample through BuildMultiSampleWGS runs
+// BuildWGSPipeline's Processes, each named behind "sample1/" except the
+// shared census, in BuildWGSPipeline's order, and writes its VCF body.
+func TestMultiSampleOneSampleIsWGS(t *testing.T) {
+	body := func(h *vcf.Header, calls []vcf.Record) string {
+		var buf bytes.Buffer
+		if err := vcf.Write(&buf, h, calls); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(l, "#") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+
+	rt := testRuntime(t, 2)
+	pairs := simPairs(t, rt, 6)
+	wgs := BuildWGSPipeline(rt, PairsToRDD(rt, pairs, 4), false)
+	if err := wgs.Pipeline.Run(); err != nil {
+		t.Fatal(err)
+	}
+	calls, err := CollectVCF(rt, wgs.VCF)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mrt := testRuntime(t, 2)
+	multi, err := BuildMultiSampleWGS(mrt, []SampleInput{{Name: "sample1", Pairs: PairsToRDD(mrt, pairs, 4)}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := multi.Pipeline.Run(); err != nil {
+		t.Fatal(err)
+	}
+	multiCalls, err := CollectVCF(mrt, multi.VCFs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want []string
+	for _, name := range wgs.Pipeline.ExecutionOrder() {
+		if name != "ReadRepartitioner" {
+			name = "sample1/" + name
+		}
+		want = append(want, name)
+	}
+	if got := multi.Pipeline.ExecutionOrder(); !slices.Equal(got, want) {
+		t.Fatalf("execution order %v, want %v", got, want)
+	}
+	if len(calls) == 0 {
+		t.Fatal("pipeline called no variants")
+	}
+	if got, want := body(multi.VCFs[0].Header, multiCalls), body(wgs.VCF.Header, calls); got != want {
+		t.Fatalf("one-sample VCF body differs from BuildWGSPipeline's:\n%s\nwant\n%s", got, want)
 	}
 }
 

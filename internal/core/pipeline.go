@@ -34,33 +34,33 @@ type Runtime struct {
 	// generic gob codec (Java-serialization-like). Baseline pipelines use
 	// the lower tiers.
 	Codec CodecTier
-	// SplitThresholdFactor: partitions holding more than factor × the median
-	// reads per non-empty partition are split by the repartitioner (§4.4
-	// step 3).
-	SplitThresholdFactor float64
+	// Optimize enables Process-level redundancy elimination (§4.3, Fig 7,
+	// partitionBase.partitioned); the Table 4 experiment turns it off.
+	Optimize bool
+	// DynamicRepartition lets the repartitioner split overloaded partitions
+	// (§4.4 step 3). Off, the census still runs and every partition keeps its
+	// base interval, as in Churchill's static regions (Fig 10).
+	DynamicRepartition bool
 	// AlignerConfig tunes the BWA-MEM-like aligner.
 	AlignerConfig align.Config
 	// CallerConfig tunes the HaplotypeCaller-like caller.
 	CallerConfig caller.Config
 
 	index *align.FMIndex
-	// optimize is the running Pipeline's Optimize: whether partition
-	// Processes may read an already-partitioned input as it is
-	// (partitionBase.partitioned).
-	optimize bool
 }
 
 // NewRuntime builds a Runtime with defaults sized for the engine context.
 func NewRuntime(eng *engine.Context, ref *genome.Reference) *Runtime {
 	return &Runtime{
-		Engine:               eng,
-		Ref:                  ref,
-		NumPartitions:        eng.Workers() * 4,
-		PartitionLen:         1_000_000,
-		Codec:                TierGPF,
-		SplitThresholdFactor: 2.0,
-		AlignerConfig:        align.DefaultConfig(),
-		CallerConfig:         caller.DefaultConfig(),
+		Engine:             eng,
+		Ref:                ref,
+		NumPartitions:      eng.Workers() * 4,
+		PartitionLen:       1_000_000,
+		Codec:              TierGPF,
+		Optimize:           true,
+		DynamicRepartition: true,
+		AlignerConfig:      align.DefaultConfig(),
+		CallerConfig:       caller.DefaultConfig(),
 	}
 }
 
@@ -80,13 +80,8 @@ func (rt *Runtime) Index() (*align.FMIndex, error) {
 // by one to form a dynamic DAG; Run analyzes dependencies and executes
 // Processes as their inputs become defined.
 type Pipeline struct {
-	Name string
-	rt   *Runtime
-	// Optimize enables Process-level redundancy elimination (§4.3, Fig 7): a
-	// partition Process reads an input already partitioned by its
-	// PartitionInfo instead of re-partitioning it. The Table 4 experiment
-	// flips it.
-	Optimize  bool
+	Name      string
+	rt        *Runtime
 	processes []Process
 	executed  []string
 	ran       bool
@@ -94,7 +89,7 @@ type Pipeline struct {
 
 // NewPipeline constructs a pipeline bound to a runtime.
 func NewPipeline(name string, rt *Runtime) *Pipeline {
-	return &Pipeline{Name: name, rt: rt, Optimize: true}
+	return &Pipeline{Name: name, rt: rt}
 }
 
 // AddProcess appends a Process to the DAG under construction.
@@ -122,7 +117,6 @@ func (p *Pipeline) Run() error {
 		return fmt.Errorf("core: pipeline %q already ran", p.Name)
 	}
 	p.ran = true
-	p.rt.optimize = p.Optimize
 	readers := map[Resource]int{}
 	for _, proc := range p.processes {
 		for _, in := range proc.Inputs() {

@@ -126,6 +126,9 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	return nil
 }
 
+// splitFactor × the median partition load is §4.4 step 3's split threshold.
+const splitFactor = 2.0
+
 // ReadRepartitionerProcess (Table 2's ReadRepartitioner, §4.4's
 // RepartitionInfoProducer) builds the PartitionInfo: equal-length base
 // partitions, a read census via a distributed reduce, and splits of
@@ -182,21 +185,17 @@ func (p *ReadRepartitionerProcess) Run(rt *Runtime) error {
 			counts[k] += v
 		}
 	}
-	// Threshold: factor × the median reads per non-empty partition. The
-	// median reflects typical load — hotspot partitions would inflate a
-	// mean and hide themselves from splitting (§4.4's segmentation
-	// threshold is set by the driver after the census).
-	if len(counts) > 0 {
+	// Threshold: splitFactor × the median reads per non-empty partition.
+	// The median reflects typical load — hotspot partitions would inflate a
+	// mean and hide themselves from splitting (§4.4's segmentation threshold
+	// is set by the driver after the census).
+	if rt.DynamicRepartition && len(counts) > 0 {
 		all := make([]int, 0, len(counts))
 		for _, v := range counts {
 			all = append(all, v)
 		}
 		sort.Ints(all)
-		median := float64(all[len(all)/2])
-		threshold := median * rt.SplitThresholdFactor
-		if threshold < 1 {
-			threshold = 1
-		}
+		threshold := max(float64(all[len(all)/2])*splitFactor, 1)
 		for part, v := range counts {
 			if float64(v) > threshold {
 				splits := int(float64(v)/threshold) + 1
@@ -221,6 +220,14 @@ type partitionBase struct {
 	infoIn *PartitionInfoBundle
 }
 
+// newPartitionBase declares a partition Process reading info and in.
+func newPartitionBase(name string, info *PartitionInfoBundle, in *SAMBundle, out Resource) partitionBase {
+	return partitionBase{
+		baseProcess: baseProcess{name: name, inputs: []Resource{info, in}, outputs: []Resource{out}},
+		samIn:       in, infoIn: info,
+	}
+}
+
 // partitioned resolves the records the Process reads, partition p holding
 // those of info.Interval(p); it is where the Fig 7 decision is made. An
 // optimized pipeline reads an input already partitioned by this Process's
@@ -240,7 +247,7 @@ func (p *partitionBase) partitioned(rt *Runtime) (*engine.Dataset[sam.Record], e
 	if err != nil {
 		return nil, err
 	}
-	if rt.optimize && in.info == info {
+	if rt.Optimize && in.info == info {
 		return flat, nil
 	}
 	return partitionSAM(rt, p.name, flat, info)
@@ -264,11 +271,8 @@ type IndelRealignProcess struct {
 // NewIndelRealignProcess constructs the realignment process.
 func NewIndelRealignProcess(name string, info *PartitionInfoBundle, in, out *SAMBundle) *IndelRealignProcess {
 	return &IndelRealignProcess{
-		partitionBase: partitionBase{
-			baseProcess: baseProcess{name: name, inputs: []Resource{info, in}, outputs: []Resource{out}},
-			samIn:       in, infoIn: info,
-		},
-		out: out,
+		partitionBase: newPartitionBase(name, info, in, out),
+		out:           out,
 	}
 }
 
@@ -308,11 +312,8 @@ type BaseRecalibrationProcess struct {
 // NewBaseRecalibrationProcess constructs the BQSR process.
 func NewBaseRecalibrationProcess(name string, info *PartitionInfoBundle, in, out *SAMBundle) *BaseRecalibrationProcess {
 	return &BaseRecalibrationProcess{
-		partitionBase: partitionBase{
-			baseProcess: baseProcess{name: name, inputs: []Resource{info, in}, outputs: []Resource{out}},
-			samIn:       in, infoIn: info,
-		},
-		out: out,
+		partitionBase: newPartitionBase(name, info, in, out),
+		out:           out,
 	}
 }
 
@@ -413,12 +414,9 @@ type HaplotypeCallerProcess struct {
 // NewHaplotypeCallerProcess constructs the caller process.
 func NewHaplotypeCallerProcess(name string, info *PartitionInfoBundle, in *SAMBundle, out *VCFBundle, useGVCF bool) *HaplotypeCallerProcess {
 	return &HaplotypeCallerProcess{
-		partitionBase: partitionBase{
-			baseProcess: baseProcess{name: name, inputs: []Resource{info, in}, outputs: []Resource{out}},
-			samIn:       in, infoIn: info,
-		},
-		out:     out,
-		useGVCF: useGVCF,
+		partitionBase: newPartitionBase(name, info, in, out),
+		out:           out,
+		useGVCF:       useGVCF,
 	}
 }
 
@@ -474,29 +472,16 @@ func refNames(rt *Runtime) []string {
 // CollectVCF gathers and sorts the final call set (the driver-side read of
 // the ResultVCF resource).
 func CollectVCF(rt *Runtime, b *VCFBundle) ([]vcf.Record, error) {
-	if err := b.released(); err != nil {
-		return nil, err
-	}
-	if b.Data == nil {
-		return nil, fmt.Errorf("core: VCF bundle %q holds no data", b.ResourceName())
-	}
-	out, err := engine.Collect(b.ResourceName()+"/collect", b.Data)
+	data, err := b.dataset()
 	if err != nil {
 		return nil, err
 	}
-	vcf.SortRecords(out)
+	out, err := engine.Collect(b.ResourceName()+"/collect", data)
+	if err != nil {
+		return nil, err
+	}
 	// Dedupe identical calls from adjacent partitions: a partition's reads
 	// run past its boundary, so two partitions' distinct active regions can
 	// call the same site.
-	dedup := out[:0]
-	for i, r := range out {
-		if i > 0 {
-			p := dedup[len(dedup)-1]
-			if p.Chrom == r.Chrom && p.Pos == r.Pos && p.Ref == r.Ref && p.Alt == r.Alt {
-				continue
-			}
-		}
-		dedup = append(dedup, r)
-	}
-	return dedup, nil
+	return vcf.SortDedup(out), nil
 }

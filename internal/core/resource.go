@@ -79,96 +79,82 @@ func (r *baseResource) released() error {
 	return fmt.Errorf("core: resource %q was released after its last reader %s", r.name, r.lastReader)
 }
 
-// force materializes d when the resource holds it.
-func force[T any](d *engine.Dataset[T]) error {
-	if d == nil {
+// dataBundle is a Resource holding one dataset; the dataset bundles embed
+// it.
+type dataBundle[T any] struct {
+	baseResource
+	Data *engine.Dataset[T]
+}
+
+func (b *dataBundle[T]) persist() error {
+	if err := b.released(); err != nil {
+		return err
+	}
+	if b.Data == nil {
 		return nil
 	}
-	return d.Force()
+	return b.Data.Force()
+}
+
+func (b *dataBundle[T]) release(lastReader string) {
+	b.markReleased(lastReader)
+	b.Data = nil
+}
+
+// dataset returns the bundle's data, or the release error once released, or
+// an error while it holds none.
+func (b *dataBundle[T]) dataset() (*engine.Dataset[T], error) {
+	if err := b.released(); err != nil {
+		return nil, err
+	}
+	if b.Data == nil {
+		return nil, fmt.Errorf("core: resource %q holds no data", b.name)
+	}
+	return b.Data, nil
 }
 
 // FASTQPairBundle is a Resource holding paired-end reads.
 type FASTQPairBundle struct {
-	baseResource
-	Data *engine.Dataset[fastq.Pair]
+	dataBundle[fastq.Pair]
 }
 
 // DefinedFASTQPair creates an already-filled FASTQ pair bundle (the
 // FASTQPairBundle.defined of Fig 3).
 func DefinedFASTQPair(name string, data *engine.Dataset[fastq.Pair]) *FASTQPairBundle {
-	b := &FASTQPairBundle{baseResource: baseResource{name: name, state: Defined}, Data: data}
-	return b
-}
-
-func (b *FASTQPairBundle) persist() error {
-	if err := b.released(); err != nil {
-		return err
-	}
-	return force(b.Data)
-}
-
-func (b *FASTQPairBundle) release(lastReader string) {
-	b.markReleased(lastReader)
-	b.Data = nil
+	return &FASTQPairBundle{dataBundle[fastq.Pair]{baseResource{name: name, state: Defined}, data}}
 }
 
 // SAMBundle is a Resource holding alignments. A partition Process's output
 // is position-partitioned: partition p of Data holds the records of
 // info.Interval(p) (the Fig 7b "Partition Bundle RDD").
 type SAMBundle struct {
-	baseResource
+	dataBundle[sam.Record]
 	Header *sam.Header
-	Data   *engine.Dataset[sam.Record]
 	// info is the PartitionInfo Data is partitioned by, nil when Data is not
 	// position-partitioned. Only partitionBase.publish sets it, with Data.
 	info *PartitionInfo
 }
 
-func (b *SAMBundle) persist() error {
-	if err := b.released(); err != nil {
-		return err
-	}
-	return force(b.Data)
-}
-
-func (b *SAMBundle) release(lastReader string) {
-	b.markReleased(lastReader)
-	b.Data = nil
-}
-
 // UndefinedSAM creates an empty SAM bundle to be filled by a Process (the
 // SAMBundle.undefined of Fig 3).
 func UndefinedSAM(name string, header *sam.Header) *SAMBundle {
-	return &SAMBundle{baseResource: baseResource{name: name}, Header: header}
+	return &SAMBundle{dataBundle: dataBundle[sam.Record]{baseResource: baseResource{name: name}}, Header: header}
 }
 
 // DefinedSAM creates an already-filled SAM bundle.
 func DefinedSAM(name string, header *sam.Header, data *engine.Dataset[sam.Record]) *SAMBundle {
-	return &SAMBundle{baseResource: baseResource{name: name, state: Defined}, Header: header, Data: data}
+	return &SAMBundle{dataBundle: dataBundle[sam.Record]{baseResource{name: name, state: Defined}, data}, Header: header}
 }
 
 // VCFBundle is a Resource holding variant calls.
 type VCFBundle struct {
-	baseResource
+	dataBundle[vcf.Record]
 	Header *vcf.Header
-	Data   *engine.Dataset[vcf.Record]
-}
-
-func (b *VCFBundle) persist() error {
-	if err := b.released(); err != nil {
-		return err
-	}
-	return force(b.Data)
-}
-
-func (b *VCFBundle) release(lastReader string) {
-	b.markReleased(lastReader)
-	b.Data = nil
 }
 
 // UndefinedVCF creates an empty VCF bundle to be filled by a Process.
 func UndefinedVCF(name string, header *vcf.Header) *VCFBundle {
-	return &VCFBundle{baseResource: baseResource{name: name}, Header: header}
+	return &VCFBundle{dataBundle: dataBundle[vcf.Record]{baseResource: baseResource{name: name}}, Header: header}
 }
 
 // PartitionInfoBundle is a Resource holding the dynamic partition map.

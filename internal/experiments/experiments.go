@@ -194,7 +194,6 @@ func driveWGS(ctx *engine.Context, kind workload.Kind, sp ScalingSpec) (*Run, er
 		}
 	}
 	wgs := core.BuildWGSPipeline(rt, ds, false)
-	wgs.Pipeline.Optimize = sp.Opts.Fuse
 	if err := wgs.Pipeline.Run(); err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ var smallRuns = NewRuns(SmallScale())
 // modifies the run another reads.
 func TestFiguresShareRuns(t *testing.T) {
 	noFuse := baseline.GPFOptions()
-	noFuse.Fuse = false
+	noFuse.Optimize = false
 	configs := []runKey{
 		{workload.WGS, baseline.GPFOptions()},
 		{workload.WGS, baseline.ChurchillOptions()},

@@ -31,9 +31,9 @@ type Table4Result struct {
 
 // Table4 simulates the runs of both configurations at 256 cores.
 func Table4(runs *Runs) (*Table4Result, error) {
-	runCol := func(label string, fuse bool) (Table4Column, error) {
+	runCol := func(label string, optimize bool) (Table4Column, error) {
 		opts := baseline.GPFOptions()
-		opts.Fuse = fuse
+		opts.Optimize = optimize
 		run, err := runs.Get(workload.WGS, opts)
 		if err != nil {
 			return Table4Column{}, err

@@ -267,6 +267,25 @@ func SortRecords(records []Record) {
 	})
 }
 
+// SortDedup sorts records with SortRecords and keeps the first of each run
+// of records equal in (chrom, pos, ref, alt), reusing records' storage. Calls
+// made twice, from overlapping active regions or adjacent partitions, become
+// one.
+func SortDedup(records []Record) []Record {
+	SortRecords(records)
+	dedup := records[:0]
+	for i, r := range records {
+		if i > 0 {
+			p := dedup[len(dedup)-1]
+			if p.Chrom == r.Chrom && p.Pos == r.Pos && p.Ref == r.Ref && p.Alt == r.Alt {
+				continue
+			}
+		}
+		dedup = append(dedup, r)
+	}
+	return dedup
+}
+
 // CompareStats summarizes a call set against a truth set.
 type CompareStats struct {
 	TruePositive  int

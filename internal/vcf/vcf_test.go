@@ -100,6 +100,33 @@ func TestSortRecords(t *testing.T) {
 	}
 }
 
+func TestSortDedup(t *testing.T) {
+	t.Run("adjacent duplicates collapse to the first", func(t *testing.T) {
+		got := SortDedup([]Record{
+			{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "G", Qual: 1},
+			{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "G", Qual: 2},
+			{Chrom: "chr1", Pos: 20, Ref: "C", Alt: "T"},
+		})
+		if len(got) != 2 || got[0].Pos != 10 || got[0].Qual != 1 || got[1].Pos != 20 {
+			t.Fatalf("deduped: %+v", got)
+		}
+	})
+	t.Run("distinct alts at one position stay", func(t *testing.T) {
+		got := SortDedup([]Record{
+			{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "T"},
+			{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "G"},
+		})
+		if len(got) != 2 || got[0].Alt != "G" || got[1].Alt != "T" {
+			t.Fatalf("deduped: %+v", got)
+		}
+	})
+	t.Run("empty input", func(t *testing.T) {
+		if got := SortDedup(nil); len(got) != 0 {
+			t.Fatalf("deduped: %+v", got)
+		}
+	})
+}
+
 func TestCompare(t *testing.T) {
 	truth := []Record{
 		{Chrom: "chr1", Pos: 100, Ref: "A", Alt: "G"},

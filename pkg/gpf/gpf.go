@@ -44,7 +44,8 @@ type (
 
 	// FASTQPairBundle holds paired-end reads.
 	FASTQPairBundle = core.FASTQPairBundle
-	// SAMBundle holds alignments (flat or partition-bundled).
+	// SAMBundle holds alignments; a partition Process's output is
+	// partitioned by genomic position.
 	SAMBundle = core.SAMBundle
 	// VCFBundle holds variant calls.
 	VCFBundle = core.VCFBundle
@@ -152,8 +153,8 @@ func LoadFastqPairToRDD(rt *Runtime, r1, r2 io.Reader, numPartitions int) (*Data
 	return core.LoadFastqPairToRDD(rt, r1, r2, numPartitions)
 }
 
-// PairsToRDD distributes in-memory pairs over numPartitions with the
-// runtime's codec tier.
+// PairsToRDD distributes in-memory pairs over numPartitions. The pairs carry
+// no codec: only the aligner reads them, inside its own stage.
 func PairsToRDD(rt *Runtime, pairs []FASTQPair, numPartitions int) *Dataset[FASTQPair] {
 	return core.PairsToRDD(rt, pairs, numPartitions)
 }
