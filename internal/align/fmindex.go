@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/gpf-go/gpf/internal/genome"
@@ -95,14 +96,33 @@ func codedText(ref *genome.Reference) (text []byte, starts []int64) {
 	return text, starts
 }
 
+// maxTextLen is the longest text, sentinel included, whose positions the
+// index's int32 suffix array, samples and counts can hold.
+const maxTextLen = math.MaxInt32
+
+// checkTextLen refuses a text of n positions the index cannot address.
+func checkTextLen(n int64) error {
+	if n > maxTextLen {
+		return fmt.Errorf("align: reference of %d bases exceeds the index's limit of %d bases (int32 positions)", n-1, maxTextLen-1)
+	}
+	return nil
+}
+
 // BuildFMIndex indexes the reference genome (forward strand; reads are
 // searched in both orientations by the aligner).
 func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
 	if ref.TotalLen() == 0 {
 		return nil, fmt.Errorf("align: empty reference")
 	}
+	if err := checkTextLen(ref.TotalLen() + 1); err != nil {
+		return nil, err
+	}
 	text, starts := codedText(ref)
-	sa := buildSuffixArray(text)
+	return indexFromSA(ref, text, starts, buildSuffixArray(text)), nil
+}
+
+// indexFromSA builds the index of the coded text from its suffix array.
+func indexFromSA(ref *genome.Reference, text []byte, starts []int64, sa []int32) *FMIndex {
 	n := len(text)
 	idx := &FMIndex{ref: ref, n: n, starts: starts}
 
@@ -137,7 +157,7 @@ func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
 	for c, f := range running {
 		idx.counts[c+2] = idx.counts[c+1] + int32(f)
 	}
-	return idx, nil
+	return idx
 }
 
 // packed converts BWT row i (0..n) to an offset into the sentinel-free

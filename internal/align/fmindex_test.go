@@ -14,7 +14,7 @@ import (
 func oracleBWT(ref *genome.Reference) []byte {
 	text, _ := codedText(ref)
 	bwt := make([]byte, len(text))
-	for i, p := range buildSuffixArray(text) {
+	for i, p := range suffixArrayDoubling(text) {
 		bwt[i] = text[(int(p)+len(text)-1)%len(text)]
 	}
 	return bwt

@@ -16,7 +16,7 @@ import (
 
 // Config tunes the caller.
 type Config struct {
-	K              int     // de Bruijn k-mer size
+	K              int     // de Bruijn k-mer size, 4..32 (2-bit codes in a uint64)
 	MaxHaplotypes  int     // haplotypes kept per region
 	RegionPad      int     // reference padding around an active region
 	MinBaseQual    int     // bases below this Phred are ignored in detection

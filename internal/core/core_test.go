@@ -951,6 +951,64 @@ func TestMarkDuplicateProcessColocatesDuplicates(t *testing.T) {
 	}
 }
 
+// TestCleanerHeadersStateTheirOrder: each SAM a cleaner chain writes may
+// say SO:coordinate only if its records, in the order a collect returns and
+// the text writer writes them, are in sam.CoordinateCompare order.
+func TestCleanerHeadersStateTheirOrder(t *testing.T) {
+	check := func(b *SAMBundle) {
+		t.Helper()
+		if b.Header == nil {
+			t.Fatalf("%s: no header", b.ResourceName())
+		}
+		if b.Header.Sort != sam.Coordinate {
+			return
+		}
+		flat, err := b.EnsureFlat(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := engine.Collect(b.ResourceName()+"/collect", flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(recs); i++ {
+			if sam.CoordinateCompare(&recs[i-1], &recs[i]) > 0 {
+				t.Fatalf("%s: header says coordinate, but record %d (%s) sorts after record %d (%s)",
+					b.ResourceName(), i-1, recs[i-1].Name, i, recs[i].Name)
+			}
+		}
+	}
+	// chain runs the cleaner Processes over freshly aligned reads as far as
+	// stages names, so the last output is read by no Process and survives
+	// the run.
+	chain := func(stages int) []*SAMBundle {
+		rt := testRuntime(t, 2)
+		rt.NumPartitions = 4
+		pl := NewPipeline("cleaner", rt)
+		aligned := UndefinedSAM("aligned", unsortedHeader(rt))
+		pl.AddProcess(NewBwaMemProcess("bwa", DefinedFASTQPair("f", PairsToRDD(rt, simPairs(t, rt, 8), 4)), aligned))
+		deduped := UndefinedSAM("deduped", nil)
+		pl.AddProcess(NewMarkDuplicateProcess("markdup", aligned, deduped))
+		outs := []*SAMBundle{deduped}
+		if stages > 1 {
+			info := UndefinedPartitionInfo("info")
+			pl.AddProcess(NewReadRepartitionerProcess("repartition", []*SAMBundle{deduped}, info))
+			realigned := UndefinedSAM("realigned", nil)
+			pl.AddProcess(NewIndelRealignProcess("realign", info, deduped, realigned))
+			recaled := UndefinedSAM("recaled", nil)
+			pl.AddProcess(NewBaseRecalibrationProcess("bqsr", info, realigned, recaled))
+			outs = []*SAMBundle{realigned, recaled}
+		}
+		if err := pl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return outs
+	}
+	for _, b := range append(chain(1), chain(3)...) {
+		check(b)
+	}
+}
+
 func TestWGSPipelineGVCFMode(t *testing.T) {
 	rt := testRuntime(t, 2)
 	pairs := simPairs(t, rt, 10)

@@ -120,8 +120,10 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 		return err
 	}
 	p.out.Data = marked
+	// Each partition is coordinate-sorted, but the partitions are hash
+	// groups, so the collected records are not: the header says unsorted.
 	if p.out.Header == nil && p.in.Header != nil {
-		p.out.Header = p.in.Header.Clone(sam.Coordinate)
+		p.out.Header = p.in.Header.Clone(sam.Unsorted)
 	}
 	return nil
 }
@@ -254,11 +256,13 @@ func (p *partitionBase) partitioned(rt *Runtime) (*engine.Dataset[sam.Record], e
 }
 
 // publish stores a partition Process's result on its SAM output, with the
-// PartitionInfo it is partitioned by.
+// PartitionInfo it is partitioned by. A position partition holds one
+// coordinate-sorted run per partition its records were shuffled out of, so
+// the header says unsorted.
 func (p *partitionBase) publish(out *SAMBundle, data *engine.Dataset[sam.Record]) {
 	out.Data, out.info = data, p.infoIn.Info
 	if out.Header == nil && p.samIn.Header != nil {
-		out.Header = p.samIn.Header.Clone(sam.Coordinate)
+		out.Header = p.samIn.Header.Clone(sam.Unsorted)
 	}
 }
 
