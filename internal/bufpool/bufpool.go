@@ -1,8 +1,11 @@
-// Package bufpool pools bytes.Buffers for serialization hot paths. The
-// engine's shuffle map side and serialized partition storage marshal every
-// bucket through a codec; without pooling each call grows a fresh buffer
-// through several doublings. Callers Get a reset buffer, encode into it, copy
-// the bytes out, and Put it back.
+// Package bufpool pools scratch memory for hot paths. Its bytes.Buffers serve
+// the two encoders that cannot size their output up front — the engine's
+// GobCodec fallback and the census's KeyedIntCodec — which would otherwise
+// grow a fresh buffer through several doublings per call. Callers Get a reset
+// buffer, encode into it, copy the bytes out, and Put it back. colfmt does
+// not use it: it encodes its columns first and allocates each block once at
+// its exact size. The slice pools (slicepool.go) serve the aligner's and the
+// pair-HMM's per-call scratch.
 package bufpool
 
 import (

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/gpf-go/gpf/internal/bufpool"
 	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
@@ -107,23 +106,38 @@ func (c Codec) effMask() engine.FieldMask {
 }
 
 // Marshal encodes recs as one columnar block carrying every column, whatever
-// Project said: a projection narrows a decode, never what is written.
+// Project said: a projection narrows a decode, never what is written. The
+// columns are encoded first, so the block is allocated once at its exact
+// size (cap == len): a stored block holds no spare capacity.
 func (Codec) Marshal(recs []sam.Record) ([]byte, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write([]byte{colMagic0, colMagic1, colVersion})
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(recs)))])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(AllFields))]) // present mask
-	for bit := 0; bit < numFields; bit++ {
+	var cols [numFields][]byte
+	size := 3 + uvarintLen(uint64(len(recs))) + uvarintLen(uint64(AllFields))
+	for bit := range cols {
 		col, err := encodeColumn(bit, recs)
 		if err != nil {
 			return nil, fmt.Errorf("colfmt: column %d: %w", bit, err)
 		}
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(col)))])
-		buf.Write(col)
+		cols[bit] = col
+		size += uvarintLen(uint64(len(col))) + len(col)
 	}
-	return bufpool.Bytes(buf), nil
+	block := make([]byte, 0, size)
+	block = append(block, colMagic0, colMagic1, colVersion)
+	block = binary.AppendUvarint(block, uint64(len(recs)))
+	block = binary.AppendUvarint(block, uint64(AllFields)) // present mask
+	for _, col := range cols {
+		block = binary.AppendUvarint(block, uint64(len(col)))
+		block = append(block, col...)
+	}
+	return block, nil
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // encodeColumn dispatches one column to its encoder.

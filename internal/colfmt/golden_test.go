@@ -48,7 +48,9 @@ func goldenBatches() [][]sam.Record {
 }
 
 // TestColumnarBlocksGolden pins colfmt.Codec.Marshal's bytes, and those of
-// re-encoding each decode, to a constant.
+// re-encoding each decode, to a constant, and checks that every block is
+// allocated at its exact size: a serialized shuffle stores the blocks it
+// fetched, so spare capacity would be retained with them.
 func TestColumnarBlocksGolden(t *testing.T) {
 	h := sha256.New()
 	var tmp [binary.MaxVarintLen64]byte
@@ -60,6 +62,9 @@ func TestColumnarBlocksGolden(t *testing.T) {
 		block, err := colfmt.Codec{}.Marshal(recs)
 		if err != nil {
 			t.Fatalf("batch %d: marshal: %v", bi, err)
+		}
+		if cap(block) != len(block) {
+			t.Fatalf("batch %d: block cap %d, len %d", bi, cap(block), len(block))
 		}
 		write(block)
 		dec, err := colfmt.Codec{}.Unmarshal(block)

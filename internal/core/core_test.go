@@ -1122,6 +1122,23 @@ func TestPipelineWithSerializedStorage(t *testing.T) {
 	if n := wgs.Realigned.Data.MemoryBytes(); n != 0 {
 		t.Fatalf("BQSR's persisted records hold %d serialized bytes, want 0", n)
 	}
+	// A shuffle of codec-carrying records stores the buckets it fetched:
+	// its reduce tasks decode nothing.
+	reduces := 0
+	for _, s := range rt.Engine.Metrics().Stages {
+		if !strings.HasSuffix(s.Name, "/reduce") {
+			continue
+		}
+		reduces++
+		for _, tk := range s.Tasks {
+			if tk.DecodedBytes != 0 {
+				t.Fatalf("%s task %d decoded %d bytes, want 0", s.Name, tk.Partition, tk.DecodedBytes)
+			}
+		}
+	}
+	if reduces == 0 {
+		t.Fatal("no shuffle ran")
+	}
 }
 
 func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {

@@ -13,14 +13,17 @@ import (
 // dataset is materialized — items (parts), or blocks when a codec is attached
 // and the context stores serialized — or lazy (plan: a recorded chain of
 // narrow ops not yet executed — see lineage.go). Materialized storage always
-// holds every field. Datasets are immutable once materialized: operations
+// holds every field. A serialized partition is a list of codec blocks that
+// decode to the partition's items in order: one block for a stage output, the
+// non-empty buckets a shuffle's reduce fetched, in map order, for a
+// PartitionBy result. Datasets are immutable once materialized: operations
 // return new datasets; forcing fills parts/blocks in place exactly once and
 // drops the plan, so no materialized dataset references its input and an
 // input nobody else holds is reclaimed by the garbage collector.
 type Dataset[T any] struct {
 	ctx    *Context
 	parts  [][]T
-	blocks [][]byte
+	blocks [][][]byte // blocks[p]: partition p's codec blocks, in item order
 	codec  Serializer[T]
 	// blockCodec is the serializer that actually encoded blocks. It is fixed
 	// at block-allocation time and survives WithCodec, so a dataset whose
@@ -149,10 +152,11 @@ func (d *Dataset[T]) partition(p int, tm *TaskMetrics) ([]T, error) {
 }
 
 // partitionNeed materializes partition p for an op that runs at the call and
-// declared that its callbacks read only the fields in need: serialized blocks
-// decode through Project(need) when the codec supports it, codec time charged
-// to tm when non-nil. Items already in memory (and a lazy chain's output)
-// come back whole.
+// declared that its callbacks read only the fields in need: each serialized
+// block decodes through Project(need) when the codec supports it, and the
+// blocks' items are concatenated in order, codec time charged to tm when
+// non-nil. Items already in memory (and a lazy chain's output) come back
+// whole.
 func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {
 	if d.isLazy() {
 		return d.plan.compute(p, tm)
@@ -164,57 +168,76 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	if d.resident != nil && p < len(d.resident) && !d.resident[p] {
 		return nil, fmt.Errorf("engine: partition %d not resident on rank %d (owned by rank %d): cross-rank reads must go through a shuffle or action", p, d.ctx.rank(), d.ctx.ownerOf(p))
 	}
-	if d.blocks != nil {
-		start := time.Now()
-		codec := d.blockCodec
-		if need != FieldsAll {
-			if pc, ok := codec.(ProjectableSerializer[T]); ok {
-				codec = pc.Project(need)
-			}
+	if d.blocks == nil {
+		return d.parts[p], nil
+	}
+	start := time.Now()
+	codec := d.blockCodec
+	if need != FieldsAll {
+		if pc, ok := codec.(ProjectableSerializer[T]); ok {
+			codec = pc.Project(need)
 		}
-		items, err := unmarshalCharged(codec, d.blocks[p], tm)
+	}
+	chunks := make([][]T, len(d.blocks[p]))
+	total := 0
+	for i, block := range d.blocks[p] {
+		items, err := unmarshalCharged(codec, block, tm)
 		if err != nil {
 			return nil, fmt.Errorf("engine: decode partition %d: %w", p, err)
 		}
-		if tm != nil {
-			tm.SerializeTime += time.Since(start)
-		}
-		return items, nil
+		chunks[i] = items
+		total += len(items)
 	}
-	return d.parts[p], nil
+	if tm != nil {
+		tm.SerializeTime += time.Since(start)
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+	items := make([]T, 0, total)
+	for _, chunk := range chunks {
+		items = append(items, chunk...)
+	}
+	return items, nil
 }
 
 // storePartition stores out as partition p of the result; when serialized
-// storage is active and a codec is attached, it encodes with the block codec
-// fixed at allocation time and charges tm.
+// storage is active and a codec is attached, it encodes out as one block with
+// the block codec fixed at allocation time and charges tm.
 func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) error {
-	if res.blocks != nil {
-		start := time.Now()
-		block, err := res.blockCodec.Marshal(out)
-		if err != nil {
-			return fmt.Errorf("engine: encode partition %d: %w", p, err)
-		}
-		if tm != nil {
-			tm.SerializeTime += time.Since(start)
-		}
-		res.blocks[p] = block
-	} else {
+	if res.blocks == nil {
 		res.parts[p] = out
+		res.markResident(p)
+		return nil
 	}
-	if res.resident != nil {
-		// Concurrent tasks write distinct elements; the store above
-		// happens-before any read of partition p by construction (tasks only
-		// read partitions their stage's ownership assigns to them).
-		res.resident[p] = true
+	start := time.Now()
+	block, err := res.blockCodec.Marshal(out)
+	if err != nil {
+		return fmt.Errorf("engine: encode partition %d: %w", p, err)
 	}
+	if tm != nil {
+		tm.SerializeTime += time.Since(start)
+	}
+	res.blocks[p] = [][]byte{block}
+	res.markResident(p)
 	return nil
+}
+
+// markResident records that this process holds partition p. Concurrent tasks
+// write distinct elements; the store before it happens-before any read of
+// partition p by construction (tasks only read partitions their stage's
+// ownership assigns to them).
+func (d *Dataset[T]) markResident(p int) {
+	if d.resident != nil {
+		d.resident[p] = true
+	}
 }
 
 // allocResult allocates the storage for n output partitions on d, choosing
 // the storage mode and fixing the block codec.
 func allocResult[T any](d *Dataset[T], n int) {
 	if d.ctx.StoreSerialized && d.codec != nil {
-		d.blocks = make([][]byte, n)
+		d.blocks = make([][][]byte, n)
 		d.blockCodec = d.codec
 	} else {
 		d.parts = make([][]T, n)
@@ -237,14 +260,23 @@ func newResult[T any](ctx *Context, codec Serializer[T], n int) *Dataset[T] {
 // encoding them; the stage rows' HeapBytes is the process-wide measure).
 func (d *Dataset[T]) MemoryBytes() int64 {
 	var n int64
-	for _, b := range d.blocks {
+	for p := range d.blocks {
+		n += d.blockBytes(p)
+	}
+	return n
+}
+
+// blockBytes is the length of partition p's stored blocks.
+func (d *Dataset[T]) blockBytes(p int) int64 {
+	var n int64
+	for _, b := range d.blocks[p] {
 		n += int64(len(b))
 	}
 	return n
 }
 
 // partitionSizeHint estimates the relative cost of processing partition p for
-// LPT dispatch: serialized block length when stored serialized, item count
+// LPT dispatch: serialized block bytes when stored serialized, item count
 // otherwise. On a lazy dataset it asks the plan (which forwards to the root
 // of the fused chain). Hints order dispatch only — a bad hint costs schedule
 // quality, never correctness.
@@ -257,7 +289,7 @@ func (d *Dataset[T]) partitionSizeHint(p int) int64 {
 	}
 	if d.blocks != nil {
 		if p < len(d.blocks) {
-			return int64(len(d.blocks[p]))
+			return d.blockBytes(p)
 		}
 		return 0
 	}

@@ -153,7 +153,10 @@ func init() {
 	// conf-projection: decode narrowing over the real columnar codec. A
 	// shuffle and a filter leave StoreSerialized columnar blocks; a census
 	// that declares its key's columns decodes only those, Count decodes
-	// headers only, and a later Collect still reads every column. The same
+	// headers only, and a later Collect still reads every column. The
+	// shuffle's stored bytes, summed over the ranks that hold its
+	// partitions, equal the in-process run's: a reduce keeps the buckets it
+	// fetched, whether they came as frames or from its own rank. The same
 	// dataflow runs again with nothing declared and must produce identical
 	// bytes on every backend.
 	RegisterJob("conf-projection", func(ctx *engine.Context, spec []byte) ([]byte, error) {
@@ -169,6 +172,13 @@ func init() {
 				func(r sam.Record) int { return int(r.Pos) })
 			if err != nil {
 				return nil, err
+			}
+			stored, err := storedBytes(ctx, sh)
+			if err != nil {
+				return nil, err
+			}
+			if stored == 0 {
+				return nil, fmt.Errorf("conf-projection: the shuffle stored no serialized bytes")
 			}
 			kept, err := engine.Filter("cp/mapped", sh, func(r sam.Record) bool { return r.Flag&4 == 0 })
 			if err != nil {
@@ -191,7 +201,7 @@ func init() {
 			for _, k := range sortedKeys(census) {
 				fmt.Fprintf(&buf, "%d=%d\n", k, census[k])
 			}
-			fmt.Fprintf(&buf, "count=%d\n", count)
+			fmt.Fprintf(&buf, "count=%d stored=%d\n", count, stored)
 			for _, r := range items {
 				fmt.Fprintf(&buf, "%s:%d:%d:%d:%s\n", r.Name, r.RefID, r.Pos, r.Flag, r.Seq)
 			}
@@ -210,6 +220,26 @@ func init() {
 		}
 		return declared, nil
 	})
+}
+
+// storedBytes sums d.MemoryBytes over the ranks: one task per rank reports
+// the bytes of the partitions that rank holds, and Collect gathers them.
+func storedBytes(ctx *engine.Context, d *engine.Dataset[sam.Record]) (int64, error) {
+	procs := ctx.Executor().Procs()
+	shares, err := engine.MapPartitions("cp/stored", engine.Parallelize(ctx, make([]int, procs), procs), nil,
+		func(int, []int) ([]int64, error) { return []int64{d.MemoryBytes()}, nil })
+	if err != nil {
+		return 0, err
+	}
+	all, err := engine.Collect("cp/stored", shares)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, b := range all {
+		n += b
+	}
+	return n, nil
 }
 
 // sortedKeys returns m's keys ascending, so printed census maps are

@@ -1,6 +1,7 @@
 package mproc
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -194,7 +195,10 @@ func (t *transport) readOne(c *conn) (bool, error) {
 			return false, perr
 		}
 		if ex := t.exchangeFor(m.seq, m.in, m.out); ex != nil {
-			if derr := ex.deliver(m.m, m.r, m.block, m.empty); derr != nil {
+			// The block leaves the frame as its own allocation: a reduce
+			// under serialized storage keeps it as partition data, and a
+			// window would pin the whole frame payload with it.
+			if derr := ex.deliver(m.m, m.r, bytes.Clone(m.block), m.empty); derr != nil {
 				return false, derr
 			}
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -96,10 +97,18 @@ func (sc *shuffleCore) run() error {
 // PartitionBy is the wide operation: items are routed to the output
 // partition returned by key (reduced modulo numPartitions). Map tasks bucket
 // their items and serialize each bucket through the dataset's codec, charging
-// shuffle-write bytes; reduce tasks decode their buckets, charging
-// shuffle-read bytes, and concatenate them in map-task order. This mirrors
+// shuffle-write bytes; reduce tasks fetch their buckets, charging
+// shuffle-read bytes, and assemble them in map-task order. This mirrors
 // Spark's hash shuffle, where shuffle data is always serialized (and spilled
 // to disk) even for in-memory datasets — the behaviour §5.3.1 measures.
+//
+// How a reduce assembles its partition follows the result's storage. Items
+// in memory: it decodes each bucket and concatenates. Serialized storage
+// (Context.StoreSerialized with a codec attached): the buckets are already
+// blocks of the result's codec, so the reduce keeps the non-empty ones it
+// fetched, in map order, as the partition — no decode and no re-encode — and
+// its task reports OutputItems 0 (the consuming stage's InputItems counts
+// the records).
 //
 // PartitionBy runs at the call: the input is forced and buckets are encoded
 // whole. The result is materialized and holds no reference to the input.
@@ -171,9 +180,22 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 			return nil
 		},
 		reduceTask: func(r int, tm *TaskMetrics, next func() (int, []byte, error)) error {
-			// Decode each bucket as it arrives, overlapping decode with
-			// still-running maps; concatenating in map-task order keeps the
-			// output independent of arrival order.
+			// Take each bucket as it arrives, overlapping the fetch (and, in
+			// memory, the decode) with still-running maps; assembling in
+			// map-task order keeps the output independent of arrival order.
+			if res.blocks != nil {
+				kept := make([][]byte, in)
+				for range in {
+					m, block, err := next()
+					if err != nil {
+						return err
+					}
+					kept[m] = block
+				}
+				res.blocks[r] = slices.DeleteFunc(kept, func(b []byte) bool { return b == nil })
+				res.markResident(r)
+				return nil
+			}
 			chunks := make([][]T, in)
 			total := 0
 			for range in {
