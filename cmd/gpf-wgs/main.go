@@ -13,9 +13,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/gpf-go/gpf/internal/engine"
@@ -103,12 +106,7 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 	}
 	elapsed := time.Since(start)
 
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := gpf.WriteVCF(out, wgs.VCF.Header, calls); err != nil {
+	if err := writeAtomic(outPath, func(w io.Writer) error { return gpf.WriteVCF(w, wgs.VCF.Header, calls) }); err != nil {
 		return err
 	}
 
@@ -116,6 +114,23 @@ func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 		fmt.Println(line)
 	}
 	return nil
+}
+
+// writeAtomic writes path through write into a synced temporary file (mode
+// 0644) in path's directory, then renames it over path: a failed write, sync
+// or close leaves path as it was and removes the temporary file.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if err = errors.Join(tmp.Chmod(0o644), write(tmp), tmp.Sync(), tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name()) // err already reports what failed
+	}
+	return err
 }
 
 // summary is the report printed after a run: pipeline time, stage and call

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -71,5 +73,42 @@ func TestClampPartLen(t *testing.T) {
 	}
 	if got := clampPartLen(1000, 40000); got != 1000 {
 		t.Fatalf("small partLen should pass through: %d", got)
+	}
+}
+
+// TestWriteAtomicKeepsOutputOnFailure: a write that fails part-way leaves an
+// existing output as it was and no temporary file behind; one that succeeds
+// replaces the output.
+func TestWriteAtomicKeepsOutputOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "calls.vcf")
+	if err := os.WriteFile(out, []byte("old calls\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errFull := errors.New("disk full")
+	err := writeAtomic(out, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "##fileformat=VCFv4.2\n"); err != nil {
+			return err
+		}
+		return errFull
+	})
+	if !errors.Is(err, errFull) {
+		t.Fatalf("writeAtomic = %v, want the writer's error", err)
+	}
+	files := func() int { entries, _ := os.ReadDir(dir); return len(entries) }
+	if got, _ := os.ReadFile(out); string(got) != "old calls\n" {
+		t.Fatalf("failed write changed the output to %q", got)
+	}
+	if n := files(); n != 1 {
+		t.Fatalf("failed write left %d files in the output directory, want 1", n)
+	}
+	if err := writeAtomic(out, func(w io.Writer) error { _, err := io.WriteString(w, "new calls\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(out); string(got) != "new calls\n" {
+		t.Fatalf("output = %q after a successful write", got)
+	}
+	if n := files(); n != 1 {
+		t.Fatalf("successful write left %d files in the output directory, want 1", n)
 	}
 }

@@ -59,13 +59,7 @@ func partitionSAM(rt *Runtime, name string, flat *engine.Dataset[sam.Record], in
 	if n == 0 {
 		return nil, fmt.Errorf("core: partition info has no partitions")
 	}
-	// Re-attaching the codec flat already carries would fork its lazy plan:
-	// the shuffle would force the fork, flat on the resource would stay
-	// lazy, and a later reader of the resource would run the chain again.
-	if flat.Codec() != rt.SAMCodec() {
-		flat = engine.WithCodec(flat, rt.SAMCodec())
-	}
-	return engine.PartitionBy(name+"/sam-partition", flat, n,
+	return engine.PartitionBy(name+"/sam-partition", engine.WithCodec(flat, rt.SAMCodec()), n,
 		func(r sam.Record) int {
 			if r.RefID < 0 {
 				return 0

@@ -93,18 +93,7 @@ func (p *MarkDuplicateProcess) Run(rt *Runtime) error {
 	if err != nil {
 		return err
 	}
-	// The fork is rarely for the codec: flat usually carries rt.SAMCodec()
-	// already. Its job is to keep a lazy input unforced. The shuffle forces
-	// the fork, which runs flat's lazy chain (the aligner, on the WGS
-	// pipeline) in its own tasks and is dropped after the call, so the
-	// aligned records are not pinned on the input resource for as long as
-	// the pipeline holds it. Pipeline.Run's release does not replace it:
-	// this Process is the input's one reader, so the Pipeline neither
-	// persists nor releases the input. Without the fork, the bench wgs
-	// workload retains 20.7 MB instead of 15.3 (retained_heap_mb, 3 of 3
-	// pairs on a 2-core Xeon).
-	grouped, err := engine.PartitionBy(p.name+"/group",
-		engine.WithCodec(flat, rt.SAMCodec()), rt.NumPartitions,
+	grouped, err := engine.PartitionBy(p.name+"/group", flat, rt.NumPartitions,
 		func(r sam.Record) int { return cleaner.GroupKey(&r) })
 	if err != nil {
 		return err
@@ -478,6 +467,10 @@ func refNames(rt *Runtime) []string {
 func CollectVCF(rt *Runtime, b *VCFBundle) ([]vcf.Record, error) {
 	data, err := b.dataset()
 	if err != nil {
+		return nil, err
+	}
+	// Stored calls free the caller's input, which a lazy handle would pin.
+	if err := data.Force(); err != nil {
 		return nil, err
 	}
 	out, err := engine.Collect(b.ResourceName()+"/collect", data)

@@ -6,9 +6,10 @@
 // (Map, Filter, FlatMap, MapPartitions, SortPartitions) do not run when
 // called — each records a lineage node over its one input, and each maximal
 // chain of narrow ops is fused into ONE task launch per partition when a
-// barrier forces the plan. Barriers are the actions (Collect, Reduce, Count,
+// barrier runs the plan. Barriers are the actions (Collect, Reduce, Count,
 // CountByKey), which return values to the driver, and the one wide operation,
 // PartitionBy, which runs at the call and returns a materialized dataset.
+// A barrier forces a copy of a lazy input; only Force stores rows on it.
 // Within a fused stage, items flow through the composed closures with no
 // intermediate partition storage and no intermediate codec round-trip; the
 // stage is recorded in metrics under the joined op names

@@ -107,8 +107,8 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 // codec that wrote them (blockCodec), so swapping codecs never reinterprets
 // old bytes. On a lazy dataset the pending plan is forked: forcing the fork
 // runs the whole chain and stores the result on the fork alone, so the
-// original stays lazy, and forcing both runs the chain twice. A nil dataset
-// stays nil, for the op that reads it to report.
+// original stays lazy, and forcing both runs the chain twice; barriers read
+// a lazy input through such a fork. A nil dataset stays nil, for its reader.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d == nil {
 		return nil

@@ -11,15 +11,15 @@ import (
 // of narrow operations recorded since the last materialized ancestor. Narrow
 // ops (Map/Filter/FlatMap/MapPartitions/SortPartitions) do not execute when
 // called — each appends itself to its one input's lineage, and compute is the
-// fully composed partition closure. A barrier (action, shuffle) forces the
+// fully composed partition closure. Force (a barrier forces a copy) runs the
 // plan: one task launch per partition runs the whole chain, every unforced
 // ancestor fused in, items flow through the composed closures with no
 // intermediate storePartition and no intermediate codec round-trip, and the
 // chain is recorded as a single fused StageMetrics row.
 //
-// The engine counts no consumers. Two lazy chains recorded over one lazy
-// node each run that node inside their own tasks; a caller that reads a node
-// twice forces it first (Spark's persist), and core.Pipeline does so for
+// The engine counts no consumers. Two lazy chains or barriers reading one
+// lazy node each run that node inside their own tasks; a caller that reads a
+// node twice forces it first (Spark's persist), and core.Pipeline does so for
 // every resource more than one Process reads. The lineage is only the typed
 // compute machinery; run-once state lives on the dataset's planMeta. Its
 // closures capture the input dataset, so runFused drops the lineage once the
@@ -130,10 +130,11 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fn fu
 // rooted here — reuse it instead of recomputing, and the dataset lets go of
 // its lineage: after a successful Force nothing in the engine refers to its
 // input, which is reclaimed once the caller drops it too. Force is the
-// engine's persist: a lazy dataset read by two consumers runs inside each of
-// them unless it is forced first. Actions and wide operations call Force
-// implicitly. Forcing a materialized dataset is a no-op; a failed Force is
-// sticky. Forcing a nil dataset is an error.
+// engine's persist and the only call that stores rows on a caller's dataset:
+// an action or a shuffle forces a copy of a lazy input and drops it, so a
+// lazy dataset read by two of them runs inside each unless forced first.
+// Forcing a materialized dataset is a no-op; a failed Force is sticky.
+// Forcing a nil dataset is an error.
 func (d *Dataset[T]) Force() error {
 	if d == nil {
 		return nilInput("force")

@@ -222,8 +222,8 @@ func (m Metrics) TotalShuffleBytes() int64 {
 	return n
 }
 
-// TotalShuffleTime sums serialization plus shuffle-stage task time, the
-// engine-side proxy for Table 4's "Shuffle Time".
+// TotalShuffleTime sums the task time of shuffle stages (codec time is inside
+// those tasks), the engine-side proxy for Table 4's "Shuffle Time".
 func (m Metrics) TotalShuffleTime() time.Duration {
 	var d time.Duration
 	for i := range m.Stages {

@@ -4,7 +4,7 @@ package engine
 // partition independently. fn receives the partition index and its items.
 //
 // Narrow operations are LAZY: the call records a lineage node and returns
-// immediately; a downstream barrier (action, shuffle) forces the maximal
+// immediately; a downstream barrier (action, shuffle) runs the maximal
 // pending chain as one fused stage (see lineage.go). Errors from fn therefore
 // surface at the barrier, wrapped with this stage's name. A narrow op reads
 // its input whole.
@@ -54,7 +54,7 @@ func Filter[T any](name string, d *Dataset[T], pred func(T) bool) (*Dataset[T], 
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is
-// an action: it forces any pending narrow chain first.
+// an action: it runs any pending narrow chain first.
 func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 	if d == nil {
 		return nil, nilInput(name)
@@ -72,15 +72,12 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 				out = append(out, p...)
 			}
 		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // Reduce folds all items with an associative function. Each task reduces its
 // partition; the driver reduces partial results serially (the Collect-style
-// serial step that throttles BQSR in §5.2.2). Reduce is an action: it forces
+// serial step that throttles BQSR in §5.2.2). Reduce is an action: it runs
 // any pending narrow chain first.
 func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error) {
 	var acc T
@@ -110,14 +107,10 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 				}
 			}
 		})
-	if err != nil {
-		var zero T
-		return zero, false, err
-	}
-	return acc, found, nil
+	return acc, found, err
 }
 
-// Count returns the total number of items. Count is an action: it forces any
+// Count returns the total number of items. Count is an action: it runs any
 // pending narrow chain first. It then reads with a zero field mask: a
 // columnar-stored dataset decodes only block headers (the record count is in
 // the header), pruning every column. Each task's count travels as the census
@@ -133,8 +126,5 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 				}
 			}
 		})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
+	return total, err
 }

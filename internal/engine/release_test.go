@@ -225,3 +225,105 @@ func TestForceKeepsSemantics(t *testing.T) {
 		}
 	}
 }
+
+// probeCodec encodes probes by value, so a shuffle of probes decodes fresh
+// ones the test does not track.
+type probeCodec struct{}
+
+func (probeCodec) Name() string { return "probe" }
+
+func (probeCodec) Marshal(items []*probe) ([]byte, error) {
+	vs := make([]int, len(items))
+	for i, p := range items {
+		vs[i] = p.v
+	}
+	return GobCodec[int]{}.Marshal(vs)
+}
+
+func (probeCodec) Unmarshal(data []byte) ([]*probe, error) {
+	vs, err := GobCodec[int]{}.Unmarshal(data)
+	items := make([]*probe, len(vs))
+	for i, v := range vs {
+		items[i] = &probe{v: v}
+	}
+	return items, err
+}
+
+// TestBarrierStoresNothingOnInput: an action or a shuffle reading a lazy
+// dataset runs its chain as a fused stage of its own and stores nothing on
+// the dataset the caller holds, so the chain's items are garbage once the
+// barrier returns, handle or no handle. Only Force stores: after it the items
+// survive every barrier, and a second barrier runs no stage for the chain.
+func TestBarrierStoresNothingOnInput(t *testing.T) {
+	barriers := []struct {
+		name string
+		run  func(d *Dataset[*probe]) error
+	}{
+		{"collect", func(d *Dataset[*probe]) error { _, err := Collect("collect", d); return err }},
+		{"count", func(d *Dataset[*probe]) error { _, err := Count("count", d); return err }},
+		{"census", func(d *Dataset[*probe]) error {
+			_, err := CountByKey("census", d, func(p *probe) int { return p.v % 3 })
+			return err
+		}},
+		{"reduce", func(d *Dataset[*probe]) error {
+			_, _, err := Reduce("reduce", d, func(a, b *probe) *probe { return &probe{v: a.v + b.v} })
+			return err
+		}},
+		{"shuffle", func(d *Dataset[*probe]) error {
+			_, err := PartitionBy("shuffle", d, 3, func(p *probe) int { return p.v })
+			return err
+		}},
+	}
+	// allocating records a lazy chain whose items are fresh probes.
+	allocating := func(ctx *Context) (*Dataset[*probe], *reclaim.Counter) {
+		freed := new(reclaim.Counter)
+		d, err := Map("alloc", Parallelize(ctx, intRange(64), 4), Serializer[*probe](probeCodec{}),
+			func(v int) *probe {
+				p := &probe{v: v}
+				freed.Track(p)
+				return p
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, freed
+	}
+	for _, b := range barriers {
+		t.Run(b.name, func(t *testing.T) {
+			ctx := NewContext(2)
+			lazy, freed := allocating(ctx)
+			if err := b.run(lazy); err != nil {
+				t.Fatal(err)
+			}
+			if st := ctx.Metrics().Stages[0]; st.Name != "alloc" || st.Kind != StageNarrow {
+				t.Fatalf("first stage %q (kind %v), want the chain's own fused stage \"alloc\"", st.Name, st.Kind)
+			}
+			if !freed.Reclaimed(64) {
+				t.Fatalf("%s stored its lazy input: %d of 64 items reclaimed while the handle is held", b.name, freed.Freed())
+			}
+			runtime.KeepAlive(lazy)
+
+			forced, freed := allocating(ctx)
+			if err := forced.Force(); err != nil {
+				t.Fatal(err)
+			}
+			ctx.ResetMetrics()
+			for i := 0; i < 2; i++ {
+				if err := b.run(forced); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, st := range ctx.Metrics().Stages {
+				if st.Kind == StageNarrow {
+					t.Fatalf("a barrier over a forced dataset ran stage %q", st.Name)
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			if n := freed.Freed(); n != 0 {
+				t.Fatalf("%d forced items reclaimed while the handle is held", n)
+			}
+			runtime.KeepAlive(forced)
+		})
+	}
+}

@@ -110,8 +110,8 @@ func (sc *shuffleCore) run() error {
 // its task reports OutputItems 0 (the consuming stage's InputItems counts
 // the records).
 //
-// PartitionBy runs at the call: the input is forced and buckets are encoded
-// whole. The result is materialized and holds no reference to the input.
+// PartitionBy runs at the call, forcing a copy of a lazy input (see Force).
+// The result is materialized and holds no reference to the input.
 // The options are ignored — routed records keep every field, so a key's read
 // mask cannot narrow the decode — and stay because bench/layers.go passes one.
 func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, _ ...StageOption) (*Dataset[T], error) {
@@ -121,6 +121,7 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	if d == nil {
 		return nil, nilInput(name)
 	}
+	d = WithCodec(d, d.codec)
 	if err := d.Force(); err != nil {
 		return nil, err
 	}

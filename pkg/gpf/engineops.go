@@ -12,10 +12,11 @@ import "github.com/gpf-go/gpf/internal/engine"
 // by joining the op names with "+"; errors from narrow op functions likewise
 // surface at the barrier, not at the recording call.
 //
-// The engine counts no readers: a lazy dataset two operations read runs
-// inside each of them unless it is forced first (Dataset.Force, Spark's
-// persist). Pipeline.Run does this for every resource more than one Process
-// reads; a Process that reads one of its own datasets twice forces it itself.
+// The engine counts no readers and a barrier stores nothing on its input: a
+// lazy dataset two operations read runs inside each of them unless it is
+// forced first (Dataset.Force, Spark's persist). Pipeline.Run does this for
+// every resource more than one Process reads; a Process that reads one of
+// its own datasets twice forces it itself.
 // Once the last Process that declares such a resource as an input has run,
 // Pipeline.Run releases it if a Process of the pipeline defined it: its data
 // handles are dropped, and a later read errors. A Process must therefore
