@@ -32,7 +32,7 @@ func main() {
 	outPath := flag.String("out", "calls.vcf", "output VCF path")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	partitions := flag.Int("partitions", 16, "input partitions")
-	partLen := flag.Int("partition-len", 1_000_000, "genomic partition length (bases)")
+	partLen := flag.Int("partition-len", 0, "genomic partition length in bases (0 = the paper's 1 Mb, a tenth of a genome under 4 Mb)")
 	synthetic := flag.Bool("synthetic", false, "run on a built-in synthetic dataset")
 	synthLen := flag.Int("synthetic-len", 150000, "synthetic genome length")
 	coverage := flag.Float64("coverage", 12, "synthetic coverage")
@@ -49,7 +49,9 @@ func main() {
 
 func run(refPath, fq1, fq2, outPath string, workers, partitions, partLen int,
 	synthetic bool, synthLen int, coverage float64, noOptimize, gvcf bool) error {
-
+	if partLen < 0 {
+		return fmt.Errorf("-partition-len %d: want 0 (automatic) or a positive length", partLen)
+	}
 	eng := gpf.NewEngine(workers)
 	var ref *gpf.Reference
 	var pairs *gpf.Dataset[gpf.FASTQPair]
@@ -134,8 +136,8 @@ func writeAtomic(path string, write func(io.Writer) error) error {
 }
 
 // summary is the report printed after a run: pipeline time, stage and call
-// counts, the partition length the run used (clampPartLen may have lowered
-// the requested one), the execution order, and the bytes shuffled with the
+// counts, the partition length the run used (clampPartLen's choice when
+// none was given), the execution order, and the bytes shuffled with the
 // codec time spent on them, and the largest heap a stage ended on.
 func summary(m engine.Metrics, elapsed time.Duration, calls int, outPath string, partLen int, order []string) []string {
 	var serialize time.Duration
@@ -161,10 +163,16 @@ func summary(m engine.Metrics, elapsed time.Duration, calls int, outPath string,
 	return lines
 }
 
-// clampPartLen keeps the partition length sensible for tiny genomes.
+// clampPartLen is the partition length a run uses: an explicit positive
+// partLen as given; 0 picks the paper's 1 Mb, or a tenth of the genome when
+// the genome is shorter than 4 Mb, so that a tiny genome still splits.
 func clampPartLen(partLen, genomeLen int) int {
-	if partLen > genomeLen/4 && genomeLen >= 40 {
+	const paper = 1_000_000
+	if partLen > 0 {
+		return partLen
+	}
+	if paper > genomeLen/4 && genomeLen >= 40 {
 		return genomeLen / 10
 	}
-	return partLen
+	return paper
 }

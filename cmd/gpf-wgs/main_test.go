@@ -16,7 +16,7 @@ import (
 
 func TestWGSRunSynthetic(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "calls.vcf")
-	err := run("", "", "", out, 2, 4, 1_000_000, true, 40000, 8, false, false)
+	err := run("", "", "", out, 2, 4, 0, true, 40000, 8, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,9 @@ func TestWGSRunMissingInputs(t *testing.T) {
 	if err := run("/nonexistent.fa", "a", "b", "x.vcf", 1, 2, 1000, false, 0, 0, false, false); err == nil {
 		t.Fatal("bad reference path should error")
 	}
+	if err := run("", "", "", "x.vcf", 1, 2, -1, true, 40000, 8, false, false); err == nil {
+		t.Fatal("a negative partition length should error")
+	}
 }
 
 // TestSummaryReportsSerializeTimeAndPartitionLength: the "serializing" figure
@@ -54,7 +57,7 @@ func TestSummaryReportsSerializeTimeAndPartitionLength(t *testing.T) {
 		{Name: "align", HeapBytes: 30e6, Tasks: []engine.TaskMetrics{{Wall: 3 * time.Second, SerializeTime: time.Second}}},
 		{Name: "sort/map", HeapBytes: 20e6, Tasks: []engine.TaskMetrics{{Wall: 2 * time.Second, SerializeTime: 250 * time.Millisecond, ShuffleWriteBytes: 2e6}}},
 	}}
-	got := summary(m, time.Second, 7, "calls.vcf", clampPartLen(1_000_000, 120000), []string{"a", "b"})
+	got := summary(m, time.Second, 7, "calls.vcf", clampPartLen(0, 120000), []string{"a", "b"})
 	want := []string{
 		"pipeline: 1s, 2 stages, 7 variants -> calls.vcf",
 		"partition length: 12000 bases",
@@ -67,12 +70,21 @@ func TestSummaryReportsSerializeTimeAndPartitionLength(t *testing.T) {
 	}
 }
 
+// TestClampPartLen: 0 asks for the paper's 1 Mb, lowered to a tenth of a
+// tiny genome; an explicit positive length is used as given, even one that
+// puts each contig in one partition.
 func TestClampPartLen(t *testing.T) {
-	if got := clampPartLen(1_000_000, 40000); got != 4000 {
-		t.Fatalf("clamp = %d, want genome/10", got)
+	if got := clampPartLen(0, 40000); got != 4000 {
+		t.Fatalf("automatic on a tiny genome = %d, want genome/10", got)
+	}
+	if got := clampPartLen(0, 10_000_000); got != 1_000_000 {
+		t.Fatalf("automatic on a large genome = %d, want the paper's 1 Mb", got)
 	}
 	if got := clampPartLen(1000, 40000); got != 1000 {
 		t.Fatalf("small partLen should pass through: %d", got)
+	}
+	if got := clampPartLen(1_000_000, 40000); got != 1_000_000 {
+		t.Fatalf("explicit whole-contig partLen = %d, want it as given", got)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 // partition p under the field mask need and reduces it to a slice via part;
 // the driver step allgathers those slices through codec, so every rank holds
 // all of them, and hands them to fold in partition order. An action is a
-// barrier: it forces a copy of a lazy d, so it stores nothing on d (see Force).
+// barrier: it forces a copy of a lazy d as items, so it stores nothing on d
+// and encodes nothing (see Force).
 func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializer[R],
 	part func(items []T) []R, fold func(parts [][]R)) error {
 	if d == nil {
 		return nilInput(name)
 	}
-	d = WithCodec(d, d.codec)
+	d = WithCodec(d, nil)
 	if err := d.Force(); err != nil {
 		return err
 	}

@@ -24,9 +24,11 @@
 //
 // The wide operation moves data through a pipelined push-based hash shuffle
 // (see shuffle.go): map and reduce tasks share one worker-pool pass, each
-// reduce task consuming bucket (m, r) as soon as map task m publishes it,
-// with output kept deterministic by merging buckets in map-task order.
-// Shuffle byte volume is charged through a pluggable serializer. Every
+// reduce task fetching bucket (m, r) as soon as map task m publishes it.
+// Its result is the blocks it fetched, kept in map-task order, whatever the
+// storage mode: the stage that reads it decodes them, as Spark's next stage
+// reads shuffle blocks. Shuffle byte volume is charged through a pluggable
+// serializer. Every
 // action is one stage that folds per-partition results on the driver
 // (action.go); under several processes those results are allgathered over
 // the same Exchange the shuffle uses, so one transport path connects ranks.
@@ -36,8 +38,8 @@
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
 // which owns the slot semaphore, first-error cancellation, panic recovery
-// and the metrics row. A Context carries one switch: StoreSerialized (the
-// paper's §4.2 storage mode).
+// and the metrics row. A Context carries one switch: StoreSerialized, the
+// storage level of what Force stores (the paper's §4.2 MEMORY_ONLY_SER).
 package engine
 
 import (
@@ -69,9 +71,12 @@ type Context struct {
 	// find their collective without a global scheduler.
 	seq atomic.Uint64
 
-	// StoreSerialized keeps dataset partitions as serialized byte blocks
-	// whenever a codec is attached — Spark's MEMORY_ONLY_SER mode that GPF
-	// relies on (§4.2). Off by default.
+	// StoreSerialized is the storage level of a persist: Force stores a
+	// dataset that carries a codec as one codec block per partition — Spark's
+	// MEMORY_ONLY_SER, which GPF relies on (§4.2) — and as items when off
+	// (the default). Nothing else reads it: a barrier's copy of a lazy input
+	// is held as items, and a shuffle's result is the blocks it fetched in
+	// either mode.
 	StoreSerialized bool
 
 	mu      sync.Mutex

@@ -10,23 +10,24 @@ import (
 )
 
 // Dataset is a partitioned in-memory collection — the engine's RDD. A
-// dataset is materialized — items (parts), or blocks when a codec is attached
-// and the context stores serialized — or lazy (plan: a recorded chain of
-// narrow ops not yet executed — see lineage.go). Materialized storage always
-// holds every field. A serialized partition is a list of codec blocks that
-// decode to the partition's items in order: one block for a stage output, the
-// non-empty buckets a shuffle's reduce fetched, in map order, for a
-// PartitionBy result. Datasets are immutable once materialized: operations
-// return new datasets; forcing fills parts/blocks in place exactly once and
-// drops the plan, so no materialized dataset references its input and an
-// input nobody else holds is reclaimed by the garbage collector.
+// dataset is materialized — items (parts) or codec blocks (blocks) — or lazy
+// (plan: a recorded chain of narrow ops not yet executed — see lineage.go).
+// Materialized storage always holds every field. A serialized partition is a
+// list of codec blocks that decode to the partition's items in order: one
+// block for a Force under Context.StoreSerialized, the non-empty buckets a
+// shuffle's reduce fetched, in map order, for every PartitionBy result.
+// Datasets are immutable once materialized: operations return new datasets;
+// forcing fills parts/blocks in place exactly once and drops the plan, so no
+// materialized dataset references its input and an input nobody else holds
+// is reclaimed by the garbage collector.
 type Dataset[T any] struct {
 	ctx    *Context
 	parts  [][]T
 	blocks [][][]byte // blocks[p]: partition p's codec blocks, in item order
 	codec  Serializer[T]
-	// blockCodec is the serializer that actually encoded blocks. It is fixed
-	// at block-allocation time and survives WithCodec, so a dataset whose
+	// blockCodec is the serializer that actually encoded blocks: the attached
+	// codec, or gob for a shuffle of a codec-less dataset. It is fixed when
+	// the blocks are allocated and survives WithCodec, so a dataset whose
 	// codec was swapped after materialization still decodes its stored bytes
 	// with the codec that wrote them (the new codec only applies to outputs
 	// derived from this dataset).
@@ -101,14 +102,15 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 	return &Dataset[T]{ctx: ctx, parts: parts}
 }
 
-// WithCodec attaches a serializer to the dataset; subsequent stage outputs
-// are stored serialized when ctx.StoreSerialized is set, and shuffles use the
-// codec for byte accounting. Already-encoded blocks keep decoding with the
+// WithCodec attaches a serializer to the dataset: Force stores its output
+// as codec blocks when ctx.StoreSerialized is set, and a shuffle of it
+// encodes its buckets with it. Already-encoded blocks keep decoding with the
 // codec that wrote them (blockCodec), so swapping codecs never reinterprets
 // old bytes. On a lazy dataset the pending plan is forked: forcing the fork
 // runs the whole chain and stores the result on the fork alone, so the
 // original stays lazy, and forcing both runs the chain twice; barriers read
-// a lazy input through such a fork. A nil dataset stays nil, for its reader.
+// a lazy input through such a fork with a nil codec, so it is held as items.
+// A nil dataset stays nil, for its reader.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d == nil {
 		return nil
@@ -201,9 +203,9 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	return items, nil
 }
 
-// storePartition stores out as partition p of the result; when serialized
-// storage is active and a codec is attached, it encodes out as one block with
-// the block codec fixed at allocation time and charges tm.
+// storePartition stores out as partition p of a forced dataset; when its
+// storage is serialized, it encodes out as one block with the block codec and
+// charges tm.
 func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) error {
 	if res.blocks == nil {
 		res.parts[p] = out
@@ -233,26 +235,14 @@ func (d *Dataset[T]) markResident(p int) {
 	}
 }
 
-// allocResult allocates the storage for n output partitions on d, choosing
-// the storage mode and fixing the block codec.
-func allocResult[T any](d *Dataset[T], n int) {
-	if d.ctx.StoreSerialized && d.codec != nil {
-		d.blocks = make([][][]byte, n)
-		d.blockCodec = d.codec
-	} else {
-		d.parts = make([][]T, n)
+// residentBitmap allocates the resident marks of an output dataset of n
+// partitions, which markResident sets as this process's tasks store them;
+// nil (fully resident) in one process.
+func residentBitmap(ctx *Context, n int) []bool {
+	if ctx.procs() > 1 {
+		return make([]bool, n)
 	}
-	if d.ctx.procs() > 1 {
-		d.resident = make([]bool, n)
-	}
-}
-
-// newResult allocates the output dataset for n partitions, carrying over the
-// codec.
-func newResult[T any](ctx *Context, codec Serializer[T], n int) *Dataset[T] {
-	res := &Dataset[T]{ctx: ctx, codec: codec}
-	allocResult(res, n)
-	return res
+	return nil
 }
 
 // MemoryBytes returns the serialized bytes the dataset stores: exact for

@@ -196,8 +196,8 @@ func (t *transport) readOne(c *conn) (bool, error) {
 		}
 		if ex := t.exchangeFor(m.seq, m.in, m.out); ex != nil {
 			// The block leaves the frame as its own allocation: a reduce
-			// under serialized storage keeps it as partition data, and a
-			// window would pin the whole frame payload with it.
+			// keeps it as partition data, and a window would pin the whole
+			// frame payload with it.
 			if derr := ex.deliver(m.m, m.r, bytes.Clone(m.block), m.empty); derr != nil {
 				return false, derr
 			}

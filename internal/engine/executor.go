@@ -61,8 +61,8 @@ type Exchange interface {
 	// after m arrived on Notify(r). Each (m, r) is read exactly once (by its
 	// reduce task, or by the allgather); a second read, or a read after
 	// Close, returns nil. nil also means the bucket was empty. The block is
-	// the reader's to keep: a serialized shuffle's reduce stores it as
-	// partition data, so it must not be a window into a larger buffer.
+	// the reader's to keep: a shuffle's reduce stores it as partition data,
+	// so it must not be a window into a larger buffer.
 	Block(m, r int) []byte
 	// Close releases the stage's transport state once the local tasks are
 	// done with it.

@@ -148,14 +148,22 @@ func (d *Dataset[T]) Force() error {
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
 // and storing only the final output. The stage is recorded under the names of
-// the ops it runs, joined, with FusedOps set to their count. Once the
-// partitions are stored the dataset drops its plan: the closures are what
-// referenced the input, and nothing reads a plan after force.
+// the ops it runs, joined, with FusedOps set to their count. A dataset with
+// a codec under Context.StoreSerialized stores one codec block per
+// partition, items otherwise: this is the one place the storage level
+// applies. Once the partitions are stored the dataset drops its plan: the
+// closures are what referenced the input, and nothing reads a plan after
+// force.
 func runFused[T any](d *Dataset[T]) error {
 	pl := d.plan
 	n := pl.nparts
 	ops := pl.ops()
-	allocResult(d, n)
+	d.resident = residentBitmap(d.ctx, n)
+	if d.ctx.StoreSerialized && d.codec != nil {
+		d.blocks, d.blockCodec = make([][][]byte, n), d.codec
+	} else {
+		d.parts = make([][]T, n)
+	}
 	err := d.ctx.runStage(taskSet{
 		row:  StageMetrics{Name: strings.Join(ops, "+"), Kind: StageNarrow, FusedOps: len(ops)},
 		n:    n,

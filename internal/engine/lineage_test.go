@@ -99,6 +99,9 @@ func TestFusionNoIntermediateCodecRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := cur.Force(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Collect("c", cur); err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +429,8 @@ func TestWithCodecOnLazyDataset(t *testing.T) {
 
 // TestSortPartitionsFuses: a partition is whole inside one task, so sorting
 // needs no barrier — map → sort → map is one fused stage whose output equals
-// forcing each step, and under serialized storage it encodes each partition
-// once.
+// forcing each step, and under serialized storage forcing it encodes each
+// partition once.
 func TestSortPartitionsFuses(t *testing.T) {
 	build := func(ctx *Context, codec Serializer[int], forceEach bool) []int {
 		d := WithCodec(Parallelize(ctx, []int{5, 3, 9, 1, 4, 8, 2, 0, 7, 6}, 3), codec)
@@ -443,6 +446,9 @@ func TestSortPartitionsFuses(t *testing.T) {
 		step(Map("neg", d, codec, func(x int) int { return -x }))
 		step(SortPartitions("sort", d, func(a, b int) bool { return a < b }))
 		step(Map("inc", d, codec, func(x int) int { return x + 1 }))
+		if err := d.Force(); err != nil {
+			t.Fatal(err)
+		}
 		out, err := Collect("c", d)
 		if err != nil {
 			t.Fatal(err)

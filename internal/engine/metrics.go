@@ -36,10 +36,9 @@ type TaskMetrics struct {
 	ShuffleReadBytes  int64
 	ShuffleWriteBytes int64
 	InputItems        int
-	// OutputItems counts the records the task produced. A serialized
-	// shuffle's reduce keeps its fetched blocks without decoding them, so it
-	// reports 0: the stage that reads the result counts the records as its
-	// InputItems.
+	// OutputItems counts the records the task produced. A shuffle's reduce
+	// keeps its fetched blocks without decoding them, so it reports 0: the
+	// stage that reads the result counts the records as its InputItems.
 	OutputItems int
 	// FetchWait is reduce-side time blocked waiting for a map bucket that no
 	// map task has published yet, slot re-acquisition included. Zero with one
@@ -222,8 +221,10 @@ func (m Metrics) TotalShuffleBytes() int64 {
 	return n
 }
 
-// TotalShuffleTime sums the task time of shuffle stages (codec time is inside
-// those tasks), the engine-side proxy for Table 4's "Shuffle Time".
+// TotalShuffleTime sums the task time of shuffle stages, the engine-side
+// proxy for Table 4's "Shuffle Time". The map side's bucketing and encode are
+// inside those tasks; the bucket decode is not, since it runs in the task of
+// the stage that reads the shuffle's result.
 func (m Metrics) TotalShuffleTime() time.Duration {
 	var d time.Duration
 	for i := range m.Stages {

@@ -96,22 +96,21 @@ func (sc *shuffleCore) run() error {
 
 // PartitionBy is the wide operation: items are routed to the output
 // partition returned by key (reduced modulo numPartitions). Map tasks bucket
-// their items and serialize each bucket through the dataset's codec, charging
-// shuffle-write bytes; reduce tasks fetch their buckets, charging
-// shuffle-read bytes, and assemble them in map-task order. This mirrors
-// Spark's hash shuffle, where shuffle data is always serialized (and spilled
-// to disk) even for in-memory datasets — the behaviour §5.3.1 measures.
+// their items and serialize each bucket through the dataset's codec (gob when
+// none is attached), charging shuffle-write bytes; reduce tasks fetch their
+// buckets, charging shuffle-read bytes. This mirrors Spark's hash shuffle,
+// where shuffle data is always serialized (and spilled to disk) even for
+// in-memory datasets — the behaviour §5.3.1 measures.
 //
-// How a reduce assembles its partition follows the result's storage. Items
-// in memory: it decodes each bucket and concatenates. Serialized storage
-// (Context.StoreSerialized with a codec attached): the buckets are already
-// blocks of the result's codec, so the reduce keeps the non-empty ones it
-// fetched, in map order, as the partition — no decode and no re-encode — and
-// its task reports OutputItems 0 (the consuming stage's InputItems counts
-// the records).
+// A reduce keeps the non-empty buckets it fetched, in map order, as its
+// partition: whatever the storage mode, a shuffle's result is the blocks it
+// fetched, and the stage that reads it decodes them (Spark's next stage
+// reading shuffle blocks). The reduce calls no codec and reports
+// OutputItems 0; the consuming stage's InputItems counts the records.
 //
-// PartitionBy runs at the call, forcing a copy of a lazy input (see Force).
-// The result is materialized and holds no reference to the input.
+// PartitionBy runs at the call, forcing a copy of a lazy input as items (see
+// Force). The result keeps the input's codec, is materialized and holds no
+// reference to the input.
 // The options are ignored — routed records keep every field, so a key's read
 // mask cannot narrow the decode — and stay because bench/layers.go passes one.
 func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(T) int, _ ...StageOption) (*Dataset[T], error) {
@@ -121,12 +120,13 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	if d == nil {
 		return nil, nilInput(name)
 	}
-	d = WithCodec(d, d.codec)
+	codec := effectiveSerializer(d.codec)
+	res := &Dataset[T]{ctx: d.ctx, codec: d.codec, blocks: make([][][]byte, numPartitions),
+		blockCodec: codec, resident: residentBitmap(d.ctx, numPartitions)}
+	d = WithCodec(d, nil)
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
-	codec := effectiveSerializer(d.codec)
-	res := newResult(d.ctx, d.codec, numPartitions)
 	in := d.NumPartitions()
 	sc := &shuffleCore{
 		ctx:     d.ctx,
@@ -181,46 +181,20 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 			return nil
 		},
 		reduceTask: func(r int, tm *TaskMetrics, next func() (int, []byte, error)) error {
-			// Take each bucket as it arrives, overlapping the fetch (and, in
-			// memory, the decode) with still-running maps; assembling in
-			// map-task order keeps the output independent of arrival order.
-			if res.blocks != nil {
-				kept := make([][]byte, in)
-				for range in {
-					m, block, err := next()
-					if err != nil {
-						return err
-					}
-					kept[m] = block
-				}
-				res.blocks[r] = slices.DeleteFunc(kept, func(b []byte) bool { return b == nil })
-				res.markResident(r)
-				return nil
-			}
-			chunks := make([][]T, in)
-			total := 0
+			// Take each bucket as it arrives, overlapping the fetch with
+			// still-running maps; keeping them in map-task order keeps the
+			// partition independent of arrival order.
+			kept := make([][]byte, in)
 			for range in {
 				m, block, err := next()
 				if err != nil {
 					return err
 				}
-				if block == nil {
-					continue
-				}
-				serStart := time.Now()
-				chunks[m], err = unmarshalCharged(codec, block, tm)
-				tm.SerializeTime += time.Since(serStart)
-				if err != nil {
-					return fmt.Errorf("engine: stage %q reduce %d: %w", name, r, err)
-				}
-				total += len(chunks[m])
+				kept[m] = block
 			}
-			out := make([]T, 0, total)
-			for _, chunk := range chunks {
-				out = append(out, chunk...)
-			}
-			tm.OutputItems = len(out)
-			return storePartition(res, r, out, tm)
+			res.blocks[r] = slices.DeleteFunc(kept, func(b []byte) bool { return b == nil })
+			res.markResident(r)
+			return nil
 		},
 	}
 	if err := sc.run(); err != nil {
