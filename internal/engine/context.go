@@ -22,15 +22,14 @@
 // callbacks read (effects.go), and the only thing that narrows is the one
 // decode of a columnar block that op itself performs (projection.go).
 //
-// The wide operation moves data through a pipelined push-based hash shuffle
-// (see shuffle.go): map and reduce tasks share one worker-pool pass, each
-// reduce task fetching bucket (m, r) as soon as map task m publishes it.
+// The wide operation moves data through a push-based hash shuffle (see
+// shuffle.go): a map stage publishes every bucket on an Exchange as it is
+// encoded, then a reduce stage takes each output partition's buckets.
 // Its result is the blocks it fetched, kept in map-task order, whatever the
 // storage mode: the stage that reads it decodes them, as Spark's next stage
 // reads shuffle blocks. Shuffle byte volume is charged through a pluggable
-// serializer. Every
-// action is one stage that folds per-partition results on the driver
-// (action.go); under several processes those results are allgathered over
+// serializer. Every action is one stage that folds per-partition results on
+// the driver (action.go); under several processes those results are allgathered over
 // the same Exchange the shuffle uses, so one transport path connects ranks.
 // Per-task and per-stage metrics (wall time, shuffle bytes, serialization
 // time, fetch wait, GC pauses) feed the cluster simulator and the

@@ -156,6 +156,30 @@ func init() {
 		return []byte("ok"), nil
 	})
 
+	// test-fetchwait: a Count lines the ranks up, then the shuffle map of
+	// partition 1, which rank 1 owns, sleeps before it routes its first
+	// item, so rank 0's reduces wait for rank 1's buckets.
+	RegisterJob("test-fetchwait", func(ctx *engine.Context, _ []byte) ([]byte, error) {
+		d := engine.Parallelize(ctx, seqInts(200), 4) // partition 1 holds 50..99
+		if _, err := engine.Count("t/lineup", d); err != nil {
+			return nil, err
+		}
+		shuf, err := engine.PartitionBy("t/slow", d, 4, func(x int) int {
+			if x == 50 {
+				time.Sleep(slowMapSleep)
+			}
+			return x * 7
+		})
+		if err != nil {
+			return nil, err
+		}
+		items, err := engine.Collect("t/collect", shuf)
+		if err != nil {
+			return nil, err
+		}
+		return []byte(fmt.Sprint(items)), nil
+	})
+
 	// test-bench: a plain shuffle sized by the spec, for the transport
 	// benchmark.
 	RegisterJob("test-bench", func(ctx *engine.Context, spec []byte) ([]byte, error) {
@@ -202,6 +226,51 @@ func TestMprocMatchesInproc(t *testing.T) {
 			t.Fatalf("procs=%d: shuffle bytes %d != in-process %d", procs,
 				got.Metrics.TotalShuffleBytes(), ref.Metrics.TotalShuffleBytes())
 		}
+	}
+}
+
+// slowMapSleep is how long test-fetchwait's map of partition 1 sleeps.
+const slowMapSleep = 50 * time.Millisecond
+
+// TestMprocFetchWaitIsCrossRankWait: the one wait FetchWait measures is a
+// reduce blocked on buckets a sibling rank's map has not sent yet. Rank 1's
+// map of partition 1 sleeps, so each of rank 0's reduces (partitions 0 and 2,
+// side by side in two slots) waits about that long: the wait is charged to
+// FetchWait and kept out of Wall, and the output is the in-process run's.
+func TestMprocFetchWaitIsCrossRankWait(t *testing.T) {
+	ref, err := Run("test-fetchwait", nil, Options{Procs: 1, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := leakcheck.Snapshot()
+	got, err := Run("test-fetchwait", nil, Options{Procs: 2, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Check(t)
+	if !bytes.Equal(got.Output, ref.Output) {
+		t.Fatalf("output differs from in-process run:\n%s\nvs\n%s", got.Output, ref.Output)
+	}
+	checked := 0
+	for _, st := range got.Metrics.Stages {
+		if st.Name != "t/slow/reduce" {
+			continue
+		}
+		for _, task := range st.Tasks {
+			if task.Rank != 0 {
+				continue
+			}
+			checked++
+			if task.FetchWait < slowMapSleep*3/5 {
+				t.Errorf("reduce %d: FetchWait %v, want most of the %v rank 1's map slept", task.Partition, task.FetchWait, slowMapSleep)
+			}
+			if task.Wall >= task.FetchWait {
+				t.Errorf("reduce %d: Wall %v not below FetchWait %v", task.Partition, task.Wall, task.FetchWait)
+			}
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("%d rank-0 reduce tasks on t/slow, want 2", checked)
 	}
 }
 
@@ -304,7 +373,7 @@ func TestWireRejectsStray(t *testing.T) {
 
 // TestMprocNoFDLeak: every mesh end the driver wires — its own, and the ones
 // it hands to workers — is closed by the time Run returns: after a clean job,
-// after a worker crash, and when the first worker cannot start, which leaves
+// after one whose reduces waited on a sibling rank, after a worker crash, and when the first worker cannot start, which leaves
 // every later worker's ends unstarted.
 func TestMprocNoFDLeak(t *testing.T) {
 	if runtime.GOOS != "linux" {
@@ -326,6 +395,7 @@ func TestMprocNoFDLeak(t *testing.T) {
 		fails     bool
 	}{
 		{"clean", "test-wordcount", false},
+		{"fetch wait", "test-fetchwait", false},
 		{"crash", "test-crash", true},
 		{"unstarted", "test-wordcount", true},
 	} {

@@ -40,9 +40,9 @@ type TaskMetrics struct {
 	// keeps its fetched blocks without decoding them, so it reports 0: the
 	// stage that reads the result counts the records as its InputItems.
 	OutputItems int
-	// FetchWait is reduce-side time blocked waiting for a map bucket that no
-	// map task has published yet, slot re-acquisition included. Zero with one
-	// slot in one process: no reduce starts before the last map has finished.
+	// FetchWait is reduce-side time blocked waiting for a bucket that a map
+	// task on a sibling rank has not yet sent. Zero in one process: no reduce
+	// starts before every map has published.
 	FetchWait time.Duration
 	// DecodedBytes counts serialized bytes this task actually decoded —
 	// block headers plus the columns its projection mask selected (whole
@@ -78,11 +78,6 @@ type StageMetrics struct {
 	GCPause time.Duration
 	// DriverTime is serial time spent on the driver (actions, broadcast).
 	DriverTime time.Duration
-	// PipelineOverlap is the wall-clock span during which this stage's tasks
-	// ran concurrently with the producing map tasks (shuffle reduce stages
-	// only: last map finish minus first reduce start, clamped at zero). Zero
-	// with one slot in one process.
-	PipelineOverlap time.Duration
 	// HeapBytes is this process's heap occupied by objects when the stage
 	// ended (after its driver step), sampled through runtime/metrics without
 	// forcing a collection: what the stage's output and everything still
@@ -188,9 +183,8 @@ func (m Metrics) NumStages() int { return len(m.Stages) }
 // they record the same stage sequence with the same task counts; each task's
 // record is taken from the rank whose Ran flag says it executed the task,
 // and per-process GC pause deltas are summed into a cluster total; HeapBytes
-// keeps the largest rank's value, the one that bounds a node's memory. Stage
-// scalars measured identically everywhere (DriverTime, PipelineOverlap) keep
-// rank 0's values.
+// keeps the largest rank's value, the one that bounds a node's memory.
+// DriverTime, measured identically everywhere, keeps rank 0's value.
 func (m Metrics) MergeRanks(others ...Metrics) Metrics {
 	out := m.clone()
 	for _, o := range others {
@@ -281,9 +275,10 @@ func (m Metrics) TotalFusedOps() int {
 	return n
 }
 
-// TotalFetchWait sums reduce-side blocked time over all stages — the
-// pipelined shuffle's analogue of Spark's fetch-wait metric that the §5.3
-// blocked-time analysis attributes separately from task CPU time.
+// TotalFetchWait sums reduce-side blocked time over all stages — the analogue
+// of Spark's fetch-wait metric that the §5.3 blocked-time analysis attributes
+// separately from task CPU time. It is a reduce waiting for a sibling rank's
+// buckets, so it is zero in one process.
 func (m Metrics) TotalFetchWait() time.Duration {
 	var d time.Duration
 	for i := range m.Stages {
@@ -292,15 +287,9 @@ func (m Metrics) TotalFetchWait() time.Duration {
 	return d
 }
 
-// TotalPipelineOverlap sums the map/reduce overlap spans of pipelined
-// shuffle stages.
-func (m Metrics) TotalPipelineOverlap() time.Duration {
-	var d time.Duration
-	for i := range m.Stages {
-		d += m.Stages[i].PipelineOverlap
-	}
-	return d
-}
+// TotalPipelineOverlap returns 0: a shuffle runs its maps, then its reduces,
+// so no reduce overlaps a map. It is kept because bench/child.go reads it.
+func (m Metrics) TotalPipelineOverlap() time.Duration { return 0 }
 
 // TotalDriverTime sums serial driver time.
 func (m Metrics) TotalDriverTime() time.Duration {

@@ -15,9 +15,8 @@ import (
 	"github.com/gpf-go/gpf/internal/testutil/leakcheck"
 )
 
-// slowCodec delays every Marshal/Unmarshal by delay, forcing map tasks to
-// still be running when reduce tasks start — the schedule that exercises
-// fetch wait and pipeline overlap.
+// slowCodec delays every Marshal/Unmarshal by delay, so map tasks are still
+// running while free slots could start reduce tasks.
 type slowCodec struct {
 	delay time.Duration
 }
@@ -113,11 +112,10 @@ func shuffleOracle(items []int, out int) [][]int {
 	return parts
 }
 
-// TestPipelinedMatchesBarrierProperty is the core determinism property: for
-// random inputs, partitionings and worker counts (W=1 included — the same
-// path, degenerated to maps-then-reduces), the shuffle's output partitions
-// are exactly the sequential oracle's.
-func TestPipelinedMatchesBarrierProperty(t *testing.T) {
+// TestShuffleMatchesOracleProperty is the core determinism property: for
+// random inputs, partitionings and worker counts (W=1 included), the
+// shuffle's output partitions are exactly the sequential oracle's.
+func TestShuffleMatchesOracleProperty(t *testing.T) {
 	f := func(raw []int16, inP, outP, w uint8) bool {
 		items := make([]int, len(raw))
 		for i, v := range raw {
@@ -134,10 +132,10 @@ func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 	}
 }
 
-// TestPipelinedDeterministicUnderRandomCompletion injects random per-block
+// TestShuffleDeterministicUnderRandomCompletion injects random per-block
 // serialization delays so map tasks publish in a different order each run;
 // the merged output must not change.
-func TestPipelinedDeterministicUnderRandomCompletion(t *testing.T) {
+func TestShuffleDeterministicUnderRandomCompletion(t *testing.T) {
 	items := intRange(500)
 	want := shuffleOracle(items, 4)
 	for trial := 0; trial < 5; trial++ {
@@ -148,15 +146,14 @@ func TestPipelinedDeterministicUnderRandomCompletion(t *testing.T) {
 	}
 }
 
-// TestPipelinedMapErrorCancelsReduces injects a map-side serialization
-// failure: the shuffle must return that error (not a cancellation), produce
-// no result, and leave no goroutine behind even though reduce tasks were
-// blocked waiting for the failed map's buckets.
-func TestPipelinedMapErrorCancelsReduces(t *testing.T) {
+// TestShuffleMapErrorSkipsReduces injects a map-side serialization failure:
+// the shuffle must return that error (not a cancellation), produce no
+// result, run no reduce stage and leave no goroutine behind. Reduces start
+// only once every map has succeeded, so none waits on the failed map.
+func TestShuffleMapErrorSkipsReduces(t *testing.T) {
 	base := leakcheck.Snapshot()
 	ctx := NewContext(8)
-	// 2 map partitions, 6 reduce partitions: reduce tasks hold worker slots
-	// and block on notifications while the poisoned map task fails.
+	// 2 map partitions, 6 reduce partitions: more free slots than maps.
 	d := WithCodec(Parallelize(ctx, intRange(100), 2), failingCodec{poison: 99})
 	// The shuffle runs at the call: the map-side failure is what it returns.
 	out, err := PartitionBy("boom", d, 6, func(x int) int { return x })
@@ -169,12 +166,17 @@ func TestPipelinedMapErrorCancelsReduces(t *testing.T) {
 	if !strings.Contains(err.Error(), "poisoned block") || errors.Is(err, context.Canceled) {
 		t.Fatalf("root cause masked by cancellation: %v", err)
 	}
+	for _, s := range ctx.Metrics().Stages {
+		if s.Name == "boom/reduce" {
+			t.Fatal("a reduce stage ran after its map stage failed")
+		}
+	}
 	base.Check(t, leakcheck.Timeout(3*time.Second))
 }
 
-// TestPipelinedPanicRecovered: a panicking route function must surface as an
-// error from the pipelined pass, with no leaked goroutines.
-func TestPipelinedPanicRecovered(t *testing.T) {
+// TestShufflePanicRecovered: a panicking route function must surface as an
+// error from the shuffle's map stage, with no leaked goroutines.
+func TestShufflePanicRecovered(t *testing.T) {
 	base := leakcheck.Snapshot()
 	ctx := NewContext(4)
 	d := Parallelize(ctx, intRange(50), 4)
@@ -190,34 +192,21 @@ func TestPipelinedPanicRecovered(t *testing.T) {
 	base.Check(t, leakcheck.Timeout(3*time.Second))
 }
 
-// TestPipelinedFetchWaitAndOverlap sets up more workers than map tasks so
-// reduce tasks start while maps are still serializing: FetchWait and
-// PipelineOverlap must be recorded. With one worker the same path cannot
-// start a reduce before the last map has released the only slot, so both are
-// structurally zero.
-func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
-	run := func(workers int) Metrics {
+// TestShuffleFetchWaitZeroInProcess: in one process every map has published
+// its buckets before the first reduce starts, so no reduce waits — even with
+// more slots than maps and maps slow enough that a reduce could have started
+// beside them — and a shuffle records exactly two stage rows.
+func TestShuffleFetchWaitZeroInProcess(t *testing.T) {
+	for _, workers := range []int{1, 8} {
 		ctx := NewContext(workers)
 		d := WithCodec(Parallelize(ctx, intRange(400), 2), slowCodec{delay: 10 * time.Millisecond})
 		if _, err := PartitionBy("pipe", d, 4, func(x int) int { return x }); err != nil {
 			t.Fatal(err)
 		}
-		return ctx.Metrics()
-	}
-	wide := run(8)
-	if wide.TotalFetchWait() == 0 {
-		t.Fatal("W=8 run recorded no fetch wait despite blocked reduces")
-	}
-	if wide.TotalPipelineOverlap() == 0 {
-		t.Fatal("W=8 run recorded no map/reduce overlap")
-	}
-	one := run(1)
-	if one.TotalFetchWait() != 0 || one.TotalPipelineOverlap() != 0 {
-		t.Fatalf("W=1 run must not record pipeline metrics: wait=%v overlap=%v",
-			one.TotalFetchWait(), one.TotalPipelineOverlap())
-	}
-	// Both runs record exactly two shuffle stage rows.
-	for _, m := range []Metrics{wide, one} {
+		m := ctx.Metrics()
+		if w := m.TotalFetchWait(); w != 0 {
+			t.Fatalf("W=%d: fetch wait %v in one process", workers, w)
+		}
 		shuffles := 0
 		for _, s := range m.Stages {
 			if s.Kind == StageShuffle {
@@ -225,14 +214,13 @@ func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
 			}
 		}
 		if shuffles != 2 {
-			t.Fatalf("shuffle stage rows = %d, want 2", shuffles)
+			t.Fatalf("W=%d: shuffle stage rows = %d, want 2", workers, shuffles)
 		}
 	}
 }
 
 // TestBarrierFallbackMatchesAccounting: the write==read byte invariant holds
-// whether the pass overlaps maps and reduces (W=2) or degenerates to
-// maps-then-reduces (W=1).
+// whether a stage runs its tasks one at a time (W=1) or side by side (W=2).
 func TestBarrierFallbackMatchesAccounting(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ctx := NewContext(workers)

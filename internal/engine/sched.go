@@ -9,12 +9,11 @@ import (
 	"time"
 )
 
-// taskSet is one batch of like tasks inside a stage pass and the template of
-// the StageMetrics row the runner records for it.
+// taskSet is the tasks of one stage and the template of the StageMetrics row
+// the runner records for it.
 type taskSet struct {
-	// row carries Name, Kind and FusedOps; the runner fills Tasks, GCPause
-	// (first set of the pass), PipelineOverlap (later sets), DriverTime and
-	// HeapBytes.
+	// row carries Name, Kind and FusedOps; the runner fills Tasks, GCPause,
+	// DriverTime and HeapBytes.
 	row StageMetrics
 	n   int
 	// hint orders dispatch largest-first (LPT, stable on ties) to shrink the
@@ -28,13 +27,11 @@ type taskSet struct {
 	driver func() (wait time.Duration, err error)
 }
 
-// stage is one pass of the stage runner — the only place the engine launches
-// tasks. Every set of the pass goes, in order, through one slot semaphore, so
-// a shuffle's reduce tasks start as map tasks free slots and with one slot
-// the pass degenerates to maps-then-reduces. The first task error or panic,
-// or the executor's job-level failure, cancels the stage with that error as
-// the cause: no further task starts, tasks parked in await return, and run
-// reports the cause once every started goroutine has joined.
+// stage is one run of the stage runner — the only place the engine launches
+// tasks. Its tasks go through one slot semaphore. The first task error or
+// panic, or the executor's job-level failure, cancels the stage with that
+// error as the cause: no further task starts, tasks blocked in await return,
+// and run reports the cause once every started goroutine has joined.
 type stage struct {
 	c      *Context
 	name   string
@@ -49,7 +46,7 @@ func (c *Context) newStage(name string) *stage {
 	return st
 }
 
-// runStage runs a single-set stage.
+// runStage runs one stage.
 func (c *Context) runStage(set taskSet) error {
 	return c.newStage(set.row.Name).run(set)
 }
@@ -97,12 +94,11 @@ func (st *stage) acquire() bool {
 	return true
 }
 
-// await receives the next value on ch for a task that holds a slot. When
-// nothing is ready the task gives its slot up while it is blocked — a stalled
-// reduce must not starve runnable work, so every slot is always held by a
-// task making progress — and takes one again before returning; the whole
-// detour, re-acquisition included, is charged to tm.FetchWait. A cancelled
-// stage ends the wait with the cause.
+// await receives the next value on ch for a task of this stage, charging
+// only the time it blocks to tm.FetchWait. The task keeps its slot while it
+// waits: a shuffle's reduce is the only caller, and it starts after every
+// local map has published, so it can wait only on a sibling rank's frames. A
+// cancelled stage or a failed job ends the wait with the cause.
 func (st *stage) await(tm *TaskMetrics, ch <-chan int) (int, error) {
 	select {
 	case v := <-ch:
@@ -110,88 +106,65 @@ func (st *stage) await(tm *TaskMetrics, ch <-chan int) (int, error) {
 	default:
 	}
 	w0 := time.Now()
-	<-st.sem
-	var v int
+	defer func() { tm.FetchWait += time.Since(w0) }()
 	select {
-	case v = <-ch:
+	case v := <-ch:
+		return v, nil
 	case <-st.ctx.Done():
 	case <-st.c.exec.Failed():
 		st.jobFailed()
 	}
-	st.sem <- struct{}{}
-	tm.FetchWait += time.Since(w0)
-	return v, context.Cause(st.ctx)
+	return 0, context.Cause(st.ctx)
 }
 
-// run executes the sets and records one StageMetrics row per set. Each task's
-// Wall is its elapsed time less FetchWait, so it stays a busy-time measure.
-func (st *stage) run(sets ...taskSet) error {
+// run executes the tasks and records the stage's StageMetrics row. Each
+// task's Wall is its elapsed time less FetchWait, so it stays a busy-time
+// measure.
+func (st *stage) run(set taskSet) error {
 	defer st.cancel(nil)
 	c := st.c
 	procs, rank := c.procs(), c.rank()
-	// Offsets from begin of each set's first task start and last task end;
-	// a later set's PipelineOverlap is how far it reached into its
-	// predecessor.
-	begin := time.Now()
-	first := make([]time.Duration, len(sets))
-	last := make([]time.Duration, len(sets))
-	for k := range sets {
-		first[k] = -1
-		sets[k].row.Tasks = make([]TaskMetrics, sets[k].n)
-		for i := range sets[k].row.Tasks {
-			sets[k].row.Tasks[i].Partition = i
-		}
+	row := &set.row
+	row.Tasks = make([]TaskMetrics, set.n)
+	for i := range row.Tasks {
+		row.Tasks[i].Partition = i
 	}
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	gc := gcPauseDelta(func() {
-	dispatch:
-		for k := range sets {
-			set := &sets[k]
-			for _, i := range lptOrder(set.n, set.hint) {
-				tm := &set.row.Tasks[i]
-				if procs > 1 {
-					// Tasks of sibling ranks keep a zero record with Ran
-					// false, which Metrics.MergeRanks splices from the rank
-					// that ran them.
-					if c.ownerOf(i) != rank {
-						continue
-					}
-					tm.Ran, tm.Rank = true, rank
+	row.GCPause = gcPauseDelta(func() {
+		for _, i := range lptOrder(set.n, set.hint) {
+			tm := &row.Tasks[i]
+			if procs > 1 {
+				// Tasks of sibling ranks keep a zero record with Ran false,
+				// which Metrics.MergeRanks splices from the rank that ran
+				// them.
+				if c.ownerOf(i) != rank {
+					continue
 				}
-				if !st.acquire() {
-					break dispatch
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-st.sem }()
-					// Cancel before the slot is released above: a dispatcher
-					// that wins the slot then sees the cancellation.
-					defer func() {
-						if p := recover(); p != nil {
-							st.cancel(fmt.Errorf("engine: task %d panicked: %v\n%s", i, p, debug.Stack()))
-						}
-					}()
-					t0 := time.Since(begin)
-					err := set.fn(i, tm)
-					t1 := time.Since(begin)
-					if wall := t1 - t0 - tm.FetchWait; wall > 0 {
-						tm.Wall = wall
-					}
-					mu.Lock()
-					if first[k] < 0 || t0 < first[k] {
-						first[k] = t0
-					}
-					if t1 > last[k] {
-						last[k] = t1
-					}
-					mu.Unlock()
-					if err != nil {
-						st.cancel(err)
+				tm.Ran, tm.Rank = true, rank
+			}
+			if !st.acquire() {
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-st.sem }()
+				// Cancel before the slot is released above: a dispatcher that
+				// wins the slot then sees the cancellation.
+				defer func() {
+					if p := recover(); p != nil {
+						st.cancel(fmt.Errorf("engine: task %d panicked: %v\n%s", i, p, debug.Stack()))
 					}
 				}()
-			}
+				t0 := time.Now()
+				err := set.fn(i, tm)
+				if wall := time.Since(t0) - tm.FetchWait; wall > 0 {
+					tm.Wall = wall
+				}
+				if err != nil {
+					st.cancel(err)
+				}
+			}()
 		}
 		wg.Wait()
 	})
@@ -201,21 +174,13 @@ func (st *stage) run(sets ...taskSet) error {
 	default:
 	}
 	err := context.Cause(st.ctx)
-	for k := range sets {
-		row := &sets[k].row
-		if k == 0 {
-			row.GCPause = gc
-		} else if first[k] >= 0 && last[k-1] > first[k] {
-			row.PipelineOverlap = last[k-1] - first[k]
-		}
-		if sets[k].driver != nil && err == nil {
-			t0 := time.Now()
-			var wait time.Duration
-			wait, err = sets[k].driver()
-			row.DriverTime = time.Since(t0) - wait
-		}
-		row.HeapBytes = readHeapBytes()
-		c.recordStage(*row)
+	if set.driver != nil && err == nil {
+		t0 := time.Now()
+		var wait time.Duration
+		wait, err = set.driver()
+		row.DriverTime = time.Since(t0) - wait
 	}
+	row.HeapBytes = readHeapBytes()
+	c.recordStage(*row)
 	return err
 }

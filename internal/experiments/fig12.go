@@ -22,10 +22,6 @@ type Fig12Workload struct {
 	Phases          []Fig12Phase
 	ShuffleFraction float64 // fraction of time moving shuffle data to/from disk
 	GCFraction      float64
-	// FetchWaitFraction is the share of task time reduce tasks spent blocked
-	// waiting for map buckets — the residual stall the pipelined push-based
-	// shuffle could not hide under map execution.
-	FetchWaitFraction float64
 }
 
 // Fig12Result reproduces Figure 12: the improvement in job completion time
@@ -69,10 +65,8 @@ func Fig12(runs *Runs) (*Fig12Result, error) {
 		whole := stats.BlockedTime(full, cfg, 2048, cluster.SparkOptions())
 		wl.ShuffleFraction = whole.ShuffleFraction
 		gcTotal := run.Metrics.TotalGCPause()
-		taskTotal := run.Metrics.TotalTaskTime()
-		if taskTotal > 0 {
+		if taskTotal := run.Metrics.TotalTaskTime(); taskTotal > 0 {
 			wl.GCFraction = float64(gcTotal) / float64(taskTotal+gcTotal)
-			wl.FetchWaitFraction = float64(run.Metrics.TotalFetchWait()) / float64(taskTotal+gcTotal)
 		}
 		res.Workloads = append(res.Workloads, wl)
 	}
@@ -97,8 +91,8 @@ func (r *Fig12Result) MaxDiskImprovement() float64 {
 func (r *Fig12Result) Format() []string {
 	out := []string{"Figure 12: JCT reduction from eliminating blocked time"}
 	for _, wl := range r.Workloads {
-		out = append(out, fmt.Sprintf("%s (shuffle-data fraction %.2f%%, GC fraction %.2f%%, fetch-wait fraction %.2f%%)",
-			wl.Workload, 100*wl.ShuffleFraction, 100*wl.GCFraction, 100*wl.FetchWaitFraction))
+		out = append(out, fmt.Sprintf("%s (shuffle-data fraction %.2f%%, GC fraction %.2f%%)",
+			wl.Workload, 100*wl.ShuffleFraction, 100*wl.GCFraction))
 		for _, p := range wl.Phases {
 			out = append(out, row("  "+p.Phase,
 				fmt.Sprintf("without disk %5.2f%%", 100*p.WithoutDisk),
