@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -268,6 +269,33 @@ func (c *countProcess) Run(rt *Runtime) error {
 	}
 	_, err = engine.Count(c.name+"/count", mapped)
 	return err
+}
+
+func TestPipelineProcessFailurePropagates(t *testing.T) {
+	rt := testRuntime(t, 1)
+	var ran []string
+	src := DefinedFASTQPair("src", nil)
+	mid := UndefinedSAM("mid", nil)
+	end := UndefinedSAM("end", nil)
+	failing := newStub("boom", &ran, []Resource{src}, []Resource{mid})
+	failing.fail = errors.New("executor lost")
+	p := NewPipeline("fail", rt)
+	p.AddProcess(failing)
+	p.AddProcess(newStub("after", &ran, []Resource{mid}, []Resource{end}))
+	err := p.Run()
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v", err)
+	}
+	// The dependent process must not have run.
+	for _, n := range ran {
+		if n == "after" {
+			t.Fatal("dependent process ran despite failure")
+		}
+	}
+	// The failing process's output must stay undefined.
+	if mid.State() == Defined {
+		t.Fatal("failed process output marked defined")
+	}
 }
 
 // TestPipelinePersistsSharedResource: a lazy resource two Processes read is

@@ -49,12 +49,13 @@ func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializ
 // every rank resumes the driver program with identical values (SPMD
 // lockstep). It rides the shuffle's Exchange with len(parts) map slots and
 // procs reduce slots, reduce slot r being rank r: each rank publishes the blob
-// of every partition it owns to every sibling, then awaits and decodes the
-// rest. Locally-run partitions keep their values (codecs round-trip values
-// exactly, so all ranks agree), and no blob is charged as shuffle bytes. wait
-// is the time blocked on peers, which the stage runner keeps out of
-// DriverTime; the encode and decode are this rank's own serial work. No-op
-// with one process.
+// of every partition it owns to every sibling (and an empty bucket to
+// itself), waits for its slot to be Ready, and decodes the rest.
+// Locally-run partitions keep their values (codecs round-trip values exactly,
+// so all ranks agree), and no blob is charged as shuffle bytes. wait is the
+// time blocked on peers, which the stage runner records as FetchWait and
+// keeps out of DriverTime; the encode and decode are this rank's own serial
+// work. No-op with one process.
 func allgather[R any](ctx *Context, codec Serializer[R], parts [][]R) (wait time.Duration, err error) {
 	procs, rank := ctx.procs(), ctx.rank()
 	if procs == 1 {
@@ -62,36 +63,32 @@ func allgather[R any](ctx *Context, codec Serializer[R], parts [][]R) (wait time
 	}
 	ex := ctx.exec.Exchange(ctx.nextSeq(), len(parts), procs)
 	defer ex.Close()
-	missing := 0
 	for p := range parts {
 		if ctx.ownerOf(p) != rank {
-			missing++
 			continue
 		}
 		blob, err := codec.Marshal(parts[p])
 		if err != nil {
 			return 0, fmt.Errorf("engine: gather encode partition %d: %w", p, err)
 		}
-		for r := 0; r < procs; r++ {
-			if r != rank {
+		for r := range procs {
+			if r == rank {
+				ex.Publish(p, r, nil) // this rank keeps parts[p] as it is
+			} else {
 				ex.Publish(p, r, blob)
 			}
 		}
 	}
-	for ; missing > 0; missing-- {
-		t0 := time.Now()
-		var p int
-		select {
-		case p = <-ex.Notify(rank):
-		case <-ctx.exec.Failed():
-			return wait + time.Since(t0), ctx.exec.Err()
+	if wait, err = ctx.awaitPeers(ex); err != nil {
+		return wait, err
+	}
+	for p, blob := range ex.Take(rank) {
+		if ctx.ownerOf(p) == rank {
+			continue
 		}
-		wait += time.Since(t0)
-		items, err := codec.Unmarshal(ex.Block(p, rank))
-		if err != nil {
+		if parts[p], err = codec.Unmarshal(blob); err != nil {
 			return wait, fmt.Errorf("engine: gather decode partition %d: %w", p, err)
 		}
-		parts[p] = items
 	}
 	return wait, nil
 }

@@ -25,15 +25,17 @@
 // The wide operation moves data through a push-based hash shuffle (see
 // shuffle.go): a map stage publishes every bucket on an Exchange as it is
 // encoded, then a reduce stage takes each output partition's buckets.
-// Its result is the blocks it fetched, kept in map-task order, whatever the
-// storage mode: the stage that reads it decodes them, as Spark's next stage
-// reads shuffle blocks. Shuffle byte volume is charged through a pluggable
-// serializer. Every action is one stage that folds per-partition results on
-// the driver (action.go); under several processes those results are allgathered over
-// the same Exchange the shuffle uses, so one transport path connects ranks.
-// Per-task and per-stage metrics (wall time, shuffle bytes, serialization
-// time, fetch wait, GC pauses) feed the cluster simulator and the
-// blocked-time analysis of §5.3.
+// Between the two the driver waits for the buckets sibling ranks send: no
+// task ever waits on another rank. Its result is the blocks it fetched, kept
+// in map-task order, whatever the storage mode: the stage that reads it
+// decodes them, as Spark's next stage reads shuffle blocks. Shuffle byte
+// volume is charged through a pluggable serializer. Every action is one
+// stage that folds per-partition results on the driver (action.go); under
+// several processes those results are allgathered over the same Exchange the
+// shuffle uses, so one transport path connects ranks. Per-task metrics (wall
+// time, shuffle bytes, serialization time) and per-stage ones (fetch wait,
+// driver time, GC pauses) feed the cluster simulator and the blocked-time
+// analysis of §5.3.
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
 // which owns the slot semaphore, first-error cancellation, panic recovery

@@ -354,54 +354,77 @@ func TestConformanceRepeatedMproc(t *testing.T) {
 	}
 }
 
-// TestExchangeBlockHandsOver: on both backends Block hands a bucket over —
-// the fetch clears the exchange's slot, so the exchange stops holding the
-// block as soon as its reader has it, and a second Block of the same (m, r)
-// returns nil. Over mproc this holds for a bucket that arrived as a frame
-// from a sibling rank and for one published locally, and a bucket still
-// unread at Close is gone after it. Reduce slots 1 and 3 are rank 1's.
-func TestExchangeBlockHandsOver(t *testing.T) {
+// TestExchangeTakeHandsOver: on both backends an Exchange is Ready only once
+// the last bucket for the reduce slots this process owns is in, and Take
+// hands a slot's blocks over in map order whatever order they were published
+// in. The hand-over clears the slot, so the exchange stops holding the blocks
+// as soon as their reader has them: a second Take holds no block, and a slot
+// still untaken at Close is gone after it. Over mproc one slot mixes a bucket
+// that arrived as a frame from a sibling rank with one published locally;
+// reduce slots 1 and 3 are rank 1's.
+func TestExchangeTakeHandsOver(t *testing.T) {
 	base := leakcheck.Snapshot()
-	// fetch receives the next map index on r's Notify and checks that the
-	// first Block returns want[m] and the second nil.
-	fetch := func(t *testing.T, ex engine.Exchange, r int, want map[int]string) {
+	notReady := func(t *testing.T, ex engine.Exchange) {
 		t.Helper()
-		for range want {
-			var m int
-			select {
-			case m = <-ex.Notify(r):
-			case <-time.After(10 * time.Second):
-				t.Fatalf("reduce %d: no bucket arrived", r)
+		select {
+		case <-ex.Ready():
+			t.Fatal("Ready before the last bucket was published")
+		default:
+		}
+	}
+	// take waits for Ready, checks that Take(r) returns want in map order
+	// ("" for an empty bucket) and that a second Take holds no block.
+	take := func(t *testing.T, ex engine.Exchange, r int, want ...string) {
+		t.Helper()
+		select {
+		case <-ex.Ready():
+		case <-time.After(10 * time.Second):
+			t.Fatal("not Ready after the last bucket")
+		}
+		got := ex.Take(r)
+		if len(got) != len(want) {
+			t.Fatalf("Take(%d) = %q, want %q", r, got, want)
+		}
+		for m := range want {
+			if string(got[m]) != want[m] {
+				t.Fatalf("Take(%d) = %q, want %q", r, got, want)
 			}
-			if got := ex.Block(m, r); string(got) != want[m] {
-				t.Fatalf("Block(%d, %d) = %q, want %q", m, r, got, want[m])
+		}
+		for _, b := range ex.Take(r) {
+			if b != nil {
+				t.Fatalf("second Take(%d) holds %q", r, b)
 			}
-			if got := ex.Block(m, r); got != nil {
-				t.Fatalf("second Block(%d, %d) = %q, want nil", m, r, got)
-			}
+		}
+	}
+	afterClose := func(t *testing.T, ex engine.Exchange, r int) {
+		t.Helper()
+		ex.Close()
+		if got := ex.Take(r); got != nil {
+			t.Fatalf("Take(%d) after Close = %q, want nil", r, got)
 		}
 	}
 
 	t.Run("inproc", func(t *testing.T) {
-		ex := engine.NewContext(1).Executor().Exchange(1, 2, 4)
-		defer ex.Close()
-		ex.Publish(0, 1, []byte("m0"))
+		ex := engine.NewContext(1).Executor().Exchange(1, 2, 2)
 		ex.Publish(1, 1, []byte("m1"))
-		fetch(t, ex, 1, map[int]string{0: "m0", 1: "m1"})
+		ex.Publish(1, 0, []byte("unread"))
+		ex.Publish(0, 0, nil)
+		notReady(t, ex)
+		ex.Publish(0, 1, []byte("m0"))
+		take(t, ex, 1, "m0", "m1")
+		afterClose(t, ex, 0)
 	})
 
 	t.Run("mproc", func(t *testing.T) {
 		drv, wrk := pipePair()
 		ex := wrk.exchangeFor(1, 2, 4)
-		drv.exchangeFor(1, 2, 4).Publish(0, 1, []byte("remote"))
 		ex.Publish(1, 1, []byte("local"))
-		fetch(t, ex, 1, map[int]string{0: "remote", 1: "local"})
 		ex.Publish(0, 3, []byte("unread"))
-		<-ex.Notify(3)
-		ex.Close()
-		if got := ex.Block(0, 3); got != nil {
-			t.Fatalf("Block after Close = %q, want nil", got)
-		}
+		ex.Publish(1, 3, nil)
+		notReady(t, ex)
+		drv.exchangeFor(1, 2, 4).Publish(0, 1, []byte("remote"))
+		take(t, ex, 1, "remote", "local")
+		afterClose(t, ex, 3)
 		finish(drv, wrk)
 		for _, tr := range []*transport{drv, wrk} {
 			if err := tr.Err(); err != nil {

@@ -44,10 +44,10 @@ func (e *Exec) Exchange(seq uint64, in, out int) engine.Exchange {
 }
 
 // failedExchange is the Exchange returned once the job has already failed:
-// publishes are dropped and Notify never fires.
+// publishes are dropped and it is never Ready.
 type failedExchange struct{}
 
 func (failedExchange) Publish(int, int, []byte) {}
-func (failedExchange) Notify(int) <-chan int    { return nil }
-func (failedExchange) Block(int, int) []byte    { return nil }
+func (failedExchange) Ready() <-chan struct{}   { return nil }
+func (failedExchange) Take(int) [][]byte        { return nil }
 func (failedExchange) Close()                   {}

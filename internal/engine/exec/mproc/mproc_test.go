@@ -233,10 +233,10 @@ func TestMprocMatchesInproc(t *testing.T) {
 const slowMapSleep = 50 * time.Millisecond
 
 // TestMprocFetchWaitIsCrossRankWait: the one wait FetchWait measures is a
-// reduce blocked on buckets a sibling rank's map has not sent yet. Rank 1's
-// map of partition 1 sleeps, so each of rank 0's reduces (partitions 0 and 2,
-// side by side in two slots) waits about that long: the wait is charged to
-// FetchWait and kept out of Wall, and the output is the in-process run's.
+// rank's driver waiting for buckets a sibling rank's map has not sent yet,
+// before its reduces start. Rank 1's map of partition 1 sleeps, so rank 0
+// waits about that long: the t/slow/reduce row carries the wait as FetchWait,
+// no reduce task's Wall holds it, and the output is the in-process run's.
 func TestMprocFetchWaitIsCrossRankWait(t *testing.T) {
 	ref, err := Run("test-fetchwait", nil, Options{Procs: 1, Slots: 2})
 	if err != nil {
@@ -251,26 +251,39 @@ func TestMprocFetchWaitIsCrossRankWait(t *testing.T) {
 	if !bytes.Equal(got.Output, ref.Output) {
 		t.Fatalf("output differs from in-process run:\n%s\nvs\n%s", got.Output, ref.Output)
 	}
+	bound := slowMapSleep * 3 / 5
 	checked := 0
 	for _, st := range got.Metrics.Stages {
 		if st.Name != "t/slow/reduce" {
 			continue
 		}
+		checked++
+		if st.FetchWait < bound {
+			t.Errorf("FetchWait %v, want most of the %v rank 1's map slept", st.FetchWait, slowMapSleep)
+		}
 		for _, task := range st.Tasks {
-			if task.Rank != 0 {
-				continue
-			}
-			checked++
-			if task.FetchWait < slowMapSleep*3/5 {
-				t.Errorf("reduce %d: FetchWait %v, want most of the %v rank 1's map slept", task.Partition, task.FetchWait, slowMapSleep)
-			}
-			if task.Wall >= task.FetchWait {
-				t.Errorf("reduce %d: Wall %v not below FetchWait %v", task.Partition, task.Wall, task.FetchWait)
+			if task.Wall >= bound {
+				t.Errorf("reduce %d on rank %d: Wall %v holds the wait", task.Partition, task.Rank, task.Wall)
 			}
 		}
 	}
-	if checked != 2 {
-		t.Fatalf("%d rank-0 reduce tasks on t/slow, want 2", checked)
+	if checked != 1 {
+		t.Fatalf("%d t/slow/reduce rows, want 1", checked)
+	}
+}
+
+// TestMprocRankWithoutReduceSlot: a shuffle to one partition at procs 2 gives
+// rank 1 no reduce slot, so its exchange expects no bucket and must be Ready
+// from its creation; the job ends with the in-process run's output.
+func TestMprocRankWithoutReduceSlot(t *testing.T) {
+	spec := []byte("300,4,1")
+	ref := runOn(t, engine.NewContext(2), "test-wordcount", spec)
+	got, err := Run("test-wordcount", spec, Options{Procs: 2, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Output, ref) {
+		t.Fatalf("output differs from in-process run:\n%s\nvs\n%s", got.Output, ref)
 	}
 }
 

@@ -238,22 +238,23 @@ func (t *transport) closeAll() {
 // --- exchange ---
 
 // wireExchange is the cross-process bucket transport of one collective.
-// Publishes to reduce partitions this rank owns go straight into the local
-// block table + notify channel (the Sparkle shared-memory fast path);
-// publishes to remote-owned partitions leave as bucket frames, and arrivals
-// from sibling ranks are delivered by the read loop into the same local
-// structures the in-process path uses — the engine's reduce tasks cannot
-// tell the difference.
+// Publishes to reduce slots this rank owns go straight into the local block
+// rows (the Sparkle shared-memory fast path); publishes to remote-owned slots
+// leave as bucket frames, and arrivals from sibling ranks are delivered by
+// the read loop into the same rows — the engine cannot tell the difference.
+// Either way a delivery counts down the blocks this rank still expects, and
+// the last one closes ready.
 type wireExchange struct {
 	t       *transport
 	seq     uint64
 	in, out int
+	ready   chan struct{}
 
-	mu     sync.Mutex
-	closed bool
-	blocks [][]byte
-	seen   []bool // (m, r) pairs already delivered; duplicates are protocol errors
-	notify []chan int
+	mu      sync.Mutex
+	closed  bool
+	slots   [][][]byte // slots[r][m], for the reduce slots this rank owns
+	seen    []bool     // (m, r) pairs already delivered; duplicates are protocol errors
+	pending int        // deliveries still expected to this rank's slots
 }
 
 // exchangeFor returns (creating on demand) the exchange state for seq. Both
@@ -265,9 +266,14 @@ func (t *transport) exchangeFor(seq uint64, in, out int) *wireExchange {
 	t.mu.Lock()
 	ex, ok := t.exchanges[seq]
 	if !ok {
-		ex = &wireExchange{t: t, seq: seq, in: in, out: out, blocks: make([][]byte, in*out), seen: make([]bool, in*out), notify: make([]chan int, out)}
-		for r := range ex.notify {
-			ex.notify[r] = make(chan int, in)
+		ex = &wireExchange{t: t, seq: seq, in: in, out: out, ready: make(chan struct{}),
+			slots: make([][][]byte, out), seen: make([]bool, in*out)}
+		for r := t.rank; r < out; r += t.procs {
+			ex.slots[r] = make([][]byte, in)
+			ex.pending += in
+		}
+		if ex.pending == 0 { // this rank owns no reduce slot
+			close(ex.ready)
 		}
 		t.exchanges[seq] = ex
 	}
@@ -279,35 +285,33 @@ func (t *transport) exchangeFor(seq uint64, in, out int) *wireExchange {
 	return ex
 }
 
-// deliver stores an arrived bucket and signals readiness. The notify channel
-// is buffered to the map-task count and each (m, r) is delivered exactly
-// once globally, so the send never blocks the read loop; a duplicate (a
-// misbehaving peer could otherwise overfill the channel and wedge the loop)
-// is rejected as an error.
+// deliver stores a bucket for a reduce slot this rank owns and counts it
+// down. Each (m, r) is delivered exactly once globally, so a duplicate (a
+// misbehaving peer could otherwise close ready early) is rejected as an
+// error.
 func (ex *wireExchange) deliver(m, r int, block []byte, empty bool) error {
 	if empty {
 		block = nil
 	}
 	ex.mu.Lock()
+	defer ex.mu.Unlock()
 	if ex.closed {
-		ex.mu.Unlock()
 		return nil // late frame after abort; the stage is already over locally
 	}
 	idx := m*ex.out + r
 	if ex.seen[idx] {
-		ex.mu.Unlock()
 		return fmt.Errorf("mproc: exchange %d: duplicate bucket (%d,%d)", ex.seq, m, r)
 	}
 	ex.seen[idx] = true
-	ex.blocks[idx] = block
-	ch := ex.notify[r]
-	ex.mu.Unlock()
-	ch <- m
+	ex.slots[r][m] = block
+	if ex.pending--; ex.pending == 0 {
+		close(ex.ready)
+	}
 	return nil
 }
 
-// Publish implements engine.Exchange. Remote-owned partitions ship the block
-// as a bucket frame (nil block = empty marker); locally-owned ones take the
+// Publish implements engine.Exchange. Remote-owned slots ship the block as a
+// bucket frame (nil block = empty marker); locally-owned ones take the
 // shared-memory path.
 func (ex *wireExchange) Publish(m, r int, block []byte) {
 	owner := r % ex.t.procs
@@ -321,32 +325,27 @@ func (ex *wireExchange) Publish(m, r int, block []byte) {
 	ex.t.sendTo(owner, frameBucket, body)
 }
 
-func (ex *wireExchange) Notify(r int) <-chan int {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.notify[r]
-}
+func (ex *wireExchange) Ready() <-chan struct{} { return ex.ready }
 
-// Block implements engine.Exchange: it hands the block over and clears its
-// slot, and returns nil after Close.
-func (ex *wireExchange) Block(m, r int) []byte {
+// Take implements engine.Exchange: it hands slot r's blocks over and clears
+// the slot, and returns nil after Close.
+func (ex *wireExchange) Take(r int) [][]byte {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	if ex.closed {
 		return nil
 	}
-	i := m*ex.out + r
-	block := ex.blocks[i]
-	ex.blocks[i] = nil
-	return block
+	blocks := ex.slots[r]
+	ex.slots[r] = nil
+	return blocks
 }
 
-// Close releases the stage's block table. The state entry stays registered
-// (closed) so frames still in flight after an abort are dropped, not
-// resurrected into a fresh exchange.
+// Close releases the collective's block rows. The state entry stays
+// registered (closed) so frames still in flight after an abort are dropped,
+// not resurrected into a fresh exchange.
 func (ex *wireExchange) Close() {
 	ex.mu.Lock()
 	ex.closed = true
-	ex.blocks = nil
+	ex.slots = nil
 	ex.mu.Unlock()
 }

@@ -174,21 +174,21 @@ func TestExchangeIntegrity(t *testing.T) {
 
 	t.Run("bucket after close", func(t *testing.T) {
 		drv, wrk := pipePair()
-		ex := wrk.exchangeFor(5, 2, 2)
+		ex := wrk.exchangeFor(5, 1, 2) // rank 1's one reduce slot expects one bucket
 		ex.Close()
-		drv.sendTo(1, frameBucket, bucket(5, 2, 2, 1, 1))
+		drv.sendTo(1, frameBucket, bucket(5, 1, 2, 0, 1))
 		finish(drv, wrk)
 		for _, tr := range []*transport{drv, wrk} {
 			if err := tr.Err(); err != nil {
 				t.Fatalf("rank %d: a late bucket failed the job: %v", tr.rank, err)
 			}
 		}
-		if got := wrk.exchangeFor(5, 2, 2); got != ex {
+		if got := wrk.exchangeFor(5, 1, 2); got != ex {
 			t.Fatal("a late bucket re-created the closed exchange")
 		}
 		select {
-		case m := <-ex.Notify(1):
-			t.Fatalf("late bucket from map %d delivered to a closed exchange", m)
+		case <-ex.Ready():
+			t.Fatal("a late bucket made a closed exchange Ready")
 		default:
 		}
 	})

@@ -1,5 +1,7 @@
 package engine
 
+import "sync/atomic"
+
 // The executor seam abstracts HOW the engine runs a job: how many task slots
 // this process owns, how many cooperating processes share the job, which rank
 // runs which task, and how blocks travel between tasks: shuffle buckets from
@@ -7,8 +9,8 @@ package engine
 // allgather is a shuffle-shaped collective on the same Exchange). Two
 // implementations exist:
 //
-//   - the in-process pool (this file): one process, shared memory, channel
-//     sends for bucket readiness — the single-node fast path (the Sparkle
+//   - the in-process pool (this file): one process, shared memory, one
+//     countdown for bucket readiness — the single-node fast path (the Sparkle
 //     tradeoff: when everything fits one node, shared memory beats sockets);
 //   - the multi-process backend (internal/engine/exec/mproc): W cooperating
 //     OS processes running the same registered job in SPMD lockstep, moving
@@ -46,26 +48,25 @@ type Executor interface {
 	Err() error
 }
 
-// Exchange is the bucket transport of one shuffle stage. Publish stores
-// bucket (m, r)'s encoded block (nil = empty bucket) and makes m arrive on
-// reduce r's Notify channel — for a remote owner of r, as a bucket frame over
-// the wire; locally, as a buffered channel send. The store happens-before
-// the notification, so Block(m, r) is safe after receiving m.
+// Exchange is the bucket transport of one collective. Publish stores bucket
+// (m, r)'s encoded block (nil = empty bucket) in reduce slot r: for a remote
+// owner of r it travels as a bucket frame over the wire, locally it is a
+// store. Ready closes once every reduce slot this process owns holds all in
+// blocks (at creation when it owns none); every store happens-before that
+// close, so Take is safe after receiving from Ready. No task waits on Ready:
+// the engine waits on it between task sets (Context.awaitPeers).
 type Exchange interface {
 	Publish(m, r int, block []byte)
-	// Notify returns reduce r's readiness channel, carrying map indices in
-	// publication order. Only the rank that owns r receives on it.
-	Notify(r int) <-chan int
-	// Block hands over the stored block for (m, r) and clears its slot, so
-	// the exchange holds a block only until its reader fetches it; call only
-	// after m arrived on Notify(r). Each (m, r) is read exactly once (by its
-	// reduce task, or by the allgather); a second read, or a read after
-	// Close, returns nil. nil also means the bucket was empty. The block is
-	// the reader's to keep: a shuffle's reduce stores it as partition data,
-	// so it must not be a window into a larger buffer.
-	Block(m, r int) []byte
-	// Close releases the stage's transport state once the local tasks are
-	// done with it.
+	Ready() <-chan struct{}
+	// Take hands over reduce slot r's blocks in map order (nil entries are
+	// empty buckets) and clears the slot, so the exchange holds a block only
+	// until its reader has it: a second Take, a Take of a slot another rank
+	// owns, or a Take after Close returns no block. The blocks are the
+	// reader's to keep: a shuffle's reduce stores them as partition data, so
+	// none may be a window into a larger buffer.
+	Take(r int) [][]byte
+	// Close releases the collective's transport state once the local tasks
+	// are done with it.
 	Close()
 }
 
@@ -82,37 +83,44 @@ func (e *localExec) Exchange(_ uint64, in, out int) Exchange {
 	return newLocalExchange(in, out)
 }
 
-// localExchange is the shared-memory bucket transport: a flat block table
-// plus one buffered readiness channel per reduce partition.
+// localExchange is the shared-memory bucket transport: one block row per
+// reduce slot and a count of the publishes still expected.
 type localExchange struct {
-	in, out int
-	blocks  [][]byte // blocks[m*out+r]; the store happens-before the notify send
-	notify  []chan int
+	slots   [][][]byte // slots[r][m]
+	pending atomic.Int64
+	ready   chan struct{}
 }
 
-// newLocalExchange builds the in-process Exchange for a shuffle stage with
-// the given geometry. Publish never blocks: each notify channel is buffered
-// to the map-task count, and every (m, r) pair is published exactly once.
+// newLocalExchange builds the in-process Exchange for a collective with the
+// given geometry. Every (m, r) pair is published exactly once.
 func newLocalExchange(in, out int) *localExchange {
-	ex := &localExchange{in: in, out: out, blocks: make([][]byte, in*out), notify: make([]chan int, out)}
-	for r := range ex.notify {
-		ex.notify[r] = make(chan int, in)
+	ex := &localExchange{slots: make([][][]byte, out), ready: make(chan struct{})}
+	for r := range ex.slots {
+		ex.slots[r] = make([][]byte, in)
+	}
+	if ex.pending.Store(int64(in * out)); in*out == 0 {
+		close(ex.ready)
 	}
 	return ex
 }
 
 func (ex *localExchange) Publish(m, r int, block []byte) {
-	ex.blocks[m*ex.out+r] = block
-	ex.notify[r] <- m // buffered to in: never blocks
+	ex.slots[r][m] = block
+	if ex.pending.Add(-1) == 0 {
+		close(ex.ready)
+	}
 }
 
-func (ex *localExchange) Notify(r int) <-chan int { return ex.notify[r] }
+func (ex *localExchange) Ready() <-chan struct{} { return ex.ready }
 
-func (ex *localExchange) Block(m, r int) []byte {
-	i := m*ex.out + r
-	block := ex.blocks[i]
-	ex.blocks[i] = nil
-	return block
+// Take runs after Ready, and each reduce slot has one reader.
+func (ex *localExchange) Take(r int) [][]byte {
+	if ex.slots == nil { // closed
+		return nil
+	}
+	blocks := ex.slots[r]
+	ex.slots[r] = nil
+	return blocks
 }
 
-func (ex *localExchange) Close() {}
+func (ex *localExchange) Close() { ex.slots = nil }

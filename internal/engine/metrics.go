@@ -28,9 +28,9 @@ func (k StageKind) String() string {
 // TaskMetrics records one task's execution.
 type TaskMetrics struct {
 	Partition int
-	// Wall is the task's busy time, filled by the stage runner: elapsed time
-	// less FetchWait, so Wall stays a CPU-time proxy for the trace replay and
-	// the blocked-time analysis can account waiting separately.
+	// Wall is the task's elapsed time, filled by the stage runner. No task
+	// waits on another rank (that wait is the stage's FetchWait), so Wall is
+	// a CPU-time proxy for the trace replay.
 	Wall              time.Duration
 	SerializeTime     time.Duration // time spent in codec calls
 	ShuffleReadBytes  int64
@@ -40,10 +40,6 @@ type TaskMetrics struct {
 	// keeps its fetched blocks without decoding them, so it reports 0: the
 	// stage that reads the result counts the records as its InputItems.
 	OutputItems int
-	// FetchWait is reduce-side time blocked waiting for a bucket that a map
-	// task on a sibling rank has not yet sent. Zero in one process: no reduce
-	// starts before every map has published.
-	FetchWait time.Duration
 	// DecodedBytes counts serialized bytes this task actually decoded —
 	// block headers plus the columns its projection mask selected (whole
 	// blocks for non-columnar codecs).
@@ -62,7 +58,9 @@ type TaskMetrics struct {
 	Rank int
 }
 
-// StageMetrics records one stage.
+// StageMetrics records one stage: a row per task, and what this rank's
+// driver did around them — its serial step, its wait on peers and the heap
+// the stage left.
 type StageMetrics struct {
 	ID   int
 	Name string
@@ -78,6 +76,11 @@ type StageMetrics struct {
 	GCPause time.Duration
 	// DriverTime is serial time spent on the driver (actions, broadcast).
 	DriverTime time.Duration
+	// FetchWait is the time this rank's driver waited on its peers' blocks
+	// before the stage's work could go on: for a shuffle's reduce row, the
+	// wait before its tasks start; for an action, the allgather wait after
+	// them. Zero in one process. Merged across ranks it is the sum.
+	FetchWait time.Duration
 	// HeapBytes is this process's heap occupied by objects when the stage
 	// ended (after its driver step), sampled through runtime/metrics without
 	// forcing a collection: what the stage's output and everything still
@@ -143,15 +146,6 @@ func (s *StageMetrics) MaxTaskTime() time.Duration {
 	return d
 }
 
-// FetchWait sums reduce-side blocked time across tasks.
-func (s *StageMetrics) FetchWait() time.Duration {
-	var d time.Duration
-	for i := range s.Tasks {
-		d += s.Tasks[i].FetchWait
-	}
-	return d
-}
-
 // SerializeTime sums codec time across tasks.
 func (s *StageMetrics) SerializeTime() time.Duration {
 	var d time.Duration
@@ -182,8 +176,9 @@ func (m Metrics) NumStages() int { return len(m.Stages) }
 // snapshot. All ranks of a job run the same deterministic driver program, so
 // they record the same stage sequence with the same task counts; each task's
 // record is taken from the rank whose Ran flag says it executed the task,
-// and per-process GC pause deltas are summed into a cluster total; HeapBytes
-// keeps the largest rank's value, the one that bounds a node's memory.
+// and per-process GC pause deltas and fetch waits are summed into cluster
+// totals; HeapBytes keeps the largest rank's value, the one that bounds a
+// node's memory.
 // DriverTime, measured identically everywhere, keeps rank 0's value.
 func (m Metrics) MergeRanks(others ...Metrics) Metrics {
 	out := m.clone()
@@ -199,6 +194,7 @@ func (m Metrics) MergeRanks(others ...Metrics) Metrics {
 				}
 			}
 			ls.GCPause += os.GCPause
+			ls.FetchWait += os.FetchWait
 			ls.HeapBytes = max(ls.HeapBytes, os.HeapBytes)
 		}
 	}
@@ -275,14 +271,14 @@ func (m Metrics) TotalFusedOps() int {
 	return n
 }
 
-// TotalFetchWait sums reduce-side blocked time over all stages — the analogue
-// of Spark's fetch-wait metric that the §5.3 blocked-time analysis attributes
-// separately from task CPU time. It is a reduce waiting for a sibling rank's
-// buckets, so it is zero in one process.
+// TotalFetchWait sums the stages' FetchWait — the analogue of Spark's
+// fetch-wait metric that the §5.3 blocked-time analysis attributes separately
+// from task CPU time. It is ranks waiting on their peers' shuffle buckets and
+// allgather blobs, so it is zero in one process.
 func (m Metrics) TotalFetchWait() time.Duration {
 	var d time.Duration
 	for i := range m.Stages {
-		d += m.Stages[i].FetchWait()
+		d += m.Stages[i].FetchWait
 	}
 	return d
 }

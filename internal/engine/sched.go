@@ -12,8 +12,8 @@ import (
 // taskSet is the tasks of one stage and the template of the StageMetrics row
 // the runner records for it.
 type taskSet struct {
-	// row carries Name, Kind and FusedOps; the runner fills Tasks, GCPause,
-	// DriverTime and HeapBytes.
+	// row carries Name, Kind, FusedOps and a shuffle reduce's FetchWait; the
+	// runner fills Tasks, GCPause, DriverTime and HeapBytes.
 	row StageMetrics
 	n   int
 	// hint orders dispatch largest-first (LPT, stable on ties) to shrink the
@@ -22,33 +22,23 @@ type taskSet struct {
 	hint func(task int) int64
 	fn   func(task int, tm *TaskMetrics) error
 	// driver is the stage's serial driver step (allgather, fold), run once
-	// the tasks have succeeded and timed into DriverTime less the wait it
-	// reports: time blocked on peers in the allgather is not driver work.
+	// the tasks have succeeded. It reports the time it waited on peers, which
+	// the runner records as the row's FetchWait and keeps out of DriverTime.
 	driver func() (wait time.Duration, err error)
 }
 
 // stage is one run of the stage runner — the only place the engine launches
 // tasks. Its tasks go through one slot semaphore. The first task error or
 // panic, or the executor's job-level failure, cancels the stage with that
-// error as the cause: no further task starts, tasks blocked in await return,
-// and run reports the cause once every started goroutine has joined.
+// error as the cause: no further task starts, and runStage reports the cause
+// once every started goroutine has joined. No task waits on another rank:
+// that wait is a driver step between task sets (awaitPeers).
 type stage struct {
 	c      *Context
 	name   string
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	sem    chan struct{}
-}
-
-func (c *Context) newStage(name string) *stage {
-	st := &stage{c: c, name: name, sem: make(chan struct{}, c.workers)}
-	st.ctx, st.cancel = context.WithCancelCause(context.Background())
-	return st
-}
-
-// runStage runs one stage.
-func (c *Context) runStage(set taskSet) error {
-	return c.newStage(set.row.Name).run(set)
 }
 
 // lptOrder returns the dispatch order for n tasks: indices by descending
@@ -94,35 +84,30 @@ func (st *stage) acquire() bool {
 	return true
 }
 
-// await receives the next value on ch for a task of this stage, charging
-// only the time it blocks to tm.FetchWait. The task keeps its slot while it
-// waits: a shuffle's reduce is the only caller, and it starts after every
-// local map has published, so it can wait only on a sibling rank's frames. A
-// cancelled stage or a failed job ends the wait with the cause.
-func (st *stage) await(tm *TaskMetrics, ch <-chan int) (int, error) {
+// awaitPeers is the one place a rank waits on its peers: it blocks until
+// every reduce slot this rank owns on ex holds all its blocks, or the job
+// fails, and returns how long it blocked. It runs between task sets, never
+// inside a task.
+func (c *Context) awaitPeers(ex Exchange) (time.Duration, error) {
 	select {
-	case v := <-ch:
-		return v, nil
+	case <-ex.Ready():
+		return 0, nil
 	default:
 	}
-	w0 := time.Now()
-	defer func() { tm.FetchWait += time.Since(w0) }()
+	t0 := time.Now()
 	select {
-	case v := <-ch:
-		return v, nil
-	case <-st.ctx.Done():
-	case <-st.c.exec.Failed():
-		st.jobFailed()
+	case <-ex.Ready():
+		return time.Since(t0), nil
+	case <-c.exec.Failed():
+		return time.Since(t0), c.exec.Err()
 	}
-	return 0, context.Cause(st.ctx)
 }
 
-// run executes the tasks and records the stage's StageMetrics row. Each
-// task's Wall is its elapsed time less FetchWait, so it stays a busy-time
-// measure.
-func (st *stage) run(set taskSet) error {
+// runStage executes the tasks and records the stage's StageMetrics row.
+func (c *Context) runStage(set taskSet) error {
+	st := &stage{c: c, name: set.row.Name, sem: make(chan struct{}, c.workers)}
+	st.ctx, st.cancel = context.WithCancelCause(context.Background())
 	defer st.cancel(nil)
-	c := st.c
 	procs, rank := c.procs(), c.rank()
 	row := &set.row
 	row.Tasks = make([]TaskMetrics, set.n)
@@ -158,9 +143,7 @@ func (st *stage) run(set taskSet) error {
 				}()
 				t0 := time.Now()
 				err := set.fn(i, tm)
-				if wall := time.Since(t0) - tm.FetchWait; wall > 0 {
-					tm.Wall = wall
-				}
+				tm.Wall = time.Since(t0)
 				if err != nil {
 					st.cancel(err)
 				}
@@ -176,9 +159,8 @@ func (st *stage) run(set taskSet) error {
 	err := context.Cause(st.ctx)
 	if set.driver != nil && err == nil {
 		t0 := time.Now()
-		var wait time.Duration
-		wait, err = set.driver()
-		row.DriverTime = time.Since(t0) - wait
+		row.FetchWait, err = set.driver()
+		row.DriverTime = time.Since(t0) - row.FetchWait
 	}
 	row.HeapBytes = readHeapBytes()
 	c.recordStage(*row)

@@ -185,21 +185,30 @@ func TestJobFailureCancelsStage(t *testing.T) {
 }
 
 // rankBus is the shared memory the fake ranks of one SPMD job meet on: one
-// exchange per collective sequence number, so shuffles and action
-// allgathers alike cross between ranks through it.
+// collective per sequence number, so shuffles and action allgathers alike
+// cross between ranks through it.
 type rankBus struct {
 	procs int
 	// publishDelay delivers every bucket that long after its Publish
 	// returns, standing in for peers still running their tasks: a rank
-	// awaiting a sibling's allgather blob blocks for it.
+	// waiting for a sibling's buckets or allgather blobs blocks for them.
 	publishDelay time.Duration
 	mu           sync.Mutex
-	exchanges    map[uint64]*localExchange
+	collectives  map[uint64]*busCollective
+}
+
+// busCollective is one collective's block rows, shared by every rank, and
+// the count of blocks each rank's reduce slots still expect.
+type busCollective struct {
+	mu      sync.Mutex
+	slots   [][][]byte // slots[r][m]
+	pending []int      // by rank
+	ready   []chan struct{}
 }
 
 // rankExec is one rank of a fake multi-rank job running inside this process:
 // the in-process pool reporting the bus's Procs and its own Rank, publishing
-// buckets into the exchange all ranks share.
+// buckets into the collective all ranks share.
 type rankExec struct {
 	localExec
 	bus  *rankBus
@@ -210,28 +219,79 @@ func (e *rankExec) Procs() int { return e.bus.procs }
 func (e *rankExec) Rank() int  { return e.rank }
 
 func (e *rankExec) Exchange(seq uint64, in, out int) Exchange {
-	e.bus.mu.Lock()
-	defer e.bus.mu.Unlock()
-	ex, ok := e.bus.exchanges[seq]
+	bus := e.bus
+	bus.mu.Lock()
+	defer bus.mu.Unlock()
+	if bus.collectives == nil {
+		bus.collectives = map[uint64]*busCollective{}
+	}
+	c, ok := bus.collectives[seq]
 	if !ok {
-		ex = newLocalExchange(in, out)
-		e.bus.exchanges[seq] = ex
+		c = &busCollective{slots: make([][][]byte, out), pending: make([]int, bus.procs), ready: make([]chan struct{}, bus.procs)}
+		for r := range c.slots {
+			c.slots[r] = make([][]byte, in)
+			c.pending[r%bus.procs] += in
+		}
+		for rank := range c.ready {
+			if c.ready[rank] = make(chan struct{}); c.pending[rank] == 0 {
+				close(c.ready[rank])
+			}
+		}
+		bus.collectives[seq] = c
 	}
-	if e.bus.publishDelay > 0 {
-		return lateExchange{ex, e.bus.publishDelay}
-	}
-	return ex
+	return busExchange{c: c, rank: e.rank, procs: bus.procs, delay: bus.publishDelay}
 }
 
-// lateExchange delivers each publish after delay without holding up the
-// publisher.
-type lateExchange struct {
-	*localExchange
-	delay time.Duration
+// busExchange is one rank's Exchange on a busCollective. Each publish is
+// delivered after delay without holding up the publisher.
+type busExchange struct {
+	c           *busCollective
+	rank, procs int
+	delay       time.Duration
 }
 
-func (ex lateExchange) Publish(m, r int, block []byte) {
-	time.AfterFunc(ex.delay, func() { ex.localExchange.Publish(m, r, block) })
+func (ex busExchange) Publish(m, r int, block []byte) {
+	deliver := func() {
+		ex.c.mu.Lock()
+		defer ex.c.mu.Unlock()
+		ex.c.slots[r][m] = block
+		owner := r % ex.procs
+		if ex.c.pending[owner]--; ex.c.pending[owner] == 0 {
+			close(ex.c.ready[owner])
+		}
+	}
+	if ex.delay > 0 {
+		time.AfterFunc(ex.delay, deliver)
+	} else {
+		deliver()
+	}
+}
+
+func (ex busExchange) Ready() <-chan struct{} { return ex.c.ready[ex.rank] }
+
+func (ex busExchange) Take(r int) [][]byte {
+	ex.c.mu.Lock()
+	defer ex.c.mu.Unlock()
+	blocks := ex.c.slots[r]
+	ex.c.slots[r] = nil
+	return blocks
+}
+
+func (busExchange) Close() {}
+
+// runRanks runs job once per rank of a procs-rank job on a fresh bus, each
+// rank on its own goroutine with two slots, and returns once all are done.
+func runRanks(procs int, delay time.Duration, job func(ctx *Context, rank int)) {
+	bus := &rankBus{procs: procs, publishDelay: delay}
+	var wg sync.WaitGroup
+	for rank := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job(NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank}), rank)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestOwnershipIsCanonical: partition ownership is the rule p % procs, not
@@ -241,7 +301,6 @@ func (ex lateExchange) Publish(m, r int, block []byte) {
 // sibling holds is the loud non-resident error.
 func TestOwnershipIsCanonical(t *testing.T) {
 	const procs = 3
-	bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}}
 	type outcome struct {
 		collected  []int
 		sum, count int
@@ -270,15 +329,7 @@ func TestOwnershipIsCanonical(t *testing.T) {
 		return o
 	}
 	outcomes := make([]outcome, procs)
-	var wg sync.WaitGroup
-	for rank := range outcomes {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			outcomes[rank] = job(NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank}))
-		}(rank)
-	}
-	wg.Wait()
+	runRanks(procs, 0, func(ctx *Context, rank int) { outcomes[rank] = job(ctx) })
 	for rank, o := range outcomes {
 		if o.err != nil {
 			t.Fatalf("rank %d: %v", rank, o.err)
@@ -309,19 +360,11 @@ func TestOwnershipIsCanonical(t *testing.T) {
 func TestAllgatherCodecErrors(t *testing.T) {
 	const procs = 2
 	for _, failMarshal := range []bool{true, false} {
-		bus := &rankBus{procs: procs, exchanges: map[uint64]*localExchange{}}
 		codec := brokenCodec{failMarshal: failMarshal, marshals: new(atomic.Int32), unmarshals: new(atomic.Int32)}
 		errs := make([]error, procs)
-		var wg sync.WaitGroup
-		for rank := range errs {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				ctx := NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank})
-				_, errs[rank] = Collect("collect", WithCodec(Parallelize(ctx, intRange(40), 4), codec))
-			}(rank)
-		}
-		wg.Wait()
+		runRanks(procs, 0, func(ctx *Context, rank int) {
+			_, errs[rank] = Collect("collect", WithCodec(Parallelize(ctx, intRange(40), 4), codec))
+		})
 		for rank, err := range errs {
 			if !errors.Is(err, errBroken) {
 				t.Errorf("failMarshal=%v, rank %d: err = %v, want the codec's own error", failMarshal, rank, err)
@@ -332,27 +375,20 @@ func TestAllgatherCodecErrors(t *testing.T) {
 
 // TestDriverTimeExcludesGatherWait: DriverTime is this rank's serial driver
 // work. Time an action's driver step spends blocked on peers' allgather
-// blobs is not — the simulator would replay it as driver CPU.
+// blobs is not — the simulator would replay it as driver CPU — and the
+// action's row carries it as FetchWait instead.
 func TestDriverTimeExcludesGatherWait(t *testing.T) {
 	const procs, delay = 2, 300 * time.Millisecond
-	bus := &rankBus{procs: procs, publishDelay: delay, exchanges: map[uint64]*localExchange{}}
 	stages := make([][]StageMetrics, procs)
 	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for rank := 0; rank < procs; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ctx := NewContextOn(&rankExec{localExec: localExec{slots: 2}, bus: bus, rank: rank})
-			d := Parallelize(ctx, intRange(40), 4)
-			if _, errs[rank] = Collect("collect", d); errs[rank] != nil {
-				return
-			}
-			_, _, errs[rank] = Reduce("reduce", d, func(a, b int) int { return a + b })
-			stages[rank] = ctx.Metrics().Stages
-		}(rank)
-	}
-	wg.Wait()
+	runRanks(procs, delay, func(ctx *Context, rank int) {
+		d := Parallelize(ctx, intRange(40), 4)
+		if _, errs[rank] = Collect("collect", d); errs[rank] != nil {
+			return
+		}
+		_, _, errs[rank] = Reduce("reduce", d, func(a, b int) int { return a + b })
+		stages[rank] = ctx.Metrics().Stages
+	})
 	for rank := range stages {
 		if errs[rank] != nil {
 			t.Fatalf("rank %d: %v", rank, errs[rank])
@@ -363,6 +399,35 @@ func TestDriverTimeExcludesGatherWait(t *testing.T) {
 		for _, st := range stages[rank] {
 			if st.DriverTime < 0 || st.DriverTime > delay/3 {
 				t.Errorf("rank %d, stage %q: DriverTime = %v with peers' blobs %v late", rank, st.Name, st.DriverTime, delay)
+			}
+			if st.FetchWait < delay/2 {
+				t.Errorf("rank %d, stage %q: FetchWait = %v with peers' blobs %v late", rank, st.Name, st.FetchWait, delay)
+			}
+		}
+	}
+}
+
+// TestRankWithoutReduceSlot: a shuffle to fewer partitions than ranks leaves
+// some ranks owning no reduce slot. Nothing is published to them, so their
+// wait for the buckets must end at once, and every rank resumes from the
+// Collect after it with every item.
+func TestRankWithoutReduceSlot(t *testing.T) {
+	for _, procs := range []int{2, 3} {
+		got := make([][]int, procs)
+		errs := make([]error, procs)
+		runRanks(procs, 0, func(ctx *Context, rank int) {
+			sh, err := PartitionBy("one", Parallelize(ctx, intRange(30), 6), 1, func(x int) int { return x })
+			if errs[rank] = err; err != nil {
+				return
+			}
+			got[rank], errs[rank] = Collect("collect", sh)
+		})
+		for rank := range got {
+			if errs[rank] != nil {
+				t.Fatalf("procs=%d, rank %d: %v", procs, rank, errs[rank])
+			}
+			if !reflect.DeepEqual(got[rank], intRange(30)) {
+				t.Errorf("procs=%d, rank %d collected %v", procs, rank, got[rank])
 			}
 		}
 	}

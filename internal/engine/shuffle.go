@@ -15,15 +15,16 @@ import (
 //     serializes each bucket through the dataset's codec (gob when none is
 //     attached), charging shuffle-write bytes, and publishes every bucket on
 //     the Exchange as it is encoded, nil for an empty one;
-//   - <name>/reduce, one task per output partition r, starts once every
-//     local map has published and takes the in buckets of r from the
-//     Exchange, charging shuffle-read bytes.
+//   - <name>/reduce, one task per output partition r, takes the in buckets
+//     of r from the Exchange, in map order, charging shuffle-read bytes.
 //
 // This mirrors Spark's hash shuffle, where shuffle data is always serialized
 // (and spilled to disk) even for in-memory datasets — the behaviour §5.3.1
-// measures. In one process every bucket is published before a reduce starts,
-// so no reduce waits; under mproc a reduce waits for the buckets of maps a
-// sibling rank runs, and that wait is its FetchWait.
+// measures. Between the two stages the driver waits until the Exchange is
+// Ready: in one process every bucket is in once the maps are done, so it
+// never blocks; under mproc it waits for the buckets of maps a sibling rank
+// runs, and that wait is the reduce row's FetchWait. A reduce task never
+// waits.
 //
 // A reduce keeps the non-empty buckets it fetched, in map order, as its
 // partition: whatever the storage mode, a shuffle's result is the blocks it
@@ -106,23 +107,21 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	if err != nil {
 		return nil, err
 	}
-	st := d.ctx.newStage(name + "/reduce")
-	err = st.run(taskSet{
-		row: StageMetrics{Name: name + "/reduce", Kind: StageShuffle},
+	// Every local map has published; the reduces start once the buckets of
+	// the maps sibling ranks run are in too.
+	wait, err := d.ctx.awaitPeers(ex)
+	if err != nil {
+		return nil, fmt.Errorf("engine: stage %q: %w", name+"/reduce", err)
+	}
+	err = d.ctx.runStage(taskSet{
+		row: StageMetrics{Name: name + "/reduce", Kind: StageShuffle, FetchWait: wait},
 		n:   numPartitions,
 		fn: func(r int, tm *TaskMetrics) error {
-			// Buckets arrive in publication order; keeping them in map order
-			// keeps the partition independent of it.
-			kept := make([][]byte, in)
-			for range in {
-				m, err := st.await(tm, ex.Notify(r))
-				if err != nil {
-					return err
-				}
-				kept[m] = ex.Block(m, r)
-				tm.ShuffleReadBytes += int64(len(kept[m]))
+			blocks := ex.Take(r)
+			for _, b := range blocks {
+				tm.ShuffleReadBytes += int64(len(b))
 			}
-			res.blocks[r] = slices.DeleteFunc(kept, func(b []byte) bool { return b == nil })
+			res.blocks[r] = slices.DeleteFunc(blocks, func(b []byte) bool { return b == nil })
 			res.markResident(r)
 			return nil
 		},

@@ -130,20 +130,6 @@ func BuildWGSPipeline(rt *Runtime, pairs *Dataset[FASTQPair], useGVCF bool) *WGS
 	return core.BuildWGSPipeline(rt, pairs, useGVCF)
 }
 
-// Multi-sample pipelines (the Table 2 interfaces take SAM bundle lists).
-type (
-	// SampleInput is one sample's reads for a multi-sample pipeline.
-	SampleInput = core.SampleInput
-	// MultiSampleWGS is a batch pipeline with per-sample VCF terminals.
-	MultiSampleWGS = core.MultiSampleWGS
-)
-
-// BuildMultiSampleWGS assembles one pipeline over several samples sharing a
-// single repartitioning census.
-func BuildMultiSampleWGS(rt *Runtime, samples []SampleInput, useGVCF bool) (*MultiSampleWGS, error) {
-	return core.BuildMultiSampleWGS(rt, samples, useGVCF)
-}
-
 // Dataset is a partitioned in-memory collection (the engine's RDD).
 type Dataset[T any] = engine.Dataset[T]
 
