@@ -36,7 +36,7 @@ func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializ
 			return nil
 		},
 		driver: func() (time.Duration, error) {
-			wait, err := allgather(d.ctx, codec, parts)
+			wait, err := allgather(d.ctx, name, codec, parts)
 			if err == nil {
 				fold(parts)
 			}
@@ -55,8 +55,9 @@ func action[T, R any](name string, d *Dataset[T], need FieldMask, codec Serializ
 // so all ranks agree), and no blob is charged as shuffle bytes. wait is the
 // time blocked on peers, which the stage runner records as FetchWait and
 // keeps out of DriverTime; the encode and decode are this rank's own serial
-// work. No-op with one process.
-func allgather[R any](ctx *Context, codec Serializer[R], parts [][]R) (wait time.Duration, err error) {
+// work. A job failure during the wait is reported with the action's name.
+// No-op with one process.
+func allgather[R any](ctx *Context, name string, codec Serializer[R], parts [][]R) (wait time.Duration, err error) {
 	procs, rank := ctx.procs(), ctx.rank()
 	if procs == 1 {
 		return 0, nil
@@ -79,7 +80,7 @@ func allgather[R any](ctx *Context, codec Serializer[R], parts [][]R) (wait time
 			}
 		}
 	}
-	if wait, err = ctx.awaitPeers(ex); err != nil {
+	if wait, err = ctx.awaitPeers(name, ex); err != nil {
 		return wait, err
 	}
 	for p, blob := range ex.Take(rank) {

@@ -38,9 +38,11 @@
 // analysis of §5.3.
 //
 // Every task of every stage is launched by the one stage runner in sched.go,
-// which owns the slot semaphore, first-error cancellation, panic recovery
-// and the metrics row. A Context carries one switch: StoreSerialized, the
-// storage level of what Force stores (the paper's §4.2 MEMORY_ONLY_SER).
+// which owns the slot semaphore, first-error cancellation (the stage's
+// context is the job's child, so the job's failure cancels it too), panic
+// recovery and the metrics row. A Context carries one switch:
+// StoreSerialized, the storage level of what Force stores (the paper's §4.2
+// MEMORY_ONLY_SER).
 package engine
 
 import (

@@ -1,6 +1,8 @@
 package mproc
 
 import (
+	"context"
+
 	"github.com/gpf-go/gpf/internal/engine"
 )
 
@@ -23,11 +25,9 @@ func (e *Exec) Procs() int { return e.t.procs }
 // Rank is this process's index; rank 0 is the driver.
 func (e *Exec) Rank() int { return e.t.rank }
 
-// Failed reports global job failure (remote error, lost worker).
-func (e *Exec) Failed() <-chan struct{} { return e.t.failedCh }
-
-// Err reports the failure cause.
-func (e *Exec) Err() error { return e.t.Err() }
+// Job is cancelled by the job's first failure on any rank (an error frame,
+// a lost connection or worker), which is its cause.
+func (e *Exec) Job() context.Context { return e.t.job }
 
 // Exchange returns the bucket transport for one collective (a shuffle or an
 // action's allgather). The state may already exist if a sibling rank raced
@@ -38,7 +38,7 @@ func (e *Exec) Exchange(seq uint64, in, out int) engine.Exchange {
 		return ex
 	}
 	// exchangeFor only refuses after failing the job (geometry violation), so
-	// Failed is already closed and the stage unwinds through its normal abort
+	// Job is already cancelled and the stage unwinds through its normal abort
 	// path; hand back a stub for the tasks that started before it noticed.
 	return failedExchange{}
 }

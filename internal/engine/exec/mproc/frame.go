@@ -50,8 +50,10 @@ const (
 	// received, so a lying length header on a truncated stream costs at most
 	// one chunk (FuzzFrameDecode's allocation budget holds it to that).
 	readChunk = 1 << 20 // 1 MiB
-	// maxRanks bounds rank/proc counts in control frames.
+	// maxRanks bounds rank/proc counts in control frames, and maxSlots a
+	// JOB frame's slot count.
 	maxRanks = 1 << 12
+	maxSlots = 1 << 16
 )
 
 // frameHeaderLen is the fixed [kind][len u32] prefix.
@@ -219,7 +221,7 @@ func encodeJob(m jobMsg) []byte {
 func parseJob(b []byte) (jobMsg, error) {
 	r := reader{b: b}
 	m := jobMsg{name: r.str(), rank: r.intn("rank", maxRanks), procs: r.intn("procs", maxRanks),
-		slots: r.intn("slots", 1<<16), spec: r.bytes()}
+		slots: r.intn("slots", maxSlots), spec: r.bytes()}
 	if r.err == nil && (m.rank < 1 || m.rank >= m.procs) {
 		r.fail("worker rank %d outside job of %d procs", m.rank, m.procs)
 	}

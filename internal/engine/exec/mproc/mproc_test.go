@@ -440,6 +440,26 @@ func TestMprocUnknownJob(t *testing.T) {
 	}
 }
 
+// TestMprocRunChecksOptions: Options past the bounds a worker's JOB frame
+// parser enforces fail Run with an error naming the option and its bound,
+// not a lost worker connection. The job name is unregistered and the checks
+// come first, so no case can wire a mesh or start a worker even if its check
+// is missing.
+func TestMprocRunChecksOptions(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Procs: 2, Slots: -1}, "Options.Slots -1 outside [0, 65536]"},
+		{Options{Procs: 2, Slots: maxSlots + 1}, "Options.Slots 65537 outside [0, 65536]"},
+		{Options{Procs: maxRanks + 1, Slots: 1}, "Options.Procs 4097 exceeds limit 4096"},
+	} {
+		if _, err := Run("no-such-job", nil, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want %q", tc.opts, err, tc.want)
+		}
+	}
+}
+
 // BenchmarkShuffleTransport measures one full shuffle job per iteration:
 // procs=1 is the shared-memory path, procs>1 pays fork + mesh + wire
 // transport, so the delta is the real cost of moving bytes between

@@ -55,11 +55,6 @@ const envWorker = "GPF_MPROC_WORKER"
 // runs without a deadline; crashes surface as EOF or a non-zero exit instead.
 const handshakeTimeout = 30 * time.Second
 
-// causeGrace is how long a symptom of a lost peer — its process exiting, a
-// write to it breaking — waits for the peer's in-band ERR frame, so the
-// reported error names the real failure. First cause wins after that.
-const causeGrace = 2 * time.Second
-
 // Options configures a Run.
 type Options struct {
 	// Procs is the process count W (driver + W-1 workers); <1 means 1.
@@ -101,6 +96,14 @@ func decodeMetrics(b []byte, m *engine.Metrics) error {
 // (error return, crash, lost connection) fails the whole job with the first
 // cause.
 func Run(name string, spec []byte, opts Options) (*Result, error) {
+	// A worker's JOB frame parser enforces these bounds (parseJob); past
+	// them Run would wire the mesh and start workers only to see each exit.
+	if opts.Procs > maxRanks {
+		return nil, fmt.Errorf("mproc: Options.Procs %d exceeds limit %d", opts.Procs, maxRanks)
+	}
+	if opts.Slots < 0 || opts.Slots > maxSlots {
+		return nil, fmt.Errorf("mproc: Options.Slots %d outside [0, %d]", opts.Slots, maxSlots)
+	}
 	fn, ok := jobFor(name)
 	if !ok {
 		return nil, fmt.Errorf("mproc: job %q not registered", name)
@@ -168,11 +171,7 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 			if werr := cmd.Wait(); werr != nil {
 				// A worker that fails its job sends an ERR frame and then
 				// exits non-zero.
-				select {
-				case <-t.failedCh:
-				case <-time.After(causeGrace):
-				}
-				t.fail(fmt.Errorf("mproc: worker rank %d exited: %w", rank, werr))
+				t.failAfterGrace(fmt.Errorf("mproc: worker rank %d exited: %w", rank, werr))
 			}
 		}(rank, cmd)
 		t.sendTo(rank, frameJob, encodeJob(jobMsg{name: name, rank: rank, procs: procs, slots: opts.Slots, spec: spec}))
@@ -184,7 +183,7 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 	for n := 1; n < procs; n++ {
 		select {
 		case <-t.readyCh:
-		case <-t.failedCh:
+		case <-t.job.Done():
 			return nil, teardown(t.Err())
 		case <-ready:
 			return nil, teardown(fmt.Errorf("mproc: %d of %d workers ready at the handshake timeout (does the binary call WorkerMaybe?)", n-1, procs-1))
@@ -207,7 +206,7 @@ func Run(name string, spec []byte, opts Options) (*Result, error) {
 		select {
 		case m := <-t.doneCh:
 			workerMetrics = append(workerMetrics, m)
-		case <-t.failedCh:
+		case <-t.job.Done():
 			return nil, teardown(t.Err())
 		}
 	}

@@ -2,6 +2,7 @@ package mproc
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -46,10 +47,10 @@ type transport struct {
 	mu        sync.Mutex
 	exchanges map[uint64]*wireExchange
 
-	failOnce sync.Once
-	failedCh chan struct{}
-	errMu    sync.Mutex
-	err      error
+	// job is the job's context (engine.Executor.Job): fail cancels it, and
+	// the first cause wins.
+	job  context.Context
+	fail context.CancelCauseFunc
 
 	// driver-side signals (rank 0)
 	readyCh chan int
@@ -67,10 +68,10 @@ func newTransport(rank int, conns []net.Conn) *transport {
 		procs:     procs,
 		conns:     make([]*conn, procs),
 		exchanges: make(map[uint64]*wireExchange),
-		failedCh:  make(chan struct{}),
 		readyCh:   make(chan int, procs-1),
 		doneCh:    make(chan engine.Metrics, procs),
 	}
+	t.job, t.fail = context.WithCancelCause(context.Background())
 	for r, nc := range conns {
 		if nc != nil {
 			t.conns[r] = &conn{rank: r, c: nc}
@@ -79,40 +80,30 @@ func newTransport(rank int, conns []net.Conn) *transport {
 	return t
 }
 
-// fail records the first job-level failure and unblocks everything waiting
-// on Failed. Later calls are no-ops (first cause wins).
-func (t *transport) fail(err error) {
-	t.failOnce.Do(func() {
-		t.errMu.Lock()
-		t.err = err
-		t.errMu.Unlock()
-		close(t.failedCh)
-	})
-}
+// Err is the job's failure cause; nil while the job has not failed.
+func (t *transport) Err() error { return context.Cause(t.job) }
 
-func (t *transport) Err() error {
+// causeGrace is how long a symptom of a lost peer — its process exiting, a
+// write to it breaking — waits for the peer's in-band ERR frame, so the
+// reported error names the real failure. First cause wins after that.
+const causeGrace = 2 * time.Second
+
+// failAfterGrace fails the job with symptom once the lost peer's ERR has had
+// causeGrace to arrive first.
+func (t *transport) failAfterGrace(symptom error) {
 	select {
-	case <-t.failedCh:
-	default:
-		return nil
+	case <-t.job.Done():
+	case <-time.After(causeGrace):
 	}
-	t.errMu.Lock()
-	defer t.errMu.Unlock()
-	return t.err
+	t.fail(symptom)
 }
 
 // sendTo writes a frame to a peer; a broken pipe fails the job (the peer is
 // gone, so its tasks will never complete). A peer that failed its job sends
-// ERR and exits, so the write can break while that ERR is still unread: the
-// read loop gets causeGrace to report it as the first cause before the broken
-// write is.
+// ERR and exits, so the write can break while that ERR is still unread.
 func (t *transport) sendTo(rank int, kind byte, body []byte) {
 	if err := t.conns[rank].writeFrame(kind, body); err != nil {
-		select {
-		case <-t.failedCh:
-		case <-time.After(causeGrace):
-		}
-		t.fail(fmt.Errorf("mproc: send to rank %d: %w", rank, err))
+		t.failAfterGrace(fmt.Errorf("mproc: send to rank %d: %w", rank, err))
 	}
 }
 
@@ -152,13 +143,8 @@ func (t *transport) readLoop(c *conn) {
 	for {
 		terminal, err := t.readOne(c)
 		if err != nil {
-			select {
-			case <-t.failedCh:
-				// Already failed (or shutting down): the closed socket is a
-				// consequence, not a cause.
-				return
-			default:
-			}
+			// After a failure the closed socket is a consequence, not a
+			// cause, and fail keeps the first cause.
 			t.fail(fmt.Errorf("mproc: rank %d connection: %w", c.rank, err))
 			return
 		}

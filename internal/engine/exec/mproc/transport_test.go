@@ -44,7 +44,7 @@ func finish(drv, wrk *transport) {
 func failure(t *testing.T, tr *transport) error {
 	t.Helper()
 	select {
-	case <-tr.failedCh:
+	case <-tr.job.Done():
 		return tr.Err()
 	case <-time.After(10 * time.Second):
 		t.Fatal("the fault did not fail the job")
@@ -57,7 +57,7 @@ func failure(t *testing.T, tr *transport) error {
 // READY twice, past the one slot the driver's ready channel holds for it, and
 // a transport takes two fail calls with different causes. A real job sends
 // each signal once, so a guard that let the second one through — a read loop
-// wedged on a full channel, a double close — would not show in any other
+// wedged on a full channel, a second cause kept — would not show in any other
 // test.
 func TestTransportRepeatedSignals(t *testing.T) {
 	base := leakcheck.Snapshot()
@@ -66,7 +66,7 @@ func TestTransportRepeatedSignals(t *testing.T) {
 	wrk.sendTo(0, frameReady, nil)
 	select {
 	case <-drv.readyCh:
-	case <-drv.failedCh:
+	case <-drv.job.Done():
 		t.Fatalf("driver failed before READY: %v", drv.Err())
 	}
 	finish(drv, wrk)

@@ -1,6 +1,9 @@
 package engine
 
-import "sync/atomic"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // The executor seam abstracts HOW the engine runs a job: how many task slots
 // this process owns, how many cooperating processes share the job, which rank
@@ -25,6 +28,8 @@ import "sync/atomic"
 // what lets bucket frames find their collective without any global
 // scheduler. Task ownership is a pure function of the task index (task %
 // Procs, Context.ownerOf), so no rank ever asks another what to run.
+// A job fails as a whole: its first failure on any rank cancels Job with that
+// cause, every stage's context is Job's child, and every wait on a peer ends.
 
 // Executor is the execution backend of a Context.
 type Executor interface {
@@ -41,11 +46,11 @@ type Executor interface {
 	// the collective sequence number (identical across ranks for the same
 	// collective). It is the only path between ranks.
 	Exchange(seq uint64, in, out int) Exchange
-	// Failed returns a channel closed when the job has failed globally (a
-	// remote rank errored or a worker connection was lost); nil when the
-	// backend cannot fail remotely. Err reports the failure cause.
-	Failed() <-chan struct{}
-	Err() error
+	// Job is the job's context: cancelled by the job's first failure (a
+	// sibling rank errored or a worker connection was lost), which is its
+	// cause. A backend that cannot fail remotely returns a context that is
+	// never cancelled.
+	Job() context.Context
 }
 
 // Exchange is the bucket transport of one collective. Publish stores bucket
@@ -73,11 +78,10 @@ type Exchange interface {
 // localExec is the in-process backend: one process, Slots() task slots.
 type localExec struct{ slots int }
 
-func (e *localExec) Slots() int              { return e.slots }
-func (e *localExec) Procs() int              { return 1 }
-func (e *localExec) Rank() int               { return 0 }
-func (e *localExec) Err() error              { return nil }
-func (e *localExec) Failed() <-chan struct{} { return nil }
+func (e *localExec) Slots() int           { return e.slots }
+func (e *localExec) Procs() int           { return 1 }
+func (e *localExec) Rank() int            { return 0 }
+func (e *localExec) Job() context.Context { return context.Background() }
 
 func (e *localExec) Exchange(_ uint64, in, out int) Exchange {
 	return newLocalExchange(in, out)

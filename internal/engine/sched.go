@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -27,20 +28,6 @@ type taskSet struct {
 	driver func() (wait time.Duration, err error)
 }
 
-// stage is one run of the stage runner — the only place the engine launches
-// tasks. Its tasks go through one slot semaphore. The first task error or
-// panic, or the executor's job-level failure, cancels the stage with that
-// error as the cause: no further task starts, and runStage reports the cause
-// once every started goroutine has joined. No task waits on another rank:
-// that wait is a driver step between task sets (awaitPeers).
-type stage struct {
-	c      *Context
-	name   string
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	sem    chan struct{}
-}
-
 // lptOrder returns the dispatch order for n tasks: indices by descending
 // size hint, stable so equal-sized tasks keep index order. A nil hint yields
 // plain index order.
@@ -60,54 +47,38 @@ func lptOrder(n int, hint func(task int) int64) []int {
 	return order
 }
 
-// jobFailed cancels the stage because the executor reported a job-level
-// failure (a sibling rank errored or its connection was lost).
-func (st *stage) jobFailed() {
-	st.cancel(fmt.Errorf("engine: stage %q: %w", st.name, st.c.exec.Err()))
-}
-
-// acquire takes a slot; it reports false, holding nothing, once the stage is
-// cancelled.
-func (st *stage) acquire() bool {
-	select {
-	case st.sem <- struct{}{}:
-	case <-st.ctx.Done():
-		return false
-	case <-st.c.exec.Failed():
-		st.jobFailed()
-		return false
-	}
-	if st.ctx.Err() != nil { // the slot was freed by the task that cancelled
-		<-st.sem
-		return false
-	}
-	return true
-}
-
 // awaitPeers is the one place a rank waits on its peers: it blocks until
 // every reduce slot this rank owns on ex holds all its blocks, or the job
-// fails, and returns how long it blocked. It runs between task sets, never
-// inside a task.
-func (c *Context) awaitPeers(ex Exchange) (time.Duration, error) {
+// fails, with the job's cause in stage's name, and returns how long it
+// blocked. It runs between task sets or in a driver step, never in a task.
+func (c *Context) awaitPeers(stage string, ex Exchange) (time.Duration, error) {
 	select {
 	case <-ex.Ready():
 		return 0, nil
 	default:
 	}
 	t0 := time.Now()
+	job := c.exec.Job()
 	select {
 	case <-ex.Ready():
 		return time.Since(t0), nil
-	case <-c.exec.Failed():
-		return time.Since(t0), c.exec.Err()
+	case <-job.Done():
+		return time.Since(t0), fmt.Errorf("engine: stage %q: %w", stage, context.Cause(job))
 	}
 }
 
-// runStage executes the tasks and records the stage's StageMetrics row.
+// runStage executes the tasks and records the stage's StageMetrics row. It
+// is the only place the engine launches tasks, through one slot semaphore.
+// The stage's context is the job's child: the first task error or panic, or
+// the job's failure, cancels it with that error as the cause, no further
+// task starts, and runStage reports the cause once every started goroutine
+// has joined. No task waits on another rank: that wait is a driver step
+// between task sets (awaitPeers).
 func (c *Context) runStage(set taskSet) error {
-	st := &stage{c: c, name: set.row.Name, sem: make(chan struct{}, c.workers)}
-	st.ctx, st.cancel = context.WithCancelCause(context.Background())
-	defer st.cancel(nil)
+	job := c.exec.Job()
+	ctx, cancel := context.WithCancelCause(job)
+	defer cancel(nil)
+	sem := make(chan struct{}, c.workers)
 	procs, rank := c.procs(), c.rank()
 	row := &set.row
 	row.Tasks = make([]TaskMetrics, set.n)
@@ -127,36 +98,38 @@ func (c *Context) runStage(set taskSet) error {
 				}
 				tm.Ran, tm.Rank = true, rank
 			}
-			if !st.acquire() {
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+			}
+			if ctx.Err() != nil { // cancelled; a slot won here may be the cancelling task's
 				break
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { <-st.sem }()
+				defer func() { <-sem }()
 				// Cancel before the slot is released above: a dispatcher that
 				// wins the slot then sees the cancellation.
 				defer func() {
 					if p := recover(); p != nil {
-						st.cancel(fmt.Errorf("engine: task %d panicked: %v\n%s", i, p, debug.Stack()))
+						cancel(fmt.Errorf("engine: task %d panicked: %v\n%s", i, p, debug.Stack()))
 					}
 				}()
 				t0 := time.Now()
 				err := set.fn(i, tm)
 				tm.Wall = time.Since(t0)
 				if err != nil {
-					st.cancel(err)
+					cancel(err)
 				}
 			}()
 		}
 		wg.Wait()
 	})
-	select {
-	case <-c.exec.Failed():
-		st.jobFailed()
-	default:
+	err := context.Cause(ctx)
+	if err != nil && errors.Is(err, context.Cause(job)) { // the job failed, not a task
+		err = fmt.Errorf("engine: stage %q: %w", row.Name, err)
 	}
-	err := context.Cause(st.ctx)
 	if set.driver != nil && err == nil {
 		t0 := time.Now()
 		row.FetchWait, err = set.driver()

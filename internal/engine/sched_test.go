@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -157,32 +158,109 @@ func TestPanicCarriesStack(t *testing.T) {
 	}
 }
 
-// failedExec is an in-process executor whose job has already failed, as a
-// sibling rank's error frame would leave it.
-type failedExec struct {
+// jobExec is an in-process executor whose job context the test cancels, as a
+// sibling rank's error frame would.
+type jobExec struct {
 	localExec
-	failed chan struct{}
+	job context.Context
 }
 
-func (e *failedExec) Failed() <-chan struct{} { return e.failed }
-func (e *failedExec) Err() error              { return errors.New("rank 1 died") }
+func (e *jobExec) Job() context.Context { return e.job }
 
-// TestJobFailureCancelsStage: the executor's job-level failure is a stage
-// cancellation cause like any task error.
+var errRankDied = errors.New("rank 1 died")
+
+// TestJobFailureCancelsStage: the job's failure is a stage cancellation
+// cause like any task error, whether the job failed before the stage started
+// or while its first task ran; in the second case no later task starts.
 func TestJobFailureCancelsStage(t *testing.T) {
-	base := leakcheck.Snapshot()
-	ex := &failedExec{localExec: localExec{slots: 2}, failed: make(chan struct{})}
-	close(ex.failed)
-	err := NewContextOn(ex).runStage(taskSet{
-		row: StageMetrics{Name: "doomed"},
-		n:   8,
-		fn:  func(int, *TaskMetrics) error { return nil },
+	t.Run("before", func(t *testing.T) {
+		base := leakcheck.Snapshot()
+		job, fail := context.WithCancelCause(context.Background())
+		fail(errRankDied)
+		err := NewContextOn(&jobExec{localExec: localExec{slots: 2}, job: job}).runStage(taskSet{
+			row: StageMetrics{Name: "doomed"},
+			n:   8,
+			fn:  func(int, *TaskMetrics) error { return nil },
+		})
+		if !errors.Is(err, errRankDied) || !strings.Contains(err.Error(), `"doomed"`) {
+			t.Fatalf("err = %v, want the job failure wrapped with the stage name", err)
+		}
+		base.Check(t, leakcheck.Timeout(3*time.Second))
 	})
-	if err == nil || !strings.Contains(err.Error(), "rank 1 died") || !strings.Contains(err.Error(), `"doomed"`) {
-		t.Fatalf("err = %v, want the job failure wrapped with the stage name", err)
-	}
-	base.Check(t, leakcheck.Timeout(3*time.Second))
+
+	t.Run("mid-stage", func(t *testing.T) {
+		base := leakcheck.Snapshot()
+		job, fail := context.WithCancelCause(context.Background())
+		var started atomic.Int32
+		err := NewContextOn(&jobExec{localExec: localExec{slots: 1}, job: job}).runStage(taskSet{
+			row: StageMetrics{Name: "doomed"},
+			n:   8,
+			fn: func(p int, _ *TaskMetrics) error {
+				started.Add(1)
+				if p == 0 {
+					fail(errRankDied)
+				}
+				return nil
+			},
+		})
+		if !errors.Is(err, errRankDied) || !strings.Contains(err.Error(), `"doomed"`) {
+			t.Fatalf("err = %v, want the job failure wrapped with the stage name", err)
+		}
+		if n := started.Load(); n != 1 {
+			t.Fatalf("%d tasks started, want only task 0", n)
+		}
+		base.Check(t, leakcheck.Timeout(3*time.Second))
+	})
 }
+
+// TestJobFailureNamesAwaitedStage: a job that fails while a rank waits on
+// its peers (an action's allgather, a shuffle's wait for its reduce
+// buckets) ends the wait with the job's cause and the name of the stage the
+// wait is for. The fake rank 0 of a 2-rank job waits on an exchange that is
+// never Ready; the job fails 50 ms in.
+func TestJobFailureNamesAwaitedStage(t *testing.T) {
+	cases := []struct {
+		stage string
+		run   func(ctx *Context) error
+	}{
+		{"my-count", func(ctx *Context) error {
+			_, err := Count("my-count", Parallelize(ctx, intRange(8), 4))
+			return err
+		}},
+		{"my-shuffle/reduce", func(ctx *Context) error {
+			_, err := PartitionBy("my-shuffle", Parallelize(ctx, intRange(8), 4), 4, func(x int) int { return x })
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.stage, func(t *testing.T) {
+			base := leakcheck.Snapshot()
+			job, fail := context.WithCancelCause(context.Background())
+			timer := time.AfterFunc(50*time.Millisecond, func() { fail(errRankDied) })
+			defer timer.Stop()
+			err := tc.run(NewContextOn(&neverReadyExec{jobExec{localExec: localExec{slots: 2}, job: job}}))
+			if !errors.Is(err, errRankDied) || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.stage)) {
+				t.Fatalf("err = %v, want the job failure wrapped with stage %q", err, tc.stage)
+			}
+			base.Check(t, leakcheck.Timeout(3*time.Second))
+		})
+	}
+}
+
+// neverReadyExec is rank 0 of a 2-rank job whose sibling never delivers: its
+// exchanges drop every publish and are never Ready.
+type neverReadyExec struct{ jobExec }
+
+func (*neverReadyExec) Procs() int { return 2 }
+
+func (*neverReadyExec) Exchange(uint64, int, int) Exchange { return neverReady{} }
+
+type neverReady struct{}
+
+func (neverReady) Publish(int, int, []byte) {}
+func (neverReady) Ready() <-chan struct{}   { return nil }
+func (neverReady) Take(int) [][]byte        { return nil }
+func (neverReady) Close()                   {}
 
 // rankBus is the shared memory the fake ranks of one SPMD job meet on: one
 // collective per sequence number, so shuffles and action allgathers alike

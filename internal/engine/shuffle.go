@@ -109,9 +109,9 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 	}
 	// Every local map has published; the reduces start once the buckets of
 	// the maps sibling ranks run are in too.
-	wait, err := d.ctx.awaitPeers(ex)
+	wait, err := d.ctx.awaitPeers(name+"/reduce", ex)
 	if err != nil {
-		return nil, fmt.Errorf("engine: stage %q: %w", name+"/reduce", err)
+		return nil, err
 	}
 	err = d.ctx.runStage(taskSet{
 		row: StageMetrics{Name: name + "/reduce", Kind: StageShuffle, FetchWait: wait},
