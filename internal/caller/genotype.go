@@ -1,7 +1,10 @@
 package caller
 
 import (
+	"bytes"
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/genome"
@@ -87,8 +90,11 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 		return nil // assembly anchors require clean reference k-mers
 	}
 
-	// Gather overlapping, usable reads.
-	var seqs, quals [][]byte
+	// Gather overlapping, usable reads in a total order of their content, so
+	// the sample below and the likelihood sums do not depend on the order
+	// the partition holds them in (a shuffle's map order, which moves with
+	// its bucket count).
+	var keep []int
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
@@ -100,22 +106,36 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 		if int(r.End()) <= winStart || int(r.Pos) >= winEnd {
 			continue
 		}
-		seqs = append(seqs, r.Seq)
-		quals = append(quals, r.Qual)
+		keep = append(keep, i)
 	}
-	if len(seqs) == 0 {
+	if len(keep) == 0 {
 		return nil
 	}
+	slices.SortFunc(keep, func(i, j int) int {
+		a, b := &records[i], &records[j]
+		if c := sam.CoordinateCompare(a, b); c != 0 {
+			return c
+		}
+		if a.Flag != b.Flag {
+			return cmp.Compare(a.Flag, b.Flag)
+		}
+		if c := bytes.Compare(a.Seq, b.Seq); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Qual, b.Qual)
+	})
 	// Downsample pileups: keep a deterministic stride sample so the
 	// pair-HMM cost per region is bounded regardless of coverage spikes.
-	// Compacting in place is safe: the source index never trails the target.
-	if limit := cfg.MaxReadsPerRegion; limit > 0 && len(seqs) > limit {
-		stride := float64(len(seqs)) / float64(limit)
-		for i := 0; i < limit; i++ {
-			j := int(float64(i) * stride)
-			seqs[i], quals[i] = seqs[j], quals[j]
-		}
-		seqs, quals = seqs[:limit], quals[:limit]
+	n := len(keep)
+	if limit := cfg.MaxReadsPerRegion; limit > 0 && n > limit {
+		n = limit
+	}
+	stride := float64(len(keep)) / float64(n)
+	seqs := make([][]byte, n)
+	quals := make([][]byte, n)
+	for k := range seqs {
+		r := &records[keep[int(float64(k)*stride)]]
+		seqs[k], quals[k] = r.Seq, r.Qual
 	}
 
 	haps := assembleHaplotypes(refWindow, seqs, cfg.K, cfg.MaxHaplotypes, 2)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -19,6 +21,7 @@ import (
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/testutil/reclaim"
 	"github.com/gpf-go/gpf/internal/vcf"
+	"github.com/gpf-go/gpf/internal/workload"
 )
 
 func TestPartitionInfoBaseMapping(t *testing.T) {
@@ -594,6 +597,42 @@ func TestOptimizationPreservesResults(t *testing.T) {
 		a, b := opt[i], unopt[i]
 		if a.Chrom != b.Chrom || a.Pos != b.Pos || a.Ref != b.Ref || a.Alt != b.Alt || a.GT != b.GT {
 			t.Fatalf("call %d differs: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestVCFIndependentOfShuffleBuckets: the VCF does not depend on
+// NumPartitions, which NewRuntime sets to 4 × workers. MarkDuplicate's group
+// shuffle has that many buckets, so its map order, and with it the order a
+// partition holds its reads in, moves with it. The dataset's two hotspots,
+// sampled 40 times as densely, put more than MaxReadsPerRegion reads in some
+// active regions, whose stride sample and likelihood sums must not follow
+// that order.
+func TestVCFIndependentOfShuffleBuckets(t *testing.T) {
+	d := workload.Make(workload.DefaultProfile(workload.WGS, 30000), 42)
+	var first string
+	for _, n := range []int{4, 8, 16} {
+		rt := NewRuntime(engine.NewContext(2), d.Ref)
+		rt.PartitionLen = 3000
+		rt.NumPartitions = n
+		rt.Known = d.Known
+		wgs := BuildWGSPipeline(rt, PairsToRDD(rt, d.Pairs, 4), false)
+		if err := wgs.Pipeline.Run(); err != nil {
+			t.Fatal(err)
+		}
+		calls, err := CollectVCF(rt, wgs.VCF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := vcf.Write(h, wgs.VCF.Header, calls); err != nil {
+			t.Fatal(err)
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if first == "" {
+			first = got
+		} else if got != first {
+			t.Fatalf("NumPartitions %d: %d calls hash to %s, NumPartitions 4 to %s", n, len(calls), got, first)
 		}
 	}
 }

@@ -406,9 +406,12 @@ func TestTable5Efficiencies(t *testing.T) {
 // bytes; that commit asserted the fast kernels wrote the same). The reference
 // kernels are test oracles now, so this hash is the end-to-end check that no
 // kernel moves a call. The bytes hashed are those of the GPF run every paper
-// figure reads.
+// figure reads. The hash moved once, from 0a6da75f… to 1fb7e696…, by one QUAL
+// at a DP=256 site (chr1:3968, 1836.43 to 1953.85), when CallRegion began
+// sorting a region's reads by content before its stride sample: the calls
+// and genotypes are the same.
 func TestWGSGoldenVCF(t *testing.T) {
-	const golden = "0a6da75f4b82cbf892afde9e0f09d03f34cf4602db50e5dc35721ff43b9f95cd"
+	const golden = "1fb7e696d29947d06e5f869cf9ab3776c55fff148057c00184a0a989bb8aca99"
 	run, err := smallRuns.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		t.Fatal(err)

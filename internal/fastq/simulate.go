@@ -98,10 +98,10 @@ func Simulate(donor *genome.Donor, cfg SimConfig) []Pair {
 			}
 			pairs = append(pairs, p)
 			if rng.Float64() < cfg.DuplicateRate {
+				// A duplicate copies the pair's bases and qualities exactly,
+				// under a new name.
 				dup := clonePairWithName(p, fmt.Sprintf("%s_%d", cfg.SampleName, serial))
 				serial++
-				// Re-sample error bases so duplicates differ only by errors,
-				// as PCR duplicates do.
 				pairs = append(pairs, dup)
 			}
 		}
@@ -204,6 +204,15 @@ func sampleQualities(rng *rand.Rand, p QualityProfile, n int) []byte {
 	return q
 }
 
+// errProb[q] is 10^(-q/10), the error probability of Phred score q, for
+// every score a quality byte can carry.
+var errProb = func() (t [256]float64) {
+	for q := range t {
+		t[q] = math.Pow(10, -float64(q)/10)
+	}
+	return t
+}()
+
 // applyErrors substitutes bases with probability 10^(-Q/10) given that base's
 // quality, so the quality string truthfully reports the error rate.
 func applyErrors(rng *rand.Rand, seq, qual []byte) {
@@ -213,9 +222,7 @@ func applyErrors(rng *rand.Rand, seq, qual []byte) {
 			qual[i] = QualMin + 2
 			continue
 		}
-		phred := float64(qual[i] - QualMin)
-		pErr := math.Pow(10, -phred/10)
-		if rng.Float64() < pErr {
+		if rng.Float64() < errProb[qual[i]-QualMin] {
 			seq[i] = substitute(rng, seq[i])
 		}
 	}
