@@ -528,17 +528,31 @@ func BenchmarkAlignPair(b *testing.B) {
 	}
 }
 
-func BenchmarkBackwardSearch(b *testing.B) {
-	ref := genome.Synthesize(genome.DefaultSynthConfig(207, 200000, 1))
+// BenchmarkKernelBackwardSearch times BackwardSearch on the aligner's
+// seeds: every 19-mer at stride 10 of simulated 100 kb reads, in both
+// orientations, so most reverse-strand seeds of a forward-strand read (and
+// the reverse) end in an empty interval. ns/seed is ns/op.
+func BenchmarkKernelBackwardSearch(b *testing.B) {
+	ref := genome.Synthesize(genome.DefaultSynthConfig(207, 100000, 2))
 	idx, err := BuildFMIndex(ref)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pattern := ref.Contigs[0].Seq[5000:5025]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.BackwardSearch(pattern)
+	cfg := DefaultConfig()
+	pairs := fastq.Simulate(genome.Mutate(ref, genome.DefaultMutateConfig(208)), fastq.DefaultSimConfig(209, 1))
+	var seeds [][]byte
+	for _, p := range pairs[:500] {
+		for _, seq := range [][]byte{p.R1.Seq, genome.ReverseComplement(p.R1.Seq)} {
+			for off := 0; off+cfg.SeedLen <= len(seq); off += cfg.SeedStride {
+				seeds = append(seeds, seq[off:off+cfg.SeedLen])
+			}
+		}
 	}
+	b.ResetTimer()
+	for i := range b.N {
+		idx.BackwardSearch(seeds[i%len(seeds)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/seed")
 }
 
 // TestKernelAlignPairGolden pins the aligner's output bytes on a reference

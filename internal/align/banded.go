@@ -87,6 +87,11 @@ func bandBounds(m, n int) (lo, hi int) {
 // fitAlignBanded runs the banded Gotoh DP. ok is false when the banded
 // optimum cannot certify that no out-of-band path beats it; the caller must
 // then fall back to fitAlignFull. Requires bandedEligible(m, n, sc).
+//
+// It keeps scores only. Each cell's max is the builtin max, with no branch
+// on the data, and the traceback recomputes each step's predecessor from the
+// stored neighbours with the full DP's tie order: M from M, then X, then Y,
+// switching on strict >; X and Y open from M on >=.
 func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 	m, n := len(read), len(window)
 	lo, hi := bandBounds(m, n)
@@ -99,92 +104,82 @@ func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 	stride := W + 2
 	size := (m + 1) * stride
 	scores := bufpool.GetI32(3 * size)
-	ptrs := bufpool.GetU8(3 * size)
 	defer bufpool.PutI32(scores)
-	defer bufpool.PutU8(ptrs)
 	M, X, Y := scores[0:size], scores[size:2*size], scores[2*size:3*size]
-	ptrM, ptrX, ptrY := ptrs[0:size], ptrs[size:2*size], ptrs[2*size:3*size]
-	for i := range scores {
-		scores[i] = negInf
-	}
-	clear(ptrs)
-	const (
-		fromM = 1
-		fromX = 2
-		fromY = 3
-	)
+	gapOpen, gapExt := int32(sc.GapOpen), int32(sc.GapExtend)
 
-	// Row 0: free leading reference flank on every in-band start column.
+	// Only cells the recurrence, the end scan or the traceback read are
+	// set before the fill: row 0, every row's two pads, and column 0 where
+	// the band reaches it. Row 0 is the free leading reference flank on
+	// every in-band start column.
+	for k := range stride {
+		M[k], X[k], Y[k] = negInf, negInf, negInf
+	}
 	for d := max(lo, 0); d <= hi; d++ {
 		M[d-lo+1] = 0
 	}
-	// Column 0: leading insertions, as far down as the band reaches.
-	for i := 1; i <= m && -i >= lo; i++ {
-		k := i*stride + (-i - lo + 1)
-		X[k] = int32(sc.GapOpen + (i-1)*sc.GapExtend)
-		ptrX[k] = fromX
+	for i := 1; i <= m; i++ {
+		row := i * stride
+		M[row], X[row], Y[row] = negInf, negInf, negInf
+		M[row+W+1], X[row+W+1], Y[row+W+1] = negInf, negInf, negInf
+		// Column 0: leading insertions, as far down as the band reaches.
+		if d := -i; d >= lo {
+			k := row + d - lo + 1
+			M[k], X[k], Y[k] = negInf, int32(sc.GapOpen+(i-1)*sc.GapExtend), negInf
+		}
 	}
 
 	for i := 1; i <= m; i++ {
-		row := i * stride
-		prow := row - stride
 		dStart := max(lo, 1-i) // j = i+d ≥ 1
 		dEnd := min(hi, n-i)   // j ≤ n
+		// The row's slices, cut to the row's width so the loop indexes them
+		// without bounds checks: up* are row i−1 at k+1, diagY row i−1 at
+		// k, cur* row i at k, win the window from the first cell's j−1. The
+		// diagonal M and X ride in registers from the previous cell's up*.
+		row := i*stride + dStart - lo + 1
+		prow := row - stride
+		width := dEnd - dStart + 1
+		curM, curX, curY := M[row:row+width], X[row:row+width], Y[row:row+width]
+		upM, upX := M[prow+1:][:width], X[prow+1:][:width]
+		diagY := Y[prow:][:width]
+		win := window[i+dStart-1:][:width]
+		diagM, diagX := M[prow], X[prow]
 		rb := read[i-1]
-		for d := dStart; d <= dEnd; d++ {
-			k := d - lo + 1
-			j := i + d
-			sub := sc.Mismatch
-			if rb == window[j-1] && rb != 'N' {
-				sub = sc.Match
+		match, mismatch := int32(sc.Match), int32(sc.Mismatch)
+		if rb == 'N' {
+			match = mismatch
+		}
+		// The left neighbour (i, j−1) of the first cell is a pad or column
+		// 0, both −∞ in M and Y; after that it is the cell just written.
+		leftM, leftY := int32(negInf), int32(negInf)
+		for c := range curM {
+			sub := mismatch
+			if rb == win[c] {
+				sub = match
 			}
+			uM, uX := upM[c], upX[c]
 			// M: diagonal move from best of three.
-			dM, dX, dY := M[prow+k], X[prow+k], Y[prow+k]
-			best, from := dM, uint8(fromM)
-			if dX > best {
-				best, from = dX, fromX
-			}
-			if dY > best {
-				best, from = dY, fromY
-			}
-			M[row+k] = best + int32(sub)
-			ptrM[row+k] = from
-
+			mv := max(diagM, diagX, diagY[c]) + sub
 			// X: consume read base (insertion relative to reference).
-			openX := M[prow+k+1] + int32(sc.GapOpen)
-			extX := X[prow+k+1] + int32(sc.GapExtend)
-			if openX >= extX {
-				X[row+k] = openX
-				ptrX[row+k] = fromM
-			} else {
-				X[row+k] = extX
-				ptrX[row+k] = fromX
-			}
-
+			xv := max(uM+gapOpen, uX+gapExt)
 			// Y: consume window base (deletion).
-			openY := M[row+k-1] + int32(sc.GapOpen)
-			extY := Y[row+k-1] + int32(sc.GapExtend)
-			if openY >= extY {
-				Y[row+k] = openY
-				ptrY[row+k] = fromM
-			} else {
-				Y[row+k] = extY
-				ptrY[row+k] = fromY
-			}
+			yv := max(leftM+gapOpen, leftY+gapExt)
+			curM[c], curX[c], curY[c] = mv, xv, yv
+			diagM, diagX, leftM, leftY = uM, uX, mv, yv
 		}
 	}
 
 	// Best end on the last row, in the full DP's scan order: columns
 	// ascending (d ascending here), M before X per column, strict >.
-	bestScore, bestK, bestLayer := int32(negInf), 0, uint8(fromM)
+	bestScore, bestK, bestLayer := int32(negInf), 0, byte('M')
 	mrow := m * stride
 	for d := lo; d <= min(hi, n-m); d++ {
 		k := d - lo + 1
 		if M[mrow+k] > bestScore {
-			bestScore, bestK, bestLayer = M[mrow+k], k, fromM
+			bestScore, bestK, bestLayer = M[mrow+k], k, 'M'
 		}
 		if X[mrow+k] > bestScore {
-			bestScore, bestK, bestLayer = X[mrow+k], k, fromX
+			bestScore, bestK, bestLayer = X[mrow+k], k, 'I'
 		}
 	}
 
@@ -203,29 +198,45 @@ func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 
 	// Traceback, identical to the full DP's but stepping in (row, slot)
 	// space: M keeps k, I moves to k+1 in the previous row, D moves to k−1.
+	// Each step's layer is the one the fill's max took, recomputed from the
+	// same stored neighbours.
 	var rev sam.Cigar
 	i, k, layer := m, bestK, bestLayer
-	appendOp := func(op byte) {
-		if len(rev) > 0 && rev[len(rev)-1].Op == op {
-			rev[len(rev)-1].Len++
-			return
-		}
-		rev = append(rev, sam.CigarOp{Len: 1, Op: op})
-	}
 	for i > 0 {
+		if len(rev) > 0 && rev[len(rev)-1].Op == layer {
+			rev[len(rev)-1].Len++
+		} else {
+			rev = append(rev, sam.CigarOp{Len: 1, Op: layer})
+		}
+		c := i*stride + k
 		switch layer {
-		case fromM:
-			appendOp('M')
-			layer = ptrM[i*stride+k]
+		case 'M':
+			p := c - stride
+			if best := M[p]; X[p] > best {
+				layer = 'I'
+				if Y[p] > X[p] {
+					layer = 'D'
+				}
+			} else if Y[p] > best {
+				layer = 'D'
+			}
 			i--
-		case fromX:
-			appendOp('I')
-			layer = ptrX[i*stride+k]
+		case 'I':
+			p := c - stride + 1
+			if M[p]+gapOpen < X[p]+gapExt {
+				layer = 'I'
+			} else {
+				layer = 'M'
+			}
 			i--
 			k++
-		case fromY:
-			appendOp('D')
-			layer = ptrY[i*stride+k]
+		case 'D':
+			p := c - 1
+			if M[p]+gapOpen < Y[p]+gapExt {
+				layer = 'D'
+			} else {
+				layer = 'M'
+			}
 			k--
 		}
 	}

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -33,26 +34,48 @@ func mutateRead(rng *rand.Rand, src []byte, subRate float64, indels, maxIndel in
 	return read
 }
 
-func checkFitEqual(t *testing.T, tag string, read, window []byte, sc Scoring) {
+// checkFitEqual asserts that the banded DP, when eligible and certified,
+// returns the full DP's fit, and reports whether it was compared.
+func checkFitEqual(t *testing.T, tag string, read, window []byte, sc Scoring) bool {
 	t.Helper()
 	want := fitAlignFull(read, window, sc)
 	if !bandedEligible(len(read), len(window), sc) {
-		return
+		return false
 	}
 	got, ok := fitAlignBanded(read, window, sc)
 	if !ok {
-		return // certificate failed: dispatcher re-runs the full DP
+		return false // certificate failed: dispatcher re-runs the full DP
 	}
 	if got.Score != want.Score || got.RefStart != want.RefStart || got.Cigar.String() != want.Cigar.String() {
-		t.Fatalf("%s (m=%d n=%d):\nbanded score=%d start=%d cigar=%s\nfull   score=%d start=%d cigar=%s",
-			tag, len(read), len(window),
+		t.Fatalf("%s (m=%d n=%d):\nread   %s\nwindow %s\nbanded score=%d start=%d cigar=%s\nfull   score=%d start=%d cigar=%s",
+			tag, len(read), len(window), read, window,
 			got.Score, got.RefStart, got.Cigar, want.Score, want.RefStart, want.Cigar)
 	}
+	return true
+}
+
+// realignerPad is the cleaner's realignPad: the indel realigner fits a read
+// into its own span plus this many bases either side.
+const realignerPad = 25
+
+// tandemBases returns n bases of unit repeated: a homopolymer for a
+// one-base unit, a short tandem repeat otherwise.
+func tandemBases(unit []byte, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = unit[i%len(unit)]
+	}
+	return out
 }
 
 // TestKernelFitAlignBandedEquivalence: on random reads carved from random
 // windows, the banded DP must reproduce the full DP exactly — score,
-// RefStart and CIGAR — whenever its certificate accepts.
+// RefStart and CIGAR — whenever its certificate accepts. The banded DP keeps
+// no traceback pointers and recomputes each step's predecessor from the
+// scores, so the cases include the callers' window shapes (the aligner's
+// read + 2·Flank, the realigner's read + 2·realignPad) and tie-heavy windows
+// of homopolymers and 2–3-base tandem repeats, where many paths share the
+// optimal score and only the tie order picks the full DP's CIGAR.
 func TestKernelFitAlignBandedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	bases := []byte("ACGT")
@@ -66,6 +89,57 @@ func TestKernelFitAlignBandedEquivalence(t *testing.T) {
 		off := rng.Intn(n - rl + 1)
 		read := mutateRead(rng, window[off:off+rl], 0.06, rng.Intn(3), 4)
 		checkFitEqual(t, "random", read, window, DefaultScoring())
+	}
+
+	// The callers' shapes: a 100-base read cut from the middle of a window
+	// padded by pad bases either side, with substitutions and indels of up
+	// to 8 bases (an indel leaves the band only past bandSlack).
+	shaped := func(tag string, pad int, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		compared := 0
+		for c := 0; c < 400; c++ {
+			window := randomBases(rng, 100+2*pad)
+			read := mutateRead(rng, window[pad:pad+100], 0.03, 1+rng.Intn(3), 8)
+			if rng.Intn(8) == 0 {
+				read[rng.Intn(len(read))] = 'N'
+			}
+			if checkFitEqual(t, tag, read, window, DefaultScoring()) {
+				compared++
+			}
+		}
+		if compared < 200 {
+			t.Fatalf("%s: the band certified %d of 400 fits, want ≥ 200", tag, compared)
+		}
+	}
+	shaped("aligner-shaped", DefaultConfig().Flank, 25)
+	shaped("realigner-shaped", realignerPad, 26)
+
+	// Tie-heavy: windows of runs of one repeat unit, reads cut from them
+	// with indels that a repeat lets sit at many offsets with one score.
+	rng = rand.New(rand.NewSource(27))
+	units := [][]byte{[]byte("A"), []byte("C"), []byte("AC"), []byte("AT"), []byte("CAG"), []byte("GGT")}
+	compared := 0
+	for c := 0; c < 600; c++ {
+		var window []byte
+		for len(window) < 120 {
+			unit := units[rng.Intn(len(units))]
+			window = append(window, tandemBases(unit, 5+rng.Intn(30))...)
+			if rng.Intn(3) == 0 {
+				window = append(window, randomBases(rng, 1+rng.Intn(4))...)
+			}
+		}
+		pad := rng.Intn(realignerPad + 1)
+		rl := min(100, len(window)-2*pad)
+		read := mutateRead(rng, window[pad:pad+rl], 0.01, 1+rng.Intn(3), 6)
+		if checkFitEqual(t, "tie-heavy", read, window, DefaultScoring()) {
+			compared++
+		}
+		if checkFitEqual(t, "tie-heavy maxX2", read, window, scoringMaxX2) {
+			compared++
+		}
+	}
+	if compared < 900 {
+		t.Fatalf("tie-heavy: the band certified %d of 1200 fits, want ≥ 900", compared)
 	}
 }
 
@@ -149,12 +223,48 @@ func BenchmarkKernelFitAlignFull(b *testing.B) {
 	}
 }
 
+// bandCells counts the cells fitAlignBanded fills for an m-base read in an
+// n-base window.
+func bandCells(m, n int) int {
+	lo, hi := bandBounds(m, n)
+	cells := 0
+	for i := 1; i <= m; i++ {
+		cells += min(hi, n-i) - max(lo, 1-i) + 1
+	}
+	return cells
+}
+
+// BenchmarkKernelFitAlignBanded times the banded DP on a 150-base read with
+// one small indel in a 400-base window, and at its callers' shapes: the
+// aligner's (100 bases in 100 + 2·Flank) and the realigner's (100 in
+// 100 + 2·realignPad), each read holding one 2-base deletion so no ungapped
+// certificate would answer first. ns/cell divides by the cells filled.
 func BenchmarkKernelFitAlignBanded(b *testing.B) {
+	shaped := func(pad int) (read, window []byte) {
+		window = randomBases(rand.New(rand.NewSource(35)), 100+2*pad)
+		read = append(bytes.Clone(window[pad:pad+50]), window[pad+52:pad+102]...)
+		return read, window
+	}
 	read, window := benchFitInputs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := fitAlignBanded(read, window, DefaultScoring()); !ok {
-			b.Fatal("certificate refused benchmark input")
-		}
+	aRead, aWindow := shaped(DefaultConfig().Flank)
+	rRead, rWindow := shaped(realignerPad)
+	for _, c := range []struct {
+		name         string
+		read, window []byte
+	}{
+		{"150in400", read, window},
+		{"aligner", aRead, aWindow},
+		{"realigner", rRead, rWindow},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, ok := fitAlignBanded(c.read, c.window, DefaultScoring()); !ok {
+					b.Fatal("certificate refused benchmark input")
+				}
+			}
+			cells := float64(bandCells(len(c.read), len(c.window)))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+		})
 	}
 }

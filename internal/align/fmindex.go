@@ -38,12 +38,15 @@ func (b *occBlock) eq(code uint64) (e0, e1 uint64) {
 }
 
 // countEq counts the set symbols of an eq mask pair among the first r < 64
-// symbols of the block.
+// symbols of the block, without a branch on r: a Go shift by 64 or more
+// yields 0, so e0's mask is all ones once r reaches 32, and e1's is cleared
+// until then. The two masked words share one popcount, e1's bits moved to
+// the odd positions e0 leaves empty.
 func countEq(e0, e1 uint64, r uint) int32 {
-	if r < 32 {
-		return int32(bits.OnesCount64(e0 & (1<<(2*r) - 1)))
-	}
-	return int32(bits.OnesCount64(e0) + bits.OnesCount64(e1&(1<<(2*(r-32))-1)))
+	s := 2 * r
+	m0 := uint64(1)<<s - 1
+	m1 := (uint64(1)<<(s-64) - 1) & -uint64(s>>6)
+	return int32(bits.OnesCount64(e0&m0 | (e1&m1)<<1))
 }
 
 // FMIndex is a BWT-based full-text index over the concatenated reference,
@@ -62,6 +65,14 @@ type FMIndex struct {
 	// sa holds sampled suffix array entries: saSample[i] = SA[i*saSampleRate].
 	saSample []int32
 	n        int // text length including sentinel
+	// kmers[v] is the BWT interval of the kmerLen-mer whose bases, first
+	// base most significant, have the 2-bit codes of v (Bowtie's "ftab"):
+	// backward search starts there, kmerLen rank steps in, instead of at
+	// the whole text. kmerLen is the largest k with 4^k ≤ len/4 for a
+	// reference of len bases (7 at 100 kb), so the table's 8·4^k bytes stay
+	// at most twice the reference length.
+	kmers   []Interval
+	kmerLen int
 
 	// contig boundary offsets in the concatenated text: contig i spans
 	// [starts[i], starts[i]+len).
@@ -157,16 +168,37 @@ func indexFromSA(ref *genome.Reference, text []byte, starts []int64, sa []int32)
 	for c, f := range running {
 		idx.counts[c+2] = idx.counts[c+1] + int32(f)
 	}
+
+	for 1<<(2*(idx.kmerLen+1)) <= (n-1)/4 {
+		idx.kmerLen++
+	}
+	idx.kmers = make([]Interval, 1<<(2*idx.kmerLen))
+	idx.fillKmers(0, 0, 0, int32(n))
 	return idx
 }
 
-// packed converts BWT row i (0..n) to an offset into the sentinel-free
-// packed BWT.
-func (x *FMIndex) packed(i int32) uint {
-	if i > x.primary {
-		i--
+// fillKmers stores the interval of every k-mer ending in the depth bases
+// coded by v, whose interval is [lo, hi), by the rank steps BackwardSearch
+// takes: a depth-first walk over the k-mers' suffixes, one rank step per
+// suffix that occurs (4^(k+1)/3 at most). Entries of absent k-mers stay
+// empty.
+func (x *FMIndex) fillKmers(v, depth int, lo, hi int32) {
+	if depth == x.kmerLen {
+		x.kmers[v] = Interval{Lo: lo, Hi: hi}
+		return
 	}
-	return uint(i)
+	for c := range 4 {
+		l, h := x.rank(uint64(c), lo, hi)
+		if l < h {
+			x.fillKmers(v|c<<(2*depth), depth+1, l+x.counts[c+1], h+x.counts[c+1])
+		}
+	}
+}
+
+// packed converts BWT row i (0..n) to an offset into the sentinel-free
+// packed BWT: rows past primary step back one, by the sign of primary−i.
+func (x *FMIndex) packed(i int32) uint {
+	return uint(i) - uint(uint32(x.primary-i)>>31)
 }
 
 // rank returns the number of occurrences of base code c (0..3 for A,C,G,T)
@@ -205,10 +237,27 @@ type Interval struct {
 func (iv Interval) Size() int { return int(iv.Hi - iv.Lo) }
 
 // BackwardSearch returns the BWT interval of exact occurrences of pattern
-// (ACGT bytes). An empty interval means no match.
+// (ACGT bytes, either case). An empty interval means no match. A pattern of
+// kmerLen bases or more starts from its last kmerLen bases' table entry,
+// which is the interval the stepwise search reaches there, and empty
+// whenever that search would have stopped: at an absent k-mer or a
+// non-ACGT base.
 func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 	lo, hi := int32(0), int32(x.n)
-	for i := len(pattern) - 1; i >= 0; i-- {
+	i := len(pattern) - 1
+	if k := x.kmerLen; len(pattern) >= k {
+		v, bad := 0, 0
+		for _, b := range pattern[len(pattern)-k:] {
+			bc := genome.BaseCode(b)
+			v, bad = v<<2|bc&3, bad|bc
+		}
+		iv := x.kmers[v]
+		if bad < 0 || iv.Lo >= iv.Hi {
+			return Interval{}
+		}
+		lo, hi, i = iv.Lo, iv.Hi, i-k
+	}
+	for ; i >= 0; i-- {
 		bc := genome.BaseCode(pattern[i])
 		if bc < 0 {
 			return Interval{}

@@ -88,63 +88,117 @@ func TestKernelFMIndexRankOracle(t *testing.T) {
 	check("sentinel in a middle block", append([]byte("G"), randomBases(rng, 4095)...), "middle")
 }
 
-// TestKernelFMIndexSearchLocateOracle: BackwardSearch intervals and
-// appendLocate positions must equal a naive scan of the indexed text for k-mers that
-// occur once, many times and never, and k-mers holding N never match.
+// stepwiseSearch is BackwardSearch without the k-mer table: one rank step
+// per pattern base, from the whole text.
+func stepwiseSearch(x *FMIndex, pattern []byte) Interval {
+	lo, hi := int32(0), int32(x.n)
+	for i := len(pattern) - 1; i >= 0; i-- {
+		bc := genome.BaseCode(pattern[i])
+		if bc < 0 {
+			return Interval{}
+		}
+		lo, hi = x.rank(uint64(bc), lo, hi)
+		if lo >= hi {
+			return Interval{}
+		}
+		lo += x.counts[bc+1]
+		hi += x.counts[bc+1]
+	}
+	return Interval{Lo: lo, Hi: hi}
+}
+
+// TestKernelFMIndexSearchLocateOracle: BackwardSearch intervals must equal
+// the table-free stepwise search's, Lo and Hi, and their appendLocate
+// positions a naive scan of the indexed text, for k-mers that occur once,
+// many times and never; k-mers holding N never match and lowercase bases
+// match as uppercase. It runs at reference lengths whose k-mer table is
+// absent (k = 0), small (k = 2), mid-sized (k = 5) and the benchmark's
+// (k = 7 at 100 kb), with pattern lengths k−1, k and k+1 among random ones,
+// and N or lowercase bases inside the pattern's last k bases, the part the
+// table answers.
 func TestKernelFMIndexSearchLocateOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	ref := genome.Synthesize(genome.DefaultSynthConfig(55, 6000, 2))
-	idx, err := BuildFMIndex(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The text as the index sees it: contigs concatenated, non-ACGT as A.
-	coded, _ := codedText(ref)
-	text := make([]byte, len(coded)-1)
-	for i := range text {
-		text[i] = genome.Alphabet[coded[i]-1]
-	}
-	present, absent := 0, 0
-	for trial := 0; trial < 1000; trial++ {
-		k := 1 + rng.Intn(24)
-		var pat []byte
-		switch trial % 4 {
-		case 0, 1: // drawn from the text, across contig joins too
-			at := rng.Intn(len(text) - k)
-			pat = bytes.Clone(text[at : at+k])
-		case 2: // random: short ones occur, long ones almost never
-			pat = randomBases(rng, k)
-		case 3: // an N anywhere empties the interval
-			pat = randomBases(rng, k)
-			pat[rng.Intn(k)] = 'N'
+	for _, c := range []struct {
+		ref    *genome.Reference
+		k      int
+		trials int
+	}{
+		{genome.NewReference([]genome.Contig{{Name: "t", Seq: randomBases(rng, 12)}}), 0, 200},
+		{genome.NewReference([]genome.Contig{{Name: "t", Seq: randomBases(rng, 70)}}), 2, 400},
+		{genome.Synthesize(genome.DefaultSynthConfig(55, 6000, 2)), 5, 1000},
+		{genome.Synthesize(genome.DefaultSynthConfig(57, 100000, 2)), 7, 1000},
+	} {
+		idx, err := BuildFMIndex(c.ref)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var want []int64
-		if !bytes.Contains(pat, []byte("N")) {
-			for at := 0; ; at++ {
-				next := bytes.Index(text[at:], pat)
-				if next < 0 {
-					break
+		if idx.kmerLen != c.k {
+			t.Fatalf("%d-base reference: k-mer table length %d, want %d", c.ref.TotalLen(), idx.kmerLen, c.k)
+		}
+		// The text as the index sees it: contigs concatenated, non-ACGT as A.
+		coded, _ := codedText(c.ref)
+		text := make([]byte, len(coded)-1)
+		for i := range text {
+			text[i] = genome.Alphabet[coded[i]-1]
+		}
+		present, absent := 0, 0
+		for trial := 0; trial < c.trials; trial++ {
+			k := max(1, []int{c.k - 1, c.k, c.k + 1, 1 + rng.Intn(24)}[trial%4])
+			// tail is an offset among the pattern's last k bases, or its
+			// last base when there is no table.
+			tail := func() int { return k - 1 - rng.Intn(min(k, max(c.k, 1))) }
+			var pat []byte
+			switch trial / 4 % 5 {
+			case 0, 1: // drawn from the text, across contig joins too
+				k = min(k, len(text))
+				at := rng.Intn(len(text) - k + 1)
+				pat = bytes.Clone(text[at : at+k])
+			case 2: // random: short ones occur, long ones almost never
+				pat = randomBases(rng, k)
+			case 3: // an N empties the interval, in the table's part too
+				pat = randomBases(rng, k)
+				if trial%2 == 0 {
+					pat[tail()] = 'N'
+				} else {
+					pat[rng.Intn(k)] = 'N'
 				}
-				at += next
-				want = append(want, int64(at))
+			case 4: // lowercase matches as uppercase
+				at := rng.Intn(len(text) - min(k, len(text)) + 1)
+				pat = bytes.Clone(text[at:min(at+k, len(text))])
+				k = len(pat)
+				pat[tail()] += 'a' - 'A'
+			}
+			iv := idx.BackwardSearch(pat)
+			if want := stepwiseSearch(idx, pat); iv != want {
+				t.Fatalf("k=%d pattern %q: BackwardSearch = %+v, stepwise search = %+v", c.k, pat, iv, want)
+			}
+			var want []int64
+			if upper := bytes.ToUpper(pat); !bytes.Contains(upper, []byte("N")) {
+				for at := 0; ; at++ {
+					next := bytes.Index(text[at:], upper)
+					if next < 0 {
+						break
+					}
+					at += next
+					want = append(want, int64(at))
+				}
+			}
+			if iv.Size() != len(want) {
+				t.Fatalf("k=%d pattern %q: interval size %d, naive scan finds %d", c.k, pat, iv.Size(), len(want))
+			}
+			got := idx.appendLocate(nil, iv, len(want)+1)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d pattern %q: appendLocate = %v, naive scan = %v", c.k, pat, got, want)
+			}
+			if len(want) > 0 {
+				present++
+			} else {
+				absent++
 			}
 		}
-		iv := idx.BackwardSearch(pat)
-		if iv.Size() != len(want) {
-			t.Fatalf("pattern %q: interval size %d, naive scan finds %d", pat, iv.Size(), len(want))
+		if present < c.trials/5 || absent < c.trials/5 {
+			t.Fatalf("k=%d: weak mix: %d present, %d absent of %d", c.k, present, absent, c.trials)
 		}
-		got := idx.appendLocate(nil, iv, len(want)+1)
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("pattern %q: appendLocate = %v, naive scan = %v", pat, got, want)
-		}
-		if len(want) > 0 {
-			present++
-		} else {
-			absent++
-		}
-	}
-	if present < 300 || absent < 300 {
-		t.Fatalf("weak mix: %d present, %d absent", present, absent)
 	}
 }

@@ -109,20 +109,27 @@ type candidate struct {
 	votes int
 }
 
+// nonSeed is 1 for every byte a seed may not hold, 0 for uppercase ACGT:
+// seeds touching N or soft-masked lowercase bases are skipped.
+var nonSeed = func() (t [256]int) {
+	for b := range t {
+		t[b] = 1
+	}
+	t['A'], t['C'], t['G'], t['T'] = 0, 0, 0, 0
+	return t
+}()
+
 // seedCandidates finds candidate alignment start offsets for seq via exact
 // seed matches. The result lives in sc and is valid until its next use.
 func (a *Aligner) seedCandidates(seq []byte, sc *seedScratch) []candidate {
 	positions := sc.positions[:0]
 	// Seeds holding anything but ACGT are skipped; bad is the last such
-	// offset among seq[:scanned], so each base is classified once per read.
+	// offset among seq[:scanned], so each base is classified once per read,
+	// by a table load and a max rather than a branch.
 	bad, scanned := -1, 0
 	for off := 0; off+a.cfg.SeedLen <= len(seq); off += a.cfg.SeedStride {
 		for end := off + a.cfg.SeedLen; scanned < end; scanned++ {
-			switch seq[scanned] {
-			case 'A', 'C', 'G', 'T':
-			default:
-				bad = scanned
-			}
+			bad = max(bad, nonSeed[seq[scanned]]*(scanned+1)-1)
 		}
 		if bad >= off {
 			continue

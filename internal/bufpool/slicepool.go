@@ -3,20 +3,20 @@ package bufpool
 import "sync"
 
 // Slice pools for the hot-kernel scratch arrays: the pair-HMM's rolling DP
-// rows ([]float64) and the banded aligner's score and traceback matrices
-// ([]int32 / []byte). These are requested once per kernel invocation — once
-// per (read, haplotype) pair in the caller, once per re-fit read in the
-// cleaner — so an unpooled make() shows up directly in the per-call
-// allocation profile (see DESIGN.md, "Hot kernels").
+// rows ([]float64) and the banded aligner's score matrices ([]int32). These
+// are requested once per kernel invocation — once per (read, haplotype) pair
+// in the caller, once per re-fit read in the cleaner — so an unpooled make()
+// shows up directly in the per-call allocation profile (see DESIGN.md, "Hot
+// kernels").
 //
 // Pooled slices are returned with the requested length but UNCLEARED: every
-// kernel fully initializes its scratch before reading it, and skipping the
-// memclr is part of the win. Callers that need zeroed memory must clear it
+// kernel writes each element before it reads it, and skipping the memclr is
+// part of the win. Callers that need zeroed memory must clear it
 // themselves.
 
 // maxRetainElems caps the element count of slices kept by the pools, so one
-// pathological window does not pin its worst-case slab forever (the []byte
-// analogue of maxRetain above).
+// pathological window does not pin its worst-case slab forever (the slice
+// analogue of maxRetain in bufpool.go).
 const maxRetainElems = 1 << 20
 
 // slabPool pools slices of one element type. The pool stores *[]T to avoid
@@ -43,7 +43,6 @@ func (p *slabPool[T]) put(s []T) {
 var (
 	f64Pool slabPool[float64]
 	i32Pool slabPool[int32]
-	u8Pool  slabPool[byte]
 )
 
 // GetF64 returns a length-n float64 slice with arbitrary contents.
@@ -57,9 +56,3 @@ func GetI32(n int) []int32 { return i32Pool.get(n) }
 
 // PutI32 returns a slice obtained from GetI32 to the pool.
 func PutI32(s []int32) { i32Pool.put(s) }
-
-// GetU8 returns a length-n byte slice with arbitrary contents.
-func GetU8(n int) []byte { return u8Pool.get(n) }
-
-// PutU8 returns a slice obtained from GetU8 to the pool.
-func PutU8(s []byte) { u8Pool.put(s) }
