@@ -212,29 +212,22 @@ func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 		switch layer {
 		case 'M':
 			p := c - stride
-			if best := M[p]; X[p] > best {
-				layer = 'I'
-				if Y[p] > X[p] {
-					layer = 'D'
-				}
-			} else if Y[p] > best {
+			best := M[p]
+			if X[p] > best {
+				best, layer = X[p], 'I'
+			}
+			if Y[p] > best {
 				layer = 'D'
 			}
 			i--
 		case 'I':
-			p := c - stride + 1
-			if M[p]+gapOpen < X[p]+gapExt {
-				layer = 'I'
-			} else {
+			if p := c - stride + 1; M[p]+gapOpen >= X[p]+gapExt {
 				layer = 'M'
 			}
 			i--
 			k++
 		case 'D':
-			p := c - 1
-			if M[p]+gapOpen < Y[p]+gapExt {
-				layer = 'D'
-			} else {
+			if p := c - 1; M[p]+gapOpen >= Y[p]+gapExt {
 				layer = 'M'
 			}
 			k--
