@@ -400,6 +400,42 @@ func TestFindActiveRegionsHostileRecords(t *testing.T) {
 	}
 }
 
+// TestCallRegionDepthAboveCap: a call's DP is the region's read depth, not
+// the MaxReadsPerRegion sample the pair-HMM scores. A heterozygous SNV under
+// 400 reads (cap 256) and under 100 reads must report DP 400 and 100.
+func TestCallRegionDepthAboveCap(t *testing.T) {
+	ref := genome.Synthesize(genome.DefaultSynthConfig(1003, 2000, 1))
+	seq := ref.Contigs[0].Seq
+	const at = 1000
+	alt := byte('A')
+	if seq[at] == 'A' {
+		alt = 'C'
+	}
+	pileup := func(depth int) []sam.Record {
+		recs := make([]sam.Record, depth)
+		for i := range recs {
+			start := at - 90 + i%80
+			bases := bytes.Clone(seq[start : start+100])
+			if i%2 == 1 {
+				bases[at-start] = alt
+			}
+			recs[i] = sam.Record{Name: fmt.Sprintf("r%d", i), RefID: 0, Pos: int32(start), MapQ: 60,
+				Cigar: sam.Cigar{{Op: 'M', Len: 100}}, Seq: bases, Qual: bytes.Repeat([]byte("I"), 100)}
+		}
+		return recs
+	}
+	cfg := DefaultConfig()
+	for _, depth := range []int{100, 400} {
+		calls := CallRegion(pileup(depth), ref, genome.Interval{Contig: 0, Start: at - 5, End: at + 5}, cfg)
+		if len(calls) != 1 || calls[0].Pos != at || calls[0].Alt != string(alt) {
+			t.Fatalf("depth %d: calls %+v, want one SNV at %d", depth, calls, at)
+		}
+		if calls[0].Depth != depth {
+			t.Fatalf("depth %d (cap %d): DP = %d", depth, cfg.MaxReadsPerRegion, calls[0].Depth)
+		}
+	}
+}
+
 // TestKernelCallVariantsGolden pins the caller's output bytes on one dataset
 // to the sha256 computed at the commit before the lane kernel and the paged
 // pileup went in: neither may move a call, a genotype or a QUAL digit.

@@ -205,7 +205,7 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 			Alt:   v.alt,
 			Qual:  qual,
 			GT:    gt,
-			Depth: len(seqs),
+			Depth: len(keep), // the region's reads, not the sample's
 		})
 	}
 	vcf.SortRecords(out)

@@ -409,9 +409,12 @@ func TestTable5Efficiencies(t *testing.T) {
 // figure reads. The hash moved once, from 0a6da75f… to 1fb7e696…, by one QUAL
 // at a DP=256 site (chr1:3968, 1836.43 to 1953.85), when CallRegion began
 // sorting a region's reads by content before its stride sample: the calls
-// and genotypes are the same.
+// and genotypes are the same. It moved again, to 83800e15…, when a call's DP
+// became the region's read count rather than the MaxReadsPerRegion sample's:
+// four DP fields at hotspot sites, 256 to 768, 791, 808 and 795 (chr1:3090,
+// 3445, 3555, 3968), and nothing else.
 func TestWGSGoldenVCF(t *testing.T) {
-	const golden = "1fb7e696d29947d06e5f869cf9ab3776c55fff148057c00184a0a989bb8aca99"
+	const golden = "83800e15177c971c33c056da928f02039e3363f6c7b5fb51129ad2f094fd046d"
 	run, err := smallRuns.Get(workload.WGS, baseline.GPFOptions())
 	if err != nil {
 		t.Fatal(err)
