@@ -32,39 +32,29 @@ import (
 //
 //	S_out = (m−G)·Match + bestGapCost(G)
 //
-// (deletions and mismatches only lower it, given the sign constraints
-// checked by bandedEligible). If the banded optimum strictly beats S_out,
-// every optimal path lies inside the band; the banded matrix then agrees
+// (deletions and mismatches only lower it, given the sign shape Match ≥ 0
+// and Mismatch, GapOpen, GapExtend ≤ 0). If the banded optimum strictly
+// beats S_out, every optimal path lies inside the band; the banded matrix
+// then agrees
 // with the full matrix along every optimal path (a traceback prefix achieves
 // its cell's value, and in-band values never exceed full values), so the
 // deterministic traceback — same tie-break order, same end-cell scan — picks
 // the identical path. Any discrepancy would imply an out-of-band optimum,
 // contradicting the certificate. If G > m an out-of-band path is outright
-// impossible (insertions consume read bases). When the certificate fails the
-// kernel reports !ok and the caller re-runs the full DP.
+// impossible (insertions consume read bases). When the certificate fails,
+// the scoring is outside its sign shape, or the band is no narrower than a
+// row, fitAlign runs the same fill over the full band [−m, n]: every cell of
+// the matrix, where no path can leave the band and nothing needs certifying.
 //
-// The property test TestKernelFitAlignBandedEquivalence checks
-// score+RefStart+CIGAR equality against the full DP on random and
-// adversarial indel-heavy inputs.
+// The property tests TestKernelFitAlignBandedEquivalence and
+// TestKernelFitAlignFullBandEquivalence check score+RefStart+CIGAR equality
+// against the pointer-matrix Gotoh DP (fitAlignFull, in sw_test.go) on
+// random and adversarial indel-heavy inputs.
 
 // bandSlack is the indel headroom on each side of the diagonal band. 16
 // covers every indel the assembler or realigner produces at default configs
 // while keeping the band ~33 diagonals wide.
 const bandSlack = 16
-
-// bandedEligible reports whether the banded kernel applies: the certificate
-// arithmetic requires the usual score-sign shape, and the band must actually
-// be narrower than the full matrix rows for the work to be worth it.
-func bandedEligible(m, n int, sc Scoring) bool {
-	if m == 0 || n == 0 {
-		return false
-	}
-	if sc.Match < 0 || sc.Mismatch > 0 || sc.GapOpen > 0 || sc.GapExtend > 0 {
-		return false
-	}
-	lo, hi := bandBounds(m, n)
-	return hi-lo+1 < n+1
-}
 
 // bandBounds returns the band [lo, hi] over diagonals d = j−i, clipped to
 // the reachable range [−m, n].
@@ -84,17 +74,44 @@ func bandBounds(m, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// fitAlignBanded runs the banded Gotoh DP. ok is false when the banded
-// optimum cannot certify that no out-of-band path beats it; the caller must
-// then fall back to fitAlignFull. Requires bandedEligible(m, n, sc).
+// fitAlignBanded runs fitAlignBand over the narrow band bandBounds(m, n).
+// ok is false when the band is no narrower than a row, when the scoring is
+// outside the certificate's sign shape, or when the banded optimum cannot
+// certify that no out-of-band path beats it; the caller then runs the full
+// band.
+func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
+	m, n := len(read), len(window)
+	lo, hi := bandBounds(m, n)
+	if hi-lo >= n || sc.Match < 0 || sc.Mismatch > 0 || sc.GapOpen > 0 || sc.GapExtend > 0 {
+		return fitResult{}, false
+	}
+	fit = fitAlignBand(read, window, sc, lo, hi)
+	// Certificate: does the banded optimum rule out every out-of-band path?
+	if G := bandSlack + 1 + max(0, m-n); G <= m {
+		gapBest := max(sc.GapOpen+(G-1)*sc.GapExtend, G*sc.GapOpen)
+		if fit.Score <= (m-G)*sc.Match+gapBest {
+			return fitResult{}, false
+		}
+	}
+	return fit, true
+}
+
+// fitAlignBand runs the Gotoh DP over the diagonals d = j−i in [lo, hi],
+// with −m ≤ lo ≤ 0 ≤ hi ≤ n, and traces back its best end. Over [−m, n] it is
+// the full DP; over a narrower band its answer is the full DP's only when
+// fitAlignBanded's certificate says so. An empty read fits as the zero
+// fitResult.
 //
 // It keeps scores only. Each cell's max is the builtin max, with no branch
 // on the data, and the traceback recomputes each step's predecessor from the
 // stored neighbours with the full DP's tie order: M from M, then X, then Y,
 // switching on strict >; X and Y open from M on >=.
-func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
-	m, n := len(read), len(window)
-	lo, hi := bandBounds(m, n)
+func fitAlignBand(read, window []byte, sc Scoring, lo, hi int) fitResult {
+	m := len(read)
+	if m == 0 {
+		return fitResult{}
+	}
+	n := len(window)
 	// Diagonal-indexed storage: cell (i, j) lives at row i, slot
 	// k = (j−i) − lo + 1. The diagonal predecessor (i−1, j−1) keeps the same
 	// k; the insertion predecessor (i−1, j) is k+1; the deletion predecessor
@@ -183,19 +200,6 @@ func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 		}
 	}
 
-	// Certificate: does the banded optimum rule out every out-of-band path?
-	G := bandSlack + 1 + max(0, m-n)
-	if G <= m {
-		gapBest := sc.GapOpen + (G-1)*sc.GapExtend
-		if g := G * sc.GapOpen; g > gapBest {
-			gapBest = g
-		}
-		sOut := (m-G)*sc.Match + gapBest
-		if int(bestScore) <= sOut {
-			return fitResult{}, false
-		}
-	}
-
 	// Traceback, identical to the full DP's but stepping in (row, slot)
 	// space: M keeps k, I moves to k+1 in the previous row, D moves to k−1.
 	// Each step's layer is the one the fill's max took, recomputed from the
@@ -238,5 +242,5 @@ func fitAlignBanded(read, window []byte, sc Scoring) (fit fitResult, ok bool) {
 		cigar[c] = rev[len(rev)-1-c]
 	}
 	// i = 0, so the start column is just the slot's diagonal.
-	return fitResult{Score: int(bestScore), RefStart: k - 1 + lo, Cigar: cigar.Normalize()}, true
+	return fitResult{Score: int(bestScore), RefStart: k - 1 + lo, Cigar: cigar.Normalize()}
 }

@@ -3,6 +3,7 @@ package align
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -39,12 +40,9 @@ func mutateRead(rng *rand.Rand, src []byte, subRate float64, indels, maxIndel in
 func checkFitEqual(t *testing.T, tag string, read, window []byte, sc Scoring) bool {
 	t.Helper()
 	want := fitAlignFull(read, window, sc)
-	if !bandedEligible(len(read), len(window), sc) {
-		return false
-	}
 	got, ok := fitAlignBanded(read, window, sc)
 	if !ok {
-		return false // certificate failed: dispatcher re-runs the full DP
+		return false // refused: the dispatcher runs the full band
 	}
 	if got.Score != want.Score || got.RefStart != want.RefStart || got.Cigar.String() != want.Cigar.String() {
 		t.Fatalf("%s (m=%d n=%d):\nread   %s\nwindow %s\nbanded score=%d start=%d cigar=%s\nfull   score=%d start=%d cigar=%s",
@@ -176,7 +174,8 @@ func TestKernelFitAlignBandedAdversarial(t *testing.T) {
 
 // TestKernelFitAlignBandedCertificateRefusal constructs a read whose only
 // good alignment needs an indel far beyond the band; the banded kernel must
-// refuse rather than return a worse in-band alignment.
+// refuse rather than return a worse in-band alignment, and the dispatcher's
+// full-band pass must return the full DP's fit.
 func TestKernelFitAlignBandedCertificateRefusal(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	bases := []byte("ACGT")
@@ -188,19 +187,69 @@ func TestKernelFitAlignBandedCertificateRefusal(t *testing.T) {
 	// optimum needs diagonals far outside the band.
 	read := append([]byte{}, window[:80]...)
 	read = append(read, window[80+3*bandSlack:]...)
-	if !bandedEligible(len(read), len(window), DefaultScoring()) {
-		t.Fatal("case unexpectedly ineligible")
+	if lo, hi := bandBounds(len(read), len(window)); hi-lo >= len(window) {
+		t.Fatal("case unexpectedly ineligible: the band is not narrower than a row")
 	}
-	got, ok := fitAlignBanded(read, window, DefaultScoring())
 	want := fitAlignFull(read, window, DefaultScoring())
-	if ok && (got.Score != want.Score || got.Cigar.String() != want.Cigar.String()) {
-		t.Fatalf("banded accepted a wrong answer: banded=%+v full=%+v", got, want)
+	if got, ok := fitAlignBanded(read, window, DefaultScoring()); ok {
+		t.Fatalf("the certificate accepted the narrow band's fit %+v; the full DP's is %+v", got, want)
 	}
-	// And the dispatcher must still land on the full answer.
-	fit := fitAlign(read, window, DefaultScoring())
-	if fit.Score != want.Score || fit.Cigar.String() != want.Cigar.String() {
+	// So the dispatcher's answer comes from the full-band pass.
+	if fit := fitAlign(read, window, DefaultScoring()); !reflect.DeepEqual(fit, want) {
 		t.Fatalf("dispatcher diverged: %+v vs %+v", fit, want)
 	}
+}
+
+// TestKernelFitAlignFullBandEquivalence: fitAlignBand over the full band
+// [−m, n] is the fallback whenever the narrow band refuses, so it must equal
+// the pointer-matrix DP on every input, with no certificate to hide behind:
+// random shapes including reads longer than the window, an empty window,
+// an empty read and N bases, under scorings inside and outside the
+// certificate's sign shape (positive mismatch, non-negative gap open).
+func TestKernelFitAlignFullBandEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	scorings := []Scoring{
+		DefaultScoring(),
+		scoringMaxX0,
+		scoringMaxX2,
+		{Match: 2, Mismatch: 1, GapOpen: -3, GapExtend: -1},  // positive mismatch
+		{Match: 1, Mismatch: -3, GapOpen: 0, GapExtend: -2},  // zero gap open
+		{Match: 3, Mismatch: -1, GapOpen: 1, GapExtend: 0},   // positive gap open
+		{Match: 0, Mismatch: -2, GapOpen: -4, GapExtend: -1}, // zero match
+	}
+	check := func(read, window []byte) {
+		t.Helper()
+		for _, sc := range scorings {
+			got := fitAlignBand(read, window, sc, -len(read), len(window))
+			if want := fitAlignFull(read, window, sc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("read %q window %q scoring %+v:\nfull band %+v\nfull DP   %+v", read, window, sc, got, want)
+			}
+		}
+	}
+	for c := 0; c < 600; c++ {
+		window := randomBases(rng, rng.Intn(120))
+		var read []byte
+		switch {
+		case len(window) >= 12 && rng.Intn(3) > 0:
+			// Carved from the window with substitutions and indels.
+			rl := 10 + rng.Intn(len(window)-9)
+			off := rng.Intn(len(window) - rl + 1)
+			read = mutateRead(rng, window[off:off+rl], 0.05, rng.Intn(4), bandSlack+4)
+		default:
+			// Unrelated, often longer than the window.
+			read = randomBases(rng, 1+rng.Intn(80))
+		}
+		for range rng.Intn(3) {
+			read[rng.Intn(len(read))] = 'N'
+		}
+		if len(window) > 0 && rng.Intn(4) == 0 {
+			window[rng.Intn(len(window))] = 'N'
+		}
+		check(read, window)
+	}
+	check(nil, []byte("ACGT"))
+	check([]byte("ACGT"), nil)
+	check(nil, nil)
 }
 
 func benchFitInputs() (read, window []byte) {
@@ -215,18 +264,34 @@ func benchFitInputs() (read, window []byte) {
 	return
 }
 
+// BenchmarkKernelFitAlignFull times the full DP on a 150-base read in a
+// 400-base window: /reference is the pointer-matrix oracle fitAlignFull,
+// /band the full-band fitAlignBand that fitAlign falls back to. ns/cell
+// divides by the m·n cells both fill.
 func BenchmarkKernelFitAlignFull(b *testing.B) {
 	read, window := benchFitInputs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fitAlignFull(read, window, DefaultScoring())
+	m, n := len(read), len(window)
+	for _, c := range []struct {
+		name string
+		fit  func() fitResult
+	}{
+		{"reference", func() fitResult { return fitAlignFull(read, window, DefaultScoring()) }},
+		{"band", func() fitResult { return fitAlignBand(read, window, DefaultScoring(), -m, n) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				c.fit()
+			}
+			cells := float64(bandCells(m, n, -m, n))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+		})
 	}
 }
 
-// bandCells counts the cells fitAlignBanded fills for an m-base read in an
-// n-base window.
-func bandCells(m, n int) int {
-	lo, hi := bandBounds(m, n)
+// bandCells counts the cells fitAlignBand fills for an m-base read in an
+// n-base window over the band [lo, hi].
+func bandCells(m, n, lo, hi int) int {
 	cells := 0
 	for i := 1; i <= m; i++ {
 		cells += min(hi, n-i) - max(lo, 1-i) + 1
@@ -263,7 +328,8 @@ func BenchmarkKernelFitAlignBanded(b *testing.B) {
 					b.Fatal("certificate refused benchmark input")
 				}
 			}
-			cells := float64(bandCells(len(c.read), len(c.window)))
+			lo, hi := bandBounds(len(c.read), len(c.window))
+			cells := float64(bandCells(len(c.read), len(c.window), lo, hi))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
 		})
 	}

@@ -1,22 +1,21 @@
-package bufpool
-
-import "sync"
-
-// Slice pools for the hot-kernel scratch arrays: the pair-HMM's rolling DP
-// rows ([]float64) and the banded aligner's score matrices ([]int32). These
-// are requested once per kernel invocation — once per (read, haplotype) pair
-// in the caller, once per re-fit read in the cleaner — so an unpooled make()
-// shows up directly in the per-call allocation profile (see DESIGN.md, "Hot
+// Package bufpool pools kernel scratch: the pair-HMM's rolling DP rows
+// ([]float64) and the fit DP's score matrices ([]int32). These are
+// requested once per kernel call — once per region's read × haplotype batch
+// in the caller, once per gapped fit in the aligner, the realigner and the
+// genotyper — so an unpooled make() shows up directly in the per-call
+// allocation profile and in the kernels' ns/cell (see DESIGN.md, "Hot
 // kernels").
 //
 // Pooled slices are returned with the requested length but UNCLEARED: every
 // kernel writes each element before it reads it, and skipping the memclr is
 // part of the win. Callers that need zeroed memory must clear it
 // themselves.
+package bufpool
+
+import "sync"
 
 // maxRetainElems caps the element count of slices kept by the pools, so one
-// pathological window does not pin its worst-case slab forever (the slice
-// analogue of maxRetain in bufpool.go).
+// pathological window does not pin its worst-case slab forever.
 const maxRetainElems = 1 << 20
 
 // slabPool pools slices of one element type. The pool stores *[]T to avoid

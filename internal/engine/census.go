@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"github.com/gpf-go/gpf/internal/bufpool"
 )
 
 // Keyed is one (key, count) pair of a census: what each census task emits
@@ -44,20 +42,14 @@ func (KeyedIntCodec) Name() string { return "keyed-varint" }
 // Marshal encodes pairs; any order is legal (deltas are zigzag-encoded) but
 // sorted input encodes smallest.
 func (KeyedIntCodec) Marshal(pairs []Keyed) ([]byte, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v int64) {
-		buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
-	}
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(pairs)))])
+	buf := binary.AppendUvarint(nil, uint64(len(pairs)))
 	prev := 0
 	for _, kv := range pairs {
-		put(int64(kv.Key - prev))
+		buf = binary.AppendVarint(buf, int64(kv.Key-prev))
+		buf = binary.AppendVarint(buf, int64(kv.Val))
 		prev = kv.Key
-		put(int64(kv.Val))
 	}
-	return bufpool.Bytes(buf), nil
+	return buf, nil
 }
 
 // Unmarshal decodes pairs encoded by Marshal.

@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"time"
-
-	"github.com/gpf-go/gpf/internal/bufpool"
 )
 
 // Dataset is a partitioned in-memory collection — the engine's RDD. A
@@ -53,9 +51,7 @@ func nilInput(name string) error {
 
 // GobCodec is Go's generic reflective serializer: the engine's fallback when
 // no codec is attached, and the stand-in for Java serialization in the
-// paper's comparisons. The encode buffer is pooled: gob grows its scratch
-// buffer through several doublings per partition, which dominates
-// shuffle-side allocations without reuse.
+// paper's comparisons.
 type GobCodec[T any] struct{}
 
 // Name identifies the codec in metrics output.
@@ -63,12 +59,11 @@ func (GobCodec[T]) Name() string { return "gob" }
 
 // Marshal encodes a batch through encoding/gob.
 func (GobCodec[T]) Marshal(items []T) ([]byte, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if err := gob.NewEncoder(buf).Encode(items); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(items); err != nil {
 		return nil, fmt.Errorf("engine: gob encode: %w", err)
 	}
-	return bufpool.Bytes(buf), nil
+	return buf.Bytes(), nil
 }
 
 // Unmarshal inverts Marshal.
